@@ -35,7 +35,6 @@ from .closedform import (
     uplink_upper_bound,
 )
 from .mcrate import (
-    ChannelRealization,
     IllConditionedChannelError,
     PowerAllocation,
     RateEstimate,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CellTopology",
-    "ChannelRealization",
     "DownlinkProfile",
     "HypoexpSpec",
     "IllConditionedChannelError",

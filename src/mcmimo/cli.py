@@ -36,7 +36,7 @@ from .closedform import (
     uplink_profile,
     uplink_upper_bound,
 )
-from .mcrate import PowerAllocation, downlink_rate_mc, uplink_rate_mc
+from .mcrate import ESTIMATOR_VERSION, PowerAllocation, downlink_rate_mc, uplink_rate_mc
 from .network import network_sum_rate, run_joint, run_scheduled
 from .topology import NetworkConfig, build_topology
 
@@ -188,12 +188,15 @@ class ExperimentSpec:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown experiment spec keys: {unknown}")
+        # an explicit 0 must reach __post_init__'s check, not fall back to the spec
+        trials = overrides.get("trials")
+        drops = overrides.get("drops")
         return cls(
             kind=kind,
             network=network,
             sweep=sweep,
-            trials=int(overrides.get("trials") or data.get("trials", 10_000)),
-            drops=int(overrides.get("drops") or data.get("drops", 50)),
+            trials=int(data.get("trials", 10_000) if trials is None else trials),
+            drops=int(data.get("drops", 50) if drops is None else drops),
             output=str(overrides.get("out") or data.get("output", "out")),
             options=options,
         )
@@ -733,9 +736,12 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> Path:
     # the output directory is not an input to the computation: two runs that
     # differ only in destination carry the same content hash
     hashed = {k: v for k, v in spec_dict.items() if k != "output"}
+    # Monte Carlo outputs depend on the estimator's sampling scheme too
+    hashed["estimatorVersion"] = ESTIMATOR_VERSION
     manifest = {
         "spec": spec_dict,
         "seed": spec.network.seed,
+        "estimatorVersion": ESTIMATOR_VERSION,
         "inputHash": hashlib.sha256(
             json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode()
         ).hexdigest(),

@@ -1,17 +1,50 @@
 """Monte Carlo ergodic-rate estimation with ZF receivers and precoders.
 
-Per-user uplink SINR with a ZF receiver at the serving BS:
+Per-user uplink SINR with a ZF receiver A = G (G^H G)^{-1} at the serving BS:
 
     SINR_n = p_n / (sum_{l,c} p_{cl} |a_n^H g_{cl}|^2 + ||a_n||^2)
 
-and downlink SINR with per-cell ZF precoding:
+and downlink SINR with per-cell ZF precoding B_l = alpha_l G_ll^* (G_ll^T G_ll^*)^{-1}:
 
     SINR_n = alpha_0^2 p_n / (sum_{l,c} p_{cl} |g_{ln}^T b_{lc}|^2 + 1)
 
-where the interference sums run over the edge-adjacent cells only. Each trial
-draws fresh Rayleigh fading from a stream keyed by (seed, trial index), so
-estimates are independent of evaluation order and two allocations compared at
-the same seed see identical channels (common random numbers).
+where the interference sums run over the edge-adjacent cells only and
+G_il = H_il diag(beta_il)^{1/2} with H_il an M x N matrix of i.i.d. CN(0, 1)
+entries.
+
+The estimators never draw an M x N channel. They sample the sufficient
+statistics of each trial exactly in distribution, at O(N^3) cost that does not
+depend on M:
+
+* Bartlett draw (Goodman 1963). W = L L^H ~ CW_N(M, I) has the law of H^H H
+  when L is lower triangular with |L_ii|^2 ~ Gamma(M - i, 1) for i = 0..N-1
+  (a real positive diagonal) and L_ij ~ CN(0, 1) for i > j.
+* Uplink. With D = diag(beta_own) and F = D^{-1/2} L^{-H}, the Gram inverse is
+  (G^H G)^{-1} = F F^H, so the noise term is ||a_n||^2 = ||F_{n,:}||^2. The
+  neighbours' channels G_x are independent of A, hence
+  A^H G_x =d F Z diag(beta_x)^{1/2} with Z ~ CN(0, I) of size N x (6N), and
+  SINR_n = p_n / (sum_k p_k |(A^H G_x)_{nk}|^2 + ||a_n||^2).
+* Downlink. Neighbour l contributes
+  interference_n += beta_{l,0,n} alpha_l^2 sum_c (p_{lc} / beta_{ll,c}) |[L_l^{-H} z_n]_c|^2
+  with a fresh Bartlett factor L_l per neighbour and z_n ~ CN(0, I_N) drawn
+  independently for each target user (taking conjugates does not change the
+  law of g^T B_l).
+* Checks. A draw is accepted only when the ZF Gram matrix
+  D^{1/2} W D^{1/2} = K K^H, K = D^{1/2} L, has condition number at most
+  CONDITION_LIMIT (the ratio of its extreme eigenvalues; a non-positive
+  eigenvalue fails) and the computed inverse factor meets
+  max |K^{-1} K - I| < ZF_RESIDUAL_TOL. These are the events on which
+  ``zf_receiver`` rejects a channel, so the sampled law is the same
+  conditional law. Rejected trials are redrawn, at most RESAMPLE_CAP draws
+  per trial in all, before IllConditionedChannelError is raised.
+
+Trials are drawn in fixed blocks of BLOCK_TRIALS, each from its own stream
+keyed by (seed, block index). Estimates are therefore deterministic in
+(seed, trials), do not depend on the order in which blocks are evaluated,
+and two allocations compared at the same seed see identical draws (common
+random numbers): nothing drawn depends on the powers. ESTIMATOR_VERSION
+names this sampling scheme; version 1 drew full M x N channels per trial
+from streams keyed by (seed, trial index).
 """
 
 from __future__ import annotations
@@ -27,6 +60,13 @@ from .topology import CellTopology
 CONDITION_LIMIT = 1e12
 ZF_RESIDUAL_TOL = 1e-9
 RESAMPLE_CAP = 100
+
+ESTIMATOR_VERSION = 2
+BLOCK_TRIALS = 256
+# complex entries of interferer fading drawn at once: bounds the working set
+# of a block; consecutive draws from one stream concatenate, so the value
+# does not change any result
+_CHUNK_ENTRIES = 1 << 15
 
 _MASK64 = (1 << 64) - 1
 
@@ -110,35 +150,6 @@ class RateEstimate:
                 fh.write(f"{row[0]},{row[1]:.12g},{row[2]:.12g},{row[3]}\n")
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One draw of the fast-fading matrices needed for a single trial.
-
-    ``fast_fading[(i, l)]`` is the M x N matrix H_il from the users of cell l
-    to BS i, with i.i.d. CN(0, 1) entries (real/imag variance 1/2 each).
-    """
-
-    fast_fading: dict
-
-    def channel(self, bs: int, cell: int, topology: CellTopology) -> np.ndarray:
-        """G_il = H_il diag(beta[i, l, :])^(1/2)."""
-        h = self.fast_fading[(bs, cell)]
-        return h * np.sqrt(topology.large_scale[bs, cell])[None, :]
-
-
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent per-trial stream derived from (seed, trial)."""
-    return np.random.default_rng([seed & _MASK64, trial & _MASK64])
-
-
-def _draw_fading(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    return math.sqrt(0.5) * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
-
-
-def draw_realization(rng: np.random.Generator, m: int, n: int, pairs) -> ChannelRealization:
-    return ChannelRealization({pair: _draw_fading(rng, m, n) for pair in pairs})
-
-
 def zf_receiver(G: np.ndarray) -> np.ndarray:
     """ZF receive matrix A = G (G^H G)^{-1} with A^H G = I.
 
@@ -201,6 +212,93 @@ def _ci_half_width(sum_x, sum_x2, trials: int, confidence: float) -> np.ndarray:
     return z * np.sqrt(var / trials)
 
 
+def block_rng(seed: int, block: int) -> np.random.Generator:
+    """Independent stream of trial block ``block`` derived from (seed, block)."""
+    return np.random.default_rng([seed & _MASK64, block & _MASK64])
+
+
+def _complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """i.i.d. CN(0, 1) entries: real and imaginary parts with variance 1/2."""
+    x = rng.standard_normal((*shape, 2))
+    x *= math.sqrt(0.5)
+    return x.view(np.complex128)[..., 0]
+
+
+def _abs2(x: np.ndarray) -> np.ndarray:
+    return x.real**2 + x.imag**2
+
+
+def _hermitian(x: np.ndarray) -> np.ndarray:
+    return x.conj().swapaxes(-1, -2)
+
+
+def _bartlett_factor(rng: np.random.Generator, m: int, n: int, size: int) -> np.ndarray:
+    """``size`` lower-triangular N x N factors L with L L^H ~ CW_N(M, I)."""
+    L = np.zeros((size, n, n), dtype=complex)
+    diag = np.arange(n)
+    L[:, diag, diag] = np.sqrt(rng.standard_gamma(m - diag.astype(float), size=(size, n)))
+    rows, cols = np.tril_indices(n, -1)
+    L[:, rows, cols] = _complex_normal(rng, (size, rows.size))
+    return L
+
+
+def _inverse_factors(rng: np.random.Generator, m: int, sqrt_beta: np.ndarray,
+                     size: int) -> np.ndarray:
+    """``size`` draws of F = (D^{1/2} L)^{-H}, so (G^H G)^{-1} = F F^H for a
+    channel G with large-scale gains beta = sqrt_beta**2, redrawing the trials
+    whose Gram matrix fails the conditioning or residual check.
+    """
+    n = sqrt_beta.size
+    F = np.empty((size, n, n), dtype=complex)
+    todo = np.arange(size)
+    for _ in range(RESAMPLE_CAP):
+        K = sqrt_beta[:, None] * _bartlett_factor(rng, m, n, todo.size)
+        lam = np.linalg.eigvalsh(K @ _hermitian(K))
+        ok = (lam[:, 0] > 0) & (lam[:, -1] <= CONDITION_LIMIT * lam[:, 0])
+        K_ok = K[ok]
+        K_inv = np.linalg.inv(K_ok)
+        good = np.max(np.abs(K_inv @ K_ok - np.eye(n)), axis=(1, 2)) < ZF_RESIDUAL_TOL
+        accepted = ok.nonzero()[0][good]
+        F[todo[accepted]] = _hermitian(K_inv[good])
+        todo = np.delete(todo, accepted)
+        if todo.size == 0:
+            return F
+    raise IllConditionedChannelError(
+        f"{todo.size} trial(s) found no well-conditioned channel in {RESAMPLE_CAP} draws"
+    )
+
+
+def _faded_energy(rng: np.random.Generator, F: np.ndarray, cols: int, weigh) -> np.ndarray:
+    """weigh(|F Z|^2) for each trial of F, with Z ~ CN(0, I) of size N x cols."""
+    size, n, _ = F.shape
+    step = max(1, _CHUNK_ENTRIES // (n * cols))
+    return np.concatenate([
+        weigh(_abs2(F[s:s + step] @ _complex_normal(rng, (min(step, size - s), n, cols))))
+        for s in range(0, size, step)
+    ])
+
+
+def _estimate(block_rates, trials: int, seed: int, confidence: float) -> RateEstimate:
+    """Mean per-user rate over ``trials``; block_rates(rng, size) returns the
+    (size, N) rates of one block of trials drawn from rng.
+
+    Sums are taken about the first trial's rates, which keeps the variance
+    free of cancellation and exactly zero when the rates do not vary.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    sum_d = sum_d2 = 0.0
+    for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
+        rate = block_rates(block_rng(seed, block), min(BLOCK_TRIALS, trials - start))
+        if block == 0:
+            shift = rate[0]
+        d = rate - shift
+        sum_d = sum_d + d.sum(axis=0)
+        sum_d2 = sum_d2 + (d * d).sum(axis=0)
+    return RateEstimate(shift + sum_d / trials, trials,
+                        _ci_half_width(sum_d, sum_d2, trials, confidence), "monteCarlo")
+
+
 def uplink_rate_mc(
     topology: CellTopology,
     allocations,
@@ -215,8 +313,6 @@ def uplink_rate_mc(
     of its interfering (edge-adjacent) neighbours. The expectation is over
     fast fading only; the topology's large-scale fading stays fixed.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     cfg = topology.config
     m, n = cfg.bs_antennas, cfg.users_per_cell
     nbrs = topology.neighbors(target_cell)
@@ -224,41 +320,19 @@ def uplink_rate_mc(
 
     p_own = allocations[target_cell].powers
     sqrt_beta_own = np.sqrt(topology.large_scale[target_cell, target_cell])
+    w_x = None  # received interferer power weights beta_k p_k, in neighbour order
     if nbrs.size:
-        sqrt_beta_x = np.sqrt(
-            np.concatenate([topology.large_scale[target_cell, l] for l in nbrs])
+        w_x = np.concatenate(
+            [topology.large_scale[target_cell, l] * allocations[l].powers for l in nbrs]
         )
-        p_x = np.concatenate([allocations[l].powers for l in nbrs])
-    else:
-        sqrt_beta_x = p_x = None
 
-    sum_x = np.zeros(n)
-    sum_x2 = np.zeros(n)
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        for _ in range(RESAMPLE_CAP):
-            try:
-                A = zf_receiver(_draw_fading(rng, m, n) * sqrt_beta_own[None, :])
-                break
-            except IllConditionedChannelError:
-                continue
-        else:
-            raise IllConditionedChannelError(
-                f"no well-conditioned channel in {RESAMPLE_CAP} redraws (trial {t})"
-            )
-        noise = np.einsum("mn,mn->n", A.conj(), A).real
-        if sqrt_beta_x is not None:
-            Gx = _draw_fading(rng, m, p_x.size) * sqrt_beta_x[None, :]
-            interference = np.abs(A.conj().T @ Gx) ** 2 @ p_x
-        else:
-            interference = 0.0
-        rate = np.log2(1.0 + p_own / (interference + noise))
-        sum_x += rate
-        sum_x2 += rate * rate
+    def block_rates(rng, size):
+        F = _inverse_factors(rng, m, sqrt_beta_own, size)
+        noise = _abs2(F).sum(axis=2)
+        interference = 0.0 if w_x is None else _faded_energy(rng, F, w_x.size, lambda e: e @ w_x)
+        return np.log2(1.0 + p_own / (interference + noise))
 
-    return RateEstimate(
-        sum_x / trials, trials, _ci_half_width(sum_x, sum_x2, trials, confidence), "monteCarlo"
-    )
+    return _estimate(block_rates, trials, seed, confidence)
 
 
 def downlink_rate_mc(
@@ -273,11 +347,9 @@ def downlink_rate_mc(
 
     The serving cell's own ZF precoding removes intracell interference and
     contributes the deterministic gain alpha_0^2; randomness enters only via
-    the neighbouring cells' precoders, which are rebuilt per trial from their
-    own channels.
+    the neighbouring cells' precoders, which are redrawn per trial from their
+    own channels' sufficient statistics.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     cfg = topology.config
     m, n = cfg.bs_antennas, cfg.users_per_cell
     nbrs = topology.neighbors(target_cell)
@@ -287,32 +359,19 @@ def downlink_rate_mc(
     alpha0_sq = (m - n) / float(np.sum(1.0 / beta_own))
     signal = alpha0_sq * allocations[target_cell].powers
 
-    sqrt_beta_ll = [np.sqrt(topology.large_scale[l, l]) for l in nbrs]
-    sqrt_beta_l0 = [np.sqrt(topology.large_scale[l, target_cell]) for l in nbrs]
+    # per neighbour l: sqrt(beta_ll), p_l and the gain alpha_l^2 beta_{l,0,n}
+    terms = []
+    for l in nbrs:
+        beta_ll = topology.large_scale[l, l]
+        alpha_sq = (m - n) / float(np.sum(1.0 / beta_ll))
+        terms.append((np.sqrt(beta_ll), allocations[l].powers,
+                      alpha_sq * topology.large_scale[l, target_cell]))
 
-    sum_x = np.zeros(n)
-    sum_x2 = np.zeros(n)
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        interference = np.zeros(n)
-        for k, l in enumerate(nbrs):
-            for _ in range(RESAMPLE_CAP):
-                try:
-                    G_ll = _draw_fading(rng, m, n) * sqrt_beta_ll[k][None, :]
-                    B, _ = zf_precoder(G_ll, topology.large_scale[l, l])
-                    break
-                except IllConditionedChannelError:
-                    continue
-            else:
-                raise IllConditionedChannelError(
-                    f"no well-conditioned channel in {RESAMPLE_CAP} redraws (trial {t})"
-                )
-            G_l0 = _draw_fading(rng, m, n) * sqrt_beta_l0[k][None, :]
-            interference += np.abs(G_l0.T @ B) ** 2 @ allocations[l].powers
-        rate = np.log2(1.0 + signal / (interference + 1.0))
-        sum_x += rate
-        sum_x2 += rate * rate
+    def block_rates(rng, size):
+        interference = np.zeros((size, n))
+        for sqrt_beta_ll, p_l, gain in terms:
+            F = _inverse_factors(rng, m, sqrt_beta_ll, size)
+            interference += gain * _faded_energy(rng, F, n, lambda e: p_l @ e)
+        return np.log2(1.0 + signal / (interference + 1.0))
 
-    return RateEstimate(
-        sum_x / trials, trials, _ci_half_width(sum_x, sum_x2, trials, confidence), "monteCarlo"
-    )
+    return _estimate(block_rates, trials, seed, confidence)

@@ -87,6 +87,16 @@ class TestSpecParsing:
         assert spec.drops == 2
         assert spec.output == "x"
 
+    @pytest.mark.parametrize("field", ["trials", "drops"])
+    def test_zero_override_rejected(self, tmp_path, field):
+        # an explicit 0 is an error, not a request for the spec's own value
+        with pytest.raises(ValueError, match=field):
+            ExperimentSpec.from_dict(tiny_spec(tmp_path), overrides={field: 0})
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(tiny_spec(tmp_path)))
+        with pytest.raises(ValueError, match=field):
+            main(["run", str(path), f"--{field}", "0"])
+
 
 class TestRunExperiment:
     def test_custom_oracle_point(self, tmp_path):
@@ -118,6 +128,20 @@ class TestRunExperiment:
         out2 = run_experiment(ExperimentSpec.from_dict(manifest))
         reran = {p.name: p.read_bytes() for p in out2.iterdir()}
         assert originals == reran
+
+    def test_manifest_records_estimator_version(self, tmp_path, monkeypatch):
+        doc = tiny_spec(tmp_path, trials=20)
+        out = run_experiment(ExperimentSpec.from_dict(doc))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["estimatorVersion"] == 2
+        rerun = run_experiment(ExperimentSpec.from_dict(manifest))
+        assert json.loads((rerun / "manifest.json").read_text()) == manifest
+        # the version is an input of the content hash
+        monkeypatch.setattr("mcmimo.cli.ESTIMATOR_VERSION", 1)
+        old = json.loads((run_experiment(ExperimentSpec.from_dict(doc)) / "manifest.json")
+                         .read_text())
+        assert old["estimatorVersion"] == 1
+        assert old["inputHash"] != manifest["inputHash"]
 
     def test_fig2_mini_curves_and_accuracy(self, tmp_path):
         doc = {

@@ -1,15 +1,19 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from zf_oracle import downlink_rate_oracle, uplink_rate_oracle
 
+from mcmimo import mcrate
 from mcmimo.closedform import downlink_lower_bound, downlink_profile, uplink_approximation, uplink_profile
 from mcmimo.mcrate import (
     IllConditionedChannelError,
     PowerAllocation,
     RateEstimate,
+    _bartlett_factor,
+    block_rng,
     downlink_rate_mc,
-    trial_rng,
     uplink_rate_mc,
     zf_precoder,
     zf_receiver,
@@ -100,14 +104,25 @@ class TestZfPrecoder:
             zf_precoder(np.eye(3, dtype=complex), np.ones(3))
 
 
-def test_inverse_gram_diagonal_statistic():
-    # 1 / [(H^H H)^{-1}]_nn has mean M - N + 1
+def _gram_by_matrix(rng, m, n):
+    H = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
+    return H.conj().T @ H
+
+
+def _gram_by_bartlett(rng, m, n):
+    L = _bartlett_factor(rng, m, n, 1)[0]
+    return L @ L.conj().T
+
+
+@pytest.mark.parametrize("gram", [_gram_by_matrix, _gram_by_bartlett], ids=["matrix", "bartlett"])
+def test_inverse_gram_diagonal_statistic(gram):
+    # 1 / [(H^H H)^{-1}]_nn has mean M - N + 1, for the channel's Gram and for
+    # the Bartlett factor's L L^H alike
     rng = np.random.default_rng(6)
     m, n = 8, 2
     acc = 0.0
     for _ in range(10_000):
-        H = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
-        inv = np.linalg.inv(H.conj().T @ H)
+        inv = np.linalg.inv(gram(rng, m, n))
         acc += 1.0 / inv[0, 0].real
     assert acc / 10_000 == pytest.approx(m - n + 1, rel=0.02)
 
@@ -223,8 +238,95 @@ class TestRateEstimate:
 
 
 def test_trial_streams_are_order_independent():
-    a = trial_rng(42, 7).standard_normal(5)
-    _ = trial_rng(42, 3).standard_normal(100)
-    b = trial_rng(42, 7).standard_normal(5)
+    # each block of trials has its own stream, keyed by (seed, block)
+    a = block_rng(42, 7).standard_normal(5)
+    _ = block_rng(42, 3).standard_normal(100)
+    b = block_rng(42, 7).standard_normal(5)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, trial_rng(42, 8).standard_normal(5))
+    assert not np.array_equal(a, block_rng(42, 8).standard_normal(5))
+
+
+def test_estimate_is_assembled_from_keyed_blocks():
+    # trial block b is drawn from block_rng(seed, b) alone; the last block
+    # holds the remainder of the trials
+    block = mcrate.BLOCK_TRIALS
+    est = mcrate._estimate(lambda rng, size: rng.random((size, 2)), block + 3, 5, 0.95)
+    rates = np.vstack([block_rng(5, 0).random((block, 2)), block_rng(5, 1).random((3, 2))])
+    np.testing.assert_allclose(est.per_user_rate, rates.mean(axis=0), rtol=1e-12)
+    assert est.trials == block + 3
+
+
+_Z95 = NormalDist().inv_cdf(0.975)
+
+
+@pytest.mark.parametrize("direction", ["uplink", "downlink"])
+@pytest.mark.parametrize("m,n,cells,oracle_trials", [
+    (5, 4, 7, 600),       # M = N + 1: the hardest conditioning
+    (40, 4, 7, 600),
+    (128, 10, 19, 200),
+    (6, 3, 1, 600),       # a single cell: no neighbours
+])
+def test_agrees_with_matrix_oracle(direction, m, n, cells, oracle_trials):
+    # per-user two-sample z of the sampled estimator against the matrix-level
+    # ZF simulator; |z| < 4 bounds all users (Bonferroni over <= 10 users)
+    top = build_topology(NetworkConfig(users_per_cell=n, bs_antennas=m, cell_count=cells, seed=3))
+    power = 10.0 if direction == "uplink" else 100.0
+    allocs = [PowerAllocation(np.full(n, power), direction) for _ in range(cells)]
+    estimator, oracle = {"uplink": (uplink_rate_mc, uplink_rate_oracle),
+                         "downlink": (downlink_rate_mc, downlink_rate_oracle)}[direction]
+    new = estimator(top, allocs, 0, trials=2000, seed=17)
+    ref = oracle(top, allocs, 0, trials=oracle_trials, seed=17)
+    if not np.any(ref.ci_half_width):  # interference-free downlink is deterministic
+        np.testing.assert_allclose(new.per_user_rate, ref.per_user_rate, rtol=1e-12)
+        assert not np.any(new.ci_half_width)
+        return
+    se = np.hypot(new.ci_half_width, ref.ci_half_width) / _Z95
+    z = (new.per_user_rate - ref.per_user_rate) / se
+    assert np.max(np.abs(z)) < 4.0, z
+
+
+class TestResampling:
+    @staticmethod
+    def _setup(direction):
+        top = build_topology(NetworkConfig(users_per_cell=4, bs_antennas=5, cell_count=7, seed=3))
+        return top, [PowerAllocation(np.full(4, 10.0), direction) for _ in range(7)]
+
+    @pytest.mark.parametrize("estimator,direction", [(uplink_rate_mc, "uplink"),
+                                                     (downlink_rate_mc, "downlink")])
+    def test_unmeetable_limit_raises_after_cap(self, monkeypatch, estimator, direction):
+        # no Gram matrix has condition number below 1
+        draws = []
+        bartlett = mcrate._bartlett_factor
+        monkeypatch.setattr(mcrate, "CONDITION_LIMIT", 0.5)
+        monkeypatch.setattr(mcrate, "RESAMPLE_CAP", 7)
+        monkeypatch.setattr(mcrate, "_bartlett_factor",
+                            lambda *args: draws.append(args[-1]) or bartlett(*args))
+        top, allocs = self._setup(direction)
+        with pytest.raises(IllConditionedChannelError, match="7 draws"):
+            estimator(top, allocs, 0, trials=10, seed=0)
+        assert draws == [10] * 7
+
+    def test_median_limit_resamples_deterministically(self, monkeypatch):
+        top, allocs = self._setup("uplink")
+        sqrt_beta = np.sqrt(top.large_scale[0, 0])
+        K = sqrt_beta[:, None] * _bartlett_factor(np.random.default_rng(1), 5, 4, 2000)
+        limit = float(np.median(np.linalg.cond(K @ K.conj().swapaxes(1, 2))))
+        monkeypatch.setattr(mcrate, "CONDITION_LIMIT", limit)
+
+        draws, conds = [], []
+        bartlett, inverse = mcrate._bartlett_factor, mcrate._inverse_factors
+
+        def spy_inverse(*args):
+            F = inverse(*args)
+            conds.extend(np.linalg.cond(F @ F.conj().swapaxes(1, 2)))
+            return F
+
+        monkeypatch.setattr(mcrate, "_bartlett_factor",
+                            lambda *args: draws.append(args[-1]) or bartlett(*args))
+        monkeypatch.setattr(mcrate, "_inverse_factors", spy_inverse)
+        a = uplink_rate_mc(top, allocs, 0, trials=300, seed=2)
+        assert len(draws) > 2 and sum(draws) > 300  # some trials were redrawn
+        assert len(conds) == 300
+        assert max(conds) <= limit * (1 + 1e-9)  # every accepted draw meets the limit
+        b = uplink_rate_mc(top, allocs, 0, trials=300, seed=2)
+        assert np.array_equal(a.per_user_rate, b.per_user_rate)
