@@ -19,12 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import (
-    characteristic_coefficients,
-    downlink_profile,
-    mean_inv_one_plus,
-    uplink_profile,
-)
+from .closedform import downlink_profile, interference_factor, uplink_profile
 from .mcrate import PowerAllocation
 from .topology import CellTopology
 
@@ -91,11 +86,9 @@ def uplink_upper_coefficients(topology, interfering_powers, target_cell, m, n) -
     if m < n:
         raise ValueError("the upper-bound strategy requires M >= N")
     prof = uplink_profile(topology, interfering_powers, target_cell)
-    zetas = prof.zetas()
-    # Interference terms are constant during one allocation call, so the
-    # hypoexponential factor is computed once and shared by all users.
-    eta = 1.0 if zetas.size == 0 else mean_inv_one_plus(characteristic_coefficients(zetas))
-    return prof.beta_self * (m - n + 1) * eta
+    # the interference seen at the BS is user-independent, so one
+    # hypoexponential factor serves every user
+    return prof.beta_self * (m - n + 1) * interference_factor(prof.zetas())
 
 
 def uplink_approx_coefficients(topology, interfering_powers, target_cell, m, n) -> np.ndarray:

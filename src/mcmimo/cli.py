@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import re
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -38,7 +39,7 @@ from .closedform import (
 )
 from .mcrate import ESTIMATOR_VERSION, PowerAllocation, downlink_rate_mc, uplink_rate_mc
 from .network import network_sum_rate, run_joint, run_scheduled
-from .topology import NetworkConfig, build_topology
+from .topology import CellTopology, NetworkConfig, build_topology
 
 _MASK64 = (1 << 64) - 1
 EDGE_SPLIT_FACTOR = 0.8  # users beyond this fraction of the cell radius are "edge"
@@ -162,11 +163,19 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if self.drops < 1:
             raise ValueError("drops must be >= 1")
+        if not self.output:
+            raise ValueError("output directory (spec 'output' or --out) must be non-empty")
 
     @classmethod
     def from_dict(cls, data: dict, overrides: dict | None = None) -> "ExperimentSpec":
         data = dict(data)
         if "spec" in data:  # manifest round-trip: accept a manifest document
+            version = data.get("estimatorVersion")
+            if version != ESTIMATOR_VERSION:
+                raise ValueError(
+                    f"manifest estimatorVersion {version!r} is not this build's "
+                    f"{ESTIMATOR_VERSION}: its Monte Carlo outputs would not be reproduced"
+                )
             data = dict(data["spec"])
         if "kind" not in data:
             raise ValueError("experiment spec needs a 'kind' field")
@@ -188,16 +197,17 @@ class ExperimentSpec:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown experiment spec keys: {unknown}")
-        # an explicit 0 must reach __post_init__'s check, not fall back to the spec
+        # an explicit 0 or "" must reach __post_init__'s checks, not fall back to the spec
         trials = overrides.get("trials")
         drops = overrides.get("drops")
+        out = overrides.get("out")
         return cls(
             kind=kind,
             network=network,
             sweep=sweep,
             trials=int(data.get("trials", 10_000) if trials is None else trials),
             drops=int(data.get("drops", 50) if drops is None else drops),
-            output=str(overrides.get("out") or data.get("output", "out")),
+            output=str(data.get("output", "out") if out is None else out),
             options=options,
         )
 
@@ -223,7 +233,8 @@ class ExperimentSpec:
 
 def _fixed_allocs(n_cells, n_users, direction, user_power=None, cell_power=None):
     p = user_power if direction == "uplink" else cell_power / n_users
-    return [PowerAllocation(np.full(n_users, float(p)), direction) for _ in range(n_cells)]
+    # a PowerAllocation is read-only, so every cell can share one
+    return [PowerAllocation(np.full(n_users, float(p)), direction)] * n_cells
 
 
 def _uplink_cell_value(top, allocations, target, estimator, trials, mc_seed):
@@ -258,6 +269,34 @@ _UPLINK_STRATEGIES = {
 }
 
 
+class _GeometryMemo:
+    """The most recent ``size`` built drops, keyed on their config without M.
+
+    Large-scale fading does not depend on the antenna count, so one built drop
+    serves every M through ``CellTopology.with_antennas``.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._drops: OrderedDict = OrderedDict()
+
+    def topology(self, cfg: NetworkConfig) -> CellTopology:
+        key = replace(cfg, bs_antennas=cfg.users_per_cell + 1)
+        top = self._drops.pop(key, None)
+        if top is None:
+            top = build_topology(cfg)
+        self._drops[key] = top
+        while len(self._drops) > self.size:
+            self._drops.popitem(last=False)
+        return top.with_antennas(cfg.bs_antennas)
+
+
+# Jobs run drop-major (see _plan_jobs), and one job revisits at most two
+# geometries of its drop: fig4/fig5's multicell and single-cell scenarios.
+_JOB_GEOMETRIES = 2
+_job_geometry = _GeometryMemo(_JOB_GEOMETRIES)
+
+
 def _drop_topology(spec: ExperimentSpec, drop: int, *, users=None, antennas=None, cells=None):
     cfg = spec.network
     root = cfg.seed
@@ -269,7 +308,51 @@ def _drop_topology(spec: ExperimentSpec, drop: int, *, users=None, antennas=None
         bs_antennas=antennas or cfg.bs_antennas,
         cell_count=cells or cfg.cell_count,
     )
-    return build_topology(cfg)
+    return _job_geometry.topology(cfg)
+
+
+def _uplink_pa_eq(top: CellTopology, p_lin, interferer_user_power) -> tuple[float, float]:
+    """Approximate sum rates of cell 0 with approximation water-filling and
+    with equal power, against fixed-power interferers."""
+    m, n = top.config.bs_antennas, top.n_users
+    allocs = _fixed_allocs(top.n_cells, n, "uplink", user_power=interferer_user_power)
+    pa = uplink_alloc_approx(top, allocs, 0, m, n, p_lin)
+    prof = uplink_profile(top, allocs, 0)
+    c_pa = float(uplink_approximation(prof, m, n, pa.powers).sum())
+    c_eq = float(uplink_approximation(prof, m, n, equal_alloc(n, p_lin).powers).sum())
+    return c_pa, c_eq
+
+
+def _uplink_gain_drop(top: CellTopology, p_lin, interferer_user_power) -> float:
+    return relative_gain(*_uplink_pa_eq(top, p_lin, interferer_user_power))
+
+
+def _downlink_pa_eq(top: CellTopology, p_lin, interferer_cell_power):
+    """Per-user downlink lower-bound rates of cell 0 with water-filling and
+    with equal power, against fixed-power interfering cells."""
+    m, n = top.config.bs_antennas, top.n_users
+    allocs = _fixed_allocs(top.n_cells, n, "downlink", cell_power=interferer_cell_power)
+    alloc = downlink_alloc(top, allocs, 0, m, n, p_lin)
+    prof = downlink_profile(top, allocs, 0)
+    r_pa = downlink_lower_bound(prof, m, n, alloc.powers)
+    r_eq = downlink_lower_bound(prof, m, n, equal_alloc(n, p_lin, "downlink").powers)
+    return r_pa, r_eq
+
+
+def _edge_users(top: CellTopology) -> np.ndarray:
+    return top.user_distances(0) > EDGE_SPLIT_FACTOR * top.config.cell_radius
+
+
+def _downlink_gain_drop(top: CellTopology, p_lin, interferer_cell_power, edge_only=True):
+    """Relative downlink gain of cell 0, over its edge users only if
+    ``edge_only``; None when that leaves no user."""
+    r_pa, r_eq = _downlink_pa_eq(top, p_lin, interferer_cell_power)
+    if edge_only:
+        mask = _edge_users(top)
+        if not mask.any():
+            return None
+        r_pa, r_eq = r_pa[mask], r_eq[mask]
+    return relative_gain(float(r_pa.sum()), float(r_eq.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -359,47 +442,11 @@ def _job_fixed_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
     for ratio in opts["ratios"]:
         m = int(ratio) * n
         top = _drop_topology(spec, d, users=n, antennas=m)
-        allocs = _fixed_allocs(top.n_cells, n, "uplink",
-                               user_power=db_to_linear(opts["interfererUserPowerDb"]))
-        pa = list(allocs)
-        pa[0] = uplink_alloc_approx(top, allocs, 0, m, n, p_lin)
-        eq = list(allocs)
-        eq[0] = equal_alloc(n, p_lin)
-        v_pa, _ = _uplink_cell_value(top, pa, 0, "approx", spec.trials, 0)
-        v_eq, _ = _uplink_cell_value(top, eq, 0, "approx", spec.trials, 0)
+        v_pa, v_eq = _uplink_pa_eq(top, p_lin, db_to_linear(opts["interfererUserPowerDb"]))
         panel = f"ratio{int(ratio)}"
         records.append({"panel": panel, "label": "pa", "x": m, "value": v_pa, "ci": 0.0})
         records.append({"panel": panel, "label": "eq", "x": m, "value": v_eq, "ci": 0.0})
     return records
-
-
-def _uplink_gain_drop(base: NetworkConfig, m, n, p_lin, interferer_user_power, drop_seed) -> float:
-    cfg = replace(base, users_per_cell=n, bs_antennas=m, seed=drop_seed)
-    top = build_topology(cfg)
-    allocs = _fixed_allocs(top.n_cells, n, "uplink", user_power=interferer_user_power)
-    pa = list(allocs)
-    pa[0] = uplink_alloc_approx(top, allocs, 0, m, n, p_lin)
-    prof = uplink_profile(top, allocs, 0)
-    c_pa = float(uplink_approximation(prof, m, n, pa[0].powers).sum())
-    c_eq = float(uplink_approximation(prof, m, n, equal_alloc(n, p_lin).powers).sum())
-    return relative_gain(c_pa, c_eq)
-
-
-def _downlink_gain_drop(base, m, n, p_lin, interferer_cell_power, drop_seed,
-                        edge_only=True, split=EDGE_SPLIT_FACTOR):
-    cfg = replace(base, users_per_cell=n, bs_antennas=m, seed=drop_seed)
-    top = build_topology(cfg)
-    allocs = _fixed_allocs(top.n_cells, n, "downlink", cell_power=interferer_cell_power)
-    alloc = downlink_alloc(top, allocs, 0, m, n, p_lin)
-    prof = downlink_profile(top, allocs, 0)
-    r_pa = downlink_lower_bound(prof, m, n, alloc.powers)
-    r_eq = downlink_lower_bound(prof, m, n, equal_alloc(n, p_lin, "downlink").powers)
-    if edge_only:
-        mask = top.user_distances(0) > split * cfg.cell_radius
-        if not mask.any():
-            return None
-        r_pa, r_eq = r_pa[mask], r_eq[mask]
-    return relative_gain(float(r_pa.sum()), float(r_eq.sum()))
 
 
 def _job_gain_vs_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
@@ -407,12 +454,11 @@ def _job_gain_vs_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
     i, d = job["xIndex"], job["drop"]
     ratio = int(spec.sweep.values[i])
     opts = spec.options
-    n = spec.network.users_per_cell
-    drop_seed = derive_seed(spec.network.seed, _TAG_DROP, d)
+    top = _drop_topology(spec, d, antennas=ratio * spec.network.users_per_cell)
     records = []
     for p_db in opts["powersDb"]:
-        gain = _uplink_gain_drop(spec.network, ratio * n, n, db_to_linear(p_db),
-                                 db_to_linear(opts["interfererUserPowerDb"]), drop_seed)
+        gain = _uplink_gain_drop(top, db_to_linear(p_db),
+                                 db_to_linear(opts["interfererUserPowerDb"]))
         records.append({"panel": f"P{p_db:g}dB", "label": "gain", "x": ratio,
                         "value": gain, "ci": 0.0})
     return records
@@ -425,15 +471,8 @@ def _job_downlink_split(spec: ExperimentSpec, job: dict) -> list[dict]:
     opts = spec.options
     p_lin = db_to_linear(opts["powerDb"])
     top = _drop_topology(spec, d, antennas=m)
-    cfg = top.config
-    n = top.n_users
-    allocs = _fixed_allocs(top.n_cells, n, "downlink",
-                           cell_power=db_to_linear(opts["interfererCellPowerDb"]))
-    alloc = downlink_alloc(top, allocs, 0, m, n, p_lin)
-    prof = downlink_profile(top, allocs, 0)
-    r_pa = downlink_lower_bound(prof, m, n, alloc.powers)
-    r_eq = downlink_lower_bound(prof, m, n, equal_alloc(n, p_lin, "downlink").powers)
-    edge = top.user_distances(0) > EDGE_SPLIT_FACTOR * cfg.cell_radius
+    r_pa, r_eq = _downlink_pa_eq(top, p_lin, db_to_linear(opts["interfererCellPowerDb"]))
+    edge = _edge_users(top)
 
     records = []
     for cls, mask in (("central", ~edge), ("edge", edge)):
@@ -500,10 +539,12 @@ _JOB_RUNNERS = {
 def _plan_jobs(spec: ExperimentSpec) -> list[dict]:
     if spec.kind == "fig12":
         return [{"drop": s} for s in range(spec.drops)]
+    # drop-major, so consecutive jobs reuse one drop's geometry; every sweep
+    # point still receives its samples in drop order
     return [
         {"xIndex": i, "drop": d}
-        for i in range(len(spec.sweep.values))
         for d in range(spec.drops)
+        for i in range(len(spec.sweep.values))
     ]
 
 
@@ -586,27 +627,36 @@ def find_max_ratio(query: GainThresholdQuery, base: NetworkConfig, seed: int | N
         interferer_db = 10.0 if query.direction == "uplink" else 30.0
     interferer_lin = db_to_linear(interferer_db)
 
+    drop_seeds = [derive_seed(root, _TAG_GAIN, d) for d in range(query.drops)]
+    # with N fixed every probe reuses the query's drops; minUsers changes N
+    # per probe, so its drops never repeat and are not kept
+    geometry = _GeometryMemo(0 if query.mode == "minUsers" else query.drops)
     cache: dict[int, float] = {}
 
     def gain(x: int) -> float:
         if x not in cache:
+            if query.mode == "maxRatio":
+                m, n = x * n0, n0
+            elif query.mode == "maxAntennas":
+                m, n = x, n0
+            else:
+                m, n = m0, x
             vals = []
-            for d in range(query.drops):
-                drop_seed = derive_seed(root, _TAG_GAIN, d)
-                if query.mode == "maxRatio":
-                    m, n = x * n0, n0
-                elif query.mode == "maxAntennas":
-                    m, n = x, n0
-                else:
-                    m, n = m0, x
+            for drop_seed in drop_seeds:
+                top = geometry.topology(
+                    replace(base, users_per_cell=n, bs_antennas=m, seed=drop_seed))
                 if query.direction == "uplink":
-                    g = _uplink_gain_drop(base, m, n, p_lin, interferer_lin, drop_seed)
+                    g = _uplink_gain_drop(top, p_lin, interferer_lin)
                 else:
-                    g = _downlink_gain_drop(base, m, n, p_lin, interferer_lin, drop_seed,
-                                            edge_only=edge_only)
+                    g = _downlink_gain_drop(top, p_lin, interferer_lin, edge_only=edge_only)
                 if g is not None:
                     vals.append(g)
-            cache[x] = float(np.mean(vals)) if vals else float("nan")
+            if not vals:
+                raise ValueError(
+                    f"no drop has an edge user at {query.mode} probe {x}: edgeOnly averages "
+                    f"edge users only; raise drops (now {query.drops}) or set edgeOnly false"
+                )
+            cache[x] = float(np.mean(vals))
         return cache[x]
 
     th = query.threshold

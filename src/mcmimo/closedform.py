@@ -351,6 +351,29 @@ def mean_inv_one_plus(spec: HypoexpSpec) -> float:
     return min(max(total, floor), 1.0)
 
 
+# E{1/(v+1)} depends only on the interference means, which stay fixed while one
+# drop is swept over M, evaluated at several powers or allocated by several
+# strategies; jobs visit one drop at a time, so a few entries catch every reuse.
+_FACTOR_CACHE_SIZE = 16
+
+
+def interference_factor(zetas) -> float:
+    """E{1/(v+1)} for hypoexponential interference v with means ``zetas``.
+
+    Equals 1 with no active interferers. Memoised on the exact bytes of
+    ``zetas``, so a repeated call returns the identical float.
+    """
+    z = np.ascontiguousarray(zetas, dtype=float)
+    if z.size == 0:
+        return 1.0
+    return _factor_of_bytes(z.tobytes())
+
+
+@lru_cache(maxsize=_FACTOR_CACHE_SIZE)
+def _factor_of_bytes(key: bytes) -> float:
+    return mean_inv_one_plus(characteristic_coefficients(np.frombuffer(key)))
+
+
 # ---------------------------------------------------------------------------
 # interference profiles
 # ---------------------------------------------------------------------------
@@ -507,8 +530,7 @@ def uplink_upper_bound(profile: InterferenceProfile, m: int, n: int, powers) -> 
     if m < n:
         raise ValueError("uplink upper bound requires M >= N")
     p = _check_powers(powers, profile.n_users)
-    zetas = profile.zetas()
-    eta = 1.0 if zetas.size == 0 else mean_inv_one_plus(characteristic_coefficients(zetas))
+    eta = interference_factor(profile.zetas())
     return np.log2(1.0 + p * profile.beta_self * (m - n + 1) * eta)
 
 

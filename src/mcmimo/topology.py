@@ -57,6 +57,11 @@ class NetworkConfig:
     outer_ring_cells: int = 0
 
     def __post_init__(self):
+        # NaN slips through every ordered check below and into the gains
+        for name in ("cell_radius", "exclusion_radius", "shadow_std_db", "path_loss_exponent"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{_FIELD_TO_JSON[name]} must be finite, got {value}")
         if self.users_per_cell < 1:
             raise ValueError("usersPerCell must be a positive integer")
         if self.bs_antennas < self.users_per_cell + 1:

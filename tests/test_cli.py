@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from mcmimo import cli, closedform
 from mcmimo.cli import (
     ExperimentSpec,
     GainThresholdQuery,
@@ -13,7 +15,7 @@ from mcmimo.cli import (
     main,
     run_experiment,
 )
-from mcmimo.topology import NetworkConfig
+from mcmimo.topology import NetworkConfig, build_topology
 
 
 def tiny_spec(tmp_path, **over):
@@ -97,6 +99,15 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match=field):
             main(["run", str(path), f"--{field}", "0"])
 
+    def test_empty_out_rejected(self, tmp_path):
+        # "" is an explicit (bad) value, not a request for the spec's output
+        with pytest.raises(ValueError, match="out"):
+            ExperimentSpec.from_dict(tiny_spec(tmp_path), overrides={"out": ""})
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(tiny_spec(tmp_path)))
+        with pytest.raises(ValueError, match="out"):
+            main(["run", str(path), "--out", ""])
+
 
 class TestRunExperiment:
     def test_custom_oracle_point(self, tmp_path):
@@ -128,6 +139,18 @@ class TestRunExperiment:
         out2 = run_experiment(ExperimentSpec.from_dict(manifest))
         reran = {p.name: p.read_bytes() for p in out2.iterdir()}
         assert originals == reran
+
+    @pytest.mark.parametrize("version", [None, 1, 3])
+    def test_manifest_of_another_estimator_version_rejected(self, tmp_path, version):
+        out = run_experiment(ExperimentSpec.from_dict(tiny_spec(tmp_path, trials=20)))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert ExperimentSpec.from_dict(manifest).to_dict() == manifest["spec"]
+        if version is None:  # written before the field existed (version 1)
+            del manifest["estimatorVersion"]
+        else:
+            manifest["estimatorVersion"] = version
+        with pytest.raises(ValueError, match="estimatorVersion"):
+            ExperimentSpec.from_dict(manifest)
 
     def test_manifest_records_estimator_version(self, tmp_path, monkeypatch):
         doc = tiny_spec(tmp_path, trials=20)
@@ -282,9 +305,92 @@ class TestFindMaxRatio:
         value, boundary = find_max_ratio(q, self.BASE)
         assert 2 <= value <= 30
 
+    def test_probe_without_edge_users_is_error(self):
+        # seed 1 puts the only user of the one drop inside the edge radius,
+        # so the edge-only gain is undefined at every probe
+        base = NetworkConfig(users_per_cell=1, bs_antennas=8, seed=1)
+        q = GainThresholdQuery("downlink", 0.05, 40.0, (2, 30), mode="maxAntennas", drops=1)
+        with pytest.raises(ValueError, match=r"maxAntennas probe 2: edgeOnly.*drops \(now 1\)"):
+            find_max_ratio(q, base)
+        q_all = GainThresholdQuery("downlink", 0.05, 40.0, (2, 30), mode="maxAntennas",
+                                   drops=1, edge_only=False)
+        assert find_max_ratio(q_all, base)[0] >= 2
+
     def test_unknown_query_key_rejected(self):
         with pytest.raises(ValueError, match="unknown query keys"):
             GainThresholdQuery.from_dict({"direction": "uplink", "thresh": 0.1})
+
+
+class TestDropReuse:
+    """Each drop's geometry is built once per run (or per fixed-N query) and
+    its E{1/(v+1)} computed once, whatever the number of sweep points."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        monkeypatch.setattr(cli, "_job_geometry", cli._GeometryMemo(cli._JOB_GEOMETRIES))
+        closedform._factor_of_bytes.cache_clear()
+        seen = {"build": [], "factor": 0}
+
+        def build(cfg):
+            seen["build"].append(cfg)
+            return build_topology(cfg)
+
+        def coefficients(zetas):
+            seen["factor"] += 1
+            return characteristic(zetas)
+
+        characteristic = closedform.characteristic_coefficients
+        monkeypatch.setattr(cli, "build_topology", build)
+        monkeypatch.setattr(closedform, "characteristic_coefficients", coefficients)
+        return seen
+
+    def test_fig5_builds_each_drop_once(self, tmp_path, calls):
+        drops = 3
+        doc = {
+            "kind": "fig5",
+            "network": {"usersPerCell": 3, "bsAntennas": 30, "seed": 6},
+            "sweep": {"variable": "bsAntennas", "values": [10, 20, 30, 40]},
+            "drops": drops,
+            "output": str(tmp_path / "fig5"),
+        }
+        run_experiment(ExperimentSpec.from_dict(doc))
+        assert len(calls["build"]) == drops * 2  # multicell and single-cell scenarios
+        # the upper-bound strategy's factor, once per multicell drop
+        assert calls["factor"] == drops
+
+    @pytest.mark.parametrize("mode", ["maxRatio", "maxAntennas"])
+    def test_fixed_n_query_builds_each_drop_once(self, calls, mode):
+        q = GainThresholdQuery("uplink", 0.10, 20.0, (2, 60), mode=mode, drops=3)
+        find_max_ratio(q, NetworkConfig(users_per_cell=5, bs_antennas=64, seed=77))
+        assert len(calls["build"]) == 3
+
+    def test_min_users_query_builds_each_probe_and_drop_once(self, calls):
+        q = GainThresholdQuery("downlink", 0.05, 40.0, (2, 30), mode="minUsers",
+                               fixed_antennas=100, drops=4)
+        find_max_ratio(q, NetworkConfig(users_per_cell=5, bs_antennas=64, seed=77))
+        built = [(cfg.users_per_cell, cfg.seed) for cfg in calls["build"]]
+        assert len(built) == len(set(built)) and len(built) % 4 == 0
+
+    def test_memoised_drop_matches_fresh_build(self):
+        memo = cli._GeometryMemo(2)
+        cfg = NetworkConfig(users_per_cell=4, bs_antennas=20, seed=5, outer_ring_cells=3)
+        memo.topology(cfg)
+        reused = memo.topology(NetworkConfig(users_per_cell=4, bs_antennas=64, seed=5,
+                                             outer_ring_cells=3))
+        fresh = build_topology(NetworkConfig(users_per_cell=4, bs_antennas=64, seed=5,
+                                             outer_ring_cells=3))
+        assert reused.config == fresh.config
+        assert reused.cluster_size == fresh.cluster_size
+        for name in ("axial", "bs_positions", "user_positions", "large_scale",
+                     "shadowing", "adjacency"):
+            np.testing.assert_array_equal(getattr(reused, name), getattr(fresh, name))
+
+    def test_memo_is_bounded(self, calls):
+        memo = cli._GeometryMemo(2)
+        for seed in (1, 2, 3, 1):
+            memo.topology(NetworkConfig(users_per_cell=2, bs_antennas=8, seed=seed))
+        assert len(memo._drops) == 2
+        assert [cfg.seed for cfg in calls["build"]] == [1, 2, 3, 1]  # 1 was evicted
 
 
 class TestMainEntry:
@@ -328,7 +434,8 @@ class TestAllKindsSmoke:
         ("fig11", {"sweep": {"variable": "bsAntennas", "values": [8, 16]}}),
         ("table3a", {"sweep": {"variable": "bsAntennas", "values": [4, 40]},
                      "options": {"usersList": [2], "powersDb": [40], "thresholds": [0.05]}}),
-        ("table3b", {"sweep": {"variable": "usersPerCell", "values": [1, 6]},
+        # 3 drops: at 2, the N=5 probe has no edge user in either drop, an error
+        ("table3b", {"sweep": {"variable": "usersPerCell", "values": [1, 6]}, "drops": 3,
                      "options": {"antennasList": [12], "powersDb": [40], "thresholds": [0.05]}}),
     ])
     def test_kind_runs(self, tmp_path, kind, extra):

@@ -15,6 +15,7 @@ from mcmimo.closedform import (
     downlink_lower_bound,
     downlink_profile,
     exp_integral_e1,
+    interference_factor,
     mean_inv_one_plus,
     uplink_approximation,
     uplink_lower_bound,
@@ -149,6 +150,15 @@ class TestMeanInvOnePlus:
             spec = characteristic_coefficients(z)
             val = mean_inv_one_plus(spec)
             assert 1.0 / (1.0 + z.sum()) - 1e-12 <= val <= 1.0
+
+    def test_interference_factor_is_the_memoised_expansion(self):
+        z = np.array([0.3, 2.0, 2.0, 5.0])
+        direct = mean_inv_one_plus(characteristic_coefficients(z))
+        assert interference_factor(z) == direct
+        assert interference_factor(z.copy()) == direct  # cache hit, same float
+        assert interference_factor(np.empty(0)) == 1.0
+        with pytest.raises(ValueError, match="positive"):
+            interference_factor([1.0, -1.0])
 
     def test_realistic_topology_profiles_match_stable_integral(self):
         # 60 interference terms from real drops: the partial-fraction route

@@ -43,6 +43,15 @@ class TestNetworkConfig:
         with pytest.raises(ValueError, match="exclusionRadius"):
             make_cfg(exclusion_radius=1000.0, cell_radius=1000.0)
 
+    @pytest.mark.parametrize("field,key", [
+        ("cell_radius", "cellRadius"), ("exclusion_radius", "exclusionRadius"),
+        ("shadow_std_db", "shadowStdDb"), ("path_loss_exponent", "pathLossExponent"),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_float_fields(self, field, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            make_cfg(**{field: value})
+
     def test_json_roundtrip_exact_names(self):
         doc = {
             "cellRadius": 800.0,
