@@ -598,12 +598,15 @@ class GainThresholdQuery:
         return cls(**{mapping[k]: v for k, v in data.items()})
 
 
-def find_max_ratio(query: GainThresholdQuery, base: NetworkConfig, seed: int | None = None):
+def find_max_ratio(query: GainThresholdQuery, base: NetworkConfig, seed: int | None = None,
+                   geometry: _GeometryMemo | None = None):
     """Largest M/N ratio (or M, or smallest N) whose relative gain meets the
     threshold, by monotone integer bisection with drop averaging.
 
     Returns (value, at_boundary); ``at_boundary`` is True when the answer is
     pinned by the search range (the threshold was met nowhere, or everywhere).
+    ``geometry`` lets queries on the same drops share their built topologies;
+    without it the query keeps its own.
     """
     root = base.seed if seed is None else seed
     lo, hi = query.search_range
@@ -630,7 +633,8 @@ def find_max_ratio(query: GainThresholdQuery, base: NetworkConfig, seed: int | N
     drop_seeds = [derive_seed(root, _TAG_GAIN, d) for d in range(query.drops)]
     # with N fixed every probe reuses the query's drops; minUsers changes N
     # per probe, so its drops never repeat and are not kept
-    geometry = _GeometryMemo(0 if query.mode == "minUsers" else query.drops)
+    if geometry is None:
+        geometry = _GeometryMemo(0 if query.mode == "minUsers" else query.drops)
     cache: dict[int, float] = {}
 
     def gain(x: int) -> float:
@@ -692,22 +696,25 @@ def _run_tables(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     rows = []
     if spec.kind == "table2":
         header = ["powerDb", "threshold", "maxRatio", "atBoundary"]
+        # every query of the table has N fixed, so all reuse the same drops
+        geometry = _GeometryMemo(spec.drops)
         for p_db in opts["powersDb"]:
             for th in opts["thresholds"]:
                 q = GainThresholdQuery("uplink", th, p_db, (lo, hi), "maxRatio",
                                        drops=spec.drops,
                                        interferer_power_db=opts.get("interfererUserPowerDb"))
-                value, boundary = find_max_ratio(q, spec.network)
+                value, boundary = find_max_ratio(q, spec.network, geometry=geometry)
                 rows.append([p_db, th, value, boundary])
     elif spec.kind == "table3a":
         header = ["users", "threshold", "powerDb", "maxAntennas", "atBoundary"]
         for n in opts["usersList"]:
+            geometry = _GeometryMemo(spec.drops)  # the drops of this N
             for th in opts["thresholds"]:
                 for p_db in opts["powersDb"]:
                     q = GainThresholdQuery("downlink", th, p_db, (lo, hi), "maxAntennas",
                                            fixed_users=int(n), drops=spec.drops,
                                            interferer_power_db=opts.get("interfererCellPowerDb"))
-                    value, boundary = find_max_ratio(q, spec.network)
+                    value, boundary = find_max_ratio(q, spec.network, geometry=geometry)
                     rows.append([n, th, p_db, value, boundary])
     else:
         header = ["antennas", "threshold", "powerDb", "minUsers", "atBoundary"]

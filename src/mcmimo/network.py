@@ -48,13 +48,29 @@ class JointResult:
 
 
 def project_budget_simplex(v: np.ndarray, budget: float) -> np.ndarray:
-    """Euclidean projection onto {p >= 0, sum p = budget}."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, u.size + 1)
-    rho = np.max(np.flatnonzero(u + (budget - css) / j > 0)) + 1
-    theta = (budget - css[rho - 1]) / rho
-    return np.maximum(v + theta, 0.0)
+    """Euclidean projection of each row of ``v`` onto {p >= 0, sum p = budget}.
+
+    Sort-and-threshold (Duchi et al., ICML 2008), vectorised over rows: a
+    (k, N) input gives k independent projections, a 1-D input one.
+    """
+    if not (math.isfinite(budget) and budget > 0):
+        raise ValueError(f"budget must be finite and > 0, got {budget}")
+    if np.ndim(v) not in (1, 2):
+        raise ValueError(f"v must be 1-D or 2-D, got {np.ndim(v)} dimensions")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("v must have only finite entries")
+    rows = np.atleast_2d(v)
+    u = np.sort(rows, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    j = np.arange(1, u.shape[1] + 1)
+    active = u + (budget - css) / j > 0
+    # rounding can make ``active`` non-monotone: rho is its last True index
+    # (+1), not its first False one
+    if not active.any(axis=1).all():
+        raise ValueError("v spans too wide a range to project onto the budget")
+    rho = u.shape[1] - np.argmax(active[:, ::-1], axis=1)
+    theta = (budget - css[np.arange(rows.shape[0]), rho - 1]) / rho
+    return np.maximum(rows + theta[:, None], 0.0).reshape(np.shape(v))
 
 
 def _power_matrix(topology: CellTopology, per_cell_powers) -> np.ndarray:
@@ -204,6 +220,14 @@ def run_joint(
     stationary point, flagged ``converged=False`` with a warning if the
     iteration cap was reached first.
     """
+    if not (math.isfinite(budget) and budget > 0):
+        raise ValueError(f"budget must be finite and > 0, got {budget}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    # a NaN or negative tolerance is never met, so the loop would run until
+    # backtracking underflows and still report convergence
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     cfg = topology.config
     n = cfg.users_per_cell
     k = topology.cluster_size
@@ -220,8 +244,7 @@ def run_joint(
         accepted = False
         while step > 1e-16 * budget:
             cand = pmat.copy()
-            for i in range(k):
-                cand[i] = project_budget_simplex(pmat[i] + step * grad[i], budget)
+            cand[:k] = project_budget_simplex(pmat[:k] + step * grad[:k], budget)
             fc = _uplink_objective(topology, cand)
             move = float((grad[:k] * (cand[:k] - pmat[:k])).sum())
             if fc > f and fc >= f + 1e-4 * move:

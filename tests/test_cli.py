@@ -371,6 +371,33 @@ class TestDropReuse:
         built = [(cfg.users_per_cell, cfg.seed) for cfg in calls["build"]]
         assert len(built) == len(set(built)) and len(built) % 4 == 0
 
+    def test_table2_queries_share_their_drops(self, tmp_path, calls):
+        drops = 3
+        doc = {
+            "kind": "table2",
+            "network": {"usersPerCell": 4, "bsAntennas": 40, "seed": 12},
+            "sweep": {"variable": "ratio", "values": [2, 40]},
+            "options": {"powersDb": [10, 20], "thresholds": [0.1, 0.2]},
+            "drops": drops,
+            "output": str(tmp_path / "table2"),
+        }
+        run_experiment(ExperimentSpec.from_dict(doc))
+        assert len(calls["build"]) == drops  # 4 queries, one set of drops
+
+    def test_table3a_builds_each_drop_once_per_user_count(self, tmp_path, calls):
+        drops = 2
+        doc = {
+            "kind": "table3a",
+            "network": {"usersPerCell": 4, "bsAntennas": 40, "seed": 12},
+            "sweep": {"variable": "bsAntennas", "values": [6, 60]},
+            "options": {"usersList": [3, 4], "powersDb": [35, 45], "thresholds": [0.1]},
+            "drops": drops,
+            "output": str(tmp_path / "table3a"),
+        }
+        run_experiment(ExperimentSpec.from_dict(doc))
+        built = [(cfg.users_per_cell, cfg.seed) for cfg in calls["build"]]
+        assert len(built) == len(set(built)) == drops * 2
+
     def test_memoised_drop_matches_fresh_build(self):
         memo = cli._GeometryMemo(2)
         cfg = NetworkConfig(users_per_cell=4, bs_antennas=20, seed=5, outer_ring_cells=3)

@@ -1,6 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mcmimo import network
 from mcmimo.allocation import equal_alloc, uplink_alloc_approx
 from mcmimo.closedform import uplink_approximation, uplink_profile
 from mcmimo.mcrate import PowerAllocation
@@ -32,7 +37,84 @@ def synthetic_two_cell(beta_self, beta_cross, n, m, mirror=True, seed=0):
     return CellTopology(cfg, axial, pos, users, beta, np.ones_like(beta), adj, 2)
 
 
+def project_row(v, budget):
+    """The row-at-a-time projection the batched one must reproduce bit for bit."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    j = np.arange(1, u.size + 1)
+    rho = np.max(np.flatnonzero(u + (budget - css) / j > 0)) + 1
+    theta = (budget - css[rho - 1]) / rho
+    return np.maximum(v + theta, 0.0)
+
+
+@st.composite
+def projection_inputs(draw):
+    k = draw(st.sampled_from([1, 2, 7, 19]))
+    n = draw(st.sampled_from([1, 2, 5, 9]))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    # a small pool of values makes ties and all-negative rows common
+    pool = st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.25, 1.0, 2.0])
+    entry = st.one_of(pool, st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    # wide dynamic range: individual entries far above or below the rest
+    v = np.array(rows) * scale
+    v[v == 1.0 * scale] *= 10.0 ** draw(st.sampled_from([0, 8, -8]))
+    budget = draw(st.sampled_from([1e-6, 0.5, 1.0, 30.0, 1e6]))
+    return v, budget
+
+
 class TestProjection:
+    @settings(max_examples=300, deadline=None)
+    @given(projection_inputs())
+    def test_batched_rows_equal_row_by_row(self, case):
+        v, budget = case
+        try:
+            want = np.stack([project_row(row, budget) for row in v])
+        except ValueError:  # no active index in some row: nothing to reproduce
+            with pytest.raises(ValueError, match="v "):
+                project_budget_simplex(v, budget)
+            return
+        got = project_budget_simplex(v, budget)
+        assert got.shape == v.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(project_budget_simplex(v[0], budget), want[0])
+
+    @pytest.mark.parametrize("row, budget", [
+        ([0.3, 0.2, 0.2, 0.15, 0.01, 0.01], 0.1),
+        ([2 / 3, 2 / 3, 1 / 3, 1 / 3, 0.01], 2 / 3),
+    ])
+    def test_rounding_breaks_threshold_monotonicity(self, row, budget):
+        # ties at the water level round u_j + (budget - css_j) / j to both
+        # signs; rho must be the last positive index, as row by row
+        v = np.array([row, row[::-1]])
+        assert np.array_equal(project_budget_simplex(v, budget),
+                              np.stack([project_row(r, budget) for r in v]))
+
+    @pytest.mark.parametrize("shape", [(1, 5), (6, 1), (19, 5)])
+    def test_rows_feasible(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        v = rng.normal(0.0, 5.0, shape)
+        v[0] = -1.0  # an all-negative row
+        p = project_budget_simplex(v, 7.0)
+        assert p.shape == shape
+        assert np.all(p >= 0)
+        np.testing.assert_allclose(p.sum(axis=1), 7.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="v must"):
+            project_budget_simplex(np.array([[1.0, 2.0], [bad, 0.0]]), 1.0)
+
+    @pytest.mark.parametrize("v", [np.float64(1.0), np.ones((2, 2, 3))])
+    def test_only_rows_projected(self, v):
+        with pytest.raises(ValueError, match="v must be 1-D or 2-D"):
+            project_budget_simplex(v, 1.0)
+
+    @pytest.mark.parametrize("budget", [-1.0, 0.0, np.nan, np.inf])
+    def test_bad_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            project_budget_simplex(np.array([1.0, 2.0]), budget)
+
     def test_interior_point_shifts_uniformly(self):
         got = project_budget_simplex(np.array([1.0, 2.0, 3.0]), 9.0)
         assert got == pytest.approx([2.0, 3.0, 4.0])
@@ -203,6 +285,60 @@ class TestRunJoint:
         eq = network_sum_rate(top, [equal_alloc(3, 30.0) for _ in range(7)])
         res = run_joint(top, 30.0)
         assert res.objective >= eq - 1e-12
+
+    # SHA-256 of the power matrix and the iteration count at the fig12
+    # parameters, recorded before the projection was batched over cells
+    DIGESTS = {
+        3: (35, "83371ad49c35b1ce89c35083dc9dfb52a05b697d7ed0c871da12e847af857b84"),
+        5: (103, "d06519e5778c958780918f96d9301b835536001aa3f0b706c2fc4cb522812eae"),
+        8: (54, "41600fe1d0f7e4d73e2bee14711ff34a68e154c76c27b6d55cb3899ad8634bb7"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_powers_match_recorded_digest(self, seed):
+        top = build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=seed))
+        res = run_joint(top, 50.0, max_iters=800, tolerance=1e-10)
+        pmat = np.stack([a.powers for a in res.per_cell_powers])
+        assert res.converged
+        assert (res.iterations, hashlib.sha256(pmat.tobytes()).hexdigest()) == self.DIGESTS[seed]
+
+    def test_one_projection_per_candidate(self, monkeypatch):
+        top = build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=3))
+        assert top.cluster_size == 19
+        seen = {"projections": 0, "candidates": 0}
+        project, objective = network.project_budget_simplex, network._uplink_objective
+
+        def spy_project(v, budget):
+            seen["projections"] += 1
+            assert v.shape == (19, 5)
+            return project(v, budget)
+
+        def spy_objective(topology, pmat, with_grad=False):
+            seen["candidates"] += not with_grad
+            return objective(topology, pmat, with_grad)
+
+        monkeypatch.setattr(network, "project_budget_simplex", spy_project)
+        monkeypatch.setattr(network, "_uplink_objective", spy_objective)
+        res = run_joint(top, 50.0, max_iters=800, tolerance=1e-10)
+        assert seen["candidates"] >= res.iterations > 1
+        assert seen["projections"] == seen["candidates"]
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"budget": -5.0}, "budget"),
+        ({"budget": 0.0}, "budget"),
+        ({"budget": np.nan}, "budget"),
+        ({"budget": np.inf}, "budget"),
+        ({"max_iters": 0}, "max_iters"),
+        ({"max_iters": -3}, "max_iters"),
+        ({"tolerance": np.nan}, "tolerance"),
+        ({"tolerance": -1.0}, "tolerance"),
+        ({"tolerance": np.inf}, "tolerance"),
+    ])
+    def test_bad_parameters_rejected(self, kwargs, field):
+        cfg = NetworkConfig(users_per_cell=3, bs_antennas=10, cell_count=7, seed=18)
+        top = build_topology(cfg)
+        with pytest.raises(ValueError, match=field):
+            run_joint(top, **{"budget": 30.0, **kwargs})
 
     def test_iteration_cap_sets_flag(self):
         cfg = NetworkConfig(users_per_cell=3, bs_antennas=10, cell_count=7, seed=19)
