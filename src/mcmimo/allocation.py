@@ -19,22 +19,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import downlink_profile, interference_factor, uplink_profile
+from .closedform import downlink_profile, uplink_profile
 from .mcrate import PowerAllocation
 from .topology import CellTopology
 
 
 @dataclass(frozen=True, eq=False)
 class WaterfillCoefficients:
-    """Per-user surrogate-SINR slopes c_n and the cell power budget."""
+    """Per-user surrogate-SINR slopes c_n and the cell power budget.
+
+    ``coeffs`` is one vector (N,) or a (B, N) array with one cell problem per
+    row, all under the same budget.
+    """
 
     coeffs: np.ndarray
     budget: float
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coeffs must be a non-empty 1-D vector")
+        if c.ndim not in (1, 2) or c.size == 0:
+            raise ValueError("coeffs must be a non-empty 1-D vector or 2-D array of rows")
         if np.any(c <= 0) or not np.all(np.isfinite(c)):
             raise ValueError("all water-filling coefficients must be finite and positive")
         if not (np.isfinite(self.budget) and self.budget > 0):
@@ -46,65 +50,106 @@ class WaterfillCoefficients:
 
 @dataclass(frozen=True, eq=False)
 class WaterfillResult:
+    """Powers shaped like the coefficients; ``water_level`` is a float for one
+    vector and a (B,) array for rows."""
+
     powers: np.ndarray
-    water_level: float
-    active_set: np.ndarray
+    water_level: float | np.ndarray
+
+    @property
+    def active_set(self):
+        """Users with positive power: indices for one vector, ``np.nonzero``
+        (row, user) index arrays for rows."""
+        if self.powers.ndim == 1:
+            return np.flatnonzero(self.powers > 0)
+        return np.nonzero(self.powers > 0)
 
 
 def waterfill(wc: WaterfillCoefficients) -> WaterfillResult:
-    """Exact sort-and-scan water-filling solution.
+    """Exact sort-and-scan water-filling solution, for each row at once.
 
     Sorts the levels 1/c_n ascending and picks the largest active set whose
     common water level mu = (P + sum 1/c)/k exceeds its worst member, so the
-    budget is met exactly and boundary users with p_n = 0 stay inactive.
+    budget is met exactly and boundary users with p_n = 0 stay inactive. With
+    no such set (P below the rounding of the smallest level) the level is the
+    one-user mu.
     """
     inv = 1.0 / wc.coeffs
-    n = inv.size
     inv_sorted = np.sort(inv)
-    csum = np.cumsum(inv_sorted)
-    mu = 0.0
-    for k in range(n, 0, -1):
-        mu = (wc.budget + csum[k - 1]) / k
-        if mu > inv_sorted[k - 1]:
-            break
-    powers = np.maximum(mu - inv, 0.0)
-    return WaterfillResult(powers, float(mu), np.flatnonzero(powers > 0))
+    n = inv.shape[-1]
+    # method calls keep the one-cell case cheap: the scheduler makes one per
+    # cell and slot
+    mu = (wc.budget + inv_sorted.cumsum(-1)) / np.arange(1, n + 1)
+    qualifies = mu > inv_sorted
+    qualifies[..., 0] = True
+    # rounding can break the monotonicity of ``qualifies``: the largest k wins
+    k = n - qualifies[..., ::-1].argmax(-1)
+    if inv.ndim == 1:
+        level = mu[k - 1]
+        return WaterfillResult(np.maximum(level - inv, 0.0), float(level))
+    level = mu[np.arange(inv.shape[0]), k - 1]
+    return WaterfillResult(np.maximum(level[:, None] - inv, 0.0), level)
 
 
 # --- strategy coefficient vectors -----------------------------------------
+#
+# Each formula reads a profile (closedform.InterferenceProfile or
+# DownlinkProfile) and returns c of the profile's shape: (N,) for one cell
+# view, (D, N) for a stack of D views. The topology-level functions below
+# build the profile of one cell first.
 
-def uplink_lower_coefficients(topology, interfering_powers, target_cell, m, n) -> np.ndarray:
+def _lower(prof, m, n) -> np.ndarray:
     """d_n = beta_n (M-N) / (S + 1)."""
     if m <= n:
         raise ValueError("the lower-bound strategy requires M > N")
-    prof = uplink_profile(topology, interfering_powers, target_cell)
     return prof.beta_self * (m - n) / (prof.cross_sum + 1.0)
 
 
-def uplink_upper_coefficients(topology, interfering_powers, target_cell, m, n) -> np.ndarray:
+def _upper(prof, m, n) -> np.ndarray:
     """k_n = beta_n (M-N+1) E{1/(v+1)}; users differ only through beta_n."""
     if m < n:
         raise ValueError("the upper-bound strategy requires M >= N")
-    prof = uplink_profile(topology, interfering_powers, target_cell)
     # the interference seen at the BS is user-independent, so one
     # hypoexponential factor serves every user
-    return prof.beta_self * (m - n + 1) * interference_factor(prof.zetas())
+    return prof.beta_self * (m - n + 1) * prof.interference_factor()
+
+
+def _approx(prof, m, n) -> np.ndarray:
+    """t_n = beta_n (M-N+1) / (S + 1)."""
+    if m < n:
+        raise ValueError("the approximation strategy requires M >= N")
+    return prof.beta_self * (m - n + 1) / (prof.cross_sum + 1.0)
+
+
+def _downlink(prof, m, n) -> np.ndarray:
+    """s_n = ((M-N)/L_0) / (D_n + 1)."""
+    if m <= n:
+        raise ValueError("the downlink strategy requires M > N")
+    return ((m - n) / prof.lambda_self) / (prof.cross_load + 1.0)
+
+
+# strategy name -> coefficient formula of a profile, called as f(profile, m, n)
+PROFILE_COEFFICIENTS = {"lower": _lower, "upper": _upper, "approx": _approx, "downlink": _downlink}
+
+
+def uplink_lower_coefficients(topology, interfering_powers, target_cell, m, n) -> np.ndarray:
+    """d_n = beta_n (M-N) / (S + 1)."""
+    return _lower(uplink_profile(topology, interfering_powers, target_cell), m, n)
+
+
+def uplink_upper_coefficients(topology, interfering_powers, target_cell, m, n) -> np.ndarray:
+    """k_n = beta_n (M-N+1) E{1/(v+1)}."""
+    return _upper(uplink_profile(topology, interfering_powers, target_cell), m, n)
 
 
 def uplink_approx_coefficients(topology, interfering_powers, target_cell, m, n) -> np.ndarray:
     """t_n = beta_n (M-N+1) / (S + 1)."""
-    if m < n:
-        raise ValueError("the approximation strategy requires M >= N")
-    prof = uplink_profile(topology, interfering_powers, target_cell)
-    return prof.beta_self * (m - n + 1) / (prof.cross_sum + 1.0)
+    return _approx(uplink_profile(topology, interfering_powers, target_cell), m, n)
 
 
 def downlink_coefficients(topology, interfering_powers, target_cell, m, n) -> np.ndarray:
     """s_n = ((M-N)/L_0) / (D_n + 1)."""
-    if m <= n:
-        raise ValueError("the downlink strategy requires M > N")
-    prof = downlink_profile(topology, interfering_powers, target_cell)
-    return ((m - n) / prof.lambda_self) / (prof.cross_load + 1.0)
+    return _downlink(downlink_profile(topology, interfering_powers, target_cell), m, n)
 
 
 # --- allocation strategies --------------------------------------------------
@@ -157,9 +202,10 @@ def equal_alloc(n_users: int, budget: float, direction: str = "uplink") -> Power
     return PowerAllocation(np.full(n_users, budget / n_users), direction)
 
 
-def relative_gain(c_pa: float, c_eq: float) -> float:
-    """(C_PA - C_EQ) / C_EQ, the sum-rate gain of optimised over equal power."""
-    if not c_eq > 0:
+def relative_gain(c_pa, c_eq):
+    """(C_PA - C_EQ) / C_EQ, the sum-rate gain of optimised over equal power
+    (elementwise for arrays of sum rates)."""
+    if not np.all(np.asarray(c_eq) > 0):
         raise ValueError("equal-power sum rate must be positive")
     return (c_pa - c_eq) / c_eq
 

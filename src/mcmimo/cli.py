@@ -22,14 +22,18 @@ from statistics import NormalDist
 import numpy as np
 
 from .allocation import (
-    downlink_alloc,
+    PROFILE_COEFFICIENTS,
+    WaterfillCoefficients,
     equal_alloc,
     relative_gain,
     uplink_alloc_approx,
     uplink_alloc_lower_bound,
     uplink_alloc_upper_bound,
+    waterfill,
 )
 from .closedform import (
+    DownlinkProfile,
+    InterferenceProfile,
     downlink_lower_bound,
     downlink_profile,
     uplink_approximation,
@@ -140,6 +144,14 @@ _KIND_SWEEP_VARS = {
 }
 
 
+# options whose value selects a code path: the values each accepts
+_OPTION_CHOICES = {
+    "evaluator": ("approx", "lower", "upper", "mc"),      # fig4, fig5
+    "estimator": ("closedForm", "monteCarlo"),            # fig12
+    "direction": ("uplink", "downlink"),                  # custom
+}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     kind: str
@@ -165,6 +177,15 @@ class ExperimentSpec:
             raise ValueError("drops must be >= 1")
         if not self.output:
             raise ValueError("output directory (spec 'output' or --out) must be non-empty")
+        known = _KIND_DEFAULTS[self.kind][2]
+        for key in self.options:
+            if key not in known:
+                raise ValueError(
+                    f"unknown option {key!r} for kind {self.kind!r}; expected one of {sorted(known)}")
+        for key, allowed in _OPTION_CHOICES.items():
+            if key in self.options and self.options[key] not in allowed:
+                raise ValueError(
+                    f"option {key!r} must be one of {allowed}, got {self.options[key]!r}")
 
     @classmethod
     def from_dict(cls, data: dict, overrides: dict | None = None) -> "ExperimentSpec":
@@ -237,6 +258,10 @@ def _fixed_allocs(n_cells, n_users, direction, user_power=None, cell_power=None)
     return [PowerAllocation(np.full(n_users, float(p)), direction)] * n_cells
 
 
+_UPLINK_RATES = {"lower": uplink_lower_bound, "upper": uplink_upper_bound,
+                 "approx": uplink_approximation}
+
+
 def _uplink_cell_value(top, allocations, target, estimator, trials, mc_seed):
     """(sum rate, within-drop CI) of one cell under one estimator."""
     cfg = top.config
@@ -244,8 +269,8 @@ def _uplink_cell_value(top, allocations, target, estimator, trials, mc_seed):
         est = uplink_rate_mc(top, allocations, target, trials, mc_seed)
         return est.sum_rate, float(est.ci_half_width.sum())
     prof = uplink_profile(top, allocations, target)
-    fn = {"lower": uplink_lower_bound, "upper": uplink_upper_bound, "approx": uplink_approximation}
-    rates = fn[estimator](prof, cfg.bs_antennas, cfg.users_per_cell, allocations[target].powers)
+    rates = _UPLINK_RATES[estimator](prof, cfg.bs_antennas, cfg.users_per_cell,
+                                     allocations[target].powers)
     return float(rates.sum()), 0.0
 
 
@@ -262,6 +287,7 @@ def _downlink_cell_value(top, allocations, target, estimator, trials, mc_seed):
     return float(rates.sum()), 0.0
 
 
+# the uplink strategies in record order; fig12's scheduler runs "approx"
 _UPLINK_STRATEGIES = {
     "lower": uplink_alloc_lower_bound,
     "upper": uplink_alloc_upper_bound,
@@ -311,48 +337,60 @@ def _drop_topology(spec: ExperimentSpec, drop: int, *, users=None, antennas=None
     return _job_geometry.topology(cfg)
 
 
-def _uplink_pa_eq(top: CellTopology, p_lin, interferer_user_power) -> tuple[float, float]:
-    """Approximate sum rates of cell 0 with approximation water-filling and
-    with equal power, against fixed-power interferers."""
-    m, n = top.config.bs_antennas, top.n_users
-    allocs = _fixed_allocs(top.n_cells, n, "uplink", user_power=interferer_user_power)
-    pa = uplink_alloc_approx(top, allocs, 0, m, n, p_lin)
-    prof = uplink_profile(top, allocs, 0)
-    c_pa = float(uplink_approximation(prof, m, n, pa.powers).sum())
-    c_eq = float(uplink_approximation(prof, m, n, equal_alloc(n, p_lin).powers).sum())
-    return c_pa, c_eq
+# Cell 0's profile against fixed-power interferers depends on the drop, N and
+# the interferer power only: not on M, the cell's own power or a threshold. The
+# helpers below take cell 0's profiles stacked over drops (one row each) and
+# evaluate a probe for every drop in one array expression.
+
+def _uplink_rows(tops, interferer_user_power) -> InterferenceProfile:
+    """Cell 0's uplink profile in each drop of ``tops``, stacked."""
+    allocs = _fixed_allocs(tops[0].n_cells, tops[0].n_users, "uplink",
+                           user_power=interferer_user_power)
+    return InterferenceProfile.stack([uplink_profile(top, allocs, 0) for top in tops])
 
 
-def _uplink_gain_drop(top: CellTopology, p_lin, interferer_user_power) -> float:
-    return relative_gain(*_uplink_pa_eq(top, p_lin, interferer_user_power))
+def _downlink_rows(tops, interferer_cell_power) -> DownlinkProfile:
+    """Cell 0's downlink profile in each drop of ``tops``, stacked."""
+    allocs = _fixed_allocs(tops[0].n_cells, tops[0].n_users, "downlink",
+                           cell_power=interferer_cell_power)
+    return DownlinkProfile.stack([downlink_profile(top, allocs, 0) for top in tops])
 
 
-def _downlink_pa_eq(top: CellTopology, p_lin, interferer_cell_power):
-    """Per-user downlink lower-bound rates of cell 0 with water-filling and
-    with equal power, against fixed-power interfering cells."""
-    m, n = top.config.bs_antennas, top.n_users
-    allocs = _fixed_allocs(top.n_cells, n, "downlink", cell_power=interferer_cell_power)
-    alloc = downlink_alloc(top, allocs, 0, m, n, p_lin)
-    prof = downlink_profile(top, allocs, 0)
-    r_pa = downlink_lower_bound(prof, m, n, alloc.powers)
-    r_eq = downlink_lower_bound(prof, m, n, equal_alloc(n, p_lin, "downlink").powers)
-    return r_pa, r_eq
+def _uplink_pa_eq(prof: InterferenceProfile, m: int, p_lin) -> tuple[np.ndarray, np.ndarray]:
+    """Approximate sum rates of cell 0 per drop with approximation
+    water-filling and with equal power."""
+    n = prof.n_users
+    pa = waterfill(WaterfillCoefficients(PROFILE_COEFFICIENTS["approx"](prof, m, n), p_lin))
+    return (uplink_approximation(prof, m, n, pa.powers).sum(axis=1),
+            uplink_approximation(prof, m, n, equal_alloc(n, p_lin).powers).sum(axis=1))
+
+
+def _downlink_pa_eq(prof: DownlinkProfile, m: int, p_lin) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user downlink lower-bound rates of cell 0 per drop, (D, N) each,
+    with water-filling and with equal power."""
+    n = prof.n_users
+    pa = waterfill(WaterfillCoefficients(PROFILE_COEFFICIENTS["downlink"](prof, m, n), p_lin))
+    return (downlink_lower_bound(prof, m, n, pa.powers),
+            downlink_lower_bound(prof, m, n, equal_alloc(n, p_lin, "downlink").powers))
 
 
 def _edge_users(top: CellTopology) -> np.ndarray:
     return top.user_distances(0) > EDGE_SPLIT_FACTOR * top.config.cell_radius
 
 
-def _downlink_gain_drop(top: CellTopology, p_lin, interferer_cell_power, edge_only=True):
-    """Relative downlink gain of cell 0, over its edge users only if
-    ``edge_only``; None when that leaves no user."""
-    r_pa, r_eq = _downlink_pa_eq(top, p_lin, interferer_cell_power)
-    if edge_only:
-        mask = _edge_users(top)
-        if not mask.any():
-            return None
-        r_pa, r_eq = r_pa[mask], r_eq[mask]
-    return relative_gain(float(r_pa.sum()), float(r_eq.sum()))
+def _downlink_gains(prof: DownlinkProfile, m: int, p_lin, users=None) -> np.ndarray:
+    """Relative downlink gain of cell 0 per drop, over the users selected by
+    the (D, N) mask ``users`` (all when None); drops selecting no user are
+    left out."""
+    r_pa, r_eq = _downlink_pa_eq(prof, m, p_lin)
+    if users is None:
+        return relative_gain(r_pa.sum(axis=1), r_eq.sum(axis=1))
+    keep = users.any(axis=1)
+    # summed as 1-D selections: numpy's pairwise sum of a zero-filled row
+    # rounds differently from the sum of its selected entries
+    c_pa = np.array([r[u].sum() for r, u in zip(r_pa[keep], users[keep])])
+    c_eq = np.array([r[u].sum() for r, u in zip(r_eq[keep], users[keep])])
+    return relative_gain(c_pa, c_eq)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +435,14 @@ def _job_equal_power(spec: ExperimentSpec, job: dict) -> list[dict]:
 
 
 def _job_strategies(spec: ExperimentSpec, job: dict) -> list[dict]:
-    """Per-strategy sum rates (fig4) or relative gains (fig5)."""
+    """Per-strategy sum rates (fig4) or relative gains (fig5).
+
+    One profile per scenario serves every strategy: the three coefficient
+    vectors are water-filled as the rows of one call, and equal power plus
+    the three allocations are rated as four rows of one expression. The
+    Monte Carlo evaluator rates each allocation on its own, all four at the
+    same seed (common random numbers).
+    """
     i, d = job["xIndex"], job["drop"]
     m = int(spec.sweep.values[i])
     opts = spec.options
@@ -411,24 +456,31 @@ def _job_strategies(spec: ExperimentSpec, job: dict) -> list[dict]:
         n = top.n_users
         allocs = _fixed_allocs(top.n_cells, n, "uplink",
                                user_power=db_to_linear(opts["interfererUserPowerDb"]))
-        mc_seed = derive_seed(spec.network.seed, _TAG_MC, d, i, 0 if cells is None else 1)
+        prof = uplink_profile(top, allocs, 0)
+        coeffs = np.stack([PROFILE_COEFFICIENTS[name](prof, m, n) for name in _UPLINK_STRATEGIES])
+        rows = np.vstack([equal_alloc(n, p_lin).powers,
+                          waterfill(WaterfillCoefficients(coeffs, p_lin)).powers])
+        if evaluator == "mc":
+            mc_seed = derive_seed(spec.network.seed, _TAG_MC, d, i, 0 if cells is None else 1)
+            values, cis = [], []
+            for powers in rows:
+                cand = list(allocs)
+                cand[0] = PowerAllocation(powers, "uplink")
+                value, ci = _uplink_cell_value(top, cand, 0, "mc", spec.trials, mc_seed)
+                values.append(value)
+                cis.append(ci)
+        else:
+            values = _UPLINK_RATES[evaluator](prof, m, n, rows).sum(axis=1).tolist()
+            cis = [0.0] * len(values)
 
-        base = list(allocs)
-        base[0] = equal_alloc(n, p_lin)
-        eq_value, eq_ci = _uplink_cell_value(top, base, 0, evaluator, spec.trials, mc_seed)
-
-        for name, strategy in _UPLINK_STRATEGIES.items():
-            cand = list(allocs)
-            cand[0] = strategy(top, allocs, 0, m, n, p_lin)
-            value, ci = _uplink_cell_value(top, cand, 0, evaluator, spec.trials, mc_seed)
-            if spec.kind == "fig5":
-                records.append({"panel": panel, "label": name, "x": m,
-                                "value": relative_gain(value, eq_value), "ci": 0.0})
-            else:
-                records.append({"panel": panel, "label": name, "x": m, "value": value, "ci": ci})
-        if spec.kind == "fig4":
-            records.append({"panel": panel, "label": "equal", "x": m,
-                            "value": eq_value, "ci": eq_ci})
+        if spec.kind == "fig5":
+            gains = relative_gain(np.array(values[1:]), values[0]).tolist()
+            records += [{"panel": panel, "label": name, "x": m, "value": gain, "ci": 0.0}
+                        for name, gain in zip(_UPLINK_STRATEGIES, gains)]
+        else:  # the strategies, then equal power
+            records += [{"panel": panel, "label": label, "x": m, "value": value, "ci": ci}
+                        for label, value, ci in zip([*_UPLINK_STRATEGIES, "equal"],
+                                                    values[1:] + values[:1], cis[1:] + cis[:1])]
     return records
 
 
@@ -438,14 +490,18 @@ def _job_fixed_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
     n = int(spec.sweep.values[i])
     opts = spec.options
     p_lin = db_to_linear(opts["powerDb"])
+    ratios = [int(ratio) for ratio in opts["ratios"]]
+    # one drop serves every ratio, as only M changes; building it at the
+    # smallest M checks that every ratio gives a valid M > N
+    top = _drop_topology(spec, d, users=n, antennas=min(ratios) * n)
+    prof = _uplink_rows([top], db_to_linear(opts["interfererUserPowerDb"]))
     records = []
-    for ratio in opts["ratios"]:
-        m = int(ratio) * n
-        top = _drop_topology(spec, d, users=n, antennas=m)
-        v_pa, v_eq = _uplink_pa_eq(top, p_lin, db_to_linear(opts["interfererUserPowerDb"]))
-        panel = f"ratio{int(ratio)}"
-        records.append({"panel": panel, "label": "pa", "x": m, "value": v_pa, "ci": 0.0})
-        records.append({"panel": panel, "label": "eq", "x": m, "value": v_eq, "ci": 0.0})
+    for ratio in ratios:
+        m = ratio * n
+        c_pa, c_eq = _uplink_pa_eq(prof, m, p_lin)
+        panel = f"ratio{ratio}"
+        records.append({"panel": panel, "label": "pa", "x": m, "value": float(c_pa[0]), "ci": 0.0})
+        records.append({"panel": panel, "label": "eq", "x": m, "value": float(c_eq[0]), "ci": 0.0})
     return records
 
 
@@ -454,13 +510,14 @@ def _job_gain_vs_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
     i, d = job["xIndex"], job["drop"]
     ratio = int(spec.sweep.values[i])
     opts = spec.options
-    top = _drop_topology(spec, d, antennas=ratio * spec.network.users_per_cell)
+    m = ratio * spec.network.users_per_cell
+    top = _drop_topology(spec, d, antennas=m)
+    prof = _uplink_rows([top], db_to_linear(opts["interfererUserPowerDb"]))
     records = []
     for p_db in opts["powersDb"]:
-        gain = _uplink_gain_drop(top, db_to_linear(p_db),
-                                 db_to_linear(opts["interfererUserPowerDb"]))
+        gain = relative_gain(*_uplink_pa_eq(prof, m, db_to_linear(p_db)))
         records.append({"panel": f"P{p_db:g}dB", "label": "gain", "x": ratio,
-                        "value": gain, "ci": 0.0})
+                        "value": float(gain[0]), "ci": 0.0})
     return records
 
 
@@ -471,22 +528,21 @@ def _job_downlink_split(spec: ExperimentSpec, job: dict) -> list[dict]:
     opts = spec.options
     p_lin = db_to_linear(opts["powerDb"])
     top = _drop_topology(spec, d, antennas=m)
-    r_pa, r_eq = _downlink_pa_eq(top, p_lin, db_to_linear(opts["interfererCellPowerDb"]))
+    prof = _downlink_rows([top], db_to_linear(opts["interfererCellPowerDb"]))
+    r_pa, r_eq = (rates[0] for rates in _downlink_pa_eq(prof, m, p_lin))
     edge = _edge_users(top)
 
     records = []
     for cls, mask in (("central", ~edge), ("edge", edge)):
         if not mask.any():
             continue
+        c_pa, c_eq = float(r_pa[mask].sum()), float(r_eq[mask].sum())
         if spec.kind == "fig11":
             records.append({"panel": "", "label": cls, "x": m,
-                            "value": relative_gain(float(r_pa[mask].sum()),
-                                                   float(r_eq[mask].sum())), "ci": 0.0})
+                            "value": relative_gain(c_pa, c_eq), "ci": 0.0})
         else:
-            records.append({"panel": cls, "label": "pa", "x": m,
-                            "value": float(r_pa[mask].sum()), "ci": 0.0})
-            records.append({"panel": cls, "label": "eq", "x": m,
-                            "value": float(r_eq[mask].sum()), "ci": 0.0})
+            records.append({"panel": cls, "label": "pa", "x": m, "value": c_pa, "ci": 0.0})
+            records.append({"panel": cls, "label": "eq", "x": m, "value": c_eq, "ci": 0.0})
     return records
 
 
@@ -501,7 +557,7 @@ def _job_network_slots(spec: ExperimentSpec, job: dict) -> list[dict]:
     n = top.n_users
     slots = [int(v) for v in spec.sweep.values]
 
-    sched = run_scheduled(top, uplink_alloc_approx, budget, initial, max(slots),
+    sched = run_scheduled(top, _UPLINK_STRATEGIES["approx"], budget, initial, max(slots),
                           rate_estimator=estimator, trials=spec.trials,
                           seed=derive_seed(spec.network.seed, _TAG_SLOT, s))
     joint = run_joint(top, budget, max_iters=int(opts["jointMaxIters"]),
@@ -598,15 +654,42 @@ class GainThresholdQuery:
         return cls(**{mapping[k]: v for k, v in data.items()})
 
 
+class _DropProfiles:
+    """Cell 0's profiles in a threshold search's drops, stacked, one stack per
+    user count N (with each drop's edge-user mask on the downlink).
+
+    A stack depends on the drops, N, the direction and the interferer power
+    only, so every probe of a query reads it, and so does every query of a
+    table that shares those inputs: each (N, drop) is built and profiled once.
+    """
+
+    def __init__(self):
+        self._stacks: dict = {}
+
+    def rows(self, base: NetworkConfig, drop_seeds: tuple, n: int, direction: str,
+             interferer_power: float):
+        cfg = replace(base, users_per_cell=n, bs_antennas=n + 1)
+        key = (cfg, drop_seeds, direction, interferer_power)
+        if key not in self._stacks:
+            tops = [build_topology(replace(cfg, seed=s)) for s in drop_seeds]
+            if direction == "uplink":
+                self._stacks[key] = (_uplink_rows(tops, interferer_power), None)
+            else:
+                self._stacks[key] = (_downlink_rows(tops, interferer_power),
+                                     np.stack([_edge_users(top) for top in tops]))
+        return self._stacks[key]
+
+
 def find_max_ratio(query: GainThresholdQuery, base: NetworkConfig, seed: int | None = None,
-                   geometry: _GeometryMemo | None = None):
+                   profiles: _DropProfiles | None = None):
     """Largest M/N ratio (or M, or smallest N) whose relative gain meets the
     threshold, by monotone integer bisection with drop averaging.
 
     Returns (value, at_boundary); ``at_boundary`` is True when the answer is
     pinned by the search range (the threshold was met nowhere, or everywhere).
-    ``geometry`` lets queries on the same drops share their built topologies;
-    without it the query keeps its own.
+    Each probe evaluates all drops at once from their stacked profiles;
+    ``profiles`` lets queries on the same drops share them, and without it
+    the query keeps its own.
     """
     root = base.seed if seed is None else seed
     lo, hi = query.search_range
@@ -630,11 +713,9 @@ def find_max_ratio(query: GainThresholdQuery, base: NetworkConfig, seed: int | N
         interferer_db = 10.0 if query.direction == "uplink" else 30.0
     interferer_lin = db_to_linear(interferer_db)
 
-    drop_seeds = [derive_seed(root, _TAG_GAIN, d) for d in range(query.drops)]
-    # with N fixed every probe reuses the query's drops; minUsers changes N
-    # per probe, so its drops never repeat and are not kept
-    if geometry is None:
-        geometry = _GeometryMemo(0 if query.mode == "minUsers" else query.drops)
+    drop_seeds = tuple(derive_seed(root, _TAG_GAIN, d) for d in range(query.drops))
+    if profiles is None:
+        profiles = _DropProfiles()
     cache: dict[int, float] = {}
 
     def gain(x: int) -> float:
@@ -645,22 +726,17 @@ def find_max_ratio(query: GainThresholdQuery, base: NetworkConfig, seed: int | N
                 m, n = x, n0
             else:
                 m, n = m0, x
-            vals = []
-            for drop_seed in drop_seeds:
-                top = geometry.topology(
-                    replace(base, users_per_cell=n, bs_antennas=m, seed=drop_seed))
-                if query.direction == "uplink":
-                    g = _uplink_gain_drop(top, p_lin, interferer_lin)
-                else:
-                    g = _downlink_gain_drop(top, p_lin, interferer_lin, edge_only=edge_only)
-                if g is not None:
-                    vals.append(g)
-            if not vals:
+            prof, edges = profiles.rows(base, drop_seeds, n, query.direction, interferer_lin)
+            if query.direction == "uplink":
+                gains = relative_gain(*_uplink_pa_eq(prof, m, p_lin))
+            else:
+                gains = _downlink_gains(prof, m, p_lin, edges if edge_only else None)
+            if not gains.size:
                 raise ValueError(
                     f"no drop has an edge user at {query.mode} probe {x}: edgeOnly averages "
                     f"edge users only; raise drops (now {query.drops}) or set edgeOnly false"
                 )
-            cache[x] = float(np.mean(vals))
+            cache[x] = float(np.mean(gains))
         return cache[x]
 
     th = query.threshold
@@ -694,27 +770,27 @@ def _run_tables(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     opts = spec.options
     lo, hi = int(spec.sweep.values[0]), int(spec.sweep.values[-1])
     rows = []
+    # every query of a table runs on the same drops at one interferer power,
+    # so queries that probe the same N share its profiles
+    profiles = _DropProfiles()
     if spec.kind == "table2":
         header = ["powerDb", "threshold", "maxRatio", "atBoundary"]
-        # every query of the table has N fixed, so all reuse the same drops
-        geometry = _GeometryMemo(spec.drops)
         for p_db in opts["powersDb"]:
             for th in opts["thresholds"]:
                 q = GainThresholdQuery("uplink", th, p_db, (lo, hi), "maxRatio",
                                        drops=spec.drops,
                                        interferer_power_db=opts.get("interfererUserPowerDb"))
-                value, boundary = find_max_ratio(q, spec.network, geometry=geometry)
+                value, boundary = find_max_ratio(q, spec.network, profiles=profiles)
                 rows.append([p_db, th, value, boundary])
     elif spec.kind == "table3a":
         header = ["users", "threshold", "powerDb", "maxAntennas", "atBoundary"]
         for n in opts["usersList"]:
-            geometry = _GeometryMemo(spec.drops)  # the drops of this N
             for th in opts["thresholds"]:
                 for p_db in opts["powersDb"]:
                     q = GainThresholdQuery("downlink", th, p_db, (lo, hi), "maxAntennas",
                                            fixed_users=int(n), drops=spec.drops,
                                            interferer_power_db=opts.get("interfererCellPowerDb"))
-                    value, boundary = find_max_ratio(q, spec.network, geometry=geometry)
+                    value, boundary = find_max_ratio(q, spec.network, profiles=profiles)
                     rows.append([n, th, p_db, value, boundary])
     else:
         header = ["antennas", "threshold", "powerDb", "minUsers", "atBoundary"]
@@ -724,7 +800,7 @@ def _run_tables(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
                     q = GainThresholdQuery("downlink", th, p_db, (lo, hi), "minUsers",
                                            fixed_antennas=int(m), drops=spec.drops,
                                            interferer_power_db=opts.get("interfererCellPowerDb"))
-                    value, boundary = find_max_ratio(q, spec.network)
+                    value, boundary = find_max_ratio(q, spec.network, profiles=profiles)
                     rows.append([m, th, p_db, value, boundary])
     return header, rows
 

@@ -32,7 +32,7 @@ envelope [1/(1 + sum zeta), 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -207,36 +207,42 @@ def characteristic_coefficients(zetas) -> HypoexpSpec:
     dist = np.array(distinct)
     mult = np.array([len(g) for g in groups], dtype=int)
 
+    # Taylor coefficients of Gh(s) = prod_{g != h} (1 + zeta_g s)^{-tau_g}
+    # around s = -1/zeta_h, in powers of u = (1 + zeta_h s): coefficient
+    # c_m = Gh^(m) / (m! zeta_h^m) and lambda_{h,j} = c_{tau-j}. Row h of the
+    # (K, K-1) arrays holds the g != h terms in np.delete(dist, h) order.
+    k_ = dist.size
+    cols = np.arange(k_ - 1)
+    others = cols + (cols >= np.arange(k_)[:, None])
+    zg, tg = dist[others], mult[others]
+    zh_col = dist[:, None]
+    base = 1.0 - zg / zh_col
+    signs = np.prod(np.sign(base) ** tg, axis=1).tolist()
+    log_g0 = np.sum(tg * np.log(np.abs(base)), axis=1).tolist()
+    ratio = zg * zh_col / (zh_col - zg)
+
     coeffs = []
-    for h in range(dist.size):
-        zh = dist[h]
+    for h in range(k_):
         tau = int(mult[h])
-        zg = np.delete(dist, h)
-        tg = np.delete(mult, h)
-        # Taylor coefficients of Gh(s) = prod_{g != h} (1 + zeta_g s)^{-tau_g}
-        # around s = -1/zeta_h, in powers of u = (1 + zeta_h s): coefficient
-        # c_m = Gh^(m) / (m! zeta_h^m) and lambda_{h,j} = c_{tau-j}.
-        if zg.size:
-            base = 1.0 - zg / zh
-            sign = float(np.prod(np.sign(base) ** tg))
-            g0 = sign * math.exp(-float(np.sum(tg * np.log(np.abs(base)))))
-            ratio = zg * zh / (zh - zg)
+        g0 = signs[h] * math.exp(-log_g0[h])
+        if tau == 1:
+            lam = np.array([g0])
+            finite = math.isfinite(g0)
         else:
-            g0 = 1.0
-            ratio = np.empty(0)
-        G = np.zeros(tau)
-        G[0] = g0
-        if tau > 1:
+            zh = dist[h]
+            G = np.zeros(tau)
+            G[0] = g0
             # log-derivatives of Gh at the expansion point
             L = [0.0] * tau
             for k in range(1, tau):
-                L[k] = (-1.0) ** k * math.factorial(k - 1) * float(np.sum(tg * ratio**k))
+                L[k] = (-1.0) ** k * math.factorial(k - 1) * float(np.sum(tg[h] * ratio[h]**k))
             for m_ in range(1, tau):
                 G[m_] = sum(math.comb(m_ - 1, i) * L[m_ - i] * G[i] for i in range(m_))
-        lam = np.array(
-            [G[tau - j] / (math.factorial(tau - j) * zh ** (tau - j)) for j in range(1, tau + 1)]
-        )
-        if not np.all(np.isfinite(lam)):
+            lam = np.array(
+                [G[tau - j] / (math.factorial(tau - j) * zh ** (tau - j)) for j in range(1, tau + 1)]
+            )
+            finite = np.all(np.isfinite(lam))
+        if not finite:
             raise ValueError(
                 "zeta spacing too small for a stable partial-fraction expansion; "
                 "values this close should be merged"
@@ -380,23 +386,35 @@ def _factor_of_bytes(key: bytes) -> float:
 
 @dataclass(frozen=True, eq=False)
 class InterferenceProfile:
-    """Uplink large-scale view of one target cell.
+    """Uplink large-scale view of one target cell, or a stack of such views.
 
     ``beta_self[n]`` is user n's gain to its own BS; ``cross_powers`` and
     ``cross_betas`` list (p, beta) for every user of every interfering cell.
     The interference power seen at the BS is user-independent.
+
+    A stacked profile (see ``stack``) has a leading axis of rows, one view per
+    row (one drop each, say): ``beta_self`` is (D, N), the cross arrays are
+    (D, L), and ``cross_sum`` and ``interference_factor()`` are (D, 1)
+    columns, so every rate and coefficient formula evaluates all rows in one
+    expression with the same bits as row by row.
     """
 
     beta_self: np.ndarray
     cross_powers: np.ndarray
     cross_betas: np.ndarray
+    cross_sum: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
         bs = np.asarray(self.beta_self, dtype=float)
-        cp = np.asarray(self.cross_powers, dtype=float).ravel()
-        cb = np.asarray(self.cross_betas, dtype=float).ravel()
-        if bs.ndim != 1 or np.any(bs <= 0) or not np.all(np.isfinite(bs)):
-            raise ValueError("beta_self must be a positive 1-D vector")
+        cp = np.asarray(self.cross_powers, dtype=float)
+        cb = np.asarray(self.cross_betas, dtype=float)
+        if bs.ndim == 1:
+            cp, cb = cp.ravel(), cb.ravel()
+        elif bs.ndim != 2 or cp.ndim != 2 or cp.shape[0] != bs.shape[0]:
+            raise ValueError(
+                "a stacked profile needs beta_self (D, N) and cross arrays (D, L)")
+        if np.any(bs <= 0) or not np.all(np.isfinite(bs)):
+            raise ValueError("beta_self must be finite and positive")
         if cp.shape != cb.shape:
             raise ValueError("cross_powers and cross_betas must have equal length")
         if np.any(cp < 0) or np.any(cb <= 0):
@@ -405,43 +423,76 @@ class InterferenceProfile:
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # total interference power sum p_cl beta_cl (0 with no interferers)
+        if bs.ndim == 1:
+            cross_sum = float(np.dot(cp, cb))
+        else:
+            cross_sum = np.array([[np.dot(p, b)] for p, b in zip(cp, cb)])
+        object.__setattr__(self, "cross_sum", cross_sum)
+
+    @classmethod
+    def stack(cls, profiles) -> "InterferenceProfile":
+        """One profile whose row d is ``profiles[d]`` (equal N and L)."""
+        return cls(np.stack([p.beta_self for p in profiles]),
+                   np.stack([p.cross_powers for p in profiles]),
+                   np.stack([p.cross_betas for p in profiles]))
 
     @property
     def n_users(self) -> int:
-        return self.beta_self.size
-
-    @property
-    def cross_sum(self) -> float:
-        """Total interference power sum p_cl beta_cl (0 with no interferers)."""
-        return float(np.dot(self.cross_powers, self.cross_betas))
+        return self.beta_self.shape[-1]
 
     def zetas(self) -> np.ndarray:
-        """Exponential means p_cl beta_cl of the active interference terms."""
+        """Exponential means p_cl beta_cl of the active interference terms
+        (of an unstacked profile)."""
+        if self.cross_powers.ndim != 1:
+            raise ValueError("zetas() needs an unstacked profile; a stack has one set per row")
         z = self.cross_powers * self.cross_betas
         return z[z > 0]
+
+    def interference_factor(self) -> float | np.ndarray:
+        """E{1/(v+1)} of the interference: a float, or a (D, 1) column for a stack."""
+        if self.cross_powers.ndim == 1:
+            return interference_factor(self.zetas())
+        z = self.cross_powers * self.cross_betas
+        return np.array([[interference_factor(row[row > 0])] for row in z])
 
 
 @dataclass(frozen=True, eq=False)
 class DownlinkProfile:
     """Downlink large-scale view: own-cell inverse-gain sum and the per-user
-    normalised interference load D_n."""
+    normalised interference load D_n.
 
-    lambda_self: float
+    A stacked profile (see ``stack``) holds one view per row: ``lambda_self``
+    is then a (D, 1) column and ``cross_load`` is (D, N).
+    """
+
+    lambda_self: float | np.ndarray
     cross_load: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.lambda_self) and self.lambda_self > 0):
+        lam = np.array(self.lambda_self, dtype=float)
+        cl = np.array(self.cross_load, dtype=float)
+        if not (np.all(np.isfinite(lam)) and np.all(lam > 0)):
             raise ValueError("lambda_self must be finite and positive")
-        cl = np.asarray(self.cross_load, dtype=float)
-        if cl.ndim != 1 or np.any(cl < 0) or not np.all(np.isfinite(cl)):
-            raise ValueError("cross_load must be a non-negative 1-D vector")
-        cl = cl.copy()
+        one_view = lam.ndim == 0 and cl.ndim == 1
+        if not (one_view or (cl.ndim == 2 and lam.shape == (cl.shape[0], 1))):
+            raise ValueError("cross_load must be a 1-D vector, or (D, N) beside a (D, 1) lambda_self")
+        if np.any(cl < 0) or not np.all(np.isfinite(cl)):
+            raise ValueError("cross_load must be non-negative and finite")
+        lam.setflags(write=False)
         cl.setflags(write=False)
+        object.__setattr__(self, "lambda_self", float(lam) if one_view else lam)
         object.__setattr__(self, "cross_load", cl)
+
+    @classmethod
+    def stack(cls, profiles) -> "DownlinkProfile":
+        """One profile whose row d is ``profiles[d]`` (equal N)."""
+        return cls(np.array([[p.lambda_self] for p in profiles]),
+                   np.stack([p.cross_load for p in profiles]))
 
     @property
     def n_users(self) -> int:
-        return self.cross_load.size
+        return self.cross_load.shape[-1]
 
 
 def uplink_profile(topology: CellTopology, interfering_powers, target_cell: int) -> InterferenceProfile:
@@ -492,10 +543,14 @@ def downlink_profile(topology: CellTopology, interfering_powers, target_cell: in
 # rate expressions
 # ---------------------------------------------------------------------------
 
+# Each rate takes ``powers`` of shape (N,) or (R, N), one allocation per row,
+# and a profile of one view or a stack of D views; the per-user rates come
+# out in the broadcast shape, every row with the bits of its own evaluation.
+
 def _check_powers(powers, n: int) -> np.ndarray:
     p = np.asarray(powers, dtype=float)
-    if p.shape != (n,):
-        raise ValueError(f"powers must have shape ({n},)")
+    if p.ndim not in (1, 2) or p.shape[-1] != n:
+        raise ValueError(f"powers must have shape ({n},) or (rows, {n})")
     if np.any(p < 0) or not np.all(np.isfinite(p)):
         raise ValueError("powers must be finite and non-negative")
     return p
@@ -530,7 +585,7 @@ def uplink_upper_bound(profile: InterferenceProfile, m: int, n: int, powers) -> 
     if m < n:
         raise ValueError("uplink upper bound requires M >= N")
     p = _check_powers(powers, profile.n_users)
-    eta = interference_factor(profile.zetas())
+    eta = profile.interference_factor()
     return np.log2(1.0 + p * profile.beta_self * (m - n + 1) * eta)
 
 

@@ -66,11 +66,17 @@ def project_budget_simplex(v: np.ndarray, budget: float) -> np.ndarray:
     active = u + (budget - css) / j > 0
     # rounding can make ``active`` non-monotone: rho is its last True index
     # (+1), not its first False one
-    if not active.any(axis=1).all():
-        raise ValueError("v spans too wide a range to project onto the budget")
     rho = u.shape[1] - np.argmax(active[:, ::-1], axis=1)
     theta = (budget - css[np.arange(rows.shape[0]), rho - 1]) / rho
-    return np.maximum(rows + theta[:, None], 0.0).reshape(np.shape(v))
+    out = np.maximum(rows + theta[:, None], 0.0)
+    wide = ~active.any(axis=1)
+    if wide.any():
+        # a spread that dwarfs the budget rounds every u_j + (budget - css_j)/j
+        # to <= 0. The projection does not change when a row is shifted, and
+        # shifted by its maximum the row's largest entry qualifies.
+        peaks = rows[wide].max(axis=1, keepdims=True)
+        out[wide] = project_budget_simplex(rows[wide] - peaks, budget)
+    return out.reshape(np.shape(v))
 
 
 def _power_matrix(topology: CellTopology, per_cell_powers) -> np.ndarray:

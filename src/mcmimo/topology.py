@@ -93,8 +93,20 @@ class NetworkConfig:
         Keys must match the documented names exactly; unknown keys are errors.
         """
         if isinstance(source, (str, Path)):
-            text = Path(source).read_text() if Path(str(source)).exists() else str(source)
-            data = json.loads(text)
+            text = str(source)
+            try:
+                is_file = Path(text).is_file()
+            except OSError:  # a JSON text can be longer than a file name may be
+                is_file = False
+            if is_file:
+                text = Path(text).read_text()
+            try:
+                data = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"network config {str(source)!r} is neither an existing file nor valid "
+                    f"JSON ({exc.msg})"
+                ) from exc
         else:
             data = dict(source)
         if not isinstance(data, dict):

@@ -18,6 +18,7 @@ from mcmimo.allocation import (
     downlink_alloc,
     downlink_coefficients,
     equal_alloc,
+    relative_gain,
     uplink_alloc_approx,
     uplink_alloc_lower_bound,
     uplink_alloc_upper_bound,
@@ -26,7 +27,14 @@ from mcmimo.allocation import (
     uplink_upper_coefficients,
     waterfill,
 )
-from mcmimo.cli import GainThresholdQuery, _uplink_gain_drop, db_to_linear, derive_seed, find_max_ratio
+from mcmimo.cli import (
+    GainThresholdQuery,
+    _uplink_pa_eq,
+    _uplink_rows,
+    db_to_linear,
+    derive_seed,
+    find_max_ratio,
+)
 from mcmimo.closedform import (
     InterferenceProfile,
     characteristic_coefficients,
@@ -200,11 +208,9 @@ def test_criterion_07_asymptotic_equal_power():
 def test_criterion_08_relative_gain():
     """uplink gain at M=100, N=10, P=20 dB, 19 cells: 14% +- 5 pp (50 drops)."""
     base = NetworkConfig(users_per_cell=10, bs_antennas=100, seed=2024)
-    gains = [
-        _uplink_gain_drop(build_topology(replace(base, seed=derive_seed(2024, 1, d))),
-                          db_to_linear(20.0), db_to_linear(10.0))
-        for d in range(50)
-    ]
+    drops = [build_topology(replace(base, seed=derive_seed(2024, 1, d))) for d in range(50)]
+    rows = _uplink_rows(drops, db_to_linear(10.0))  # cell 0's profile in every drop
+    gains = relative_gain(*_uplink_pa_eq(rows, 100, db_to_linear(20.0)))
     eta = float(np.mean(gains))
     report(8, "relative gain", 0.09 <= eta <= 0.19, f"eta = {eta:.4f}")
 

@@ -25,6 +25,19 @@ from mcmimo.mcrate import PowerAllocation
 from mcmimo.topology import NetworkConfig, build_topology
 
 
+def waterfill_loop(c, budget):
+    """Scan the active-set sizes from N down, as the one-vector loop did: the
+    kernel must give the same powers and level bit for bit."""
+    inv = 1.0 / c
+    inv_sorted = np.sort(inv)
+    csum = np.cumsum(inv_sorted)
+    for k in range(inv.size, 0, -1):
+        mu = (budget + csum[k - 1]) / k
+        if mu > inv_sorted[k - 1]:
+            break
+    return np.maximum(mu - inv, 0.0), float(mu)
+
+
 def surrogate(c, p):
     return float(np.log2(1.0 + c * p).sum())
 
@@ -87,6 +100,46 @@ class TestWaterfill:
         np.testing.assert_allclose(
             wf.powers[active], wf.water_level - 1.0 / c[active], rtol=1e-9, atol=1e-12 * budget
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rows_equal_one_vector_at_a_time(self, data):
+        b = data.draw(st.integers(1, 24), label="rows")
+        n = data.draw(st.integers(1, 12), label="users")
+        # a small pool makes ties at the water level common
+        entry = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(1e-4, 1e4))
+        c = np.array(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                        min_size=b, max_size=b)))
+        budget = data.draw(st.sampled_from([1e-3, 1.0, 3.0, 1e4]))
+        wf = waterfill(WaterfillCoefficients(c, budget))
+        assert wf.powers.shape == (b, n) and wf.water_level.shape == (b,)
+        for row, powers, level in zip(c, wf.powers, wf.water_level):
+            want_powers, want_level = waterfill_loop(row, budget)
+            one = waterfill(WaterfillCoefficients(row, budget))
+            assert np.array_equal(one.powers, want_powers) and one.water_level == want_level
+            assert np.array_equal(powers, want_powers) and level == want_level
+        # KKT: the budget is met (to the rounding of mu - 1/c at the level's
+        # scale) and p = (mu - 1/c)^+ at each row's level
+        assert np.all(wf.powers >= 0.0)
+        slack = 1e-12 * budget + 1e-14 * n * wf.water_level
+        assert np.all(np.abs(wf.powers.sum(axis=1) - budget) <= slack)
+        assert np.array_equal(wf.powers, np.maximum(wf.water_level[:, None] - 1.0 / c, 0.0))
+        rows, users = wf.active_set
+        assert np.array_equal(wf.powers[rows, users], wf.powers[wf.powers > 0])
+
+    @pytest.mark.parametrize("c, budget", [
+        ([10.0] * 5, 1e-17),
+        ([11.0] * 6, 1e-17),
+        ([1 / 0.7] * 7, 3e-17),
+    ])
+    def test_rounding_breaks_active_set_monotonicity(self, c, budget):
+        # with a budget below the rounding of the levels, mu_k > 1/c_(k) can
+        # hold, fail and hold again as k grows: the largest k must win
+        c = np.array(c)
+        want_powers, want_level = waterfill_loop(c, budget)
+        for coeffs in (c, np.stack([c, c])):
+            wf = waterfill(WaterfillCoefficients(coeffs, budget))
+            assert np.all(wf.powers == want_powers) and np.all(wf.water_level == want_level)
 
     def test_kkt_pairwise_perturbation(self):
         rng = np.random.default_rng(17)

@@ -15,6 +15,7 @@ from mcmimo.cli import (
     main,
     run_experiment,
 )
+from mcmimo.allocation import equal_alloc, relative_gain
 from mcmimo.topology import NetworkConfig, build_topology
 
 
@@ -71,6 +72,24 @@ class TestSpecParsing:
         doc = tiny_spec(tmp_path, kind="fig2",
                         sweep={"variable": "powerDb", "values": [10, 20]})
         with pytest.raises(ValueError, match="sweeps over"):
+            ExperimentSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("fig5", "evaluator", "monteCarlo"),
+        ("fig4", "evaluator", "aprox"),
+        ("fig12", "estimator", "montecarlo"),
+        ("custom", "direction", "upink"),
+    ])
+    def test_unknown_choice_rejected(self, tmp_path, kind, key, value):
+        doc = {"kind": kind, "network": {"usersPerCell": 3, "bsAntennas": 30},
+               "options": {key: value}, "output": str(tmp_path / kind)}
+        with pytest.raises(ValueError, match=f"'{key}' must be one of .*{value}"):
+            ExperimentSpec.from_dict(doc)
+
+    def test_unknown_option_rejected(self, tmp_path):
+        doc = {"kind": "fig2", "network": {"usersPerCell": 3, "bsAntennas": 30},
+               "options": {"powerDb": [99]}, "output": str(tmp_path / "fig2")}
+        with pytest.raises(ValueError, match="unknown option 'powerDb' for kind 'fig2'"):
             ExperimentSpec.from_dict(doc)
 
     def test_kind_defaults_applied(self):
@@ -204,6 +223,26 @@ class TestRunExperiment:
         for c in manifest["curves"]:
             assert (out / c["file"]).read_bytes() == (serial / c["file"]).read_bytes()
 
+    @pytest.mark.parametrize("evaluator", ["lower", "upper", "approx", "mc"])
+    def test_fig4_rows_equal_one_strategy_at_a_time(self, tmp_path, evaluator):
+        net = {"usersPerCell": 4, "bsAntennas": 30, "cellCount": 7, "seed": 8}
+        doc = {"kind": "fig4", "network": net, "sweep": {"variable": "bsAntennas", "values": [30]},
+               "drops": 1, "trials": 64, "options": {"evaluator": evaluator},
+               "output": str(tmp_path / "fig4")}
+        spec = ExperimentSpec.from_dict(doc)
+        got = {(r["panel"], r["label"]): (r["value"], r["ci"])
+               for r in cli._job_strategies(spec, {"xIndex": 0, "drop": 0})}
+        for panel, cells, tag in (("multicell", None, 0), ("singlecell", 1, 1)):
+            top = cli._drop_topology(spec, 0, antennas=30, cells=cells)
+            allocs = cli._fixed_allocs(top.n_cells, 4, "uplink", user_power=db_to_linear(10))
+            seed = cli.derive_seed(net["seed"], cli._TAG_MC, 0, 0, tag)
+            for label, strategy in [("equal", None), *cli._UPLINK_STRATEGIES.items()]:
+                cand = list(allocs)
+                cand[0] = (equal_alloc(4, db_to_linear(20)) if strategy is None
+                           else strategy(top, allocs, 0, 30, 4, db_to_linear(20)))
+                want = cli._uplink_cell_value(top, cand, 0, evaluator, 64, seed)
+                assert got[(panel, label)] == want
+
     def test_fig12_structure(self, tmp_path):
         doc = {
             "kind": "fig12",
@@ -321,6 +360,40 @@ class TestFindMaxRatio:
             GainThresholdQuery.from_dict({"direction": "uplink", "thresh": 0.1})
 
 
+class TestStackedDrops:
+    """A probe over stacked drops gives each drop's gain with the bits of the
+    one-drop evaluation."""
+
+    def drops(self, n):
+        return [build_topology(NetworkConfig(users_per_cell=n, bs_antennas=4 * n, seed=s))
+                for s in range(8)]
+
+    def test_uplink_gains_equal_one_drop_at_a_time(self):
+        tops = self.drops(12)
+        stacked = relative_gain(*cli._uplink_pa_eq(cli._uplink_rows(tops, 10.0), 48, 100.0))
+        for top, gain in zip(tops, stacked):
+            c_pa, c_eq = cli._uplink_pa_eq(cli._uplink_rows([top], 10.0), 48, 100.0)
+            assert gain == relative_gain(float(c_pa[0]), float(c_eq[0]))
+
+    @pytest.mark.parametrize("selection", ["edge", "random"])
+    def test_selected_gains_equal_one_drop_at_a_time(self, selection):
+        # random selections of ~60% of 16 users: a zero-filled row sum would
+        # round differently from the sum of the selected users
+        tops = self.drops(16)
+        if selection == "edge":
+            users = np.stack([cli._edge_users(top) for top in tops])
+        else:
+            users = np.random.default_rng(0).random((len(tops), 16)) < 0.6
+        stacked = cli._downlink_gains(cli._downlink_rows(tops, 1000.0), 64, 1e4, users)
+        want = []
+        for top, chosen in zip(tops, users):
+            if chosen.any():
+                r_pa, r_eq = cli._downlink_pa_eq(cli._downlink_rows([top], 1000.0), 64, 1e4)
+                want.append(relative_gain(float(r_pa[0][chosen].sum()),
+                                          float(r_eq[0][chosen].sum())))
+        assert 0 < len(want) and stacked.tolist() == want
+
+
 class TestDropReuse:
     """Each drop's geometry is built once per run (or per fixed-N query) and
     its E{1/(v+1)} computed once, whatever the number of sweep points."""
@@ -339,8 +412,16 @@ class TestDropReuse:
             seen["factor"] += 1
             return characteristic(zetas)
 
+        def profile(top, allocations, target):
+            seen["profile"].append((top.config.users_per_cell, top.config.seed,
+                                    top.config.bs_antennas, top.n_cells))
+            return uplink(top, allocations, target)
+
         characteristic = closedform.characteristic_coefficients
+        uplink = cli.uplink_profile
+        seen["profile"] = []
         monkeypatch.setattr(cli, "build_topology", build)
+        monkeypatch.setattr(cli, "uplink_profile", profile)
         monkeypatch.setattr(closedform, "characteristic_coefficients", coefficients)
         return seen
 
@@ -357,6 +438,8 @@ class TestDropReuse:
         assert len(calls["build"]) == drops * 2  # multicell and single-cell scenarios
         # the upper-bound strategy's factor, once per multicell drop
         assert calls["factor"] == drops
+        # one profile per scenario and job serves all strategies and rates
+        assert len(calls["profile"]) == len(set(calls["profile"])) == drops * 4 * 2
 
     @pytest.mark.parametrize("mode", ["maxRatio", "maxAntennas"])
     def test_fixed_n_query_builds_each_drop_once(self, calls, mode):
@@ -383,6 +466,7 @@ class TestDropReuse:
         }
         run_experiment(ExperimentSpec.from_dict(doc))
         assert len(calls["build"]) == drops  # 4 queries, one set of drops
+        assert len(calls["profile"]) == drops  # and one profile of each
 
     def test_table3a_builds_each_drop_once_per_user_count(self, tmp_path, calls):
         drops = 2
@@ -397,6 +481,21 @@ class TestDropReuse:
         run_experiment(ExperimentSpec.from_dict(doc))
         built = [(cfg.users_per_cell, cfg.seed) for cfg in calls["build"]]
         assert len(built) == len(set(built)) == drops * 2
+
+    def test_table3b_builds_each_user_count_and_drop_once(self, tmp_path, calls):
+        drops = 3
+        doc = {
+            "kind": "table3b",
+            "network": {"usersPerCell": 4, "bsAntennas": 40, "seed": 12},
+            "sweep": {"variable": "usersPerCell", "values": [1, 20]},
+            "options": {"antennasList": [30, 40], "powersDb": [35, 45], "thresholds": [0.1]},
+            "drops": drops,
+            "output": str(tmp_path / "table3b"),
+        }
+        run_experiment(ExperimentSpec.from_dict(doc))
+        built = [(cfg.users_per_cell, cfg.seed) for cfg in calls["build"]]
+        # 4 queries probe overlapping user counts; each (N, drop) is built once
+        assert len(built) == len(set(built)) and len(built) % drops == 0
 
     def test_memoised_drop_matches_fresh_build(self):
         memo = cli._GeometryMemo(2)

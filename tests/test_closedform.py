@@ -106,6 +106,90 @@ class TestCharacteristicCoefficients:
         assert spec.cdf(np.array([1e4]))[0] == pytest.approx(1.0, abs=1e-9)
 
 
+def characteristic_reference(zetas):
+    """One h at a time, the g != h terms taken with np.delete: the vectorised
+    expansion must give the same merged means and coefficients bit for bit."""
+    z_sorted = np.sort(np.asarray(zetas, dtype=float).ravel())[::-1]
+    distinct, groups = [], []
+    for val in z_sorted:
+        if distinct and (distinct[-1] - val) <= 1e-9 * distinct[-1]:
+            groups[-1].append(val)
+            g = groups[-1]
+            distinct[-1] = g[0] if min(g) == max(g) else float(np.mean(g))
+        else:
+            distinct.append(float(val))
+            groups.append([val])
+    dist = np.array(distinct)
+    mult = np.array([len(g) for g in groups], dtype=int)
+    coeffs = []
+    for h in range(dist.size):
+        zh, tau = dist[h], int(mult[h])
+        zg, tg = np.delete(dist, h), np.delete(mult, h)
+        if zg.size:
+            base = 1.0 - zg / zh
+            sign = float(np.prod(np.sign(base) ** tg))
+            g0 = sign * math.exp(-float(np.sum(tg * np.log(np.abs(base)))))
+            ratio = zg * zh / (zh - zg)
+        else:
+            g0, ratio = 1.0, np.empty(0)
+        G = np.zeros(tau)
+        G[0] = g0
+        L = [0.0] * tau
+        for k in range(1, tau):
+            L[k] = (-1.0) ** k * math.factorial(k - 1) * float(np.sum(tg * ratio**k))
+        for m_ in range(1, tau):
+            G[m_] = sum(math.comb(m_ - 1, i) * L[m_ - i] * G[i] for i in range(m_))
+        coeffs.append(np.array([G[tau - j] / (math.factorial(tau - j) * zh ** (tau - j))
+                                for j in range(1, tau + 1)]))
+    return dist, mult, coeffs
+
+
+@st.composite
+def zeta_sets(draw):
+    """Up to 60 means with exact repeats and near-equal (merged) neighbours."""
+    base = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=30))
+    zetas = list(base)
+    for z in base:
+        copies = draw(st.sampled_from([0, 0, 1, 2]))
+        jitter = draw(st.sampled_from([0.0, 1e-12, 1e-10]))
+        zetas += [z * (1.0 + jitter)] * copies
+    return np.array(zetas)
+
+
+class TestVectorisedExpansion:
+    @settings(max_examples=300, deadline=None)
+    @given(zeta_sets())
+    def test_equals_one_h_at_a_time(self, zetas):
+        try:
+            dist, mult, coeffs = characteristic_reference(zetas)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                characteristic_coefficients(zetas)
+            return
+        if not all(np.all(np.isfinite(lam)) for lam in coeffs):
+            with pytest.raises(ValueError, match="zeta spacing"):
+                characteristic_coefficients(zetas)
+            return
+        spec = characteristic_coefficients(zetas)
+        assert np.array_equal(spec.distinct, dist)
+        assert np.array_equal(spec.multiplicities, mult)
+        assert len(spec.char_coeffs) == len(coeffs)
+        for got, want in zip(spec.char_coeffs, coeffs):
+            assert np.array_equal(got, want)
+
+    def test_realistic_interference_equals_one_h_at_a_time(self):
+        # 60 terms of a real drop, with every other cell's powers repeated so
+        # that multiplicities above one occur too
+        top = build_topology(NetworkConfig(users_per_cell=10, bs_antennas=128, seed=3))
+        allocs = [PowerAllocation(np.full(10, 10.0), "uplink")] * 19
+        zetas = uplink_profile(top, allocs, 0).zetas()
+        for z in (zetas, np.concatenate([zetas, zetas[:20]])):
+            spec = characteristic_coefficients(z)
+            dist, mult, coeffs = characteristic_reference(z)
+            assert np.array_equal(spec.distinct, dist) and np.array_equal(spec.multiplicities, mult)
+            assert all(np.array_equal(a, b) for a, b in zip(spec.char_coeffs, coeffs))
+
+
 class TestMeanInvOnePlus:
     def test_single_exponential_closed_form(self):
         # E{1/(v+1)} = (1/z) e^{1/z} E1(1/z); at z=1 this is e*E1(1)
@@ -242,6 +326,51 @@ class TestUplinkExpressions:
             up = uplink_upper_bound(prof, m, n, p)
             assert np.all(ap - lo >= -1e-12)
             assert np.all(up - ap >= -1e-12)
+
+
+class TestStackedProfiles:
+    """A stack of D profiles evaluates every row with the bits of that row's
+    own profile; one profile evaluates rows of powers likewise."""
+
+    def test_uplink_rows_equal_one_profile_at_a_time(self):
+        rng = np.random.default_rng(5)
+        for n, L, d in ((1, 0, 1), (3, 2, 4), (10, 6, 7), (12, 6, 3)):
+            m = n + int(rng.integers(1, 200))
+            profiles = [make_profile(rng, n, L) for _ in range(d)]
+            stack = InterferenceProfile.stack(profiles)
+            assert stack.beta_self.shape == (d, n) and stack.cross_sum.shape == (d, 1)
+            p = 10.0 ** rng.uniform(-1, 2, (d, n))
+            for fn in (uplink_lower_bound, uplink_approximation, uplink_upper_bound):
+                want = np.stack([fn(prof, m, n, row) for prof, row in zip(profiles, p)])
+                assert np.array_equal(fn(stack, m, n, p), want)
+                rows = np.stack([fn(profiles[0], m, n, row) for row in p])
+                assert np.array_equal(fn(profiles[0], m, n, p), rows)
+
+    def test_downlink_rows_equal_one_profile_at_a_time(self):
+        rng = np.random.default_rng(6)
+        n, d, m = 9, 5, 40
+        profiles = [DownlinkProfile(float(10.0 ** rng.uniform(0, 6)), 10.0 ** rng.uniform(-3, 2, n))
+                    for _ in range(d)]
+        stack = DownlinkProfile.stack(profiles)
+        assert stack.lambda_self.shape == (d, 1)
+        p = 10.0 ** rng.uniform(0, 3, (d, n))
+        want = np.stack([downlink_lower_bound(prof, m, n, row) for prof, row in zip(profiles, p)])
+        assert np.array_equal(downlink_lower_bound(stack, m, n, p), want)
+
+    def test_stack_has_no_single_zeta_set(self):
+        rng = np.random.default_rng(7)
+        stack = InterferenceProfile.stack([make_profile(rng, 2, 1) for _ in range(2)])
+        with pytest.raises(ValueError, match="unstacked"):
+            stack.zetas()
+
+    def test_bad_shapes_rejected(self):
+        with pytest.raises(ValueError, match="stacked profile"):
+            InterferenceProfile(np.ones((2, 3)), np.ones(4), np.ones(4))
+        with pytest.raises(ValueError, match="cross_load"):
+            DownlinkProfile(np.ones((3, 1)), np.ones((2, 4)))
+        prof = InterferenceProfile(np.ones(3), np.ones(2), np.ones(2))
+        with pytest.raises(ValueError, match="powers must have shape"):
+            uplink_approximation(prof, 8, 3, np.ones((2, 2, 3)))
 
 
 class TestDownlinkExpression:

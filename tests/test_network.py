@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,21 +64,46 @@ def projection_inputs(draw):
     return v, budget
 
 
+def project_exact(v, budget):
+    """The projection in exact rational arithmetic, rounded once at the end."""
+    x = [Fraction(float(e)) for e in v]
+    b = Fraction(float(budget))
+    css = Fraction(0)
+    for j, uj in enumerate(sorted(x, reverse=True), start=1):
+        css += uj
+        if uj + (b - css) / j > 0:
+            theta = (b - css) / j
+    return np.array([float(max(e + theta, 0)) for e in x])
+
+
 class TestProjection:
     @settings(max_examples=300, deadline=None)
     @given(projection_inputs())
     def test_batched_rows_equal_row_by_row(self, case):
         v, budget = case
-        try:
-            want = np.stack([project_row(row, budget) for row in v])
-        except ValueError:  # no active index in some row: nothing to reproduce
-            with pytest.raises(ValueError, match="v "):
-                project_budget_simplex(v, budget)
-            return
         got = project_budget_simplex(v, budget)
         assert got.shape == v.shape
-        assert np.array_equal(got, want)
-        assert np.array_equal(project_budget_simplex(v[0], budget), want[0])
+        assert np.array_equal(project_budget_simplex(v[0], budget), got[0])
+        for row, p in zip(v, got):
+            try:
+                want = project_row(row, budget)
+            except ValueError:
+                # every u_j + (budget - css_j)/j rounds to <= 0: the spread
+                # dwarfs the budget; the projection still exists
+                assert np.all(p >= 0)
+                assert p.sum() == pytest.approx(budget, rel=1e-9)
+                np.testing.assert_allclose(p, project_exact(row, budget), rtol=0,
+                                           atol=1e-9 * budget)
+                continue
+            assert np.array_equal(p, want)
+
+    @pytest.mark.parametrize("v, budget, want", [
+        ([1e20, 0.0], 1.0, [1.0, 0.0]),
+        ([-1e20, -2e20, -1e20], 2.0, [1.0, 0.0, 1.0]),
+        ([[0.0, 5e18], [1.0, 2.0]], 1.0, [[0.0, 1.0], [0.0, 1.0]]),
+    ])
+    def test_wide_range_rows_projected(self, v, budget, want):
+        assert np.array_equal(project_budget_simplex(np.array(v), budget), np.array(want))
 
     @pytest.mark.parametrize("row, budget", [
         ([0.3, 0.2, 0.2, 0.15, 0.01, 0.01], 0.1),

@@ -75,6 +75,15 @@ class TestNetworkConfig:
         with pytest.raises(ValueError, match="unknown network config keys"):
             NetworkConfig.from_json({"usersPerCell": 2, "bsAntennas": 8, "cellradius": 1.0})
 
+    def test_mistyped_json_path_names_the_path(self, tmp_path):
+        missing = tmp_path / "nope.json"
+        for source in (str(missing), missing):
+            with pytest.raises(ValueError, match="nope.json"):
+                NetworkConfig.from_json(source)
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({"usersPerCell": 2, "bsAntennas": 8}))
+        assert NetworkConfig.from_json(str(path)).bs_antennas == 8
+
     def test_json_missing_required_field(self):
         with pytest.raises(ValueError, match="invalid network config"):
             NetworkConfig.from_json({"usersPerCell": 2})
