@@ -2,7 +2,7 @@
 
 Modules:
     topology    hexagonal layout, user drops, large-scale fading
-    mcrate      Monte Carlo ergodic rates with ZF receivers/precoders
+    mcrate      Monte Carlo ergodic rates under ZF receivers/precoders
     closedform  uplink rate bounds/approximation, downlink lower bound
     allocation  water-filling and the per-cell allocation strategies
     network     scheduled per-cell rounds and the joint benchmark
@@ -40,8 +40,6 @@ from .mcrate import (
     RateEstimate,
     downlink_rate_mc,
     uplink_rate_mc,
-    zf_precoder,
-    zf_receiver,
 )
 from .network import (
     JointResult,
@@ -97,6 +95,4 @@ __all__ = [
     "uplink_rate_mc",
     "uplink_upper_bound",
     "waterfill",
-    "zf_precoder",
-    "zf_receiver",
 ]

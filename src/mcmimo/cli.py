@@ -262,29 +262,29 @@ _UPLINK_RATES = {"lower": uplink_lower_bound, "upper": uplink_upper_bound,
                  "approx": uplink_approximation}
 
 
-def _uplink_cell_value(top, allocations, target, estimator, trials, mc_seed):
-    """(sum rate, within-drop CI) of one cell under one estimator."""
-    cfg = top.config
-    if estimator == "mc":
-        est = uplink_rate_mc(top, allocations, target, trials, mc_seed)
-        return est.sum_rate, float(est.ci_half_width.sum())
-    prof = uplink_profile(top, allocations, target)
-    rates = _UPLINK_RATES[estimator](prof, cfg.bs_antennas, cfg.users_per_cell,
-                                     allocations[target].powers)
-    return float(rates.sum()), 0.0
+_DOWNLINK_RATES = {"lower": downlink_lower_bound}
 
 
-def _downlink_cell_value(top, allocations, target, estimator, trials, mc_seed):
-    cfg = top.config
+def _cell_values(top, rows, direction, estimator, trials, mc_seed):
+    """(sum rate, within-drop CI) of cell 0 under one estimator, for each
+    allocation set in ``rows``; Monte Carlo rates every row from one set of
+    draws."""
+    # functions are looked up by their module-level names on each call, as
+    # the tracing of benchmarks/spans.py replaces those names
+    uplink = direction == "uplink"
     if estimator == "mc":
-        est = downlink_rate_mc(top, allocations, target, trials, mc_seed)
-        return est.sum_rate, float(est.ci_half_width.sum())
-    if estimator != "lower":
-        raise ValueError(f"downlink estimators are 'mc' and 'lower', got {estimator!r}")
-    prof = downlink_profile(top, allocations, target)
-    rates = downlink_lower_bound(prof, cfg.bs_antennas, cfg.users_per_cell,
-                                 allocations[target].powers)
-    return float(rates.sum()), 0.0
+        mc = uplink_rate_mc if uplink else downlink_rate_mc
+        return [(est.sum_rate, float(est.ci_half_width.sum()))
+                for est in mc(top, rows, 0, trials, mc_seed)]
+    formulas = _UPLINK_RATES if uplink else _DOWNLINK_RATES
+    if estimator not in formulas:
+        raise ValueError(f"{direction} estimators are 'mc' and {sorted(formulas)}, "
+                         f"got {estimator!r}")
+    profile = uplink_profile if uplink else downlink_profile
+    cfg = top.config
+    return [(float(formulas[estimator](profile(top, allocations, 0), cfg.bs_antennas,
+                                       cfg.users_per_cell, allocations[0].powers).sum()), 0.0)
+            for allocations in rows]
 
 
 # the uplink strategies in record order; fig12's scheduler runs "approx"
@@ -417,21 +417,21 @@ def _job_equal_power(spec: ExperimentSpec, job: dict) -> list[dict]:
     else:
         panels = [("", db_to_linear(opts.get("powerDb", 20)))]
 
-    records = []
-    for pi, (panel, p_lin) in enumerate(panels):
-        if direction == "uplink":
-            allocs = _fixed_allocs(top.n_cells, n, "uplink",
-                                   user_power=db_to_linear(opts["interfererUserPowerDb"]))
-        else:
-            allocs = _fixed_allocs(top.n_cells, n, "downlink",
-                                   cell_power=db_to_linear(opts["interfererCellPowerDb"]))
-        allocs[0] = equal_alloc(n, p_lin, direction)
-        for est in estimators:
-            mc_seed = derive_seed(spec.network.seed, _TAG_MC, d, i, pi)
-            cell_value = _uplink_cell_value if direction == "uplink" else _downlink_cell_value
-            value, ci = cell_value(top, allocs, 0, est, spec.trials, mc_seed)
-            records.append({"panel": panel, "label": est, "x": x, "value": value, "ci": ci})
-    return records
+    if direction == "uplink":
+        interferers = _fixed_allocs(top.n_cells, n, "uplink",
+                                    user_power=db_to_linear(opts["interfererUserPowerDb"]))
+    else:
+        interferers = _fixed_allocs(top.n_cells, n, "downlink",
+                                    cell_power=db_to_linear(opts["interfererCellPowerDb"]))
+    rows = [[equal_alloc(n, p_lin, direction), *interferers[1:]] for _, p_lin in panels]
+    # every panel shares panel 0's seed (estimatorVersion 3), so Monte Carlo
+    # rates all panels from one set of draws
+    mc_seed = derive_seed(spec.network.seed, _TAG_MC, d, i, 0)
+    values = {est: _cell_values(top, rows, direction, est, spec.trials, mc_seed)
+              for est in estimators}
+    return [{"panel": panel, "label": est, "x": x, "value": values[est][pi][0],
+             "ci": values[est][pi][1]}
+            for pi, (panel, _) in enumerate(panels) for est in estimators]
 
 
 def _job_strategies(spec: ExperimentSpec, job: dict) -> list[dict]:
@@ -440,8 +440,8 @@ def _job_strategies(spec: ExperimentSpec, job: dict) -> list[dict]:
     One profile per scenario serves every strategy: the three coefficient
     vectors are water-filled as the rows of one call, and equal power plus
     the three allocations are rated as four rows of one expression. The
-    Monte Carlo evaluator rates each allocation on its own, all four at the
-    same seed (common random numbers).
+    Monte Carlo evaluator rates the four rows from one set of draws (common
+    random numbers).
     """
     i, d = job["xIndex"], job["drop"]
     m = int(spec.sweep.values[i])
@@ -462,13 +462,9 @@ def _job_strategies(spec: ExperimentSpec, job: dict) -> list[dict]:
                           waterfill(WaterfillCoefficients(coeffs, p_lin)).powers])
         if evaluator == "mc":
             mc_seed = derive_seed(spec.network.seed, _TAG_MC, d, i, 0 if cells is None else 1)
-            values, cis = [], []
-            for powers in rows:
-                cand = list(allocs)
-                cand[0] = PowerAllocation(powers, "uplink")
-                value, ci = _uplink_cell_value(top, cand, 0, "mc", spec.trials, mc_seed)
-                values.append(value)
-                cis.append(ci)
+            cands = [[PowerAllocation(powers, "uplink"), *allocs[1:]] for powers in rows]
+            values, cis = map(list, zip(*_cell_values(top, cands, "uplink", "mc", spec.trials,
+                                                      mc_seed)))
         else:
             values = _UPLINK_RATES[evaluator](prof, m, n, rows).sum(axis=1).tolist()
             cis = [0.0] * len(values)
@@ -564,9 +560,12 @@ def _job_network_slots(spec: ExperimentSpec, job: dict) -> list[dict]:
                       tolerance=float(opts["jointTolerance"]))
     eq_allocs = [equal_alloc(n, budget) for _ in range(top.n_cells)]
     mc_seed = derive_seed(spec.network.seed, _TAG_MC, s)
-    joint_value = (network_sum_rate(top, joint.per_cell_powers, estimator, spec.trials, mc_seed)
-                   if estimator == "monteCarlo" else joint.objective)
-    eq_value = network_sum_rate(top, eq_allocs, estimator, spec.trials, mc_seed)
+    if estimator == "monteCarlo":  # both rated from one set of draws per cell
+        joint_value, eq_value = network_sum_rate(top, [joint.per_cell_powers, eq_allocs],
+                                                 estimator, spec.trials, mc_seed)
+    else:
+        joint_value = joint.objective
+        eq_value = network_sum_rate(top, eq_allocs, estimator, spec.trials, mc_seed)
 
     records = []
     for slot in slots:

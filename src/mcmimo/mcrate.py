@@ -33,18 +33,33 @@ depend on M:
   D^{1/2} W D^{1/2} = K K^H, K = D^{1/2} L, has condition number at most
   CONDITION_LIMIT (the ratio of its extreme eigenvalues; a non-positive
   eigenvalue fails) and the computed inverse factor meets
-  max |K^{-1} K - I| < ZF_RESIDUAL_TOL. These are the events on which
-  ``zf_receiver`` rejects a channel, so the sampled law is the same
-  conditional law. Rejected trials are redrawn, at most RESAMPLE_CAP draws
-  per trial in all, before IllConditionedChannelError is raised.
+  max |K^{-1} K - I| < ZF_RESIDUAL_TOL. These are the events on which the
+  matrix-level ZF receiver of the test oracle (``tests/zf_oracle.py``)
+  rejects a channel, so the sampled law is the same conditional law.
+  Rejected trials are redrawn, at most RESAMPLE_CAP draws per trial in all,
+  before IllConditionedChannelError is raised.
+* Bound first. A block inverts every K with a finite, non-zero diagonal at
+  once. Since cond(K K^H) <= (||K||_F ||K^{-1}||_F)^2, a trial whose bound is
+  at most CONDITION_LIMIT / 4 meets the limit without an eigenvalue
+  decomposition; the margin of 4 dwarfs the rounding of ``eigvalsh``, so the
+  accepted set is the one the eigenvalue test alone gives. Only the other
+  trials (bound above the margin, non-finite inverse, zero or non-finite
+  diagonal) take the eigenvalue test.
 
 Trials are drawn in fixed blocks of BLOCK_TRIALS, each from its own stream
 keyed by (seed, block index). Estimates are therefore deterministic in
 (seed, trials), do not depend on the order in which blocks are evaluated,
 and two allocations compared at the same seed see identical draws (common
-random numbers): nothing drawn depends on the powers. ESTIMATOR_VERSION
-names this sampling scheme; version 1 drew full M x N channels per trial
-from streams keyed by (seed, trial index).
+random numbers): nothing drawn depends on the powers. So one call rates R
+rows of allocations from one set of draws, and each row's estimate is the
+one a call with that row alone returns, bit for bit.
+
+ESTIMATOR_VERSION names the sampling scheme and how the experiments key it.
+Version 1 drew full M x N channels per trial from streams keyed by (seed,
+trial index); version 2 draws the sufficient statistics above; version 3
+draws them the same way, and the power panels of a sweep point (fig2, fig8)
+share one seed, hence one set of draws, where version 2 drew each panel from
+its own.
 """
 
 from __future__ import annotations
@@ -61,7 +76,7 @@ CONDITION_LIMIT = 1e12
 ZF_RESIDUAL_TOL = 1e-9
 RESAMPLE_CAP = 100
 
-ESTIMATOR_VERSION = 2
+ESTIMATOR_VERSION = 3
 BLOCK_TRIALS = 256
 # complex entries of interferer fading drawn at once: bounds the working set
 # of a block; consecutive draws from one stream concatenate, so the value
@@ -69,6 +84,8 @@ BLOCK_TRIALS = 256
 _CHUNK_ENTRIES = 1 << 15
 
 _MASK64 = (1 << 64) - 1
+
+RATE_KINDS = ("monteCarlo", "closedForm")
 
 
 class IllConditionedChannelError(RuntimeError):
@@ -114,19 +131,18 @@ class RateEstimate:
     per_user_rate: np.ndarray
     trials: int
     ci_half_width: np.ndarray
-    kind: str  # "monteCarlo" | "closedForm"
+    kind: str  # one of RATE_KINDS
 
     def __post_init__(self):
-        r = np.asarray(self.per_user_rate, dtype=float)
-        h = np.asarray(self.ci_half_width, dtype=float)
-        if np.any(r < 0) or np.any(h < 0):
-            raise ValueError("rates and CI half-widths must be non-negative")
-        r = r.copy()
-        h = h.copy()
-        r.setflags(write=False)
-        h.setflags(write=False)
-        object.__setattr__(self, "per_user_rate", r)
-        object.__setattr__(self, "ci_half_width", h)
+        for field in ("per_user_rate", "ci_half_width"):
+            x = np.array(getattr(self, field), dtype=float)
+            # a NaN compares False with 0, so finiteness is checked first
+            if not np.all(np.isfinite(x)) or np.any(x < 0):
+                raise ValueError(f"{field} must be finite and non-negative")
+            x.setflags(write=False)
+            object.__setattr__(self, field, x)
+        if self.kind not in RATE_KINDS:
+            raise ValueError(f"kind must be one of {RATE_KINDS}, got {self.kind!r}")
 
     @classmethod
     def closed_form(cls, rates: np.ndarray) -> "RateEstimate":
@@ -136,58 +152,6 @@ class RateEstimate:
     @property
     def sum_rate(self) -> float:
         return float(self.per_user_rate.sum())
-
-    def csv_rows(self) -> list[tuple]:
-        return [
-            (n, float(self.per_user_rate[n]), float(self.ci_half_width[n]), self.trials)
-            for n in range(self.per_user_rate.size)
-        ]
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("user,rate,ciHalfWidth,trials\n")
-            for row in self.csv_rows():
-                fh.write(f"{row[0]},{row[1]:.12g},{row[2]:.12g},{row[3]}\n")
-
-
-def zf_receiver(G: np.ndarray) -> np.ndarray:
-    """ZF receive matrix A = G (G^H G)^{-1} with A^H G = I.
-
-    Raises IllConditionedChannelError when the Gram matrix condition number
-    exceeds 1e12 or the achieved identity residual exceeds 1e-9; callers are
-    expected to resample the channel.
-    """
-    G = np.asarray(G)
-    if G.ndim != 2 or G.shape[0] < G.shape[1]:
-        raise ValueError("G must be M x N with M >= N")
-    gram = G.conj().T @ G
-    if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > CONDITION_LIMIT:
-        raise IllConditionedChannelError("channel Gram matrix is numerically singular")
-    A = np.linalg.solve(gram.conj(), G.T).T  # G @ gram^{-1}
-    resid = np.max(np.abs(A.conj().T @ G - np.eye(G.shape[1])))
-    if not resid < ZF_RESIDUAL_TOL:
-        raise IllConditionedChannelError(f"ZF identity residual {resid:.2e} above tolerance")
-    return A
-
-
-def zf_precoder(G: np.ndarray, beta_self: np.ndarray) -> tuple[np.ndarray, float]:
-    """ZF precoder B = alpha * G^* (G^T G^*)^{-1} and its scaling alpha.
-
-    alpha = sqrt((M - N) / sum_n 1/beta_n) makes the long-term average of
-    tr(B B^H) equal one, i.e. the precoder meets a unit transmit-power
-    constraint in expectation over the fast fading.
-    """
-    G = np.asarray(G)
-    m, n = G.shape
-    if m <= n:
-        raise ValueError("ZF precoding requires M > N")
-    beta_self = np.asarray(beta_self, dtype=float)
-    if beta_self.shape != (n,) or np.any(beta_self <= 0):
-        raise ValueError("beta_self must be a length-N positive vector")
-    alpha = math.sqrt((m - n) / float(np.sum(1.0 / beta_self)))
-    # G^*(G^T G^*)^{-1} is the conjugate of the ZF receiver for G.
-    B = alpha * zf_receiver(G).conj()
-    return B, alpha
 
 
 def _check_allocations(allocations, cells, n_users: int, direction: str) -> None:
@@ -201,6 +165,16 @@ def _check_allocations(allocations, cells, n_users: int, direction: str) -> None
             )
         if alloc.n_users != n_users:
             raise ValueError(f"cell {cell} allocation has {alloc.n_users} users, expected {n_users}")
+
+
+def _allocation_rows(allocations) -> tuple[list, bool]:
+    """(rows, single): ``allocations`` is either one allocation set indexed by
+    cell (PowerAllocation or None entries), returned as the only row, or a
+    non-empty sequence of such sets."""
+    if len(allocations) == 0:
+        raise ValueError("allocations must hold at least one row")
+    single = all(a is None or isinstance(a, PowerAllocation) for a in allocations)
+    return ([allocations] if single else list(allocations)), single
 
 
 def _ci_half_width(sum_x, sum_x2, trials: int, confidence: float) -> np.ndarray:
@@ -247,19 +221,35 @@ def _inverse_factors(rng: np.random.Generator, m: int, sqrt_beta: np.ndarray,
     """``size`` draws of F = (D^{1/2} L)^{-H}, so (G^H G)^{-1} = F F^H for a
     channel G with large-scale gains beta = sqrt_beta**2, redrawing the trials
     whose Gram matrix fails the conditioning or residual check.
+
+    The conditioning check is bound first: only the trials whose Frobenius
+    bound does not already accept them take the eigenvalue test.
     """
     n = sqrt_beta.size
+    diag = np.arange(n)
     F = np.empty((size, n, n), dtype=complex)
     todo = np.arange(size)
     for _ in range(RESAMPLE_CAP):
         K = sqrt_beta[:, None] * _bartlett_factor(rng, m, n, todo.size)
-        lam = np.linalg.eigvalsh(K @ _hermitian(K))
-        ok = (lam[:, 0] > 0) & (lam[:, -1] <= CONDITION_LIMIT * lam[:, 0])
-        K_ok = K[ok]
-        K_inv = np.linalg.inv(K_ok)
-        good = np.max(np.abs(K_inv @ K_ok - np.eye(n)), axis=(1, 2)) < ZF_RESIDUAL_TOL
-        accepted = ok.nonzero()[0][good]
-        F[todo[accepted]] = _hermitian(K_inv[good])
+        # batched inv raises on an exactly singular matrix, and a triangular
+        # K is singular only with a zero on its diagonal
+        d = K[:, diag, diag]
+        regular = np.all(np.isfinite(d) & (d != 0), axis=1)
+        if regular.all():
+            K_inv = np.linalg.inv(K)
+        else:
+            K_inv = np.full_like(K, np.nan)
+            K_inv[regular] = np.linalg.inv(K[regular])
+        ok = _abs2(K).sum(axis=(1, 2)) * _abs2(K_inv).sum(axis=(1, 2)) <= CONDITION_LIMIT / 4
+        hard = ~ok
+        if hard.any():
+            K_hard = K[hard]
+            lam = np.linalg.eigvalsh(K_hard @ _hermitian(K_hard))
+            ok[hard] = (lam[:, 0] > 0) & (lam[:, -1] <= CONDITION_LIMIT * lam[:, 0])
+        accepted = ok.nonzero()[0]
+        resid = np.max(np.abs(K_inv[accepted] @ K[accepted] - np.eye(n)), axis=(1, 2))
+        accepted = accepted[resid < ZF_RESIDUAL_TOL]
+        F[todo[accepted]] = _hermitian(K_inv[accepted])
         todo = np.delete(todo, accepted)
         if todo.size == 0:
             return F
@@ -269,34 +259,40 @@ def _inverse_factors(rng: np.random.Generator, m: int, sqrt_beta: np.ndarray,
 
 
 def _faded_energy(rng: np.random.Generator, F: np.ndarray, cols: int, weigh) -> np.ndarray:
-    """weigh(|F Z|^2) for each trial of F, with Z ~ CN(0, I) of size N x cols."""
+    """weigh(|F Z|^2) for each trial of F, with Z ~ CN(0, I) of size N x cols;
+    weigh maps a chunk of trials to its (R, chunk, N) rows."""
     size, n, _ = F.shape
     step = max(1, _CHUNK_ENTRIES // (n * cols))
     return np.concatenate([
         weigh(_abs2(F[s:s + step] @ _complex_normal(rng, (min(step, size - s), n, cols))))
         for s in range(0, size, step)
-    ])
+    ], axis=1)
 
 
-def _estimate(block_rates, trials: int, seed: int, confidence: float) -> RateEstimate:
-    """Mean per-user rate over ``trials``; block_rates(rng, size) returns the
-    (size, N) rates of one block of trials drawn from rng.
+def _estimate(block_rates, trials: int, seed: int, confidence: float) -> list[RateEstimate]:
+    """Mean per-user rates over ``trials``, one estimate per row;
+    block_rates(rng, size) returns the (R, size, N) rates of one block of
+    trials drawn from rng.
 
     Sums are taken about the first trial's rates, which keeps the variance
-    free of cancellation and exactly zero when the rates do not vary.
+    free of cancellation and exactly zero when the rates do not vary. Each
+    row is reduced on its own, so its estimate does not depend on the others.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    sum_d = sum_d2 = 0.0
     for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
-        rate = block_rates(block_rng(seed, block), min(BLOCK_TRIALS, trials - start))
+        rates = block_rates(block_rng(seed, block), min(BLOCK_TRIALS, trials - start))
         if block == 0:
-            shift = rate[0]
-        d = rate - shift
-        sum_d = sum_d + d.sum(axis=0)
-        sum_d2 = sum_d2 + (d * d).sum(axis=0)
-    return RateEstimate(shift + sum_d / trials, trials,
-                        _ci_half_width(sum_d, sum_d2, trials, confidence), "monteCarlo")
+            shift = rates[:, 0]
+            sum_d = [0.0] * len(rates)
+            sum_d2 = [0.0] * len(rates)
+        for r, rate in enumerate(rates):
+            d = rate - shift[r]
+            sum_d[r] = sum_d[r] + d.sum(axis=0)
+            sum_d2[r] = sum_d2[r] + (d * d).sum(axis=0)
+    return [RateEstimate(s + d / trials, trials, _ci_half_width(d, d2, trials, confidence),
+                         "monteCarlo")
+            for s, d, d2 in zip(shift, sum_d, sum_d2)]
 
 
 def uplink_rate_mc(
@@ -306,33 +302,39 @@ def uplink_rate_mc(
     trials: int,
     seed: int,
     confidence: float = 0.95,
-) -> RateEstimate:
+):
     """Monte Carlo ergodic uplink rates of the target cell's users.
 
     ``allocations`` is indexed by cell and must cover the target cell and all
-    of its interfering (edge-adjacent) neighbours. The expectation is over
-    fast fading only; the topology's large-scale fading stays fixed.
+    of its interfering (edge-adjacent) neighbours; the result is a
+    RateEstimate. It may instead be a sequence of R such allocation sets: all
+    R rows are rated from one set of draws and the result is the list of
+    their R estimates, each equal to the estimate of its row alone. The
+    expectation is over fast fading only; the topology's large-scale fading
+    stays fixed.
     """
     cfg = topology.config
     m, n = cfg.bs_antennas, cfg.users_per_cell
     nbrs = topology.neighbors(target_cell)
-    _check_allocations(allocations, [target_cell, *nbrs], n, "uplink")
+    rows, single = _allocation_rows(allocations)
+    for row in rows:
+        _check_allocations(row, [target_cell, *nbrs], n, "uplink")
 
-    p_own = allocations[target_cell].powers
+    p_own = np.stack([row[target_cell].powers for row in rows])
     sqrt_beta_own = np.sqrt(topology.large_scale[target_cell, target_cell])
-    w_x = None  # received interferer power weights beta_k p_k, in neighbour order
-    if nbrs.size:
-        w_x = np.concatenate(
-            [topology.large_scale[target_cell, l] * allocations[l].powers for l in nbrs]
-        )
+    # per row: received interferer power weights beta_k p_k, in neighbour order
+    w_x = [np.concatenate([topology.large_scale[target_cell, l] * row[l].powers for l in nbrs])
+           for row in rows] if nbrs.size else None
 
     def block_rates(rng, size):
         F = _inverse_factors(rng, m, sqrt_beta_own, size)
         noise = _abs2(F).sum(axis=2)
-        interference = 0.0 if w_x is None else _faded_energy(rng, F, w_x.size, lambda e: e @ w_x)
-        return np.log2(1.0 + p_own / (interference + noise))
+        interference = 0.0 if w_x is None else _faded_energy(
+            rng, F, w_x[0].size, lambda e: np.stack([e @ w for w in w_x]))
+        return np.log2(1.0 + p_own[:, None] / (interference + noise))
 
-    return _estimate(block_rates, trials, seed, confidence)
+    estimates = _estimate(block_rates, trials, seed, confidence)
+    return estimates[0] if single else estimates
 
 
 def downlink_rate_mc(
@@ -342,36 +344,41 @@ def downlink_rate_mc(
     trials: int,
     seed: int,
     confidence: float = 0.95,
-) -> RateEstimate:
+):
     """Monte Carlo ergodic downlink rates of the target cell's users.
 
-    The serving cell's own ZF precoding removes intracell interference and
-    contributes the deterministic gain alpha_0^2; randomness enters only via
-    the neighbouring cells' precoders, which are redrawn per trial from their
-    own channels' sufficient statistics.
+    ``allocations`` is one allocation set or a sequence of R rows, as for
+    ``uplink_rate_mc``. The serving cell's own ZF precoding removes intracell
+    interference and contributes the deterministic gain alpha_0^2; randomness
+    enters only via the neighbouring cells' precoders, which are redrawn per
+    trial from their own channels' sufficient statistics.
     """
     cfg = topology.config
     m, n = cfg.bs_antennas, cfg.users_per_cell
     nbrs = topology.neighbors(target_cell)
-    _check_allocations(allocations, [target_cell, *nbrs], n, "downlink")
+    rows, single = _allocation_rows(allocations)
+    for row in rows:
+        _check_allocations(row, [target_cell, *nbrs], n, "downlink")
 
     beta_own = topology.large_scale[target_cell, target_cell]
     alpha0_sq = (m - n) / float(np.sum(1.0 / beta_own))
-    signal = alpha0_sq * allocations[target_cell].powers
+    signal = alpha0_sq * np.stack([row[target_cell].powers for row in rows])
 
-    # per neighbour l: sqrt(beta_ll), p_l and the gain alpha_l^2 beta_{l,0,n}
+    # per neighbour l: sqrt(beta_ll), p_l of every row and the gain
+    # alpha_l^2 beta_{l,0,n}
     terms = []
     for l in nbrs:
         beta_ll = topology.large_scale[l, l]
         alpha_sq = (m - n) / float(np.sum(1.0 / beta_ll))
-        terms.append((np.sqrt(beta_ll), allocations[l].powers,
+        terms.append((np.sqrt(beta_ll), [row[l].powers for row in rows],
                       alpha_sq * topology.large_scale[l, target_cell]))
 
     def block_rates(rng, size):
-        interference = np.zeros((size, n))
+        interference = np.zeros((len(rows), size, n))
         for sqrt_beta_ll, p_l, gain in terms:
             F = _inverse_factors(rng, m, sqrt_beta_ll, size)
-            interference += gain * _faded_energy(rng, F, n, lambda e: p_l @ e)
-        return np.log2(1.0 + signal / (interference + 1.0))
+            interference += gain * _faded_energy(rng, F, n, lambda e: np.stack([p @ e for p in p_l]))
+        return np.log2(1.0 + signal[:, None] / (interference + 1.0))
 
-    return _estimate(block_rates, trials, seed, confidence)
+    estimates = _estimate(block_rates, trials, seed, confidence)
+    return estimates[0] if single else estimates

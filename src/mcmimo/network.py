@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform
-from .mcrate import PowerAllocation, downlink_rate_mc, uplink_rate_mc
+from .mcrate import PowerAllocation, _allocation_rows, downlink_rate_mc, uplink_rate_mc
 from .topology import CellTopology, schedule_groups
 
 _LN2 = math.log(2.0)
@@ -141,22 +141,29 @@ def network_sum_rate(
 
     ``closedForm`` uses the uplink approximation (or the downlink lower bound
     for downlink allocations); ``monteCarlo`` averages fading draws per cell.
+    ``per_cell_powers`` may also be a sequence of R allocation sets: the
+    result is then the list of their R sum rates, and ``monteCarlo`` rates a
+    cell's R rows from one set of draws.
     """
-    direction = per_cell_powers[0].direction
+    rows, single = _allocation_rows(per_cell_powers)
+    direction = rows[0][0].direction
     if estimator == "closedForm":
         if direction == "uplink":
-            return _uplink_objective(topology, _power_matrix(topology, per_cell_powers))
-        return _downlink_objective(topology, per_cell_powers)
-    if estimator == "monteCarlo":
+            totals = [_uplink_objective(topology, _power_matrix(topology, row)) for row in rows]
+        else:
+            totals = [_downlink_objective(topology, row) for row in rows]
+    elif estimator == "monteCarlo":
         mc = uplink_rate_mc if direction == "uplink" else downlink_rate_mc
-        total = 0.0
+        totals = [0.0] * len(rows)
         for i in range(topology.cluster_size):
             cell_seed = int(
                 np.random.SeedSequence([seed & _MASK64, i]).generate_state(1, np.uint64)[0]
             )
-            total += mc(topology, per_cell_powers, i, trials, cell_seed).sum_rate
-        return total
-    raise ValueError(f"unknown estimator {estimator!r}")
+            for r, est in enumerate(mc(topology, rows, i, trials, cell_seed)):
+                totals[r] += est.sum_rate
+    else:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    return totals[0] if single else totals
 
 
 def run_scheduled(

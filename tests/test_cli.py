@@ -16,6 +16,8 @@ from mcmimo.cli import (
     run_experiment,
 )
 from mcmimo.allocation import equal_alloc, relative_gain
+from mcmimo.mcrate import uplink_rate_mc
+from mcmimo.network import network_sum_rate, run_joint
 from mcmimo.topology import NetworkConfig, build_topology
 
 
@@ -159,7 +161,7 @@ class TestRunExperiment:
         reran = {p.name: p.read_bytes() for p in out2.iterdir()}
         assert originals == reran
 
-    @pytest.mark.parametrize("version", [None, 1, 3])
+    @pytest.mark.parametrize("version", [None, 1, 2, 4])
     def test_manifest_of_another_estimator_version_rejected(self, tmp_path, version):
         out = run_experiment(ExperimentSpec.from_dict(tiny_spec(tmp_path, trials=20)))
         manifest = json.loads((out / "manifest.json").read_text())
@@ -175,7 +177,7 @@ class TestRunExperiment:
         doc = tiny_spec(tmp_path, trials=20)
         out = run_experiment(ExperimentSpec.from_dict(doc))
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["estimatorVersion"] == 2
+        assert manifest["estimatorVersion"] == 3
         rerun = run_experiment(ExperimentSpec.from_dict(manifest))
         assert json.loads((rerun / "manifest.json").read_text()) == manifest
         # the version is an input of the content hash
@@ -240,8 +242,79 @@ class TestRunExperiment:
                 cand = list(allocs)
                 cand[0] = (equal_alloc(4, db_to_linear(20)) if strategy is None
                            else strategy(top, allocs, 0, 30, 4, db_to_linear(20)))
-                want = cli._uplink_cell_value(top, cand, 0, evaluator, 64, seed)
+                if evaluator == "mc":  # one allocation per call
+                    est = uplink_rate_mc(top, cand, 0, 64, seed)
+                    want = (est.sum_rate, float(est.ci_half_width.sum()))
+                else:
+                    want, = cli._cell_values(top, [cand], "uplink", evaluator, 64, seed)
                 assert got[(panel, label)] == want
+
+    def test_fig5_mc_gains_equal_one_strategy_at_a_time(self, tmp_path):
+        net = {"usersPerCell": 4, "bsAntennas": 30, "cellCount": 7, "seed": 9}
+        doc = {"kind": "fig5", "network": net, "sweep": {"variable": "bsAntennas", "values": [30]},
+               "drops": 1, "trials": 64, "options": {"evaluator": "mc"},
+               "output": str(tmp_path / "fig5")}
+        spec = ExperimentSpec.from_dict(doc)
+        got = {(r["panel"], r["label"]): r["value"]
+               for r in cli._job_strategies(spec, {"xIndex": 0, "drop": 0})}
+        for panel, cells, tag in (("multicell", None, 0), ("singlecell", 1, 1)):
+            top = cli._drop_topology(spec, 0, antennas=30, cells=cells)
+            allocs = cli._fixed_allocs(top.n_cells, 4, "uplink", user_power=db_to_linear(10))
+            seed = cli.derive_seed(net["seed"], cli._TAG_MC, 0, 0, tag)
+            eq = uplink_rate_mc(top, [equal_alloc(4, 100.0), *allocs[1:]], 0, 64, seed).sum_rate
+            for label, strategy in cli._UPLINK_STRATEGIES.items():
+                cand = [strategy(top, allocs, 0, 30, 4, 100.0), *allocs[1:]]
+                pa = uplink_rate_mc(top, cand, 0, 64, seed).sum_rate
+                assert got[(panel, label)] == relative_gain(np.array([pa]), eq).tolist()[0]
+
+    def test_fig12_mc_values_equal_one_allocation_at_a_time(self, tmp_path):
+        doc = {"kind": "fig12", "network": {"usersPerCell": 2, "bsAntennas": 8, "seed": 3},
+               "sweep": {"variable": "slot", "values": [1, 2]}, "drops": 1, "trials": 40,
+               "options": {"powerW": 20.0, "estimator": "monteCarlo"},
+               "output": str(tmp_path / "fig12")}
+        spec = ExperimentSpec.from_dict(doc)
+        got = {r["label"]: r["value"] for r in cli._job_network_slots(spec, {"drop": 0})}
+        top = cli._drop_topology(spec, 0)
+        joint = run_joint(top, 20.0, max_iters=int(spec.options["jointMaxIters"]),
+                          tolerance=float(spec.options["jointTolerance"]))
+        seed = cli.derive_seed(3, cli._TAG_MC, 0)
+        assert got["joint"] == network_sum_rate(top, joint.per_cell_powers, "monteCarlo", 40, seed)
+        eq = [equal_alloc(2, 20.0)] * top.n_cells
+        assert got["equal"] == network_sum_rate(top, eq, "monteCarlo", 40, seed)
+
+    @pytest.mark.parametrize("kind,names", [
+        ("fig2", ["uplink_rate_mc", "uplink_profile"]),
+        ("fig8", ["downlink_rate_mc", "downlink_profile"]),
+    ])
+    def test_estimators_are_called_by_module_level_name(self, tmp_path, monkeypatch, kind,
+                                                        names):
+        # span tracing wraps functions by replacing these names, so a call
+        # through another reference would go unrecorded
+        calls = []
+        for name in names:
+            fn = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, _fn=fn, _n=name, **k:
+                                calls.append(_n) or _fn(*a, **k))
+        doc = {"kind": kind, "network": {"usersPerCell": 3, "bsAntennas": 12, "seed": 4},
+               "sweep": {"variable": "bsAntennas", "values": [12]}, "drops": 1, "trials": 8,
+               "output": str(tmp_path)}
+        cli._job_equal_power(ExperimentSpec.from_dict(doc), {"xIndex": 0, "drop": 0})
+        assert sorted(set(calls)) == sorted(names)
+
+    @pytest.mark.parametrize("kind", ["fig2", "fig8"])
+    def test_power_panels_share_draws(self, tmp_path, kind):
+        # estimatorVersion 3: every power panel of a sweep point is drawn at
+        # panel 0's seed, so a panel's records do not depend on the others
+        def records(powers):
+            doc = {"kind": kind, "network": {"usersPerCell": 3, "bsAntennas": 12, "seed": 4},
+                   "sweep": {"variable": "bsAntennas", "values": [12]}, "drops": 1,
+                   "trials": 40, "options": {"powersDb": powers}, "output": str(tmp_path)}
+            spec = ExperimentSpec.from_dict(doc)
+            return cli._job_equal_power(spec, {"xIndex": 0, "drop": 0})
+
+        both = records([20, 30])
+        assert both == records([20]) + records([30])
+        assert {r["label"] for r in both} >= {"mc"}
 
     def test_fig12_structure(self, tmp_path):
         doc = {

@@ -9,8 +9,9 @@ so the manifest bytes do not depend on where the test runs.
 
 A change that alters outputs on purpose (a new ``estimatorVersion``, say)
 re-records the digests with
-``PYTHONPATH=src python tests/test_golden_outputs.py`` and says
-why in CHANGES.md. The digests hold for one numpy/libm build; the last bits
+``PYTHONPATH=src python tests/test_golden_outputs.py``, which prints every
+(kind, file) whose digest changed, appeared or went away, and says why in
+CHANGES.md. The digests hold for one numpy/libm build; the last bits
 of some floating-point functions may differ on another.
 """
 
@@ -62,7 +63,33 @@ def test_parallel_jobs_match_golden(golden, tmp_path, monkeypatch):
     assert digests("fig5", jobs=2) == golden["fig5"]
 
 
+def changed_digests(old: dict, new: dict) -> list[tuple[str, str, str]]:
+    """(kind, file, "changed" | "added" | "removed") for every differing digest."""
+    out = []
+    for kind in sorted(set(old) | set(new)):
+        before, after = old.get(kind, {}), new.get(kind, {})
+        for name in sorted(set(before) | set(after)):
+            if name not in before:
+                out.append((kind, name, "added"))
+            elif name not in after:
+                out.append((kind, name, "removed"))
+            elif before[name] != after[name]:
+                out.append((kind, name, "changed"))
+    return out
+
+
+def test_changed_digests_names_each_difference():
+    old = {"fig2": {"a.csv": "1", "b.csv": "2"}, "fig3": {"c.csv": "3"}}
+    new = {"fig2": {"a.csv": "1", "b.csv": "9", "d.csv": "4"}, "fig4": {"c.csv": "3"}}
+    assert changed_digests(old, new) == [
+        ("fig2", "b.csv", "changed"), ("fig2", "d.csv", "added"),
+        ("fig3", "c.csv", "removed"), ("fig4", "c.csv", "added"),
+    ]
+    assert changed_digests(new, new) == []
+
+
 if __name__ == "__main__":
+    previous = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -71,4 +98,7 @@ if __name__ == "__main__":
         finally:
             os.chdir(here)
     GOLDEN.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+    changes = changed_digests(previous, recorded)
+    for kind, name, what in changes:
+        print(f"{what}: {kind} {name}")
+    print(f"wrote {GOLDEN}: {len(changes)} digest(s) differ from the previous record")

@@ -3,7 +3,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from zf_oracle import downlink_rate_oracle, uplink_rate_oracle
+from zf_oracle import downlink_rate_oracle, uplink_rate_oracle, zf_precoder, zf_receiver
 
 from mcmimo import mcrate
 from mcmimo.closedform import downlink_lower_bound, downlink_profile, uplink_approximation, uplink_profile
@@ -15,8 +15,6 @@ from mcmimo.mcrate import (
     block_rng,
     downlink_rate_mc,
     uplink_rate_mc,
-    zf_precoder,
-    zf_receiver,
 )
 from mcmimo.topology import NetworkConfig, build_topology
 
@@ -217,15 +215,6 @@ class TestDownlinkRateMC:
 
 
 class TestRateEstimate:
-    def test_csv_serialisation(self, tmp_path):
-        est = RateEstimate(np.array([1.5, 0.25]), 100, np.array([0.1, 0.02]), "monteCarlo")
-        path = tmp_path / "rates.csv"
-        est.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "user,rate,ciHalfWidth,trials"
-        assert lines[1] == "0,1.5,0.1,100"
-        assert len(lines) == 3
-
     def test_closed_form_constructor(self):
         est = RateEstimate.closed_form(np.array([2.0]))
         assert est.kind == "closedForm"
@@ -235,6 +224,27 @@ class TestRateEstimate:
     def test_rejects_negative_rate(self):
         with pytest.raises(ValueError):
             RateEstimate(np.array([-1.0]), 10, np.array([0.0]), "monteCarlo")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rate(self, bad):
+        with pytest.raises(ValueError, match="per_user_rate"):
+            RateEstimate(np.array([bad, 1.0]), 5, np.array([0.0, 0.0]), "monteCarlo")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_ci_half_width(self, bad):
+        with pytest.raises(ValueError, match="ci_half_width"):
+            RateEstimate(np.array([0.5, 1.0]), 5, np.array([bad, 0.0]), "monteCarlo")
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind"):
+            RateEstimate(np.array([1.0]), 5, np.array([0.0]), "bogus")
+
+    def test_stores_read_only_copies(self):
+        rates = np.array([1.0, 2.0])
+        est = RateEstimate(rates, 5, np.zeros(2), "monteCarlo")
+        rates[0] = 9.0
+        assert est.per_user_rate[0] == 1.0
+        assert not est.per_user_rate.flags.writeable
 
 
 def test_trial_streams_are_order_independent():
@@ -250,7 +260,7 @@ def test_estimate_is_assembled_from_keyed_blocks():
     # trial block b is drawn from block_rng(seed, b) alone; the last block
     # holds the remainder of the trials
     block = mcrate.BLOCK_TRIALS
-    est = mcrate._estimate(lambda rng, size: rng.random((size, 2)), block + 3, 5, 0.95)
+    est, = mcrate._estimate(lambda rng, size: rng.random((1, size, 2)), block + 3, 5, 0.95)
     rates = np.vstack([block_rng(5, 0).random((block, 2)), block_rng(5, 1).random((3, 2))])
     np.testing.assert_allclose(est.per_user_rate, rates.mean(axis=0), rtol=1e-12)
     assert est.trials == block + 3
@@ -330,3 +340,130 @@ class TestResampling:
         assert max(conds) <= limit * (1 + 1e-9)  # every accepted draw meets the limit
         b = uplink_rate_mc(top, allocs, 0, trials=300, seed=2)
         assert np.array_equal(a.per_user_rate, b.per_user_rate)
+
+
+def _inverse_factors_reference(rng, m, sqrt_beta, size):
+    """The eigenvalue-only accept test of estimatorVersion 2: every trial's
+    Gram matrix goes through ``eigvalsh``."""
+    n = sqrt_beta.size
+    F = np.empty((size, n, n), dtype=complex)
+    todo = np.arange(size)
+    for _ in range(mcrate.RESAMPLE_CAP):
+        K = sqrt_beta[:, None] * mcrate._bartlett_factor(rng, m, n, todo.size)
+        lam = np.linalg.eigvalsh(K @ K.conj().swapaxes(-1, -2))
+        ok = (lam[:, 0] > 0) & (lam[:, -1] <= mcrate.CONDITION_LIMIT * lam[:, 0])
+        K_ok = K[ok]
+        K_inv = np.linalg.inv(K_ok)
+        good = np.max(np.abs(K_inv @ K_ok - np.eye(n)), axis=(1, 2)) < mcrate.ZF_RESIDUAL_TOL
+        accepted = ok.nonzero()[0][good]
+        F[todo[accepted]] = K_inv[good].conj().swapaxes(-1, -2)
+        todo = np.delete(todo, accepted)
+        if todo.size == 0:
+            return F
+    raise IllConditionedChannelError("no well-conditioned channel")
+
+
+class TestBoundFirstAcceptTest:
+    @staticmethod
+    def _run(monkeypatch, inverse, m, sqrt_beta, size, seed):
+        """(F, draw sizes, eigvalsh batch sizes) of one call."""
+        draws, eig = [], []
+        bartlett, eigvalsh = mcrate._bartlett_factor, np.linalg.eigvalsh
+        monkeypatch.setattr(mcrate, "_bartlett_factor",
+                            lambda *args: draws.append(args[-1]) or bartlett(*args))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eig.append(len(a)) or eigvalsh(a))
+        F = inverse(np.random.default_rng(seed), m, sqrt_beta, size)
+        monkeypatch.setattr(mcrate, "_bartlett_factor", bartlett)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        return F, draws, eig
+
+    @pytest.mark.parametrize("m,n", [(5, 4), (11, 10), (128, 10)])
+    def test_equals_eigenvalue_test_at_default_limit(self, monkeypatch, m, n):
+        sqrt_beta = np.sqrt(np.random.default_rng(n).uniform(0.01, 1.0, n))
+        F, draws, _ = self._run(monkeypatch, mcrate._inverse_factors, m, sqrt_beta, 700, 4)
+        F_ref, draws_ref, _ = self._run(monkeypatch, _inverse_factors_reference, m, sqrt_beta,
+                                        700, 4)
+        assert np.array_equal(F, F_ref)
+        assert draws == draws_ref
+
+    @pytest.mark.parametrize("limit_of,eig_share", [
+        # the median condition number: no trial passes the bound, so every
+        # trial takes the eigenvalue test, which redraws about half of them
+        ("median_cond", (1.0, 1.0)),
+        # four times the median bound: about half the trials pass the bound
+        # and the rest take the eigenvalue test
+        ("four_median_bounds", (0.3, 0.7)),
+    ])
+    def test_equals_eigenvalue_test_at_shifted_limit(self, monkeypatch, limit_of, eig_share):
+        m, n = 6, 4
+        sqrt_beta = np.sqrt(np.array([0.3, 1.0, 0.05, 0.7]))
+        K = sqrt_beta[:, None] * _bartlett_factor(np.random.default_rng(1), m, n, 2000)
+        if limit_of == "median_cond":
+            limit = float(np.median(np.linalg.cond(K @ K.conj().swapaxes(1, 2))))
+        else:
+            bound = (np.linalg.norm(K, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(K), axis=(1, 2)))**2
+            limit = 4.0 * float(np.median(bound))
+        monkeypatch.setattr(mcrate, "CONDITION_LIMIT", limit)
+        F, draws, eig = self._run(monkeypatch, mcrate._inverse_factors, m, sqrt_beta, 600, 8)
+        F_ref, draws_ref, _ = self._run(monkeypatch, _inverse_factors_reference, m, sqrt_beta,
+                                        600, 8)
+        assert np.array_equal(F, F_ref)
+        assert draws == draws_ref and len(draws) > 1  # some trials were redrawn
+        assert eig_share[0] * draws[0] <= eig[0] <= eig_share[1] * draws[0]
+
+    def test_zero_diagonal_row_is_redrawn(self, monkeypatch):
+        # batched inv raises LinAlgError on an exactly singular matrix: the
+        # row must stay out of it and be redrawn
+        bartlett, draws = mcrate._bartlett_factor, []
+
+        def singular_first(rng, m, n, size):
+            L = bartlett(rng, m, n, size)
+            if not draws:
+                L[3, 2, 2] = 0.0
+            draws.append(size)
+            return L
+
+        monkeypatch.setattr(mcrate, "_bartlett_factor", singular_first)
+        F = mcrate._inverse_factors(np.random.default_rng(0), 8, np.ones(4), 10)
+        assert draws == [10, 1]
+        assert np.all(np.isfinite(F))
+
+
+def _rows_setup(direction, cells, seed=3):
+    n = 4
+    top = build_topology(NetworkConfig(users_per_cell=n, bs_antennas=12, cell_count=cells,
+                                       seed=seed))
+    rng = np.random.default_rng(seed)
+    scale = 10.0 if direction == "uplink" else 100.0
+    # rows differ in the target cell's powers and in their interferers' (fig12)
+    rows = [[PowerAllocation(scale * rng.random(n), direction) for _ in range(cells)]
+            for _ in range(3)]
+    rows.append([PowerAllocation(np.full(n, scale), direction), *rows[0][1:]])
+    return top, rows
+
+
+@pytest.mark.parametrize("estimator,direction", [(uplink_rate_mc, "uplink"),
+                                                 (downlink_rate_mc, "downlink")])
+@pytest.mark.parametrize("cells", [1, 7, 19])
+def test_rows_equal_one_row_at_a_time(estimator, direction, cells):
+    top, rows = _rows_setup(direction, cells)
+    trials = mcrate.BLOCK_TRIALS + 37  # a full block and a partial one
+    for target in (0, 1 if cells > 1 else 0):
+        got = estimator(top, rows, target, trials, 5)
+        assert isinstance(got, list) and len(got) == len(rows)
+        for est, row in zip(got, rows):
+            want = estimator(top, row, target, trials, 5)
+            assert isinstance(want, RateEstimate)
+            assert np.array_equal(est.per_user_rate, want.per_user_rate)
+            assert np.array_equal(est.ci_half_width, want.ci_half_width)
+            assert est.trials == want.trials and est.kind == want.kind
+
+
+def test_rows_are_checked_one_by_one():
+    top, rows = _rows_setup("uplink", 7)
+    rows[2] = list(rows[2])
+    rows[2][3] = None
+    with pytest.raises(ValueError, match="cell 3"):
+        uplink_rate_mc(top, rows, 0, trials=10, seed=0)
+    with pytest.raises(ValueError, match="at least one row"):
+        uplink_rate_mc(top, [], 0, trials=10, seed=0)

@@ -2,9 +2,10 @@
 
 Each trial draws the full M x N fading matrices from a stream keyed by
 (seed, trial index) and builds the ZF receivers and precoders with
-``mcrate.zf_receiver``/``mcrate.zf_precoder``, at a cost that grows with M.
-The estimators in ``mcmimo.mcrate`` sample the same SINR laws from N x N
-sufficient statistics instead.
+``zf_receiver``/``zf_precoder`` below, at a cost that grows with M. The
+estimators in ``mcmimo.mcrate`` sample the same SINR laws from N x N
+sufficient statistics instead, and reject a trial on the same events as
+``zf_receiver``.
 """
 
 from __future__ import annotations
@@ -13,17 +14,57 @@ import math
 
 import numpy as np
 
+from mcmimo import mcrate
 from mcmimo.mcrate import (
     RESAMPLE_CAP,
     IllConditionedChannelError,
     RateEstimate,
     _check_allocations,
     _ci_half_width,
-    zf_precoder,
-    zf_receiver,
 )
 
 _MASK64 = (1 << 64) - 1
+
+
+def zf_receiver(G: np.ndarray) -> np.ndarray:
+    """ZF receive matrix A = G (G^H G)^{-1} with A^H G = I.
+
+    Raises IllConditionedChannelError when the Gram matrix condition number
+    exceeds ``mcrate.CONDITION_LIMIT`` or the achieved identity residual
+    exceeds ``mcrate.ZF_RESIDUAL_TOL``; callers are expected to resample the
+    channel.
+    """
+    G = np.asarray(G)
+    if G.ndim != 2 or G.shape[0] < G.shape[1]:
+        raise ValueError("G must be M x N with M >= N")
+    gram = G.conj().T @ G
+    if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > mcrate.CONDITION_LIMIT:
+        raise IllConditionedChannelError("channel Gram matrix is numerically singular")
+    A = np.linalg.solve(gram.conj(), G.T).T  # G @ gram^{-1}
+    resid = np.max(np.abs(A.conj().T @ G - np.eye(G.shape[1])))
+    if not resid < mcrate.ZF_RESIDUAL_TOL:
+        raise IllConditionedChannelError(f"ZF identity residual {resid:.2e} above tolerance")
+    return A
+
+
+def zf_precoder(G: np.ndarray, beta_self: np.ndarray) -> tuple[np.ndarray, float]:
+    """ZF precoder B = alpha * G^* (G^T G^*)^{-1} and its scaling alpha.
+
+    alpha = sqrt((M - N) / sum_n 1/beta_n) makes the long-term average of
+    tr(B B^H) equal one, i.e. the precoder meets a unit transmit-power
+    constraint in expectation over the fast fading.
+    """
+    G = np.asarray(G)
+    m, n = G.shape
+    if m <= n:
+        raise ValueError("ZF precoding requires M > N")
+    beta_self = np.asarray(beta_self, dtype=float)
+    if beta_self.shape != (n,) or np.any(beta_self <= 0):
+        raise ValueError("beta_self must be a length-N positive vector")
+    alpha = math.sqrt((m - n) / float(np.sum(1.0 / beta_self)))
+    # G^*(G^T G^*)^{-1} is the conjugate of the ZF receiver for G.
+    B = alpha * zf_receiver(G).conj()
+    return B, alpha
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
