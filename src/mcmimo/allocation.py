@@ -77,8 +77,7 @@ def waterfill(wc: WaterfillCoefficients) -> WaterfillResult:
     inv = 1.0 / wc.coeffs
     inv_sorted = np.sort(inv)
     n = inv.shape[-1]
-    # method calls keep the one-cell case cheap: the scheduler makes one per
-    # cell and slot
+    # method calls keep small calls cheap: the scheduler makes one per slot
     mu = (wc.budget + inv_sorted.cumsum(-1)) / np.arange(1, n + 1)
     qualifies = mu > inv_sorted
     qualifies[..., 0] = True
@@ -96,7 +95,8 @@ def waterfill(wc: WaterfillCoefficients) -> WaterfillResult:
 # Each formula reads a profile (closedform.InterferenceProfile or
 # DownlinkProfile) and returns c of the profile's shape: (N,) for one cell
 # view, (D, N) for a stack of D views. The topology-level functions below
-# build the profile of one cell first.
+# build the profile first: of one cell, or a stack of one row per cell when
+# ``target_cell`` is a sequence of cells.
 
 def _lower(prof, m, n) -> np.ndarray:
     """d_n = beta_n (M-N) / (S + 1)."""
@@ -153,38 +153,54 @@ def downlink_coefficients(topology, interfering_powers, target_cell, m, n) -> np
 
 
 # --- allocation strategies --------------------------------------------------
+#
+# A strategy allocates ``target_cell`` against the frozen ``interfering_powers``
+# and returns its PowerAllocation. Given a sequence of cells instead, it
+# water-fills their coefficient rows in one call and returns one
+# PowerAllocation per cell, each equal to that cell's own call.
 
 def _check_users(topology: CellTopology, n: int) -> None:
     if n != topology.n_users:
         raise ValueError(f"N={n} does not match the topology's {topology.n_users} users per cell")
 
 
-def uplink_alloc_lower_bound(topology, interfering_powers, target_cell, m, n, budget) -> PowerAllocation:
+def _waterfilled(c, budget, direction) -> PowerAllocation | list[PowerAllocation]:
+    powers = waterfill(WaterfillCoefficients(c, budget)).powers
+    if powers.ndim == 1:
+        return PowerAllocation(powers, direction)
+    return [PowerAllocation(row, direction) for row in powers]
+
+
+def uplink_alloc_lower_bound(topology, interfering_powers, target_cell, m, n,
+                             budget) -> PowerAllocation | list[PowerAllocation]:
     """Water-filling over the lower-bound coefficients d_n."""
     _check_users(topology, n)
     c = uplink_lower_coefficients(topology, interfering_powers, target_cell, m, n)
-    return PowerAllocation(waterfill(WaterfillCoefficients(c, budget)).powers, "uplink")
+    return _waterfilled(c, budget, "uplink")
 
 
-def uplink_alloc_upper_bound(topology, interfering_powers, target_cell, m, n, budget) -> PowerAllocation:
+def uplink_alloc_upper_bound(topology, interfering_powers, target_cell, m, n,
+                             budget) -> PowerAllocation | list[PowerAllocation]:
     """Water-filling over the upper-bound coefficients k_n."""
     _check_users(topology, n)
     c = uplink_upper_coefficients(topology, interfering_powers, target_cell, m, n)
-    return PowerAllocation(waterfill(WaterfillCoefficients(c, budget)).powers, "uplink")
+    return _waterfilled(c, budget, "uplink")
 
 
-def uplink_alloc_approx(topology, interfering_powers, target_cell, m, n, budget) -> PowerAllocation:
+def uplink_alloc_approx(topology, interfering_powers, target_cell, m, n,
+                        budget) -> PowerAllocation | list[PowerAllocation]:
     """Water-filling over the approximation coefficients t_n."""
     _check_users(topology, n)
     c = uplink_approx_coefficients(topology, interfering_powers, target_cell, m, n)
-    return PowerAllocation(waterfill(WaterfillCoefficients(c, budget)).powers, "uplink")
+    return _waterfilled(c, budget, "uplink")
 
 
-def downlink_alloc(topology, interfering_powers, target_cell, m, n, budget) -> PowerAllocation:
+def downlink_alloc(topology, interfering_powers, target_cell, m, n,
+                   budget) -> PowerAllocation | list[PowerAllocation]:
     """Water-filling over the downlink coefficients s_n."""
     _check_users(topology, n)
     c = downlink_coefficients(topology, interfering_powers, target_cell, m, n)
-    return PowerAllocation(waterfill(WaterfillCoefficients(c, budget)).powers, "downlink")
+    return _waterfilled(c, budget, "downlink")
 
 
 uplink_alloc_lower_bound.direction = "uplink"

@@ -638,6 +638,11 @@ class GainThresholdQuery:
         if lo > hi:
             raise ValueError("searchRange must be [lo, hi] with lo <= hi")
         object.__setattr__(self, "search_range", (lo, hi))
+        # the probes build NetworkConfigs from these, which take integers only
+        for key, value in (("fixedUsers", self.fixed_users), ("fixedAntennas", self.fixed_antennas)):
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "GainThresholdQuery":

@@ -393,15 +393,22 @@ class InterferenceProfile:
     The interference power seen at the BS is user-independent.
 
     A stacked profile (see ``stack``) has a leading axis of rows, one view per
-    row (one drop each, say): ``beta_self`` is (D, N), the cross arrays are
-    (D, L), and ``cross_sum`` and ``interference_factor()`` are (D, 1)
-    columns, so every rate and coefficient formula evaluates all rows in one
-    expression with the same bits as row by row.
+    row (one drop or one cell each, say): ``beta_self`` is (D, N), the cross
+    arrays are (D, L), and ``cross_sum`` and ``interference_factor()`` are
+    (D, 1) columns, so every rate and coefficient formula evaluates all rows
+    in one expression with the same bits as row by row.
+
+    Rows may hold fewer than L cross terms (cells with 3, 4 or 6 neighbours):
+    ``cross_lengths`` (D,) then counts each row's terms, and the entries past
+    them are padding with power 0. A row's cross sum is ``np.dot`` over its
+    own terms only, because zero-padding moves the last bits of ``np.dot``
+    once a row spans BLAS's unrolled blocks.
     """
 
     beta_self: np.ndarray
     cross_powers: np.ndarray
     cross_betas: np.ndarray
+    cross_lengths: np.ndarray | None = None
     cross_sum: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -410,14 +417,17 @@ class InterferenceProfile:
         cb = np.asarray(self.cross_betas, dtype=float)
         if bs.ndim == 1:
             cp, cb = cp.ravel(), cb.ravel()
+            if self.cross_lengths is not None:
+                raise ValueError("cross_lengths belongs to a stacked profile")
         elif bs.ndim != 2 or cp.ndim != 2 or cp.shape[0] != bs.shape[0]:
             raise ValueError(
                 "a stacked profile needs beta_self (D, N) and cross arrays (D, L)")
-        if np.any(bs <= 0) or not np.all(np.isfinite(bs)):
+        # method reductions cost less than np.any/np.all on arrays this small
+        if (bs <= 0).any() or not np.isfinite(bs).all():
             raise ValueError("beta_self must be finite and positive")
         if cp.shape != cb.shape:
             raise ValueError("cross_powers and cross_betas must have equal length")
-        if np.any(cp < 0) or np.any(cb <= 0):
+        if (cp < 0).any() or (cb <= 0).any():
             raise ValueError("cross powers must be >= 0 and cross betas > 0")
         for name, arr in (("beta_self", bs), ("cross_powers", cp), ("cross_betas", cb)):
             arr = arr.copy()
@@ -427,7 +437,9 @@ class InterferenceProfile:
         if bs.ndim == 1:
             cross_sum = float(np.dot(cp, cb))
         else:
-            cross_sum = np.array([[np.dot(p, b)] for p, b in zip(cp, cb)])
+            lengths = _cross_lengths(self.cross_lengths, cp)
+            object.__setattr__(self, "cross_lengths", lengths)
+            cross_sum = np.array([[np.dot(p[:k], b[:k])] for p, b, k in zip(cp, cb, lengths)])
         object.__setattr__(self, "cross_sum", cross_sum)
 
     @classmethod
@@ -457,6 +469,21 @@ class InterferenceProfile:
         return np.array([[interference_factor(row[row > 0])] for row in z])
 
 
+def _cross_lengths(lengths, cross_powers: np.ndarray) -> np.ndarray:
+    """Checked per-row term counts of a stacked profile: all L when None."""
+    rows, width = cross_powers.shape
+    if lengths is None:
+        out = np.full(rows, width)
+    else:
+        out = np.array(lengths)
+        if out.shape != (rows,) or out.dtype.kind not in "iu" or np.any((out < 0) | (out > width)):
+            raise ValueError(f"cross_lengths must be {rows} integers in [0, {width}]")
+        if np.any(cross_powers[np.arange(width) >= out[:, None]] != 0):
+            raise ValueError("cross powers past a row's cross_lengths must be 0")
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class DownlinkProfile:
     """Downlink large-scale view: own-cell inverse-gain sum and the per-user
@@ -472,12 +499,12 @@ class DownlinkProfile:
     def __post_init__(self):
         lam = np.array(self.lambda_self, dtype=float)
         cl = np.array(self.cross_load, dtype=float)
-        if not (np.all(np.isfinite(lam)) and np.all(lam > 0)):
+        if not (np.isfinite(lam).all() and (lam > 0).all()):
             raise ValueError("lambda_self must be finite and positive")
         one_view = lam.ndim == 0 and cl.ndim == 1
         if not (one_view or (cl.ndim == 2 and lam.shape == (cl.shape[0], 1))):
             raise ValueError("cross_load must be a 1-D vector, or (D, N) beside a (D, 1) lambda_self")
-        if np.any(cl < 0) or not np.all(np.isfinite(cl)):
+        if (cl < 0).any() or not np.isfinite(cl).all():
             raise ValueError("cross_load must be non-negative and finite")
         lam.setflags(write=False)
         cl.setflags(write=False)
@@ -495,48 +522,80 @@ class DownlinkProfile:
         return self.cross_load.shape[-1]
 
 
-def uplink_profile(topology: CellTopology, interfering_powers, target_cell: int) -> InterferenceProfile:
+def _target_cells(target_cell) -> tuple[np.ndarray, bool]:
+    """``target_cell`` as a 1-D array of cell indices, and whether it was one index."""
+    cells = np.asarray(target_cell)
+    if cells.ndim > 1 or cells.size == 0 or cells.dtype.kind not in "iu":
+        raise ValueError(
+            f"target_cell must be a cell index or a non-empty sequence of them, got {target_cell!r}")
+    return cells.reshape(-1), cells.ndim == 0
+
+
+def _interferer_powers(topology: CellTopology, interfering_powers, cell, direction: str) -> np.ndarray:
+    """The (N,) powers of interfering ``cell``, checked as the profiles read them."""
+    alloc = interfering_powers[cell]
+    if alloc is None:
+        raise ValueError(f"no PowerAllocation provided for interfering cell {cell}")
+    if isinstance(alloc, PowerAllocation):
+        if alloc.direction != direction:
+            raise ValueError(f"cell {cell} allocation is {alloc.direction}, not {direction}")
+        p = alloc.powers
+    else:
+        p = np.asarray(alloc, dtype=float)
+    if p.shape != (topology.n_users,):
+        raise ValueError(f"cell {cell} powers must have shape ({topology.n_users},), got {p.shape}")
+    return p
+
+
+def uplink_profile(topology: CellTopology, interfering_powers, target_cell) -> InterferenceProfile:
     """Build the uplink interference profile of ``target_cell`` from the
-    current powers of its edge-adjacent neighbours."""
-    nbrs = topology.neighbors(target_cell)
-    beta_self = topology.large_scale[target_cell, target_cell]
-    powers, betas = [], []
-    for l in nbrs:
-        alloc = interfering_powers[l]
-        if alloc is None:
-            raise ValueError(f"no PowerAllocation provided for interfering cell {l}")
-        if isinstance(alloc, PowerAllocation):
-            if alloc.direction != "uplink":
-                raise ValueError(f"cell {l} allocation is not an uplink allocation")
-            p = alloc.powers
-        else:
-            p = np.asarray(alloc, dtype=float)
-        powers.append(p)
-        betas.append(topology.large_scale[target_cell, l])
-    if powers:
-        return InterferenceProfile(beta_self, np.concatenate(powers), np.concatenate(betas))
-    return InterferenceProfile(beta_self, np.empty(0), np.empty(0))
+    current powers of its edge-adjacent neighbours.
+
+    ``target_cell`` may also be a sequence of cells; the result is then a
+    stack with one row per cell, each listing its neighbours' terms in
+    ascending neighbour order and padded to the widest row.
+    """
+    cells, single = _target_cells(target_cell)
+    adj = topology.adjacency[cells]
+    powers = np.zeros((topology.n_cells, topology.n_users))
+    for l in np.flatnonzero(adj.any(axis=0)):
+        powers[l] = _interferer_powers(topology, interfering_powers, l, "uplink")
+    beta = topology.large_scale
+    terms = [(powers[nbrs].ravel(), beta[cell, nbrs].ravel()) for cell, nbrs in zip(cells, adj)]
+    if single:
+        return InterferenceProfile(beta[cells[0], cells[0]], *terms[0])
+    lengths = np.array([p.size for p, _ in terms])
+    cross_powers = np.zeros((cells.size, lengths.max()))
+    cross_betas = np.ones_like(cross_powers)
+    for row, (p, b) in enumerate(terms):
+        cross_powers[row, :p.size] = p
+        cross_betas[row, :b.size] = b
+    return InterferenceProfile(beta[cells, cells], cross_powers, cross_betas, lengths)
 
 
-def downlink_profile(topology: CellTopology, interfering_powers, target_cell: int) -> DownlinkProfile:
-    beta_own = topology.large_scale[target_cell, target_cell]
-    lam_self = float(np.sum(1.0 / beta_own))
-    load = np.zeros(topology.n_users)
-    for l in topology.neighbors(target_cell):
-        alloc = interfering_powers[l]
-        if alloc is None:
-            raise ValueError(f"no PowerAllocation provided for interfering cell {l}")
-        if isinstance(alloc, PowerAllocation):
-            if alloc.direction != "downlink":
-                raise ValueError(f"cell {l} allocation is not a downlink allocation")
-            p = alloc.powers
-        else:
-            p = np.asarray(alloc, dtype=float)
-        beta_ll = topology.large_scale[l, l]
-        lam_l = float(np.sum(1.0 / beta_ll))
+def downlink_profile(topology: CellTopology, interfering_powers, target_cell) -> DownlinkProfile:
+    """Build the downlink profile of ``target_cell`` from the current powers
+    of its edge-adjacent neighbours.
+
+    ``target_cell`` may also be a sequence of cells; the result is then a
+    stack with one row per cell. Each row adds its neighbours' loads in
+    ascending order, as one cell alone does.
+    """
+    cells, single = _target_cells(target_cell)
+    beta = topology.large_scale
+    lam_self = [float((1.0 / beta[i, i]).sum()) for i in cells]
+    adj = topology.adjacency[cells]
+    load = np.zeros((cells.size, topology.n_users))
+    for l in np.flatnonzero(adj.any(axis=0)):
+        p = _interferer_powers(topology, interfering_powers, l, "downlink")
+        beta_ll = beta[l, l]
+        lam_l = float((1.0 / beta_ll).sum())
         # sum_c p_c / beta_lc, shared by all target users; beta_ln scales it.
-        load += topology.large_scale[l, target_cell] * float(np.sum(p / beta_ll)) / lam_l
-    return DownlinkProfile(lam_self, load)
+        # The rows of cells that l does not neighbour add exactly 0.
+        load += beta[l, cells] * float((p / beta_ll).sum()) / lam_l * adj[:, l, None]
+    if single:
+        return DownlinkProfile(lam_self[0], load[0])
+    return DownlinkProfile(np.array(lam_self)[:, None], load)
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,9 @@ class PowerAllocation:
         p = np.asarray(self.powers, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("powers must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(p)) or np.any(p < 0):
+        # method reductions cost less than np.all/np.any on arrays this small;
+        # the scheduler builds one allocation per cell and slot
+        if not np.isfinite(p).all() or (p < 0).any():
             raise ValueError("powers must be finite and non-negative (linear watts)")
         if self.direction not in ("uplink", "downlink"):
             raise ValueError(f"direction must be 'uplink' or 'downlink', got {self.direction!r}")

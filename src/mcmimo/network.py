@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,21 +90,30 @@ def _power_matrix(topology: CellTopology, per_cell_powers) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=4)
+def _objective_constants(topology: CellTopology):
+    """The topology's fixed arrays of ``_uplink_objective``: a = beta_iii (M-N+1),
+    the float adjacency rows and the gains of the cluster cells' BSs."""
+    cfg = topology.config
+    k = topology.cluster_size
+    a = topology.large_scale[np.arange(k), np.arange(k), :] * (
+        cfg.bs_antennas - cfg.users_per_cell + 1)
+    adj = topology.adjacency.astype(float)
+    for arr in (a, adj):
+        arr.setflags(write=False)  # shared by every call on this topology
+    return a, adj[:k], topology.large_scale[:k]
+
+
 def _uplink_objective(topology: CellTopology, pmat: np.ndarray, with_grad: bool = False):
     """Cluster sum of the closed-form uplink approximation, vectorised.
 
     rate_in = log2(1 + a_in p_in / (b_i + 1)) with a_in = beta_iin (M-N+1) and
     b_i the interference power at BS i from its edge-adjacent cells.
     """
-    cfg = topology.config
-    m, n = cfg.bs_antennas, cfg.users_per_cell
+    a, adj, beta = _objective_constants(topology)  # (k, N), (k, C), (k, C, N)
     k = topology.cluster_size
-    beta = topology.large_scale
-    adj = topology.adjacency.astype(float)
-
-    a = beta[np.arange(k), np.arange(k), :] * (m - n + 1)  # (k, N)
-    contrib = np.einsum("ilc,lc->il", beta[:k], pmat)      # (k, C)
-    b1 = (contrib * adj[:k]).sum(axis=1) + 1.0             # (k,)
+    contrib = np.einsum("ilc,lc->il", beta, pmat)  # (k, C)
+    b1 = (contrib * adj).sum(axis=1) + 1.0          # (k,)
     sinr = a * pmat[:k] / b1[:, None]
     f = float(np.log2(1.0 + sinr).sum())
     if not with_grad:
@@ -114,20 +124,18 @@ def _uplink_objective(topology: CellTopology, pmat: np.ndarray, with_grad: bool 
     grad[:k] = a / denom / _LN2  # own-cell term
     # interference term: d b_i / d p_jm = adj[i,j] beta[i,j,m]
     u = (a * pmat[:k] / (b1[:, None] * denom)).sum(axis=1)  # (k,)
-    grad -= np.einsum("i,ij,ijm->jm", u, adj[:k], beta[:k]) / _LN2
+    grad -= np.einsum("i,ij,ijm->jm", u, adj, beta) / _LN2
     return f, grad
 
 
 def _downlink_objective(topology: CellTopology, per_cell_powers) -> float:
     cfg = topology.config
-    m, n = cfg.bs_antennas, cfg.users_per_cell
-    total = 0.0
-    for i in range(topology.cluster_size):
-        prof = closedform.downlink_profile(topology, per_cell_powers, i)
-        total += float(
-            closedform.downlink_lower_bound(prof, m, n, per_cell_powers[i].powers).sum()
-        )
-    return total
+    k = topology.cluster_size
+    prof = closedform.downlink_profile(topology, per_cell_powers, range(k))
+    rates = closedform.downlink_lower_bound(prof, cfg.bs_antennas, cfg.users_per_cell,
+                                            _power_matrix(topology, per_cell_powers)[:k])
+    # per-cell sums added in cell order, as cell by cell
+    return sum(float(row.sum()) for row in rates)
 
 
 def network_sum_rate(
@@ -180,12 +188,19 @@ def run_scheduled(
 
     In slot s only the cells of group s mod G re-allocate, each against the
     snapshot of powers taken at the start of the slot; cells of a group do not
-    interfere with each other, so their updates commute. Outer-ring cells keep
-    their initial power forever. The network sum rate is recorded after every
-    slot with the requested estimator.
+    interfere with each other, so their updates commute, and the strategy
+    allocates the whole group in one call: ``strategy(topology, allocs, cells,
+    m, n, budget)`` returns one PowerAllocation per cell, as the strategies of
+    ``mcmimo.allocation`` do. Outer-ring cells keep their initial power
+    forever. The network sum rate is recorded after every slot with the
+    requested estimator.
     """
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
+    if not (math.isfinite(budget) and budget > 0):
+        raise ValueError(f"budget must be finite and > 0, got {budget}")
+    if not (math.isfinite(initial_power) and initial_power >= 0):
+        raise ValueError(f"initial_power must be finite and >= 0, got {initial_power}")
+    if isinstance(slots, bool) or not isinstance(slots, (int, np.integer)) or slots < 1:
+        raise ValueError(f"slots must be an integer >= 1, got {slots!r}")
     cfg = topology.config
     m, n = cfg.bs_antennas, cfg.users_per_cell
     direction = getattr(strategy, "direction", "uplink")
@@ -199,9 +214,9 @@ def run_scheduled(
     ]
     history = []
     for slot in range(slots):
-        snapshot = list(allocs)
-        for cell in groups[slot % len(groups)]:
-            new = strategy(topology, snapshot, cell, m, n, budget)
+        group = groups[slot % len(groups)]
+        # the call reads ``allocs`` before any cell of the group is replaced
+        for cell, new in zip(group, strategy(topology, allocs, group, m, n, budget), strict=True):
             new.check_budget(budget)
             allocs[cell] = new
         history.append(

@@ -33,6 +33,8 @@ _JSON_FIELDS = {
     "outerRingCells": "outer_ring_cells",
 }
 _FIELD_TO_JSON = {v: k for k, v in _JSON_FIELDS.items()}
+_INT_FIELDS = ("users_per_cell", "bs_antennas", "seed", "cell_count", "outer_ring_cells")
+_FLOAT_FIELDS = ("cell_radius", "exclusion_radius", "shadow_std_db", "path_loss_exponent")
 
 
 @dataclass(frozen=True)
@@ -57,9 +59,22 @@ class NetworkConfig:
     outer_ring_cells: int = 0
 
     def __post_init__(self):
-        # NaN slips through every ordered check below and into the gains
-        for name in ("cell_radius", "exclusion_radius", "shadow_std_db", "path_loss_exponent"):
+        # every dataclasses.replace of a config runs these checks, so plain
+        # ints and floats take the first, cheapest test
+        for name in _INT_FIELDS:
             value = getattr(self, name)
+            if type(value) is not int:
+                if isinstance(value, bool) or not isinstance(value, np.integer):
+                    raise ValueError(f"{_FIELD_TO_JSON[name]} must be an integer, got {value!r}")
+                object.__setattr__(self, name, int(value))  # a numpy integer would not serialise
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if type(value) not in (float, int) and (
+                    isinstance(value, bool) or not isinstance(value, (np.integer, np.floating))):
+                raise ValueError(f"{_FIELD_TO_JSON[name]} must be a number, got {value!r}")
+            # NaN slips through every ordered check below and into the gains
             if not math.isfinite(value):
                 raise ValueError(f"{_FIELD_TO_JSON[name]} must be finite, got {value}")
         if self.users_per_cell < 1:
@@ -303,16 +318,16 @@ def build_topology(cfg: NetworkConfig) -> CellTopology:
 def schedule_groups(topology: CellTopology) -> list[list[int]]:
     """Partition the cluster cells into mutually non-interfering groups.
 
-    Hexagonal layouts get the reuse-3 colouring (q - r) mod 3, which yields
-    exactly 3 groups for the 19-cell disk. If that colouring is somehow
-    invalid for the topology's adjacency, a greedy colouring is used instead
-    and the returned list may be longer. Outer-ring cells never allocate and
-    are not included.
+    Hexagonal disks get the reuse-3 colouring (q - r) mod 3: edge-adjacent
+    cells differ by one of the axial offsets (+-1, 0), (0, +-1) and
+    +-(1, -1), which change q - r by +-1 or +-2, never by a multiple of 3.
+    That gives exactly 3 groups for the 7- and 19-cell disks. Outer-ring
+    cells never allocate and are not included.
     """
     cells = range(topology.cluster_size)
     colors = [(int(topology.axial[i, 0]) - int(topology.axial[i, 1])) % 3 for i in cells]
     if not _coloring_valid(topology, colors):
-        colors = _greedy_coloring(topology)
+        raise ValueError("the reuse-3 colouring (q - r) mod 3 does not fit this topology's adjacency")
     groups: dict[int, list[int]] = {}
     for i, c in zip(cells, colors):
         groups.setdefault(c, []).append(i)
@@ -326,15 +341,3 @@ def _coloring_valid(topology: CellTopology, colors: Sequence[int]) -> bool:
             if j < k and j != i and colors[i] == colors[int(j)]:
                 return False
     return True
-
-
-def _greedy_coloring(topology: CellTopology) -> list[int]:
-    k = topology.cluster_size
-    colors = [-1] * k
-    for i in range(k):
-        used = {colors[int(j)] for j in topology.neighbors(i) if j < k and colors[int(j)] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        colors[i] = c
-    return colors

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmimo.allocation import (
+    PROFILE_COEFFICIENTS,
     WaterfillCoefficients,
     WaterfillResult,
     downlink_alloc,
@@ -21,6 +22,7 @@ from mcmimo.allocation import (
     waterfill,
     write_allocations_csv,
 )
+from mcmimo.closedform import DownlinkProfile, InterferenceProfile
 from mcmimo.mcrate import PowerAllocation
 from mcmimo.topology import NetworkConfig, build_topology
 
@@ -268,6 +270,71 @@ class TestStrategies:
             uplink_alloc_lower_bound(small_topology, allocs, 0, 3, 3, 1.0)
         with pytest.raises(ValueError):
             downlink_alloc(small_topology, downlink_interferers(small_topology), 0, 3, 3, 1.0)
+
+
+def profile_reference(top, allocs, cell, direction):
+    """One cell's profile built neighbour by neighbour: the arithmetic every
+    row of a group call must reproduce bit for bit."""
+    beta = top.large_scale
+    nbrs = np.flatnonzero(top.adjacency[cell])
+    if direction == "uplink":
+        if not nbrs.size:
+            return InterferenceProfile(beta[cell, cell], np.empty(0), np.empty(0))
+        return InterferenceProfile(beta[cell, cell],
+                                   np.concatenate([allocs[l].powers for l in nbrs]),
+                                   np.concatenate([beta[cell, l] for l in nbrs]))
+    load = np.zeros(top.n_users)
+    for l in nbrs:
+        beta_ll = beta[l, l]
+        lam_l = float(np.sum(1.0 / beta_ll))
+        load += beta[l, cell] * float(np.sum(allocs[l].powers / beta_ll)) / lam_l
+    return DownlinkProfile(float(np.sum(1.0 / beta[cell, cell])), load)
+
+
+@st.composite
+def group_cases(draw):
+    cells = draw(st.sampled_from([1, 7, 19]))
+    outer = draw(st.integers(1, 6 * ({1: 0, 7: 1, 19: 2}[cells] + 1)))
+    n = draw(st.integers(1, 6))
+    m = n + draw(st.integers(1, 40))
+    top = build_topology(NetworkConfig(users_per_cell=n, bs_antennas=m, cell_count=cells,
+                                       outer_ring_cells=outer, seed=draw(st.integers(0, 2**32))))
+    # ragged neighbour counts, unsorted and repeated cells; zero powers make
+    # the upper bound's zeta sets ragged as well
+    group = draw(st.lists(st.integers(0, cells - 1), min_size=1, max_size=cells + 2))
+    power = st.sampled_from([0.0, 1e-3, 0.5, 1.0, 10.0, 300.0])
+    powers = np.array(draw(st.lists(power, min_size=top.n_cells * n,
+                                    max_size=top.n_cells * n))).reshape(top.n_cells, n)
+    budget = draw(st.sampled_from([1e-3, 1.0, 30.0, 1e4]))
+    return top, group, powers, budget
+
+
+class TestGroupCalls:
+    @settings(max_examples=60, deadline=None)
+    @given(case=group_cases())
+    @pytest.mark.parametrize("name,strategy,coeff_fn,_", STRATEGIES)
+    def test_group_rows_equal_cell_calls(self, name, strategy, coeff_fn, _, case):
+        top, group, powers, budget = case
+        m, n = top.config.bs_antennas, top.n_users
+        direction = strategy.direction
+        allocs = [PowerAllocation(p, direction) for p in powers]
+        got = strategy(top, allocs, group, m, n, budget)
+        rows = coeff_fn(top, allocs, group, m, n)
+        assert len(got) == len(group) and rows.shape == (len(group), n)
+        for cell, alloc, row in zip(group, got, rows):
+            one = strategy(top, allocs, cell, m, n, budget)
+            c = PROFILE_COEFFICIENTS[name](profile_reference(top, allocs, cell, direction), m, n)
+            assert np.array_equal(row, c)
+            assert np.array_equal(coeff_fn(top, allocs, cell, m, n), c)
+            want = waterfill(WaterfillCoefficients(c, budget)).powers
+            assert alloc.direction == one.direction == direction
+            assert np.array_equal(alloc.powers, want)
+            assert np.array_equal(one.powers, want)
+
+    @pytest.mark.parametrize("cell", [True, 1.0, [], [[0, 1]], "0"])
+    def test_bad_target_cell_rejected(self, small_topology, cell):
+        with pytest.raises(ValueError, match="target_cell"):
+            uplink_alloc_approx(small_topology, uplink_interferers(small_topology), cell, 12, 3, 30.0)
 
 
 class TestBaselines:

@@ -417,6 +417,16 @@ class TestFindMaxRatio:
         value, boundary = find_max_ratio(q, self.BASE)
         assert 2 <= value <= 30
 
+    @pytest.mark.parametrize("key, field, value", [
+        ("fixedUsers", "fixed_users", 10.0),
+        ("fixedUsers", "fixed_users", True),
+        ("fixedAntennas", "fixed_antennas", 100.5),
+    ])
+    def test_fixed_sizes_must_be_integers(self, key, field, value):
+        # the probes build a NetworkConfig from them, which takes integers only
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            GainThresholdQuery("uplink", 0.1, 20.0, (2, 6), **{field: value})
+
     def test_probe_without_edge_users_is_error(self):
         # seed 1 puts the only user of the one drop inside the edge radius,
         # so the edge-only gain is undefined at every probe

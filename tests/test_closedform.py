@@ -357,6 +357,62 @@ class TestStackedProfiles:
         want = np.stack([downlink_lower_bound(prof, m, n, row) for prof, row in zip(profiles, p)])
         assert np.array_equal(downlink_lower_bound(stack, m, n, p), want)
 
+    @pytest.mark.parametrize("outer", [0, 6])
+    def test_group_profiles_stack_the_cell_profiles(self, outer):
+        top = build_topology(NetworkConfig(users_per_cell=3, bs_antennas=8, seed=9,
+                                           outer_ring_cells=outer))
+        rng = np.random.default_rng(outer)
+        # unsorted and repeated cells with 3, 4 and 6 neighbours
+        cells = [18, 0, 7, 12, 18, 5]
+        for direction, build in (("uplink", uplink_profile), ("downlink", downlink_profile)):
+            allocs = [PowerAllocation(rng.uniform(0.0, 5.0, 3) * rng.integers(0, 2, 3), direction)
+                      for _ in range(top.n_cells)]
+            stack = build(top, allocs, cells)
+            for row, cell in enumerate(cells):
+                one = build(top, allocs, cell)
+                if direction == "uplink":
+                    k = one.cross_powers.size
+                    assert stack.cross_lengths[row] == k
+                    assert np.array_equal(stack.beta_self[row], one.beta_self)
+                    assert np.array_equal(stack.cross_powers[row, :k], one.cross_powers)
+                    assert np.array_equal(stack.cross_betas[row, :k], one.cross_betas)
+                    assert not stack.cross_powers[row, k:].any()
+                    assert stack.cross_sum[row, 0] == one.cross_sum
+                    assert stack.interference_factor()[row, 0] == one.interference_factor()
+                else:
+                    assert stack.lambda_self[row, 0] == one.lambda_self
+                    assert np.array_equal(stack.cross_load[row], one.cross_load)
+
+    def test_ragged_rows_sum_their_own_terms(self):
+        # 17 terms past BLAS's 16-element block: zero-padding to 32 would
+        # regroup the sum; the ragged row keeps its own np.dot
+        rng = np.random.default_rng(11)
+        cp, cb = 10.0 ** rng.uniform(-3, 3, (2, 32)), 10.0 ** rng.uniform(-9, -3, (2, 32))
+        cp[0, 17:] = 0.0
+        stack = InterferenceProfile(np.ones((2, 2)), cp, cb, [17, 32])
+        assert stack.cross_sum[0, 0] == np.dot(cp[0, :17], cb[0, :17])
+        assert stack.cross_sum[1, 0] == np.dot(cp[1], cb[1])
+
+    @pytest.mark.parametrize("lengths, match", [
+        ([3, 5], "cross_lengths must be"),
+        ([1.0, 2.0], "cross_lengths must be"),
+        ([2], "cross_lengths must be"),
+        ([1, 2], "past a row's cross_lengths must be 0"),
+    ])
+    def test_bad_cross_lengths_rejected(self, lengths, match):
+        with pytest.raises(ValueError, match=match):
+            InterferenceProfile(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)), lengths)
+        with pytest.raises(ValueError, match="stacked profile"):
+            InterferenceProfile(np.ones(2), np.ones(2), np.ones(2), [2])
+
+    @pytest.mark.parametrize("build", [uplink_profile, downlink_profile])
+    def test_interferer_power_shape_checked(self, build):
+        top = build_topology(NetworkConfig(users_per_cell=2, bs_antennas=6, cell_count=7, seed=4))
+        allocs = [np.ones(2)] * 7
+        allocs[1] = 5.0  # would broadcast over the users
+        with pytest.raises(ValueError, match="cell 1 powers must have shape"):
+            build(top, allocs, 0)
+
     def test_stack_has_no_single_zeta_set(self):
         rng = np.random.default_rng(7)
         stack = InterferenceProfile.stack([make_profile(rng, 2, 1) for _ in range(2)])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcmimo import network
+from mcmimo import allocation, network
 from mcmimo.allocation import equal_alloc, uplink_alloc_approx
 from mcmimo.closedform import uplink_approximation, uplink_profile
 from mcmimo.mcrate import PowerAllocation
@@ -219,6 +219,84 @@ class TestRunScheduled:
             expect = uplink_alloc_approx(top, snapshot, cell, 8, 2, budget)
             assert np.array_equal(state.per_cell_powers[cell].powers, expect.powers)
 
+    def test_one_strategy_call_per_slot(self):
+        top = build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=3))
+        calls = []
+
+        def spy(topology, allocs, cells, m, n, budget):
+            calls.append(list(cells))
+            return uplink_alloc_approx(topology, allocs, cells, m, n, budget)
+
+        state = run_scheduled(top, spy, 50.0, 10.0, 7)
+        assert calls == [state.groups[s % 3] for s in range(7)]
+
+    def test_every_returned_row_checked_against_budget(self):
+        top = build_topology(NetworkConfig(users_per_cell=2, bs_antennas=8, cell_count=7, seed=4))
+
+        def over_budget_last(topology, allocs, cells, m, n, budget):
+            rows = uplink_alloc_approx(topology, allocs, cells, m, n, budget)
+            if len(cells) > 1:
+                rows[-1] = PowerAllocation(np.full(n, budget), "uplink")
+            return rows
+
+        with pytest.raises(ValueError, match="exceeds budget"):  # slot 2's group has 3 cells
+            run_scheduled(top, over_budget_last, 20.0, 1.0, 2)
+
+    def test_missing_rows_rejected(self):
+        top = build_topology(NetworkConfig(users_per_cell=2, bs_antennas=8, cell_count=7, seed=4))
+
+        def first_cell_only(topology, allocs, cells, m, n, budget):
+            return uplink_alloc_approx(topology, allocs, cells[:1], m, n, budget)
+
+        with pytest.raises(ValueError, match="zip"):  # slot 2's group has 3 cells
+            run_scheduled(top, first_cell_only, 20.0, 1.0, 2)
+
+    # SHA-256 of the per-slot history followed by the final power matrix, at
+    # the fig12 parameters (N = 5, M = 20, 50 W, 10 W per user, 12 slots),
+    # recorded while each strategy call allocated one cell
+    DIGESTS = {
+        ("uplink_alloc_approx", 3, 0):
+            "7f6e7fba3bacfd3e0a09f462e998e6667d121995e318e1b295026c083593974b",
+        ("uplink_alloc_approx", 7919, 0):
+            "9bd439ffb7c0c4687d98e63f8163b7e18fd755284e9e35ef72e138fdc9389201",
+        ("uplink_alloc_upper_bound", 3, 5):
+            "52adb88cf75fb354a6d16e1e7920b6c830ed668d421ce0ac2bbde6c981a8d97f",
+        ("uplink_alloc_upper_bound", 7919, 5):
+            "140e784778f1713396fae90b80e3a809cc4383fd989b263b09f5fb2e369e12fc",
+        ("downlink_alloc", 3, 5):
+            "6350f18089ffe590bf27c0929ef0137662c0a2e2fef9949a0a51b1f140ce00bb",
+        ("downlink_alloc", 7919, 5):
+            "68e841dce227a16890b36a80cb453ec4aea923751574f93f283e16b9a2d5f51d",
+    }
+
+    @pytest.mark.parametrize("strategy, seed, outer", sorted(DIGESTS))
+    def test_history_and_powers_match_recorded_digest(self, strategy, seed, outer):
+        top = build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=seed,
+                                           outer_ring_cells=outer))
+        state = run_scheduled(top, getattr(allocation, strategy), 50.0, 10.0, 12)
+        pmat = np.stack([a.powers for a in state.per_cell_powers])
+        digest = hashlib.sha256(np.array(state.history).tobytes() + pmat.tobytes()).hexdigest()
+        assert digest == self.DIGESTS[strategy, seed, outer]
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"budget": -5.0}, "budget"),
+        ({"budget": 0.0}, "budget"),
+        ({"budget": np.nan}, "budget"),
+        ({"budget": np.inf}, "budget"),
+        ({"initial_power": -1.0}, "initial_power"),
+        ({"initial_power": np.nan}, "initial_power"),
+        ({"initial_power": np.inf}, "initial_power"),
+        ({"slots": 0}, "slots"),
+        ({"slots": True}, "slots"),
+        ({"slots": 2.5}, "slots"),
+        ({"slots": "3"}, "slots"),
+    ])
+    def test_bad_parameters_rejected(self, kwargs, field):
+        top = build_topology(NetworkConfig(users_per_cell=3, bs_antennas=10, cell_count=7, seed=18))
+        args = {"budget": 30.0, "initial_power": 1.0, "slots": 2, **kwargs}
+        with pytest.raises(ValueError, match=field):
+            run_scheduled(top, uplink_alloc_approx, **args)
+
     def test_initial_power_over_budget_rejected(self):
         cfg = NetworkConfig(users_per_cell=4, bs_antennas=9, cell_count=1, seed=1)
         top = build_topology(cfg)
@@ -327,6 +405,15 @@ class TestRunJoint:
         pmat = np.stack([a.powers for a in res.per_cell_powers])
         assert res.converged
         assert (res.iterations, hashlib.sha256(pmat.tobytes()).hexdigest()) == self.DIGESTS[seed]
+
+    def test_objective_constants_built_once(self):
+        top = build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=3))
+        network._objective_constants.cache_clear()
+        res = run_joint(top, 50.0, max_iters=800, tolerance=1e-10)
+        info = network._objective_constants.cache_info()
+        # every candidate and gradient of the run reads the one build
+        assert info.misses == 1
+        assert info.hits >= 2 * res.iterations
 
     def test_one_projection_per_candidate(self, monkeypatch):
         top = build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=3))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -51,6 +52,36 @@ class TestNetworkConfig:
     def test_rejects_non_finite_float_fields(self, field, key, value):
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             make_cfg(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("users_per_cell", 10.7, "usersPerCell must be an integer"),
+        ("users_per_cell", True, "usersPerCell must be an integer"),
+        ("users_per_cell", "10", "usersPerCell must be an integer"),
+        ("bs_antennas", float("inf"), "bsAntennas must be an integer"),
+        ("seed", "x", "seed must be an integer"),
+        ("seed", -1, "seed must be in"),
+        ("seed", 2**64, "seed must be in"),
+        ("seed", 2**70, "seed must be in"),
+        ("cell_count", 7.0, "cellCount must be an integer"),
+        ("outer_ring_cells", False, "outerRingCells must be an integer"),
+        ("cell_radius", "1000", "cellRadius must be a number"),
+        ("shadow_std_db", True, "shadowStdDb must be a number"),
+    ])
+    def test_rejects_mistyped_fields(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            make_cfg(**{field: value})
+
+    def test_mistyped_json_field_named(self):
+        with pytest.raises(ValueError, match="usersPerCell must be an integer"):
+            NetworkConfig.from_json('{"usersPerCell": 10.7, "bsAntennas": 20}')
+        with pytest.raises(ValueError, match="bsAntennas must be an integer"):
+            NetworkConfig.from_json('{"usersPerCell": 4, "bsAntennas": 1e999}')
+
+    def test_numpy_integers_stored_as_int(self):
+        cfg = make_cfg(users_per_cell=np.int64(4), seed=np.uint64(2**64 - 1))
+        assert type(cfg.users_per_cell) is int and type(cfg.seed) is int
+        assert cfg.seed == 2**64 - 1
+        json.dumps(cfg.to_json())
 
     def test_json_roundtrip_exact_names(self):
         doc = {
@@ -200,6 +231,15 @@ class TestScheduleGroups:
                 for b in g:
                     if a != b:
                         assert not top.adjacency[a, b]
+
+    def test_invalid_colouring_rejected(self):
+        # two edge-adjacent cells of equal (q - r) mod 3: no reuse-3 plan fits
+        top = build_topology(make_cfg(cell_count=7))
+        adj = top.adjacency.copy()
+        adj[1, 4] = adj[4, 1] = True
+        assert (top.axial[1, 0] - top.axial[1, 1]) % 3 == (top.axial[4, 0] - top.axial[4, 1]) % 3
+        with pytest.raises(ValueError, match="reuse-3"):
+            schedule_groups(dataclasses.replace(top, adjacency=adj))
 
     def test_groups_exclude_outer_ring(self):
         top = build_topology(make_cfg(outer_ring_cells=6))
