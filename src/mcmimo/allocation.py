@@ -225,13 +225,3 @@ def relative_gain(c_pa, c_eq):
         raise ValueError("equal-power sum rate must be positive")
     return (c_pa - c_eq) / c_eq
 
-
-def write_allocations_csv(path, allocations) -> None:
-    """Serialise per-cell allocations as (cell, user, watts) rows."""
-    with open(path, "w", newline="") as fh:
-        fh.write("cell,user,watts\n")
-        for cell, alloc in enumerate(allocations):
-            if alloc is None:
-                continue
-            for user, w in enumerate(alloc.powers):
-                fh.write(f"{cell},{user},{w:.12g}\n")

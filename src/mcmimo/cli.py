@@ -43,7 +43,7 @@ from .closedform import (
 )
 from .mcrate import ESTIMATOR_VERSION, PowerAllocation, downlink_rate_mc, uplink_rate_mc
 from .network import network_sum_rate, run_joint, run_scheduled
-from .topology import CellTopology, NetworkConfig, build_topology
+from .topology import CellTopology, NetworkConfig, build_topology, require_count
 
 _MASK64 = (1 << 64) - 1
 EDGE_SPLIT_FACTOR = 0.8  # users beyond this fraction of the cell radius are "edge"
@@ -135,13 +135,9 @@ _KIND_DEFAULTS = {
 }
 
 
-_KIND_SWEEP_VARS = {
-    "fig2": ("bsAntennas",), "fig3": ("powerDb",), "fig4": ("bsAntennas",),
-    "fig5": ("bsAntennas",), "fig6": ("usersPerCell",), "fig7": ("ratio",),
-    "fig8": ("bsAntennas",), "fig10": ("bsAntennas",), "fig11": ("bsAntennas",),
-    "fig12": ("slot",), "table2": ("ratio",), "table3a": ("bsAntennas",),
-    "table3b": ("usersPerCell",), "custom": ("bsAntennas", "powerDb"),
-}
+# each kind sweeps its default variable; only custom has a second one
+_KIND_SWEEP_VARS = {kind: (var,) for kind, (var, _, _) in _KIND_DEFAULTS.items()}
+_KIND_SWEEP_VARS["custom"] += ("powerDb",)
 
 
 # options whose value selects a code path: the values each accepts
@@ -171,10 +167,8 @@ class ExperimentSpec:
                 f"kind {self.kind!r} sweeps over {' or '.join(allowed)}, "
                 f"not {self.sweep.variable!r}"
             )
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.drops < 1:
-            raise ValueError("drops must be >= 1")
+        for name in ("trials", "drops"):
+            object.__setattr__(self, name, require_count(name, getattr(self, name)))
         if not self.output:
             raise ValueError("output directory (spec 'output' or --out) must be non-empty")
         known = _KIND_DEFAULTS[self.kind][2]
@@ -186,6 +180,12 @@ class ExperimentSpec:
             if key in self.options and self.options[key] not in allowed:
                 raise ValueError(
                     f"option {key!r} must be one of {allowed}, got {self.options[key]!r}")
+        if self.kind == "fig12":
+            # slots index the scheduler's history: none may be truncated
+            if not all(v >= 1 and v.is_integer() for v in self.sweep.values):
+                raise ValueError(f"sweep.values of fig12 must be integer slots >= 1, "
+                                 f"got {list(self.sweep.values)}")
+            require_count("option 'jointMaxIters'", self.options["jointMaxIters"])
 
     @classmethod
     def from_dict(cls, data: dict, overrides: dict | None = None) -> "ExperimentSpec":
@@ -226,8 +226,8 @@ class ExperimentSpec:
             kind=kind,
             network=network,
             sweep=sweep,
-            trials=int(data.get("trials", 10_000) if trials is None else trials),
-            drops=int(data.get("drops", 50) if drops is None else drops),
+            trials=data.get("trials", 10_000) if trials is None else trials,
+            drops=data.get("drops", 50) if drops is None else drops,
             output=str(data.get("output", "out") if out is None else out),
             options=options,
         )
@@ -556,7 +556,7 @@ def _job_network_slots(spec: ExperimentSpec, job: dict) -> list[dict]:
     sched = run_scheduled(top, _UPLINK_STRATEGIES["approx"], budget, initial, max(slots),
                           rate_estimator=estimator, trials=spec.trials,
                           seed=derive_seed(spec.network.seed, _TAG_SLOT, s))
-    joint = run_joint(top, budget, max_iters=int(opts["jointMaxIters"]),
+    joint = run_joint(top, budget, max_iters=opts["jointMaxIters"],
                       tolerance=float(opts["jointTolerance"]))
     eq_allocs = [equal_alloc(n, budget) for _ in range(top.n_cells)]
     mc_seed = derive_seed(spec.network.seed, _TAG_MC, s)
@@ -640,9 +640,8 @@ class GainThresholdQuery:
         object.__setattr__(self, "search_range", (lo, hi))
         # the probes build NetworkConfigs from these, which take integers only
         for key, value in (("fixedUsers", self.fixed_users), ("fixedAntennas", self.fixed_antennas)):
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, (int, np.integer))):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if value is not None:
+                require_count(key, value)
 
     @classmethod
     def from_dict(cls, data: dict) -> "GainThresholdQuery":

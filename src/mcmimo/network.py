@@ -19,10 +19,11 @@ import numpy as np
 
 from . import closedform
 from .mcrate import PowerAllocation, _allocation_rows, downlink_rate_mc, uplink_rate_mc
-from .topology import CellTopology, schedule_groups
+from .topology import CellTopology, require_count, schedule_groups
 
 _LN2 = math.log(2.0)
 _MASK64 = (1 << 64) - 1
+_STEPS = np.arange(1.0, 65.0)  # the divisors j = 1..N of the simplex threshold
 
 
 @dataclass(eq=False)
@@ -56,28 +57,31 @@ def project_budget_simplex(v: np.ndarray, budget: float) -> np.ndarray:
     """
     if not (math.isfinite(budget) and budget > 0):
         raise ValueError(f"budget must be finite and > 0, got {budget}")
-    if np.ndim(v) not in (1, 2):
-        raise ValueError(f"v must be 1-D or 2-D, got {np.ndim(v)} dimensions")
-    if not np.all(np.isfinite(v)):
+    v = np.asarray(v)
+    if v.ndim not in (1, 2):
+        raise ValueError(f"v must be 1-D or 2-D, got {v.ndim} dimensions")
+    # array methods, not np.* wrappers: on small (k, N) rows the wrappers cost most
+    if not np.isfinite(v).all():
         raise ValueError("v must have only finite entries")
-    rows = np.atleast_2d(v)
+    rows = v.reshape(-1, v.shape[-1])
+    n = rows.shape[1]
     u = np.sort(rows, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    j = np.arange(1, u.shape[1] + 1)
+    css = u.cumsum(axis=1)
+    j = _STEPS[:n] if n <= _STEPS.size else np.arange(1.0, n + 1.0)
     active = u + (budget - css) / j > 0
     # rounding can make ``active`` non-monotone: rho is its last True index
     # (+1), not its first False one
-    rho = u.shape[1] - np.argmax(active[:, ::-1], axis=1)
+    rho = n - active[:, ::-1].argmax(axis=1)
     theta = (budget - css[np.arange(rows.shape[0]), rho - 1]) / rho
     out = np.maximum(rows + theta[:, None], 0.0)
-    wide = ~active.any(axis=1)
-    if wide.any():
+    found = active.any(axis=1)
+    if not found.all():
         # a spread that dwarfs the budget rounds every u_j + (budget - css_j)/j
         # to <= 0. The projection does not change when a row is shifted, and
         # shifted by its maximum the row's largest entry qualifies.
-        peaks = rows[wide].max(axis=1, keepdims=True)
-        out[wide] = project_budget_simplex(rows[wide] - peaks, budget)
-    return out.reshape(np.shape(v))
+        wide = rows[~found]
+        out[~found] = project_budget_simplex(wide - wide.max(axis=1, keepdims=True), budget)
+    return out.reshape(v.shape)
 
 
 def _power_matrix(topology: CellTopology, per_cell_powers) -> np.ndarray:
@@ -92,40 +96,46 @@ def _power_matrix(topology: CellTopology, per_cell_powers) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _objective_constants(topology: CellTopology):
-    """The topology's fixed arrays of ``_uplink_objective``: a = beta_iii (M-N+1),
-    the float adjacency rows and the gains of the cluster cells' BSs."""
+    """The topology's fixed arrays of the uplink objective: a = beta_iii (M-N+1), the
+    cluster BSs' float adjacency rows and gains, and both again on cluster columns."""
     cfg = topology.config
     k = topology.cluster_size
     a = topology.large_scale[np.arange(k), np.arange(k), :] * (
         cfg.bs_antennas - cfg.users_per_cell + 1)
-    adj = topology.adjacency.astype(float)
-    for arr in (a, adj):
+    adj = topology.adjacency[:k].astype(float)
+    beta = topology.large_scale[:k]
+    arrays = (a, adj, beta, np.ascontiguousarray(adj[:, :k]), np.ascontiguousarray(beta[:, :k]))
+    for arr in arrays:
         arr.setflags(write=False)  # shared by every call on this topology
-    return a, adj[:k], topology.large_scale[:k]
+    return arrays
 
 
-def _uplink_objective(topology: CellTopology, pmat: np.ndarray, with_grad: bool = False):
+def _uplink_forward(topology: CellTopology, pmat: np.ndarray):
     """Cluster sum of the closed-form uplink approximation, vectorised.
 
     rate_in = log2(1 + a_in p_in / (b_i + 1)) with a_in = beta_iin (M-N+1) and
-    b_i the interference power at BS i from its edge-adjacent cells.
+    b_i the interference power at BS i from its edge-adjacent cells. Returns
+    the sum with b_i + 1 and a_in p_in, which ``_uplink_gradient`` reads.
     """
-    a, adj, beta = _objective_constants(topology)  # (k, N), (k, C), (k, C, N)
-    k = topology.cluster_size
+    a, adj, beta, _, _ = _objective_constants(topology)  # (k, N), (k, C), (k, C, N)
     contrib = np.einsum("ilc,lc->il", beta, pmat)  # (k, C)
     b1 = (contrib * adj).sum(axis=1) + 1.0          # (k,)
-    sinr = a * pmat[:k] / b1[:, None]
-    f = float(np.log2(1.0 + sinr).sum())
-    if not with_grad:
-        return f
+    ap = a * pmat[:topology.cluster_size]
+    return float(np.log2(1.0 + ap / b1[:, None]).sum()), b1, ap
 
-    grad = np.zeros_like(pmat)
-    denom = b1[:, None] + a * pmat[:k]
-    grad[:k] = a / denom / _LN2  # own-cell term
-    # interference term: d b_i / d p_jm = adj[i,j] beta[i,j,m]
-    u = (a * pmat[:k] / (b1[:, None] * denom)).sum(axis=1)  # (k,)
-    grad -= np.einsum("i,ij,ijm->jm", u, adj, beta) / _LN2
-    return f, grad
+
+def _uplink_gradient(topology: CellTopology, b1: np.ndarray, ap: np.ndarray) -> np.ndarray:
+    """Gradient of the uplink objective in the cluster cells' powers, (k, N),
+    from ``_uplink_forward``'s b_i + 1 and a_in p_in at those powers."""
+    a, _, _, adj, beta = _objective_constants(topology)  # cluster columns only
+    denom = b1[:, None] + ap
+    # own-cell term, then the interference term: d b_i / d p_jm = adj[i,j] beta[i,j,m]
+    u = (ap / (b1[:, None] * denom)).sum(axis=1)  # (k,)
+    return a / denom / _LN2 - np.einsum("i,ij,ijm->jm", u, adj, beta) / _LN2
+
+
+def _uplink_objective(topology: CellTopology, pmat: np.ndarray) -> float:
+    return _uplink_forward(topology, pmat)[0]
 
 
 def _downlink_objective(topology: CellTopology, per_cell_powers) -> float:
@@ -199,8 +209,7 @@ def run_scheduled(
         raise ValueError(f"budget must be finite and > 0, got {budget}")
     if not (math.isfinite(initial_power) and initial_power >= 0):
         raise ValueError(f"initial_power must be finite and >= 0, got {initial_power}")
-    if isinstance(slots, bool) or not isinstance(slots, (int, np.integer)) or slots < 1:
-        raise ValueError(f"slots must be an integer >= 1, got {slots!r}")
+    require_count("slots", slots)
     cfg = topology.config
     m, n = cfg.bs_antennas, cfg.users_per_cell
     direction = getattr(strategy, "direction", "uplink")
@@ -244,27 +253,32 @@ def run_joint(
     Starts from the equal split (so the result is never worse than it), takes
     Armijo-backtracked steps projected onto each cell's budget simplex, and
     stops when the relative objective improvement drops below ``tolerance``.
+    Each candidate costs one projection and one forward pass, and an accepted
+    one's forward pass feeds the next gradient pass. Outer-ring users keep
+    ``outer_user_power`` each (the equal split if None).
     The objective is not jointly concave; like any local method this returns a
     stationary point, flagged ``converged=False`` with a warning if the
     iteration cap was reached first.
     """
     if not (math.isfinite(budget) and budget > 0):
         raise ValueError(f"budget must be finite and > 0, got {budget}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    require_count("max_iters", max_iters)
     # a NaN or negative tolerance is never met, so the loop would run until
     # backtracking underflows and still report convergence
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
-    cfg = topology.config
-    n = cfg.users_per_cell
+    n = topology.config.users_per_cell
     k = topology.cluster_size
 
     pmat = np.full((topology.n_cells, n), budget / n)
     if outer_user_power is not None:
+        if not (math.isfinite(outer_user_power) and outer_user_power >= 0):
+            raise ValueError(f"outer_user_power must be None or finite and >= 0, "
+                             f"got {outer_user_power}")
         pmat[k:] = outer_user_power
 
-    f, grad = _uplink_objective(topology, pmat, with_grad=True)
+    f, b1, ap = _uplink_forward(topology, pmat)
+    grad = _uplink_gradient(topology, b1, ap)
     step = budget
     converged = False
     it = 0
@@ -272,13 +286,12 @@ def run_joint(
         accepted = False
         while step > 1e-16 * budget:
             cand = pmat.copy()
-            cand[:k] = project_budget_simplex(pmat[:k] + step * grad[:k], budget)
-            fc = _uplink_objective(topology, cand)
-            move = float((grad[:k] * (cand[:k] - pmat[:k])).sum())
-            if fc > f and fc >= f + 1e-4 * move:
+            cand[:k] = project_budget_simplex(pmat[:k] + step * grad, budget)
+            fc, b1, ap = _uplink_forward(topology, cand)
+            if fc > f and fc >= f + 1e-4 * float((grad * (cand[:k] - pmat[:k])).sum()):
                 rel = (fc - f) / max(abs(f), 1e-12)
-                pmat = cand
-                f, grad = _uplink_objective(topology, pmat, with_grad=True)
+                pmat, f = cand, fc
+                grad = _uplink_gradient(topology, b1, ap)
                 step *= 2.0
                 accepted = True
                 break
@@ -294,12 +307,3 @@ def run_joint(
         )
     allocs = [PowerAllocation(pmat[i], "uplink") for i in range(topology.n_cells)]
     return JointResult(allocs, f, it, converged)
-
-
-def write_history_csv(path, state: NetworkState) -> None:
-    """Serialise the per-slot sum-rate history as (slot, group, rate, method)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("slot,group,networkSumRate,method\n")
-        for slot, rate in enumerate(state.history, start=1):
-            group = (slot - 1) % len(state.groups)
-            fh.write(f"{slot},{group + 1},{rate:.12g},{state.estimator}\n")

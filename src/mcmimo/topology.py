@@ -37,6 +37,13 @@ _INT_FIELDS = ("users_per_cell", "bs_antennas", "seed", "cell_count", "outer_rin
 _FLOAT_FIELDS = ("cell_radius", "exclusion_radius", "shadow_std_db", "path_loss_exponent")
 
 
+def require_count(name: str, value) -> int:
+    """``value`` as an int if it is a non-bool integer >= 1, else a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Static parameters of one multicell deployment.

@@ -20,7 +20,6 @@ from mcmimo.allocation import (
     uplink_lower_coefficients,
     uplink_upper_coefficients,
     waterfill,
-    write_allocations_csv,
 )
 from mcmimo.closedform import DownlinkProfile, InterferenceProfile
 from mcmimo.mcrate import PowerAllocation
@@ -352,12 +351,3 @@ class TestBaselines:
         assert relative_gain(100.0, 100.0) == 0.0
         with pytest.raises(ValueError):
             relative_gain(1.0, 0.0)
-
-    def test_allocations_csv(self, tmp_path):
-        allocs = [equal_alloc(2, 4.0), None, equal_alloc(2, 6.0)]
-        path = tmp_path / "powers.csv"
-        write_allocations_csv(path, allocs)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "cell,user,watts"
-        assert lines[1] == "0,0,2"
-        assert lines[-1] == "2,1,3"

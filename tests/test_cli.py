@@ -120,6 +120,37 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match=field):
             main(["run", str(path), f"--{field}", "0"])
 
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 1.7), ("trials", True), ("trials", "3"), ("drops", 1.7), ("drops", True),
+    ])
+    def test_counts_must_be_integers(self, tmp_path, field, value):
+        # int() would run 1.7 and true as 1 without a word
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ExperimentSpec.from_dict(tiny_spec(tmp_path, **{field: value}))
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ExperimentSpec.from_dict(tiny_spec(tmp_path), overrides={field: value})
+
+    def test_numpy_integer_counts_stored_as_int(self, tmp_path):
+        spec = ExperimentSpec.from_dict(tiny_spec(tmp_path, trials=np.int64(40)),
+                                        overrides={"drops": np.int32(2)})
+        assert (type(spec.trials), type(spec.drops), spec.trials, spec.drops) == (int, int, 40, 2)
+
+    @pytest.mark.parametrize("values", [[0, 1, 2], [1, 2.5], [-1, 3]])
+    def test_fig12_slots_must_be_integers_from_one(self, values):
+        # slot 0 would read history[-1], the last slot's rate, onto its row
+        doc = {"kind": "fig12", "network": {"usersPerCell": 2, "bsAntennas": 8},
+               "sweep": {"variable": "slot", "values": values}}
+        with pytest.raises(ValueError, match="sweep.values"):
+            ExperimentSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("value", [800.9, 800.0, True, 0, "800"])
+    def test_joint_max_iters_must_be_an_integer(self, value):
+        # int() would run 800.9 as 800 while the manifest records 800.9
+        doc = {"kind": "fig12", "network": {"usersPerCell": 2, "bsAntennas": 8},
+               "options": {"jointMaxIters": value}}
+        with pytest.raises(ValueError, match="jointMaxIters"):
+            ExperimentSpec.from_dict(doc)
+
     def test_empty_out_rejected(self, tmp_path):
         # "" is an explicit (bad) value, not a request for the spec's output
         with pytest.raises(ValueError, match="out"):

@@ -18,7 +18,6 @@ from mcmimo.network import (
     project_budget_simplex,
     run_joint,
     run_scheduled,
-    write_history_csv,
 )
 from mcmimo.topology import CellTopology, NetworkConfig, build_topology, schedule_groups
 
@@ -308,6 +307,31 @@ class TestRunScheduled:
             NetworkState(3, [], [[0]], [1.0], "closedForm")
 
 
+class TestUplinkObjective:
+    @pytest.mark.parametrize("outer", [0, 6])
+    def test_gradient_matches_central_differences(self, outer):
+        top = build_topology(NetworkConfig(users_per_cell=3, bs_antennas=10, cell_count=7,
+                                           outer_ring_cells=outer, seed=21))
+        k = top.cluster_size
+        pmat = np.random.default_rng(outer).uniform(0.5, 10.0, (top.n_cells, 3))
+        f, b1, ap = network._uplink_forward(top, pmat)
+        grad = network._uplink_gradient(top, b1, ap)
+        assert f == _uplink_objective(top, pmat)
+        assert grad.shape == (k, 3)
+        h = 1e-5
+        fd = np.empty((k, 3))
+        for j, m in np.ndindex(k, 3):
+            step = np.zeros_like(pmat)
+            step[j, m] = h
+            fd[j, m] = (_uplink_objective(top, pmat + step)
+                        - _uplink_objective(top, pmat - step)) / (2 * h)
+        # the interference terms must be in: without them the gradient is off
+        # by far more than the tolerance
+        own = network._objective_constants(top)[0] / (b1[:, None] + ap) / np.log(2.0)
+        assert np.max(np.abs(own - fd)) > 1e-3
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
+
+
 class TestNetworkSumRate:
     def test_zero_powers_give_zero(self):
         cfg = NetworkConfig(users_per_cell=2, bs_antennas=8, cell_count=7, seed=13)
@@ -406,6 +430,27 @@ class TestRunJoint:
         assert res.converged
         assert (res.iterations, hashlib.sha256(pmat.tobytes()).hexdigest()) == self.DIGESTS[seed]
 
+    # the same with outer-ring cells, keyed (outer cells, outer user power,
+    # seed), recorded before the gradient came from the accepted candidate's
+    # forward pass
+    OUTER_DIGESTS = {
+        (6, None, 3): (71, "df1d9dabfb96cf135628ad3f782acf96cbe32e0cb0048bdb6d506744274c570c"),
+        (12, 3.0, 5): (76, "300db552a24a904d4874d587fd2b8f94b302990f366376815ca29eb0d3ca501a"),
+        (18, 0.5, 8): (61, "2ea62792ddc0c0a8cee02cdeb0b3b1a48a63a387ed1e8fb00a6b88c5e9493704"),
+    }
+
+    @pytest.mark.parametrize("outer, outer_power, seed", sorted(OUTER_DIGESTS, key=str))
+    def test_outer_ring_powers_match_recorded_digest(self, outer, outer_power, seed):
+        top = build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=seed,
+                                           outer_ring_cells=outer))
+        res = run_joint(top, 50.0, max_iters=800, tolerance=1e-10, outer_user_power=outer_power)
+        pmat = np.stack([a.powers for a in res.per_cell_powers])
+        assert pmat.shape == (19 + outer, 5) and res.converged
+        if outer_power is not None:
+            assert np.all(pmat[19:] == outer_power)
+        digest = (res.iterations, hashlib.sha256(pmat.tobytes()).hexdigest())
+        assert digest == self.OUTER_DIGESTS[outer, outer_power, seed]
+
     def test_objective_constants_built_once(self):
         top = build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=3))
         network._objective_constants.cache_clear()
@@ -418,20 +463,20 @@ class TestRunJoint:
     def test_one_projection_per_candidate(self, monkeypatch):
         top = build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=3))
         assert top.cluster_size == 19
-        seen = {"projections": 0, "candidates": 0}
-        project, objective = network.project_budget_simplex, network._uplink_objective
+        seen = {"projections": 0, "candidates": -1}  # the first pass rates the equal start
+        project, forward = network.project_budget_simplex, network._uplink_forward
 
         def spy_project(v, budget):
             seen["projections"] += 1
             assert v.shape == (19, 5)
             return project(v, budget)
 
-        def spy_objective(topology, pmat, with_grad=False):
-            seen["candidates"] += not with_grad
-            return objective(topology, pmat, with_grad)
+        def spy_forward(topology, pmat):
+            seen["candidates"] += 1
+            return forward(topology, pmat)
 
         monkeypatch.setattr(network, "project_budget_simplex", spy_project)
-        monkeypatch.setattr(network, "_uplink_objective", spy_objective)
+        monkeypatch.setattr(network, "_uplink_forward", spy_forward)
         res = run_joint(top, 50.0, max_iters=800, tolerance=1e-10)
         assert seen["candidates"] >= res.iterations > 1
         assert seen["projections"] == seen["candidates"]
@@ -453,6 +498,26 @@ class TestRunJoint:
         with pytest.raises(ValueError, match=field):
             run_joint(top, **{"budget": 30.0, **kwargs})
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"max_iters": True}, "max_iters"),
+        ({"max_iters": 2.5}, "max_iters"),
+        ({"max_iters": "3"}, "max_iters"),
+        ({"outer_user_power": np.nan}, "outer_user_power"),
+        ({"outer_user_power": np.inf}, "outer_user_power"),
+        ({"outer_user_power": -1.0}, "outer_user_power"),
+    ])
+    def test_bad_types_rejected_up_front(self, kwargs, field):
+        # each fails before the loop, naming the parameter, not as a bool cap
+        # of one iteration, a TypeError or a late error inside the projection
+        top = build_topology(NetworkConfig(users_per_cell=3, bs_antennas=10, cell_count=7,
+                                           outer_ring_cells=6, seed=18))
+        with pytest.raises(ValueError, match=field):
+            run_joint(top, 30.0, **kwargs)
+
+    def test_numpy_integer_cap_accepted(self):
+        top = build_topology(NetworkConfig(users_per_cell=3, bs_antennas=10, cell_count=7, seed=18))
+        assert run_joint(top, 30.0, max_iters=np.int64(500)).converged
+
     def test_iteration_cap_sets_flag(self):
         cfg = NetworkConfig(users_per_cell=3, bs_antennas=10, cell_count=7, seed=19)
         top = build_topology(cfg)
@@ -460,16 +525,3 @@ class TestRunJoint:
             res = run_joint(top, 30.0, max_iters=1)
         assert not res.converged
         assert isinstance(res, JointResult)
-
-
-def test_history_csv(tmp_path):
-    cfg = NetworkConfig(users_per_cell=2, bs_antennas=8, cell_count=7, seed=20)
-    top = build_topology(cfg)
-    state = run_scheduled(top, uplink_alloc_approx, 20.0, 10.0, 4)
-    path = tmp_path / "history.csv"
-    write_history_csv(path, state)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "slot,group,networkSumRate,method"
-    assert len(lines) == 5
-    assert lines[1].startswith("1,1,")
-    assert lines[4].startswith("4,1,")  # groups cycle 1,2,3,1
