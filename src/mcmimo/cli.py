@@ -12,7 +12,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
+import shutil
+import uuid
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -140,6 +143,20 @@ _KIND_SWEEP_VARS = {kind: (var,) for kind, (var, _, _) in _KIND_DEFAULTS.items()
 _KIND_SWEEP_VARS["custom"] += ("powerDb",)
 
 
+# sweep variables and options that count antennas, users or antennas per
+# user: the runners take them as ints, so a fraction must not be truncated
+_INTEGRAL_SWEEPS = ("bsAntennas", "usersPerCell", "ratio", "slot")
+_INTEGRAL_OPTIONS = ("ratios", "usersList", "antennasList")
+
+
+def _require_integral(name: str, values) -> None:
+    """ValueError naming ``name`` unless ``values`` is a list of integral numbers."""
+    if not isinstance(values, (list, tuple)) or not all(
+            not isinstance(v, bool) and isinstance(v, (int, float, np.integer, np.floating))
+            and float(v).is_integer() for v in values):
+        raise ValueError(f"{name} must be a list of integers, got {values!r}")
+
+
 # options whose value selects a code path: the values each accepts
 _OPTION_CHOICES = {
     "evaluator": ("approx", "lower", "upper", "mc"),      # fig4, fig5
@@ -180,10 +197,15 @@ class ExperimentSpec:
             if key in self.options and self.options[key] not in allowed:
                 raise ValueError(
                     f"option {key!r} must be one of {allowed}, got {self.options[key]!r}")
+        if self.sweep.variable in _INTEGRAL_SWEEPS:
+            _require_integral("sweep.values", self.sweep.values)
+        for key in _INTEGRAL_OPTIONS:
+            if key in self.options:
+                _require_integral(f"option {key!r}", self.options[key])
         if self.kind == "fig12":
-            # slots index the scheduler's history: none may be truncated
-            if not all(v >= 1 and v.is_integer() for v in self.sweep.values):
-                raise ValueError(f"sweep.values of fig12 must be integer slots >= 1, "
+            # slots index the scheduler's history: slot 0 would read the last
+            if self.sweep.values[0] < 1:
+                raise ValueError(f"sweep.values of fig12 must be slots >= 1, "
                                  f"got {list(self.sweep.values)}")
             require_count("option 'jointMaxIters'", self.options["jointMaxIters"])
 
@@ -317,9 +339,9 @@ class _GeometryMemo:
         return top.with_antennas(cfg.bs_antennas)
 
 
-# Jobs run drop-major (see _plan_jobs), and one job revisits at most two
-# geometries of its drop: fig4/fig5's multicell and single-cell scenarios.
-_JOB_GEOMETRIES = 2
+# Jobs run drop-major (see _plan_jobs): consecutive (xIndex, drop) jobs revisit
+# one geometry, and a per-drop job builds each of its geometries once.
+_JOB_GEOMETRIES = 1
 _job_geometry = _GeometryMemo(_JOB_GEOMETRIES)
 
 
@@ -356,22 +378,24 @@ def _downlink_rows(tops, interferer_cell_power) -> DownlinkProfile:
     return DownlinkProfile.stack([downlink_profile(top, allocs, 0) for top in tops])
 
 
-def _uplink_pa_eq(prof: InterferenceProfile, m: int, p_lin) -> tuple[np.ndarray, np.ndarray]:
-    """Approximate sum rates of cell 0 per drop with approximation
-    water-filling and with equal power."""
+def _waterfilled_rows(prof, strategies, ms, p_lin) -> np.ndarray:
+    """Powers water-filled by each of S ``strategies`` at each M of ``ms``, one
+    call for all rows: (len(ms), S * D, N) for a profile of D rows (1 unstacked)."""
     n = prof.n_users
-    pa = waterfill(WaterfillCoefficients(PROFILE_COEFFICIENTS["approx"](prof, m, n), p_lin))
-    return (uplink_approximation(prof, m, n, pa.powers).sum(axis=1),
-            uplink_approximation(prof, m, n, equal_alloc(n, p_lin).powers).sum(axis=1))
+    coeffs = np.vstack([PROFILE_COEFFICIENTS[name](prof, m, n) for m in ms for name in strategies])
+    return waterfill(WaterfillCoefficients(coeffs, p_lin)).powers.reshape(len(ms), -1, n)
 
 
-def _downlink_pa_eq(prof: DownlinkProfile, m: int, p_lin) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user downlink lower-bound rates of cell 0 per drop, (D, N) each,
-    with water-filling and with equal power."""
+def _pa_eq(prof, ms, p_lin) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-user rates of cell 0 per drop, (D, N) each, with water-filling and
+    with equal power at each M of ``ms``: the uplink approximation of an
+    InterferenceProfile, the downlink lower bound of a DownlinkProfile."""
+    strategy, rate = (("approx", uplink_approximation) if isinstance(prof, InterferenceProfile)
+                      else ("downlink", downlink_lower_bound))
     n = prof.n_users
-    pa = waterfill(WaterfillCoefficients(PROFILE_COEFFICIENTS["downlink"](prof, m, n), p_lin))
-    return (downlink_lower_bound(prof, m, n, pa.powers),
-            downlink_lower_bound(prof, m, n, equal_alloc(n, p_lin, "downlink").powers))
+    eq = equal_alloc(n, p_lin).powers
+    return [(rate(prof, m, n, pa), rate(prof, m, n, eq))
+            for m, pa in zip(ms, _waterfilled_rows(prof, (strategy,), ms, p_lin))]
 
 
 def _edge_users(top: CellTopology) -> np.ndarray:
@@ -382,7 +406,7 @@ def _downlink_gains(prof: DownlinkProfile, m: int, p_lin, users=None) -> np.ndar
     """Relative downlink gain of cell 0 per drop, over the users selected by
     the (D, N) mask ``users`` (all when None); drops selecting no user are
     left out."""
-    r_pa, r_eq = _downlink_pa_eq(prof, m, p_lin)
+    (r_pa, r_eq), = _pa_eq(prof, [m], p_lin)
     if users is None:
         return relative_gain(r_pa.sum(axis=1), r_eq.sum(axis=1))
     keep = users.any(axis=1)
@@ -434,17 +458,36 @@ def _job_equal_power(spec: ExperimentSpec, job: dict) -> list[dict]:
             for pi, (panel, _) in enumerate(panels) for est in estimators]
 
 
-def _job_strategies(spec: ExperimentSpec, job: dict) -> list[dict]:
-    """Per-strategy sum rates (fig4) or relative gains (fig5).
-
-    One profile per scenario serves every strategy: the three coefficient
-    vectors are water-filled as the rows of one call, and equal power plus
-    the three allocations are rated as four rows of one expression. The
-    Monte Carlo evaluator rates the four rows from one set of draws (common
-    random numbers).
-    """
+def _job_fixed_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
+    """Sum rate with M and N scaled together at fixed M/N (fig6)."""
     i, d = job["xIndex"], job["drop"]
-    m = int(spec.sweep.values[i])
+    n = int(spec.sweep.values[i])
+    opts = spec.options
+    ratios = [int(ratio) for ratio in opts["ratios"]]
+    # one drop serves every ratio, as only M changes; building it at the
+    # smallest M checks that every ratio gives a valid M > N
+    top = _drop_topology(spec, d, users=n, antennas=min(ratios) * n)
+    prof = _uplink_rows([top], db_to_linear(opts["interfererUserPowerDb"]))
+    ms = [ratio * n for ratio in ratios]
+    rates = _pa_eq(prof, ms, db_to_linear(opts["powerDb"]))
+    return [{"panel": f"ratio{ratio}", "label": label, "x": m,
+             "value": float(r.sum(axis=1)[0]), "ci": 0.0}
+            for ratio, m, pair in zip(ratios, ms, rates) for label, r in zip(("pa", "eq"), pair)]
+
+
+# Per-drop runners, payload {"drop": d}: cell 0's profile depends on neither
+# the sweep point nor M, so each scenario's drop is built once, at the smallest
+# (the sweep increases, so that config check covers every M), and profiled once.
+
+def _drop_strategies(spec: ExperimentSpec, job: dict) -> list[dict]:
+    """Per-strategy sum rates (fig4) or relative gains (fig5) at every M.
+
+    One call water-fills every (M, strategy) row; at each M, equal power and
+    the three allocations are rated as four rows of one expression (Monte
+    Carlo: from one set of draws).
+    """
+    d = job["drop"]
+    ms = [int(v) for v in spec.sweep.values]
     opts = spec.options
     p_lin = db_to_linear(opts["powerDb"])
     evaluator = opts["evaluator"]
@@ -452,93 +495,71 @@ def _job_strategies(spec: ExperimentSpec, job: dict) -> list[dict]:
     records = []
     for panel in opts["scenarios"]:
         cells = 1 if panel == "singlecell" else None
-        top = _drop_topology(spec, d, antennas=m, cells=cells)
+        top = _drop_topology(spec, d, antennas=ms[0], cells=cells)
         n = top.n_users
         allocs = _fixed_allocs(top.n_cells, n, "uplink",
                                user_power=db_to_linear(opts["interfererUserPowerDb"]))
         prof = uplink_profile(top, allocs, 0)
-        coeffs = np.stack([PROFILE_COEFFICIENTS[name](prof, m, n) for name in _UPLINK_STRATEGIES])
-        rows = np.vstack([equal_alloc(n, p_lin).powers,
-                          waterfill(WaterfillCoefficients(coeffs, p_lin)).powers])
-        if evaluator == "mc":
-            mc_seed = derive_seed(spec.network.seed, _TAG_MC, d, i, 0 if cells is None else 1)
-            cands = [[PowerAllocation(powers, "uplink"), *allocs[1:]] for powers in rows]
-            values, cis = map(list, zip(*_cell_values(top, cands, "uplink", "mc", spec.trials,
-                                                      mc_seed)))
-        else:
-            values = _UPLINK_RATES[evaluator](prof, m, n, rows).sum(axis=1).tolist()
-            cis = [0.0] * len(values)
+        eq = equal_alloc(n, p_lin).powers
+        pa = _waterfilled_rows(prof, _UPLINK_STRATEGIES, ms, p_lin)
+        for i, m in enumerate(ms):
+            rows = np.vstack([eq, pa[i]])
+            if evaluator == "mc":
+                mc_seed = derive_seed(spec.network.seed, _TAG_MC, d, i, 0 if cells is None else 1)
+                cands = [[PowerAllocation(powers, "uplink"), *allocs[1:]] for powers in rows]
+                values, cis = map(list, zip(*_cell_values(top.with_antennas(m), cands, "uplink",
+                                                          "mc", spec.trials, mc_seed)))
+            else:
+                values = _UPLINK_RATES[evaluator](prof, m, n, rows).sum(axis=1).tolist()
+                cis = [0.0] * len(values)
 
-        if spec.kind == "fig5":
-            gains = relative_gain(np.array(values[1:]), values[0]).tolist()
-            records += [{"panel": panel, "label": name, "x": m, "value": gain, "ci": 0.0}
-                        for name, gain in zip(_UPLINK_STRATEGIES, gains)]
-        else:  # the strategies, then equal power
+            if spec.kind == "fig5":  # gains over equal power
+                labels, cis = list(_UPLINK_STRATEGIES), [0.0] * 3
+                values = relative_gain(np.array(values[1:]), values[0]).tolist()
+            else:  # the strategies, then equal power
+                labels = [*_UPLINK_STRATEGIES, "equal"]
+                values, cis = values[1:] + values[:1], cis[1:] + cis[:1]
             records += [{"panel": panel, "label": label, "x": m, "value": value, "ci": ci}
-                        for label, value, ci in zip([*_UPLINK_STRATEGIES, "equal"],
-                                                    values[1:] + values[:1], cis[1:] + cis[:1])]
+                        for label, value, ci in zip(labels, values, cis)]
     return records
 
 
-def _job_fixed_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
-    """Sum rate with M and N scaled together at fixed M/N (fig6)."""
-    i, d = job["xIndex"], job["drop"]
-    n = int(spec.sweep.values[i])
+def _drop_gain_vs_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
+    """Relative gain against the antennas-per-user ratio (fig7) at every
+    ratio: one water-filling call per power panel."""
+    d = job["drop"]
     opts = spec.options
-    p_lin = db_to_linear(opts["powerDb"])
-    ratios = [int(ratio) for ratio in opts["ratios"]]
-    # one drop serves every ratio, as only M changes; building it at the
-    # smallest M checks that every ratio gives a valid M > N
-    top = _drop_topology(spec, d, users=n, antennas=min(ratios) * n)
+    ratios = [int(v) for v in spec.sweep.values]
+    ms = [ratio * spec.network.users_per_cell for ratio in ratios]
+    top = _drop_topology(spec, d, antennas=ms[0])
     prof = _uplink_rows([top], db_to_linear(opts["interfererUserPowerDb"]))
-    records = []
-    for ratio in ratios:
-        m = ratio * n
-        c_pa, c_eq = _uplink_pa_eq(prof, m, p_lin)
-        panel = f"ratio{ratio}"
-        records.append({"panel": panel, "label": "pa", "x": m, "value": float(c_pa[0]), "ci": 0.0})
-        records.append({"panel": panel, "label": "eq", "x": m, "value": float(c_eq[0]), "ci": 0.0})
-    return records
+    return [{"panel": f"P{p_db:g}dB", "label": "gain", "x": ratio,
+             "value": float(relative_gain(*(r.sum(axis=1) for r in rates))[0]), "ci": 0.0}
+            for p_db in opts["powersDb"]
+            for ratio, rates in zip(ratios, _pa_eq(prof, ms, db_to_linear(p_db)))]
 
 
-def _job_gain_vs_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
-    """Relative gain against the antennas-per-user ratio (fig7)."""
-    i, d = job["xIndex"], job["drop"]
-    ratio = int(spec.sweep.values[i])
+def _drop_downlink_split(spec: ExperimentSpec, job: dict) -> list[dict]:
+    """Central/edge user sums (fig10) or gains (fig11) on the downlink at every M."""
+    d = job["drop"]
+    ms = [int(v) for v in spec.sweep.values]
     opts = spec.options
-    m = ratio * spec.network.users_per_cell
-    top = _drop_topology(spec, d, antennas=m)
-    prof = _uplink_rows([top], db_to_linear(opts["interfererUserPowerDb"]))
-    records = []
-    for p_db in opts["powersDb"]:
-        gain = relative_gain(*_uplink_pa_eq(prof, m, db_to_linear(p_db)))
-        records.append({"panel": f"P{p_db:g}dB", "label": "gain", "x": ratio,
-                        "value": float(gain[0]), "ci": 0.0})
-    return records
-
-
-def _job_downlink_split(spec: ExperimentSpec, job: dict) -> list[dict]:
-    """Central/edge user sums (fig10) or gains (fig11) on the downlink."""
-    i, d = job["xIndex"], job["drop"]
-    m = int(spec.sweep.values[i])
-    opts = spec.options
-    p_lin = db_to_linear(opts["powerDb"])
-    top = _drop_topology(spec, d, antennas=m)
+    top = _drop_topology(spec, d, antennas=ms[0])
     prof = _downlink_rows([top], db_to_linear(opts["interfererCellPowerDb"]))
-    r_pa, r_eq = (rates[0] for rates in _downlink_pa_eq(prof, m, p_lin))
     edge = _edge_users(top)
 
     records = []
-    for cls, mask in (("central", ~edge), ("edge", edge)):
-        if not mask.any():
-            continue
-        c_pa, c_eq = float(r_pa[mask].sum()), float(r_eq[mask].sum())
-        if spec.kind == "fig11":
-            records.append({"panel": "", "label": cls, "x": m,
-                            "value": relative_gain(c_pa, c_eq), "ci": 0.0})
-        else:
-            records.append({"panel": cls, "label": "pa", "x": m, "value": c_pa, "ci": 0.0})
-            records.append({"panel": cls, "label": "eq", "x": m, "value": c_eq, "ci": 0.0})
+    for m, (r_pa, r_eq) in zip(ms, _pa_eq(prof, ms, db_to_linear(opts["powerDb"]))):
+        for cls, mask in (("central", ~edge), ("edge", edge)):
+            if not mask.any():
+                continue
+            c_pa, c_eq = float(r_pa[0][mask].sum()), float(r_eq[0][mask].sum())
+            if spec.kind == "fig11":
+                records.append({"panel": "", "label": cls, "x": m,
+                                "value": relative_gain(c_pa, c_eq), "ci": 0.0})
+            else:
+                records.append({"panel": cls, "label": "pa", "x": m, "value": c_pa, "ci": 0.0})
+                records.append({"panel": cls, "label": "eq", "x": m, "value": c_eq, "ci": 0.0})
     return records
 
 
@@ -556,9 +577,12 @@ def _job_network_slots(spec: ExperimentSpec, job: dict) -> list[dict]:
     sched = run_scheduled(top, _UPLINK_STRATEGIES["approx"], budget, initial, max(slots),
                           rate_estimator=estimator, trials=spec.trials,
                           seed=derive_seed(spec.network.seed, _TAG_SLOT, s))
+    # the outer ring keeps the scheduler's initial power under all three curves
     joint = run_joint(top, budget, max_iters=opts["jointMaxIters"],
-                      tolerance=float(opts["jointTolerance"]))
-    eq_allocs = [equal_alloc(n, budget) for _ in range(top.n_cells)]
+                      tolerance=float(opts["jointTolerance"]), outer_user_power=initial)
+    k = top.cluster_size
+    eq_allocs = ([equal_alloc(n, budget)] * k
+                 + _fixed_allocs(top.n_cells - k, n, "uplink", user_power=initial))
     mc_seed = derive_seed(spec.network.seed, _TAG_MC, s)
     if estimator == "monteCarlo":  # both rated from one set of draws per cell
         joint_value, eq_value = network_sum_rate(top, [joint.per_cell_powers, eq_allocs],
@@ -581,19 +605,20 @@ _JOB_RUNNERS = {
     "fig3": _job_equal_power,
     "fig8": _job_equal_power,
     "custom": _job_equal_power,
-    "fig4": _job_strategies,
-    "fig5": _job_strategies,
     "fig6": _job_fixed_ratio,
-    "fig7": _job_gain_vs_ratio,
-    "fig10": _job_downlink_split,
-    "fig11": _job_downlink_split,
+    "fig4": _drop_strategies,
+    "fig5": _drop_strategies,
+    "fig7": _drop_gain_vs_ratio,
+    "fig10": _drop_downlink_split,
+    "fig11": _drop_downlink_split,
     "fig12": _job_network_slots,
 }
+_PER_DROP_KINDS = ("fig4", "fig5", "fig7", "fig10", "fig11", "fig12")  # one job per drop
 
 
 def _plan_jobs(spec: ExperimentSpec) -> list[dict]:
-    if spec.kind == "fig12":
-        return [{"drop": s} for s in range(spec.drops)]
+    if spec.kind in _PER_DROP_KINDS:
+        return [{"drop": d} for d in range(spec.drops)]
     # drop-major, so consecutive jobs reuse one drop's geometry; every sweep
     # point still receives its samples in drop order
     return [
@@ -634,6 +659,7 @@ class GainThresholdQuery:
             raise ValueError("threshold must be >= 0")
         if self.mode not in ("maxRatio", "maxAntennas", "minUsers"):
             raise ValueError(f"unknown search mode {self.mode!r}")
+        _require_integral("searchRange", self.search_range)
         lo, hi = (int(v) for v in self.search_range)
         if lo > hi:
             raise ValueError("searchRange must be [lo, hi] with lo <= hi")
@@ -731,7 +757,7 @@ def find_max_ratio(query: GainThresholdQuery, base: NetworkConfig, seed: int | N
                 m, n = m0, x
             prof, edges = profiles.rows(base, drop_seeds, n, query.direction, interferer_lin)
             if query.direction == "uplink":
-                gains = relative_gain(*_uplink_pa_eq(prof, m, p_lin))
+                gains = relative_gain(*(r.sum(axis=1) for r in _pa_eq(prof, [m], p_lin)[0]))
             else:
                 gains = _downlink_gains(prof, m, p_lin, edges if edge_only else None)
             if not gains.size:
@@ -860,14 +886,62 @@ def _manifest_notes(spec: ExperimentSpec) -> dict:
     return notes
 
 
+def _check_replaceable(outdir: Path) -> None:
+    """ValueError unless ``outdir`` is absent, empty or holds only an earlier
+    run's outputs: a run replaces the whole directory."""
+    target = outdir.resolve()
+    if target == Path.cwd() or target in Path.cwd().parents:
+        raise ValueError(f"output directory {outdir} contains the working directory")
+    if not target.exists():
+        return
+    if not target.is_dir():
+        raise ValueError(f"output {outdir} exists and is not a directory")
+    try:
+        manifest = json.loads((target / "manifest.json").read_text())
+        ours = {c["file"] for c in manifest.get("curves", [])} | set(manifest.get("tables", []))
+    except (OSError, ValueError, TypeError, KeyError, AttributeError):
+        ours = set()
+    foreign = sorted({p.name for p in target.iterdir()} - ours - {"manifest.json", "plotdata.json"})
+    if foreign:
+        raise ValueError(f"output directory {outdir} holds files that are no earlier run's "
+                         f"outputs ({', '.join(foreign[:3])}); a run replaces the whole "
+                         f"directory, so choose another 'output' or --out")
+
+
+def _write_replacing(outdir: Path, files: dict[str, str]) -> None:
+    """Write ``files`` into a temporary sibling of ``outdir``, then swap it in."""
+    target = outdir.resolve()
+    tmp = target.with_name(f".{target.name}.{uuid.uuid4().hex}")
+    old = tmp.with_name(tmp.name + ".old")
+    tmp.mkdir(parents=True)  # not mkdtemp: the directory keeps the umask's mode
+    try:
+        for name, text in files.items():
+            (tmp / name).write_text(text, newline="")
+        if target.exists():
+            # a directory cannot replace a non-empty one: the old one steps aside
+            os.replace(target, old)
+        os.replace(tmp, target)
+    except BaseException:
+        if old.exists() and not target.exists():
+            os.replace(old, target)
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
+
+
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> Path:
     """Run one experiment spec and write CSV curves plus a manifest.
 
     Returns the output directory. Deterministic for a fixed spec: rerunning
-    (including from the manifest it wrote) reproduces identical bytes.
+    (including from the manifest it wrote) reproduces identical bytes. The
+    files go to a temporary sibling directory that then replaces the output
+    directory whole, so a run that fails leaves the previous outputs intact.
+    At most ``jobs`` worker processes run, never more than there are jobs;
+    a single job runs in this process.
     """
+    jobs = require_count("--jobs", jobs)
     outdir = Path(spec.output)
-    outdir.mkdir(parents=True, exist_ok=True)
+    _check_replaceable(outdir)
     spec_dict = spec.to_dict()
     # the output directory is not an input to the computation: two runs that
     # differ only in destination carry the same content hash
@@ -884,18 +958,18 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> Path:
         "notes": _manifest_notes(spec),
     }
 
+    files = {}
     if spec.kind in _TABLE_KINDS:
         header, rows = _run_tables(spec)
         table_file = f"{spec.kind}.csv"
-        with open(outdir / table_file, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(str(v) for v in row) + "\n")
+        files[table_file] = "".join(",".join(str(v) for v in row) + "\n"
+                                    for row in [header, *rows])
         manifest["tables"] = [table_file]
     else:
         payloads = [{"spec": spec_dict, "job": job} for job in _plan_jobs(spec)]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, len(payloads))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 chunks = list(pool.map(_run_payload, payloads))
         else:
             chunks = [_run_payload(p) for p in payloads]
@@ -904,15 +978,12 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> Path:
         manifest["curves"] = []
         for (panel, label) in sorted(curves):
             fname = _curve_filename(spec.kind, panel, label)
-            with open(outdir / fname, "w", newline="") as fh:
-                fh.write("x,mean,ciHalfWidth\n")
-                for x, mean, ci in curves[(panel, label)]:
-                    fh.write(f"{x:.12g},{mean:.12g},{ci:.12g}\n")
+            files[fname] = "x,mean,ciHalfWidth\n" + "".join(
+                f"{x:.12g},{mean:.12g},{ci:.12g}\n" for x, mean, ci in curves[(panel, label)])
             manifest["curves"].append({"panel": panel, "label": label, "file": fname})
 
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    files["manifest.json"] = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _write_replacing(outdir, files)
     return outdir
 
 

@@ -27,7 +27,7 @@ from mcmimo.allocation import (
 )
 from mcmimo.cli import (
     GainThresholdQuery,
-    _uplink_pa_eq,
+    _pa_eq,
     _uplink_rows,
     db_to_linear,
     derive_seed,
@@ -208,7 +208,7 @@ def test_criterion_08_relative_gain():
     base = NetworkConfig(users_per_cell=10, bs_antennas=100, seed=2024)
     drops = [build_topology(replace(base, seed=derive_seed(2024, 1, d))) for d in range(50)]
     rows = _uplink_rows(drops, db_to_linear(10.0))  # cell 0's profile in every drop
-    gains = relative_gain(*_uplink_pa_eq(rows, 100, db_to_linear(20.0)))
+    gains = relative_gain(*(r.sum(axis=1) for r in _pa_eq(rows, [100], db_to_linear(20.0))[0]))
     eta = float(np.mean(gains))
     report(8, "relative gain", 0.09 <= eta <= 0.19, f"eta = {eta:.4f}")
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -151,6 +152,42 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match="jointMaxIters"):
             ExperimentSpec.from_dict(doc)
 
+    @pytest.mark.parametrize("kind, variable, values", [
+        ("fig2", "bsAntennas", [20.5, 21]),
+        ("fig6", "usersPerCell", [4, 8.5]),
+        ("fig7", "ratio", [2, 4.5]),
+        ("table2", "ratio", [2, 119.5]),
+        ("table3a", "bsAntennas", [6.5, 2000]),
+        ("table3b", "usersPerCell", [1, 45.5]),
+        ("custom", "bsAntennas", [20, 100.25]),
+    ])
+    def test_integral_sweeps_reject_fractions(self, kind, variable, values):
+        # int() would run x=20.5 at M=20 and print the row at 20.5
+        doc = {"kind": kind, "network": {"usersPerCell": 2, "bsAntennas": 8},
+               "sweep": {"variable": variable, "values": values}}
+        with pytest.raises(ValueError, match="sweep.values"):
+            ExperimentSpec.from_dict(doc)
+        doc["sweep"]["values"] = [int(v) for v in values]
+        ExperimentSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("fig6", "ratios", [2, 5.5]),
+        ("fig6", "ratios", [2, True]),
+        ("fig6", "ratios", 5),
+        ("table3a", "usersList", [5, 10.5]),
+        ("table3b", "antennasList", ["50"]),
+    ])
+    def test_integral_options_reject_fractions(self, kind, key, value):
+        doc = {"kind": kind, "network": {"usersPerCell": 2, "bsAntennas": 8},
+               "options": {key: value}}
+        with pytest.raises(ValueError, match=f"option '{key}'"):
+            ExperimentSpec.from_dict(doc)
+
+    def test_power_sweeps_stay_real(self):
+        doc = {"kind": "custom", "network": {"usersPerCell": 2, "bsAntennas": 8},
+               "sweep": {"variable": "powerDb", "values": [0.5, 2.25]}}
+        assert ExperimentSpec.from_dict(doc).sweep.values == (0.5, 2.25)
+
     def test_empty_out_rejected(self, tmp_path):
         # "" is an explicit (bad) value, not a request for the spec's output
         with pytest.raises(ValueError, match="out"):
@@ -252,51 +289,60 @@ class TestRunExperiment:
         assert labels == {
             (sc, s) for sc in ("multicell", "singlecell") for s in ("lower", "upper", "approx")
         }
-        serial = run_experiment(ExperimentSpec.from_dict(doc))
+        serial = run_experiment(ExperimentSpec.from_dict(doc, {"out": str(tmp_path / "serial")}))
         for c in manifest["curves"]:
             assert (out / c["file"]).read_bytes() == (serial / c["file"]).read_bytes()
 
     @pytest.mark.parametrize("evaluator", ["lower", "upper", "approx", "mc"])
     def test_fig4_rows_equal_one_strategy_at_a_time(self, tmp_path, evaluator):
+        # one per-drop job rates every M; each (M, strategy) matches its own
+        # topology-level strategy call at that M
         net = {"usersPerCell": 4, "bsAntennas": 30, "cellCount": 7, "seed": 8}
-        doc = {"kind": "fig4", "network": net, "sweep": {"variable": "bsAntennas", "values": [30]},
+        ms = [12, 30, 75]
+        doc = {"kind": "fig4", "network": net, "sweep": {"variable": "bsAntennas", "values": ms},
                "drops": 1, "trials": 64, "options": {"evaluator": evaluator},
                "output": str(tmp_path / "fig4")}
         spec = ExperimentSpec.from_dict(doc)
-        got = {(r["panel"], r["label"]): (r["value"], r["ci"])
-               for r in cli._job_strategies(spec, {"xIndex": 0, "drop": 0})}
+        got = {(r["panel"], r["label"], r["x"]): (r["value"], r["ci"])
+               for r in cli._drop_strategies(spec, {"drop": 0})}
+        assert len(got) == 2 * 4 * len(ms)
         for panel, cells, tag in (("multicell", None, 0), ("singlecell", 1, 1)):
-            top = cli._drop_topology(spec, 0, antennas=30, cells=cells)
-            allocs = cli._fixed_allocs(top.n_cells, 4, "uplink", user_power=db_to_linear(10))
-            seed = cli.derive_seed(net["seed"], cli._TAG_MC, 0, 0, tag)
-            for label, strategy in [("equal", None), *cli._UPLINK_STRATEGIES.items()]:
-                cand = list(allocs)
-                cand[0] = (equal_alloc(4, db_to_linear(20)) if strategy is None
-                           else strategy(top, allocs, 0, 30, 4, db_to_linear(20)))
-                if evaluator == "mc":  # one allocation per call
-                    est = uplink_rate_mc(top, cand, 0, 64, seed)
-                    want = (est.sum_rate, float(est.ci_half_width.sum()))
-                else:
-                    want, = cli._cell_values(top, [cand], "uplink", evaluator, 64, seed)
-                assert got[(panel, label)] == want
+            for i, m in enumerate(ms):
+                top = cli._drop_topology(spec, 0, antennas=m, cells=cells)
+                allocs = cli._fixed_allocs(top.n_cells, 4, "uplink", user_power=db_to_linear(10))
+                seed = cli.derive_seed(net["seed"], cli._TAG_MC, 0, i, tag)
+                for label, strategy in [("equal", None), *cli._UPLINK_STRATEGIES.items()]:
+                    cand = list(allocs)
+                    cand[0] = (equal_alloc(4, db_to_linear(20)) if strategy is None
+                               else strategy(top, allocs, 0, m, 4, db_to_linear(20)))
+                    if evaluator == "mc":  # one allocation per call
+                        est = uplink_rate_mc(top, cand, 0, 64, seed)
+                        want = (est.sum_rate, float(est.ci_half_width.sum()))
+                    else:
+                        want, = cli._cell_values(top, [cand], "uplink", evaluator, 64, seed)
+                    assert got[(panel, label, m)] == want
 
     def test_fig5_mc_gains_equal_one_strategy_at_a_time(self, tmp_path):
         net = {"usersPerCell": 4, "bsAntennas": 30, "cellCount": 7, "seed": 9}
-        doc = {"kind": "fig5", "network": net, "sweep": {"variable": "bsAntennas", "values": [30]},
+        ms = [30, 50]
+        doc = {"kind": "fig5", "network": net, "sweep": {"variable": "bsAntennas", "values": ms},
                "drops": 1, "trials": 64, "options": {"evaluator": "mc"},
                "output": str(tmp_path / "fig5")}
         spec = ExperimentSpec.from_dict(doc)
-        got = {(r["panel"], r["label"]): r["value"]
-               for r in cli._job_strategies(spec, {"xIndex": 0, "drop": 0})}
+        got = {(r["panel"], r["label"], r["x"]): r["value"]
+               for r in cli._drop_strategies(spec, {"drop": 0})}
+        assert len(got) == 2 * 3 * len(ms)
         for panel, cells, tag in (("multicell", None, 0), ("singlecell", 1, 1)):
-            top = cli._drop_topology(spec, 0, antennas=30, cells=cells)
-            allocs = cli._fixed_allocs(top.n_cells, 4, "uplink", user_power=db_to_linear(10))
-            seed = cli.derive_seed(net["seed"], cli._TAG_MC, 0, 0, tag)
-            eq = uplink_rate_mc(top, [equal_alloc(4, 100.0), *allocs[1:]], 0, 64, seed).sum_rate
-            for label, strategy in cli._UPLINK_STRATEGIES.items():
-                cand = [strategy(top, allocs, 0, 30, 4, 100.0), *allocs[1:]]
-                pa = uplink_rate_mc(top, cand, 0, 64, seed).sum_rate
-                assert got[(panel, label)] == relative_gain(np.array([pa]), eq).tolist()[0]
+            for i, m in enumerate(ms):
+                top = cli._drop_topology(spec, 0, antennas=m, cells=cells)
+                allocs = cli._fixed_allocs(top.n_cells, 4, "uplink", user_power=db_to_linear(10))
+                seed = cli.derive_seed(net["seed"], cli._TAG_MC, 0, i, tag)
+                eq = uplink_rate_mc(top, [equal_alloc(4, 100.0), *allocs[1:]], 0, 64,
+                                    seed).sum_rate
+                for label, strategy in cli._UPLINK_STRATEGIES.items():
+                    cand = [strategy(top, allocs, 0, m, 4, 100.0), *allocs[1:]]
+                    pa = uplink_rate_mc(top, cand, 0, 64, seed).sum_rate
+                    assert got[(panel, label, m)] == relative_gain(np.array([pa]), eq).tolist()[0]
 
     def test_fig12_mc_values_equal_one_allocation_at_a_time(self, tmp_path):
         doc = {"kind": "fig12", "network": {"usersPerCell": 2, "bsAntennas": 8, "seed": 3},
@@ -346,6 +392,33 @@ class TestRunExperiment:
         both = records([20, 30])
         assert both == records([20]) + records([30])
         assert {r["label"] for r in both} >= {"mc"}
+
+    def test_fig12_outer_ring_keeps_initial_power_in_every_curve(self, tmp_path, monkeypatch):
+        # the scheduler, the joint optimiser and the equal baseline are rated
+        # under the same outer-ring interference: initialUserPowerDb per user
+        seen = {}
+        scheduled, joint, sum_rate = cli.run_scheduled, cli.run_joint, cli.network_sum_rate
+        monkeypatch.setattr(cli, "run_scheduled",
+                            lambda *a, **k: seen.setdefault("scheduled", scheduled(*a, **k)))
+        monkeypatch.setattr(cli, "run_joint",
+                            lambda *a, **k: seen.setdefault("joint", joint(*a, **k)))
+
+        def rate(top, allocs, *a, **k):
+            seen["equal"] = allocs
+            return sum_rate(top, allocs, *a, **k)
+
+        monkeypatch.setattr(cli, "network_sum_rate", rate)
+        doc = {"kind": "fig12",
+               "network": {"usersPerCell": 2, "bsAntennas": 8, "seed": 2024, "outerRingCells": 7},
+               "sweep": {"variable": "slot", "values": [1, 2]}, "drops": 1,
+               "options": {"powerW": 20.0, "initialUserPowerDb": 0, "jointMaxIters": 400},
+               "output": str(tmp_path / "fig12")}
+        cli._job_network_slots(ExperimentSpec.from_dict(doc), {"drop": 0})
+        for name in ("scheduled", "joint"):
+            allocs = seen[name].per_cell_powers
+            assert len(allocs) == 26 and [a.powers.tolist() for a in allocs[19:]] == [[1.0] * 2] * 7
+        assert [a.powers.tolist() for a in seen["equal"]] == [[10.0] * 2] * 19 + [[1.0] * 2] * 7
+        assert all(a.powers.sum() == pytest.approx(20.0) for a in seen["joint"].per_cell_powers[:19])
 
     def test_fig12_structure(self, tmp_path):
         doc = {
@@ -458,6 +531,11 @@ class TestFindMaxRatio:
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             GainThresholdQuery("uplink", 0.1, 20.0, (2, 6), **{field: value})
 
+    @pytest.mark.parametrize("bounds", [(2.5, 6), (2, 6.5)])
+    def test_search_range_must_be_integral(self, bounds):
+        with pytest.raises(ValueError, match="searchRange"):
+            GainThresholdQuery("uplink", 0.1, 20.0, bounds)
+
     def test_probe_without_edge_users_is_error(self):
         # seed 1 puts the only user of the one drop inside the edge radius,
         # so the edge-only gain is undefined at every probe
@@ -484,10 +562,23 @@ class TestStackedDrops:
 
     def test_uplink_gains_equal_one_drop_at_a_time(self):
         tops = self.drops(12)
-        stacked = relative_gain(*cli._uplink_pa_eq(cli._uplink_rows(tops, 10.0), 48, 100.0))
+        (r_pa, r_eq), = cli._pa_eq(cli._uplink_rows(tops, 10.0), [48], 100.0)
+        stacked = relative_gain(r_pa.sum(axis=1), r_eq.sum(axis=1))
         for top, gain in zip(tops, stacked):
-            c_pa, c_eq = cli._uplink_pa_eq(cli._uplink_rows([top], 10.0), 48, 100.0)
-            assert gain == relative_gain(float(c_pa[0]), float(c_eq[0]))
+            (r_pa, r_eq), = cli._pa_eq(cli._uplink_rows([top], 10.0), [48], 100.0)
+            assert gain == relative_gain(float(r_pa.sum(axis=1)[0]), float(r_eq.sum(axis=1)[0]))
+
+    def test_antenna_counts_equal_one_at_a_time(self):
+        # one water-filling call serves every M with the bits of its own call
+        ms = [13, 48, 200, 500]
+        up = cli._uplink_rows(self.drops(12), 10.0)
+        down = cli._downlink_rows(self.drops(12), 1000.0)
+        for prof in (up, down):
+            together = cli._pa_eq(prof, ms, 100.0)
+            assert len(together) == len(ms)
+            for m, (r_pa, r_eq) in zip(ms, together):
+                (one_pa, one_eq), = cli._pa_eq(prof, [m], 100.0)
+                assert r_pa.tolist() == one_pa.tolist() and r_eq.tolist() == one_eq.tolist()
 
     @pytest.mark.parametrize("selection", ["edge", "random"])
     def test_selected_gains_equal_one_drop_at_a_time(self, selection):
@@ -502,7 +593,7 @@ class TestStackedDrops:
         want = []
         for top, chosen in zip(tops, users):
             if chosen.any():
-                r_pa, r_eq = cli._downlink_pa_eq(cli._downlink_rows([top], 1000.0), 64, 1e4)
+                (r_pa, r_eq), = cli._pa_eq(cli._downlink_rows([top], 1000.0), [64], 1e4)
                 want.append(relative_gain(float(r_pa[0][chosen].sum()),
                                           float(r_eq[0][chosen].sum())))
         assert 0 < len(want) and stacked.tolist() == want
@@ -552,8 +643,10 @@ class TestDropReuse:
         assert len(calls["build"]) == drops * 2  # multicell and single-cell scenarios
         # the upper-bound strategy's factor, once per multicell drop
         assert calls["factor"] == drops
-        # one profile per scenario and job serves all strategies and rates
-        assert len(calls["profile"]) == len(set(calls["profile"])) == drops * 4 * 2
+        # one profile per drop and scenario serves every M, strategy and rate,
+        # built at the smallest M
+        assert len(calls["profile"]) == len(set(calls["profile"])) == drops * 2
+        assert {m for _, _, m, _ in calls["profile"]} == {10}
 
     @pytest.mark.parametrize("mode", ["maxRatio", "maxAntennas"])
     def test_fixed_n_query_builds_each_drop_once(self, calls, mode):
@@ -697,3 +790,138 @@ class TestAllKindsSmoke:
             for c in manifest["curves"]:
                 assert read_curve(out / c["file"])
             emit_plot_data(out)
+
+
+class TestOutputDirectory:
+    """A run replaces its output directory whole, and only once it succeeded."""
+
+    DOC = {"kind": "fig5", "network": {"usersPerCell": 3, "bsAntennas": 30, "seed": 6},
+           "sweep": {"variable": "bsAntennas", "values": [10, 30]}, "drops": 3}
+
+    def spec(self, out, **over):
+        return ExperimentSpec.from_dict({**self.DOC, "output": str(out), **over})
+
+    @staticmethod
+    def snapshot(directory):
+        return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+    def test_failed_run_leaves_previous_outputs(self, tmp_path, monkeypatch):
+        out = tmp_path / "fig5"
+        run_experiment(self.spec(out))
+        before = self.snapshot(out)
+        runner = cli._JOB_RUNNERS["fig5"]
+
+        def fail_on_last_drop(spec, job):
+            if job["drop"] == 2:
+                raise RuntimeError("interrupted")
+            return runner(spec, job)
+
+        monkeypatch.setitem(cli._JOB_RUNNERS, "fig5", fail_on_last_drop)
+        for target in (out, tmp_path / "fresh"):
+            with pytest.raises(RuntimeError, match="interrupted"):
+                run_experiment(self.spec(target, drops=4, options={"powerDb": 30}))
+        assert self.snapshot(out) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["fig5"]
+
+    def test_failed_write_leaves_previous_outputs(self, tmp_path, monkeypatch):
+        out = tmp_path / "fig5"
+        run_experiment(self.spec(out))
+        before = self.snapshot(out)
+        name = cli._curve_filename
+        # the third curve's file cannot be created: its directory is missing
+        names = iter(range(100))
+        monkeypatch.setattr(cli, "_curve_filename", lambda *a: ("missing/" if next(names) == 2
+                                                                else "") + name(*a))
+        with pytest.raises(FileNotFoundError):
+            run_experiment(self.spec(out, options={"powerDb": 30}))
+        assert self.snapshot(out) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["fig5"]
+
+    def test_failed_swap_restores_previous_outputs(self, tmp_path, monkeypatch):
+        out = tmp_path / "fig5"
+        run_experiment(self.spec(out))
+        before = self.snapshot(out)
+        replace, calls = os.replace, []
+
+        def second_fails(src, dst):  # the old outputs step aside, then the swap fails
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("interrupted swap")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_fails)
+        with pytest.raises(OSError, match="interrupted swap"):
+            run_experiment(self.spec(out, options={"powerDb": 30}))
+        assert self.snapshot(out) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["fig5"]
+
+    def test_rerun_replaces_the_directory_whole(self, tmp_path):
+        out = tmp_path / "run"
+        run_experiment(self.spec(out))
+        emit_plot_data(out)  # plotdata.json is an earlier run's output too
+        run_experiment(ExperimentSpec.from_dict({**tiny_spec(tmp_path, trials=50),
+                                                 "output": str(out)}))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["spec"]["output"] == str(out)
+        listed = {c["file"] for c in manifest["curves"]} | {"manifest.json"}
+        assert {p.name for p in out.iterdir()} == listed
+        assert [p.name for p in tmp_path.iterdir()] == ["run"]
+
+    def test_foreign_files_are_never_replaced(self, tmp_path):
+        out = tmp_path / "mine"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me")
+        with pytest.raises(ValueError, match="notes.txt"):
+            run_experiment(self.spec(out))
+        assert self.snapshot(out) == {"notes.txt": b"keep me"}
+
+    def test_working_directory_is_never_replaced(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="working directory"):
+            run_experiment(self.spec("."))
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestJobs:
+    """``--jobs`` is checked, and the pool never starts idle workers."""
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, tmp_path, jobs):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(tiny_spec(tmp_path)))
+        with pytest.raises(ValueError, match="--jobs"):
+            main(["run", str(path), "--jobs", str(jobs)])
+        assert not (tmp_path / "out").exists()
+
+    def test_single_job_runs_in_process(self, tmp_path, monkeypatch):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a single job must not start a process pool")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+        doc = {"kind": "fig5", "network": {"usersPerCell": 3, "bsAntennas": 30, "seed": 6},
+               "drops": 1, "output": str(tmp_path / "fig5")}
+        spec = ExperimentSpec.from_dict(doc)
+        assert len(cli._plan_jobs(spec)) == 1
+        run_experiment(spec, jobs=2)
+
+    def test_pool_has_at_most_one_worker_per_job(self, tmp_path, monkeypatch):
+        workers = []
+
+        class InProcessPool:  # records the pool size, runs nothing in parallel
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        doc = {"kind": "fig11", "network": {"usersPerCell": 3, "bsAntennas": 30, "seed": 6},
+               "drops": 3, "output": str(tmp_path / "fig11")}
+        run_experiment(ExperimentSpec.from_dict(doc), jobs=8)
+        assert workers == [3]
