@@ -4,7 +4,7 @@ Modules:
     topology    hexagonal layout, user drops, large-scale fading
     mcrate      Monte Carlo ergodic rates under ZF receivers/precoders
     closedform  uplink rate bounds/approximation, downlink lower bound
-    allocation  water-filling and the per-cell allocation strategies
+    allocation  water-filling, strategy coefficients and the four strategies
     network     scheduled per-cell rounds and the joint benchmark
     cli         seeded batch experiments with CSV/manifest outputs
 """
@@ -52,7 +52,6 @@ from .topology import (
     CellTopology,
     NetworkConfig,
     build_topology,
-    large_scale_gain,
     schedule_groups,
 )
 
@@ -79,7 +78,6 @@ __all__ = [
     "downlink_rate_mc",
     "equal_alloc",
     "exp_integral_e1",
-    "large_scale_gain",
     "mean_inv_one_plus",
     "network_sum_rate",
     "relative_gain",

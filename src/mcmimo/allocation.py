@@ -21,7 +21,6 @@ import numpy as np
 
 from .closedform import downlink_profile, uplink_profile
 from .mcrate import PowerAllocation
-from .topology import CellTopology
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,14 +55,6 @@ class WaterfillResult:
     powers: np.ndarray
     water_level: float | np.ndarray
 
-    @property
-    def active_set(self):
-        """Users with positive power: indices for one vector, ``np.nonzero``
-        (row, user) index arrays for rows."""
-        if self.powers.ndim == 1:
-            return np.flatnonzero(self.powers > 0)
-        return np.nonzero(self.powers > 0)
-
 
 def waterfill(wc: WaterfillCoefficients) -> WaterfillResult:
     """Exact sort-and-scan water-filling solution, for each row at once.
@@ -94,9 +85,9 @@ def waterfill(wc: WaterfillCoefficients) -> WaterfillResult:
 #
 # Each formula reads a profile (closedform.InterferenceProfile or
 # DownlinkProfile) and returns c of the profile's shape: (N,) for one cell
-# view, (D, N) for a stack of D views. The topology-level functions below
-# build the profile first: of one cell, or a stack of one row per cell when
-# ``target_cell`` is a sequence of cells.
+# view, (D, N) for a stack of D views. The strategies below build the profile
+# first: of one cell, or a stack of one row per cell when ``target_cell`` is a
+# sequence of cells.
 
 def _lower(prof, m, n) -> np.ndarray:
     """d_n = beta_n (M-N) / (S + 1)."""
@@ -132,26 +123,6 @@ def _downlink(prof, m, n) -> np.ndarray:
 PROFILE_COEFFICIENTS = {"lower": _lower, "upper": _upper, "approx": _approx, "downlink": _downlink}
 
 
-def uplink_lower_coefficients(topology, interfering_powers, target_cell, m, n) -> np.ndarray:
-    """d_n = beta_n (M-N) / (S + 1)."""
-    return _lower(uplink_profile(topology, interfering_powers, target_cell), m, n)
-
-
-def uplink_upper_coefficients(topology, interfering_powers, target_cell, m, n) -> np.ndarray:
-    """k_n = beta_n (M-N+1) E{1/(v+1)}."""
-    return _upper(uplink_profile(topology, interfering_powers, target_cell), m, n)
-
-
-def uplink_approx_coefficients(topology, interfering_powers, target_cell, m, n) -> np.ndarray:
-    """t_n = beta_n (M-N+1) / (S + 1)."""
-    return _approx(uplink_profile(topology, interfering_powers, target_cell), m, n)
-
-
-def downlink_coefficients(topology, interfering_powers, target_cell, m, n) -> np.ndarray:
-    """s_n = ((M-N)/L_0) / (D_n + 1)."""
-    return _downlink(downlink_profile(topology, interfering_powers, target_cell), m, n)
-
-
 # --- allocation strategies --------------------------------------------------
 #
 # A strategy allocates ``target_cell`` against the frozen ``interfering_powers``
@@ -159,54 +130,34 @@ def downlink_coefficients(topology, interfering_powers, target_cell, m, n) -> np
 # water-fills their coefficient rows in one call and returns one
 # PowerAllocation per cell, each equal to that cell's own call.
 
-def _check_users(topology: CellTopology, n: int) -> None:
-    if n != topology.n_users:
-        raise ValueError(f"N={n} does not match the topology's {topology.n_users} users per cell")
+def _strategy(public: str, name: str, direction: str):
+    """The strategy ``public`` water-filling ``PROFILE_COEFFICIENTS[name]`` of
+    the ``direction`` profile of the target cell(s)."""
+
+    def strategy(topology, interfering_powers, target_cell, m, n,
+                 budget) -> PowerAllocation | list[PowerAllocation]:
+        if n != topology.n_users:
+            raise ValueError(f"N={n} does not match the topology's {topology.n_users} users per cell")
+        # the profile builders and waterfill are looked up by their module-level
+        # names on each call, as the tracing of benchmarks/spans.py replaces them
+        profile = uplink_profile if direction == "uplink" else downlink_profile
+        c = PROFILE_COEFFICIENTS[name](profile(topology, interfering_powers, target_cell), m, n)
+        powers = waterfill(WaterfillCoefficients(c, budget)).powers
+        if powers.ndim == 1:
+            return PowerAllocation(powers, direction)
+        return [PowerAllocation(row, direction) for row in powers]
+
+    # the public name keeps the strategy picklable, as a module-level function is
+    strategy.__name__ = strategy.__qualname__ = public
+    strategy.__doc__ = f"Water-filling over {PROFILE_COEFFICIENTS[name].__doc__}"
+    strategy.direction = direction
+    return strategy
 
 
-def _waterfilled(c, budget, direction) -> PowerAllocation | list[PowerAllocation]:
-    powers = waterfill(WaterfillCoefficients(c, budget)).powers
-    if powers.ndim == 1:
-        return PowerAllocation(powers, direction)
-    return [PowerAllocation(row, direction) for row in powers]
-
-
-def uplink_alloc_lower_bound(topology, interfering_powers, target_cell, m, n,
-                             budget) -> PowerAllocation | list[PowerAllocation]:
-    """Water-filling over the lower-bound coefficients d_n."""
-    _check_users(topology, n)
-    c = uplink_lower_coefficients(topology, interfering_powers, target_cell, m, n)
-    return _waterfilled(c, budget, "uplink")
-
-
-def uplink_alloc_upper_bound(topology, interfering_powers, target_cell, m, n,
-                             budget) -> PowerAllocation | list[PowerAllocation]:
-    """Water-filling over the upper-bound coefficients k_n."""
-    _check_users(topology, n)
-    c = uplink_upper_coefficients(topology, interfering_powers, target_cell, m, n)
-    return _waterfilled(c, budget, "uplink")
-
-
-def uplink_alloc_approx(topology, interfering_powers, target_cell, m, n,
-                        budget) -> PowerAllocation | list[PowerAllocation]:
-    """Water-filling over the approximation coefficients t_n."""
-    _check_users(topology, n)
-    c = uplink_approx_coefficients(topology, interfering_powers, target_cell, m, n)
-    return _waterfilled(c, budget, "uplink")
-
-
-def downlink_alloc(topology, interfering_powers, target_cell, m, n,
-                   budget) -> PowerAllocation | list[PowerAllocation]:
-    """Water-filling over the downlink coefficients s_n."""
-    _check_users(topology, n)
-    c = downlink_coefficients(topology, interfering_powers, target_cell, m, n)
-    return _waterfilled(c, budget, "downlink")
-
-
-uplink_alloc_lower_bound.direction = "uplink"
-uplink_alloc_upper_bound.direction = "uplink"
-uplink_alloc_approx.direction = "uplink"
-downlink_alloc.direction = "downlink"
+uplink_alloc_lower_bound = _strategy("uplink_alloc_lower_bound", "lower", "uplink")
+uplink_alloc_upper_bound = _strategy("uplink_alloc_upper_bound", "upper", "uplink")
+uplink_alloc_approx = _strategy("uplink_alloc_approx", "approx", "uplink")
+downlink_alloc = _strategy("downlink_alloc", "downlink", "downlink")
 
 
 def equal_alloc(n_users: int, budget: float, direction: str = "uplink") -> PowerAllocation:

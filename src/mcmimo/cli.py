@@ -16,7 +16,6 @@ import os
 import re
 import shutil
 import uuid
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -163,6 +162,7 @@ _OPTION_CHOICES = {
     "estimator": ("closedForm", "monteCarlo"),            # fig12
     "direction": ("uplink", "downlink"),                  # custom
 }
+_SCENARIOS = ("multicell", "singlecell")                  # fig4, fig5
 
 
 @dataclass(frozen=True)
@@ -197,6 +197,13 @@ class ExperimentSpec:
             if key in self.options and self.options[key] not in allowed:
                 raise ValueError(
                     f"option {key!r} must be one of {allowed}, got {self.options[key]!r}")
+        scenarios = self.options.get("scenarios", _SCENARIOS)
+        # a misspelt name would otherwise run the multicell geometry under its own name
+        if not (isinstance(scenarios, (list, tuple)) and scenarios
+                and all(name in _SCENARIOS for name in scenarios)
+                and len(set(scenarios)) == len(scenarios)):
+            raise ValueError(f"option 'scenarios' must be a non-empty list of distinct names "
+                             f"from {_SCENARIOS}, got {scenarios!r}")
         if self.sweep.variable in _INTEGRAL_SWEEPS:
             _require_integral("sweep.values", self.sweep.values)
         for key in _INTEGRAL_OPTIONS:
@@ -317,32 +324,12 @@ _UPLINK_STRATEGIES = {
 }
 
 
-class _GeometryMemo:
-    """The most recent ``size`` built drops, keyed on their config without M.
-
-    Large-scale fading does not depend on the antenna count, so one built drop
-    serves every M through ``CellTopology.with_antennas``.
-    """
-
-    def __init__(self, size: int):
-        self.size = size
-        self._drops: OrderedDict = OrderedDict()
-
-    def topology(self, cfg: NetworkConfig) -> CellTopology:
-        key = replace(cfg, bs_antennas=cfg.users_per_cell + 1)
-        top = self._drops.pop(key, None)
-        if top is None:
-            top = build_topology(cfg)
-        self._drops[key] = top
-        while len(self._drops) > self.size:
-            self._drops.popitem(last=False)
-        return top.with_antennas(cfg.bs_antennas)
-
-
 # Jobs run drop-major (see _plan_jobs): consecutive (xIndex, drop) jobs revisit
-# one geometry, and a per-drop job builds each of its geometries once.
-_JOB_GEOMETRIES = 1
-_job_geometry = _GeometryMemo(_JOB_GEOMETRIES)
+# one geometry, and a per-drop job builds each of its geometries once. So each
+# process keeps the last built drop, keyed on its config without M: large-scale
+# fading does not depend on the antenna count, so one built drop serves every M
+# through ``CellTopology.with_antennas``.
+_last_drop: dict = {}
 
 
 def _drop_topology(spec: ExperimentSpec, drop: int, *, users=None, antennas=None, cells=None):
@@ -356,7 +343,11 @@ def _drop_topology(spec: ExperimentSpec, drop: int, *, users=None, antennas=None
         bs_antennas=antennas or cfg.bs_antennas,
         cell_count=cells or cfg.cell_count,
     )
-    return _job_geometry.topology(cfg)
+    key = replace(cfg, bs_antennas=cfg.users_per_cell + 1)
+    if key not in _last_drop:
+        _last_drop.clear()
+        _last_drop[key] = build_topology(cfg)
+    return _last_drop[key].with_antennas(cfg.bs_antennas)
 
 
 # Cell 0's profile against fixed-power interferers depends on the drop, N and
@@ -655,6 +646,14 @@ class GainThresholdQuery:
     def __post_init__(self):
         if self.direction not in ("uplink", "downlink"):
             raise ValueError("direction must be 'uplink' or 'downlink'")
+        numbers = {"threshold": self.threshold, "power": self.power_db}
+        if self.interferer_power_db is not None:
+            numbers["interfererPowerDb"] = self.interferer_power_db
+        for key, value in numbers.items():
+            # NaN passes every ordered check, so finiteness is tested first
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float, np.integer, np.floating)) or not np.isfinite(value):
+                raise ValueError(f"{key} must be a finite number, got {value!r}")
         if self.threshold < 0:
             raise ValueError("threshold must be >= 0")
         if self.mode not in ("maxRatio", "maxAntennas", "minUsers"):
@@ -768,31 +767,21 @@ def find_max_ratio(query: GainThresholdQuery, base: NetworkConfig, seed: int | N
             cache[x] = float(np.mean(gains))
         return cache[x]
 
+    # the "inside" end meets the threshold wherever any probe does: the gain
+    # decreases with the ratio or M, and increases with N (minUsers)
+    inside, outside = (hi, lo) if query.mode == "minUsers" else (lo, hi)
     th = query.threshold
-    if query.mode in ("maxRatio", "maxAntennas"):  # gain decreases with x
-        if gain(lo) < th:
-            return lo, True
-        if gain(hi) >= th:
-            return hi, True
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if gain(mid) >= th:
-                lo = mid
-            else:
-                hi = mid
-        return lo, False
-    # minUsers: gain increases with N
-    if gain(hi) < th:
-        return hi, True
-    if gain(lo) >= th:
-        return lo, True
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
+    if gain(inside) < th:
+        return inside, True
+    if gain(outside) >= th:
+        return outside, True
+    while abs(outside - inside) > 1:
+        mid = (inside + outside) // 2
         if gain(mid) >= th:
-            hi = mid
+            inside = mid
         else:
-            lo = mid
-    return hi, False
+            outside = mid
+    return inside, False
 
 
 def _run_tables(spec: ExperimentSpec) -> tuple[list[str], list[list]]:

@@ -85,8 +85,6 @@ _CHUNK_ENTRIES = 1 << 15
 
 _MASK64 = (1 << 64) - 1
 
-RATE_KINDS = ("monteCarlo", "closedForm")
-
 
 class IllConditionedChannelError(RuntimeError):
     """A drawn channel matrix is too ill-conditioned for ZF processing."""
@@ -128,12 +126,12 @@ class PowerAllocation:
 
 @dataclass(frozen=True, eq=False)
 class RateEstimate:
-    """Per-user rates in bits/s/Hz plus estimator metadata."""
+    """Monte Carlo per-user rates in bits/s/Hz, with the trial count and the
+    per-user confidence half-widths."""
 
     per_user_rate: np.ndarray
     trials: int
     ci_half_width: np.ndarray
-    kind: str  # one of RATE_KINDS
 
     def __post_init__(self):
         for field in ("per_user_rate", "ci_half_width"):
@@ -143,13 +141,6 @@ class RateEstimate:
                 raise ValueError(f"{field} must be finite and non-negative")
             x.setflags(write=False)
             object.__setattr__(self, field, x)
-        if self.kind not in RATE_KINDS:
-            raise ValueError(f"kind must be one of {RATE_KINDS}, got {self.kind!r}")
-
-    @classmethod
-    def closed_form(cls, rates: np.ndarray) -> "RateEstimate":
-        rates = np.asarray(rates, dtype=float)
-        return cls(rates, 0, np.zeros_like(rates), "closedForm")
 
     @property
     def sum_rate(self) -> float:
@@ -292,8 +283,7 @@ def _estimate(block_rates, trials: int, seed: int, confidence: float) -> list[Ra
             d = rate - shift[r]
             sum_d[r] = sum_d[r] + d.sum(axis=0)
             sum_d2[r] = sum_d2[r] + (d * d).sum(axis=0)
-    return [RateEstimate(s + d / trials, trials, _ci_half_width(d, d2, trials, confidence),
-                         "monteCarlo")
+    return [RateEstimate(s + d / trials, trials, _ci_half_width(d, d2, trials, confidence))
             for s, d, d2 in zip(shift, sum_d, sum_d2)]
 
 

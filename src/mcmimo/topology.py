@@ -230,21 +230,6 @@ class CellTopology:
         return replace(self, config=replace(self.config, bs_antennas=bs_antennas))
 
 
-def large_scale_gain(distance: float, shadow: float, cfg: NetworkConfig) -> float:
-    """Linear link gain shadow / (distance / r_h)^v at the given distance.
-
-    ``distance`` must not be inside the exclusion disk; ``shadow`` is a linear
-    (not dB) shadow-fading gain.
-    """
-    if not distance >= cfg.exclusion_radius:
-        raise ValueError(
-            f"distance {distance} m is inside the {cfg.exclusion_radius} m exclusion disk"
-        )
-    if not shadow > 0:
-        raise ValueError("shadow gain must be positive")
-    return shadow / (distance / cfg.exclusion_radius) ** cfg.path_loss_exponent
-
-
 def sample_shadowing(rng: np.random.Generator, cfg: NetworkConfig, size) -> np.ndarray:
     """Linear log-normal shadow gains: 10^(sigma_dB * g / 10), g ~ N(0, 1)."""
     return 10.0 ** (cfg.shadow_std_db * rng.standard_normal(size) / 10.0)

@@ -12,17 +12,14 @@ import pytest
 from scipy import integrate
 
 from mcmimo.allocation import (
+    PROFILE_COEFFICIENTS,
     WaterfillCoefficients,
     downlink_alloc,
-    downlink_coefficients,
     equal_alloc,
     relative_gain,
     uplink_alloc_approx,
     uplink_alloc_lower_bound,
     uplink_alloc_upper_bound,
-    uplink_approx_coefficients,
-    uplink_lower_coefficients,
-    uplink_upper_coefficients,
     waterfill,
 )
 from mcmimo.cli import (
@@ -36,6 +33,7 @@ from mcmimo.cli import (
 from mcmimo.closedform import (
     InterferenceProfile,
     characteristic_coefficients,
+    downlink_profile,
     exp_integral_e1,
     uplink_approximation,
     uplink_lower_bound,
@@ -113,12 +111,8 @@ def test_criterion_04_waterfill_vs_grid():
     """waterfill surrogate sum rate beats the P/100 grid on 100 instances."""
     rng = np.random.default_rng(44)
     ij = np.array([(i, j) for i in range(101) for j in range(101 - i)])
-    strategies = [
-        ("lower", uplink_lower_coefficients, "uplink"),
-        ("upper", uplink_upper_coefficients, "uplink"),
-        ("approx", uplink_approx_coefficients, "uplink"),
-        ("downlink", downlink_coefficients, "downlink"),
-    ]
+    strategies = [("lower", "uplink"), ("upper", "uplink"), ("approx", "uplink"),
+                  ("downlink", "downlink")]
     worst = np.inf
     for inst in range(100):
         cfg = NetworkConfig(users_per_cell=3, bs_antennas=12, cell_count=7,
@@ -128,9 +122,12 @@ def test_criterion_04_waterfill_vs_grid():
         up_int = [PowerAllocation(10.0 ** rng.uniform(-1, 1.5, 3), "uplink") for _ in range(7)]
         dl_int = [PowerAllocation(10.0 ** rng.uniform(0, 2.5, 3), "downlink") for _ in range(7)]
         grid = np.column_stack([ij * (budget / 100), budget - ij.sum(axis=1) * (budget / 100)])
-        for name, coeff_fn, direction in strategies:
-            interferers = up_int if direction == "uplink" else dl_int
-            c = coeff_fn(top, interferers, 0, 12, 3)
+        for name, direction in strategies:
+            if direction == "uplink":
+                prof = uplink_profile(top, up_int, 0)
+            else:
+                prof = downlink_profile(top, dl_int, 0)
+            c = PROFILE_COEFFICIENTS[name](prof, 12, 3)
             wf = waterfill(WaterfillCoefficients(c, budget))
             values = np.log2(1.0 + np.vstack([wf.powers, grid]) * c).sum(axis=1)
             worst = min(worst, float(values[0] - values[1:].max()))

@@ -95,6 +95,24 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match="unknown option 'powerDb' for kind 'fig2'"):
             ExperimentSpec.from_dict(doc)
 
+    @pytest.mark.parametrize("kind", ["fig4", "fig5"])
+    @pytest.mark.parametrize("value", [
+        ["singelcell"], ["multicell", "singelcell"], ["multicell", "multicell"], [],
+        "multicell", [["multicell"]], None,
+    ])
+    def test_scenarios_must_be_distinct_known_names(self, kind, value):
+        # a misspelt name would run the multicell geometry under that name
+        doc = {"kind": kind, "network": {"usersPerCell": 3, "bsAntennas": 30},
+               "options": {"scenarios": value}}
+        with pytest.raises(ValueError, match="option 'scenarios'"):
+            ExperimentSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("value", [["singlecell"], ["singlecell", "multicell"]])
+    def test_known_scenarios_accepted(self, value):
+        doc = {"kind": "fig5", "network": {"usersPerCell": 3, "bsAntennas": 30},
+               "options": {"scenarios": value}}
+        assert ExperimentSpec.from_dict(doc).options["scenarios"] == value
+
     def test_kind_defaults_applied(self):
         spec = ExperimentSpec.from_dict(
             {"kind": "fig2", "network": {"usersPerCell": 10, "bsAntennas": 128}}
@@ -547,6 +565,61 @@ class TestFindMaxRatio:
                                    drops=1, edge_only=False)
         assert find_max_ratio(q_all, base)[0] >= 2
 
+    @pytest.mark.parametrize("key, field, value", [
+        ("threshold", "threshold", math.nan),
+        ("threshold", "threshold", math.inf),
+        ("threshold", "threshold", "0.1"),
+        ("power", "power_db", math.nan),
+        ("power", "power_db", -math.inf),
+        ("power", "power_db", True),
+        ("interfererPowerDb", "interferer_power_db", math.nan),
+    ])
+    def test_numbers_must_be_finite(self, key, field, value):
+        # NaN passes `threshold < 0`, and the bisection would answer (lo, False)
+        kwargs = {"threshold": 0.1, "power_db": 20.0, field: value}
+        with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+            GainThresholdQuery("uplink", search_range=(2, 6), **kwargs)
+
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            GainThresholdQuery("uplink", -0.1, 20.0, (2, 6))
+
+    # The probed x values in order, for an interior crossing and both boundary
+    # outcomes of each mode: the golden digests pin the answers, not the probes.
+    # One drop set, N=4: (mode, direction, threshold, range, probes, answer)
+    PROBES = [
+        ("maxRatio", "uplink", 0.2, (2, 60), [2, 60, 31, 16, 23, 27, 25, 26], (25, False)),
+        ("maxRatio", "uplink", 0.0, (2, 60), [2, 60], (60, True)),
+        ("maxRatio", "uplink", 5.0, (2, 60), [2], (2, True)),
+        ("maxAntennas", "downlink", 0.005, (6, 400),
+         [6, 400, 203, 104, 55, 30, 42, 36, 33, 31], (30, False)),
+        ("maxAntennas", "downlink", 0.0, (6, 400), [6, 400], (400, True)),
+        ("maxAntennas", "downlink", 5.0, (6, 400), [6], (6, True)),
+        ("minUsers", "downlink", 0.005, (1, 30), [30, 1, 15, 8, 11, 9, 10], (11, False)),
+        ("minUsers", "downlink", 0.0, (1, 30), [30, 1], (1, True)),
+        ("minUsers", "downlink", 0.02, (1, 30), [30], (30, True)),
+    ]
+
+    @pytest.mark.parametrize("mode, direction, threshold, bounds, probes, answer", PROBES)
+    def test_probe_sequence(self, monkeypatch, mode, direction, threshold, bounds, probes,
+                            answer):
+        seen = []
+        pa_eq = cli._pa_eq
+
+        def recording(prof, ms, p_lin):
+            (m,) = ms
+            seen.append({"maxRatio": m // prof.n_users, "maxAntennas": m,
+                         "minUsers": prof.n_users}[mode])
+            return pa_eq(prof, ms, p_lin)
+
+        monkeypatch.setattr(cli, "_pa_eq", recording)
+        q = GainThresholdQuery(direction, threshold, 20.0 if direction == "uplink" else 40.0,
+                               bounds, mode, fixed_users=4, fixed_antennas=40, drops=3,
+                               edge_only=False)
+        base = NetworkConfig(users_per_cell=4, bs_antennas=40, seed=3)
+        assert find_max_ratio(q, base) == answer
+        assert seen == probes
+
     def test_unknown_query_key_rejected(self):
         with pytest.raises(ValueError, match="unknown query keys"):
             GainThresholdQuery.from_dict({"direction": "uplink", "thresh": 0.1})
@@ -605,7 +678,7 @@ class TestDropReuse:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        monkeypatch.setattr(cli, "_job_geometry", cli._GeometryMemo(cli._JOB_GEOMETRIES))
+        monkeypatch.setattr(cli, "_last_drop", {})
         closedform._factor_of_bytes.cache_clear()
         seen = {"build": [], "factor": 0}
 
@@ -704,13 +777,20 @@ class TestDropReuse:
         # 4 queries probe overlapping user counts; each (N, drop) is built once
         assert len(built) == len(set(built)) and len(built) % drops == 0
 
-    def test_memoised_drop_matches_fresh_build(self):
-        memo = cli._GeometryMemo(2)
-        cfg = NetworkConfig(users_per_cell=4, bs_antennas=20, seed=5, outer_ring_cells=3)
-        memo.topology(cfg)
-        reused = memo.topology(NetworkConfig(users_per_cell=4, bs_antennas=64, seed=5,
-                                             outer_ring_cells=3))
-        fresh = build_topology(NetworkConfig(users_per_cell=4, bs_antennas=64, seed=5,
+    @staticmethod
+    def drop_spec(seed=5):
+        return ExperimentSpec.from_dict({
+            "kind": "fig2",
+            "network": {"usersPerCell": 4, "bsAntennas": 20, "seed": seed, "outerRingCells": 3},
+        })
+
+    def test_memoised_drop_matches_fresh_build(self, monkeypatch):
+        monkeypatch.setattr(cli, "_last_drop", {})
+        spec = self.drop_spec()
+        cli._drop_topology(spec, 0, antennas=20)
+        reused = cli._drop_topology(spec, 0, antennas=64)
+        fresh = build_topology(NetworkConfig(users_per_cell=4, bs_antennas=64,
+                                             seed=cli.derive_seed(5, cli._TAG_DROP, 0),
                                              outer_ring_cells=3))
         assert reused.config == fresh.config
         assert reused.cluster_size == fresh.cluster_size
@@ -719,11 +799,13 @@ class TestDropReuse:
             np.testing.assert_array_equal(getattr(reused, name), getattr(fresh, name))
 
     def test_memo_is_bounded(self, calls):
-        memo = cli._GeometryMemo(2)
-        for seed in (1, 2, 3, 1):
-            memo.topology(NetworkConfig(users_per_cell=2, bs_antennas=8, seed=seed))
-        assert len(memo._drops) == 2
-        assert [cfg.seed for cfg in calls["build"]] == [1, 2, 3, 1]  # 1 was evicted
+        # one slot: the last drop built is kept, whatever its antenna count
+        spec = self.drop_spec()
+        for drop, m in ((1, 20), (2, 20), (1, 30), (1, 64)):
+            assert cli._drop_topology(spec, drop, antennas=m).config.bs_antennas == m
+        assert len(cli._last_drop) == 1
+        want = [cli.derive_seed(5, cli._TAG_DROP, d) for d in (1, 2, 1)]
+        assert [cfg.seed for cfg in calls["build"]] == want  # 1 was evicted by 2
 
 
 class TestMainEntry:
@@ -748,6 +830,29 @@ class TestMainEntry:
         assert main(["table", str(qpath), "--out", str(csv_out)]) == 0
         assert "maxRatio = 4" in capsys.readouterr().out
         assert csv_out.read_text().startswith("mode,direction,powerDb,threshold,value,atBoundary")
+
+
+    def test_table_command_rejects_nan_power(self, tmp_path):
+        query = {
+            "direction": "uplink", "threshold": 0.1, "power": math.nan, "searchRange": [2, 4],
+            "drops": 2, "network": {"usersPerCell": 3, "bsAntennas": 12, "seed": 5},
+        }
+        qpath = tmp_path / "query.json"
+        qpath.write_text(json.dumps(query))  # written as the JSON extension NaN
+        csv_out = tmp_path / "res.csv"
+        with pytest.raises(ValueError, match="power must be a finite number"):
+            main(["table", str(qpath), "--out", str(csv_out)])
+        assert not csv_out.exists()
+
+    def test_table2_rejects_nan_threshold_before_writing(self, tmp_path):
+        out = tmp_path / "table2"
+        doc = {"kind": "table2", "network": {"usersPerCell": 3, "bsAntennas": 30, "seed": 4},
+               "sweep": {"variable": "ratio", "values": [2, 20]},
+               "options": {"powersDb": [20], "thresholds": [0.1, math.nan]},
+               "drops": 2, "output": str(out)}
+        with pytest.raises(ValueError, match="threshold must be a finite number"):
+            run_experiment(ExperimentSpec.from_dict(doc))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAllKindsSmoke:

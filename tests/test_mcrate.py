@@ -133,7 +133,6 @@ class TestUplinkRateMC:
         est = uplink_rate_mc(top, [PowerAllocation(np.ones(1), "uplink")], 0,
                              trials=30_000, seed=9, confidence=0.99)
         assert abs(est.per_user_rate[0] - 1.0 / math.log(2.0)) <= est.ci_half_width[0]
-        assert est.kind == "monteCarlo"
         assert est.trials == 30_000
 
     def test_zero_power_gives_zero_rate(self):
@@ -215,33 +214,23 @@ class TestDownlinkRateMC:
 
 
 class TestRateEstimate:
-    def test_closed_form_constructor(self):
-        est = RateEstimate.closed_form(np.array([2.0]))
-        assert est.kind == "closedForm"
-        assert est.trials == 0
-        assert est.ci_half_width[0] == 0.0
-
     def test_rejects_negative_rate(self):
         with pytest.raises(ValueError):
-            RateEstimate(np.array([-1.0]), 10, np.array([0.0]), "monteCarlo")
+            RateEstimate(np.array([-1.0]), 10, np.array([0.0]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_rate(self, bad):
         with pytest.raises(ValueError, match="per_user_rate"):
-            RateEstimate(np.array([bad, 1.0]), 5, np.array([0.0, 0.0]), "monteCarlo")
+            RateEstimate(np.array([bad, 1.0]), 5, np.array([0.0, 0.0]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_rejects_bad_ci_half_width(self, bad):
         with pytest.raises(ValueError, match="ci_half_width"):
-            RateEstimate(np.array([0.5, 1.0]), 5, np.array([bad, 0.0]), "monteCarlo")
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            RateEstimate(np.array([1.0]), 5, np.array([0.0]), "bogus")
+            RateEstimate(np.array([0.5, 1.0]), 5, np.array([bad, 0.0]))
 
     def test_stores_read_only_copies(self):
         rates = np.array([1.0, 2.0])
-        est = RateEstimate(rates, 5, np.zeros(2), "monteCarlo")
+        est = RateEstimate(rates, 5, np.zeros(2))
         rates[0] = 9.0
         assert est.per_user_rate[0] == 1.0
         assert not est.per_user_rate.flags.writeable
@@ -456,7 +445,7 @@ def test_rows_equal_one_row_at_a_time(estimator, direction, cells):
             assert isinstance(want, RateEstimate)
             assert np.array_equal(est.per_user_rate, want.per_user_rate)
             assert np.array_equal(est.ci_half_width, want.ci_half_width)
-            assert est.trials == want.trials and est.kind == want.kind
+            assert est.trials == want.trials
 
 
 def test_rows_are_checked_one_by_one():

@@ -11,7 +11,6 @@ from mcmimo.topology import (
     NetworkConfig,
     _in_hexagon,
     build_topology,
-    large_scale_gain,
     sample_shadowing,
     schedule_groups,
 )
@@ -121,19 +120,14 @@ class TestNetworkConfig:
 
 
 class TestLargeScaleGain:
-    def test_unit_ratio(self):
-        cfg = make_cfg()
-        assert large_scale_gain(cfg.exclusion_radius, 1.0, cfg) == 1.0
-
     def test_direct_substitution(self):
-        cfg = make_cfg()
-        got = large_scale_gain(10 * cfg.exclusion_radius, 1.0, cfg)
-        assert got == pytest.approx(10 ** (-3.8), rel=1e-12)
-
-    def test_rejects_distance_inside_exclusion(self):
-        cfg = make_cfg()
-        with pytest.raises(ValueError, match="exclusion"):
-            large_scale_gain(cfg.exclusion_radius * 0.5, 1.0, cfg)
+        # every link gain is shadow / (d / r_h)^v, d recomputed from positions
+        cfg = make_cfg(users_per_cell=5, outer_ring_cells=4, path_loss_exponent=3.1, seed=8)
+        top = build_topology(cfg)
+        diff = top.user_positions[None, :, :, :] - top.bs_positions[:, None, None, :]
+        dist = np.hypot(diff[..., 0], diff[..., 1])
+        want = top.shadowing / (dist / cfg.exclusion_radius) ** cfg.path_loss_exponent
+        assert np.array_equal(top.large_scale, want)
 
     def test_shadow_std_is_8db(self):
         # log of the linear shadow samples should have an 8 dB std dev
@@ -141,12 +135,6 @@ class TestLargeScaleGain:
         rng = np.random.default_rng(0)
         z = sample_shadowing(rng, cfg, 100_000)
         assert 10 * np.log10(z).std() == pytest.approx(8.0, abs=0.1)
-
-    def test_monotone_in_distance(self):
-        cfg = make_cfg()
-        d = np.linspace(cfg.exclusion_radius, 3000.0, 50)
-        g = [large_scale_gain(x, 1.0, cfg) for x in d]
-        assert all(b < a for a, b in zip(g, g[1:]))
 
 
 class TestBuildTopology:

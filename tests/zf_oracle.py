@@ -81,9 +81,7 @@ def _estimate(rates, trials: int, confidence: float) -> RateEstimate:
     for rate in rates:
         sum_x = sum_x + rate
         sum_x2 = sum_x2 + rate * rate
-    return RateEstimate(
-        sum_x / trials, trials, _ci_half_width(sum_x, sum_x2, trials, confidence), "monteCarlo"
-    )
+    return RateEstimate(sum_x / trials, trials, _ci_half_width(sum_x, sum_x2, trials, confidence))
 
 
 def _resampled(rng, draw, t):
