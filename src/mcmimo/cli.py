@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -45,7 +46,7 @@ from .closedform import (
 )
 from .mcrate import ESTIMATOR_VERSION, PowerAllocation, downlink_rate_mc, uplink_rate_mc
 from .network import network_sum_rate, run_joint, run_scheduled
-from .topology import CellTopology, NetworkConfig, build_topology, require_count
+from .topology import CellTopology, NetworkConfig, build_topology, check_field
 
 _MASK64 = (1 << 64) - 1
 EDGE_SPLIT_FACTOR = 0.8  # users beyond this fraction of the cell radius are "edge"
@@ -57,17 +58,10 @@ KINDS = (
     "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
     "fig10", "fig11", "fig12", "table2", "table3a", "table3b", "custom",
 )
-_TABLE_KINDS = ("table2", "table3a", "table3b")
 
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    if not x > 0:
-        raise ValueError("only positive linear values have a dB representation")
-    return 10.0 * np.log10(x)
 
 
 def derive_seed(root: int, *parts: int) -> int:
@@ -86,9 +80,11 @@ class SweepSpec:
     values: tuple
 
     def __post_init__(self):
+        # antenna, user, ratio and slot counts are run as ints, so a fraction
+        # must not be truncated; only a power sweep takes any real value
+        check_field("sweep.values", self.values,
+                    ["number" if self.variable == "powerDb" else "integral"])
         vals = tuple(float(v) for v in self.values)
-        if len(vals) == 0:
-            raise ValueError("sweep.values must be non-empty")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("sweep.values must be strictly increasing")
         object.__setattr__(self, "values", vals)
@@ -142,27 +138,33 @@ _KIND_SWEEP_VARS = {kind: (var,) for kind, (var, _, _) in _KIND_DEFAULTS.items()
 _KIND_SWEEP_VARS["custom"] += ("powerDb",)
 
 
-# sweep variables and options that count antennas, users or antennas per
-# user: the runners take them as ints, so a fraction must not be truncated
-_INTEGRAL_SWEEPS = ("bsAntennas", "usersPerCell", "ratio", "slot")
-_INTEGRAL_OPTIONS = ("ratios", "usersList", "antennasList")
+_UPLINK_RATES = {"lower": uplink_lower_bound, "upper": uplink_upper_bound,
+                 "approx": uplink_approximation}
 
 
-def _require_integral(name: str, values) -> None:
-    """ValueError naming ``name`` unless ``values`` is a list of integral numbers."""
-    if not isinstance(values, (list, tuple)) or not all(
-            not isinstance(v, bool) and isinstance(v, (int, float, np.integer, np.floating))
-            and float(v).is_integer() for v in values):
-        raise ValueError(f"{name} must be a list of integers, got {values!r}")
+_DOWNLINK_RATES = {"lower": downlink_lower_bound}
 
 
-# options whose value selects a code path: the values each accepts
-_OPTION_CHOICES = {
-    "evaluator": ("approx", "lower", "upper", "mc"),      # fig4, fig5
-    "estimator": ("closedForm", "monteCarlo"),            # fig12
-    "direction": ("uplink", "downlink"),                  # custom
+# The kind of value (see topology.check_field) of every spec, option and
+# threshold-query JSON name; a name shared by two of them means the same in each.
+_FIELDS = {
+    "trials": "count", "drops": "count",
+    # options
+    "powersDb": ["number"], "powerDb": "number", "interfererUserPowerDb": "number",
+    "interfererCellPowerDb": "number", "initialUserPowerDb": "number",
+    "estimators": [("mc", *_UPLINK_RATES)],  # on the downlink ("mc", *_DOWNLINK_RATES)
+    "evaluator": (*_UPLINK_RATES, "mc"), "estimator": ("closedForm", "monteCarlo"),
+    "direction": ("uplink", "downlink"),
+    # a misspelt scenario would otherwise run the multicell geometry under its own name
+    "scenarios": [("multicell", "singlecell")],
+    "ratios": ["integral"], "usersList": ["integral"], "antennasList": ["integral"],
+    "thresholds": ["nonnegative"], "powerW": "positive", "jointMaxIters": "count",
+    "jointTolerance": "nonnegative",
+    # threshold queries
+    "threshold": "nonnegative", "power": "number", "searchRange": ["integral"],
+    "mode": ("maxRatio", "maxAntennas", "minUsers"), "fixedUsers": "count",
+    "fixedAntennas": "count", "interfererPowerDb": "number", "edgeOnly": "bool",
 }
-_SCENARIOS = ("multicell", "singlecell")                  # fig4, fig5
 
 
 @dataclass(frozen=True)
@@ -176,8 +178,7 @@ class ExperimentSpec:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
+        check_field("kind", self.kind, KINDS)
         allowed = _KIND_SWEEP_VARS[self.kind]
         if self.sweep.variable not in allowed:
             raise ValueError(
@@ -185,36 +186,24 @@ class ExperimentSpec:
                 f"not {self.sweep.variable!r}"
             )
         for name in ("trials", "drops"):
-            object.__setattr__(self, name, require_count(name, getattr(self, name)))
+            object.__setattr__(self, name, int(check_field(name, getattr(self, name), _FIELDS[name])))
         if not self.output:
             raise ValueError("output directory (spec 'output' or --out) must be non-empty")
         known = _KIND_DEFAULTS[self.kind][2]
-        for key in self.options:
+        # options are stored as given: the manifest echoes them
+        for key, value in self.options.items():
             if key not in known:
                 raise ValueError(
                     f"unknown option {key!r} for kind {self.kind!r}; expected one of {sorted(known)}")
-        for key, allowed in _OPTION_CHOICES.items():
-            if key in self.options and self.options[key] not in allowed:
-                raise ValueError(
-                    f"option {key!r} must be one of {allowed}, got {self.options[key]!r}")
-        scenarios = self.options.get("scenarios", _SCENARIOS)
-        # a misspelt name would otherwise run the multicell geometry under its own name
-        if not (isinstance(scenarios, (list, tuple)) and scenarios
-                and all(name in _SCENARIOS for name in scenarios)
-                and len(set(scenarios)) == len(scenarios)):
-            raise ValueError(f"option 'scenarios' must be a non-empty list of distinct names "
-                             f"from {_SCENARIOS}, got {scenarios!r}")
-        if self.sweep.variable in _INTEGRAL_SWEEPS:
-            _require_integral("sweep.values", self.sweep.values)
-        for key in _INTEGRAL_OPTIONS:
-            if key in self.options:
-                _require_integral(f"option {key!r}", self.options[key])
-        if self.kind == "fig12":
-            # slots index the scheduler's history: slot 0 would read the last
-            if self.sweep.values[0] < 1:
-                raise ValueError(f"sweep.values of fig12 must be slots >= 1, "
-                                 f"got {list(self.sweep.values)}")
-            require_count("option 'jointMaxIters'", self.options["jointMaxIters"])
+            check_field(f"option {key!r}", value, _FIELDS[key])
+        if "estimators" in self.options and (
+                self.kind == "fig8" or self.options.get("direction") == "downlink"):
+            check_field("option 'estimators'", self.options["estimators"],
+                        [("mc", *_DOWNLINK_RATES)])
+        # slots index the scheduler's history: slot 0 would read the last
+        if self.kind == "fig12" and self.sweep.values[0] < 1:
+            raise ValueError(f"sweep.values of fig12 must be slots >= 1, "
+                             f"got {list(self.sweep.values)}")
 
     @classmethod
     def from_dict(cls, data: dict, overrides: dict | None = None) -> "ExperimentSpec":
@@ -229,9 +218,7 @@ class ExperimentSpec:
             data = dict(data["spec"])
         if "kind" not in data:
             raise ValueError("experiment spec needs a 'kind' field")
-        kind = data["kind"]
-        if kind not in _KIND_DEFAULTS:
-            raise ValueError(f"unknown experiment kind {kind!r}; expected one of {KINDS}")
+        kind = check_field("kind", data["kind"], KINDS)
         if "network" not in data:
             raise ValueError("experiment spec needs a 'network' field")
         overrides = overrides or {}
@@ -287,13 +274,6 @@ def _fixed_allocs(n_cells, n_users, direction, user_power=None, cell_power=None)
     return [PowerAllocation(np.full(n_users, float(p)), direction)] * n_cells
 
 
-_UPLINK_RATES = {"lower": uplink_lower_bound, "upper": uplink_upper_bound,
-                 "approx": uplink_approximation}
-
-
-_DOWNLINK_RATES = {"lower": downlink_lower_bound}
-
-
 def _cell_values(top, rows, direction, estimator, trials, mc_seed):
     """(sum rate, within-drop CI) of cell 0 under one estimator, for each
     allocation set in ``rows``; Monte Carlo rates every row from one set of
@@ -306,9 +286,6 @@ def _cell_values(top, rows, direction, estimator, trials, mc_seed):
         return [(est.sum_rate, float(est.ci_half_width.sum()))
                 for est in mc(top, rows, 0, trials, mc_seed)]
     formulas = _UPLINK_RATES if uplink else _DOWNLINK_RATES
-    if estimator not in formulas:
-        raise ValueError(f"{direction} estimators are 'mc' and {sorted(formulas)}, "
-                         f"got {estimator!r}")
     profile = uplink_profile if uplink else downlink_profile
     cfg = top.config
     return [(float(formulas[estimator](profile(top, allocations, 0), cfg.bs_antennas,
@@ -560,7 +537,7 @@ def _job_network_slots(spec: ExperimentSpec, job: dict) -> list[dict]:
     opts = spec.options
     budget = float(opts["powerW"])
     initial = db_to_linear(opts["initialUserPowerDb"])
-    estimator = "monteCarlo" if opts["estimator"] == "monteCarlo" else "closedForm"
+    estimator = opts["estimator"]
     top = _drop_topology(spec, s)
     n = top.n_users
     slots = [int(v) for v in spec.sweep.values]
@@ -628,6 +605,15 @@ def _run_payload(payload: dict) -> list[dict]:
 # threshold search (tables)
 # ---------------------------------------------------------------------------
 
+# query JSON name -> GainThresholdQuery field
+_QUERY_FIELDS = {
+    "direction": "direction", "threshold": "threshold", "power": "power_db",
+    "searchRange": "search_range", "mode": "mode", "fixedUsers": "fixed_users",
+    "fixedAntennas": "fixed_antennas", "drops": "drops",
+    "interfererPowerDb": "interferer_power_db", "edgeOnly": "edge_only",
+}
+
+
 @dataclass(frozen=True)
 class GainThresholdQuery:
     """Search for the largest system size still meeting a gain threshold."""
@@ -644,42 +630,24 @@ class GainThresholdQuery:
     edge_only: bool | None = None
 
     def __post_init__(self):
-        if self.direction not in ("uplink", "downlink"):
-            raise ValueError("direction must be 'uplink' or 'downlink'")
-        numbers = {"threshold": self.threshold, "power": self.power_db}
-        if self.interferer_power_db is not None:
-            numbers["interfererPowerDb"] = self.interferer_power_db
-        for key, value in numbers.items():
-            # NaN passes every ordered check, so finiteness is tested first
-            if isinstance(value, bool) or not isinstance(
-                    value, (int, float, np.integer, np.floating)) or not np.isfinite(value):
-                raise ValueError(f"{key} must be a finite number, got {value!r}")
-        if self.threshold < 0:
-            raise ValueError("threshold must be >= 0")
-        if self.mode not in ("maxRatio", "maxAntennas", "minUsers"):
-            raise ValueError(f"unknown search mode {self.mode!r}")
-        _require_integral("searchRange", self.search_range)
-        lo, hi = (int(v) for v in self.search_range)
-        if lo > hi:
-            raise ValueError("searchRange must be [lo, hi] with lo <= hi")
-        object.__setattr__(self, "search_range", (lo, hi))
-        # the probes build NetworkConfigs from these, which take integers only
-        for key, value in (("fixedUsers", self.fixed_users), ("fixedAntennas", self.fixed_antennas)):
-            if value is not None:
-                require_count(key, value)
+        for key, name in _QUERY_FIELDS.items():
+            value = getattr(self, name)
+            # None leaves a field whose default is None to the network or direction
+            if value is not None or getattr(GainThresholdQuery, name, 0) is not None:
+                check_field(key, value, _FIELDS[key])
+        if len(self.search_range) != 2 or self.search_range[0] > self.search_range[1]:
+            raise ValueError(f"searchRange must be [lo, hi] with lo <= hi, "
+                             f"got {self.search_range!r}")
+        object.__setattr__(self, "search_range", tuple(int(v) for v in self.search_range))
 
     @classmethod
     def from_dict(cls, data: dict) -> "GainThresholdQuery":
-        mapping = {
-            "direction": "direction", "threshold": "threshold", "power": "power_db",
-            "searchRange": "search_range", "mode": "mode", "fixedUsers": "fixed_users",
-            "fixedAntennas": "fixed_antennas", "drops": "drops",
-            "interfererPowerDb": "interferer_power_db", "edgeOnly": "edge_only",
-        }
-        unknown = sorted(set(data) - set(mapping))
+        unknown = sorted(set(data) - set(_QUERY_FIELDS))
         if unknown:
             raise ValueError(f"unknown query keys: {unknown}")
-        return cls(**{mapping[k]: v for k, v in data.items()})
+        # a missing key without a default reaches __post_init__ as None, which names it
+        return cls(**{name: data.get(key) for key, name in _QUERY_FIELDS.items()
+                      if key in data or not hasattr(cls, name)})
 
 
 class _DropProfiles:
@@ -708,7 +676,7 @@ class _DropProfiles:
         return self._stacks[key]
 
 
-def find_max_ratio(query: GainThresholdQuery, base: NetworkConfig, seed: int | None = None,
+def find_max_ratio(query: GainThresholdQuery, base: NetworkConfig,
                    profiles: _DropProfiles | None = None):
     """Largest M/N ratio (or M, or smallest N) whose relative gain meets the
     threshold, by monotone integer bisection with drop averaging.
@@ -719,7 +687,6 @@ def find_max_ratio(query: GainThresholdQuery, base: NetworkConfig, seed: int | N
     ``profiles`` lets queries on the same drops share them, and without it
     the query keeps its own.
     """
-    root = base.seed if seed is None else seed
     lo, hi = query.search_range
     n0 = query.fixed_users or base.users_per_cell
     m0 = query.fixed_antennas or base.bs_antennas
@@ -741,7 +708,7 @@ def find_max_ratio(query: GainThresholdQuery, base: NetworkConfig, seed: int | N
         interferer_db = 10.0 if query.direction == "uplink" else 30.0
     interferer_lin = db_to_linear(interferer_db)
 
-    drop_seeds = tuple(derive_seed(root, _TAG_GAIN, d) for d in range(query.drops))
+    drop_seeds = tuple(derive_seed(base.seed, _TAG_GAIN, d) for d in range(query.drops))
     if profiles is None:
         profiles = _DropProfiles()
     cache: dict[int, float] = {}
@@ -784,43 +751,34 @@ def find_max_ratio(query: GainThresholdQuery, base: NetworkConfig, seed: int | N
     return inside, False
 
 
+# table kind: (direction, search mode, the query field its first loop fixes,
+# its loops as (column, option) pairs in row order)
+_TABLES = {
+    "table2": ("uplink", "maxRatio", None, (("powerDb", "powersDb"), ("threshold", "thresholds"))),
+    "table3a": ("downlink", "maxAntennas", "fixed_users",
+                (("users", "usersList"), ("threshold", "thresholds"), ("powerDb", "powersDb"))),
+    "table3b": ("downlink", "minUsers", "fixed_antennas",
+                (("antennas", "antennasList"), ("threshold", "thresholds"), ("powerDb", "powersDb"))),
+}
+
+
 def _run_tables(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
+    direction, mode, fixed, loops = _TABLES[spec.kind]
     opts = spec.options
     lo, hi = int(spec.sweep.values[0]), int(spec.sweep.values[-1])
+    interferer_db = opts.get("interfererUserPowerDb" if direction == "uplink"
+                             else "interfererCellPowerDb")
     rows = []
     # every query of a table runs on the same drops at one interferer power,
     # so queries that probe the same N share its profiles
     profiles = _DropProfiles()
-    if spec.kind == "table2":
-        header = ["powerDb", "threshold", "maxRatio", "atBoundary"]
-        for p_db in opts["powersDb"]:
-            for th in opts["thresholds"]:
-                q = GainThresholdQuery("uplink", th, p_db, (lo, hi), "maxRatio",
-                                       drops=spec.drops,
-                                       interferer_power_db=opts.get("interfererUserPowerDb"))
-                value, boundary = find_max_ratio(q, spec.network, profiles=profiles)
-                rows.append([p_db, th, value, boundary])
-    elif spec.kind == "table3a":
-        header = ["users", "threshold", "powerDb", "maxAntennas", "atBoundary"]
-        for n in opts["usersList"]:
-            for th in opts["thresholds"]:
-                for p_db in opts["powersDb"]:
-                    q = GainThresholdQuery("downlink", th, p_db, (lo, hi), "maxAntennas",
-                                           fixed_users=int(n), drops=spec.drops,
-                                           interferer_power_db=opts.get("interfererCellPowerDb"))
-                    value, boundary = find_max_ratio(q, spec.network, profiles=profiles)
-                    rows.append([n, th, p_db, value, boundary])
-    else:
-        header = ["antennas", "threshold", "powerDb", "minUsers", "atBoundary"]
-        for m in opts["antennasList"]:
-            for th in opts["thresholds"]:
-                for p_db in opts["powersDb"]:
-                    q = GainThresholdQuery("downlink", th, p_db, (lo, hi), "minUsers",
-                                           fixed_antennas=int(m), drops=spec.drops,
-                                           interferer_power_db=opts.get("interfererCellPowerDb"))
-                    value, boundary = find_max_ratio(q, spec.network, profiles=profiles)
-                    rows.append([m, th, p_db, value, boundary])
-    return header, rows
+    for row in itertools.product(*(opts[option] for _, option in loops)):
+        point = dict(zip((option for _, option in loops), row))
+        sizes = {fixed: int(row[0])} if fixed else {}
+        q = GainThresholdQuery(direction, point["thresholds"], point["powersDb"], (lo, hi), mode,
+                               drops=spec.drops, interferer_power_db=interferer_db, **sizes)
+        rows.append([*row, *find_max_ratio(q, spec.network, profiles=profiles)])
+    return [*(column for column, _ in loops), mode, "atBoundary"], rows
 
 
 # ---------------------------------------------------------------------------
@@ -928,7 +886,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> Path:
     At most ``jobs`` worker processes run, never more than there are jobs;
     a single job runs in this process.
     """
-    jobs = require_count("--jobs", jobs)
+    jobs = check_field("--jobs", jobs, "count")
     outdir = Path(spec.output)
     _check_replaceable(outdir)
     spec_dict = spec.to_dict()
@@ -948,7 +906,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> Path:
     }
 
     files = {}
-    if spec.kind in _TABLE_KINDS:
+    if spec.kind in _TABLES:
         header, rows = _run_tables(spec)
         table_file = f"{spec.kind}.csv"
         files[table_file] = "".join(",".join(str(v) for v in row) + "\n"
@@ -1073,11 +1031,15 @@ def main(argv=None) -> int:
 
     if args.command == "table":
         data = json.loads(Path(args.query).read_text())
+        if not isinstance(data, dict) or "network" not in data:
+            raise ValueError(f"query {args.query} needs a 'network' field")
         network = NetworkConfig.from_json(data.pop("network"))
+        if args.seed is not None:
+            network = replace(network, seed=args.seed)
         if args.drops is not None:
             data["drops"] = args.drops
         query = GainThresholdQuery.from_dict(data)
-        value, boundary = find_max_ratio(query, network, seed=args.seed)
+        value, boundary = find_max_ratio(query, network)
         print(f"{query.mode} = {value}" + (" (at search boundary)" if boundary else ""))
         if args.out:
             path = Path(args.out)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import closedform
 from .mcrate import PowerAllocation, _allocation_rows, downlink_rate_mc, uplink_rate_mc
-from .topology import CellTopology, require_count, schedule_groups
+from .topology import CellTopology, check_field, schedule_groups
 
 _LN2 = math.log(2.0)
 _MASK64 = (1 << 64) - 1
@@ -134,10 +134,6 @@ def _uplink_gradient(topology: CellTopology, b1: np.ndarray, ap: np.ndarray) -> 
     return a / denom / _LN2 - np.einsum("i,ij,ijm->jm", u, adj, beta) / _LN2
 
 
-def _uplink_objective(topology: CellTopology, pmat: np.ndarray) -> float:
-    return _uplink_forward(topology, pmat)[0]
-
-
 def _downlink_objective(topology: CellTopology, per_cell_powers) -> float:
     cfg = topology.config
     k = topology.cluster_size
@@ -167,7 +163,7 @@ def network_sum_rate(
     direction = rows[0][0].direction
     if estimator == "closedForm":
         if direction == "uplink":
-            totals = [_uplink_objective(topology, _power_matrix(topology, row)) for row in rows]
+            totals = [_uplink_forward(topology, _power_matrix(topology, row))[0] for row in rows]
         else:
             totals = [_downlink_objective(topology, row) for row in rows]
     elif estimator == "monteCarlo":
@@ -205,11 +201,9 @@ def run_scheduled(
     forever. The network sum rate is recorded after every slot with the
     requested estimator.
     """
-    if not (math.isfinite(budget) and budget > 0):
-        raise ValueError(f"budget must be finite and > 0, got {budget}")
-    if not (math.isfinite(initial_power) and initial_power >= 0):
-        raise ValueError(f"initial_power must be finite and >= 0, got {initial_power}")
-    require_count("slots", slots)
+    check_field("budget", budget, "positive")
+    check_field("initial_power", initial_power, "nonnegative")
+    check_field("slots", slots, "count")
     cfg = topology.config
     m, n = cfg.bs_antennas, cfg.users_per_cell
     direction = getattr(strategy, "direction", "uplink")
@@ -260,22 +254,17 @@ def run_joint(
     stationary point, flagged ``converged=False`` with a warning if the
     iteration cap was reached first.
     """
-    if not (math.isfinite(budget) and budget > 0):
-        raise ValueError(f"budget must be finite and > 0, got {budget}")
-    require_count("max_iters", max_iters)
+    check_field("budget", budget, "positive")
+    check_field("max_iters", max_iters, "count")
     # a NaN or negative tolerance is never met, so the loop would run until
     # backtracking underflows and still report convergence
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
+    check_field("tolerance", tolerance, "nonnegative")
     n = topology.config.users_per_cell
     k = topology.cluster_size
 
     pmat = np.full((topology.n_cells, n), budget / n)
     if outer_user_power is not None:
-        if not (math.isfinite(outer_user_power) and outer_user_power >= 0):
-            raise ValueError(f"outer_user_power must be None or finite and >= 0, "
-                             f"got {outer_user_power}")
-        pmat[k:] = outer_user_power
+        pmat[k:] = check_field("outer_user_power", outer_user_power, "nonnegative")
 
     f, b1, ap = _uplink_forward(topology, pmat)
     grad = _uplink_gradient(topology, b1, ap)

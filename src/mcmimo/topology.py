@@ -21,27 +21,69 @@ _MASK64 = (1 << 64) - 1
 _LAYOUT_RADIUS = {1: 0, 7: 1, 19: 2}
 
 # JSON documents use these exact key names; anything else is rejected.
+# JSON key -> (attribute, kind of value; see check_field)
 _JSON_FIELDS = {
-    "cellRadius": "cell_radius",
-    "exclusionRadius": "exclusion_radius",
-    "shadowStdDb": "shadow_std_db",
-    "pathLossExponent": "path_loss_exponent",
-    "cellCount": "cell_count",
-    "usersPerCell": "users_per_cell",
-    "bsAntennas": "bs_antennas",
-    "seed": "seed",
-    "outerRingCells": "outer_ring_cells",
+    "cellRadius": ("cell_radius", "number"),
+    "exclusionRadius": ("exclusion_radius", "number"),
+    "shadowStdDb": ("shadow_std_db", "number"),
+    "pathLossExponent": ("path_loss_exponent", "number"),
+    "cellCount": ("cell_count", "integer"),
+    "usersPerCell": ("users_per_cell", "integer"),
+    "bsAntennas": ("bs_antennas", "integer"),
+    "seed": ("seed", "integer"),
+    "outerRingCells": ("outer_ring_cells", "integer"),
 }
-_FIELD_TO_JSON = {v: k for k, v in _JSON_FIELDS.items()}
-_INT_FIELDS = ("users_per_cell", "bs_antennas", "seed", "cell_count", "outer_ring_cells")
-_FLOAT_FIELDS = ("cell_radius", "exclusion_radius", "shadow_std_db", "path_loss_exponent")
+
+# what each named kind of check_field accepts
+_KIND_NAMES = {
+    "integer": "an integer",
+    "count": "an integer >= 1",
+    "integral": "an integral number",
+    "number": "a finite number",
+    "nonnegative": "a finite number >= 0",
+    "positive": "a finite number > 0",
+    "bool": "true or false",
+}
 
 
-def require_count(name: str, value) -> int:
-    """``value`` as an int if it is a non-bool integer >= 1, else a ValueError naming it."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
+def _describe(kind) -> str:
+    if isinstance(kind, list):
+        distinct = "distinct " if isinstance(kind[0], tuple) else ""
+        return f"a non-empty list of {distinct}values, each {_describe(kind[0])}"
+    return f"one of {kind}" if isinstance(kind, tuple) else _KIND_NAMES[kind]
+
+
+def _fits(value, kind) -> bool:
+    if isinstance(kind, list):
+        return (isinstance(value, (list, tuple)) and len(value) > 0
+                and all(_fits(v, kind[0]) for v in value)
+                and (not isinstance(kind[0], tuple) or len(set(value)) == len(value)))
+    if isinstance(kind, tuple):
+        return value in kind
+    if kind == "bool":
+        return isinstance(value, bool)
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    whole = isinstance(value, (int, np.integer))
+    if kind in ("integer", "count"):
+        return whole and (kind == "integer" or value >= 1)
+    # NaN slips through every ordered check, so finiteness comes first
+    if not (whole or math.isfinite(value)):
+        return False
+    return {"integral": whole or float(value).is_integer(), "number": True,
+            "nonnegative": value >= 0, "positive": value > 0}[kind]
+
+
+def check_field(name: str, value, kind):
+    """``value`` itself if it is of ``kind``, else a ValueError naming ``name``.
+
+    A kind is one of the names in ``_KIND_NAMES`` (numbers exclude bools), a
+    tuple of the accepted values, or a one-element list ``[item]``: a
+    non-empty list of such items, distinct when the item is a tuple.
+    """
+    if not _fits(value, kind):
+        raise ValueError(f"{name} must be {_describe(kind)}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -66,24 +108,17 @@ class NetworkConfig:
     outer_ring_cells: int = 0
 
     def __post_init__(self):
-        # every dataclasses.replace of a config runs these checks, so plain
-        # ints and floats take the first, cheapest test
-        for name in _INT_FIELDS:
+        # every dataclasses.replace of a config runs these checks, so a plain
+        # int, or a finite plain float where a number is due, skips the checker
+        for key, (name, kind) in _JSON_FIELDS.items():
             value = getattr(self, name)
-            if type(value) is not int:
-                if isinstance(value, bool) or not isinstance(value, np.integer):
-                    raise ValueError(f"{_FIELD_TO_JSON[name]} must be an integer, got {value!r}")
-                object.__setattr__(self, name, int(value))  # a numpy integer would not serialise
+            if type(value) is not int and not (
+                    kind == "number" and type(value) is float and math.isfinite(value)):
+                check_field(key, value, kind)
+                if kind == "integer":  # a numpy integer would not serialise
+                    object.__setattr__(self, name, int(value))
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if type(value) not in (float, int) and (
-                    isinstance(value, bool) or not isinstance(value, (np.integer, np.floating))):
-                raise ValueError(f"{_FIELD_TO_JSON[name]} must be a number, got {value!r}")
-            # NaN slips through every ordered check below and into the gains
-            if not math.isfinite(value):
-                raise ValueError(f"{_FIELD_TO_JSON[name]} must be finite, got {value}")
         if self.users_per_cell < 1:
             raise ValueError("usersPerCell must be a positive integer")
         if self.bs_antennas < self.users_per_cell + 1:
@@ -136,14 +171,14 @@ class NetworkConfig:
         unknown = sorted(set(data) - set(_JSON_FIELDS))
         if unknown:
             raise ValueError(f"unknown network config keys: {unknown}")
-        kwargs = {_JSON_FIELDS[k]: v for k, v in data.items()}
+        kwargs = {_JSON_FIELDS[k][0]: v for k, v in data.items()}
         try:
             return cls(**kwargs)
         except TypeError as exc:  # missing required field
             raise ValueError(f"invalid network config: {exc}") from exc
 
     def to_json(self) -> dict:
-        return {_FIELD_TO_JSON[name]: getattr(self, name) for name in _FIELD_TO_JSON}
+        return {key: getattr(self, name) for key, (name, _) in _JSON_FIELDS.items()}
 
 
 def _axial_disk(radius: int) -> list[tuple[int, int]]:

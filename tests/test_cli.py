@@ -5,21 +5,20 @@ import os
 import numpy as np
 import pytest
 
-from mcmimo import cli, closedform
+from mcmimo import cli, closedform, topology
 from mcmimo.cli import (
     ExperimentSpec,
     GainThresholdQuery,
     db_to_linear,
     emit_plot_data,
     find_max_ratio,
-    linear_to_db,
     main,
     run_experiment,
 )
 from mcmimo.allocation import equal_alloc, relative_gain
 from mcmimo.mcrate import uplink_rate_mc
 from mcmimo.network import network_sum_rate, run_joint
-from mcmimo.topology import NetworkConfig, build_topology
+from mcmimo.topology import NetworkConfig, build_topology, check_field
 
 
 def tiny_spec(tmp_path, **over):
@@ -49,9 +48,6 @@ def read_curve(path):
 class TestUnits:
     def test_db_roundtrip(self):
         assert db_to_linear(20.0) == pytest.approx(100.0)
-        assert linear_to_db(1000.0) == pytest.approx(30.0)
-        with pytest.raises(ValueError):
-            linear_to_db(0.0)
 
 
 class TestSpecParsing:
@@ -214,6 +210,91 @@ class TestSpecParsing:
         path.write_text(json.dumps(tiny_spec(tmp_path)))
         with pytest.raises(ValueError, match="out"):
             main(["run", str(path), "--out", ""])
+
+
+NET = {"usersPerCell": 3, "bsAntennas": 30, "seed": 4}
+QUERY = {"direction": "uplink", "threshold": 0.1, "power": 20, "searchRange": [2, 4], "drops": 2}
+
+
+def _field_cases():
+    options = sorted({key for _, _, opts in cli._KIND_DEFAULTS.values() for key in opts})
+    return ([("option", key) for key in options] + [("query", key) for key in cli._QUERY_FIELDS]
+            + [("network", key) for key in topology._JSON_FIELDS])
+
+
+class TestFieldTable:
+    """Every JSON name of an option, a threshold query and a network config has
+    a kind, and its entry point checks it against that kind."""
+
+    @pytest.mark.parametrize("table, key", _field_cases())
+    def test_every_field_has_a_kind_and_is_checked(self, table, key):
+        if table == "option":
+            kinds = [kind for kind, (_, _, opts) in cli._KIND_DEFAULTS.items() if key in opts]
+            for kind in kinds:  # every kind's default passes its own check
+                default = cli._KIND_DEFAULTS[kind][2][key]
+                assert check_field(key, default, cli._FIELDS[key]) is default
+
+            def build(value):
+                ExperimentSpec.from_dict({"kind": kinds[0], "network": NET,
+                                          "options": {key: value}})
+        elif table == "query":
+            assert key in cli._FIELDS
+            GainThresholdQuery.from_dict(QUERY)
+
+            def build(value):
+                GainThresholdQuery.from_dict({**QUERY, key: value})
+        else:
+            check_field(key, 1, topology._JSON_FIELDS[key][1])  # a valid kind
+            NetworkConfig.from_json(NET)
+
+            def build(value):
+                NetworkConfig.from_json({**NET, key: value})
+        # a string is the wrong type for every kind and among no choices
+        with pytest.raises(ValueError, match=key):
+            build("x")
+
+    def test_options_are_stored_as_given(self, tmp_path):
+        # the manifest echoes the options: 2.0 stays a float, a list stays a list
+        doc = {"kind": "fig6", "network": NET, "options": {"ratios": [2.0, 5]},
+               "output": str(tmp_path / "fig6")}
+        spec = ExperimentSpec.from_dict(doc)
+        assert spec.to_dict()["options"]["ratios"] == [2.0, 5]
+        assert [type(v) for v in spec.options["ratios"]] == [float, int]
+
+
+class TestCheckedBeforeAnyJob:
+    """Each of these ran, or failed inside the first job with a message that
+    did not name the option. Now the spec is refused and nothing is written."""
+
+    @pytest.mark.parametrize("kind, over, name", [
+        # a repeated estimator added its draws twice and narrowed the interval
+        ("fig2", {"options": {"estimators": ["mc", "mc"]}}, "option 'estimators'"),
+        ("fig2", {"options": {"estimators": []}}, "option 'estimators'"),
+        ("fig7", {"options": {"powersDb": []}}, "option 'powersDb'"),
+        ("table2", {"options": {"thresholds": []}}, "option 'thresholds'"),
+        ("fig5", {"options": {"powerDb": True}}, "option 'powerDb'"),
+        ("fig12", {"options": {"jointTolerance": "1e-9"}}, "option 'jointTolerance'"),
+        ("fig2", {"options": {"estimators": "lower"}}, "option 'estimators'"),
+        ("custom", {"options": {"direction": "downlink", "estimators": ["approx"]}},
+         "option 'estimators'"),
+        ("fig8", {"options": {"estimators": ["mc", "upper"]}}, "option 'estimators'"),
+        ("fig2", {"options": {"powersDb": [20, math.nan]}}, "option 'powersDb'"),
+        ("fig5", {"options": {"interfererUserPowerDb": math.nan}}, "option 'interfererUserPowerDb'"),
+        ("fig12", {"options": {"powerW": math.nan}}, "option 'powerW'"),
+        ("fig12", {"options": {"jointTolerance": math.nan}}, "option 'jointTolerance'"),
+        ("fig3", {"sweep": {"variable": "powerDb", "values": [0, math.nan]}}, "sweep.values"),
+        ("fig3", {"sweep": {"variable": "powerDb", "values": [0, math.inf]}}, "sweep.values"),
+        ("fig2", {"options": {"interfererUserPowerDb": "10"}}, "option 'interfererUserPowerDb'"),
+        ("fig2", {"options": {"powersDb": 20}}, "option 'powersDb'"),
+    ])
+    def test_refused_naming_the_field(self, tmp_path, kind, over, name):
+        out = tmp_path / "out"
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": kind, "network": NET, "trials": 8, "drops": 1,
+                                    "output": str(out), **over}))
+        with pytest.raises(ValueError, match=name):
+            main(["run", str(path)])
+        assert not out.exists()
 
 
 class TestRunExperiment:
@@ -581,7 +662,7 @@ class TestFindMaxRatio:
             GainThresholdQuery("uplink", search_range=(2, 6), **kwargs)
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError, match="threshold must be >= 0"):
+        with pytest.raises(ValueError, match="threshold must be a finite number >= 0"):
             GainThresholdQuery("uplink", -0.1, 20.0, (2, 6))
 
     # The probed x values in order, for an interior crossing and both boundary
@@ -845,14 +926,57 @@ class TestMainEntry:
         assert not csv_out.exists()
 
     def test_table2_rejects_nan_threshold_before_writing(self, tmp_path):
+        # refused with the spec: the 0.1 bisection no longer runs first
         out = tmp_path / "table2"
         doc = {"kind": "table2", "network": {"usersPerCell": 3, "bsAntennas": 30, "seed": 4},
                "sweep": {"variable": "ratio", "values": [2, 20]},
                "options": {"powersDb": [20], "thresholds": [0.1, math.nan]},
                "drops": 2, "output": str(out)}
-        with pytest.raises(ValueError, match="threshold must be a finite number"):
+        with pytest.raises(ValueError, match="option 'thresholds'"):
             run_experiment(ExperimentSpec.from_dict(doc))
         assert list(tmp_path.iterdir()) == []
+
+    ABSENT = object()
+
+    @pytest.mark.parametrize("over, name", [
+        ({"drops": 0}, "drops"),  # an IndexError
+        ({"drops": 2.5}, "drops"),  # a TypeError
+        ({"drops": True}, "drops"),  # ran one drop
+        ({"edgeOnly": "no"}, "edgeOnly"),  # taken as true
+        ({"searchRange": [2, 40, 60]}, "searchRange"),  # too many values to unpack
+        ({"searchRange": ABSENT}, "searchRange"),  # a TypeError naming search_range
+        ({"direction": ABSENT}, "direction"),
+        ({"network": ABSENT}, "network"),  # a KeyError
+    ])
+    def test_table_query_names_the_field(self, tmp_path, over, name):
+        query = {**QUERY, "network": NET, **over}
+        qpath = tmp_path / "query.json"
+        qpath.write_text(json.dumps({k: v for k, v in query.items() if v is not self.ABSENT}))
+        csv_out = tmp_path / "res.csv"
+        with pytest.raises(ValueError, match=name):
+            main(["table", str(qpath), "--out", str(csv_out)])
+        assert not csv_out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_table_seed_override_is_checked(self, tmp_path, seed):
+        # -1 ran as seed 2**64 - 1 and 2**64 as seed 0
+        qpath = tmp_path / "query.json"
+        qpath.write_text(json.dumps({**QUERY, "network": NET}))
+        csv_out = tmp_path / "res.csv"
+        with pytest.raises(ValueError, match="seed must be in"):
+            main(["table", str(qpath), "--seed", str(seed), "--out", str(csv_out)])
+        assert not csv_out.exists()
+
+    def test_table_seed_override_replaces_the_network_seed(self, tmp_path):
+        query = {**QUERY, "threshold": 0.3, "searchRange": [2, 40], "drops": 3}
+        results = []
+        for network_seed, flags in ((9, []), (4, ["--seed", "9"])):
+            qpath = tmp_path / f"query{network_seed}.json"
+            qpath.write_text(json.dumps({**query, "network": {**NET, "seed": network_seed}}))
+            csv_out = tmp_path / f"res{network_seed}.csv"
+            main(["table", str(qpath), *flags, "--out", str(csv_out)])
+            results.append(csv_out.read_text())
+        assert results[0] == results[1]
 
 
 class TestAllKindsSmoke:

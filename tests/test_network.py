@@ -13,7 +13,6 @@ from mcmimo.mcrate import PowerAllocation
 from mcmimo.network import (
     JointResult,
     NetworkState,
-    _uplink_objective,
     network_sum_rate,
     project_budget_simplex,
     run_joint,
@@ -316,15 +315,16 @@ class TestUplinkObjective:
         pmat = np.random.default_rng(outer).uniform(0.5, 10.0, (top.n_cells, 3))
         f, b1, ap = network._uplink_forward(top, pmat)
         grad = network._uplink_gradient(top, b1, ap)
-        assert f == _uplink_objective(top, pmat)
+        # the scheduler's closed-form sum rate is this objective, bit for bit
+        assert f == network_sum_rate(top, [PowerAllocation(p, "uplink") for p in pmat])
         assert grad.shape == (k, 3)
         h = 1e-5
         fd = np.empty((k, 3))
         for j, m in np.ndindex(k, 3):
             step = np.zeros_like(pmat)
             step[j, m] = h
-            fd[j, m] = (_uplink_objective(top, pmat + step)
-                        - _uplink_objective(top, pmat - step)) / (2 * h)
+            fd[j, m] = (network._uplink_forward(top, pmat + step)[0]
+                        - network._uplink_forward(top, pmat - step)[0]) / (2 * h)
         # the interference terms must be in: without them the gradient is off
         # by far more than the tolerance
         own = network._objective_constants(top)[0] / (b1[:, None] + ap) / np.log(2.0)
@@ -404,7 +404,7 @@ class TestRunJoint:
                         pmat = np.array(
                             [[i * step, j * step], [k * step, l * step]]
                         )
-                        best = max(best, _uplink_objective(top, pmat))
+                        best = max(best, network._uplink_forward(top, pmat)[0])
         assert res.objective >= best - 1e-3
 
     def test_never_worse_than_equal_start(self):

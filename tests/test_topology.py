@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mcmimo.topology import (
     NetworkConfig,
     _in_hexagon,
     build_topology,
+    check_field,
     sample_shadowing,
     schedule_groups,
 )
@@ -20,6 +22,28 @@ def make_cfg(**kw):
     base = dict(users_per_cell=4, bs_antennas=16, seed=1)
     base.update(kw)
     return NetworkConfig(**base)
+
+
+class TestCheckField:
+    @pytest.mark.parametrize("value, kind", [
+        (3, "count"), (np.int64(3), "count"), (-2, "integer"), (20.0, "integral"),
+        ([20.0, 3], ["integral"]), (0.0, "nonnegative"), (1e-9, "positive"), (-1.5, "number"),
+        (np.float32(2.5), "number"), (False, "bool"), ("mc", ("mc", "lower")),
+        (["lower", "mc"], [("mc", "lower")]), ((1.5, 1.5), ["number"]),
+    ])
+    def test_accepts_and_returns_the_value_unchanged(self, value, kind):
+        assert check_field("f", value, kind) is value
+
+    @pytest.mark.parametrize("value, kind", [
+        (2.0, "count"), (0, "count"), (True, "integer"), (20.5, "integral"),
+        (math.inf, "integral"), (math.nan, "number"), (-math.inf, "number"),
+        (-1e-9, "nonnegative"), (0.0, "positive"), ("1", "number"), (True, "number"),
+        (1, "bool"), ("x", ("mc",)), ([], ["number"]), ("mc", [("mc",)]),
+        (["mc", "mc"], [("mc",)]), ([[1]], ["number"]), ([1, math.nan], ["number"]),
+    ])
+    def test_rejects_naming_the_field(self, value, kind):
+        with pytest.raises(ValueError, match="^someField must be "):
+            check_field("someField", value, kind)
 
 
 class TestNetworkConfig:
@@ -49,7 +73,7 @@ class TestNetworkConfig:
     ])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_float_fields(self, field, key, value):
-        with pytest.raises(ValueError, match=f"{key} must be finite"):
+        with pytest.raises(ValueError, match=f"{key} must be a finite number"):
             make_cfg(**{field: value})
 
     @pytest.mark.parametrize("field, value, message", [
@@ -63,8 +87,8 @@ class TestNetworkConfig:
         ("seed", 2**70, "seed must be in"),
         ("cell_count", 7.0, "cellCount must be an integer"),
         ("outer_ring_cells", False, "outerRingCells must be an integer"),
-        ("cell_radius", "1000", "cellRadius must be a number"),
-        ("shadow_std_db", True, "shadowStdDb must be a number"),
+        ("cell_radius", "1000", "cellRadius must be a finite number"),
+        ("shadow_std_db", True, "shadowStdDb must be a finite number"),
     ])
     def test_rejects_mistyped_fields(self, field, value, message):
         with pytest.raises(ValueError, match=message):
