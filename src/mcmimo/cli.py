@@ -81,9 +81,11 @@ class SweepSpec:
 
     def __post_init__(self):
         # antenna, user, ratio and slot counts are run as ints, so a fraction
-        # must not be truncated; only a power sweep takes any real value
+        # must not be truncated, nor a 0 run as the network's own count (a
+        # fig12 slot 0 would read the last slot); only a power sweep takes any
+        # real value
         check_field("sweep.values", self.values,
-                    ["number" if self.variable == "powerDb" else "integral"])
+                    ["number" if self.variable == "powerDb" else "size"])
         vals = tuple(float(v) for v in self.values)
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("sweep.values must be strictly increasing")
@@ -157,7 +159,7 @@ _FIELDS = {
     "direction": ("uplink", "downlink"),
     # a misspelt scenario would otherwise run the multicell geometry under its own name
     "scenarios": [("multicell", "singlecell")],
-    "ratios": ["integral"], "usersList": ["integral"], "antennasList": ["integral"],
+    "ratios": ["size"], "usersList": ["size"], "antennasList": ["size"],
     "thresholds": ["nonnegative"], "powerW": "positive", "jointMaxIters": "count",
     "jointTolerance": "nonnegative",
     # threshold queries
@@ -187,8 +189,7 @@ class ExperimentSpec:
             )
         for name in ("trials", "drops"):
             object.__setattr__(self, name, int(check_field(name, getattr(self, name), _FIELDS[name])))
-        if not self.output:
-            raise ValueError("output directory (spec 'output' or --out) must be non-empty")
+        check_field("output", self.output, "string")
         known = _KIND_DEFAULTS[self.kind][2]
         # options are stored as given: the manifest echoes them
         for key, value in self.options.items():
@@ -200,10 +201,6 @@ class ExperimentSpec:
                 self.kind == "fig8" or self.options.get("direction") == "downlink"):
             check_field("option 'estimators'", self.options["estimators"],
                         [("mc", *_DOWNLINK_RATES)])
-        # slots index the scheduler's history: slot 0 would read the last
-        if self.kind == "fig12" and self.sweep.values[0] < 1:
-            raise ValueError(f"sweep.values of fig12 must be slots >= 1, "
-                             f"got {list(self.sweep.values)}")
 
     @classmethod
     def from_dict(cls, data: dict, overrides: dict | None = None) -> "ExperimentSpec":
@@ -216,9 +213,7 @@ class ExperimentSpec:
                     f"{ESTIMATOR_VERSION}: its Monte Carlo outputs would not be reproduced"
                 )
             data = dict(data["spec"])
-        if "kind" not in data:
-            raise ValueError("experiment spec needs a 'kind' field")
-        kind = check_field("kind", data["kind"], KINDS)
+        kind = check_field("kind", data.get("kind"), KINDS)
         if "network" not in data:
             raise ValueError("experiment spec needs a 'network' field")
         overrides = overrides or {}
@@ -226,10 +221,10 @@ class ExperimentSpec:
         if "seed" in overrides and overrides["seed"] is not None:
             network = replace(network, seed=int(overrides["seed"]))
         default_var, default_vals, default_opts = _KIND_DEFAULTS[kind]
-        sweep_raw = data.get("sweep") or {"variable": default_var, "values": default_vals}
-        sweep = SweepSpec(sweep_raw["variable"], sweep_raw["values"])
-        options = dict(default_opts)
-        options.update(data.get("options") or {})
+        sweep = data.get("sweep", {"variable": default_var, "values": default_vals})
+        if sorted(check_field("sweep", sweep, "object")) != ["values", "variable"]:
+            raise ValueError(f"sweep must have exactly the keys variable and values, got {sweep!r}")
+        options = {**default_opts, **check_field("options", data.get("options", {}), "object")}
         known = {"kind", "network", "sweep", "trials", "drops", "output", "options", "spec"}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -241,10 +236,10 @@ class ExperimentSpec:
         return cls(
             kind=kind,
             network=network,
-            sweep=sweep,
+            sweep=SweepSpec(sweep["variable"], sweep["values"]),
             trials=data.get("trials", 10_000) if trials is None else trials,
             drops=data.get("drops", 50) if drops is None else drops,
-            output=str(data.get("output", "out") if out is None else out),
+            output=data.get("output", "out") if out is None else out,
             options=options,
         )
 
@@ -316,9 +311,9 @@ def _drop_topology(spec: ExperimentSpec, drop: int, *, users=None, antennas=None
     cfg = replace(
         cfg,
         seed=derive_seed(root, _TAG_DROP, drop, *extra),
-        users_per_cell=users or cfg.users_per_cell,
-        bs_antennas=antennas or cfg.bs_antennas,
-        cell_count=cells or cfg.cell_count,
+        users_per_cell=cfg.users_per_cell if users is None else users,
+        bs_antennas=cfg.bs_antennas if antennas is None else antennas,
+        cell_count=cfg.cell_count if cells is None else cells,
     )
     key = replace(cfg, bs_antennas=cfg.users_per_cell + 1)
     if key not in _last_drop:
@@ -390,40 +385,36 @@ def _downlink_gains(prof: DownlinkProfile, m: int, p_lin, users=None) -> np.ndar
 # ---------------------------------------------------------------------------
 
 def _job_equal_power(spec: ExperimentSpec, job: dict) -> list[dict]:
-    """Equal-power rate curves (fig2, fig3, fig8, custom)."""
-    i, d = job["xIndex"], job["drop"]
-    x = spec.sweep.values[i]
+    """Equal-power rate curves (fig2, fig3, fig8, custom): one M at each power
+    panel, or every power of a power sweep's drop, as the rows of one call
+    (Monte Carlo: from one set of draws, as nothing drawn depends on power)."""
+    d = job["drop"]
     opts = spec.options
     direction = opts.get("direction", "downlink" if spec.kind == "fig8" else "uplink")
-    estimators = opts["estimators"]
 
-    sweep_m = spec.sweep.variable == "bsAntennas"
-    m = int(x) if sweep_m else spec.network.bs_antennas
+    if spec.sweep.variable == "powerDb":
+        m = spec.network.bs_antennas
+        points = [("", x, db_to_linear(x)) for x in spec.sweep.values]
+        mc_seed = derive_seed(spec.network.seed, _TAG_MC, d)
+    else:
+        i = job["xIndex"]
+        x = spec.sweep.values[i]
+        m = int(x)
+        points = ([(f"P{num:g}dB", x, db_to_linear(num)) for num in opts["powersDb"]]
+                  if "powersDb" in opts else [("", x, db_to_linear(opts.get("powerDb", 20)))])
+        mc_seed = derive_seed(spec.network.seed, _TAG_MC, d, i, 0)
     top = _drop_topology(spec, d, antennas=m)
     n = top.n_users
 
-    if "powersDb" in opts and spec.sweep.variable != "powerDb":
-        panels = [(f"P{num:g}dB", db_to_linear(num)) for num in opts["powersDb"]]
-    elif spec.sweep.variable == "powerDb":
-        panels = [("", db_to_linear(x))]
-    else:
-        panels = [("", db_to_linear(opts.get("powerDb", 20)))]
-
-    if direction == "uplink":
-        interferers = _fixed_allocs(top.n_cells, n, "uplink",
-                                    user_power=db_to_linear(opts["interfererUserPowerDb"]))
-    else:
-        interferers = _fixed_allocs(top.n_cells, n, "downlink",
-                                    cell_power=db_to_linear(opts["interfererCellPowerDb"]))
-    rows = [[equal_alloc(n, p_lin, direction), *interferers[1:]] for _, p_lin in panels]
-    # every panel shares panel 0's seed (estimatorVersion 3), so Monte Carlo
-    # rates all panels from one set of draws
-    mc_seed = derive_seed(spec.network.seed, _TAG_MC, d, i, 0)
+    # uplink interferers transmit a per-user power, downlink ones a cell total
+    p_x = db_to_linear(opts["interfererUserPowerDb" if direction == "uplink"
+                            else "interfererCellPowerDb"])
+    interferers = _fixed_allocs(top.n_cells, n, direction, user_power=p_x, cell_power=p_x)
+    rows = [[equal_alloc(n, p_lin, direction), *interferers[1:]] for _, _, p_lin in points]
     values = {est: _cell_values(top, rows, direction, est, spec.trials, mc_seed)
-              for est in estimators}
-    return [{"panel": panel, "label": est, "x": x, "value": values[est][pi][0],
-             "ci": values[est][pi][1]}
-            for pi, (panel, _) in enumerate(panels) for est in estimators]
+              for est in opts["estimators"]}
+    return [{"panel": panel, "label": est, "x": x, "value": rates[pi][0], "ci": rates[pi][1]}
+            for pi, (panel, x, _) in enumerate(points) for est, rates in values.items()]
 
 
 def _job_fixed_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
@@ -585,15 +576,13 @@ _PER_DROP_KINDS = ("fig4", "fig5", "fig7", "fig10", "fig11", "fig12")  # one job
 
 
 def _plan_jobs(spec: ExperimentSpec) -> list[dict]:
-    if spec.kind in _PER_DROP_KINDS:
+    # a power sweep rates all its powers in one job per drop (_job_equal_power)
+    if spec.kind in _PER_DROP_KINDS or spec.sweep.variable == "powerDb":
         return [{"drop": d} for d in range(spec.drops)]
     # drop-major, so consecutive jobs reuse one drop's geometry; every sweep
     # point still receives its samples in drop order
-    return [
-        {"xIndex": i, "drop": d}
-        for d in range(spec.drops)
-        for i in range(len(spec.sweep.values))
-    ]
+    return [{"xIndex": i, "drop": d} for d in range(spec.drops)
+            for i in range(len(spec.sweep.values))]
 
 
 def _run_payload(payload: dict) -> list[dict]:

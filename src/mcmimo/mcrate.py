@@ -12,29 +12,31 @@ where the interference sums run over the edge-adjacent cells only and
 G_il = H_il diag(beta_il)^{1/2} with H_il an M x N matrix of i.i.d. CN(0, 1)
 entries.
 
-The estimators never draw an M x N channel. They sample the sufficient
-statistics of each trial exactly in distribution, at O(N^3) cost that does not
-depend on M:
+The estimators never draw an M x N channel. They sample each trial exactly in
+distribution, at a cost that does not depend on M:
 
-* Bartlett draw (Goodman 1963). W = L L^H ~ CW_N(M, I) has the law of H^H H
-  when L is lower triangular with |L_ii|^2 ~ Gamma(M - i, 1) for i = 0..N-1
-  (a real positive diagonal) and L_ij ~ CN(0, 1) for i > j.
-* Uplink. With D = diag(beta_own) and F = D^{-1/2} L^{-H}, the Gram inverse is
-  (G^H G)^{-1} = F F^H, so the noise term is ||a_n||^2 = ||F_{n,:}||^2. The
-  neighbours' channels G_x are independent of A, hence
-  A^H G_x =d F Z diag(beta_x)^{1/2} with Z ~ CN(0, I) of size N x (6N), and
-  SINR_n = p_n / (sum_k p_k |(A^H G_x)_{nk}|^2 + ||a_n||^2).
-* Downlink. Neighbour l contributes
+* Uplink. For W = H^H H ~ CW_N(M, I), ||a_n||^2 = [W^{-1}]_nn / beta_n with
+  X_n = 1/[W^{-1}]_nn ~ Gamma(M - N + 1, 1), and the neighbours' channels are
+  independent of A, so |a_n^H g_k|^2 = ||a_n||^2 beta_k E_nk, E_nk ~ Exp(1)
+  i.i.d. over interferers k. So SINR_n = p_n beta_n X_n / (1 + sum_k w_k E_nk)
+  with w_k = beta_k p_k, and a trial draws one Gamma and one exponential per
+  interferer for each user. Users within a trial are drawn independently
+  (the channel couples them through W): per-user and sum-rate means stay
+  exact, but the joint law across users is not modelled, and neither is the
+  event cond(W) > CONDITION_LIMIT on which the matrix-level receiver rejects.
+* Downlink. W = L L^H ~ CW_N(M, I) has the law of H^H H when L is lower
+  triangular with |L_ii|^2 ~ Gamma(M - i, 1) for i = 0..N-1 (a real positive
+  diagonal) and L_ij ~ CN(0, 1) for i > j (Bartlett, Goodman 1963). Neighbour
+  l contributes
   interference_n += beta_{l,0,n} alpha_l^2 sum_c (p_{lc} / beta_{ll,c}) |[L_l^{-H} z_n]_c|^2
   with a fresh Bartlett factor L_l per neighbour and z_n ~ CN(0, I_N) drawn
-  independently for each target user (taking conjugates does not change the
-  law of g^T B_l).
-* Checks. A draw is accepted only when the ZF Gram matrix
+  independently for each target user (conjugates leave the law of g^T B_l).
+* Checks. A downlink neighbour's draw is accepted only when its ZF Gram matrix
   D^{1/2} W D^{1/2} = K K^H, K = D^{1/2} L, has condition number at most
   CONDITION_LIMIT (the ratio of its extreme eigenvalues; a non-positive
   eigenvalue fails) and the computed inverse factor meets
   max |K^{-1} K - I| < ZF_RESIDUAL_TOL. These are the events on which the
-  matrix-level ZF receiver of the test oracle (``tests/zf_oracle.py``)
+  matrix-level ZF precoder of the test oracle (``tests/zf_oracle.py``)
   rejects a channel, so the sampled law is the same conditional law.
   Rejected trials are redrawn, at most RESAMPLE_CAP draws per trial in all,
   before IllConditionedChannelError is raised.
@@ -56,10 +58,11 @@ one a call with that row alone returns, bit for bit.
 
 ESTIMATOR_VERSION names the sampling scheme and how the experiments key it.
 Version 1 drew full M x N channels per trial from streams keyed by (seed,
-trial index); version 2 draws the sufficient statistics above; version 3
+trial index); version 2 draws Bartlett factors on both links; version 3
 draws them the same way, and the power panels of a sweep point (fig2, fig8)
 share one seed, hence one set of draws, where version 2 drew each panel from
-its own.
+its own; version 4 draws the uplink from its scalar law, and the points of a
+power sweep (fig3, custom) share one seed per drop.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ CONDITION_LIMIT = 1e12
 ZF_RESIDUAL_TOL = 1e-9
 RESAMPLE_CAP = 100
 
-ESTIMATOR_VERSION = 3
+ESTIMATOR_VERSION = 4
 BLOCK_TRIALS = 256
 # complex entries of interferer fading drawn at once: bounds the working set
 # of a block; consecutive draws from one stream concatenate, so the value
@@ -312,18 +315,20 @@ def uplink_rate_mc(
     for row in rows:
         _check_allocations(row, [target_cell, *nbrs], n, "uplink")
 
-    p_own = np.stack([row[target_cell].powers for row in rows])
-    sqrt_beta_own = np.sqrt(topology.large_scale[target_cell, target_cell])
-    # per row: received interferer power weights beta_k p_k, in neighbour order
-    w_x = [np.concatenate([topology.large_scale[target_cell, l] * row[l].powers for l in nbrs])
-           for row in rows] if nbrs.size else None
+    beta = topology.large_scale[target_cell]  # beta[l]: cell l's users at the target BS
+    # per row: the users' signal gains p_n beta_n and the received interferer
+    # power weights w_k = beta_k p_k, in neighbour order
+    gain = np.stack([row[target_cell].powers for row in rows]) * beta[target_cell]
+    w_x = [np.concatenate([beta[l] * row[l].powers for l in nbrs])
+           for row in rows] if nbrs.size else []
 
     def block_rates(rng, size):
-        F = _inverse_factors(rng, m, sqrt_beta_own, size)
-        noise = _abs2(F).sum(axis=2)
-        interference = 0.0 if w_x is None else _faded_energy(
-            rng, F, w_x[0].size, lambda e: np.stack([e @ w for w in w_x]))
-        return np.log2(1.0 + p_own[:, None] / (interference + noise))
+        sinr = gain[:, None] * rng.standard_gamma(m - n + 1.0, size=(size, n))
+        # one user's exponentials at a time bound the working set of a block
+        for user in range(n if w_x else 0):
+            e = rng.standard_exponential((size, w_x[0].size))
+            sinr[..., user] /= 1.0 + np.stack([e @ w for w in w_x])
+        return np.log2(1.0 + sinr)
 
     estimates = _estimate(block_rates, trials, seed, confidence)
     return estimates[0] if single else estimates

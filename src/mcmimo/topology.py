@@ -39,11 +39,15 @@ _KIND_NAMES = {
     "integer": "an integer",
     "count": "an integer >= 1",
     "integral": "an integral number",
+    "size": "an integral number >= 1",
     "number": "a finite number",
     "nonnegative": "a finite number >= 0",
     "positive": "a finite number > 0",
     "bool": "true or false",
+    "string": "a non-empty string",
+    "object": "a JSON object",
 }
+_TYPE_KINDS = {"bool": bool, "string": str, "object": dict}
 
 
 def _describe(kind) -> str:
@@ -60,8 +64,8 @@ def _fits(value, kind) -> bool:
                 and (not isinstance(kind[0], tuple) or len(set(value)) == len(value)))
     if isinstance(kind, tuple):
         return value in kind
-    if kind == "bool":
-        return isinstance(value, bool)
+    if kind in _TYPE_KINDS:
+        return isinstance(value, _TYPE_KINDS[kind]) and value != ""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         return False
     whole = isinstance(value, (int, np.integer))
@@ -70,7 +74,8 @@ def _fits(value, kind) -> bool:
     # NaN slips through every ordered check, so finiteness comes first
     if not (whole or math.isfinite(value)):
         return False
-    return {"integral": whole or float(value).is_integer(), "number": True,
+    integral = whole or float(value).is_integer()
+    return {"integral": integral, "size": integral and value >= 1, "number": True,
             "nonnegative": value >= 0, "positive": value > 0}[kind]
 
 

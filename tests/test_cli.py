@@ -190,11 +190,46 @@ class TestSpecParsing:
         ("fig6", "ratios", 5),
         ("table3a", "usersList", [5, 10.5]),
         ("table3b", "antennasList", ["50"]),
+        ("fig6", "ratios", [0, 10]),
+        ("table3a", "usersList", [0, 5]),
+        ("table3b", "antennasList", [0, 50]),
     ])
     def test_integral_options_reject_fractions(self, kind, key, value):
         doc = {"kind": kind, "network": {"usersPerCell": 2, "bsAntennas": 8},
                "options": {key: value}}
         with pytest.raises(ValueError, match=f"option '{key}'"):
+            ExperimentSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("kind, variable", [
+        ("fig2", "bsAntennas"), ("fig6", "usersPerCell"), ("fig7", "ratio"), ("table2", "ratio"),
+    ])
+    def test_count_sweeps_reject_zero(self, kind, variable):
+        # a 0 ran as the network's own count: fig2 [0, 30] at M = 30 wrote
+        # the M = 30 rates on an x = 0 row
+        doc = {"kind": kind, "network": {"usersPerCell": 2, "bsAntennas": 30},
+               "sweep": {"variable": variable, "values": [0, 30]}}
+        with pytest.raises(ValueError, match="sweep.values"):
+            ExperimentSpec.from_dict(doc)
+
+    def test_drop_topology_takes_zero_as_given(self, tmp_path):
+        spec = ExperimentSpec.from_dict(tiny_spec(tmp_path))
+        with pytest.raises(ValueError, match="bsAntennas"):
+            cli._drop_topology(spec, 0, antennas=0)
+
+    @pytest.mark.parametrize("over, name", [
+        ({"sweep": {"values": [20, 30]}}, "sweep"),  # was KeyError: 'variable'
+        ({"sweep": {"variable": "bsAntennas"}}, "sweep"),  # was KeyError: 'values'
+        ({"sweep": {"variable": "bsAntennas", "values": [20], "step": 5}}, "sweep"),
+        ({"sweep": [20, 30]}, "sweep"),  # was a TypeError
+        ({"sweep": None}, "sweep"),
+        ({"options": ["powersDb", 20]}, "options"),  # was "dictionary update sequence"
+        ({"options": None}, "options"),
+        ({"output": 5}, "output"),  # was run into the directory "5"
+        ({"output": ["out"]}, "output"),
+    ])
+    def test_spec_sections_are_checked(self, tmp_path, over, name):
+        doc = {"kind": "fig2", "network": {"usersPerCell": 2, "bsAntennas": 30}, **over}
+        with pytest.raises(ValueError, match=f"^{name} must"):
             ExperimentSpec.from_dict(doc)
 
     def test_power_sweeps_stay_real(self):
@@ -328,7 +363,7 @@ class TestRunExperiment:
         reran = {p.name: p.read_bytes() for p in out2.iterdir()}
         assert originals == reran
 
-    @pytest.mark.parametrize("version", [None, 1, 2, 4])
+    @pytest.mark.parametrize("version", [None, 1, 2, 3, 5])
     def test_manifest_of_another_estimator_version_rejected(self, tmp_path, version):
         out = run_experiment(ExperimentSpec.from_dict(tiny_spec(tmp_path, trials=20)))
         manifest = json.loads((out / "manifest.json").read_text())
@@ -344,7 +379,7 @@ class TestRunExperiment:
         doc = tiny_spec(tmp_path, trials=20)
         out = run_experiment(ExperimentSpec.from_dict(doc))
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["estimatorVersion"] == 3
+        assert manifest["estimatorVersion"] == 4
         rerun = run_experiment(ExperimentSpec.from_dict(manifest))
         assert json.loads((rerun / "manifest.json").read_text()) == manifest
         # the version is an input of the content hash
@@ -491,6 +526,25 @@ class TestRunExperiment:
         both = records([20, 30])
         assert both == records([20]) + records([30])
         assert {r["label"] for r in both} >= {"mc"}
+
+    @pytest.mark.parametrize("kind, options", [
+        ("fig3", {}),
+        ("custom", {"direction": "downlink", "estimators": ["mc", "lower"]}),
+    ])
+    def test_power_sweep_runs_one_job_per_drop_on_shared_draws(self, tmp_path, kind, options):
+        # estimatorVersion 4: every power of a drop is drawn at one seed, so a
+        # power's records do not depend on the others
+        def spec(values):
+            return ExperimentSpec.from_dict({
+                "kind": kind, "network": {"usersPerCell": 3, "bsAntennas": 12, "seed": 4},
+                "sweep": {"variable": "powerDb", "values": values}, "drops": 2, "trials": 40,
+                "options": options, "output": str(tmp_path)})
+
+        assert cli._plan_jobs(spec([0, 10])) == [{"drop": 0}, {"drop": 1}]
+        both = cli._job_equal_power(spec([0, 10]), {"drop": 1})
+        assert both == (cli._job_equal_power(spec([0]), {"drop": 1})
+                        + cli._job_equal_power(spec([10]), {"drop": 1}))
+        assert [r["x"] for r in both if r["label"] == "mc"] == [0, 10]
 
     def test_fig12_outer_ring_keeps_initial_power_in_every_curve(self, tmp_path, monkeypatch):
         # the scheduler, the joint optimiser and the equal baseline are rated

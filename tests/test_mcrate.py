@@ -263,6 +263,7 @@ _Z95 = NormalDist().inv_cdf(0.975)
     (5, 4, 7, 600),       # M = N + 1: the hardest conditioning
     (40, 4, 7, 600),
     (128, 10, 19, 200),
+    (12, 10, 7, 400),     # M - N = 2, as in fig3
     (6, 3, 1, 600),       # a single cell: no neighbours
 ])
 def test_agrees_with_matrix_oracle(direction, m, n, cells, oracle_trials):
@@ -284,14 +285,45 @@ def test_agrees_with_matrix_oracle(direction, m, n, cells, oracle_trials):
     assert np.max(np.abs(z)) < 4.0, z
 
 
-class TestResampling:
-    @staticmethod
-    def _setup(direction):
-        top = build_topology(NetworkConfig(users_per_cell=4, bs_antennas=5, cell_count=7, seed=3))
-        return top, [PowerAllocation(np.full(4, 10.0), direction) for _ in range(7)]
+def _uplink_rate_v3(top, allocations, target, trials, seed):
+    """The uplink estimator of estimatorVersion 3: per trial the inverse F of
+    a Bartlett factor, with the accept test, and the interferers' fading as
+    |F Z|^2, Z ~ CN(0, I)."""
+    m = top.config.bs_antennas
+    nbrs = top.neighbors(target)
+    p_own = allocations[target].powers
+    sqrt_beta = np.sqrt(top.large_scale[target, target])
+    w = np.concatenate([top.large_scale[target, l] * allocations[l].powers for l in nbrs])
 
-    @pytest.mark.parametrize("estimator,direction", [(uplink_rate_mc, "uplink"),
-                                                     (downlink_rate_mc, "downlink")])
+    def block_rates(rng, size):
+        F = mcrate._inverse_factors(rng, m, sqrt_beta, size)
+        noise = mcrate._abs2(F).sum(axis=2)
+        interference = mcrate._faded_energy(rng, F, w.size, lambda e: (e @ w)[None])
+        return np.log2(1.0 + p_own / (interference + noise))
+
+    est, = mcrate._estimate(block_rates, trials, seed, 0.95)
+    return est
+
+
+@pytest.mark.parametrize("m", [12, 20, 128, 500])  # M - N = 2, 10, 118, 490
+def test_uplink_agrees_with_version_3(m):
+    # estimatorVersion 4's scalar law against version 3's matrix draw, per
+    # user: a two-sample |z| < 4 over independent seeds (Bonferroni, 10 users)
+    top = build_topology(NetworkConfig(users_per_cell=10, bs_antennas=m, seed=5))
+    rng = np.random.default_rng(m)
+    allocs = [PowerAllocation(rng.uniform(1.0, 100.0, 10), "uplink") for _ in range(19)]
+    new = uplink_rate_mc(top, allocs, 0, trials=4000, seed=1)
+    ref = _uplink_rate_v3(top, allocs, 0, trials=4000, seed=2)
+    z = (new.per_user_rate - ref.per_user_rate) / (np.hypot(new.ci_half_width,
+                                                             ref.ci_half_width) / _Z95)
+    assert np.max(np.abs(z)) < 4.0, z
+
+
+class TestResampling:
+    """The accept test and its redraws; only the downlink's neighbour
+    precoders take them, as the uplink's scalar law needs no inverse."""
+
+    @pytest.mark.parametrize("estimator,direction", [(downlink_rate_mc, "downlink")])
     def test_unmeetable_limit_raises_after_cap(self, monkeypatch, estimator, direction):
         # no Gram matrix has condition number below 1
         draws = []
@@ -300,15 +332,18 @@ class TestResampling:
         monkeypatch.setattr(mcrate, "RESAMPLE_CAP", 7)
         monkeypatch.setattr(mcrate, "_bartlett_factor",
                             lambda *args: draws.append(args[-1]) or bartlett(*args))
-        top, allocs = self._setup(direction)
+        top = build_topology(NetworkConfig(users_per_cell=4, bs_antennas=5, cell_count=7, seed=3))
+        allocs = [PowerAllocation(np.full(4, 10.0), direction) for _ in range(7)]
         with pytest.raises(IllConditionedChannelError, match="7 draws"):
             estimator(top, allocs, 0, trials=10, seed=0)
         assert draws == [10] * 7
 
     def test_median_limit_resamples_deterministically(self, monkeypatch):
-        top, allocs = self._setup("uplink")
-        sqrt_beta = np.sqrt(top.large_scale[0, 0])
-        K = sqrt_beta[:, None] * _bartlett_factor(np.random.default_rng(1), 5, 4, 2000)
+        # unit gains give the six neighbours' Gram matrices one law, so at its
+        # median condition number each neighbour redraws about half its trials
+        top = build_topology(unit_gain_cfg(4, 5, cells=7))
+        allocs = [PowerAllocation(np.full(4, 10.0), "downlink") for _ in range(7)]
+        K = _bartlett_factor(np.random.default_rng(1), 5, 4, 2000)
         limit = float(np.median(np.linalg.cond(K @ K.conj().swapaxes(1, 2))))
         monkeypatch.setattr(mcrate, "CONDITION_LIMIT", limit)
 
@@ -323,11 +358,11 @@ class TestResampling:
         monkeypatch.setattr(mcrate, "_bartlett_factor",
                             lambda *args: draws.append(args[-1]) or bartlett(*args))
         monkeypatch.setattr(mcrate, "_inverse_factors", spy_inverse)
-        a = uplink_rate_mc(top, allocs, 0, trials=300, seed=2)
-        assert len(draws) > 2 and sum(draws) > 300  # some trials were redrawn
-        assert len(conds) == 300
+        a = downlink_rate_mc(top, allocs, 0, trials=300, seed=2)
+        assert len(draws) > 2 * 6 and sum(draws) > 6 * 300  # some trials were redrawn
+        assert len(conds) == 6 * 300
         assert max(conds) <= limit * (1 + 1e-9)  # every accepted draw meets the limit
-        b = uplink_rate_mc(top, allocs, 0, trials=300, seed=2)
+        b = downlink_rate_mc(top, allocs, 0, trials=300, seed=2)
         assert np.array_equal(a.per_user_rate, b.per_user_rate)
 
 

@@ -1,0 +1,87 @@
+"""The paper's claims, read off the CSVs of reduced-size runs.
+
+The golden digests pin bytes; these tests pin results. Each kind runs through
+``run_experiment`` with its default sweep and options on the shipped
+configs' network (N = 10, seed 2024) at a few drops, and the assertions
+restate a claim of the paper on the curves it reproduces:
+
+* fig2: the closed forms nest, lower <= approx <= upper, and the Monte Carlo
+  rate lies within [lower - ci, upper + ci].
+* fig5: water-filling gains over equal power are positive and diminish as M
+  grows at fixed N.
+* fig6: at a fixed M/N, the sum rate grows with M with and without
+  water-filling, and water-filling never loses (claim i).
+* fig7: the gain falls with M/N and with the transmit power (claim ii).
+* fig11: on the downlink, edge users gain more than central users.
+
+A claim that fails at this size is answered with more drops, never with
+another seed.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+
+from mcmimo.cli import ExperimentSpec, run_experiment
+
+NETWORK = {"usersPerCell": 10, "bsAntennas": 128, "seed": 2024}
+DROPS = 5
+
+
+def run(tmp_path: Path, kind: str, trials: int = 1) -> dict[tuple[str, str], np.ndarray]:
+    """{(panel, label): (rows, 3) array of x, mean, ciHalfWidth} of one run."""
+    spec = ExperimentSpec.from_dict({"kind": kind, "network": NETWORK, "trials": trials,
+                                     "drops": DROPS, "output": str(tmp_path / kind)})
+    out = run_experiment(spec)
+    curves = {}
+    for path in out.glob("*.csv"):
+        _, *panel, label = path.stem.split("__")
+        curves[(panel[0] if panel else "", label)] = np.loadtxt(path, delimiter=",", skiprows=1,
+                                                                ndmin=2)
+    return curves
+
+
+def falls(values) -> bool:
+    return bool(np.all(np.diff(values) < 0))
+
+
+def test_fig2_bounds_nest_and_hold_the_monte_carlo_rate(tmp_path):
+    curves = run(tmp_path, "fig2", trials=400)
+    for panel in ("P20dB", "P30dB"):
+        lower, approx, upper, mc = (curves[(panel, label)]
+                                    for label in ("lower", "approx", "upper", "mc"))
+        assert np.all(lower[:, 1] <= approx[:, 1]) and np.all(approx[:, 1] <= upper[:, 1])
+        ci = mc[:, 2]
+        assert np.all(lower[:, 1] - ci <= mc[:, 1]) and np.all(mc[:, 1] <= upper[:, 1] + ci)
+
+
+def test_fig5_gains_are_positive_and_fall_with_antennas(tmp_path):
+    curves = run(tmp_path, "fig5")
+    assert len(curves) == 6  # two scenarios x three strategies
+    for gain in curves.values():
+        assert np.all(gain[:, 1] > 0) and falls(gain[:, 1])
+
+
+def test_fig6_rates_rise_with_antennas_and_water_filling_never_loses(tmp_path):
+    curves = run(tmp_path, "fig6")
+    for ratio in ("ratio2", "ratio5", "ratio10"):
+        pa, eq = curves[(ratio, "pa")], curves[(ratio, "eq")]
+        assert falls(-pa[:, 1]) and falls(-eq[:, 1])
+        assert np.all(pa[:, 1] >= eq[:, 1])
+
+
+def test_fig7_gain_falls_with_ratio_and_with_power(tmp_path):
+    curves = run(tmp_path, "fig7")
+    by_power = [curves[(f"P{p}dB", "gain")][:, 1] for p in (10, 15, 20, 25)]
+    assert all(falls(gain) for gain in by_power)
+    assert np.all(np.diff(by_power, axis=0) < 0)
+
+
+def test_fig11_edge_users_gain_more_than_central_users(tmp_path):
+    curves = run(tmp_path, "fig11")
+    edge, central = curves[("", "edge")], curves[("", "central")]
+    assert np.array_equal(edge[:, 0], central[:, 0])
+    assert np.all(edge[:, 1] > central[:, 1])
+

@@ -3,9 +3,11 @@
 Each trial draws the full M x N fading matrices from a stream keyed by
 (seed, trial index) and builds the ZF receivers and precoders with
 ``zf_receiver``/``zf_precoder`` below, at a cost that grows with M. The
-estimators in ``mcmimo.mcrate`` sample the same SINR laws from N x N
-sufficient statistics instead, and reject a trial on the same events as
-``zf_receiver``.
+estimators in ``mcmimo.mcrate`` sample the same per-user SINR laws without
+the M x N matrices: the downlink from N x N sufficient statistics, redrawn on
+the events on which ``zf_precoder`` rejects a channel, and the uplink from
+its scalar law (one Gamma and one exponential per interferer), which leaves
+out the rare rejections of ``zf_receiver``.
 """
 
 from __future__ import annotations
