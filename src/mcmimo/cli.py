@@ -197,6 +197,12 @@ class ExperimentSpec:
                 raise ValueError(
                     f"unknown option {key!r} for kind {self.kind!r}; expected one of {sorted(known)}")
             check_field(f"option {key!r}", value, _FIELDS[key])
+        if self.kind == "fig12":  # run_scheduled's budget test, before any job
+            opts, n = {**known, **self.options}, self.network.users_per_cell
+            db, budget = opts["initialUserPowerDb"], opts["powerW"]
+            if db_to_linear(db) * n > budget * (1 + 1e-9):
+                raise ValueError(f"option 'initialUserPowerDb' {db} dB times usersPerCell {n} "
+                                 f"exceeds option 'powerW' {budget}")
         if "estimators" in self.options and (
                 self.kind == "fig8" or self.options.get("direction") == "downlink"):
             check_field("option 'estimators'", self.options["estimators"],
@@ -204,7 +210,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict, overrides: dict | None = None) -> "ExperimentSpec":
-        data = dict(data)
+        data = dict(check_field("experiment spec", data, "object"))
         if "spec" in data:  # manifest round-trip: accept a manifest document
             version = data.get("estimatorVersion")
             if version != ESTIMATOR_VERSION:
@@ -212,12 +218,12 @@ class ExperimentSpec:
                     f"manifest estimatorVersion {version!r} is not this build's "
                     f"{ESTIMATOR_VERSION}: its Monte Carlo outputs would not be reproduced"
                 )
-            data = dict(data["spec"])
+            data = dict(check_field("spec", data["spec"], "object"))
         kind = check_field("kind", data.get("kind"), KINDS)
         if "network" not in data:
             raise ValueError("experiment spec needs a 'network' field")
         overrides = overrides or {}
-        network = NetworkConfig.from_json(data["network"])
+        network = NetworkConfig.from_json(check_field("network", data["network"], "object"))
         if "seed" in overrides and overrides["seed"] is not None:
             network = replace(network, seed=int(overrides["seed"]))
         default_var, default_vals, default_opts = _KIND_DEFAULTS[kind]

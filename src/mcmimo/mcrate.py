@@ -26,11 +26,13 @@ distribution, at a cost that does not depend on M:
   event cond(W) > CONDITION_LIMIT on which the matrix-level receiver rejects.
 * Downlink. W = L L^H ~ CW_N(M, I) has the law of H^H H when L is lower
   triangular with |L_ii|^2 ~ Gamma(M - i, 1) for i = 0..N-1 (a real positive
-  diagonal) and L_ij ~ CN(0, 1) for i > j (Bartlett, Goodman 1963). Neighbour
-  l contributes
-  interference_n += beta_{l,0,n} alpha_l^2 sum_c (p_{lc} / beta_{ll,c}) |[L_l^{-H} z_n]_c|^2
+  diagonal) and L_ij ~ CN(0, 1) for i > j (Bartlett, Goodman 1963). With
+  X_l = K_l^{-1}, K_l = D_l^{1/2} L_l, so that X_l^H X_l inverts the ZF Gram,
+  neighbour l contributes
+  interference_n += beta_{l,0,n} alpha_l^2 sum_c p_{lc} |[z_n^T X_l]_c|^2
   with a fresh Bartlett factor L_l per neighbour and z_n ~ CN(0, I_N) drawn
-  independently for each target user (conjugates leave the law of g^T B_l).
+  independently for each target user: |[X^H z]_c| = |[z^H X]_c| and the
+  conjugate of z has its law (as conjugates leave the law of g^T B_l).
 * Checks. A downlink neighbour's draw is accepted only when its ZF Gram matrix
   D^{1/2} W D^{1/2} = K K^H, K = D^{1/2} L, has condition number at most
   CONDITION_LIMIT (the ratio of its extreme eigenvalues; a non-positive
@@ -41,12 +43,12 @@ distribution, at a cost that does not depend on M:
   Rejected trials are redrawn, at most RESAMPLE_CAP draws per trial in all,
   before IllConditionedChannelError is raised.
 * Bound first. A block inverts every K with a finite, non-zero diagonal at
-  once. Since cond(K K^H) <= (||K||_F ||K^{-1}||_F)^2, a trial whose bound is
-  at most CONDITION_LIMIT / 4 meets the limit without an eigenvalue
-  decomposition; the margin of 4 dwarfs the rounding of ``eigvalsh``, so the
-  accepted set is the one the eigenvalue test alone gives. Only the other
-  trials (bound above the margin, non-finite inverse, zero or non-finite
-  diagonal) take the eigenvalue test.
+  once, by forward substitution. Since cond(K K^H) <= (||K||_F ||K^{-1}||_F)^2,
+  a trial whose bound is at most CONDITION_LIMIT / 4 meets the limit without
+  an eigenvalue decomposition; the margin of 4 dwarfs the rounding of
+  ``eigvalsh``, so the accepted set is the one the eigenvalue test alone
+  gives. Only the other trials (bound above the margin, non-finite inverse,
+  zero or non-finite diagonal) take the eigenvalue test.
 
 Trials are drawn in fixed blocks of BLOCK_TRIALS, each from its own stream
 keyed by (seed, block index). Estimates are therefore deterministic in
@@ -62,7 +64,9 @@ trial index); version 2 draws Bartlett factors on both links; version 3
 draws them the same way, and the power panels of a sweep point (fig2, fig8)
 share one seed, hence one set of draws, where version 2 drew each panel from
 its own; version 4 draws the uplink from its scalar law, and the points of a
-power sweep (fig3, custom) share one seed per drop.
+power sweep (fig3, custom) share one seed per drop; version 5 inverts the
+downlink's factors by forward substitution and draws the fading as z^T K^{-1},
+where version 4 took LAPACK's inverse and drew K^{-H} z.
 """
 
 from __future__ import annotations
@@ -79,12 +83,8 @@ CONDITION_LIMIT = 1e12
 ZF_RESIDUAL_TOL = 1e-9
 RESAMPLE_CAP = 100
 
-ESTIMATOR_VERSION = 4
+ESTIMATOR_VERSION = 5
 BLOCK_TRIALS = 256
-# complex entries of interferer fading drawn at once: bounds the working set
-# of a block; consecutive draws from one stream concatenate, so the value
-# does not change any result
-_CHUNK_ENTRIES = 1 << 15
 
 _MASK64 = (1 << 64) - 1
 
@@ -198,71 +198,67 @@ def _abs2(x: np.ndarray) -> np.ndarray:
     return x.real**2 + x.imag**2
 
 
-def _hermitian(x: np.ndarray) -> np.ndarray:
-    return x.conj().swapaxes(-1, -2)
-
-
 def _bartlett_factor(rng: np.random.Generator, m: int, n: int, size: int) -> np.ndarray:
     """``size`` lower-triangular N x N factors L with L L^H ~ CW_N(M, I)."""
     L = np.zeros((size, n, n), dtype=complex)
     diag = np.arange(n)
     L[:, diag, diag] = np.sqrt(rng.standard_gamma(m - diag.astype(float), size=(size, n)))
-    rows, cols = np.tril_indices(n, -1)
-    L[:, rows, cols] = _complex_normal(rng, (size, rows.size))
+    L[:, np.tri(n, k=-1, dtype=bool)] = _complex_normal(rng, (size, n * (n - 1) // 2))
     return L
+
+
+def _lower_inverse(K: np.ndarray) -> np.ndarray:
+    """K^{-1} of a batch of lower-triangular K with a non-zero diagonal, by
+    forward substitution: row i of X is -K[i, :i] X[:i, :i] / K_ii, then 1 / K_ii."""
+    n = K.shape[-1]
+    diag = np.arange(n)
+    X = np.zeros_like(K)
+    X[:, diag, diag] = inv_d = 1.0 / K[:, diag, diag]
+    for i in range(1, n):
+        X[:, i, :i] = (K[:, i:i + 1, :i] @ X[:, :i, :i])[:, 0] * -inv_d[:, i:i + 1]
+    return X
 
 
 def _inverse_factors(rng: np.random.Generator, m: int, sqrt_beta: np.ndarray,
                      size: int) -> np.ndarray:
-    """``size`` draws of F = (D^{1/2} L)^{-H}, so (G^H G)^{-1} = F F^H for a
+    """``size`` draws of X = (D^{1/2} L)^{-1}, so (G^H G)^{-1} = X^H X for a
     channel G with large-scale gains beta = sqrt_beta**2, redrawing the trials
     whose Gram matrix fails the conditioning or residual check.
 
     The conditioning check is bound first: only the trials whose Frobenius
-    bound does not already accept them take the eigenvalue test.
+    bound does not already accept them take the eigenvalue test. The first
+    draw's inverses are returned in place, redrawn trials written over them.
     """
     n = sqrt_beta.size
-    diag = np.arange(n)
-    F = np.empty((size, n, n), dtype=complex)
-    todo = np.arange(size)
+    X, todo = None, np.arange(size)
     for _ in range(RESAMPLE_CAP):
         K = sqrt_beta[:, None] * _bartlett_factor(rng, m, n, todo.size)
-        # batched inv raises on an exactly singular matrix, and a triangular
-        # K is singular only with a zero on its diagonal
-        d = K[:, diag, diag]
+        # the substitution divides by K's diagonal: a zero or non-finite one stays out
+        d = np.diagonal(K, axis1=1, axis2=2)
         regular = np.all(np.isfinite(d) & (d != 0), axis=1)
         if regular.all():
-            K_inv = np.linalg.inv(K)
+            K_inv = _lower_inverse(K)
         else:
             K_inv = np.full_like(K, np.nan)
-            K_inv[regular] = np.linalg.inv(K[regular])
+            K_inv[regular] = _lower_inverse(K[regular])
         ok = _abs2(K).sum(axis=(1, 2)) * _abs2(K_inv).sum(axis=(1, 2)) <= CONDITION_LIMIT / 4
-        hard = ~ok
-        if hard.any():
+        if not ok.all():
+            hard = ~ok
             K_hard = K[hard]
-            lam = np.linalg.eigvalsh(K_hard @ _hermitian(K_hard))
+            lam = np.linalg.eigvalsh(K_hard @ K_hard.conj().swapaxes(1, 2))
             ok[hard] = (lam[:, 0] > 0) & (lam[:, -1] <= CONDITION_LIMIT * lam[:, 0])
-        accepted = ok.nonzero()[0]
-        resid = np.max(np.abs(K_inv[accepted] @ K[accepted] - np.eye(n)), axis=(1, 2))
-        accepted = accepted[resid < ZF_RESIDUAL_TOL]
-        F[todo[accepted]] = _hermitian(K_inv[accepted])
-        todo = np.delete(todo, accepted)
-        if todo.size == 0:
-            return F
+        # a NaN residual (a trial left out above) compares False
+        ok &= np.max(np.abs(K_inv @ K - np.eye(n)), axis=(1, 2)) < ZF_RESIDUAL_TOL
+        if X is None:
+            X = K_inv
+        else:
+            X[todo[ok]] = K_inv[ok]
+        if ok.all():
+            return X
+        todo = todo[~ok]
     raise IllConditionedChannelError(
         f"{todo.size} trial(s) found no well-conditioned channel in {RESAMPLE_CAP} draws"
     )
-
-
-def _faded_energy(rng: np.random.Generator, F: np.ndarray, cols: int, weigh) -> np.ndarray:
-    """weigh(|F Z|^2) for each trial of F, with Z ~ CN(0, I) of size N x cols;
-    weigh maps a chunk of trials to its (R, chunk, N) rows."""
-    size, n, _ = F.shape
-    step = max(1, _CHUNK_ENTRIES // (n * cols))
-    return np.concatenate([
-        weigh(_abs2(F[s:s + step] @ _complex_normal(rng, (min(step, size - s), n, cols))))
-        for s in range(0, size, step)
-    ], axis=1)
 
 
 def _estimate(block_rates, trials: int, seed: int, confidence: float) -> list[RateEstimate]:
@@ -357,24 +353,22 @@ def downlink_rate_mc(
     for row in rows:
         _check_allocations(row, [target_cell, *nbrs], n, "downlink")
 
-    beta_own = topology.large_scale[target_cell, target_cell]
-    alpha0_sq = (m - n) / float(np.sum(1.0 / beta_own))
-    signal = alpha0_sq * np.stack([row[target_cell].powers for row in rows])
+    def alpha_sq(cell):  # the power normalisation of cell's ZF precoder
+        return (m - n) / float(np.sum(1.0 / topology.large_scale[cell, cell]))
 
+    signal = alpha_sq(target_cell) * np.stack([row[target_cell].powers for row in rows])
     # per neighbour l: sqrt(beta_ll), p_l of every row and the gain
     # alpha_l^2 beta_{l,0,n}
-    terms = []
-    for l in nbrs:
-        beta_ll = topology.large_scale[l, l]
-        alpha_sq = (m - n) / float(np.sum(1.0 / beta_ll))
-        terms.append((np.sqrt(beta_ll), [row[l].powers for row in rows],
-                      alpha_sq * topology.large_scale[l, target_cell]))
+    terms = [(np.sqrt(topology.large_scale[l, l]), [row[l].powers for row in rows],
+              alpha_sq(l) * topology.large_scale[l, target_cell]) for l in nbrs]
 
     def block_rates(rng, size):
         interference = np.zeros((len(rows), size, n))
         for sqrt_beta_ll, p_l, gain in terms:
-            F = _inverse_factors(rng, m, sqrt_beta_ll, size)
-            interference += gain * _faded_energy(rng, F, n, lambda e: np.stack([p @ e for p in p_l]))
+            X = _inverse_factors(rng, m, sqrt_beta_ll, size)
+            # |[X^H z_n]_c|^2 drawn as |[z_n^T X]_c|^2: conj(z_n) ~ z_n ~ CN(0, I)
+            e = _abs2(_complex_normal(rng, (size, n, n)) @ X)
+            interference += gain * np.stack([e @ p for p in p_l])
         return np.log2(1.0 + signal[:, None] / (interference + 1.0))
 
     estimates = _estimate(block_rates, trials, seed, confidence)

@@ -226,11 +226,27 @@ class TestSpecParsing:
         ({"options": None}, "options"),
         ({"output": 5}, "output"),  # was run into the directory "5"
         ({"output": ["out"]}, "output"),
+        ({"network": 5}, "network"),  # was "'int' object is not iterable"
+        ({"network": [3, 30]}, "network"),
     ])
     def test_spec_sections_are_checked(self, tmp_path, over, name):
         doc = {"kind": "fig2", "network": {"usersPerCell": 2, "bsAntennas": 30}, **over}
         with pytest.raises(ValueError, match=f"^{name} must"):
             ExperimentSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [["fig2", {"usersPerCell": 2}], "fig2", None])
+    def test_spec_document_must_be_an_object(self, tmp_path, doc):
+        # a JSON list raised "dictionary update sequence element #0 ..."
+        out = tmp_path / "out"
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="^experiment spec must be a JSON object"):
+            main(["run", str(path), "--out", str(out)])
+        assert not out.exists()
+
+    def test_manifest_spec_must_be_an_object(self):
+        with pytest.raises(ValueError, match="^spec must be a JSON object"):
+            ExperimentSpec.from_dict({"spec": ["fig2"], "estimatorVersion": cli.ESTIMATOR_VERSION})
 
     def test_power_sweeps_stay_real(self):
         doc = {"kind": "custom", "network": {"usersPerCell": 2, "bsAntennas": 8},
@@ -321,6 +337,9 @@ class TestCheckedBeforeAnyJob:
         ("fig3", {"sweep": {"variable": "powerDb", "values": [0, math.inf]}}, "sweep.values"),
         ("fig2", {"options": {"interfererUserPowerDb": "10"}}, "option 'interfererUserPowerDb'"),
         ("fig2", {"options": {"powersDb": 20}}, "option 'powersDb'"),
+        # 3 users at 10 dB need 30 W: run_scheduled failed in the first job
+        ("fig12", {"options": {"powerW": 29.9}}, "'initialUserPowerDb'.* option 'powerW'"),
+        ("fig12", {"options": {"initialUserPowerDb": 12.3}}, "'initialUserPowerDb'.* option 'powerW'"),
     ])
     def test_refused_naming_the_field(self, tmp_path, kind, over, name):
         out = tmp_path / "out"
@@ -330,6 +349,15 @@ class TestCheckedBeforeAnyJob:
         with pytest.raises(ValueError, match=name):
             main(["run", str(path)])
         assert not out.exists()
+
+
+def test_fig12_initial_power_may_fill_the_budget():
+    # the shipped fig12 defaults: 5 users at 10 dB fill 50 W exactly; 10 users
+    # at the same defaults overfill it and are refused when the spec is read
+    spec = ExperimentSpec.from_dict({"kind": "fig12", "network": {**NET, "usersPerCell": 5}})
+    assert spec.options["powerW"] == 5 * db_to_linear(spec.options["initialUserPowerDb"])
+    with pytest.raises(ValueError, match="usersPerCell 10 exceeds option 'powerW' 50"):
+        ExperimentSpec.from_dict({"kind": "fig12", "network": {**NET, "usersPerCell": 10}})
 
 
 class TestRunExperiment:
@@ -363,7 +391,7 @@ class TestRunExperiment:
         reran = {p.name: p.read_bytes() for p in out2.iterdir()}
         assert originals == reran
 
-    @pytest.mark.parametrize("version", [None, 1, 2, 3, 5])
+    @pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 6])
     def test_manifest_of_another_estimator_version_rejected(self, tmp_path, version):
         out = run_experiment(ExperimentSpec.from_dict(tiny_spec(tmp_path, trials=20)))
         manifest = json.loads((out / "manifest.json").read_text())
@@ -379,7 +407,7 @@ class TestRunExperiment:
         doc = tiny_spec(tmp_path, trials=20)
         out = run_experiment(ExperimentSpec.from_dict(doc))
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["estimatorVersion"] == 4
+        assert manifest["estimatorVersion"] == 5
         rerun = run_experiment(ExperimentSpec.from_dict(manifest))
         assert json.loads((rerun / "manifest.json").read_text()) == manifest
         # the version is an input of the content hash

@@ -35,16 +35,16 @@ def test_bartlett_gram_moments():
 
 
 def test_gram_scaled_by_large_scale_gains():
-    # F F^H inverts the ZF Gram D^{1/2} L L^H D^{1/2} of the same draw, with
+    # X^H X inverts the ZF Gram D^{1/2} L L^H D^{1/2} of the same draw, with
     # D the topology's large-scale gains
     cfg = NetworkConfig(users_per_cell=3, bs_antennas=6, cell_count=7, seed=2)
     top = build_topology(cfg)
     sqrt_beta = np.sqrt(top.large_scale[0, 1])
     L = _bartlett_factor(np.random.default_rng(3), 6, 3, 50)
-    F = _inverse_factors(np.random.default_rng(3), 6, sqrt_beta, 50)
+    X = _inverse_factors(np.random.default_rng(3), 6, sqrt_beta, 50)
     K = sqrt_beta[:, None] * L
     gram = K @ K.conj().swapaxes(1, 2)
-    np.testing.assert_allclose(F @ F.conj().swapaxes(1, 2) @ gram,
+    np.testing.assert_allclose(X.conj().swapaxes(1, 2) @ X @ gram,
                                np.broadcast_to(np.eye(3), gram.shape), atol=1e-9)
 
 

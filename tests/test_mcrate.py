@@ -285,6 +285,35 @@ def test_agrees_with_matrix_oracle(direction, m, n, cells, oracle_trials):
     assert np.max(np.abs(z)) < 4.0, z
 
 
+def _inverse_factors_reference(rng, m, sqrt_beta, size, inverse=mcrate._lower_inverse):
+    """The eigenvalue-only accept test of estimatorVersion 2: every trial's
+    Gram matrix goes through ``eigvalsh``; returns inverse(K) per trial."""
+    n = sqrt_beta.size
+    X = np.empty((size, n, n), dtype=complex)
+    todo = np.arange(size)
+    for _ in range(mcrate.RESAMPLE_CAP):
+        K = sqrt_beta[:, None] * mcrate._bartlett_factor(rng, m, n, todo.size)
+        lam = np.linalg.eigvalsh(K @ K.conj().swapaxes(-1, -2))
+        ok = (lam[:, 0] > 0) & (lam[:, -1] <= mcrate.CONDITION_LIMIT * lam[:, 0])
+        K_ok = K[ok]
+        K_inv = inverse(K_ok)
+        good = np.max(np.abs(K_inv @ K_ok - np.eye(n)), axis=(1, 2)) < mcrate.ZF_RESIDUAL_TOL
+        accepted = ok.nonzero()[0][good]
+        X[todo[accepted]] = K_inv[good]
+        todo = np.delete(todo, accepted)
+        if todo.size == 0:
+            return X
+    raise IllConditionedChannelError("no well-conditioned channel")
+
+
+def _faded_energy_v4(rng, m, sqrt_beta, size, cols):
+    """|F Z|^2 as estimatorVersions 3 and 4 drew it: F = K^{-H} from LAPACK's
+    inverse (the bound-first test kept the eigenvalue test's draws), then
+    Z ~ CN(0, I) of size N x cols per trial."""
+    F = _inverse_factors_reference(rng, m, sqrt_beta, size, np.linalg.inv).conj().swapaxes(1, 2)
+    return mcrate._abs2(F @ mcrate._complex_normal(rng, (size, sqrt_beta.size, cols))), F
+
+
 def _uplink_rate_v3(top, allocations, target, trials, seed):
     """The uplink estimator of estimatorVersion 3: per trial the inverse F of
     a Bartlett factor, with the accept test, and the interferers' fading as
@@ -296,13 +325,37 @@ def _uplink_rate_v3(top, allocations, target, trials, seed):
     w = np.concatenate([top.large_scale[target, l] * allocations[l].powers for l in nbrs])
 
     def block_rates(rng, size):
-        F = mcrate._inverse_factors(rng, m, sqrt_beta, size)
-        noise = mcrate._abs2(F).sum(axis=2)
-        interference = mcrate._faded_energy(rng, F, w.size, lambda e: (e @ w)[None])
-        return np.log2(1.0 + p_own / (interference + noise))
+        e, F = _faded_energy_v4(rng, m, sqrt_beta, size, w.size)
+        return np.log2(1.0 + p_own / (e @ w + mcrate._abs2(F).sum(axis=2)))[None]
 
     est, = mcrate._estimate(block_rates, trials, seed, 0.95)
     return est
+
+
+def _downlink_rate_v4(top, allocations, target, trials, seed):
+    """The downlink estimator of estimatorVersion 4 for one allocation set:
+    per neighbour l, target user n's interference sum_c p_lc |[F_l z_n]_c|^2."""
+    m, n = top.config.bs_antennas, top.config.users_per_cell
+
+    def alpha_sq(cell):
+        return (m - n) / float(np.sum(1.0 / top.large_scale[cell, cell]))
+
+    def block_rates(rng, size):
+        interference = np.zeros((size, n))
+        for l in top.neighbors(target):
+            e, _ = _faded_energy_v4(rng, m, np.sqrt(top.large_scale[l, l]), size, n)
+            gain = alpha_sq(l) * top.large_scale[l, target]
+            interference += gain * (allocations[l].powers @ e)
+        signal = alpha_sq(target) * allocations[target].powers
+        return np.log2(1.0 + signal / (interference + 1.0))[None]
+
+    est, = mcrate._estimate(block_rates, trials, seed, 0.95)
+    return est
+
+
+def _two_sample_z(new, ref):
+    return (new.per_user_rate - ref.per_user_rate) / (np.hypot(new.ci_half_width,
+                                                               ref.ci_half_width) / _Z95)
 
 
 @pytest.mark.parametrize("m", [12, 20, 128, 500])  # M - N = 2, 10, 118, 490
@@ -314,8 +367,21 @@ def test_uplink_agrees_with_version_3(m):
     allocs = [PowerAllocation(rng.uniform(1.0, 100.0, 10), "uplink") for _ in range(19)]
     new = uplink_rate_mc(top, allocs, 0, trials=4000, seed=1)
     ref = _uplink_rate_v3(top, allocs, 0, trials=4000, seed=2)
-    z = (new.per_user_rate - ref.per_user_rate) / (np.hypot(new.ci_half_width,
-                                                             ref.ci_half_width) / _Z95)
+    z = _two_sample_z(new, ref)
+    assert np.max(np.abs(z)) < 4.0, z
+
+
+@pytest.mark.parametrize("m", [12, 20, 128, 500])
+def test_downlink_agrees_with_version_4(m):
+    # estimatorVersion 5's forward substitution and z^T X fading against
+    # version 4's LAPACK inverse and F z, per user: a two-sample |z| < 4 over
+    # independent seeds (Bonferroni, 10 users)
+    top = build_topology(NetworkConfig(users_per_cell=10, bs_antennas=m, seed=5))
+    rng = np.random.default_rng(m)
+    allocs = [PowerAllocation(rng.uniform(10.0, 1000.0, 10), "downlink") for _ in range(19)]
+    new = downlink_rate_mc(top, allocs, 0, trials=2000, seed=1)
+    ref = _downlink_rate_v4(top, allocs, 0, trials=2000, seed=2)
+    z = _two_sample_z(new, ref)
     assert np.max(np.abs(z)) < 4.0, z
 
 
@@ -366,25 +432,22 @@ class TestResampling:
         assert np.array_equal(a.per_user_rate, b.per_user_rate)
 
 
-def _inverse_factors_reference(rng, m, sqrt_beta, size):
-    """The eigenvalue-only accept test of estimatorVersion 2: every trial's
-    Gram matrix goes through ``eigvalsh``."""
-    n = sqrt_beta.size
-    F = np.empty((size, n, n), dtype=complex)
-    todo = np.arange(size)
-    for _ in range(mcrate.RESAMPLE_CAP):
-        K = sqrt_beta[:, None] * mcrate._bartlett_factor(rng, m, n, todo.size)
-        lam = np.linalg.eigvalsh(K @ K.conj().swapaxes(-1, -2))
-        ok = (lam[:, 0] > 0) & (lam[:, -1] <= mcrate.CONDITION_LIMIT * lam[:, 0])
-        K_ok = K[ok]
-        K_inv = np.linalg.inv(K_ok)
-        good = np.max(np.abs(K_inv @ K_ok - np.eye(n)), axis=(1, 2)) < mcrate.ZF_RESIDUAL_TOL
-        accepted = ok.nonzero()[0][good]
-        F[todo[accepted]] = K_inv[good].conj().swapaxes(-1, -2)
-        todo = np.delete(todo, accepted)
-        if todo.size == 0:
-            return F
-    raise IllConditionedChannelError("no well-conditioned channel")
+class TestLowerInverse:
+    @pytest.mark.parametrize("m,n", [(2, 1), (5, 4), (11, 10), (128, 10)])  # M = N + 1 first
+    def test_agrees_with_lapack_inverse(self, m, n):
+        rng = np.random.default_rng(m)
+        sqrt_beta = np.sqrt(rng.uniform(1e-3, 1.0, n))
+        K = sqrt_beta[:, None] * _bartlett_factor(rng, m, n, 500)
+        X, ref = mcrate._lower_inverse(K), np.linalg.inv(K)
+        assert np.array_equal(X, np.tril(X))
+        err = np.max(np.abs(X - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
+        assert np.max(err) < 1e-12
+
+    def test_exact_on_diagonal_inputs(self):
+        rng = np.random.default_rng(0)
+        d = rng.uniform(0.1, 10.0, (50, 6)) * np.exp(1j * rng.uniform(0.0, 6.3, (50, 6)))
+        X = mcrate._lower_inverse(d[:, :, None] * np.eye(6))
+        assert np.array_equal(X, (1.0 / d)[:, :, None] * np.eye(6))
 
 
 class TestBoundFirstAcceptTest:
