@@ -275,23 +275,14 @@ def _fixed_allocs(n_cells, n_users, direction, user_power=None, cell_power=None)
     return [PowerAllocation(np.full(n_users, float(p)), direction)] * n_cells
 
 
-def _cell_values(top, rows, direction, estimator, trials, mc_seed):
-    """(sum rate, within-drop CI) of cell 0 under one estimator, for each
-    allocation set in ``rows``; Monte Carlo rates every row from one set of
-    draws."""
-    # functions are looked up by their module-level names on each call, as
-    # the tracing of benchmarks/spans.py replaces those names
-    uplink = direction == "uplink"
-    if estimator == "mc":
-        mc = uplink_rate_mc if uplink else downlink_rate_mc
-        return [(est.sum_rate, float(est.ci_half_width.sum()))
-                for est in mc(top, rows, 0, trials, mc_seed)]
-    formulas = _UPLINK_RATES if uplink else _DOWNLINK_RATES
-    profile = uplink_profile if uplink else downlink_profile
-    cfg = top.config
-    return [(float(formulas[estimator](profile(top, allocations, 0), cfg.bs_antennas,
-                                       cfg.users_per_cell, allocations[0].powers).sum()), 0.0)
-            for allocations in rows]
+def _mc_values(top, rows, direction, trials, mc_seed):
+    """(sum rate, within-drop CI) of cell 0 by Monte Carlo, for each
+    allocation set in ``rows``, every row from one set of draws."""
+    # looked up by module-level name on each call, as the tracing of
+    # benchmarks/spans.py replaces those names
+    mc = uplink_rate_mc if direction == "uplink" else downlink_rate_mc
+    return [(est.sum_rate, float(est.ci_half_width.sum()))
+            for est in mc(top, rows, 0, trials, mc_seed)]
 
 
 # the uplink strategies in record order; fig12's scheduler runs "approx"
@@ -302,30 +293,16 @@ _UPLINK_STRATEGIES = {
 }
 
 
-# Jobs run drop-major (see _plan_jobs): consecutive (xIndex, drop) jobs revisit
-# one geometry, and a per-drop job builds each of its geometries once. So each
-# process keeps the last built drop, keyed on its config without M: large-scale
-# fading does not depend on the antenna count, so one built drop serves every M
-# through ``CellTopology.with_antennas``.
-_last_drop: dict = {}
-
-
 def _drop_topology(spec: ExperimentSpec, drop: int, *, users=None, antennas=None, cells=None):
     cfg = spec.network
-    root = cfg.seed
     extra = [] if users is None else [int(users)]
-    cfg = replace(
+    return build_topology(replace(
         cfg,
-        seed=derive_seed(root, _TAG_DROP, drop, *extra),
+        seed=derive_seed(cfg.seed, _TAG_DROP, drop, *extra),
         users_per_cell=cfg.users_per_cell if users is None else users,
         bs_antennas=cfg.bs_antennas if antennas is None else antennas,
         cell_count=cfg.cell_count if cells is None else cells,
-    )
-    key = replace(cfg, bs_antennas=cfg.users_per_cell + 1)
-    if key not in _last_drop:
-        _last_drop.clear()
-        _last_drop[key] = build_topology(cfg)
-    return _last_drop[key].with_antennas(cfg.bs_antennas)
+    ))
 
 
 # Cell 0's profile against fixed-power interferers depends on the drop, N and
@@ -387,62 +364,84 @@ def _downlink_gains(prof: DownlinkProfile, m: int, p_lin, users=None) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# per-kind job runners: payload {"xIndex": i, "drop": d} -> records
+# per-kind job runners: payload {"drop": d} -> records
 # ---------------------------------------------------------------------------
 
+# Every curve kind runs one job per drop. Large-scale fading does not depend on
+# M, and cell 0's profile depends on neither the sweep point, nor M, nor the
+# cell's own power: so a job builds each of its geometries once, at the
+# smallest M it rates (so that config check covers every M), reaches the other
+# M through ``CellTopology.with_antennas`` and profiles cell 0 once.
+
 def _job_equal_power(spec: ExperimentSpec, job: dict) -> list[dict]:
-    """Equal-power rate curves (fig2, fig3, fig8, custom): one M at each power
-    panel, or every power of a power sweep's drop, as the rows of one call
-    (Monte Carlo: from one set of draws, as nothing drawn depends on power)."""
+    """Equal-power rate curves (fig2, fig3, fig8, custom) of one drop.
+
+    An M sweep rates each M's power panels as the rows of one call; a power
+    sweep rates every power as a row of one call. Monte Carlo draws each
+    call's rows from one set of draws, as nothing drawn depends on power.
+    """
     d = job["drop"]
     opts = spec.options
     direction = opts.get("direction", "downlink" if spec.kind == "fig8" else "uplink")
+    root = spec.network.seed
 
+    # calls as (M, [(panel, x, power)], Monte Carlo seed)
     if spec.sweep.variable == "powerDb":
-        m = spec.network.bs_antennas
-        points = [("", x, db_to_linear(x)) for x in spec.sweep.values]
-        mc_seed = derive_seed(spec.network.seed, _TAG_MC, d)
+        calls = [(spec.network.bs_antennas, [("", x, db_to_linear(x)) for x in spec.sweep.values],
+                  derive_seed(root, _TAG_MC, d))]
     else:
-        i = job["xIndex"]
-        x = spec.sweep.values[i]
-        m = int(x)
-        points = ([(f"P{num:g}dB", x, db_to_linear(num)) for num in opts["powersDb"]]
-                  if "powersDb" in opts else [("", x, db_to_linear(opts.get("powerDb", 20)))])
-        mc_seed = derive_seed(spec.network.seed, _TAG_MC, d, i, 0)
-    top = _drop_topology(spec, d, antennas=m)
+        panels = ([(f"P{num:g}dB", db_to_linear(num)) for num in opts["powersDb"]]
+                  if "powersDb" in opts else [("", db_to_linear(opts.get("powerDb", 20)))])
+        calls = [(int(x), [(panel, x, p_lin) for panel, p_lin in panels],
+                  derive_seed(root, _TAG_MC, d, i, 0)) for i, x in enumerate(spec.sweep.values)]
+    top = _drop_topology(spec, d, antennas=calls[0][0])
     n = top.n_users
 
     # uplink interferers transmit a per-user power, downlink ones a cell total
-    p_x = db_to_linear(opts["interfererUserPowerDb" if direction == "uplink"
-                            else "interfererCellPowerDb"])
+    uplink = direction == "uplink"
+    p_x = db_to_linear(opts["interfererUserPowerDb" if uplink else "interfererCellPowerDb"])
     interferers = _fixed_allocs(top.n_cells, n, direction, user_power=p_x, cell_power=p_x)
-    rows = [[equal_alloc(n, p_lin, direction), *interferers[1:]] for _, _, p_lin in points]
-    values = {est: _cell_values(top, rows, direction, est, spec.trials, mc_seed)
-              for est in opts["estimators"]}
-    return [{"panel": panel, "label": est, "x": x, "value": rates[pi][0], "ci": rates[pi][1]}
-            for pi, (panel, x, _) in enumerate(points) for est, rates in values.items()]
+    # cell 0's profile reads the interferers only
+    prof = (uplink_profile if uplink else downlink_profile)(top, interferers, 0)
+    formulas = _UPLINK_RATES if uplink else _DOWNLINK_RATES
+
+    records = []
+    for m, points, mc_seed in calls:
+        own = [equal_alloc(n, p_lin, direction) for _, _, p_lin in points]
+        values = {}
+        for est in opts["estimators"]:
+            if est == "mc":
+                values[est] = _mc_values(top.with_antennas(m), [[a, *interferers[1:]] for a in own],
+                                         direction, spec.trials, mc_seed)
+            else:
+                per_user = formulas[est](prof, m, n, np.array([a.powers for a in own]))
+                values[est] = [(value, 0.0) for value in per_user.sum(axis=1).tolist()]
+        records += [{"panel": panel, "label": est, "x": x, "value": rates[pi][0],
+                     "ci": rates[pi][1]}
+                    for pi, (panel, x, _) in enumerate(points) for est, rates in values.items()]
+    return records
 
 
 def _job_fixed_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
-    """Sum rate with M and N scaled together at fixed M/N (fig6)."""
-    i, d = job["xIndex"], job["drop"]
-    n = int(spec.sweep.values[i])
+    """Sum rate with M and N scaled together at fixed M/N (fig6), at every
+    user count of one drop."""
+    d = job["drop"]
     opts = spec.options
     ratios = [int(ratio) for ratio in opts["ratios"]]
-    # one drop serves every ratio, as only M changes; building it at the
-    # smallest M checks that every ratio gives a valid M > N
-    top = _drop_topology(spec, d, users=n, antennas=min(ratios) * n)
-    prof = _uplink_rows([top], db_to_linear(opts["interfererUserPowerDb"]))
-    ms = [ratio * n for ratio in ratios]
-    rates = _pa_eq(prof, ms, db_to_linear(opts["powerDb"]))
-    return [{"panel": f"ratio{ratio}", "label": label, "x": m,
-             "value": float(r.sum(axis=1)[0]), "ci": 0.0}
-            for ratio, m, pair in zip(ratios, ms, rates) for label, r in zip(("pa", "eq"), pair)]
+    p_x, p_lin = db_to_linear(opts["interfererUserPowerDb"]), db_to_linear(opts["powerDb"])
+    records = []
+    for users in spec.sweep.values:
+        n = int(users)
+        # each N is its own drop; it serves every ratio, as only M changes
+        top = _drop_topology(spec, d, users=n, antennas=min(ratios) * n)
+        ms = [ratio * n for ratio in ratios]
+        rates = _pa_eq(_uplink_rows([top], p_x), ms, p_lin)
+        records += [{"panel": f"ratio{ratio}", "label": label, "x": m,
+                     "value": float(r.sum(axis=1)[0]), "ci": 0.0}
+                    for ratio, m, pair in zip(ratios, ms, rates)
+                    for label, r in zip(("pa", "eq"), pair)]
+    return records
 
-
-# Per-drop runners, payload {"drop": d}: cell 0's profile depends on neither
-# the sweep point nor M, so each scenario's drop is built once, at the smallest
-# (the sweep increases, so that config check covers every M), and profiled once.
 
 def _drop_strategies(spec: ExperimentSpec, job: dict) -> list[dict]:
     """Per-strategy sum rates (fig4) or relative gains (fig5) at every M.
@@ -472,8 +471,8 @@ def _drop_strategies(spec: ExperimentSpec, job: dict) -> list[dict]:
             if evaluator == "mc":
                 mc_seed = derive_seed(spec.network.seed, _TAG_MC, d, i, 0 if cells is None else 1)
                 cands = [[PowerAllocation(powers, "uplink"), *allocs[1:]] for powers in rows]
-                values, cis = map(list, zip(*_cell_values(top.with_antennas(m), cands, "uplink",
-                                                          "mc", spec.trials, mc_seed)))
+                values, cis = map(list, zip(*_mc_values(top.with_antennas(m), cands, "uplink",
+                                                        spec.trials, mc_seed)))
             else:
                 values = _UPLINK_RATES[evaluator](prof, m, n, rows).sum(axis=1).tolist()
                 cis = [0.0] * len(values)
@@ -578,17 +577,12 @@ _JOB_RUNNERS = {
     "fig11": _drop_downlink_split,
     "fig12": _job_network_slots,
 }
-_PER_DROP_KINDS = ("fig4", "fig5", "fig7", "fig10", "fig11", "fig12")  # one job per drop
 
 
 def _plan_jobs(spec: ExperimentSpec) -> list[dict]:
-    # a power sweep rates all its powers in one job per drop (_job_equal_power)
-    if spec.kind in _PER_DROP_KINDS or spec.sweep.variable == "powerDb":
-        return [{"drop": d} for d in range(spec.drops)]
-    # drop-major, so consecutive jobs reuse one drop's geometry; every sweep
-    # point still receives its samples in drop order
-    return [{"xIndex": i, "drop": d} for d in range(spec.drops)
-            for i in range(len(spec.sweep.values))]
+    # one job per drop: --jobs parallelises over drops, and jobs run in drop
+    # order, so every sweep point receives its samples in drop order
+    return [{"drop": d} for d in range(spec.drops)]
 
 
 def _run_payload(payload: dict) -> list[dict]:

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcmimo import allocation
@@ -87,13 +87,21 @@ class TestWaterfill:
         c=st.lists(st.floats(1e-4, 1e4), min_size=1, max_size=12),
         budget=st.floats(1e-3, 1e4),
     )
+    # a level of 10000.5 against a budget of 1: the powers sum to one ulp of
+    # the level (1.8e-12) above the budget
+    @example(c=[0.00010000000000000002, 0.0001], budget=1.0)
     def test_invariants(self, c, budget):
         c = np.array(c)
         wf = waterfill(WaterfillCoefficients(c, budget))
         assert np.all(wf.powers >= 0.0)
-        assert wf.powers.sum() == pytest.approx(budget, rel=1e-12)
-        # every active user floats at the common water level
+        # float64 bound: the level (P + sum of k levels 1/c)/k carries k + 1
+        # roundings of the level, each power two more, and the k powers add
+        # them up; the final sum rounds relative to the budget
         active = wf.powers > 0
+        k = int(active.sum())
+        assert wf.powers.sum() == pytest.approx(
+            budget, rel=1e-12, abs=k * (k + 3) * np.spacing(wf.water_level))
+        # every active user floats at the common water level
         assert np.all(wf.water_level > 1.0 / c[active])
         np.testing.assert_allclose(
             wf.powers[active], wf.water_level - 1.0 / c[active], rtol=1e-9, atol=1e-12 * budget

@@ -481,7 +481,9 @@ class TestRunExperiment:
                         est = uplink_rate_mc(top, cand, 0, 64, seed)
                         want = (est.sum_rate, float(est.ci_half_width.sum()))
                     else:
-                        want, = cli._cell_values(top, [cand], "uplink", evaluator, 64, seed)
+                        rate = cli._UPLINK_RATES[evaluator]
+                        want = (float(rate(closedform.uplink_profile(top, cand, 0), m, 4,
+                                           cand[0].powers).sum()), 0.0)
                     assert got[(panel, label, m)] == want
 
     def test_fig5_mc_gains_equal_one_strategy_at_a_time(self, tmp_path):
@@ -537,7 +539,7 @@ class TestRunExperiment:
         doc = {"kind": kind, "network": {"usersPerCell": 3, "bsAntennas": 12, "seed": 4},
                "sweep": {"variable": "bsAntennas", "values": [12]}, "drops": 1, "trials": 8,
                "output": str(tmp_path)}
-        cli._job_equal_power(ExperimentSpec.from_dict(doc), {"xIndex": 0, "drop": 0})
+        cli._job_equal_power(ExperimentSpec.from_dict(doc), {"drop": 0})
         assert sorted(set(calls)) == sorted(names)
 
     @pytest.mark.parametrize("kind", ["fig2", "fig8"])
@@ -549,7 +551,7 @@ class TestRunExperiment:
                    "sweep": {"variable": "bsAntennas", "values": [12]}, "drops": 1,
                    "trials": 40, "options": {"powersDb": powers}, "output": str(tmp_path)}
             spec = ExperimentSpec.from_dict(doc)
-            return cli._job_equal_power(spec, {"xIndex": 0, "drop": 0})
+            return cli._job_equal_power(spec, {"drop": 0})
 
         both = records([20, 30])
         assert both == records([20]) + records([30])
@@ -841,7 +843,6 @@ class TestDropReuse:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        monkeypatch.setattr(cli, "_last_drop", {})
         closedform._factor_of_bytes.cache_clear()
         seen = {"build": [], "factor": 0}
 
@@ -853,16 +854,18 @@ class TestDropReuse:
             seen["factor"] += 1
             return characteristic(zetas)
 
-        def profile(top, allocations, target):
-            seen["profile"].append((top.config.users_per_cell, top.config.seed,
-                                    top.config.bs_antennas, top.n_cells))
-            return uplink(top, allocations, target)
+        def profiled(fn):
+            def profile(top, allocations, target):
+                seen["profile"].append((top.config.users_per_cell, top.config.seed,
+                                        top.config.bs_antennas, top.n_cells))
+                return fn(top, allocations, target)
+            return profile
 
         characteristic = closedform.characteristic_coefficients
-        uplink = cli.uplink_profile
         seen["profile"] = []
         monkeypatch.setattr(cli, "build_topology", build)
-        monkeypatch.setattr(cli, "uplink_profile", profile)
+        for name in ("uplink_profile", "downlink_profile"):
+            monkeypatch.setattr(cli, name, profiled(getattr(cli, name)))
         monkeypatch.setattr(closedform, "characteristic_coefficients", coefficients)
         return seen
 
@@ -883,6 +886,22 @@ class TestDropReuse:
         # built at the smallest M
         assert len(calls["profile"]) == len(set(calls["profile"])) == drops * 2
         assert {m for _, _, m, _ in calls["profile"]} == {10}
+
+    @pytest.mark.parametrize("kind, estimators", [
+        ("fig2", ["mc", "lower", "upper", "approx"]), ("fig8", ["mc", "lower"]),
+    ])
+    def test_antenna_sweep_builds_and_profiles_each_drop_once(self, tmp_path, calls, kind,
+                                                             estimators):
+        drops = 3
+        doc = {"kind": kind, "network": {"usersPerCell": 3, "bsAntennas": 30, "seed": 6},
+               "sweep": {"variable": "bsAntennas", "values": [5, 12, 30, 60]}, "drops": drops,
+               "trials": 16, "options": {"estimators": estimators},
+               "output": str(tmp_path / kind)}
+        run_experiment(ExperimentSpec.from_dict(doc))
+        assert len(calls["build"]) == drops
+        assert {cfg.bs_antennas for cfg in calls["build"]} == {5}
+        # one profile per drop serves every M, power panel and closed form
+        assert len(calls["profile"]) == len(set(calls["profile"])) == drops
 
     @pytest.mark.parametrize("mode", ["maxRatio", "maxAntennas"])
     def test_fixed_n_query_builds_each_drop_once(self, calls, mode):
@@ -940,18 +959,14 @@ class TestDropReuse:
         # 4 queries probe overlapping user counts; each (N, drop) is built once
         assert len(built) == len(set(built)) and len(built) % drops == 0
 
-    @staticmethod
-    def drop_spec(seed=5):
-        return ExperimentSpec.from_dict({
+    def test_drop_built_at_small_m_matches_fresh_build(self):
+        # a job builds its drop at the smallest swept M and reaches the others
+        # through with_antennas: large-scale fading does not depend on M
+        spec = ExperimentSpec.from_dict({
             "kind": "fig2",
-            "network": {"usersPerCell": 4, "bsAntennas": 20, "seed": seed, "outerRingCells": 3},
+            "network": {"usersPerCell": 4, "bsAntennas": 20, "seed": 5, "outerRingCells": 3},
         })
-
-    def test_memoised_drop_matches_fresh_build(self, monkeypatch):
-        monkeypatch.setattr(cli, "_last_drop", {})
-        spec = self.drop_spec()
-        cli._drop_topology(spec, 0, antennas=20)
-        reused = cli._drop_topology(spec, 0, antennas=64)
+        reused = cli._drop_topology(spec, 0, antennas=20).with_antennas(64)
         fresh = build_topology(NetworkConfig(users_per_cell=4, bs_antennas=64,
                                              seed=cli.derive_seed(5, cli._TAG_DROP, 0),
                                              outer_ring_cells=3))
@@ -960,15 +975,6 @@ class TestDropReuse:
         for name in ("axial", "bs_positions", "user_positions", "large_scale",
                      "shadowing", "adjacency"):
             np.testing.assert_array_equal(getattr(reused, name), getattr(fresh, name))
-
-    def test_memo_is_bounded(self, calls):
-        # one slot: the last drop built is kept, whatever its antenna count
-        spec = self.drop_spec()
-        for drop, m in ((1, 20), (2, 20), (1, 30), (1, 64)):
-            assert cli._drop_topology(spec, drop, antennas=m).config.bs_antennas == m
-        assert len(cli._last_drop) == 1
-        want = [cli.derive_seed(5, cli._TAG_DROP, d) for d in (1, 2, 1)]
-        assert [cfg.seed for cfg in calls["build"]] == want  # 1 was evicted by 2
 
 
 class TestMainEntry:
@@ -1210,11 +1216,13 @@ class TestJobs:
                 raise AssertionError("a single job must not start a process pool")
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
-        doc = {"kind": "fig5", "network": {"usersPerCell": 3, "bsAntennas": 30, "seed": 6},
-               "drops": 1, "output": str(tmp_path / "fig5")}
-        spec = ExperimentSpec.from_dict(doc)
-        assert len(cli._plan_jobs(spec)) == 1
-        run_experiment(spec, jobs=2)
+        for kind in ("fig5", "fig2", "fig8"):  # every curve kind runs one job per drop
+            doc = {"kind": kind, "network": {"usersPerCell": 3, "bsAntennas": 30, "seed": 6},
+                   "sweep": {"variable": "bsAntennas", "values": [10, 30]}, "drops": 1,
+                   "trials": 8, "output": str(tmp_path / kind)}
+            spec = ExperimentSpec.from_dict(doc)
+            assert len(cli._plan_jobs(spec)) == 1
+            run_experiment(spec, jobs=2)
 
     def test_pool_has_at_most_one_worker_per_job(self, tmp_path, monkeypatch):
         workers = []
