@@ -10,6 +10,7 @@ manifest it wrote) reproduces the output files byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -45,7 +46,7 @@ from .closedform import (
     uplink_upper_bound,
 )
 from .mcrate import ESTIMATOR_VERSION, PowerAllocation, downlink_rate_mc, uplink_rate_mc
-from .network import network_sum_rate, run_joint, run_scheduled
+from .network import network_sum_rate, run_joint_drops, run_scheduled
 from .topology import CellTopology, NetworkConfig, build_topology, check_field
 
 _MASK64 = (1 << 64) - 1
@@ -364,23 +365,32 @@ def _downlink_gains(prof: DownlinkProfile, m: int, p_lin, users=None) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# per-kind job runners: payload {"drop": d} -> records
+# per-kind job runners: payload {"drops": [d, ...]} -> records
 # ---------------------------------------------------------------------------
 
-# Every curve kind runs one job per drop. Large-scale fading does not depend on
+# A job is a contiguous chunk of drops. Large-scale fading does not depend on
 # M, and cell 0's profile depends on neither the sweep point, nor M, nor the
-# cell's own power: so a job builds each of its geometries once, at the
-# smallest M it rates (so that config check covers every M), reaches the other
-# M through ``CellTopology.with_antennas`` and profiles cell 0 once.
+# cell's own power: so a job builds each of its geometries once per drop, at
+# the smallest M it rates (so that config check covers every M), reaches the
+# other M through ``CellTopology.with_antennas`` and profiles cell 0 once.
 
-def _job_equal_power(spec: ExperimentSpec, job: dict) -> list[dict]:
+def _each_drop(run_drop):
+    """The job runner that concatenates ``run_drop(spec, d)``'s records over
+    the job's drops, in order."""
+    @functools.wraps(run_drop)
+    def run(spec: ExperimentSpec, job: dict) -> list[dict]:
+        return [rec for d in job["drops"] for rec in run_drop(spec, d)]
+    return run
+
+
+@_each_drop
+def _job_equal_power(spec: ExperimentSpec, d: int) -> list[dict]:
     """Equal-power rate curves (fig2, fig3, fig8, custom) of one drop.
 
     An M sweep rates each M's power panels as the rows of one call; a power
     sweep rates every power as a row of one call. Monte Carlo draws each
     call's rows from one set of draws, as nothing drawn depends on power.
     """
-    d = job["drop"]
     opts = spec.options
     direction = opts.get("direction", "downlink" if spec.kind == "fig8" else "uplink")
     root = spec.network.seed
@@ -422,10 +432,10 @@ def _job_equal_power(spec: ExperimentSpec, job: dict) -> list[dict]:
     return records
 
 
-def _job_fixed_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
+@_each_drop
+def _job_fixed_ratio(spec: ExperimentSpec, d: int) -> list[dict]:
     """Sum rate with M and N scaled together at fixed M/N (fig6), at every
     user count of one drop."""
-    d = job["drop"]
     opts = spec.options
     ratios = [int(ratio) for ratio in opts["ratios"]]
     p_x, p_lin = db_to_linear(opts["interfererUserPowerDb"]), db_to_linear(opts["powerDb"])
@@ -443,14 +453,14 @@ def _job_fixed_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
     return records
 
 
-def _drop_strategies(spec: ExperimentSpec, job: dict) -> list[dict]:
+@_each_drop
+def _drop_strategies(spec: ExperimentSpec, d: int) -> list[dict]:
     """Per-strategy sum rates (fig4) or relative gains (fig5) at every M.
 
     One call water-fills every (M, strategy) row; at each M, equal power and
     the three allocations are rated as four rows of one expression (Monte
     Carlo: from one set of draws).
     """
-    d = job["drop"]
     ms = [int(v) for v in spec.sweep.values]
     opts = spec.options
     p_lin = db_to_linear(opts["powerDb"])
@@ -488,10 +498,10 @@ def _drop_strategies(spec: ExperimentSpec, job: dict) -> list[dict]:
     return records
 
 
-def _drop_gain_vs_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
+@_each_drop
+def _drop_gain_vs_ratio(spec: ExperimentSpec, d: int) -> list[dict]:
     """Relative gain against the antennas-per-user ratio (fig7) at every
     ratio: one water-filling call per power panel."""
-    d = job["drop"]
     opts = spec.options
     ratios = [int(v) for v in spec.sweep.values]
     ms = [ratio * spec.network.users_per_cell for ratio in ratios]
@@ -503,9 +513,9 @@ def _drop_gain_vs_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
             for ratio, rates in zip(ratios, _pa_eq(prof, ms, db_to_linear(p_db)))]
 
 
-def _drop_downlink_split(spec: ExperimentSpec, job: dict) -> list[dict]:
+@_each_drop
+def _drop_downlink_split(spec: ExperimentSpec, d: int) -> list[dict]:
     """Central/edge user sums (fig10) or gains (fig11) on the downlink at every M."""
-    d = job["drop"]
     ms = [int(v) for v in spec.sweep.values]
     opts = spec.options
     top = _drop_topology(spec, d, antennas=ms[0])
@@ -528,39 +538,37 @@ def _drop_downlink_split(spec: ExperimentSpec, job: dict) -> list[dict]:
 
 
 def _job_network_slots(spec: ExperimentSpec, job: dict) -> list[dict]:
-    """Scheduled vs joint vs equal network sum rate per slot (fig12)."""
-    s = job["drop"]
+    """Scheduled vs joint vs equal network sum rate per slot (fig12) of each of
+    the job's drops; the joint optimiser runs the drops as one stack."""
     opts = spec.options
     budget = float(opts["powerW"])
     initial = db_to_linear(opts["initialUserPowerDb"])
     estimator = opts["estimator"]
-    top = _drop_topology(spec, s)
-    n = top.n_users
     slots = [int(v) for v in spec.sweep.values]
-
-    sched = run_scheduled(top, _UPLINK_STRATEGIES["approx"], budget, initial, max(slots),
-                          rate_estimator=estimator, trials=spec.trials,
-                          seed=derive_seed(spec.network.seed, _TAG_SLOT, s))
+    tops = [_drop_topology(spec, s) for s in job["drops"]]
     # the outer ring keeps the scheduler's initial power under all three curves
-    joint = run_joint(top, budget, max_iters=opts["jointMaxIters"],
-                      tolerance=float(opts["jointTolerance"]), outer_user_power=initial)
-    k = top.cluster_size
-    eq_allocs = ([equal_alloc(n, budget)] * k
-                 + _fixed_allocs(top.n_cells - k, n, "uplink", user_power=initial))
-    mc_seed = derive_seed(spec.network.seed, _TAG_MC, s)
-    if estimator == "monteCarlo":  # both rated from one set of draws per cell
-        joint_value, eq_value = network_sum_rate(top, [joint.per_cell_powers, eq_allocs],
-                                                 estimator, spec.trials, mc_seed)
-    else:
-        joint_value = joint.objective
-        eq_value = network_sum_rate(top, eq_allocs, estimator, spec.trials, mc_seed)
+    joints = run_joint_drops(tops, budget, max_iters=opts["jointMaxIters"],
+                             tolerance=float(opts["jointTolerance"]), outer_user_power=initial)
 
     records = []
-    for slot in slots:
-        records.append({"panel": "", "label": "scheduled", "x": slot,
-                        "value": sched.history[slot - 1], "ci": 0.0})
-        records.append({"panel": "", "label": "joint", "x": slot, "value": joint_value, "ci": 0.0})
-        records.append({"panel": "", "label": "equal", "x": slot, "value": eq_value, "ci": 0.0})
+    for s, top, joint in zip(job["drops"], tops, joints, strict=True):
+        sched = run_scheduled(top, _UPLINK_STRATEGIES["approx"], budget, initial, max(slots),
+                              rate_estimator=estimator, trials=spec.trials,
+                              seed=derive_seed(spec.network.seed, _TAG_SLOT, s))
+        n, k = top.n_users, top.cluster_size
+        eq_allocs = ([equal_alloc(n, budget)] * k
+                     + _fixed_allocs(top.n_cells - k, n, "uplink", user_power=initial))
+        mc_seed = derive_seed(spec.network.seed, _TAG_MC, s)
+        if estimator == "monteCarlo":  # both rated from one set of draws per cell
+            joint_value, eq_value = network_sum_rate(top, [joint.per_cell_powers, eq_allocs],
+                                                     estimator, spec.trials, mc_seed)
+        else:
+            joint_value = joint.objective
+            eq_value = network_sum_rate(top, eq_allocs, estimator, spec.trials, mc_seed)
+        records += [{"panel": "", "label": label, "x": slot, "value": value, "ci": 0.0}
+                    for slot in slots
+                    for label, value in (("scheduled", sched.history[slot - 1]),
+                                         ("joint", joint_value), ("equal", eq_value))]
     return records
 
 
@@ -579,10 +587,14 @@ _JOB_RUNNERS = {
 }
 
 
-def _plan_jobs(spec: ExperimentSpec) -> list[dict]:
-    # one job per drop: --jobs parallelises over drops, and jobs run in drop
-    # order, so every sweep point receives its samples in drop order
-    return [{"drop": d} for d in range(spec.drops)]
+def _plan_jobs(spec: ExperimentSpec, workers: int) -> list[dict]:
+    # one contiguous chunk of drops per worker (never more chunks than drops);
+    # the chunks' records join in drop order, so every sweep point receives its
+    # samples in drop order
+    workers = min(workers, spec.drops)
+    size, extra = divmod(spec.drops, workers)  # the first ``extra`` chunks get one more
+    ends = [w * size + min(w, extra) for w in range(workers + 1)]
+    return [{"drops": list(range(a, b))} for a, b in zip(ends, ends[1:])]
 
 
 def _run_payload(payload: dict) -> list[dict]:
@@ -844,6 +856,34 @@ def _check_replaceable(outdir: Path) -> None:
                          f"directory, so choose another 'output' or --out")
 
 
+def _recover_swap(outdir: Path) -> None:
+    """Clean up after a run killed inside ``_write_replacing``: put the old
+    outputs back if the kill fell between its two renames, and remove the
+    hidden temporary directories it left beside ``outdir``. Runs into one
+    output directory must not overlap, as one would take the other's
+    temporary directory for a leftover."""
+    target = outdir.resolve()
+    if not target.parent.is_dir():
+        return
+    prefix = f".{target.name}."  # then a uuid4 hex, and ".old" for the old outputs
+    left = []
+    with os.scandir(target.parent) as entries:
+        for entry in entries:
+            tag = entry.name.removeprefix(prefix).removesuffix(".old")
+            if (entry.name.startswith(prefix) and len(tag) == 32
+                    and not tag.strip("0123456789abcdef") and entry.is_dir()):
+                left.append(Path(entry.path))
+    if not target.exists():
+        # the outputs the latest completed run wrote, if any stepped aside
+        olds = [p for p in left if p.name.endswith(".old")]
+        if olds:
+            newest = max(olds, key=lambda p: p.stat().st_mtime_ns)
+            os.replace(newest, target)
+            left.remove(newest)
+    for path in left:
+        shutil.rmtree(path, ignore_errors=True)
+
+
 def _write_replacing(outdir: Path, files: dict[str, str]) -> None:
     """Write ``files`` into a temporary sibling of ``outdir``, then swap it in."""
     target = outdir.resolve()
@@ -871,12 +911,16 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> Path:
     Returns the output directory. Deterministic for a fixed spec: rerunning
     (including from the manifest it wrote) reproduces identical bytes. The
     files go to a temporary sibling directory that then replaces the output
-    directory whole, so a run that fails leaves the previous outputs intact.
-    At most ``jobs`` worker processes run, never more than there are jobs;
-    a single job runs in this process.
+    directory whole, so a run that fails leaves the previous outputs intact;
+    if a run was killed mid-swap, the next run into that directory restores
+    them first.
+    The drops are split into ``jobs`` contiguous chunks (at most one per
+    drop), each run by one worker process; a single chunk runs in this
+    process.
     """
     jobs = check_field("--jobs", jobs, "count")
     outdir = Path(spec.output)
+    _recover_swap(outdir)
     _check_replaceable(outdir)
     spec_dict = spec.to_dict()
     # the output directory is not an input to the computation: two runs that
@@ -902,10 +946,9 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> Path:
                                     for row in [header, *rows])
         manifest["tables"] = [table_file]
     else:
-        payloads = [{"spec": spec_dict, "job": job} for job in _plan_jobs(spec)]
-        workers = min(jobs, len(payloads))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+        payloads = [{"spec": spec_dict, "job": job} for job in _plan_jobs(spec, jobs)]
+        if len(payloads) > 1:
+            with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
                 chunks = list(pool.map(_run_payload, payloads))
         else:
             chunks = [_run_payload(p) for p in payloads]

@@ -5,7 +5,10 @@ The scheduler divides the cells into non-interfering groups (reuse-3 for the
 hexagonal layouts) and lets one group re-allocate per time slot against a
 frozen snapshot of everyone else's powers, so after one round every cell has
 optimised at least once. The joint benchmark runs projected-gradient ascent
-on all cluster cells' powers at once against the same analytic objective.
+on all cluster cells' powers at once against the same analytic objective;
+``run_joint_drops`` runs it for a stack of equal-shape topologies (one per
+drop) in one loop, each drop with its own iterate, step and stopping, and
+``run_joint`` is its stack of one.
 """
 
 from __future__ import annotations
@@ -96,42 +99,45 @@ def _power_matrix(topology: CellTopology, per_cell_powers) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _objective_constants(topology: CellTopology):
-    """The topology's fixed arrays of the uplink objective: a = beta_iii (M-N+1), the
-    cluster BSs' float adjacency rows and gains, and both again on cluster columns."""
+    """The topology's fixed arrays of the uplink objective, as a stack of one
+    drop: a = beta_iii (M-N+1) of shape (1, k, N) and the cluster BSs' gains
+    zeroed outside their edge-adjacent cells (1, k, C, N)."""
     cfg = topology.config
     k = topology.cluster_size
     a = topology.large_scale[np.arange(k), np.arange(k), :] * (
         cfg.bs_antennas - cfg.users_per_cell + 1)
-    adj = topology.adjacency[:k].astype(float)
-    beta = topology.large_scale[:k]
-    arrays = (a, adj, beta, np.ascontiguousarray(adj[:, :k]), np.ascontiguousarray(beta[:, :k]))
+    # adjacency is 0/1, so masking the gains leaves every product's bits as they are
+    beta = topology.large_scale[:k] * topology.adjacency[:k, :, None]
+    arrays = (a[None], beta[None])
     for arr in arrays:
         arr.setflags(write=False)  # shared by every call on this topology
     return arrays
 
 
-def _uplink_forward(topology: CellTopology, pmat: np.ndarray):
-    """Cluster sum of the closed-form uplink approximation, vectorised.
+def _uplink_forward(consts, pmat: np.ndarray):
+    """Cluster sum of the closed-form uplink approximation for each of D drops.
 
-    rate_in = log2(1 + a_in p_in / (b_i + 1)) with a_in = beta_iin (M-N+1) and
-    b_i the interference power at BS i from its edge-adjacent cells. Returns
-    the sum with b_i + 1 and a_in p_in, which ``_uplink_gradient`` reads.
+    ``consts`` are ``_objective_constants`` stacked over the drops and ``pmat``
+    their (D, C, N) powers. rate_in = log2(1 + a_in p_in / (b_i + 1)) with
+    a_in = beta_iin (M-N+1) and b_i the interference power at BS i from its
+    edge-adjacent cells. Returns the (D,) sums with b_i + 1 and a_in p_in,
+    which ``_uplink_gradient`` reads.
     """
-    a, adj, beta, _, _ = _objective_constants(topology)  # (k, N), (k, C), (k, C, N)
-    contrib = np.einsum("ilc,lc->il", beta, pmat)  # (k, C)
-    b1 = (contrib * adj).sum(axis=1) + 1.0          # (k,)
-    ap = a * pmat[:topology.cluster_size]
-    return float(np.log2(1.0 + ap / b1[:, None]).sum()), b1, ap
+    a, beta = consts  # (D, k, N), (D, k, C, N)
+    b1 = np.einsum("dilc,dlc->dil", beta, pmat).sum(axis=2) + 1.0  # (D, k)
+    ap = a * pmat[:, :a.shape[1]]
+    return np.log2(1.0 + ap / b1[:, :, None]).reshape(len(a), -1).sum(axis=1), b1, ap
 
 
-def _uplink_gradient(topology: CellTopology, b1: np.ndarray, ap: np.ndarray) -> np.ndarray:
-    """Gradient of the uplink objective in the cluster cells' powers, (k, N),
+def _uplink_gradient(consts, b1: np.ndarray, ap: np.ndarray) -> np.ndarray:
+    """Gradient of the uplink objective in the cluster cells' powers, (D, k, N),
     from ``_uplink_forward``'s b_i + 1 and a_in p_in at those powers."""
-    a, _, _, adj, beta = _objective_constants(topology)  # cluster columns only
-    denom = b1[:, None] + ap
-    # own-cell term, then the interference term: d b_i / d p_jm = adj[i,j] beta[i,j,m]
-    u = (ap / (b1[:, None] * denom)).sum(axis=1)  # (k,)
-    return a / denom / _LN2 - np.einsum("i,ij,ijm->jm", u, adj, beta) / _LN2
+    a, beta = consts
+    denom = b1[:, :, None] + ap
+    # own-cell term, then the interference term: d b_i / d p_jm is the masked
+    # gain beta[i,j,m] of cluster cell j
+    u = (ap / (b1[:, :, None] * denom)).sum(axis=2)  # (D, k)
+    return a / denom / _LN2 - np.einsum("di,dijm->djm", u, beta[:, :, :a.shape[1]]) / _LN2
 
 
 def _downlink_objective(topology: CellTopology, per_cell_powers) -> float:
@@ -163,7 +169,9 @@ def network_sum_rate(
     direction = rows[0][0].direction
     if estimator == "closedForm":
         if direction == "uplink":
-            totals = [_uplink_forward(topology, _power_matrix(topology, row))[0] for row in rows]
+            consts = _objective_constants(topology)
+            totals = [float(_uplink_forward(consts, _power_matrix(topology, row)[None])[0][0])
+                      for row in rows]
         else:
             totals = [_downlink_objective(topology, row) for row in rows]
     elif estimator == "monteCarlo":
@@ -222,15 +230,10 @@ def run_scheduled(
         for cell, new in zip(group, strategy(topology, allocs, group, m, n, budget), strict=True):
             new.check_budget(budget)
             allocs[cell] = new
-        history.append(
-            network_sum_rate(
-                topology,
-                allocs,
-                rate_estimator,
-                trials,
-                int(np.random.SeedSequence([seed & _MASK64, slot]).generate_state(1, np.uint64)[0]),
-            )
-        )
+        # closedForm draws nothing, so only monteCarlo needs the slot's seed
+        slot_seed = (int(np.random.SeedSequence([seed & _MASK64, slot]).generate_state(
+            1, np.uint64)[0]) if rate_estimator == "monteCarlo" else 0)
+        history.append(network_sum_rate(topology, allocs, rate_estimator, trials, slot_seed))
     return NetworkState(slots, allocs, groups, history, rate_estimator)
 
 
@@ -241,58 +244,88 @@ def run_joint(
     tolerance: float = 1e-9,
     outer_user_power: float | None = None,
 ) -> JointResult:
-    """Jointly optimise all cluster cells' uplink powers by projected-gradient
-    ascent on the closed-form approximation objective.
+    """Jointly optimise all cluster cells' uplink powers: ``run_joint_drops``
+    on a stack of this one topology."""
+    return run_joint_drops([topology], budget, max_iters, tolerance, outer_user_power)[0]
 
-    Starts from the equal split (so the result is never worse than it), takes
-    Armijo-backtracked steps projected onto each cell's budget simplex, and
-    stops when the relative objective improvement drops below ``tolerance``.
-    Each candidate costs one projection and one forward pass, and an accepted
-    one's forward pass feeds the next gradient pass. Outer-ring users keep
+
+def run_joint_drops(
+    topologies,
+    budget: float,
+    max_iters: int = 500,
+    tolerance: float = 1e-9,
+    outer_user_power: float | None = None,
+) -> list[JointResult]:
+    """Jointly optimise all cluster cells' uplink powers by projected-gradient
+    ascent on the closed-form approximation objective, for each of a stack of
+    topologies of one shape (one per drop).
+
+    Each drop starts from the equal split (so its result is never worse than
+    it), takes Armijo-backtracked steps projected onto each cell's budget
+    simplex, and stops when its relative objective improvement drops below
+    ``tolerance``. Every drop keeps its own iterate, step, iteration count and
+    flag; a round rates one candidate for each drop still running, with one
+    projection and one forward pass for all of them, and an accepted
+    candidate's forward pass feeds that drop's next gradient. Each drop's
+    result is bit for bit that of running it alone. Outer-ring users keep
     ``outer_user_power`` each (the equal split if None).
     The objective is not jointly concave; like any local method this returns a
-    stationary point, flagged ``converged=False`` with a warning if the
-    iteration cap was reached first.
+    stationary point, flagged ``converged=False`` with one warning per drop if
+    the iteration cap was reached first.
     """
     check_field("budget", budget, "positive")
     check_field("max_iters", max_iters, "count")
     # a NaN or negative tolerance is never met, so the loop would run until
     # backtracking underflows and still report convergence
     check_field("tolerance", tolerance, "nonnegative")
-    n = topology.config.users_per_cell
-    k = topology.cluster_size
+    tops = list(topologies)
+    if not tops or len({(t.n_cells, t.n_users, t.cluster_size) for t in tops}) != 1:
+        raise ValueError("topologies must be a non-empty stack of one shape "
+                         "(cells, users per cell, cluster cells)")
+    n, k = tops[0].n_users, tops[0].cluster_size
 
-    pmat = np.full((topology.n_cells, n), budget / n)
+    pmat = np.full((len(tops), tops[0].n_cells, n), budget / n)
     if outer_user_power is not None:
-        pmat[k:] = check_field("outer_user_power", outer_user_power, "nonnegative")
+        pmat[:, k:] = check_field("outer_user_power", outer_user_power, "nonnegative")
+    # the stacked constants of the drops still running, re-gathered as drops finish
+    consts = tuple(np.concatenate(arrs) for arrs in zip(*map(_objective_constants, tops)))
 
-    f, b1, ap = _uplink_forward(topology, pmat)
-    grad = _uplink_gradient(topology, b1, ap)
-    step = budget
-    converged = False
-    it = 0
-    for it in range(1, max_iters + 1):
-        accepted = False
-        while step > 1e-16 * budget:
-            cand = pmat.copy()
-            cand[:k] = project_budget_simplex(pmat[:k] + step * grad, budget)
-            fc, b1, ap = _uplink_forward(topology, cand)
-            if fc > f and fc >= f + 1e-4 * float((grad * (cand[:k] - pmat[:k])).sum()):
-                rel = (fc - f) / max(abs(f), 1e-12)
-                pmat, f = cand, fc
-                grad = _uplink_gradient(topology, b1, ap)
-                step *= 2.0
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted or rel < tolerance:
-            converged = True
-            break
-    if not converged:
-        warnings.warn(
-            f"joint power optimisation hit the {max_iters}-iteration cap; "
-            "returning the best iterate",
-            RuntimeWarning,
-        )
-    allocs = [PowerAllocation(pmat[i], "uplink") for i in range(topology.n_cells)]
-    return JointResult(allocs, f, it, converged)
+    f, b1, ap = _uplink_forward(consts, pmat)
+    grad = _uplink_gradient(consts, b1, ap)
+    step = np.full(len(tops), float(budget))
+    it = np.ones(len(tops), dtype=np.int64)  # the iteration each drop is in
+    live = np.arange(len(tops))  # the drop of each running row
+    results: list = [None] * len(tops)
+    while live.size:
+        cand = pmat.copy()
+        cand[:, :k] = project_budget_simplex(
+            (pmat[:, :k] + step[:, None, None] * grad).reshape(-1, n), budget).reshape(-1, k, n)
+        fc, b1, ap = _uplink_forward(consts, cand)
+        rise = (grad * (cand[:, :k] - pmat[:, :k])).reshape(live.size, -1).sum(axis=1)
+        accepted = (fc > f) & (fc >= f + 1e-4 * rise)
+        rel = (fc - f) / np.maximum(np.abs(f), 1e-12)
+        if accepted.any():
+            pmat[accepted], f[accepted] = cand[accepted], fc[accepted]
+            grad[accepted] = _uplink_gradient(consts, b1, ap)[accepted]
+        step = np.where(accepted, step * 2.0, step * 0.5)
+        # a drop stops once backtracking underflows or its improvement is small
+        converged = np.where(accepted, rel < tolerance, ~(step > 1e-16 * budget))
+        advance = accepted & ~converged  # on to the next iteration, unless capped
+        done = converged | (advance & (it == max_iters))
+        it += advance & ~done
+        if done.any():
+            for row in np.flatnonzero(done):
+                results[live[row]] = JointResult(
+                    [PowerAllocation(p, "uplink") for p in pmat[row]], float(f[row]),
+                    int(it[row]), bool(converged[row]))
+            keep = ~done
+            live, pmat, f, grad, step, it = (x[keep] for x in (live, pmat, f, grad, step, it))
+            consts = tuple(c[keep] for c in consts)
+    for res in results:
+        if not res.converged:
+            warnings.warn(
+                f"joint power optimisation hit the {max_iters}-iteration cap; "
+                "returning the best iterate",
+                RuntimeWarning,
+            )
+    return results

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,7 +458,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("evaluator", ["lower", "upper", "approx", "mc"])
     def test_fig4_rows_equal_one_strategy_at_a_time(self, tmp_path, evaluator):
-        # one per-drop job rates every M; each (M, strategy) matches its own
+        # one drop's job rates every M; each (M, strategy) matches its own
         # topology-level strategy call at that M
         net = {"usersPerCell": 4, "bsAntennas": 30, "cellCount": 7, "seed": 8}
         ms = [12, 30, 75]
@@ -466,7 +467,7 @@ class TestRunExperiment:
                "output": str(tmp_path / "fig4")}
         spec = ExperimentSpec.from_dict(doc)
         got = {(r["panel"], r["label"], r["x"]): (r["value"], r["ci"])
-               for r in cli._drop_strategies(spec, {"drop": 0})}
+               for r in cli._drop_strategies(spec, {"drops": [0]})}
         assert len(got) == 2 * 4 * len(ms)
         for panel, cells, tag in (("multicell", None, 0), ("singlecell", 1, 1)):
             for i, m in enumerate(ms):
@@ -494,7 +495,7 @@ class TestRunExperiment:
                "output": str(tmp_path / "fig5")}
         spec = ExperimentSpec.from_dict(doc)
         got = {(r["panel"], r["label"], r["x"]): r["value"]
-               for r in cli._drop_strategies(spec, {"drop": 0})}
+               for r in cli._drop_strategies(spec, {"drops": [0]})}
         assert len(got) == 2 * 3 * len(ms)
         for panel, cells, tag in (("multicell", None, 0), ("singlecell", 1, 1)):
             for i, m in enumerate(ms):
@@ -514,7 +515,7 @@ class TestRunExperiment:
                "options": {"powerW": 20.0, "estimator": "monteCarlo"},
                "output": str(tmp_path / "fig12")}
         spec = ExperimentSpec.from_dict(doc)
-        got = {r["label"]: r["value"] for r in cli._job_network_slots(spec, {"drop": 0})}
+        got = {r["label"]: r["value"] for r in cli._job_network_slots(spec, {"drops": [0]})}
         top = cli._drop_topology(spec, 0)
         joint = run_joint(top, 20.0, max_iters=int(spec.options["jointMaxIters"]),
                           tolerance=float(spec.options["jointTolerance"]))
@@ -539,7 +540,7 @@ class TestRunExperiment:
         doc = {"kind": kind, "network": {"usersPerCell": 3, "bsAntennas": 12, "seed": 4},
                "sweep": {"variable": "bsAntennas", "values": [12]}, "drops": 1, "trials": 8,
                "output": str(tmp_path)}
-        cli._job_equal_power(ExperimentSpec.from_dict(doc), {"drop": 0})
+        cli._job_equal_power(ExperimentSpec.from_dict(doc), {"drops": [0]})
         assert sorted(set(calls)) == sorted(names)
 
     @pytest.mark.parametrize("kind", ["fig2", "fig8"])
@@ -551,7 +552,7 @@ class TestRunExperiment:
                    "sweep": {"variable": "bsAntennas", "values": [12]}, "drops": 1,
                    "trials": 40, "options": {"powersDb": powers}, "output": str(tmp_path)}
             spec = ExperimentSpec.from_dict(doc)
-            return cli._job_equal_power(spec, {"drop": 0})
+            return cli._job_equal_power(spec, {"drops": [0]})
 
         both = records([20, 30])
         assert both == records([20]) + records([30])
@@ -570,21 +571,21 @@ class TestRunExperiment:
                 "sweep": {"variable": "powerDb", "values": values}, "drops": 2, "trials": 40,
                 "options": options, "output": str(tmp_path)})
 
-        assert cli._plan_jobs(spec([0, 10])) == [{"drop": 0}, {"drop": 1}]
-        both = cli._job_equal_power(spec([0, 10]), {"drop": 1})
-        assert both == (cli._job_equal_power(spec([0]), {"drop": 1})
-                        + cli._job_equal_power(spec([10]), {"drop": 1}))
+        assert cli._plan_jobs(spec([0, 10]), 2) == [{"drops": [0]}, {"drops": [1]}]
+        both = cli._job_equal_power(spec([0, 10]), {"drops": [1]})
+        assert both == (cli._job_equal_power(spec([0]), {"drops": [1]})
+                        + cli._job_equal_power(spec([10]), {"drops": [1]}))
         assert [r["x"] for r in both if r["label"] == "mc"] == [0, 10]
 
     def test_fig12_outer_ring_keeps_initial_power_in_every_curve(self, tmp_path, monkeypatch):
         # the scheduler, the joint optimiser and the equal baseline are rated
         # under the same outer-ring interference: initialUserPowerDb per user
         seen = {}
-        scheduled, joint, sum_rate = cli.run_scheduled, cli.run_joint, cli.network_sum_rate
+        scheduled, joint, sum_rate = cli.run_scheduled, cli.run_joint_drops, cli.network_sum_rate
         monkeypatch.setattr(cli, "run_scheduled",
                             lambda *a, **k: seen.setdefault("scheduled", scheduled(*a, **k)))
-        monkeypatch.setattr(cli, "run_joint",
-                            lambda *a, **k: seen.setdefault("joint", joint(*a, **k)))
+        monkeypatch.setattr(cli, "run_joint_drops",
+                            lambda *a, **k: [seen.setdefault("joint", *joint(*a, **k))])
 
         def rate(top, allocs, *a, **k):
             seen["equal"] = allocs
@@ -596,7 +597,7 @@ class TestRunExperiment:
                "sweep": {"variable": "slot", "values": [1, 2]}, "drops": 1,
                "options": {"powerW": 20.0, "initialUserPowerDb": 0, "jointMaxIters": 400},
                "output": str(tmp_path / "fig12")}
-        cli._job_network_slots(ExperimentSpec.from_dict(doc), {"drop": 0})
+        cli._job_network_slots(ExperimentSpec.from_dict(doc), {"drops": [0]})
         for name in ("scheduled", "joint"):
             allocs = seen[name].per_cell_powers
             assert len(allocs) == 26 and [a.powers.tolist() for a in allocs[19:]] == [[1.0] * 2] * 7
@@ -1129,7 +1130,7 @@ class TestOutputDirectory:
         runner = cli._JOB_RUNNERS["fig5"]
 
         def fail_on_last_drop(spec, job):
-            if job["drop"] == 2:
+            if 2 in job["drops"]:
                 raise RuntimeError("interrupted")
             return runner(spec, job)
 
@@ -1171,6 +1172,44 @@ class TestOutputDirectory:
             run_experiment(self.spec(out, options={"powerDb": 30}))
         assert self.snapshot(out) == before
         assert [p.name for p in tmp_path.iterdir()] == ["fig5"]
+
+    def test_swap_killed_between_renames_is_recovered(self, tmp_path, monkeypatch):
+        out = tmp_path / "fig5"
+        run_experiment(self.spec(out))
+        before = self.snapshot(out)
+        # what a run killed between _write_replacing's two renames leaves: the
+        # old outputs stepped aside and the new ones still in their temporary
+        # directory; beside them an older run's outputs that once stepped aside
+        os.replace(out, tmp_path / f".fig5.{'a' * 32}.old")
+        stale = [tmp_path / f".fig5.{'b' * 32}", tmp_path / f".fig5.{'c' * 32}.old"]
+        for path in stale:
+            path.mkdir()
+            (path / "manifest.json").write_text("{}")
+        os.utime(stale[1], (1, 1))
+        (tmp_path / ".fig5.notes").write_text("not a leftover")
+
+        def interrupted(spec, job):
+            raise RuntimeError("interrupted")
+
+        # the next run puts the old outputs back before it computes anything
+        monkeypatch.setitem(cli._JOB_RUNNERS, "fig5", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_experiment(self.spec(out, options={"powerDb": 30}))
+        assert self.snapshot(out) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".fig5.notes", "fig5"]
+
+    def test_leftovers_beside_outputs_are_removed(self, tmp_path):
+        # a run killed after its second rename, or while writing its files
+        out = tmp_path / "fig5"
+        run_experiment(self.spec(out))
+        for name in (f".fig5.{'d' * 32}.old", f".fig5.{'e' * 32}", f".other.{'f' * 32}"):
+            (tmp_path / name).mkdir()
+        run_experiment(self.spec(out, options={"powerDb": 30}))
+        fresh = run_experiment(self.spec(tmp_path / "fresh", options={"powerDb": 30}))
+        assert ({k: v for k, v in self.snapshot(out).items() if k != "manifest.json"}
+                == {k: v for k, v in self.snapshot(fresh).items() if k != "manifest.json"})
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f".other.{'f' * 32}", "fig5",
+                                                              "fresh"]
 
     def test_rerun_replaces_the_directory_whole(self, tmp_path):
         out = tmp_path / "run"
@@ -1216,13 +1255,39 @@ class TestJobs:
                 raise AssertionError("a single job must not start a process pool")
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
-        for kind in ("fig5", "fig2", "fig8"):  # every curve kind runs one job per drop
+        for kind in ("fig5", "fig2", "fig8"):  # one drop is one chunk for every kind
             doc = {"kind": kind, "network": {"usersPerCell": 3, "bsAntennas": 30, "seed": 6},
                    "sweep": {"variable": "bsAntennas", "values": [10, 30]}, "drops": 1,
                    "trials": 8, "output": str(tmp_path / kind)}
             spec = ExperimentSpec.from_dict(doc)
-            assert len(cli._plan_jobs(spec)) == 1
+            assert len(cli._plan_jobs(spec, 2)) == 1
             run_experiment(spec, jobs=2)
+
+    @pytest.mark.parametrize("drops, workers, chunks", [
+        (3, 2, [[0, 1], [2]]),
+        (20, 1, [list(range(20))]),
+        (2, 8, [[0], [1]]),
+        (7, 3, [[0, 1, 2], [3, 4], [5, 6]]),
+    ])
+    def test_one_contiguous_chunk_of_drops_per_worker(self, tmp_path, drops, workers, chunks):
+        spec = ExperimentSpec.from_dict(tiny_spec(tmp_path, drops=drops))
+        assert cli._plan_jobs(spec, workers) == [{"drops": chunk} for chunk in chunks]
+
+    @pytest.mark.parametrize("kind", ["fig12", "fig5"])
+    def test_outputs_do_not_depend_on_jobs(self, tmp_path, kind):
+        # 3 drops on 2 workers make uneven chunks, [0, 1] and [2]
+        config = Path(__file__).parents[1] / "configs" / f"{kind}.json"
+        runs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["run", str(config), "--drops", "3", "--jobs", str(jobs),
+                         "--out", str(out)]) == 0
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            manifest = json.loads(files.pop("manifest.json"))
+            assert manifest["spec"].pop("output") == str(out)
+            runs.append((files, manifest))
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]) == len(runs[0][1]["curves"]) > 0
 
     def test_pool_has_at_most_one_worker_per_job(self, tmp_path, monkeypatch):
         workers = []

@@ -1,12 +1,15 @@
 import hashlib
+import json
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcmimo import allocation, network
+from mcmimo import allocation, cli, network
 from mcmimo.allocation import equal_alloc, uplink_alloc_approx
 from mcmimo.closedform import uplink_approximation, uplink_profile
 from mcmimo.mcrate import PowerAllocation
@@ -16,6 +19,7 @@ from mcmimo.network import (
     network_sum_rate,
     project_budget_simplex,
     run_joint,
+    run_joint_drops,
     run_scheduled,
 )
 from mcmimo.topology import CellTopology, NetworkConfig, build_topology, schedule_groups
@@ -313,21 +317,23 @@ class TestUplinkObjective:
                                            outer_ring_cells=outer, seed=21))
         k = top.cluster_size
         pmat = np.random.default_rng(outer).uniform(0.5, 10.0, (top.n_cells, 3))
-        f, b1, ap = network._uplink_forward(top, pmat)
-        grad = network._uplink_gradient(top, b1, ap)
+        consts = network._objective_constants(top)  # a stack of one drop
+        (f,), (b1,), (ap,) = network._uplink_forward(consts, pmat[None])
+        (grad,) = network._uplink_gradient(consts, b1[None], ap[None])
         # the scheduler's closed-form sum rate is this objective, bit for bit
         assert f == network_sum_rate(top, [PowerAllocation(p, "uplink") for p in pmat])
         assert grad.shape == (k, 3)
         h = 1e-5
         fd = np.empty((k, 3))
+        pair = [np.repeat(c, 2, axis=0) for c in consts]  # this topology, twice
         for j, m in np.ndindex(k, 3):
             step = np.zeros_like(pmat)
             step[j, m] = h
-            fd[j, m] = (network._uplink_forward(top, pmat + step)[0]
-                        - network._uplink_forward(top, pmat - step)[0]) / (2 * h)
+            up, down = network._uplink_forward(pair, np.stack([pmat + step, pmat - step]))[0]
+            fd[j, m] = (up - down) / (2 * h)
         # the interference terms must be in: without them the gradient is off
         # by far more than the tolerance
-        own = network._objective_constants(top)[0] / (b1[:, None] + ap) / np.log(2.0)
+        own = consts[0][0] / (b1[:, None] + ap) / np.log(2.0)
         assert np.max(np.abs(own - fd)) > 1e-3
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
@@ -396,15 +402,12 @@ class TestRunJoint:
         budget = 10.0
         res = run_joint(top, budget, max_iters=3000, tolerance=1e-14)
         step = budget / 20
-        best = -np.inf
-        for i in range(21):
-            for j in range(21 - i):
-                for k in range(21):
-                    for l in range(21 - k):
-                        pmat = np.array(
-                            [[i * step, j * step], [k * step, l * step]]
-                        )
-                        best = max(best, network._uplink_forward(top, pmat)[0])
+        grid = np.array([[[i * step, j * step], [k * step, l * step]]
+                         for i in range(21) for j in range(21 - i)
+                         for k in range(21) for l in range(21 - k)])
+        # every grid point as one drop of a stack of this topology
+        consts = [np.repeat(c, len(grid), axis=0) for c in network._objective_constants(top)]
+        best = network._uplink_forward(consts, grid)[0].max()
         assert res.objective >= best - 1e-3
 
     def test_never_worse_than_equal_start(self):
@@ -452,34 +455,54 @@ class TestRunJoint:
         assert digest == self.OUTER_DIGESTS[outer, outer_power, seed]
 
     def test_objective_constants_built_once(self):
-        top = build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=3))
-        network._objective_constants.cache_clear()
-        res = run_joint(top, 50.0, max_iters=800, tolerance=1e-10)
-        info = network._objective_constants.cache_info()
-        # every candidate and gradient of the run reads the one build
-        assert info.misses == 1
-        assert info.hits >= 2 * res.iterations
+        tops = [build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=seed))
+                for seed in (3, 5, 8)]
+        for stack in (tops[:1], tops):
+            network._objective_constants.cache_clear()
+            res = run_joint_drops(stack, 50.0, max_iters=800, tolerance=1e-10)
+            info = network._objective_constants.cache_info()
+            # built once per topology and read once, into the stack that every
+            # candidate and gradient of the run reads
+            assert (info.misses, info.hits) == (len(stack), 0)
+            assert all(r.iterations > 1 for r in res)
 
-    def test_one_projection_per_candidate(self, monkeypatch):
-        top = build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=3))
-        assert top.cluster_size == 19
-        seen = {"projections": 0, "candidates": -1}  # the first pass rates the equal start
+    def test_one_projection_per_round(self, monkeypatch):
+        tops = [build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=seed))
+                for seed in (3, 5, 8)]
+        assert {top.cluster_size for top in tops} == {19}
+        calls = []  # (function, drops rated)
         project, forward = network.project_budget_simplex, network._uplink_forward
 
         def spy_project(v, budget):
-            seen["projections"] += 1
-            assert v.shape == (19, 5)
+            assert v.ndim == 2 and v.shape[1] == 5 and v.shape[0] % 19 == 0
+            calls.append(("project", v.shape[0] // 19))
             return project(v, budget)
 
-        def spy_forward(topology, pmat):
-            seen["candidates"] += 1
-            return forward(topology, pmat)
+        def spy_forward(consts, pmat):
+            calls.append(("forward", len(pmat)))
+            return forward(consts, pmat)
 
         monkeypatch.setattr(network, "project_budget_simplex", spy_project)
         monkeypatch.setattr(network, "_uplink_forward", spy_forward)
-        res = run_joint(top, 50.0, max_iters=800, tolerance=1e-10)
-        assert seen["candidates"] >= res.iterations > 1
-        assert seen["projections"] == seen["candidates"]
+
+        def rounds(stack):
+            """The drops rated in each round of one run on ``stack``."""
+            calls.clear()
+            run_joint_drops(stack, 50.0, max_iters=800, tolerance=1e-10)
+            # the first forward pass rates the equal starts; then each round
+            # projects and rates one candidate for every drop still running
+            assert calls[0] == ("forward", len(stack))
+            names, sizes = zip(*calls[1:])
+            assert names == ("project", "forward") * (len(names) // 2)
+            assert sizes[::2] == sizes[1::2]
+            assert list(sizes[::2]) == sorted(sizes[::2], reverse=True)
+            return sizes[::2]
+
+        alone = [rounds([top]) for top in tops]  # one candidate per round
+        stacked = rounds(tops)
+        assert stacked[0] == len(tops)
+        assert sum(stacked) == sum(map(len, alone))
+        assert len(stacked) == max(map(len, alone)) > 1
 
     @pytest.mark.parametrize("kwargs, field", [
         ({"budget": -5.0}, "budget"),
@@ -525,3 +548,88 @@ class TestRunJoint:
             res = run_joint(top, 30.0, max_iters=1)
         assert not res.converged
         assert isinstance(res, JointResult)
+
+
+def joint_fields(res: JointResult):
+    pmat = np.stack([a.powers for a in res.per_cell_powers])
+    return res.iterations, res.converged, res.objective.hex(), pmat.tobytes()
+
+
+def results_digest(fields) -> str:
+    h = hashlib.sha256()
+    for iterations, converged, objective, powers in fields:
+        h.update(f"{iterations},{converged},{objective};".encode() + powers)
+    return h.hexdigest()
+
+
+class TestRunJointDrops:
+    """A stack of drops gives, field for field, what each drop gives alone.
+
+    The digests of ``results_digest`` were recorded with the one-drop-at-a-time
+    optimiser that preceded the stacked one.
+    """
+
+    @staticmethod
+    def alone_and_stacked(tops, **kwargs):
+        """(per-drop results, stacked results), each with its RuntimeWarnings."""
+        runs = []
+        for run in (lambda: [run_joint(t, **kwargs) for t in tops],
+                    lambda: run_joint_drops(tops, **kwargs)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                res = run()
+            runs.append(([joint_fields(r) for r in res],
+                         [str(w.message) for w in caught if w.category is RuntimeWarning]))
+        return runs
+
+    def test_fig12_drops(self):
+        doc = json.loads((Path(__file__).parents[1] / "configs" / "fig12.json").read_text())
+        spec = cli.ExperimentSpec.from_dict(doc, {"drops": 20})
+        assert spec.network.seed == 2024
+        opts = spec.options
+        tops = [cli._drop_topology(spec, d) for d in range(20)]
+        alone, stacked = self.alone_and_stacked(
+            tops, budget=float(opts["powerW"]), max_iters=opts["jointMaxIters"],
+            tolerance=float(opts["jointTolerance"]),
+            outer_user_power=cli.db_to_linear(opts["initialUserPowerDb"]))
+        assert stacked == alone
+        assert results_digest(alone[0]) == (
+            "e24e9c36fcbdc9b67d3a41e8fd3bc2d193dbdb22e71b4208a9cbcb7e4d186e6a")
+        # drops that stop at different rounds, so the stack shrinks as it runs
+        assert [fields[0] for fields in alone[0]] == [79, 67, 45, 65, 46, 61, 34, 45, 42, 54,
+                                                       42, 44, 182, 134, 30, 60, 54, 83, 29, 18]
+
+    @pytest.mark.parametrize("outer, outer_power", [(6, None), (12, 3.0)])
+    def test_outer_ring_stacks(self, outer, outer_power):
+        tops = [build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=seed,
+                                             outer_ring_cells=outer)) for seed in (3, 5, 8)]
+        alone, stacked = self.alone_and_stacked(tops, budget=50.0, max_iters=800,
+                                                tolerance=1e-10, outer_user_power=outer_power)
+        assert stacked == alone
+
+    def test_stack_of_one(self):
+        top = build_topology(NetworkConfig(users_per_cell=3, bs_antennas=10, cell_count=7,
+                                           seed=18))
+        alone, stacked = self.alone_and_stacked([top], budget=30.0)
+        assert stacked == alone
+
+    def test_cap_warns_once_per_capped_drop(self):
+        tops = [build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=seed))
+                for seed in (3, 5, 8, 11)]
+        (fields, warned), stacked = self.alone_and_stacked(tops, budget=50.0, max_iters=40,
+                                                           tolerance=1e-10)
+        assert stacked == (fields, warned)
+        assert results_digest(fields) == (
+            "8414a35c61faa690e92ec1188fc2d6b17619fa9fc5e0ddf33dda9c5096f6c493")
+        # the cap stops some drops, not all, each at the cap
+        assert [f[:2] for f in fields] == [(35, True), (40, False), (40, False), (40, False)]
+        assert len(warned) == 3
+        assert all("40-iteration cap" in w for w in warned)
+
+    def test_empty_or_mixed_stack_rejected(self):
+        small, large = (build_topology(NetworkConfig(users_per_cell=3, bs_antennas=10,
+                                                     cell_count=cells, seed=18))
+                        for cells in (7, 19))
+        for tops in ([], [small, large]):
+            with pytest.raises(ValueError, match="topologies"):
+                run_joint_drops(tops, 30.0)
