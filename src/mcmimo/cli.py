@@ -47,9 +47,8 @@ from .closedform import (
 )
 from .mcrate import ESTIMATOR_VERSION, PowerAllocation, downlink_rate_mc, uplink_rate_mc
 from .network import network_sum_rate, run_joint_drops, run_scheduled
-from .topology import CellTopology, NetworkConfig, build_topology, check_field
+from .topology import CellTopology, NetworkConfig, build_topology, check_field, derive_seed
 
-_MASK64 = (1 << 64) - 1
 EDGE_SPLIT_FACTOR = 0.8  # users beyond this fraction of the cell radius are "edge"
 
 # stream tags for seed derivation
@@ -63,12 +62,6 @@ KINDS = (
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def derive_seed(root: int, *parts: int) -> int:
-    """Deterministic child seed for a (purpose, indices...) tuple."""
-    entropy = [root & _MASK64] + [int(p) & _MASK64 for p in parts]
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +264,16 @@ class ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 def _fixed_allocs(n_cells, n_users, direction, user_power=None, cell_power=None):
+    """(C, N) powers: ``user_power`` per uplink user, or ``cell_power`` split over the users."""
     p = user_power if direction == "uplink" else cell_power / n_users
-    # a PowerAllocation is read-only, so every cell can share one
-    return [PowerAllocation(np.full(n_users, float(p)), direction)] * n_cells
+    return np.full((n_cells, n_users), float(p))
 
 
-def _mc_values(top, rows, direction, trials, mc_seed):
-    """(sum rate, within-drop CI) of cell 0 by Monte Carlo, for each
-    allocation set in ``rows``, every row from one set of draws."""
+def _mc_values(top, own, interferers, direction, trials, mc_seed):
+    """(sum rate, within-drop CI) of cell 0 by Monte Carlo for each row of its powers
+    ``own`` against the (C, N) ``interferers``, every row from one set of draws."""
+    rows = np.repeat(interferers[None], len(own), axis=0)
+    rows[:, 0] = own
     # looked up by module-level name on each call, as the tracing of
     # benchmarks/spans.py replaces those names
     mc = uplink_rate_mc if direction == "uplink" else downlink_rate_mc
@@ -417,14 +412,14 @@ def _job_equal_power(spec: ExperimentSpec, d: int) -> list[dict]:
 
     records = []
     for m, points, mc_seed in calls:
-        own = [equal_alloc(n, p_lin, direction) for _, _, p_lin in points]
+        own = np.array([equal_alloc(n, p_lin).powers for _, _, p_lin in points])
         values = {}
         for est in opts["estimators"]:
             if est == "mc":
-                values[est] = _mc_values(top.with_antennas(m), [[a, *interferers[1:]] for a in own],
-                                         direction, spec.trials, mc_seed)
+                values[est] = _mc_values(top.with_antennas(m), own, interferers, direction,
+                                         spec.trials, mc_seed)
             else:
-                per_user = formulas[est](prof, m, n, np.array([a.powers for a in own]))
+                per_user = formulas[est](prof, m, n, own)
                 values[est] = [(value, 0.0) for value in per_user.sum(axis=1).tolist()]
         records += [{"panel": panel, "label": est, "x": x, "value": rates[pi][0],
                      "ci": rates[pi][1]}
@@ -480,9 +475,8 @@ def _drop_strategies(spec: ExperimentSpec, d: int) -> list[dict]:
             rows = np.vstack([eq, pa[i]])
             if evaluator == "mc":
                 mc_seed = derive_seed(spec.network.seed, _TAG_MC, d, i, 0 if cells is None else 1)
-                cands = [[PowerAllocation(powers, "uplink"), *allocs[1:]] for powers in rows]
-                values, cis = map(list, zip(*_mc_values(top.with_antennas(m), cands, "uplink",
-                                                        spec.trials, mc_seed)))
+                values, cis = map(list, zip(*_mc_values(top.with_antennas(m), rows, allocs,
+                                                        "uplink", spec.trials, mc_seed)))
             else:
                 values = _UPLINK_RATES[evaluator](prof, m, n, rows).sum(axis=1).tolist()
                 cis = [0.0] * len(values)
@@ -557,7 +551,7 @@ def _job_network_slots(spec: ExperimentSpec, job: dict) -> list[dict]:
                               seed=derive_seed(spec.network.seed, _TAG_SLOT, s))
         n, k = top.n_users, top.cluster_size
         eq_allocs = ([equal_alloc(n, budget)] * k
-                     + _fixed_allocs(top.n_cells - k, n, "uplink", user_power=initial))
+                     + [PowerAllocation(np.full(n, initial), "uplink")] * (top.n_cells - k))
         mc_seed = derive_seed(spec.network.seed, _TAG_MC, s)
         if estimator == "monteCarlo":  # both rated from one set of draws per cell
             joint_value, eq_value = network_sum_rate(top, [joint.per_cell_powers, eq_allocs],

@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mcrate import PowerAllocation
+from .mcrate import _power_rows, _target_cells
 from .topology import CellTopology
 
 _EULER_GAMMA = 0.5772156649015328606065120900824024
@@ -381,8 +381,10 @@ class InterferenceProfile:
             raise ValueError("beta_self must be finite and positive")
         if cp.shape != cb.shape:
             raise ValueError("cross_powers and cross_betas must have equal length")
-        if (cp < 0).any() or (cb <= 0).any():
-            raise ValueError("cross powers must be >= 0 and cross betas > 0")
+        if not ((cp >= 0) & np.isfinite(cp)).all():
+            raise ValueError("cross_powers must be finite and >= 0")
+        if not ((cb > 0) & np.isfinite(cb)).all():
+            raise ValueError("cross_betas must be finite and > 0")
         for name, arr in (("beta_self", bs), ("cross_powers", cp), ("cross_betas", cb)):
             arr = arr.copy()
             arr.setflags(write=False)
@@ -476,31 +478,6 @@ class DownlinkProfile:
         return self.cross_load.shape[-1]
 
 
-def _target_cells(target_cell) -> tuple[np.ndarray, bool]:
-    """``target_cell`` as a 1-D array of cell indices, and whether it was one index."""
-    cells = np.asarray(target_cell)
-    if cells.ndim > 1 or cells.size == 0 or cells.dtype.kind not in "iu":
-        raise ValueError(
-            f"target_cell must be a cell index or a non-empty sequence of them, got {target_cell!r}")
-    return cells.reshape(-1), cells.ndim == 0
-
-
-def _interferer_powers(topology: CellTopology, interfering_powers, cell, direction: str) -> np.ndarray:
-    """The (N,) powers of interfering ``cell``, checked as the profiles read them."""
-    alloc = interfering_powers[cell]
-    if alloc is None:
-        raise ValueError(f"no PowerAllocation provided for interfering cell {cell}")
-    if isinstance(alloc, PowerAllocation):
-        if alloc.direction != direction:
-            raise ValueError(f"cell {cell} allocation is {alloc.direction}, not {direction}")
-        p = alloc.powers
-    else:
-        p = np.asarray(alloc, dtype=float)
-    if p.shape != (topology.n_users,):
-        raise ValueError(f"cell {cell} powers must have shape ({topology.n_users},), got {p.shape}")
-    return p
-
-
 def uplink_profile(topology: CellTopology, interfering_powers, target_cell) -> InterferenceProfile:
     """Build the uplink interference profile of ``target_cell`` from the
     current powers of its edge-adjacent neighbours.
@@ -509,13 +486,14 @@ def uplink_profile(topology: CellTopology, interfering_powers, target_cell) -> I
     stack with one row per cell, each listing its neighbours' terms in
     ascending neighbour order and padded to the widest row.
     """
-    cells, single = _target_cells(target_cell)
+    cells, single = _target_cells(target_cell, topology.n_cells)
     adj = topology.adjacency[cells]
-    powers = np.zeros((topology.n_cells, topology.n_users))
-    for l in np.flatnonzero(adj.any(axis=0)):
-        powers[l] = _interferer_powers(topology, interfering_powers, l, "uplink")
+    powers, one, _ = _power_rows(topology, interfering_powers, np.flatnonzero(adj.any(axis=0)),
+                                 "uplink")
+    if not one:
+        raise ValueError("interfering_powers must be one allocation set")
     beta = topology.large_scale
-    terms = [(powers[nbrs].ravel(), beta[cell, nbrs].ravel()) for cell, nbrs in zip(cells, adj)]
+    terms = [(powers[0, nbrs].ravel(), beta[cell, nbrs].ravel()) for cell, nbrs in zip(cells, adj)]
     if single:
         return InterferenceProfile(beta[cells[0], cells[0]], *terms[0])
     lengths = np.array([p.size for p, _ in terms])
@@ -535,18 +513,21 @@ def downlink_profile(topology: CellTopology, interfering_powers, target_cell) ->
     stack with one row per cell. Each row adds its neighbours' loads in
     ascending order, as one cell alone does.
     """
-    cells, single = _target_cells(target_cell)
+    cells, single = _target_cells(target_cell, topology.n_cells)
     beta = topology.large_scale
     lam_self = [float((1.0 / beta[i, i]).sum()) for i in cells]
     adj = topology.adjacency[cells]
+    read = np.flatnonzero(adj.any(axis=0))
+    powers, one, _ = _power_rows(topology, interfering_powers, read, "downlink")
+    if not one:
+        raise ValueError("interfering_powers must be one allocation set")
     load = np.zeros((cells.size, topology.n_users))
-    for l in np.flatnonzero(adj.any(axis=0)):
-        p = _interferer_powers(topology, interfering_powers, l, "downlink")
+    for l in read:
         beta_ll = beta[l, l]
         lam_l = float((1.0 / beta_ll).sum())
         # sum_c p_c / beta_lc, shared by all target users; beta_ln scales it.
         # The rows of cells that l does not neighbour add exactly 0.
-        load += beta[l, cells] * float((p / beta_ll).sum()) / lam_l * adj[:, l, None]
+        load += beta[l, cells] * float((powers[0, l] / beta_ll).sum()) / lam_l * adj[:, l, None]
     if single:
         return DownlinkProfile(lam_self[0], load[0])
     return DownlinkProfile(np.array(lam_self)[:, None], load)

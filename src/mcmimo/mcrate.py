@@ -58,6 +58,12 @@ random numbers): nothing drawn depends on the powers. So one call rates R
 rows of allocations from one set of draws, and each row's estimate is the
 one a call with that row alone returns, bit for bit.
 
+Allocations. Every reader of per-cell powers takes one form: a set indexed by
+cell whose entries are None, a PowerAllocation or an (N,) vector of linear
+powers, or a sequence of such sets (rows). ``_power_rows`` alone makes it a
+(rows, cells, N) array and checks that each cell read holds N finite,
+non-negative powers, in the caller's direction; unread cells count as 0.
+
 ESTIMATOR_VERSION names the sampling scheme and how the experiments key it.
 Version 1 drew full M x N channels per trial from streams keyed by (seed,
 trial index); version 2 draws Bartlett factors on both links; version 3
@@ -72,6 +78,7 @@ where version 4 took LAPACK's inverse and drew K^{-H} z.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -115,10 +122,6 @@ class PowerAllocation:
         object.__setattr__(self, "powers", p)
 
     @property
-    def n_users(self) -> int:
-        return self.powers.size
-
-    @property
     def total(self) -> float:
         return float(self.powers.sum())
 
@@ -150,27 +153,61 @@ class RateEstimate:
         return float(self.per_user_rate.sum())
 
 
-def _check_allocations(allocations, cells, n_users: int, direction: str) -> None:
-    for cell in cells:
-        alloc = allocations[cell]
-        if alloc is None:
-            raise ValueError(f"no PowerAllocation provided for cell {cell}")
-        if alloc.direction != direction:
-            raise ValueError(
-                f"cell {cell} allocation direction {alloc.direction!r} != {direction!r}"
-            )
-        if alloc.n_users != n_users:
-            raise ValueError(f"cell {cell} allocation has {alloc.n_users} users, expected {n_users}")
+def _is_cell_entry(a) -> bool:
+    """Whether ``a`` is a cell's entry, not a set: anything but a sequence or array of
+    more than numbers (np.ndim alone takes a list of PowerAllocations for a vector)."""
+    if isinstance(a, (list, tuple)):
+        return all(isinstance(x, numbers.Real) for x in a)
+    return not isinstance(a, np.ndarray) or (a.ndim <= 1 and a.dtype.kind in "biuf")
 
 
-def _allocation_rows(allocations) -> tuple[list, bool]:
-    """(rows, single): ``allocations`` is either one allocation set indexed by
-    cell (PowerAllocation or None entries), returned as the only row, or a
-    non-empty sequence of such sets."""
+def _power_rows(topology: CellTopology, allocations, cells, direction: str | None):
+    """(powers, single, direction): the (R, C, N) powers of ``allocations``,
+    one set or R rows of the module docstring's form, read in ``cells`` only
+    (0 elsewhere); whether it was one set; and its direction, which the
+    PowerAllocations read give, and must agree on, when ``direction`` is None."""
     if len(allocations) == 0:
         raise ValueError("allocations must hold at least one row")
-    single = all(a is None or isinstance(a, PowerAllocation) for a in allocations)
-    return ([allocations] if single else list(allocations)), single
+    single = all(isinstance(a, PowerAllocation) or _is_cell_entry(a) for a in allocations)
+    rows = [allocations] if single else allocations
+    n_cells, n = topology.n_cells, topology.n_users
+    powers = np.zeros((len(rows), n_cells, n))
+    raw = False  # a PowerAllocation's powers are checked already
+    for r, row in enumerate(rows):
+        if len(row) != n_cells:
+            raise ValueError(f"an allocation set must hold {n_cells} cells, got {len(row)}")
+        for cell in cells:
+            a = row[cell]
+            if isinstance(a, PowerAllocation):
+                direction = direction or a.direction
+                if a.direction != direction:
+                    raise ValueError(f"cell {cell} allocation is {a.direction}, not {direction}")
+                p = a.powers
+            elif a is None:
+                raise ValueError(f"no allocation for cell {cell}")
+            else:
+                p, raw = np.asarray(a, dtype=float), True
+            if p.shape != (n,):
+                raise ValueError(f"cell {cell} powers must have shape ({n},), got {p.shape}")
+            powers[r, cell] = p
+    if direction is None:
+        raise ValueError("the allocations hold no PowerAllocation to give their direction")
+    # one check of every cell, vectorised; the failing cell is looked up only on failure
+    if raw and not (powers.min() >= 0 and powers.max() < np.inf):
+        r, cell = np.argwhere(~(np.isfinite(powers) & (powers >= 0)).all(axis=2))[0]
+        raise ValueError(f"cell {cell} powers must be finite and non-negative (row {r})")
+    return powers, single, direction
+
+
+def _target_cells(target_cell, n_cells: int, many: bool = True) -> tuple[np.ndarray, bool]:
+    """``target_cell`` as 1-D cell indices in [0, n_cells), and whether it was
+    one index; ``many`` admits a sequence."""
+    cells = np.asarray(target_cell)
+    if (cells.ndim > many or cells.size == 0 or cells.dtype.kind not in "iu"
+            or not all(0 <= c < n_cells for c in cells.reshape(-1).tolist())):
+        raise ValueError(f"target_cell must be a cell index in [0, {n_cells})"
+                         + " or a non-empty sequence of them" * many + f", got {target_cell!r}")
+    return cells.reshape(-1), cells.ndim == 0
 
 
 def _ci_half_width(sum_x, sum_x2, trials: int, confidence: float) -> np.ndarray:
@@ -296,33 +333,30 @@ def uplink_rate_mc(
 ):
     """Monte Carlo ergodic uplink rates of the target cell's users.
 
-    ``allocations`` is indexed by cell and must cover the target cell and all
-    of its interfering (edge-adjacent) neighbours; the result is a
-    RateEstimate. It may instead be a sequence of R such allocation sets: all
-    R rows are rated from one set of draws and the result is the list of
+    ``allocations`` is one allocation set (see the module docstring) that
+    covers the target cell and its interfering (edge-adjacent) neighbours;
+    the result is a RateEstimate. It may instead be a sequence of R such sets:
+    all R rows are rated from one set of draws and the result is the list of
     their R estimates, each equal to the estimate of its row alone. The
     expectation is over fast fading only; the topology's large-scale fading
     stays fixed.
     """
-    cfg = topology.config
-    m, n = cfg.bs_antennas, cfg.users_per_cell
+    m, n = topology.config.bs_antennas, topology.n_users
+    (target_cell,), _ = _target_cells(target_cell, topology.n_cells, many=False)
     nbrs = topology.neighbors(target_cell)
-    rows, single = _allocation_rows(allocations)
-    for row in rows:
-        _check_allocations(row, [target_cell, *nbrs], n, "uplink")
+    powers, single, _ = _power_rows(topology, allocations, [target_cell, *nbrs], "uplink")
 
     beta = topology.large_scale[target_cell]  # beta[l]: cell l's users at the target BS
     # per row: the users' signal gains p_n beta_n and the received interferer
     # power weights w_k = beta_k p_k, in neighbour order
-    gain = np.stack([row[target_cell].powers for row in rows]) * beta[target_cell]
-    w_x = [np.concatenate([beta[l] * row[l].powers for l in nbrs])
-           for row in rows] if nbrs.size else []
+    gain = powers[:, target_cell] * beta[target_cell]
+    w_x = (beta[nbrs] * powers[:, nbrs]).reshape(len(powers), -1)
 
     def block_rates(rng, size):
         sinr = gain[:, None] * rng.standard_gamma(m - n + 1.0, size=(size, n))
         # one user's exponentials at a time bound the working set of a block
-        for user in range(n if w_x else 0):
-            e = rng.standard_exponential((size, w_x[0].size))
+        for user in range(n if nbrs.size else 0):
+            e = rng.standard_exponential((size, w_x.shape[1]))
             sinr[..., user] /= 1.0 + np.stack([e @ w for w in w_x])
         return np.log2(1.0 + sinr)
 
@@ -346,24 +380,22 @@ def downlink_rate_mc(
     enters only via the neighbouring cells' precoders, which are redrawn per
     trial from their own channels' sufficient statistics.
     """
-    cfg = topology.config
-    m, n = cfg.bs_antennas, cfg.users_per_cell
+    m, n = topology.config.bs_antennas, topology.n_users
+    (target_cell,), _ = _target_cells(target_cell, topology.n_cells, many=False)
     nbrs = topology.neighbors(target_cell)
-    rows, single = _allocation_rows(allocations)
-    for row in rows:
-        _check_allocations(row, [target_cell, *nbrs], n, "downlink")
+    powers, single, _ = _power_rows(topology, allocations, [target_cell, *nbrs], "downlink")
 
     def alpha_sq(cell):  # the power normalisation of cell's ZF precoder
         return (m - n) / float(np.sum(1.0 / topology.large_scale[cell, cell]))
 
-    signal = alpha_sq(target_cell) * np.stack([row[target_cell].powers for row in rows])
+    signal = alpha_sq(target_cell) * powers[:, target_cell]
     # per neighbour l: sqrt(beta_ll), p_l of every row and the gain
     # alpha_l^2 beta_{l,0,n}
-    terms = [(np.sqrt(topology.large_scale[l, l]), [row[l].powers for row in rows],
+    terms = [(np.sqrt(topology.large_scale[l, l]), powers[:, l],
               alpha_sq(l) * topology.large_scale[l, target_cell]) for l in nbrs]
 
     def block_rates(rng, size):
-        interference = np.zeros((len(rows), size, n))
+        interference = np.zeros((len(powers), size, n))
         for sqrt_beta_ll, p_l, gain in terms:
             X = _inverse_factors(rng, m, sqrt_beta_ll, size)
             # |[X^H z_n]_c|^2 drawn as |[z_n^T X]_c|^2: conj(z_n) ~ z_n ~ CN(0, I)

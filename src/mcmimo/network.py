@@ -21,11 +21,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import closedform
-from .mcrate import PowerAllocation, _allocation_rows, downlink_rate_mc, uplink_rate_mc
-from .topology import CellTopology, check_field, schedule_groups
+from .mcrate import PowerAllocation, _power_rows, downlink_rate_mc, uplink_rate_mc
+from .topology import CellTopology, check_field, derive_seed, schedule_groups
 
 _LN2 = math.log(2.0)
-_MASK64 = (1 << 64) - 1
 _STEPS = np.arange(1.0, 65.0)  # the divisors j = 1..N of the simplex threshold
 
 
@@ -87,16 +86,6 @@ def project_budget_simplex(v: np.ndarray, budget: float) -> np.ndarray:
     return out.reshape(v.shape)
 
 
-def _power_matrix(topology: CellTopology, per_cell_powers) -> np.ndarray:
-    mat = np.empty((topology.n_cells, topology.n_users))
-    for i in range(topology.n_cells):
-        alloc = per_cell_powers[i]
-        if alloc is None:
-            raise ValueError(f"no PowerAllocation for cell {i}")
-        mat[i] = alloc.powers if isinstance(alloc, PowerAllocation) else np.asarray(alloc)
-    return mat
-
-
 @lru_cache(maxsize=4)
 def _objective_constants(topology: CellTopology):
     """The topology's fixed arrays of the uplink objective, as a stack of one
@@ -140,12 +129,12 @@ def _uplink_gradient(consts, b1: np.ndarray, ap: np.ndarray) -> np.ndarray:
     return a / denom / _LN2 - np.einsum("di,dijm->djm", u, beta[:, :, :a.shape[1]]) / _LN2
 
 
-def _downlink_objective(topology: CellTopology, per_cell_powers) -> float:
+def _downlink_objective(topology: CellTopology, pmat: np.ndarray) -> float:
+    """Cluster sum of the closed-form downlink lower bound at (C, N) powers."""
     cfg = topology.config
     k = topology.cluster_size
-    prof = closedform.downlink_profile(topology, per_cell_powers, range(k))
-    rates = closedform.downlink_lower_bound(prof, cfg.bs_antennas, cfg.users_per_cell,
-                                            _power_matrix(topology, per_cell_powers)[:k])
+    prof = closedform.downlink_profile(topology, pmat, range(k))
+    rates = closedform.downlink_lower_bound(prof, cfg.bs_antennas, cfg.users_per_cell, pmat[:k])
     # per-cell sums added in cell order, as cell by cell
     return sum(float(row.sum()) for row in rates)
 
@@ -160,28 +149,24 @@ def network_sum_rate(
     """Sum rate of the cluster cells under the given powers.
 
     ``closedForm`` uses the uplink approximation (or the downlink lower bound
-    for downlink allocations); ``monteCarlo`` averages fading draws per cell.
-    ``per_cell_powers`` may also be a sequence of R allocation sets: the
-    result is then the list of their R sum rates, and ``monteCarlo`` rates a
-    cell's R rows from one set of draws.
+    when the set's PowerAllocations agree on the downlink); ``monteCarlo``
+    averages fading draws per cell. ``per_cell_powers`` may also be a sequence
+    of R allocation sets: the result is then the list of their R sum rates,
+    and ``monteCarlo`` rates a cell's R rows from one set of draws.
     """
-    rows, single = _allocation_rows(per_cell_powers)
-    direction = rows[0][0].direction
+    powers, single, direction = _power_rows(topology, per_cell_powers, range(topology.n_cells),
+                                            None)
     if estimator == "closedForm":
         if direction == "uplink":
             consts = _objective_constants(topology)
-            totals = [float(_uplink_forward(consts, _power_matrix(topology, row)[None])[0][0])
-                      for row in rows]
+            totals = [float(_uplink_forward(consts, p[None])[0][0]) for p in powers]
         else:
-            totals = [_downlink_objective(topology, row) for row in rows]
+            totals = [_downlink_objective(topology, p) for p in powers]
     elif estimator == "monteCarlo":
         mc = uplink_rate_mc if direction == "uplink" else downlink_rate_mc
-        totals = [0.0] * len(rows)
+        totals = [0.0] * len(powers)
         for i in range(topology.cluster_size):
-            cell_seed = int(
-                np.random.SeedSequence([seed & _MASK64, i]).generate_state(1, np.uint64)[0]
-            )
-            for r, est in enumerate(mc(topology, rows, i, trials, cell_seed)):
+            for r, est in enumerate(mc(topology, powers, i, trials, derive_seed(seed, i))):
                 totals[r] += est.sum_rate
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
@@ -219,10 +204,8 @@ def run_scheduled(
         raise ValueError("initial per-user power exceeds the cell budget")
 
     groups = schedule_groups(topology)
-    allocs = [
-        PowerAllocation(np.full(n, float(initial_power)), direction)
-        for _ in range(topology.n_cells)
-    ]
+    # a PowerAllocation is read-only, so every cell can share one
+    allocs = [PowerAllocation(np.full(n, float(initial_power)), direction)] * topology.n_cells
     history = []
     for slot in range(slots):
         group = groups[slot % len(groups)]
@@ -231,8 +214,7 @@ def run_scheduled(
             new.check_budget(budget)
             allocs[cell] = new
         # closedForm draws nothing, so only monteCarlo needs the slot's seed
-        slot_seed = (int(np.random.SeedSequence([seed & _MASK64, slot]).generate_state(
-            1, np.uint64)[0]) if rate_estimator == "monteCarlo" else 0)
+        slot_seed = derive_seed(seed, slot) if rate_estimator == "monteCarlo" else 0
         history.append(network_sum_rate(topology, allocs, rate_estimator, trials, slot_seed))
     return NetworkState(slots, allocs, groups, history, rate_estimator)
 

@@ -294,6 +294,12 @@ def _sample_users_in_cell(rng: np.random.Generator, cfg: NetworkConfig, n: int) 
     return out
 
 
+def derive_seed(root: int, *parts: int) -> int:
+    """Deterministic child seed for a (purpose, indices...) tuple."""
+    entropy = [root & _MASK64] + [int(p) & _MASK64 for p in parts]
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+
 def build_topology(cfg: NetworkConfig) -> CellTopology:
     """Build the hexagonal layout, drop users, and draw large-scale fading.
 

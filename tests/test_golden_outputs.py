@@ -60,8 +60,9 @@ def test_outputs_match_golden(kind, golden, tmp_path, monkeypatch):
 
 def test_parallel_jobs_match_golden(golden, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    # per-drop kinds: each of the 2 drops is one job, so the pool runs 2 workers
-    for kind in ("fig5", "fig11"):
+    # each of the 2 drops is one job, so the pool runs 2 workers; fig8 rates
+    # downlink Monte Carlo rows, fig12 the network sum rate
+    for kind in ("fig5", "fig8", "fig11", "fig12"):
         assert digests(kind, jobs=2) == golden[kind]
 
 

@@ -21,8 +21,8 @@ from mcmimo.mcrate import (
     RESAMPLE_CAP,
     IllConditionedChannelError,
     RateEstimate,
-    _check_allocations,
     _ci_half_width,
+    _power_rows,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -102,15 +102,15 @@ def uplink_rate_oracle(topology, allocations, target_cell, trials, seed, confide
     cfg = topology.config
     m, n = cfg.bs_antennas, cfg.users_per_cell
     nbrs = topology.neighbors(target_cell)
-    _check_allocations(allocations, [target_cell, *nbrs], n, "uplink")
+    powers = _power_rows(topology, allocations, [target_cell, *nbrs], "uplink")[0][0]
 
-    p_own = allocations[target_cell].powers
+    p_own = powers[target_cell]
     sqrt_beta_own = np.sqrt(topology.large_scale[target_cell, target_cell])
     if nbrs.size:
         sqrt_beta_x = np.sqrt(
             np.concatenate([topology.large_scale[target_cell, l] for l in nbrs])
         )
-        p_x = np.concatenate([allocations[l].powers for l in nbrs])
+        p_x = np.concatenate([powers[l] for l in nbrs])
 
     def rates():
         for t in range(trials):
@@ -131,10 +131,10 @@ def downlink_rate_oracle(topology, allocations, target_cell, trials, seed, confi
     cfg = topology.config
     m, n = cfg.bs_antennas, cfg.users_per_cell
     nbrs = topology.neighbors(target_cell)
-    _check_allocations(allocations, [target_cell, *nbrs], n, "downlink")
+    powers = _power_rows(topology, allocations, [target_cell, *nbrs], "downlink")[0][0]
 
     beta_own = topology.large_scale[target_cell, target_cell]
-    signal = (m - n) / float(np.sum(1.0 / beta_own)) * allocations[target_cell].powers
+    signal = (m - n) / float(np.sum(1.0 / beta_own)) * powers[target_cell]
 
     def rates():
         for t in range(trials):
@@ -146,7 +146,7 @@ def downlink_rate_oracle(topology, allocations, target_cell, trials, seed, confi
                     rng, lambda r: zf_precoder(_draw_fading(r, m, n) * np.sqrt(beta_ll), beta_ll), t
                 )
                 G_l0 = _draw_fading(rng, m, n) * np.sqrt(topology.large_scale[l, target_cell])
-                interference += np.abs(G_l0.T @ B) ** 2 @ allocations[l].powers
+                interference += np.abs(G_l0.T @ B) ** 2 @ powers[l]
             yield np.log2(1.0 + signal / (interference + 1.0))
 
     return _estimate(rates(), trials, confidence)
