@@ -35,7 +35,6 @@ from .closedform import (
     uplink_upper_bound,
 )
 from .mcrate import (
-    IllConditionedChannelError,
     PowerAllocation,
     RateEstimate,
     downlink_rate_mc,
@@ -61,7 +60,6 @@ __all__ = [
     "CellTopology",
     "DownlinkProfile",
     "HypoexpSpec",
-    "IllConditionedChannelError",
     "InterferenceProfile",
     "JointResult",
     "NetworkConfig",

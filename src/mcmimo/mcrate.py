@@ -23,32 +23,22 @@ distribution, at a cost that does not depend on M:
   interferer for each user. Users within a trial are drawn independently
   (the channel couples them through W): per-user and sum-rate means stay
   exact, but the joint law across users is not modelled, and neither is the
-  event cond(W) > CONDITION_LIMIT on which the matrix-level receiver rejects.
-* Downlink. W = L L^H ~ CW_N(M, I) has the law of H^H H when L is lower
-  triangular with |L_ii|^2 ~ Gamma(M - i, 1) for i = 0..N-1 (a real positive
-  diagonal) and L_ij ~ CN(0, 1) for i > j (Bartlett, Goodman 1963). With
-  X_l = K_l^{-1}, K_l = D_l^{1/2} L_l, so that X_l^H X_l inverts the ZF Gram,
-  neighbour l contributes
-  interference_n += beta_{l,0,n} alpha_l^2 sum_c p_{lc} |[z_n^T X_l]_c|^2
-  with a fresh Bartlett factor L_l per neighbour and z_n ~ CN(0, I_N) drawn
-  independently for each target user: |[X^H z]_c| = |[z^H X]_c| and the
-  conjugate of z has its law (as conjugates leave the law of g^T B_l).
-* Checks. A downlink neighbour's draw is accepted only when its ZF Gram matrix
-  D^{1/2} W D^{1/2} = K K^H, K = D^{1/2} L, has condition number at most
-  CONDITION_LIMIT (the ratio of its extreme eigenvalues; a non-positive
-  eigenvalue fails) and the computed inverse factor meets
-  max |K^{-1} K - I| < ZF_RESIDUAL_TOL. These are the events on which the
-  matrix-level ZF precoder of the test oracle (``tests/zf_oracle.py``)
-  rejects a channel, so the sampled law is the same conditional law.
-  Rejected trials are redrawn, at most RESAMPLE_CAP draws per trial in all,
-  before IllConditionedChannelError is raised.
-* Bound first. A block inverts every K with a finite, non-zero diagonal at
-  once, by forward substitution. Since cond(K K^H) <= (||K||_F ||K^{-1}||_F)^2,
-  a trial whose bound is at most CONDITION_LIMIT / 4 meets the limit without
-  an eigenvalue decomposition; the margin of 4 dwarfs the rounding of
-  ``eigvalsh``, so the accepted set is the one the eigenvalue test alone
-  gives. Only the other trials (bound above the margin, non-finite inverse,
-  zero or non-finite diagonal) take the eigenvalue test.
+  event cond(W) > 1e12 on which the matrix-level receiver rejects.
+* Downlink. Neighbour l's ZF precoder leaks a P a^H into target user n's SINR,
+  scaled by alpha_l^2 beta_{l,0,n}, where P = diag(p_l) holds l's per-user
+  powers, a^H ~ CN(0, S^{-1}) and S = G_ll^H G_ll ~ CW_N(M, D_l) with
+  D_l = diag(beta_ll). Whitening by P^{1/2} makes it z^H S'^{-1} z with
+  z ~ CN(0, I) and S' = P^{-1/2} S P^{-1/2} ~ CW_N(M, Sigma), Sigma = D_l P^{-1}.
+  For every fixed unit vector u, (u^H Sigma^{-1} u) / (u^H S'^{-1} u) ~
+  Gamma(M - N + 1) (Tulino and Verdu 2004), so the leakage has the law
+  (sum_j v_j E_j) / Y with v_j = p_lj / beta_ll,j, E_j ~ Exp(1) i.i.d. and
+  Y ~ Gamma(M - N + 1) independent of them, for every p_l >= 0 (zero powers
+  follow by continuity). Per neighbour, in neighbour order, a block draws
+  the (trials, users, N) exponentials and then the (trials, users) Gammas.
+  As on the uplink, users within a trial are drawn independently: per-user
+  and sum-rate means stay exact, but neither the joint law across users nor
+  the event cond(S) > 1e12 on which the matrix-level precoder rejects is
+  modelled.
 
 Trials are drawn in fixed blocks of BLOCK_TRIALS, each from its own stream
 keyed by (seed, block index). Estimates are therefore deterministic in
@@ -72,12 +62,12 @@ share one seed, hence one set of draws, where version 2 drew each panel from
 its own; version 4 draws the uplink from its scalar law, and the points of a
 power sweep (fig3, custom) share one seed per drop; version 5 inverts the
 downlink's factors by forward substitution and draws the fading as z^T K^{-1},
-where version 4 took LAPACK's inverse and drew K^{-H} z.
+where version 4 took LAPACK's inverse and drew K^{-H} z; version 6 draws the
+downlink from its scalar law too, so neither link draws a matrix.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -86,18 +76,10 @@ import numpy as np
 
 from .topology import CellTopology
 
-CONDITION_LIMIT = 1e12
-ZF_RESIDUAL_TOL = 1e-9
-RESAMPLE_CAP = 100
-
-ESTIMATOR_VERSION = 5
+ESTIMATOR_VERSION = 6
 BLOCK_TRIALS = 256
 
 _MASK64 = (1 << 64) - 1
-
-
-class IllConditionedChannelError(RuntimeError):
-    """A drawn channel matrix is too ill-conditioned for ZF processing."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,10 +137,11 @@ class RateEstimate:
 
 def _is_cell_entry(a) -> bool:
     """Whether ``a`` is a cell's entry, not a set: anything but a sequence or array of
-    more than numbers (np.ndim alone takes a list of PowerAllocations for a vector)."""
+    more than numbers (np.ndim alone takes a list of PowerAllocations for a vector).
+    Complex and bool entries count, so that ``_power_rows`` refuses them by cell."""
     if isinstance(a, (list, tuple)):
-        return all(isinstance(x, numbers.Real) for x in a)
-    return not isinstance(a, np.ndarray) or (a.ndim <= 1 and a.dtype.kind in "biuf")
+        return all(isinstance(x, numbers.Number) for x in a)
+    return not isinstance(a, np.ndarray) or (a.ndim <= 1 and a.dtype.kind in "biufc")
 
 
 def _power_rows(topology: CellTopology, allocations, cells, direction: str | None):
@@ -186,7 +169,10 @@ def _power_rows(topology: CellTopology, allocations, cells, direction: str | Non
             elif a is None:
                 raise ValueError(f"no allocation for cell {cell}")
             else:
-                p, raw = np.asarray(a, dtype=float), True
+                p, raw = np.asarray(a), True
+                if p.dtype.kind in "bc":
+                    raise ValueError(f"cell {cell} powers must be real, got dtype {p.dtype}")
+                p = p.astype(float, copy=False)
             if p.shape != (n,):
                 raise ValueError(f"cell {cell} powers must have shape ({n},), got {p.shape}")
             powers[r, cell] = p
@@ -222,80 +208,6 @@ def _ci_half_width(sum_x, sum_x2, trials: int, confidence: float) -> np.ndarray:
 def block_rng(seed: int, block: int) -> np.random.Generator:
     """Independent stream of trial block ``block`` derived from (seed, block)."""
     return np.random.default_rng([seed & _MASK64, block & _MASK64])
-
-
-def _complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """i.i.d. CN(0, 1) entries: real and imaginary parts with variance 1/2."""
-    x = rng.standard_normal((*shape, 2))
-    x *= math.sqrt(0.5)
-    return x.view(np.complex128)[..., 0]
-
-
-def _abs2(x: np.ndarray) -> np.ndarray:
-    return x.real**2 + x.imag**2
-
-
-def _bartlett_factor(rng: np.random.Generator, m: int, n: int, size: int) -> np.ndarray:
-    """``size`` lower-triangular N x N factors L with L L^H ~ CW_N(M, I)."""
-    L = np.zeros((size, n, n), dtype=complex)
-    diag = np.arange(n)
-    L[:, diag, diag] = np.sqrt(rng.standard_gamma(m - diag.astype(float), size=(size, n)))
-    L[:, np.tri(n, k=-1, dtype=bool)] = _complex_normal(rng, (size, n * (n - 1) // 2))
-    return L
-
-
-def _lower_inverse(K: np.ndarray) -> np.ndarray:
-    """K^{-1} of a batch of lower-triangular K with a non-zero diagonal, by
-    forward substitution: row i of X is -K[i, :i] X[:i, :i] / K_ii, then 1 / K_ii."""
-    n = K.shape[-1]
-    diag = np.arange(n)
-    X = np.zeros_like(K)
-    X[:, diag, diag] = inv_d = 1.0 / K[:, diag, diag]
-    for i in range(1, n):
-        X[:, i, :i] = (K[:, i:i + 1, :i] @ X[:, :i, :i])[:, 0] * -inv_d[:, i:i + 1]
-    return X
-
-
-def _inverse_factors(rng: np.random.Generator, m: int, sqrt_beta: np.ndarray,
-                     size: int) -> np.ndarray:
-    """``size`` draws of X = (D^{1/2} L)^{-1}, so (G^H G)^{-1} = X^H X for a
-    channel G with large-scale gains beta = sqrt_beta**2, redrawing the trials
-    whose Gram matrix fails the conditioning or residual check.
-
-    The conditioning check is bound first: only the trials whose Frobenius
-    bound does not already accept them take the eigenvalue test. The first
-    draw's inverses are returned in place, redrawn trials written over them.
-    """
-    n = sqrt_beta.size
-    X, todo = None, np.arange(size)
-    for _ in range(RESAMPLE_CAP):
-        K = sqrt_beta[:, None] * _bartlett_factor(rng, m, n, todo.size)
-        # the substitution divides by K's diagonal: a zero or non-finite one stays out
-        d = np.diagonal(K, axis1=1, axis2=2)
-        regular = np.all(np.isfinite(d) & (d != 0), axis=1)
-        if regular.all():
-            K_inv = _lower_inverse(K)
-        else:
-            K_inv = np.full_like(K, np.nan)
-            K_inv[regular] = _lower_inverse(K[regular])
-        ok = _abs2(K).sum(axis=(1, 2)) * _abs2(K_inv).sum(axis=(1, 2)) <= CONDITION_LIMIT / 4
-        if not ok.all():
-            hard = ~ok
-            K_hard = K[hard]
-            lam = np.linalg.eigvalsh(K_hard @ K_hard.conj().swapaxes(1, 2))
-            ok[hard] = (lam[:, 0] > 0) & (lam[:, -1] <= CONDITION_LIMIT * lam[:, 0])
-        # a NaN residual (a trial left out above) compares False
-        ok &= np.max(np.abs(K_inv @ K - np.eye(n)), axis=(1, 2)) < ZF_RESIDUAL_TOL
-        if X is None:
-            X = K_inv
-        else:
-            X[todo[ok]] = K_inv[ok]
-        if ok.all():
-            return X
-        todo = todo[~ok]
-    raise IllConditionedChannelError(
-        f"{todo.size} trial(s) found no well-conditioned channel in {RESAMPLE_CAP} draws"
-    )
 
 
 def _estimate(block_rates, trials: int, seed: int, confidence: float) -> list[RateEstimate]:
@@ -377,8 +289,8 @@ def downlink_rate_mc(
     ``allocations`` is one allocation set or a sequence of R rows, as for
     ``uplink_rate_mc``. The serving cell's own ZF precoding removes intracell
     interference and contributes the deterministic gain alpha_0^2; randomness
-    enters only via the neighbouring cells' precoders, which are redrawn per
-    trial from their own channels' sufficient statistics.
+    enters only via the neighbouring cells' precoders, whose leakage each
+    trial draws from its scalar law (see the module docstring).
     """
     m, n = topology.config.bs_antennas, topology.n_users
     (target_cell,), _ = _target_cells(target_cell, topology.n_cells, many=False)
@@ -389,18 +301,17 @@ def downlink_rate_mc(
         return (m - n) / float(np.sum(1.0 / topology.large_scale[cell, cell]))
 
     signal = alpha_sq(target_cell) * powers[:, target_cell]
-    # per neighbour l: sqrt(beta_ll), p_l of every row and the gain
-    # alpha_l^2 beta_{l,0,n}
-    terms = [(np.sqrt(topology.large_scale[l, l]), powers[:, l],
-              alpha_sq(l) * topology.large_scale[l, target_cell]) for l in nbrs]
+    # per neighbour l: the target users' gains alpha_l^2 beta_{l,0,n} and every
+    # row's leakage weights v_lj = p_lj / beta_ll,j
+    terms = [(alpha_sq(l) * topology.large_scale[l, target_cell],
+              powers[:, l] / topology.large_scale[l, l]) for l in nbrs]
 
     def block_rates(rng, size):
         interference = np.zeros((len(powers), size, n))
-        for sqrt_beta_ll, p_l, gain in terms:
-            X = _inverse_factors(rng, m, sqrt_beta_ll, size)
-            # |[X^H z_n]_c|^2 drawn as |[z_n^T X]_c|^2: conj(z_n) ~ z_n ~ CN(0, I)
-            e = _abs2(_complex_normal(rng, (size, n, n)) @ X)
-            interference += gain * np.stack([e @ p for p in p_l])
+        for gain, v_l in terms:
+            e = rng.standard_exponential((size, n, n))  # [trial, target user, j]
+            y = rng.standard_gamma(m - n + 1.0, size=(size, n))
+            interference += gain / y * np.stack([e @ v for v in v_l])
         return np.log2(1.0 + signal[:, None] / (interference + 1.0))
 
     estimates = _estimate(block_rates, trials, seed, confidence)

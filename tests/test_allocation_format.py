@@ -53,6 +53,10 @@ FAULTS = {
     "scalar": (3, lambda d: 2.0, r"cell 3 powers must have shape \(3,\), got \(\)"),
     "nan": (4, lambda d: np.array([1.0, np.nan, 1.0]), "cell 4 powers must be finite"),
     "negative": (4, lambda d: np.array([1.0, -0.5, 1.0]), "cell 4 powers must be finite"),
+    "complex": (5, lambda d: np.ones(N, complex), "cell 5 powers must be real, got dtype complex128"),
+    "complex_list": (5, lambda d: [1.0, 2j, 1.0], "cell 5 powers must be real, got dtype complex128"),
+    "bool": (6, lambda d: np.ones(N, bool), "cell 6 powers must be real, got dtype bool"),
+    "bool_list": (6, lambda d: [True, False, True], "cell 6 powers must be real, got dtype bool"),
 }
 
 
@@ -118,6 +122,18 @@ def test_power_rows_tells_one_set_from_rows():
         _power_rows(TOP, [], [0], "uplink")
     with pytest.raises(ValueError, match="must hold 7 cells, got 6"):
         _power_rows(TOP, ups[:6], [0], "uplink")
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("dtype", [complex, bool])
+def test_a_whole_set_of_complex_or_bool_vectors_names_a_cell(reader, dtype):
+    # a (cells, N) array is one set whatever its dtype, never N rows of cells
+    call, direction, _ = READERS[reader]
+    allocs = np.ones((TOP.n_cells, N), dtype)
+    if reader.startswith("network"):  # the direction comes from cell 0
+        allocs = [allocations(direction)[0], *allocs[1:]]
+    with pytest.raises(ValueError, match=rf"cell \d powers must be real, got dtype {np.dtype(dtype)}"):
+        call(allocs)
 
 
 def test_network_sum_rate_takes_one_direction_from_its_allocations():

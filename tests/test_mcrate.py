@@ -3,19 +3,22 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from zf_oracle import downlink_rate_oracle, uplink_rate_oracle, zf_precoder, zf_receiver
+from zf_oracle import (
+    CONDITION_LIMIT,
+    RESAMPLE_CAP,
+    ZF_RESIDUAL_TOL,
+    IllConditionedChannelError,
+    bartlett_factor,
+    complex_normal,
+    downlink_rate_oracle,
+    uplink_rate_oracle,
+    zf_precoder,
+    zf_receiver,
+)
 
 from mcmimo import mcrate
 from mcmimo.closedform import downlink_lower_bound, downlink_profile, uplink_approximation, uplink_profile
-from mcmimo.mcrate import (
-    IllConditionedChannelError,
-    PowerAllocation,
-    RateEstimate,
-    _bartlett_factor,
-    block_rng,
-    downlink_rate_mc,
-    uplink_rate_mc,
-)
+from mcmimo.mcrate import PowerAllocation, RateEstimate, block_rng, downlink_rate_mc, uplink_rate_mc
 from mcmimo.topology import NetworkConfig, build_topology
 
 
@@ -108,7 +111,7 @@ def _gram_by_matrix(rng, m, n):
 
 
 def _gram_by_bartlett(rng, m, n):
-    L = _bartlett_factor(rng, m, n, 1)[0]
+    L = bartlett_factor(rng, m, n, 1)[0]
     return L @ L.conj().T
 
 
@@ -258,20 +261,34 @@ def test_estimate_is_assembled_from_keyed_blocks():
 _Z95 = NormalDist().inv_cdf(0.975)
 
 
+def _unequal_powers(rng, cells, n, scale):
+    """Per-cell powers drawn from [0.1, 2] * scale, with about 30% (at least
+    one user) of every cell but the target, cell 0, set to 0."""
+    powers = scale * rng.uniform(0.1, 2.0, (cells, n))
+    for cell in range(1, cells):
+        powers[cell, rng.permutation(n)[:max(1, round(0.3 * n))]] = 0.0
+    return powers
+
+
 @pytest.mark.parametrize("direction", ["uplink", "downlink"])
-@pytest.mark.parametrize("m,n,cells,oracle_trials", [
-    (5, 4, 7, 600),       # M = N + 1: the hardest conditioning
-    (40, 4, 7, 600),
-    (128, 10, 19, 200),
-    (12, 10, 7, 400),     # M - N = 2, as in fig3
-    (6, 3, 1, 600),       # a single cell: no neighbours
+@pytest.mark.parametrize("m,n,cells,oracle_trials,unequal", [
+    pytest.param(5, 4, 7, 600, False, id="5-4-7-600"),  # M = N + 1: the hardest conditioning
+    pytest.param(40, 4, 7, 600, False, id="40-4-7-600"),
+    pytest.param(128, 10, 19, 200, False, id="128-10-19-200"),
+    pytest.param(12, 10, 7, 400, False, id="12-10-7-400"),  # M - N = 2, as in fig3
+    pytest.param(6, 3, 1, 600, False, id="6-3-1-600"),  # a single cell: no neighbours
+    # unequal powers, zero for some of every neighbour's users
+    pytest.param(11, 10, 7, 400, True, id="11-10-7-400-unequal"),
+    pytest.param(12, 10, 7, 400, True, id="12-10-7-400-unequal"),
 ])
-def test_agrees_with_matrix_oracle(direction, m, n, cells, oracle_trials):
+def test_agrees_with_matrix_oracle(direction, m, n, cells, oracle_trials, unequal):
     # per-user two-sample z of the sampled estimator against the matrix-level
     # ZF simulator; |z| < 4 bounds all users (Bonferroni over <= 10 users)
     top = build_topology(NetworkConfig(users_per_cell=n, bs_antennas=m, cell_count=cells, seed=3))
     power = 10.0 if direction == "uplink" else 100.0
-    allocs = [PowerAllocation(np.full(n, power), direction) for _ in range(cells)]
+    powers = (_unequal_powers(np.random.default_rng(m), cells, n, power) if unequal
+              else np.full((cells, n), power))
+    allocs = [PowerAllocation(p, direction) for p in powers]
     estimator, oracle = {"uplink": (uplink_rate_mc, uplink_rate_oracle),
                          "downlink": (downlink_rate_mc, downlink_rate_oracle)}[direction]
     new = estimator(top, allocs, 0, trials=2000, seed=17)
@@ -285,19 +302,20 @@ def test_agrees_with_matrix_oracle(direction, m, n, cells, oracle_trials):
     assert np.max(np.abs(z)) < 4.0, z
 
 
-def _inverse_factors_reference(rng, m, sqrt_beta, size, inverse=mcrate._lower_inverse):
-    """The eigenvalue-only accept test of estimatorVersion 2: every trial's
-    Gram matrix goes through ``eigvalsh``; returns inverse(K) per trial."""
+def _inverse_factors_reference(rng, m, sqrt_beta, size):
+    """The matrix draw of estimatorVersions 2-5: per trial a Bartlett factor
+    K = D^{1/2} L, accepted when the eigenvalues of K K^H meet CONDITION_LIMIT
+    and LAPACK's inverse meets ZF_RESIDUAL_TOL, else redrawn; returns K^{-1}."""
     n = sqrt_beta.size
     X = np.empty((size, n, n), dtype=complex)
     todo = np.arange(size)
-    for _ in range(mcrate.RESAMPLE_CAP):
-        K = sqrt_beta[:, None] * mcrate._bartlett_factor(rng, m, n, todo.size)
+    for _ in range(RESAMPLE_CAP):
+        K = sqrt_beta[:, None] * bartlett_factor(rng, m, n, todo.size)
         lam = np.linalg.eigvalsh(K @ K.conj().swapaxes(-1, -2))
-        ok = (lam[:, 0] > 0) & (lam[:, -1] <= mcrate.CONDITION_LIMIT * lam[:, 0])
+        ok = (lam[:, 0] > 0) & (lam[:, -1] <= CONDITION_LIMIT * lam[:, 0])
         K_ok = K[ok]
-        K_inv = inverse(K_ok)
-        good = np.max(np.abs(K_inv @ K_ok - np.eye(n)), axis=(1, 2)) < mcrate.ZF_RESIDUAL_TOL
+        K_inv = np.linalg.inv(K_ok)
+        good = np.max(np.abs(K_inv @ K_ok - np.eye(n)), axis=(1, 2)) < ZF_RESIDUAL_TOL
         accepted = ok.nonzero()[0][good]
         X[todo[accepted]] = K_inv[good]
         todo = np.delete(todo, accepted)
@@ -308,10 +326,9 @@ def _inverse_factors_reference(rng, m, sqrt_beta, size, inverse=mcrate._lower_in
 
 def _faded_energy_v4(rng, m, sqrt_beta, size, cols):
     """|F Z|^2 as estimatorVersions 3 and 4 drew it: F = K^{-H} from LAPACK's
-    inverse (the bound-first test kept the eigenvalue test's draws), then
-    Z ~ CN(0, I) of size N x cols per trial."""
-    F = _inverse_factors_reference(rng, m, sqrt_beta, size, np.linalg.inv).conj().swapaxes(1, 2)
-    return mcrate._abs2(F @ mcrate._complex_normal(rng, (size, sqrt_beta.size, cols))), F
+    inverse, then Z ~ CN(0, I) of size N x cols per trial."""
+    F = _inverse_factors_reference(rng, m, sqrt_beta, size).conj().swapaxes(1, 2)
+    return np.abs(F @ complex_normal(rng, (size, sqrt_beta.size, cols)))**2, F
 
 
 def _uplink_rate_v3(top, allocations, target, trials, seed):
@@ -326,7 +343,7 @@ def _uplink_rate_v3(top, allocations, target, trials, seed):
 
     def block_rates(rng, size):
         e, F = _faded_energy_v4(rng, m, sqrt_beta, size, w.size)
-        return np.log2(1.0 + p_own / (e @ w + mcrate._abs2(F).sum(axis=2)))[None]
+        return np.log2(1.0 + p_own / (e @ w + (np.abs(F)**2).sum(axis=2)))[None]
 
     est, = mcrate._estimate(block_rates, trials, seed, 0.95)
     return est
@@ -371,149 +388,19 @@ def test_uplink_agrees_with_version_3(m):
     assert np.max(np.abs(z)) < 4.0, z
 
 
-@pytest.mark.parametrize("m", [12, 20, 128, 500])
+@pytest.mark.parametrize("m", [11, 12, 20, 128, 500])  # M - N = 1, 2, 10, 118, 490
 def test_downlink_agrees_with_version_4(m):
-    # estimatorVersion 5's forward substitution and z^T X fading against
-    # version 4's LAPACK inverse and F z, per user: a two-sample |z| < 4 over
-    # independent seeds (Bonferroni, 10 users)
+    # estimatorVersion 6's scalar law against the matrix draw of versions 4
+    # and 5 (a Bartlett factor, LAPACK's inverse and the eigenvalue accept
+    # test), per user, on unequal neighbour powers with zeros: a two-sample
+    # |z| < 4 over independent seeds (Bonferroni, 10 users)
     top = build_topology(NetworkConfig(users_per_cell=10, bs_antennas=m, seed=5))
-    rng = np.random.default_rng(m)
-    allocs = [PowerAllocation(rng.uniform(10.0, 1000.0, 10), "downlink") for _ in range(19)]
+    powers = _unequal_powers(np.random.default_rng(m), 19, 10, 500.0)
+    allocs = [PowerAllocation(p, "downlink") for p in powers]
     new = downlink_rate_mc(top, allocs, 0, trials=2000, seed=1)
     ref = _downlink_rate_v4(top, allocs, 0, trials=2000, seed=2)
     z = _two_sample_z(new, ref)
     assert np.max(np.abs(z)) < 4.0, z
-
-
-class TestResampling:
-    """The accept test and its redraws; only the downlink's neighbour
-    precoders take them, as the uplink's scalar law needs no inverse."""
-
-    @pytest.mark.parametrize("estimator,direction", [(downlink_rate_mc, "downlink")])
-    def test_unmeetable_limit_raises_after_cap(self, monkeypatch, estimator, direction):
-        # no Gram matrix has condition number below 1
-        draws = []
-        bartlett = mcrate._bartlett_factor
-        monkeypatch.setattr(mcrate, "CONDITION_LIMIT", 0.5)
-        monkeypatch.setattr(mcrate, "RESAMPLE_CAP", 7)
-        monkeypatch.setattr(mcrate, "_bartlett_factor",
-                            lambda *args: draws.append(args[-1]) or bartlett(*args))
-        top = build_topology(NetworkConfig(users_per_cell=4, bs_antennas=5, cell_count=7, seed=3))
-        allocs = [PowerAllocation(np.full(4, 10.0), direction) for _ in range(7)]
-        with pytest.raises(IllConditionedChannelError, match="7 draws"):
-            estimator(top, allocs, 0, trials=10, seed=0)
-        assert draws == [10] * 7
-
-    def test_median_limit_resamples_deterministically(self, monkeypatch):
-        # unit gains give the six neighbours' Gram matrices one law, so at its
-        # median condition number each neighbour redraws about half its trials
-        top = build_topology(unit_gain_cfg(4, 5, cells=7))
-        allocs = [PowerAllocation(np.full(4, 10.0), "downlink") for _ in range(7)]
-        K = _bartlett_factor(np.random.default_rng(1), 5, 4, 2000)
-        limit = float(np.median(np.linalg.cond(K @ K.conj().swapaxes(1, 2))))
-        monkeypatch.setattr(mcrate, "CONDITION_LIMIT", limit)
-
-        draws, conds = [], []
-        bartlett, inverse = mcrate._bartlett_factor, mcrate._inverse_factors
-
-        def spy_inverse(*args):
-            F = inverse(*args)
-            conds.extend(np.linalg.cond(F @ F.conj().swapaxes(1, 2)))
-            return F
-
-        monkeypatch.setattr(mcrate, "_bartlett_factor",
-                            lambda *args: draws.append(args[-1]) or bartlett(*args))
-        monkeypatch.setattr(mcrate, "_inverse_factors", spy_inverse)
-        a = downlink_rate_mc(top, allocs, 0, trials=300, seed=2)
-        assert len(draws) > 2 * 6 and sum(draws) > 6 * 300  # some trials were redrawn
-        assert len(conds) == 6 * 300
-        assert max(conds) <= limit * (1 + 1e-9)  # every accepted draw meets the limit
-        b = downlink_rate_mc(top, allocs, 0, trials=300, seed=2)
-        assert np.array_equal(a.per_user_rate, b.per_user_rate)
-
-
-class TestLowerInverse:
-    @pytest.mark.parametrize("m,n", [(2, 1), (5, 4), (11, 10), (128, 10)])  # M = N + 1 first
-    def test_agrees_with_lapack_inverse(self, m, n):
-        rng = np.random.default_rng(m)
-        sqrt_beta = np.sqrt(rng.uniform(1e-3, 1.0, n))
-        K = sqrt_beta[:, None] * _bartlett_factor(rng, m, n, 500)
-        X, ref = mcrate._lower_inverse(K), np.linalg.inv(K)
-        assert np.array_equal(X, np.tril(X))
-        err = np.max(np.abs(X - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
-        assert np.max(err) < 1e-12
-
-    def test_exact_on_diagonal_inputs(self):
-        rng = np.random.default_rng(0)
-        d = rng.uniform(0.1, 10.0, (50, 6)) * np.exp(1j * rng.uniform(0.0, 6.3, (50, 6)))
-        X = mcrate._lower_inverse(d[:, :, None] * np.eye(6))
-        assert np.array_equal(X, (1.0 / d)[:, :, None] * np.eye(6))
-
-
-class TestBoundFirstAcceptTest:
-    @staticmethod
-    def _run(monkeypatch, inverse, m, sqrt_beta, size, seed):
-        """(F, draw sizes, eigvalsh batch sizes) of one call."""
-        draws, eig = [], []
-        bartlett, eigvalsh = mcrate._bartlett_factor, np.linalg.eigvalsh
-        monkeypatch.setattr(mcrate, "_bartlett_factor",
-                            lambda *args: draws.append(args[-1]) or bartlett(*args))
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eig.append(len(a)) or eigvalsh(a))
-        F = inverse(np.random.default_rng(seed), m, sqrt_beta, size)
-        monkeypatch.setattr(mcrate, "_bartlett_factor", bartlett)
-        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-        return F, draws, eig
-
-    @pytest.mark.parametrize("m,n", [(5, 4), (11, 10), (128, 10)])
-    def test_equals_eigenvalue_test_at_default_limit(self, monkeypatch, m, n):
-        sqrt_beta = np.sqrt(np.random.default_rng(n).uniform(0.01, 1.0, n))
-        F, draws, _ = self._run(monkeypatch, mcrate._inverse_factors, m, sqrt_beta, 700, 4)
-        F_ref, draws_ref, _ = self._run(monkeypatch, _inverse_factors_reference, m, sqrt_beta,
-                                        700, 4)
-        assert np.array_equal(F, F_ref)
-        assert draws == draws_ref
-
-    @pytest.mark.parametrize("limit_of,eig_share", [
-        # the median condition number: no trial passes the bound, so every
-        # trial takes the eigenvalue test, which redraws about half of them
-        ("median_cond", (1.0, 1.0)),
-        # four times the median bound: about half the trials pass the bound
-        # and the rest take the eigenvalue test
-        ("four_median_bounds", (0.3, 0.7)),
-    ])
-    def test_equals_eigenvalue_test_at_shifted_limit(self, monkeypatch, limit_of, eig_share):
-        m, n = 6, 4
-        sqrt_beta = np.sqrt(np.array([0.3, 1.0, 0.05, 0.7]))
-        K = sqrt_beta[:, None] * _bartlett_factor(np.random.default_rng(1), m, n, 2000)
-        if limit_of == "median_cond":
-            limit = float(np.median(np.linalg.cond(K @ K.conj().swapaxes(1, 2))))
-        else:
-            bound = (np.linalg.norm(K, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(K), axis=(1, 2)))**2
-            limit = 4.0 * float(np.median(bound))
-        monkeypatch.setattr(mcrate, "CONDITION_LIMIT", limit)
-        F, draws, eig = self._run(monkeypatch, mcrate._inverse_factors, m, sqrt_beta, 600, 8)
-        F_ref, draws_ref, _ = self._run(monkeypatch, _inverse_factors_reference, m, sqrt_beta,
-                                        600, 8)
-        assert np.array_equal(F, F_ref)
-        assert draws == draws_ref and len(draws) > 1  # some trials were redrawn
-        assert eig_share[0] * draws[0] <= eig[0] <= eig_share[1] * draws[0]
-
-    def test_zero_diagonal_row_is_redrawn(self, monkeypatch):
-        # batched inv raises LinAlgError on an exactly singular matrix: the
-        # row must stay out of it and be redrawn
-        bartlett, draws = mcrate._bartlett_factor, []
-
-        def singular_first(rng, m, n, size):
-            L = bartlett(rng, m, n, size)
-            if not draws:
-                L[3, 2, 2] = 0.0
-            draws.append(size)
-            return L
-
-        monkeypatch.setattr(mcrate, "_bartlett_factor", singular_first)
-        F = mcrate._inverse_factors(np.random.default_rng(0), 8, np.ones(4), 10)
-        assert draws == [10, 1]
-        assert np.all(np.isfinite(F))
 
 
 def _rows_setup(direction, cells, seed=3):

@@ -4,10 +4,12 @@ Each trial draws the full M x N fading matrices from a stream keyed by
 (seed, trial index) and builds the ZF receivers and precoders with
 ``zf_receiver``/``zf_precoder`` below, at a cost that grows with M. The
 estimators in ``mcmimo.mcrate`` sample the same per-user SINR laws without
-the M x N matrices: the downlink from N x N sufficient statistics, redrawn on
-the events on which ``zf_precoder`` rejects a channel, and the uplink from
-its scalar law (one Gamma and one exponential per interferer), which leaves
-out the rare rejections of ``zf_receiver``.
+the M x N matrices, from their scalar laws (Gammas and exponentials), which
+leave out the rare channels that ``zf_receiver`` rejects.
+
+``bartlett_factor`` draws the N x N sufficient statistic that
+estimatorVersions 2-5 sampled instead of the channel; the tests keep it as a
+matrix reference for those versions' estimators.
 """
 
 from __future__ import annotations
@@ -16,35 +18,56 @@ import math
 
 import numpy as np
 
-from mcmimo import mcrate
-from mcmimo.mcrate import (
-    RESAMPLE_CAP,
-    IllConditionedChannelError,
-    RateEstimate,
-    _ci_half_width,
-    _power_rows,
-)
+from mcmimo.mcrate import RateEstimate, _ci_half_width, _power_rows
+
+# a channel is rejected when its Gram matrix has a larger condition number,
+# or when the ZF identity misses by more than the residual tolerance; a trial
+# redraws a rejected channel at most RESAMPLE_CAP times in all
+CONDITION_LIMIT = 1e12
+ZF_RESIDUAL_TOL = 1e-9
+RESAMPLE_CAP = 100
 
 _MASK64 = (1 << 64) - 1
+
+
+class IllConditionedChannelError(RuntimeError):
+    """A drawn channel matrix is too ill-conditioned for ZF processing."""
+
+
+def complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """i.i.d. CN(0, 1) entries: real and imaginary parts with variance 1/2."""
+    x = rng.standard_normal((*shape, 2))
+    x *= math.sqrt(0.5)
+    return x.view(np.complex128)[..., 0]
+
+
+def bartlett_factor(rng: np.random.Generator, m: int, n: int, size: int) -> np.ndarray:
+    """``size`` lower-triangular N x N factors L with L L^H ~ CW_N(M, I):
+    |L_ii|^2 ~ Gamma(M - i) on a real positive diagonal and CN(0, 1) below it
+    (Bartlett, Goodman 1963)."""
+    L = np.zeros((size, n, n), dtype=complex)
+    diag = np.arange(n)
+    L[:, diag, diag] = np.sqrt(rng.standard_gamma(m - diag.astype(float), size=(size, n)))
+    L[:, np.tri(n, k=-1, dtype=bool)] = complex_normal(rng, (size, n * (n - 1) // 2))
+    return L
 
 
 def zf_receiver(G: np.ndarray) -> np.ndarray:
     """ZF receive matrix A = G (G^H G)^{-1} with A^H G = I.
 
     Raises IllConditionedChannelError when the Gram matrix condition number
-    exceeds ``mcrate.CONDITION_LIMIT`` or the achieved identity residual
-    exceeds ``mcrate.ZF_RESIDUAL_TOL``; callers are expected to resample the
-    channel.
+    exceeds CONDITION_LIMIT or the achieved identity residual exceeds
+    ZF_RESIDUAL_TOL; callers are expected to resample the channel.
     """
     G = np.asarray(G)
     if G.ndim != 2 or G.shape[0] < G.shape[1]:
         raise ValueError("G must be M x N with M >= N")
     gram = G.conj().T @ G
-    if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > mcrate.CONDITION_LIMIT:
+    if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > CONDITION_LIMIT:
         raise IllConditionedChannelError("channel Gram matrix is numerically singular")
     A = np.linalg.solve(gram.conj(), G.T).T  # G @ gram^{-1}
     resid = np.max(np.abs(A.conj().T @ G - np.eye(G.shape[1])))
-    if not resid < mcrate.ZF_RESIDUAL_TOL:
+    if not resid < ZF_RESIDUAL_TOL:
         raise IllConditionedChannelError(f"ZF identity residual {resid:.2e} above tolerance")
     return A
 
