@@ -21,6 +21,7 @@ import numpy as np
 
 from .closedform import downlink_profile, uplink_profile
 from .mcrate import PowerAllocation
+from .topology import CellTopology
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,23 +127,26 @@ PROFILE_COEFFICIENTS = {"lower": _lower, "upper": _upper, "approx": _approx, "do
 # --- allocation strategies --------------------------------------------------
 #
 # A strategy allocates ``target_cell`` against the frozen ``interfering_powers``
-# and returns its PowerAllocation. Given a sequence of cells instead, it
-# water-fills their coefficient rows in one call and returns one
-# PowerAllocation per cell, each equal to that cell's own call.
+# and returns its PowerAllocation; given a sequence of cells, one water-filling
+# call gives one PowerAllocation per cell, each equal to that cell's own call;
+# given D drops of one layout, it returns the (D, cells, N) array of their rows.
 
 def _strategy(public: str, name: str, direction: str):
     """The strategy ``public`` water-filling ``PROFILE_COEFFICIENTS[name]`` of
     the ``direction`` profile of the target cell(s)."""
 
     def strategy(topology, interfering_powers, target_cell, m, n,
-                 budget) -> PowerAllocation | list[PowerAllocation]:
-        if n != topology.n_users:
-            raise ValueError(f"N={n} does not match the topology's {topology.n_users} users per cell")
+                 budget) -> PowerAllocation | list[PowerAllocation] | np.ndarray:
         # the profile builders and waterfill are looked up by their module-level
         # names on each call, as the tracing of benchmarks/spans.py replaces them
-        profile = uplink_profile if direction == "uplink" else downlink_profile
-        c = PROFILE_COEFFICIENTS[name](profile(topology, interfering_powers, target_cell), m, n)
+        prof = (uplink_profile if direction == "uplink" else downlink_profile)(
+            topology, interfering_powers, target_cell)
+        if n != prof.n_users:
+            raise ValueError(f"N={n} does not match the topology's {prof.n_users} users per cell")
+        c = PROFILE_COEFFICIENTS[name](prof, m, n)
         powers = waterfill(WaterfillCoefficients(c, budget)).powers
+        if not isinstance(topology, CellTopology):  # a stack of drops
+            return powers.reshape(-1, np.size(target_cell), n)
         if powers.ndim == 1:
             return PowerAllocation(powers, direction)
         return [PowerAllocation(row, direction) for row in powers]

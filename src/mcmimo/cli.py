@@ -46,7 +46,7 @@ from .closedform import (
     uplink_upper_bound,
 )
 from .mcrate import ESTIMATOR_VERSION, PowerAllocation, downlink_rate_mc, uplink_rate_mc
-from .network import network_sum_rate, run_joint_drops, run_scheduled
+from .network import network_sum_rate, run_joint_drops, run_scheduled_drops
 from .topology import CellTopology, NetworkConfig, build_topology, check_field, derive_seed
 
 EDGE_SPLIT_FACTOR = 0.8  # users beyond this fraction of the cell radius are "edge"
@@ -191,7 +191,7 @@ class ExperimentSpec:
                 raise ValueError(
                     f"unknown option {key!r} for kind {self.kind!r}; expected one of {sorted(known)}")
             check_field(f"option {key!r}", value, _FIELDS[key])
-        if self.kind == "fig12":  # run_scheduled's budget test, before any job
+        if self.kind == "fig12":  # run_scheduled_drops' budget test, before any job
             opts, n = {**known, **self.options}, self.network.users_per_cell
             db, budget = opts["initialUserPowerDb"], opts["powerW"]
             if db_to_linear(db) * n > budget * (1 + 1e-9):
@@ -310,14 +310,14 @@ def _uplink_rows(tops, interferer_user_power) -> InterferenceProfile:
     """Cell 0's uplink profile in each drop of ``tops``, stacked."""
     allocs = _fixed_allocs(tops[0].n_cells, tops[0].n_users, "uplink",
                            user_power=interferer_user_power)
-    return InterferenceProfile.stack([uplink_profile(top, allocs, 0) for top in tops])
+    return uplink_profile(tops, [allocs] * len(tops), 0)
 
 
 def _downlink_rows(tops, interferer_cell_power) -> DownlinkProfile:
     """Cell 0's downlink profile in each drop of ``tops``, stacked."""
     allocs = _fixed_allocs(tops[0].n_cells, tops[0].n_users, "downlink",
                            cell_power=interferer_cell_power)
-    return DownlinkProfile.stack([downlink_profile(top, allocs, 0) for top in tops])
+    return downlink_profile(tops, [allocs] * len(tops), 0)
 
 
 def _waterfilled_rows(prof, strategies, ms, p_lin) -> np.ndarray:
@@ -533,7 +533,7 @@ def _drop_downlink_split(spec: ExperimentSpec, d: int) -> list[dict]:
 
 def _job_network_slots(spec: ExperimentSpec, job: dict) -> list[dict]:
     """Scheduled vs joint vs equal network sum rate per slot (fig12) of each of
-    the job's drops; the joint optimiser runs the drops as one stack."""
+    the job's drops; the scheduler and the joint optimiser run them as stacks."""
     opts = spec.options
     budget = float(opts["powerW"])
     initial = db_to_linear(opts["initialUserPowerDb"])
@@ -544,11 +544,11 @@ def _job_network_slots(spec: ExperimentSpec, job: dict) -> list[dict]:
     joints = run_joint_drops(tops, budget, max_iters=opts["jointMaxIters"],
                              tolerance=float(opts["jointTolerance"]), outer_user_power=initial)
 
+    seeds = [derive_seed(spec.network.seed, _TAG_SLOT, s) for s in job["drops"]]
+    scheds = run_scheduled_drops(tops, _UPLINK_STRATEGIES["approx"], budget, initial, max(slots),
+                                 estimator, spec.trials, seeds)
     records = []
-    for s, top, joint in zip(job["drops"], tops, joints, strict=True):
-        sched = run_scheduled(top, _UPLINK_STRATEGIES["approx"], budget, initial, max(slots),
-                              rate_estimator=estimator, trials=spec.trials,
-                              seed=derive_seed(spec.network.seed, _TAG_SLOT, s))
+    for s, top, joint, sched in zip(job["drops"], tops, joints, scheds, strict=True):
         n, k = top.n_users, top.cluster_size
         eq_allocs = ([equal_alloc(n, budget)] * k
                      + [PowerAllocation(np.full(n, initial), "uplink")] * (top.n_cells - k))

@@ -37,8 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mcrate import _power_rows, _target_cells
-from .topology import CellTopology
+from .mcrate import _power_rows, _target_cells, _topology_stack
 
 _EULER_GAMMA = 0.5772156649015328606065120900824024
 _SERIES_SWITCH = 1.5  # series below, continued fraction at or above
@@ -346,11 +345,11 @@ class InterferenceProfile:
     ``cross_betas`` list (p, beta) for every user of every interfering cell.
     The interference power seen at the BS is user-independent.
 
-    A stacked profile (see ``stack``) has a leading axis of rows, one view per
-    row (one drop or one cell each, say): ``beta_self`` is (D, N), the cross
-    arrays are (D, L), and ``cross_sum`` and ``interference_factor()`` are
-    (D, 1) columns, so every rate and coefficient formula evaluates all rows
-    in one expression with the same bits as row by row.
+    A stacked profile has a leading axis of rows, one view per row (one drop
+    or one (drop, cell) each, say): ``beta_self`` is (D, N), the cross arrays
+    are (D, L), and ``cross_sum`` and ``interference_factor()`` are (D, 1)
+    columns, so every rate and coefficient formula evaluates all rows in one
+    expression with the same bits as row by row.
 
     Rows may hold fewer than L cross terms (cells with 3, 4 or 6 neighbours):
     ``cross_lengths`` (D,) then counts each row's terms, and the entries past
@@ -398,13 +397,6 @@ class InterferenceProfile:
             cross_sum = np.array([[np.dot(p[:k], b[:k])] for p, b, k in zip(cp, cb, lengths)])
         object.__setattr__(self, "cross_sum", cross_sum)
 
-    @classmethod
-    def stack(cls, profiles) -> "InterferenceProfile":
-        """One profile whose row d is ``profiles[d]`` (equal N and L)."""
-        return cls(np.stack([p.beta_self for p in profiles]),
-                   np.stack([p.cross_powers for p in profiles]),
-                   np.stack([p.cross_betas for p in profiles]))
-
     @property
     def n_users(self) -> int:
         return self.beta_self.shape[-1]
@@ -445,8 +437,7 @@ class DownlinkProfile:
     """Downlink large-scale view: own-cell inverse-gain sum and the per-user
     normalised interference load D_n.
 
-    A stacked profile (see ``stack``) holds one view per row: ``lambda_self``
-    is then a (D, 1) column and ``cross_load`` is (D, N).
+    A stacked profile holds one view per row: ``lambda_self`` (D, 1), ``cross_load`` (D, N).
     """
 
     lambda_self: float | np.ndarray
@@ -467,70 +458,74 @@ class DownlinkProfile:
         object.__setattr__(self, "lambda_self", float(lam) if one_view else lam)
         object.__setattr__(self, "cross_load", cl)
 
-    @classmethod
-    def stack(cls, profiles) -> "DownlinkProfile":
-        """One profile whose row d is ``profiles[d]`` (equal N)."""
-        return cls(np.array([[p.lambda_self] for p in profiles]),
-                   np.stack([p.cross_load for p in profiles]))
-
     @property
     def n_users(self) -> int:
         return self.cross_load.shape[-1]
 
 
-def uplink_profile(topology: CellTopology, interfering_powers, target_cell) -> InterferenceProfile:
+def _profile_inputs(topology, interfering_powers, target_cell, direction: str):
+    """(topologies, (D, C, N) powers read in the heard cells, target cells, heard
+    cells, whether the result is one unstacked view) of a profile builder."""
+    tops, one_top = _topology_stack(topology)
+    cells, one_cell = _target_cells(target_cell, tops[0].n_cells)
+    heard = np.flatnonzero(tops[0].adjacency[cells].any(axis=0))  # one layout for the stack
+    powers, one_set, _ = _power_rows(tops[0], interfering_powers, heard, direction)
+    if one_set != one_top or len(powers) != len(tops):
+        raise ValueError("interfering_powers must be one allocation set per topology")
+    return tops, powers, cells, heard, one_top and one_cell
+
+
+def uplink_profile(topology, interfering_powers, target_cell) -> InterferenceProfile:
     """Build the uplink interference profile of ``target_cell`` from the
     current powers of its edge-adjacent neighbours.
 
-    ``target_cell`` may also be a sequence of cells; the result is then a
-    stack with one row per cell, each listing its neighbours' terms in
-    ascending neighbour order and padded to the widest row.
+    ``target_cell`` may also be a sequence of cells, and ``topology`` one of D
+    drops of one layout with one allocation set each: the result is then a
+    stack of (drop, cell) rows, drop-major, each listing its neighbours' terms
+    in ascending neighbour order and padded to the widest row.
     """
-    cells, single = _target_cells(target_cell, topology.n_cells)
-    adj = topology.adjacency[cells]
-    powers, one, _ = _power_rows(topology, interfering_powers, np.flatnonzero(adj.any(axis=0)),
-                                 "uplink")
-    if not one:
-        raise ValueError("interfering_powers must be one allocation set")
-    beta = topology.large_scale
-    terms = [(powers[0, nbrs].ravel(), beta[cell, nbrs].ravel()) for cell, nbrs in zip(cells, adj)]
+    tops, powers, cells, _, single = _profile_inputs(topology, interfering_powers, target_cell,
+                                                     "uplink")
+    adj, k, n = tops[0].adjacency[cells], cells.size, powers.shape[2]
+    counts = adj.sum(axis=1)
+    # row j's neighbours in ascending order, then other cells as padding
+    nbrs = np.argsort(~adj, axis=1, kind="stable")[:, :counts.max()]
+    real = (np.arange(nbrs.shape[1]) < counts[:, None])[None, :, :, None]
+    gains = np.stack([top.large_scale[cells] for top in tops])  # (D, k, C, N)
+    shape = (len(tops) * k, nbrs.shape[1] * n)
+    cross_powers = np.where(real, powers[:, nbrs], 0.0).reshape(shape)
+    cross_betas = np.where(real, gains[:, np.arange(k)[:, None], nbrs], 1.0).reshape(shape)
+    beta_self = gains[:, np.arange(k), cells].reshape(-1, n)
+    lengths = np.tile(counts * n, len(tops))
     if single:
-        return InterferenceProfile(beta[cells[0], cells[0]], *terms[0])
-    lengths = np.array([p.size for p, _ in terms])
-    cross_powers = np.zeros((cells.size, lengths.max()))
-    cross_betas = np.ones_like(cross_powers)
-    for row, (p, b) in enumerate(terms):
-        cross_powers[row, :p.size] = p
-        cross_betas[row, :b.size] = b
-    return InterferenceProfile(beta[cells, cells], cross_powers, cross_betas, lengths)
+        return InterferenceProfile(beta_self[0], cross_powers[0, :lengths[0]],
+                                   cross_betas[0, :lengths[0]])
+    return InterferenceProfile(beta_self, cross_powers, cross_betas, lengths)
 
 
-def downlink_profile(topology: CellTopology, interfering_powers, target_cell) -> DownlinkProfile:
+def downlink_profile(topology, interfering_powers, target_cell) -> DownlinkProfile:
     """Build the downlink profile of ``target_cell`` from the current powers
     of its edge-adjacent neighbours.
 
-    ``target_cell`` may also be a sequence of cells; the result is then a
-    stack with one row per cell. Each row adds its neighbours' loads in
-    ascending order, as one cell alone does.
+    ``target_cell`` and ``topology`` may also be sequences, as for
+    ``uplink_profile``, for a stack of (drop, cell) rows. Each row adds its
+    neighbours' loads in ascending order, as one cell alone does.
     """
-    cells, single = _target_cells(target_cell, topology.n_cells)
-    beta = topology.large_scale
-    lam_self = [float((1.0 / beta[i, i]).sum()) for i in cells]
-    adj = topology.adjacency[cells]
-    read = np.flatnonzero(adj.any(axis=0))
-    powers, one, _ = _power_rows(topology, interfering_powers, read, "downlink")
-    if not one:
-        raise ValueError("interfering_powers must be one allocation set")
-    load = np.zeros((cells.size, topology.n_users))
-    for l in read:
-        beta_ll = beta[l, l]
-        lam_l = float((1.0 / beta_ll).sum())
+    tops, powers, cells, heard, single = _profile_inputs(topology, interfering_powers,
+                                                         target_cell, "downlink")
+    adj, every = tops[0].adjacency[cells], np.arange(tops[0].n_cells)  # one layout for the stack
+    own = np.stack([top.large_scale[every, every] for top in tops])  # beta_ll of every l, (D, C, N)
+    gains = np.stack([top.large_scale[np.ix_(heard, cells)] for top in tops])  # (D, H, k, N)
+    lam = (1.0 / own).sum(axis=2)[:, :, None, None]  # L_l, (D, C, 1, 1)
+    load = np.zeros((len(tops), cells.size, powers.shape[2]))
+    for h, l in enumerate(heard):
         # sum_c p_c / beta_lc, shared by all target users; beta_ln scales it.
         # The rows of cells that l does not neighbour add exactly 0.
-        load += beta[l, cells] * float((powers[0, l] / beta_ll).sum()) / lam_l * adj[:, l, None]
+        shared = (powers[:, l] / own[:, l]).sum(axis=1)[:, None, None]
+        load += gains[:, h] * shared / lam[:, l] * adj[:, l, None]
     if single:
-        return DownlinkProfile(lam_self[0], load[0])
-    return DownlinkProfile(np.array(lam_self)[:, None], load)
+        return DownlinkProfile(float(lam[0, cells[0], 0, 0]), load[0, 0])
+    return DownlinkProfile(lam[:, cells].reshape(-1, 1), load.reshape(-1, load.shape[2]))
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,10 @@ class PowerAllocation:
     direction: str  # "uplink" | "downlink"
 
     def __post_init__(self):
-        p = np.asarray(self.powers, dtype=float)
+        p = np.asarray(self.powers)
+        if p.dtype.kind in "bc":  # 0/1 flags or a dropped imaginary part are not powers
+            raise ValueError(f"powers must be real, got dtype {p.dtype}")
+        p = p.astype(float)  # a copy, so the caller's array cannot change it
         if p.ndim != 1 or p.size == 0:
             raise ValueError("powers must be a non-empty 1-D vector")
         # method reductions cost less than np.all/np.any on arrays this small;
@@ -99,7 +102,6 @@ class PowerAllocation:
             raise ValueError("powers must be finite and non-negative (linear watts)")
         if self.direction not in ("uplink", "downlink"):
             raise ValueError(f"direction must be 'uplink' or 'downlink', got {self.direction!r}")
-        p = p.copy()
         p.setflags(write=False)
         object.__setattr__(self, "powers", p)
 
@@ -183,6 +185,16 @@ def _power_rows(topology: CellTopology, allocations, cells, direction: str | Non
         r, cell = np.argwhere(~(np.isfinite(powers) & (powers >= 0)).all(axis=2))[0]
         raise ValueError(f"cell {cell} powers must be finite and non-negative (row {r})")
     return powers, single, direction
+
+
+def _topology_stack(topology) -> tuple[list[CellTopology], bool]:
+    """``topology`` as a stack of one, or a sequence of drops checked to share one layout
+    (antennas, users per cell, cluster cells, adjacency); and whether it was one."""
+    tops = [topology] if isinstance(topology, CellTopology) else list(topology)
+    if len({(t.config.bs_antennas, t.n_users, t.cluster_size, t.adjacency.tobytes())
+            for t in tops}) != 1:  # an empty stack too
+        raise ValueError("topologies must be a non-empty stack of one layout")
+    return tops, isinstance(topology, CellTopology)
 
 
 def _target_cells(target_cell, n_cells: int, many: bool = True) -> tuple[np.ndarray, bool]:

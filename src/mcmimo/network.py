@@ -5,10 +5,10 @@ The scheduler divides the cells into non-interfering groups (reuse-3 for the
 hexagonal layouts) and lets one group re-allocate per time slot against a
 frozen snapshot of everyone else's powers, so after one round every cell has
 optimised at least once. The joint benchmark runs projected-gradient ascent
-on all cluster cells' powers at once against the same analytic objective;
-``run_joint_drops`` runs it for a stack of equal-shape topologies (one per
-drop) in one loop, each drop with its own iterate, step and stopping, and
-``run_joint`` is its stack of one.
+on all cluster cells' powers at once against the same analytic objective.
+``run_scheduled_drops`` and ``run_joint_drops`` run them for a stack of
+topologies of one layout (one per drop) in one loop, the scheduler with one
+strategy call per slot; ``run_scheduled`` and ``run_joint`` are stacks of one.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import closedform
-from .mcrate import PowerAllocation, _power_rows, downlink_rate_mc, uplink_rate_mc
+from .mcrate import PowerAllocation, _power_rows, _topology_stack, downlink_rate_mc, uplink_rate_mc
 from .topology import CellTopology, check_field, derive_seed, schedule_groups
 
 _LN2 = math.log(2.0)
 _STEPS = np.arange(1.0, 65.0)  # the divisors j = 1..N of the simplex threshold
+_ESTIMATORS = ("closedForm", "monteCarlo")
 
 
 @dataclass(eq=False)
@@ -103,6 +104,11 @@ def _objective_constants(topology: CellTopology):
     return arrays
 
 
+def _stacked_constants(tops) -> tuple:
+    """``_objective_constants`` of each drop of ``tops``, stacked over the drops."""
+    return tuple(np.concatenate(c) for c in zip(*map(_objective_constants, tops)))
+
+
 def _uplink_forward(consts, pmat: np.ndarray):
     """Cluster sum of the closed-form uplink approximation for each of D drops.
 
@@ -154,6 +160,8 @@ def network_sum_rate(
     of R allocation sets: the result is then the list of their R sum rates,
     and ``monteCarlo`` rates a cell's R rows from one set of draws.
     """
+    check_field("estimator", estimator, _ESTIMATORS)
+    check_field("trials", trials, "count")
     powers, single, direction = _power_rows(topology, per_cell_powers, range(topology.n_cells),
                                             None)
     if estimator == "closedForm":
@@ -162,85 +170,89 @@ def network_sum_rate(
             totals = [float(_uplink_forward(consts, p[None])[0][0]) for p in powers]
         else:
             totals = [_downlink_objective(topology, p) for p in powers]
-    elif estimator == "monteCarlo":
+    else:
         mc = uplink_rate_mc if direction == "uplink" else downlink_rate_mc
         totals = [0.0] * len(powers)
         for i in range(topology.cluster_size):
             for r, est in enumerate(mc(topology, powers, i, trials, derive_seed(seed, i))):
                 totals[r] += est.sum_rate
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
     return totals[0] if single else totals
 
 
-def run_scheduled(
-    topology: CellTopology,
-    strategy,
-    budget: float,
-    initial_power: float,
-    slots: int,
-    rate_estimator: str = "closedForm",
-    trials: int = 10_000,
-    seed: int = 0,
-) -> NetworkState:
-    """Run scheduled per-cell power allocation for ``slots`` time slots.
+def run_scheduled(topology: CellTopology, strategy, budget: float, initial_power: float,
+                  slots: int, rate_estimator: str = "closedForm", trials: int = 10_000,
+                  seed: int = 0) -> NetworkState:
+    """Scheduled per-cell power allocation: ``run_scheduled_drops`` on a stack of one."""
+    return run_scheduled_drops([topology], strategy, budget, initial_power, slots,
+                               rate_estimator, trials, [seed])[0]
 
-    In slot s only the cells of group s mod G re-allocate, each against the
-    snapshot of powers taken at the start of the slot; cells of a group do not
-    interfere with each other, so their updates commute, and the strategy
-    allocates the whole group in one call: ``strategy(topology, allocs, cells,
-    m, n, budget)`` returns one PowerAllocation per cell, as the strategies of
-    ``mcmimo.allocation`` do. Outer-ring cells keep their initial power
-    forever. The network sum rate is recorded after every slot with the
-    requested estimator.
+
+def run_scheduled_drops(topologies, strategy, budget: float, initial_power: float, slots: int,
+                        rate_estimator: str = "closedForm", trials: int = 10_000,
+                        seeds: list[int] | None = None) -> list[NetworkState]:
+    """Run scheduled per-cell power allocation for ``slots`` time slots in each
+    of a stack of topologies of one layout (one per drop).
+
+    In slot s only the cells of group s mod G re-allocate, against the powers
+    at the start of the slot (they do not interfere, so their updates commute):
+    ``strategy(topologies, powers, cells, m, n, budget)`` maps the (D, C, N)
+    powers to the group's (D, cells, N), as ``allocation``'s strategies do.
+    Outer-ring cells keep their initial power. Drop d's sum rate is recorded
+    after every slot at seed ``derive_seed(seeds[d], slot)`` (seeds default to 0).
     """
     check_field("budget", budget, "positive")
     check_field("initial_power", initial_power, "nonnegative")
     check_field("slots", slots, "count")
-    cfg = topology.config
-    m, n = cfg.bs_antennas, cfg.users_per_cell
+    check_field("rate_estimator", rate_estimator, _ESTIMATORS)
+    check_field("trials", trials, "count")
+    tops, _ = _topology_stack(topologies)
+    seeds = [0] * len(tops) if seeds is None else check_field("seeds", seeds, ["integer"])
+    if len(seeds) != len(tops):
+        raise ValueError(f"seeds must hold one seed per topology, got {len(seeds)}")
+    d, m, n = len(tops), tops[0].config.bs_antennas, tops[0].n_users
     direction = getattr(strategy, "direction", "uplink")
     if initial_power * n > budget * (1.0 + 1e-9):
         raise ValueError("initial per-user power exceeds the cell budget")
 
-    groups = schedule_groups(topology)
-    # a PowerAllocation is read-only, so every cell can share one
-    allocs = [PowerAllocation(np.full(n, float(initial_power)), direction)] * topology.n_cells
+    groups = schedule_groups(tops[0])  # one layout, so one grouping for every drop
+    pmat = np.full((d, tops[0].n_cells, n), float(initial_power))
+    closed = rate_estimator == "closedForm"
+    consts = _stacked_constants(tops) if closed and direction == "uplink" else None
     history = []
     for slot in range(slots):
         group = groups[slot % len(groups)]
-        # the call reads ``allocs`` before any cell of the group is replaced
-        for cell, new in zip(group, strategy(topology, allocs, group, m, n, budget), strict=True):
-            new.check_budget(budget)
-            allocs[cell] = new
-        # closedForm draws nothing, so only monteCarlo needs the slot's seed
-        slot_seed = derive_seed(seed, slot) if rate_estimator == "monteCarlo" else 0
-        history.append(network_sum_rate(topology, allocs, rate_estimator, trials, slot_seed))
-    return NetworkState(slots, allocs, groups, history, rate_estimator)
+        # the call reads ``pmat`` before any cell of the group is replaced
+        new = np.asarray(strategy(tops, pmat, group, m, n, budget))
+        if new.shape != (d, len(group), n) or new.dtype.kind not in "fiu" or not (new >= 0).all():
+            raise ValueError(f"the strategy must return non-negative real powers of shape "
+                             f"{(d, len(group), n)}, got {new.shape} of {new.dtype}")
+        if not (total := new.sum(axis=2).max()) <= budget * (1.0 + 1e-9):
+            raise ValueError(f"allocation total {total} exceeds budget {budget}")
+        pmat[:, group] = new
+        if consts is not None:
+            history.append(_uplink_forward(consts, pmat)[0])
+        elif closed:
+            history.append([_downlink_objective(top, p) for top, p in zip(tops, pmat)])
+        else:
+            history.append([network_sum_rate(top, [PowerAllocation(q, direction) for q in p],
+                                             rate_estimator, trials, derive_seed(seed, slot))
+                            for top, p, seed in zip(tops, pmat, seeds)])
+    return [NetworkState(slots, [PowerAllocation(q, direction) for q in p], groups, h,
+                         rate_estimator) for p, h in zip(pmat, np.array(history).T.tolist())]
 
 
-def run_joint(
-    topology: CellTopology,
-    budget: float,
-    max_iters: int = 500,
-    tolerance: float = 1e-9,
-    outer_user_power: float | None = None,
-) -> JointResult:
+def run_joint(topology: CellTopology, budget: float, max_iters: int = 500,
+              tolerance: float = 1e-9, outer_user_power: float | None = None) -> JointResult:
     """Jointly optimise all cluster cells' uplink powers: ``run_joint_drops``
     on a stack of this one topology."""
     return run_joint_drops([topology], budget, max_iters, tolerance, outer_user_power)[0]
 
 
-def run_joint_drops(
-    topologies,
-    budget: float,
-    max_iters: int = 500,
-    tolerance: float = 1e-9,
-    outer_user_power: float | None = None,
-) -> list[JointResult]:
+def run_joint_drops(topologies, budget: float, max_iters: int = 500, tolerance: float = 1e-9,
+                    outer_user_power: float | None = None) -> list[JointResult]:
     """Jointly optimise all cluster cells' uplink powers by projected-gradient
     ascent on the closed-form approximation objective, for each of a stack of
-    topologies of one shape (one per drop).
+    topologies of one layout (one per drop).
 
     Each drop starts from the equal split (so its result is never worse than
     it), takes Armijo-backtracked steps projected onto each cell's budget
@@ -260,17 +272,14 @@ def run_joint_drops(
     # a NaN or negative tolerance is never met, so the loop would run until
     # backtracking underflows and still report convergence
     check_field("tolerance", tolerance, "nonnegative")
-    tops = list(topologies)
-    if not tops or len({(t.n_cells, t.n_users, t.cluster_size) for t in tops}) != 1:
-        raise ValueError("topologies must be a non-empty stack of one shape "
-                         "(cells, users per cell, cluster cells)")
+    tops, _ = _topology_stack(topologies)
     n, k = tops[0].n_users, tops[0].cluster_size
 
     pmat = np.full((len(tops), tops[0].n_cells, n), budget / n)
     if outer_user_power is not None:
         pmat[:, k:] = check_field("outer_user_power", outer_user_power, "nonnegative")
     # the stacked constants of the drops still running, re-gathered as drops finish
-    consts = tuple(np.concatenate(arrs) for arrs in zip(*map(_objective_constants, tops)))
+    consts = _stacked_constants(tops)
 
     f, b1, ap = _uplink_forward(consts, pmat)
     grad = _uplink_gradient(consts, b1, ap)

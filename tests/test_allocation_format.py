@@ -136,6 +136,26 @@ def test_a_whole_set_of_complex_or_bool_vectors_names_a_cell(reader, dtype):
         call(allocs)
 
 
+@pytest.mark.parametrize("powers, dtype", [
+    (np.array([True, False]), "bool"),
+    ([True, False, True], "bool"),
+    (np.array([1 + 2j, 1]), "complex128"),
+    ([1.0, 2j], "complex128"),
+])
+def test_powerallocation_refuses_bool_and_complex_powers(powers, dtype):
+    # neither 0/1 flags nor a vector that would lose its imaginary part are powers
+    with pytest.raises(ValueError, match=f"powers must be real, got dtype {dtype}"):
+        PowerAllocation(powers, "uplink")
+
+
+def test_powerallocation_copies_real_powers():
+    given = np.array([1, 2, 3])
+    alloc = PowerAllocation(given, "downlink")
+    given[0] = 9
+    assert alloc.powers.dtype == float and alloc.powers.tolist() == [1.0, 2.0, 3.0]
+    assert not alloc.powers.flags.writeable
+
+
 def test_network_sum_rate_takes_one_direction_from_its_allocations():
     ups = allocations("uplink")
     mixed = list(ups)

@@ -19,7 +19,7 @@ from mcmimo.cli import (
 from mcmimo.allocation import equal_alloc, relative_gain
 from mcmimo.mcrate import uplink_rate_mc
 from mcmimo.network import network_sum_rate, run_joint
-from mcmimo.topology import NetworkConfig, build_topology, check_field
+from mcmimo.topology import CellTopology, NetworkConfig, build_topology, check_field
 
 
 def tiny_spec(tmp_path, **over):
@@ -581,9 +581,9 @@ class TestRunExperiment:
         # the scheduler, the joint optimiser and the equal baseline are rated
         # under the same outer-ring interference: initialUserPowerDb per user
         seen = {}
-        scheduled, joint, sum_rate = cli.run_scheduled, cli.run_joint_drops, cli.network_sum_rate
-        monkeypatch.setattr(cli, "run_scheduled",
-                            lambda *a, **k: seen.setdefault("scheduled", scheduled(*a, **k)))
+        scheduled, joint, sum_rate = cli.run_scheduled_drops, cli.run_joint_drops, cli.network_sum_rate
+        monkeypatch.setattr(cli, "run_scheduled_drops",
+                            lambda *a, **k: [seen.setdefault("scheduled", *scheduled(*a, **k))])
         monkeypatch.setattr(cli, "run_joint_drops",
                             lambda *a, **k: [seen.setdefault("joint", *joint(*a, **k))])
 
@@ -856,10 +856,11 @@ class TestDropReuse:
             return characteristic(zetas)
 
         def profiled(fn):
-            def profile(top, allocations, target):
-                seen["profile"].append((top.config.users_per_cell, top.config.seed,
-                                        top.config.bs_antennas, top.n_cells))
-                return fn(top, allocations, target)
+            def profile(tops, allocations, target):  # one topology or a stack of drops
+                for top in [tops] if isinstance(tops, CellTopology) else tops:
+                    seen["profile"].append((top.config.users_per_cell, top.config.seed,
+                                            top.config.bs_antennas, top.n_cells))
+                return fn(tops, allocations, target)
             return profile
 
         characteristic = closedform.characteristic_coefficients

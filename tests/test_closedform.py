@@ -270,6 +270,12 @@ def make_profile(rng, n, L):
     return InterferenceProfile(beta_self, cp, cb)
 
 
+def stack_uplink(profiles) -> InterferenceProfile:
+    """One stacked profile whose row d is ``profiles[d]`` (equal N and L)."""
+    return InterferenceProfile(*(np.stack([getattr(p, name) for p in profiles])
+                                 for name in ("beta_self", "cross_powers", "cross_betas")))
+
+
 class TestUplinkExpressions:
     def test_lower_bound_direct_substitution(self):
         prof = InterferenceProfile(np.array([1.0]), np.empty(0), np.empty(0))
@@ -338,7 +344,7 @@ class TestStackedProfiles:
         for n, L, d in ((1, 0, 1), (3, 2, 4), (10, 6, 7), (12, 6, 3)):
             m = n + int(rng.integers(1, 200))
             profiles = [make_profile(rng, n, L) for _ in range(d)]
-            stack = InterferenceProfile.stack(profiles)
+            stack = stack_uplink(profiles)
             assert stack.beta_self.shape == (d, n) and stack.cross_sum.shape == (d, 1)
             p = 10.0 ** rng.uniform(-1, 2, (d, n))
             for fn in (uplink_lower_bound, uplink_approximation, uplink_upper_bound):
@@ -352,7 +358,8 @@ class TestStackedProfiles:
         n, d, m = 9, 5, 40
         profiles = [DownlinkProfile(float(10.0 ** rng.uniform(0, 6)), 10.0 ** rng.uniform(-3, 2, n))
                     for _ in range(d)]
-        stack = DownlinkProfile.stack(profiles)
+        stack = DownlinkProfile(np.array([[p.lambda_self] for p in profiles]),
+                                np.stack([p.cross_load for p in profiles]))
         assert stack.lambda_self.shape == (d, 1)
         p = 10.0 ** rng.uniform(0, 3, (d, n))
         want = np.stack([downlink_lower_bound(prof, m, n, row) for prof, row in zip(profiles, p)])
@@ -416,7 +423,7 @@ class TestStackedProfiles:
 
     def test_stack_has_no_single_zeta_set(self):
         rng = np.random.default_rng(7)
-        stack = InterferenceProfile.stack([make_profile(rng, 2, 1) for _ in range(2)])
+        stack = stack_uplink([make_profile(rng, 2, 1) for _ in range(2)])
         with pytest.raises(ValueError, match="unstacked"):
             stack.zetas()
 

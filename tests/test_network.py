@@ -21,6 +21,7 @@ from mcmimo.network import (
     run_joint,
     run_joint_drops,
     run_scheduled,
+    run_scheduled_drops,
 )
 from mcmimo.topology import CellTopology, NetworkConfig, build_topology, schedule_groups
 
@@ -236,9 +237,9 @@ class TestRunScheduled:
         top = build_topology(NetworkConfig(users_per_cell=2, bs_antennas=8, cell_count=7, seed=4))
 
         def over_budget_last(topology, allocs, cells, m, n, budget):
-            rows = uplink_alloc_approx(topology, allocs, cells, m, n, budget)
+            rows = uplink_alloc_approx(topology, allocs, cells, m, n, budget)  # (drops, cells, N)
             if len(cells) > 1:
-                rows[-1] = PowerAllocation(np.full(n, budget), "uplink")
+                rows[:, -1] = budget
             return rows
 
         with pytest.raises(ValueError, match="exceeds budget"):  # slot 2's group has 3 cells
@@ -250,7 +251,7 @@ class TestRunScheduled:
         def first_cell_only(topology, allocs, cells, m, n, budget):
             return uplink_alloc_approx(topology, allocs, cells[:1], m, n, budget)
 
-        with pytest.raises(ValueError, match="zip"):  # slot 2's group has 3 cells
+        with pytest.raises(ValueError, match=r"shape \(1, 3, 2\), got \(1, 1, 2\)"):  # 3 cells
             run_scheduled(top, first_cell_only, 20.0, 1.0, 2)
 
     # SHA-256 of the per-slot history followed by the final power matrix, at
@@ -292,12 +293,30 @@ class TestRunScheduled:
         ({"slots": True}, "slots"),
         ({"slots": 2.5}, "slots"),
         ({"slots": "3"}, "slots"),
+        ({"rate_estimator": "bogus"}, "rate_estimator"),
+        ({"rate_estimator": None}, "rate_estimator"),
+        ({"rate_estimator": "monteCarlo", "trials": 2.5}, "trials"),
+        ({"rate_estimator": "monteCarlo", "trials": 0}, "trials"),
+        ({"trials": True}, "trials"),
     ])
     def test_bad_parameters_rejected(self, kwargs, field):
         top = build_topology(NetworkConfig(users_per_cell=3, bs_antennas=10, cell_count=7, seed=18))
         args = {"budget": 30.0, "initial_power": 1.0, "slots": 2, **kwargs}
         with pytest.raises(ValueError, match=field):
             run_scheduled(top, uplink_alloc_approx, **args)
+
+    @pytest.mark.parametrize("kwargs", [{"rate_estimator": "bogus"}, {"trials": 2.5}])
+    def test_inputs_checked_before_the_first_slot(self, kwargs):
+        top = build_topology(NetworkConfig(users_per_cell=3, bs_antennas=10, cell_count=7, seed=18))
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return uplink_alloc_approx(*args)
+
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            run_scheduled(top, spy, 30.0, 1.0, 2, **kwargs)
+        assert calls == []
 
     def test_initial_power_over_budget_rejected(self):
         cfg = NetworkConfig(users_per_cell=4, bs_antennas=9, cell_count=1, seed=1)
@@ -374,6 +393,13 @@ class TestNetworkSumRate:
         top = build_topology(cfg)
         with pytest.raises(ValueError, match="estimator"):
             network_sum_rate(top, [equal_alloc(2, 1.0)], "guess")
+
+    @pytest.mark.parametrize("trials", [0, 2.5, True, "10"])
+    def test_bad_trials_rejected(self, trials):
+        top = build_topology(NetworkConfig(users_per_cell=2, bs_antennas=8, cell_count=1, seed=1))
+        for estimator in ("closedForm", "monteCarlo"):
+            with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+                network_sum_rate(top, [equal_alloc(2, 1.0)], estimator, trials)
 
 
 class TestRunJoint:
@@ -633,3 +659,108 @@ class TestRunJointDrops:
         for tops in ([], [small, large]):
             with pytest.raises(ValueError, match="topologies"):
                 run_joint_drops(tops, 30.0)
+
+
+def scheduled_fields(state: NetworkState):
+    pmat = np.stack([a.powers for a in state.per_cell_powers])
+    return (state.slot_index, state.groups, state.estimator, np.array(state.history).tobytes(),
+            pmat.tobytes(), {a.direction for a in state.per_cell_powers})
+
+
+class TestRunScheduledDrops:
+    """A stack of drops gives, field for field, what each drop gives alone,
+    with one strategy call per slot for the whole stack."""
+
+    @staticmethod
+    def alone_and_stacked(tops, strategy, seeds, **kwargs):
+        alone = [run_scheduled(t, strategy, seed=s, **kwargs) for t, s in zip(tops, seeds)]
+        stacked = run_scheduled_drops(tops, strategy, seeds=seeds, **kwargs)
+        return [scheduled_fields(st) for st in alone], [scheduled_fields(st) for st in stacked]
+
+    @pytest.mark.parametrize("strategy", ["uplink_alloc_approx", "uplink_alloc_lower_bound",
+                                          "uplink_alloc_upper_bound", "downlink_alloc"])
+    @pytest.mark.parametrize("cells, outer", [(7, 0), (7, 6), (19, 0), (19, 6)])
+    @pytest.mark.parametrize("estimator", ["closedForm", "monteCarlo"])
+    def test_stack_equals_each_drop_alone(self, strategy, cells, outer, estimator):
+        tops = [build_topology(NetworkConfig(users_per_cell=3, bs_antennas=10, cell_count=cells,
+                                             outer_ring_cells=outer, seed=seed))
+                for seed in (1, 2, 3)]
+        alone, stacked = self.alone_and_stacked(
+            tops, getattr(allocation, strategy), [11, 12, 13], budget=30.0, initial_power=2.0,
+            slots=5, rate_estimator=estimator, trials=16)
+        assert stacked == alone
+        # the drops differ, so the comparison is not one drop three times
+        assert len({fields[3] for fields in stacked}) == 3
+
+    def test_stack_of_one(self):
+        top = build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=3))
+        alone, stacked = self.alone_and_stacked([top], uplink_alloc_approx, [7], budget=50.0,
+                                                initial_power=10.0, slots=12)
+        assert stacked == alone
+        # the recorded digest of the one-drop scheduler, field for field
+        state = run_scheduled_drops([top], uplink_alloc_approx, 50.0, 10.0, 12)[0]
+        digest = hashlib.sha256(np.array(state.history).tobytes()
+                                + np.stack([a.powers for a in state.per_cell_powers]).tobytes())
+        assert digest.hexdigest() == TestRunScheduled.DIGESTS["uplink_alloc_approx", 3, 0]
+
+    def test_fig12_drops(self):
+        doc = json.loads((Path(__file__).parents[1] / "configs" / "fig12.json").read_text())
+        spec = cli.ExperimentSpec.from_dict(doc, {"drops": 20})
+        opts = spec.options
+        tops = [cli._drop_topology(spec, d) for d in range(20)]
+        alone, stacked = self.alone_and_stacked(
+            tops, uplink_alloc_approx, [cli.derive_seed(2024, cli._TAG_SLOT, d) for d in range(20)],
+            budget=float(opts["powerW"]), initial_power=cli.db_to_linear(opts["initialUserPowerDb"]),
+            slots=12)
+        assert stacked == alone
+
+    def test_one_strategy_call_per_slot(self):
+        tops = [build_topology(NetworkConfig(users_per_cell=3, bs_antennas=10, cell_count=7,
+                                             seed=seed)) for seed in (1, 2, 3)]
+        calls = []
+
+        def spy(topologies, powers, cells, m, n, budget):
+            calls.append((len(topologies), powers.shape, list(cells)))
+            return uplink_alloc_approx(topologies, powers, cells, m, n, budget)
+
+        states = run_scheduled_drops(tops, spy, 30.0, 2.0, 7)
+        groups = states[0].groups
+        assert calls == [(3, (3, 7, 3), groups[s % 3]) for s in range(7)]
+
+    def test_strategy_result_checked(self):
+        tops = [build_topology(NetworkConfig(users_per_cell=2, bs_antennas=8, cell_count=7,
+                                             seed=seed)) for seed in (4, 5)]
+
+        def returning(make):
+            def strategy(topologies, powers, cells, m, n, budget):
+                return make(uplink_alloc_approx(topologies, powers, cells, m, n, budget))
+            return strategy
+
+        def over_in_second_drop(rows):
+            rows[1, 0] += 1.0
+            return rows
+
+        for make, match in ((lambda r: r[:1], r"shape \(2, (\d), 2\), got \(1, \1, 2\)"),
+                            (lambda r: r.astype(complex), "real powers"),
+                            (lambda r: -r, "non-negative"),
+                            (lambda r: r * np.nan, "non-negative"),
+                            (over_in_second_drop, "exceeds budget")):
+            with pytest.raises(ValueError, match=match):
+                run_scheduled_drops(tops, returning(make), 20.0, 1.0, 1)
+
+    def test_seeds_one_per_drop(self):
+        tops = [build_topology(NetworkConfig(users_per_cell=2, bs_antennas=8, cell_count=7,
+                                             seed=seed)) for seed in (4, 5)]
+        for seeds in ([1], [1, 2, 3], [1, 2.5], "12"):
+            with pytest.raises(ValueError, match="seeds"):
+                run_scheduled_drops(tops, uplink_alloc_approx, 20.0, 1.0, 1, seeds=seeds)
+
+    def test_empty_or_mixed_stack_rejected(self):
+        def top(**kw):
+            return build_topology(NetworkConfig(**{"users_per_cell": 3, "bs_antennas": 10,
+                                                   "cell_count": 7, "seed": 18, **kw}))
+
+        for tops in ([], [top(), top(cell_count=19)], [top(), top(outer_ring_cells=6)],
+                     [top(), top(users_per_cell=2)], [top(), top(bs_antennas=12)]):
+            with pytest.raises(ValueError, match="topologies"):
+                run_scheduled_drops(tops, uplink_alloc_approx, 30.0, 1.0, 1)
