@@ -3,14 +3,10 @@
 Every strategy maximises a surrogate sum rate sum_n log2(1 + c_n p_n) under
 sum_n p_n = P, p_n >= 0, whose KKT solution is the water-filling form
 p_n = (mu - 1/c_n)^+. The strategies differ only in the coefficient vector:
-
-    lower bound:    d_n = beta_n (M-N)   / (S + 1)
-    upper bound:    k_n = beta_n (M-N+1) * E{1/(v+1)}
-    approximation:  t_n = beta_n (M-N+1) / (S + 1)
-    downlink:       s_n = ((M-N)/L_0) / (D_n + 1)
-
-with the interfering cells' powers frozen while one cell allocates. As M
-grows the 1/c_n terms vanish and every strategy tends to the equal split P/N.
+the SINR at unit power of the closed form they are named for, from
+``closedform.PROFILE_COEFFICIENTS`` (whose docstring states the four), with
+the interfering cells' powers frozen while one cell allocates. As M grows
+the 1/c_n terms vanish and every strategy tends to the equal split P/N.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import downlink_profile, uplink_profile
+from .closedform import PROFILE_COEFFICIENTS, downlink_profile, uplink_profile
 from .mcrate import PowerAllocation
 from .topology import CellTopology
 
@@ -82,48 +78,6 @@ def waterfill(wc: WaterfillCoefficients) -> WaterfillResult:
     return WaterfillResult(np.maximum(level[:, None] - inv, 0.0), level)
 
 
-# --- strategy coefficient vectors -----------------------------------------
-#
-# Each formula reads a profile (closedform.InterferenceProfile or
-# DownlinkProfile) and returns c of the profile's shape: (N,) for one cell
-# view, (D, N) for a stack of D views. The strategies below build the profile
-# first: of one cell, or a stack of one row per cell when ``target_cell`` is a
-# sequence of cells.
-
-def _lower(prof, m, n) -> np.ndarray:
-    """d_n = beta_n (M-N) / (S + 1)."""
-    if m <= n:
-        raise ValueError("the lower-bound strategy requires M > N")
-    return prof.beta_self * (m - n) / (prof.cross_sum + 1.0)
-
-
-def _upper(prof, m, n) -> np.ndarray:
-    """k_n = beta_n (M-N+1) E{1/(v+1)}; users differ only through beta_n."""
-    if m < n:
-        raise ValueError("the upper-bound strategy requires M >= N")
-    # the interference seen at the BS is user-independent, so one
-    # hypoexponential factor serves every user
-    return prof.beta_self * (m - n + 1) * prof.interference_factor()
-
-
-def _approx(prof, m, n) -> np.ndarray:
-    """t_n = beta_n (M-N+1) / (S + 1)."""
-    if m < n:
-        raise ValueError("the approximation strategy requires M >= N")
-    return prof.beta_self * (m - n + 1) / (prof.cross_sum + 1.0)
-
-
-def _downlink(prof, m, n) -> np.ndarray:
-    """s_n = ((M-N)/L_0) / (D_n + 1)."""
-    if m <= n:
-        raise ValueError("the downlink strategy requires M > N")
-    return ((m - n) / prof.lambda_self) / (prof.cross_load + 1.0)
-
-
-# strategy name -> coefficient formula of a profile, called as f(profile, m, n)
-PROFILE_COEFFICIENTS = {"lower": _lower, "upper": _upper, "approx": _approx, "downlink": _downlink}
-
-
 # --- allocation strategies --------------------------------------------------
 #
 # A strategy allocates ``target_cell`` against the frozen ``interfering_powers``
@@ -131,9 +85,9 @@ PROFILE_COEFFICIENTS = {"lower": _lower, "upper": _upper, "approx": _approx, "do
 # call gives one PowerAllocation per cell, each equal to that cell's own call;
 # given D drops of one layout, it returns the (D, cells, N) array of their rows.
 
-def _strategy(public: str, name: str, direction: str):
-    """The strategy ``public`` water-filling ``PROFILE_COEFFICIENTS[name]`` of
-    the ``direction`` profile of the target cell(s)."""
+def _strategy(public: str, name: str, direction: str, m_above_n: bool = False):
+    """The strategy ``public`` water-filling ``PROFILE_COEFFICIENTS[name]`` of the
+    ``direction`` profile of the target cell(s); ``m_above_n`` when c has the factor M-N."""
 
     def strategy(topology, interfering_powers, target_cell, m, n,
                  budget) -> PowerAllocation | list[PowerAllocation] | np.ndarray:
@@ -143,6 +97,8 @@ def _strategy(public: str, name: str, direction: str):
             topology, interfering_powers, target_cell)
         if n != prof.n_users:
             raise ValueError(f"N={n} does not match the topology's {prof.n_users} users per cell")
+        if m_above_n and m <= n:
+            raise ValueError(f"{public} requires M > N")
         c = PROFILE_COEFFICIENTS[name](prof, m, n)
         powers = waterfill(WaterfillCoefficients(c, budget)).powers
         if not isinstance(topology, CellTopology):  # a stack of drops
@@ -158,10 +114,10 @@ def _strategy(public: str, name: str, direction: str):
     return strategy
 
 
-uplink_alloc_lower_bound = _strategy("uplink_alloc_lower_bound", "lower", "uplink")
+uplink_alloc_lower_bound = _strategy("uplink_alloc_lower_bound", "lower", "uplink", True)
 uplink_alloc_upper_bound = _strategy("uplink_alloc_upper_bound", "upper", "uplink")
 uplink_alloc_approx = _strategy("uplink_alloc_approx", "approx", "uplink")
-downlink_alloc = _strategy("downlink_alloc", "downlink", "downlink")
+downlink_alloc = _strategy("downlink_alloc", "downlink", "downlink", True)
 
 
 def equal_alloc(n_users: int, budget: float, direction: str = "uplink") -> PowerAllocation:

@@ -58,6 +58,8 @@ KINDS = (
     "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
     "fig10", "fig11", "fig12", "table2", "table3a", "table3b", "custom",
 )
+# the kinds run on the downlink; custom takes its link from the direction option
+_DOWNLINK_KINDS = ("fig8", "fig10", "fig11", "table3a", "table3b")
 
 
 def db_to_linear(db: float) -> float:
@@ -197,10 +199,14 @@ class ExperimentSpec:
             if db_to_linear(db) * n > budget * (1 + 1e-9):
                 raise ValueError(f"option 'initialUserPowerDb' {db} dB times usersPerCell {n} "
                                  f"exceeds option 'powerW' {budget}")
-        if "estimators" in self.options and (
-                self.kind == "fig8" or self.options.get("direction") == "downlink"):
+        if "estimators" in self.options and self.direction == "downlink":
             check_field("option 'estimators'", self.options["estimators"],
                         [("mc", *_DOWNLINK_RATES)])
+
+    @property
+    def direction(self) -> str:
+        """The link the kind runs on: a downlink kind's, else the direction option's."""
+        return "downlink" if self.kind in _DOWNLINK_KINDS else self.options.get("direction", "uplink")
 
     @classmethod
     def from_dict(cls, data: dict, overrides: dict | None = None) -> "ExperimentSpec":
@@ -263,10 +269,9 @@ class ExperimentSpec:
 # shared evaluation helpers
 # ---------------------------------------------------------------------------
 
-def _fixed_allocs(n_cells, n_users, direction, user_power=None, cell_power=None):
-    """(C, N) powers: ``user_power`` per uplink user, or ``cell_power`` split over the users."""
-    p = user_power if direction == "uplink" else cell_power / n_users
-    return np.full((n_cells, n_users), float(p))
+def _fixed_allocs(n_cells, n_users, user_power):
+    """(C, N) powers: ``user_power`` for every user."""
+    return np.full((n_cells, n_users), float(user_power))
 
 
 def _mc_values(top, own, interferers, direction, trials, mc_seed):
@@ -308,15 +313,14 @@ def _drop_topology(spec: ExperimentSpec, drop: int, *, users=None, antennas=None
 
 def _uplink_rows(tops, interferer_user_power) -> InterferenceProfile:
     """Cell 0's uplink profile in each drop of ``tops``, stacked."""
-    allocs = _fixed_allocs(tops[0].n_cells, tops[0].n_users, "uplink",
-                           user_power=interferer_user_power)
+    allocs = _fixed_allocs(tops[0].n_cells, tops[0].n_users, interferer_user_power)
     return uplink_profile(tops, [allocs] * len(tops), 0)
 
 
 def _downlink_rows(tops, interferer_cell_power) -> DownlinkProfile:
     """Cell 0's downlink profile in each drop of ``tops``, stacked."""
-    allocs = _fixed_allocs(tops[0].n_cells, tops[0].n_users, "downlink",
-                           cell_power=interferer_cell_power)
+    n = tops[0].n_users
+    allocs = _fixed_allocs(tops[0].n_cells, n, interferer_cell_power / n)
     return downlink_profile(tops, [allocs] * len(tops), 0)
 
 
@@ -387,7 +391,6 @@ def _job_equal_power(spec: ExperimentSpec, d: int) -> list[dict]:
     call's rows from one set of draws, as nothing drawn depends on power.
     """
     opts = spec.options
-    direction = opts.get("direction", "downlink" if spec.kind == "fig8" else "uplink")
     root = spec.network.seed
 
     # calls as (M, [(panel, x, power)], Monte Carlo seed)
@@ -403,9 +406,9 @@ def _job_equal_power(spec: ExperimentSpec, d: int) -> list[dict]:
     n = top.n_users
 
     # uplink interferers transmit a per-user power, downlink ones a cell total
-    uplink = direction == "uplink"
+    uplink = spec.direction == "uplink"
     p_x = db_to_linear(opts["interfererUserPowerDb" if uplink else "interfererCellPowerDb"])
-    interferers = _fixed_allocs(top.n_cells, n, direction, user_power=p_x, cell_power=p_x)
+    interferers = _fixed_allocs(top.n_cells, n, p_x if uplink else p_x / n)
     # cell 0's profile reads the interferers only
     prof = (uplink_profile if uplink else downlink_profile)(top, interferers, 0)
     formulas = _UPLINK_RATES if uplink else _DOWNLINK_RATES
@@ -416,7 +419,7 @@ def _job_equal_power(spec: ExperimentSpec, d: int) -> list[dict]:
         values = {}
         for est in opts["estimators"]:
             if est == "mc":
-                values[est] = _mc_values(top.with_antennas(m), own, interferers, direction,
+                values[est] = _mc_values(top.with_antennas(m), own, interferers, spec.direction,
                                          spec.trials, mc_seed)
             else:
                 per_user = formulas[est](prof, m, n, own)
@@ -466,8 +469,7 @@ def _drop_strategies(spec: ExperimentSpec, d: int) -> list[dict]:
         cells = 1 if panel == "singlecell" else None
         top = _drop_topology(spec, d, antennas=ms[0], cells=cells)
         n = top.n_users
-        allocs = _fixed_allocs(top.n_cells, n, "uplink",
-                               user_power=db_to_linear(opts["interfererUserPowerDb"]))
+        allocs = _fixed_allocs(top.n_cells, n, db_to_linear(opts["interfererUserPowerDb"]))
         prof = uplink_profile(top, allocs, 0)
         eq = equal_alloc(n, p_lin).powers
         pa = _waterfilled_rows(prof, _UPLINK_STRATEGIES, ms, p_lin)
@@ -706,28 +708,25 @@ def find_max_ratio(query: GainThresholdQuery, base: NetworkConfig,
     drop_seeds = tuple(derive_seed(base.seed, _TAG_GAIN, d) for d in range(query.drops))
     if profiles is None:
         profiles = _DropProfiles()
-    cache: dict[int, float] = {}
 
     def gain(x: int) -> float:
-        if x not in cache:
-            if query.mode == "maxRatio":
-                m, n = x * n0, n0
-            elif query.mode == "maxAntennas":
-                m, n = x, n0
-            else:
-                m, n = m0, x
-            prof, edges = profiles.rows(base, drop_seeds, n, query.direction, interferer_lin)
-            if query.direction == "uplink":
-                gains = relative_gain(*(r.sum(axis=1) for r in _pa_eq(prof, [m], p_lin)[0]))
-            else:
-                gains = _downlink_gains(prof, m, p_lin, edges if edge_only else None)
-            if not gains.size:
-                raise ValueError(
-                    f"no drop has an edge user at {query.mode} probe {x}: edgeOnly averages "
-                    f"edge users only; raise drops (now {query.drops}) or set edgeOnly false"
-                )
-            cache[x] = float(np.mean(gains))
-        return cache[x]
+        if query.mode == "maxRatio":
+            m, n = x * n0, n0
+        elif query.mode == "maxAntennas":
+            m, n = x, n0
+        else:
+            m, n = m0, x
+        prof, edges = profiles.rows(base, drop_seeds, n, query.direction, interferer_lin)
+        if query.direction == "uplink":
+            gains = relative_gain(*(r.sum(axis=1) for r in _pa_eq(prof, [m], p_lin)[0]))
+        else:
+            gains = _downlink_gains(prof, m, p_lin, edges if edge_only else None)
+        if not gains.size:
+            raise ValueError(
+                f"no drop has an edge user at {query.mode} probe {x}: edgeOnly averages "
+                f"edge users only; raise drops (now {query.drops}) or set edgeOnly false"
+            )
+        return float(np.mean(gains))
 
     # the "inside" end meets the threshold wherever any probe does: the gain
     # decreases with the ratio or M, and increases with N (minUsers)
@@ -746,19 +745,20 @@ def find_max_ratio(query: GainThresholdQuery, base: NetworkConfig,
     return inside, False
 
 
-# table kind: (direction, search mode, the query field its first loop fixes,
-# its loops as (column, option) pairs in row order)
+# table kind: (search mode, the query field its first loop fixes, its loops as
+# (column, option) pairs in row order)
 _TABLES = {
-    "table2": ("uplink", "maxRatio", None, (("powerDb", "powersDb"), ("threshold", "thresholds"))),
-    "table3a": ("downlink", "maxAntennas", "fixed_users",
+    "table2": ("maxRatio", None, (("powerDb", "powersDb"), ("threshold", "thresholds"))),
+    "table3a": ("maxAntennas", "fixed_users",
                 (("users", "usersList"), ("threshold", "thresholds"), ("powerDb", "powersDb"))),
-    "table3b": ("downlink", "minUsers", "fixed_antennas",
+    "table3b": ("minUsers", "fixed_antennas",
                 (("antennas", "antennasList"), ("threshold", "thresholds"), ("powerDb", "powersDb"))),
 }
 
 
 def _run_tables(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
-    direction, mode, fixed, loops = _TABLES[spec.kind]
+    mode, fixed, loops = _TABLES[spec.kind]
+    direction = spec.direction
     opts = spec.options
     lo, hi = int(spec.sweep.values[0]), int(spec.sweep.values[-1])
     interferer_db = opts.get("interfererUserPowerDb" if direction == "uplink"
@@ -817,9 +817,7 @@ def _manifest_notes(spec: ExperimentSpec) -> dict:
         "averaging": "per point: mean over user drops; fading expectation within each drop",
         "unitNoisePower": True,
     }
-    if spec.kind in ("fig8", "fig10", "fig11", "table3a", "table3b") or (
-        spec.kind == "custom" and spec.options.get("direction") == "downlink"
-    ):
+    if spec.direction == "downlink":
         notes["downlinkInterfererPower"] = "per-cell total, split equally across users"
     if spec.kind in ("fig10", "fig11", "table3a", "table3b"):
         notes["edgeSplitRadiusFactor"] = EDGE_SPLIT_FACTOR

@@ -1,21 +1,23 @@
 """Closed-form rate expressions for ZF multicell systems.
 
-Uplink (per user n of the target cell, noise power 1):
+Each closed form rates user n of the target cell as log2(1 + SINR_n), noise
+power 1, with the SINR
 
-    lower bound     log2(1 + p_n b_n (M-N)   / (S + 1))
-    approximation   log2(1 + p_n b_n (M-N+1) / (S + 1))
-    upper bound     log2(1 + p_n b_n (M-N+1) * E{1/(v+1)})
+    uplink lower bound     p_n b_n (M-N)   / (S + 1)
+    uplink approximation   p_n b_n (M-N+1) / (S + 1)
+    uplink upper bound     p_n b_n (M-N+1) * E{1/(v+1)}
+    downlink lower bound   p_n ((M-N)/L_0) / (D_n + 1)
 
 where b_n is the user's own-cell large-scale gain, S = sum p_cl beta_cl over
 interfering users, and v is the hypoexponential interference power: a sum of
-independent exponentials with means zeta_k = p_cl beta_cl. The three lie in
-that order for every input (two Jensen bounds around a mean-ratio
-approximation), and the gap closes as M grows.
+independent exponentials with means zeta_k = p_cl beta_cl. The three uplink
+forms lie in that order for every input (two Jensen bounds around a
+mean-ratio approximation), and the gap closes as M grows. On the downlink
+L_l = sum_k 1/beta_lk and D_n = sum_{l,c} p_cl beta_ln / (beta_lc L_l).
 
-Downlink lower bound:
-
-    log2(1 + p_n (M-N)/L_0 / (D_n + 1)),   L_l = sum_k 1/beta_lk,
-    D_n = sum_{l,c} p_cl beta_ln / (beta_lc L_l)
+``PROFILE_COEFFICIENTS`` holds these four SINRs, each written once. At p = 1
+they are the coefficients c_n of the strategies, which water-fill
+sum_n log2(1 + c_n p_n): each maximises the rate of the form it is named for.
 
 E{1/(v+1)} is evaluated through the characteristic-coefficient expansion of
 the hypoexponential density (partial fractions of its Laplace transform),
@@ -42,7 +44,6 @@ from .mcrate import _power_rows, _target_cells, _topology_stack
 _EULER_GAMMA = 0.5772156649015328606065120900824024
 _SERIES_SWITCH = 1.5  # series below, continued fraction at or above
 _MERGE_RTOL = 1e-9
-_LOG2 = math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -529,28 +530,64 @@ def downlink_profile(topology, interfering_powers, target_cell) -> DownlinkProfi
 
 
 # ---------------------------------------------------------------------------
-# rate expressions
+# SINR formulas and rate expressions
 # ---------------------------------------------------------------------------
+
+# Each formula is one closed form's SINR of a profile (InterferenceProfile or
+# DownlinkProfile, of one (N,) view or a (D, N) stack) at the powers ``p``.
+# ``p`` is the first factor and 1.0 * x == x: at the default p = 1 a formula
+# gives the bits of the strategies' coefficients c_n, at the powers the rate's.
+
+def _gap(m: int, n: int) -> int:
+    """M - N, which no closed form admits below 0."""
+    if m < n:
+        raise ValueError(f"the closed forms require M >= N, got M={m}, N={n}")
+    return m - n
+
+
+def _lower(prof, m, n, p=1.0) -> np.ndarray:
+    """d_n = beta_n (M-N) / (S + 1)."""
+    return p * prof.beta_self * _gap(m, n) / (prof.cross_sum + 1.0)
+
+
+def _upper(prof, m, n, p=1.0) -> np.ndarray:
+    """k_n = beta_n (M-N+1) E{1/(v+1)}; users differ only through beta_n."""
+    # the interference seen at the BS is user-independent, so one
+    # hypoexponential factor serves every user
+    return p * prof.beta_self * (_gap(m, n) + 1) * prof.interference_factor()
+
+
+def _approx(prof, m, n, p=1.0) -> np.ndarray:
+    """t_n = beta_n (M-N+1) / (S + 1)."""
+    return p * prof.beta_self * (_gap(m, n) + 1) / (prof.cross_sum + 1.0)
+
+
+def _downlink(prof, m, n, p=1.0) -> np.ndarray:
+    """s_n = ((M-N)/L_0) / (D_n + 1)."""
+    return p * (_gap(m, n) / prof.lambda_self) / (prof.cross_load + 1.0)
+
+
+# strategy name -> SINR formula; f(profile, m, n) is its water-filling coefficients
+PROFILE_COEFFICIENTS = {"lower": _lower, "upper": _upper, "approx": _approx, "downlink": _downlink}
+
 
 # Each rate takes ``powers`` of shape (N,) or (R, N), one allocation per row,
 # and a profile of one view or a stack of D views; the per-user rates come
 # out in the broadcast shape, every row with the bits of its own evaluation.
 
-def _check_powers(powers, n: int) -> np.ndarray:
+def _rate(sinr, profile, m: int, n: int, powers) -> np.ndarray:
+    """log2(1 + sinr(profile, m, n, p)) at the checked powers p."""
     p = np.asarray(powers, dtype=float)
-    if p.ndim not in (1, 2) or p.shape[-1] != n:
-        raise ValueError(f"powers must have shape ({n},) or (rows, {n})")
+    if p.ndim not in (1, 2) or p.shape[-1] != profile.n_users:
+        raise ValueError(f"powers must have shape ({profile.n_users},) or (rows, {profile.n_users})")
     if np.any(p < 0) or not np.all(np.isfinite(p)):
         raise ValueError("powers must be finite and non-negative")
-    return p
+    return np.log2(1.0 + sinr(profile, m, n, p))
 
 
 def uplink_lower_bound(profile: InterferenceProfile, m: int, n: int, powers) -> np.ndarray:
     """Jensen lower bound on the per-user ergodic ZF uplink rate."""
-    if m < n:
-        raise ValueError("uplink lower bound requires M >= N")
-    p = _check_powers(powers, profile.n_users)
-    return np.log2(1.0 + p * profile.beta_self * (m - n) / (profile.cross_sum + 1.0))
+    return _rate(_lower, profile, m, n, powers)
 
 
 def uplink_approximation(profile: InterferenceProfile, m: int, n: int, powers) -> np.ndarray:
@@ -559,10 +596,7 @@ def uplink_approximation(profile: InterferenceProfile, m: int, n: int, powers) -
     Identical to the lower bound with M-N replaced by M-N+1; lies between the
     lower and upper bounds and becomes exact as M grows.
     """
-    if m < n:
-        raise ValueError("uplink approximation requires M >= N")
-    p = _check_powers(powers, profile.n_users)
-    return np.log2(1.0 + p * profile.beta_self * (m - n + 1) / (profile.cross_sum + 1.0))
+    return _rate(_approx, profile, m, n, powers)
 
 
 def uplink_upper_bound(profile: InterferenceProfile, m: int, n: int, powers) -> np.ndarray:
@@ -571,16 +605,9 @@ def uplink_upper_bound(profile: InterferenceProfile, m: int, n: int, powers) -> 
     With no active interferers the hypoexponential machinery degenerates and
     the bound reduces to log2(1 + p beta (M-N+1)), i.e. E{1/(v+1)} = 1.
     """
-    if m < n:
-        raise ValueError("uplink upper bound requires M >= N")
-    p = _check_powers(powers, profile.n_users)
-    eta = profile.interference_factor()
-    return np.log2(1.0 + p * profile.beta_self * (m - n + 1) * eta)
+    return _rate(_upper, profile, m, n, powers)
 
 
 def downlink_lower_bound(profile: DownlinkProfile, m: int, n: int, powers) -> np.ndarray:
     """Jensen lower bound on the per-user ergodic ZF downlink rate."""
-    if m < n:
-        raise ValueError("downlink lower bound requires M >= N")
-    p = _check_powers(powers, profile.n_users)
-    return np.log2(1.0 + p * ((m - n) / profile.lambda_self) / (profile.cross_load + 1.0))
+    return _rate(_downlink, profile, m, n, powers)

@@ -74,12 +74,10 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .topology import CellTopology
+from .topology import _MASK64, CellTopology
 
 ESTIMATOR_VERSION = 6
 BLOCK_TRIALS = 256
-
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True, eq=False)

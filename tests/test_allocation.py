@@ -286,9 +286,9 @@ class TestStrategies:
 
     def test_requires_m_above_n(self, small_topology):
         allocs = uplink_interferers(small_topology)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="M > N"):
             uplink_alloc_lower_bound(small_topology, allocs, 0, 3, 3, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="M > N"):
             downlink_alloc(small_topology, downlink_interferers(small_topology), 0, 3, 3, 1.0)
 
 

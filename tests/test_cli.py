@@ -472,7 +472,7 @@ class TestRunExperiment:
         for panel, cells, tag in (("multicell", None, 0), ("singlecell", 1, 1)):
             for i, m in enumerate(ms):
                 top = cli._drop_topology(spec, 0, antennas=m, cells=cells)
-                allocs = cli._fixed_allocs(top.n_cells, 4, "uplink", user_power=db_to_linear(10))
+                allocs = cli._fixed_allocs(top.n_cells, 4, db_to_linear(10))
                 seed = cli.derive_seed(net["seed"], cli._TAG_MC, 0, i, tag)
                 for label, strategy in [("equal", None), *cli._UPLINK_STRATEGIES.items()]:
                     cand = list(allocs)
@@ -500,7 +500,7 @@ class TestRunExperiment:
         for panel, cells, tag in (("multicell", None, 0), ("singlecell", 1, 1)):
             for i, m in enumerate(ms):
                 top = cli._drop_topology(spec, 0, antennas=m, cells=cells)
-                allocs = cli._fixed_allocs(top.n_cells, 4, "uplink", user_power=db_to_linear(10))
+                allocs = cli._fixed_allocs(top.n_cells, 4, db_to_linear(10))
                 seed = cli.derive_seed(net["seed"], cli._TAG_MC, 0, i, tag)
                 eq = uplink_rate_mc(top, [equal_alloc(4, 100.0), *allocs[1:]], 0, 64,
                                     seed).sum_rate

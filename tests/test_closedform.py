@@ -8,7 +8,9 @@ from scipy import integrate
 from scipy import special as sp
 
 from hypoexp_oracle import hypoexp_cdf, hypoexp_pdf
+from mcmimo import allocation
 from mcmimo.closedform import (
+    PROFILE_COEFFICIENTS,
     DownlinkProfile,
     InterferenceProfile,
     _laplace_product_integral,
@@ -435,6 +437,48 @@ class TestStackedProfiles:
         prof = InterferenceProfile(np.ones(3), np.ones(2), np.ones(2))
         with pytest.raises(ValueError, match="powers must have shape"):
             uplink_approximation(prof, 8, 3, np.ones((2, 2, 3)))
+
+
+class TestOneFormulaTable:
+    """Each rate is log2(1 + SINR) of its ``PROFILE_COEFFICIENTS`` formula, the
+    one the strategies water-fill at unit power."""
+
+    RATES = {"lower": uplink_lower_bound, "upper": uplink_upper_bound,
+             "approx": uplink_approximation, "downlink": downlink_lower_bound}
+
+    def profiles(self, name):
+        # cells 0, 7 and 18 of 19 have 6, 4 and 3 neighbours: ragged stacked rows
+        top = build_topology(NetworkConfig(users_per_cell=4, bs_antennas=16, seed=21))
+        rng = np.random.default_rng(21)
+        direction = "downlink" if name == "downlink" else "uplink"
+        build = downlink_profile if name == "downlink" else uplink_profile
+        allocs = [PowerAllocation(rng.uniform(0.0, 5.0, 4), direction) for _ in range(19)]
+        return build(top, allocs, 7), build(top, allocs, [0, 7, 18])
+
+    @pytest.mark.parametrize("name", list(RATES))
+    def test_rate_is_log2_one_plus_formula(self, name):
+        rng = np.random.default_rng(3)
+        formula, rate = PROFILE_COEFFICIENTS[name], self.RATES[name]
+        one, stack = self.profiles(name)
+        assert stack.n_users == one.n_users == 4
+        for prof, shape in ((one, (5, 4)), (stack, (3, 4))):
+            p = rng.uniform(0.0, 20.0, shape)
+            for m in (4, 5, 40):
+                assert np.array_equal(rate(prof, m, 4, p), np.log2(1 + formula(prof, m, 4, p)))
+                # the water-filling coefficients are the SINR at unit power
+                assert np.array_equal(formula(prof, m, 4), formula(prof, m, 4, np.ones(4)))
+
+    def test_allocation_reads_the_same_table(self):
+        assert allocation.PROFILE_COEFFICIENTS is PROFILE_COEFFICIENTS
+
+    @pytest.mark.parametrize("name", list(RATES))
+    def test_formula_rejects_m_below_n(self, name):
+        one, stack = self.profiles(name)
+        for prof in (one, stack):
+            with pytest.raises(ValueError, match="M >= N"):
+                PROFILE_COEFFICIENTS[name](prof, 3, 4)
+            with pytest.raises(ValueError, match="M >= N"):
+                self.RATES[name](prof, 3, 4, np.ones(4))
 
 
 class TestDownlinkExpression:
