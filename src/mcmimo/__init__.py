@@ -22,13 +22,9 @@ from .allocation import (
 )
 from .closedform import (
     DownlinkProfile,
-    HypoexpSpec,
     InterferenceProfile,
-    characteristic_coefficients,
     downlink_lower_bound,
     downlink_profile,
-    exp_integral_e1,
-    mean_inv_one_plus,
     uplink_approximation,
     uplink_lower_bound,
     uplink_profile,
@@ -59,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CellTopology",
     "DownlinkProfile",
-    "HypoexpSpec",
     "InterferenceProfile",
     "JointResult",
     "NetworkConfig",
@@ -69,14 +64,11 @@ __all__ = [
     "WaterfillCoefficients",
     "WaterfillResult",
     "build_topology",
-    "characteristic_coefficients",
     "downlink_alloc",
     "downlink_lower_bound",
     "downlink_profile",
     "downlink_rate_mc",
     "equal_alloc",
-    "exp_integral_e1",
-    "mean_inv_one_plus",
     "network_sum_rate",
     "relative_gain",
     "run_joint",

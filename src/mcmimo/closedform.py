@@ -19,21 +19,19 @@ L_l = sum_k 1/beta_lk and D_n = sum_{l,c} p_cl beta_ln / (beta_lc L_l).
 they are the coefficients c_n of the strategies, which water-fill
 sum_n log2(1 + c_n p_n): each maximises the rate of the form it is named for.
 
-E{1/(v+1)} is evaluated through the characteristic-coefficient expansion of
-the hypoexponential density (partial fractions of its Laplace transform),
-the exponential integral E1, and per-multiplicity finite sums. Those finite
-sums cancel catastrophically in some regimes, so every piece is guarded and
-falls back to a numerically stable integral representation
+E{1/(v+1)} has one evaluation, the Laplace-domain integral
 
     E{1/(v+1)} = int_0^inf e^{-s} prod_k (1 + zeta_k s)^{-1} ds
 
-which is mathematically identical. Results are clamped to the provable
-envelope [1/(1 + sum zeta), 1].
+(the product is the Laplace transform of v), by Gauss-Legendre quadrature,
+clamped to the provable envelope [1/(1 + sum zeta), 1]. The paper writes the
+same quantity as a partial-fraction expansion of the hypoexponential density
+against the exponential integral E1; that form cancels catastrophically for
+close means, so it lives in ``tests/hypoexp_oracle.py`` as a reference.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -41,274 +39,48 @@ import numpy as np
 
 from .mcrate import _power_rows, _target_cells, _topology_stack
 
-_EULER_GAMMA = 0.5772156649015328606065120900824024
-_SERIES_SWITCH = 1.5  # series below, continued fraction at or above
-_MERGE_RTOL = 1e-9
-
 
 # ---------------------------------------------------------------------------
-# exponential integral
+# E{1/(v+1)} of the hypoexponential interference
 # ---------------------------------------------------------------------------
 
-def exp_integral_e1(x: float) -> float:
-    """Exponential integral E1(x) = int_1^inf e^(-x t)/t dt, x > 0.
-
-    Power series for x < 1.5, Lentz continued fraction above; absolute error
-    is far below the 1e-12 target across the whole domain.
-    """
-    x = float(x)
-    if not (x > 0.0 and math.isfinite(x)):
-        raise ValueError(f"E1 requires finite x > 0, got {x}")
-    if x < _SERIES_SWITCH:
-        return _e1_series(x)
-    return math.exp(-x) * _e1_cf_scaled(x)
-
-
-def _e1_series(x: float) -> float:
-    # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^(k+1) x^k / (k k!)
-    total = -_EULER_GAMMA - math.log(x)
-    term = 1.0  # holds (-x)^k / k!
-    for k in range(1, 200):
-        term *= -x / k
-        total -= term / k
-        if abs(term) / k < 1e-18:
-            return total
-    raise RuntimeError("E1 series did not converge")  # pragma: no cover
+# the 32-point Gauss-Legendre rule on [-1, 1], bit for bit numpy's
+# polynomial.legendre.leggauss(32): importing numpy.polynomial and solving for
+# the rule would cost several E{1/(v+1)} evaluations. The nodes >= 0 and their
+# weights, mirrored for the nodes below 0.
+_GL_HALF_NODES = np.array([
+    0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+    0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+    0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+    0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816,
+])
+_GL_HALF_WEIGHTS = np.array([
+    0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+    0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+    0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+    0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506,
+])
+_GL_NODES = np.concatenate([-_GL_HALF_NODES[::-1], _GL_HALF_NODES])
+_GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
 
 
-def _e1_cf_scaled(x: float) -> float:
-    # e^x E1(x) via the modified-Lentz continued fraction; no underflow for
-    # large x, which keeps products like e^(1/zeta) E1(1/zeta) computable.
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        a = -float(i * i)
-        b += 2.0
-        d = a * d + b
-        if d == 0.0:
-            d = tiny
-        c = b + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h
-    raise RuntimeError("E1 continued fraction did not converge")  # pragma: no cover
+def _laplace_product_integral(zetas: np.ndarray) -> float:
+    """int_0^inf e^{-s} prod_k (1 + zeta_k s)^{-1} ds.
 
-
-def _e1_scaled(x: float) -> float:
-    """e^x E1(x), stable for any x > 0."""
-    if x < _SERIES_SWITCH:
-        return math.exp(x) * _e1_series(x)
-    return _e1_cf_scaled(x)
-
-
-# ---------------------------------------------------------------------------
-# hypoexponential interference distribution
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class HypoexpSpec:
-    """Distribution of a sum of independent exponentials with means ``zetas``.
-
-    ``distinct`` holds the strictly decreasing distinct means (values equal
-    within 1e-9 relative are merged), ``multiplicities`` their counts, and
-    ``char_coeffs[h][j-1]`` the characteristic coefficient lambda_{h,j} of the
-    partial-fraction expansion prod_k (1 + zeta_k s)^{-1} =
-    sum_h sum_j lambda_{h,j} (1 + zeta_h s)^{-j}.
-    """
-
-    zetas: np.ndarray
-    distinct: np.ndarray
-    multiplicities: np.ndarray
-    char_coeffs: tuple
-
-    @property
-    def mean(self) -> float:
-        return float(self.zetas.sum())
-
-
-def characteristic_coefficients(zetas) -> HypoexpSpec:
-    """Partial-fraction weights of prod_k (1 + zeta_k s)^{-1}.
-
-    Near-equal means (1e-9 relative) are merged into one value with higher
-    multiplicity before expanding; the expansion is numerically meaningless
-    for closer-but-unequal values and the merge is the correct limit.
-    """
-    z = np.asarray(zetas, dtype=float).ravel()
-    if z.size == 0:
-        raise ValueError("at least one zeta value is required")
-    if not np.all(np.isfinite(z)) or np.any(z <= 0.0):
-        raise ValueError("all zeta values must be finite and positive")
-
-    z_sorted = np.sort(z)[::-1]
-    distinct: list[float] = []
-    groups: list[list[float]] = []
-    for val in z_sorted:
-        if distinct and (distinct[-1] - val) <= _MERGE_RTOL * distinct[-1]:
-            groups[-1].append(val)
-            g = groups[-1]
-            # exactly equal values keep their exact representative
-            distinct[-1] = g[0] if min(g) == max(g) else float(np.mean(g))
-        else:
-            distinct.append(float(val))
-            groups.append([val])
-    dist = np.array(distinct)
-    mult = np.array([len(g) for g in groups], dtype=int)
-
-    # Taylor coefficients of Gh(s) = prod_{g != h} (1 + zeta_g s)^{-tau_g}
-    # around s = -1/zeta_h, in powers of u = (1 + zeta_h s): coefficient
-    # c_m = Gh^(m) / (m! zeta_h^m) and lambda_{h,j} = c_{tau-j}. Row h of the
-    # (K, K-1) arrays holds the g != h terms in np.delete(dist, h) order.
-    k_ = dist.size
-    cols = np.arange(k_ - 1)
-    others = cols + (cols >= np.arange(k_)[:, None])
-    zg, tg = dist[others], mult[others]
-    zh_col = dist[:, None]
-    base = 1.0 - zg / zh_col
-    signs = np.prod(np.sign(base) ** tg, axis=1).tolist()
-    log_g0 = np.sum(tg * np.log(np.abs(base)), axis=1).tolist()
-    ratio = zg * zh_col / (zh_col - zg)
-
-    coeffs = []
-    for h in range(k_):
-        tau = int(mult[h])
-        g0 = signs[h] * math.exp(-log_g0[h])
-        if tau == 1:
-            lam = np.array([g0])
-            finite = math.isfinite(g0)
-        else:
-            zh = dist[h]
-            G = np.zeros(tau)
-            G[0] = g0
-            # log-derivatives of Gh at the expansion point
-            L = [0.0] * tau
-            for k in range(1, tau):
-                L[k] = (-1.0) ** k * math.factorial(k - 1) * float(np.sum(tg[h] * ratio[h]**k))
-            for m_ in range(1, tau):
-                G[m_] = sum(math.comb(m_ - 1, i) * L[m_ - i] * G[i] for i in range(m_))
-            lam = np.array(
-                [G[tau - j] / (math.factorial(tau - j) * zh ** (tau - j)) for j in range(1, tau + 1)]
-            )
-            finite = np.all(np.isfinite(lam))
-        if not finite:
-            raise ValueError(
-                "zeta spacing too small for a stable partial-fraction expansion; "
-                "values this close should be merged"
-            )
-        coeffs.append(lam)
-
-    zc = z.copy()
-    zc.setflags(write=False)
-    dist.setflags(write=False)
-    mult.setflags(write=False)
-    return HypoexpSpec(zc, dist, mult, tuple(coeffs))
-
-
-@lru_cache(maxsize=1)
-def _gauss_legendre(nodes: int = 32):
-    return np.polynomial.legendre.leggauss(nodes)
-
-
-def _laplace_product_integral(zetas: np.ndarray, mults: np.ndarray) -> float:
-    """int_0^inf e^{-s} prod_k (1 + zeta_k s)^{-tau_k} ds.
-
-    Equals E{1/(v+1)} because prod (1+zeta s)^{-tau} is the Laplace transform
-    of v. The integrand is positive, smooth and decreasing, integrated on
+    The integrand is positive, smooth and decreasing, integrated on
     geometrically growing panels sized to the initial decay rate.
     """
-    nodes, weights = _gauss_legendre()
-    rate = 1.0 + float(np.dot(mults, zetas))
+    rate = 1.0 + float(zetas.sum())
     a, b = 0.0, 1.0 / rate
     total = 0.0
     while True:
         half = 0.5 * (b - a)
-        s = (a + half) + half * nodes
-        ln = -s - (mults[:, None] * np.log1p(np.outer(zetas, s))).sum(axis=0)
-        total += half * float(weights @ np.exp(ln))
+        s = (a + half) + half * _GL_NODES
+        ln = -s - np.log1p(np.outer(zetas, s)).sum(axis=0)
+        total += half * float(_GL_WEIGHTS @ np.exp(ln))
         if b >= 46.0:  # e^{-46} ~ 1e-20: tail is negligible
             return total
         a, b = b, min(2.0 * b, 46.0)
-
-
-def _erlang_mean_inv_one_plus(j: int, zeta: float) -> float:
-    """E{1/(V+1)} for V ~ Erlang(j) with mean j*zeta.
-
-    Uses the closed form (j-1 alternating factorial terms against
-    e^(1/zeta) E1(1/zeta)); when those terms cancel to fewer than ~3 safe
-    digits the stable integral is used instead.
-    """
-    x = 1.0 / zeta
-    e1s = _e1_scaled(x)
-    if j == 1:
-        return x * e1s
-    s = 0.0
-    comp = 0.0  # Neumaier compensation
-    term = zeta  # (-1)^m zeta^(m+1) m!, starting at m = 0
-    maxmag = abs(e1s)
-    overflow = False
-    for m_ in range(j - 1):
-        if m_ > 0:
-            term *= -zeta * m_
-        if abs(term) > 1e280:
-            overflow = True
-            break
-        maxmag = max(maxmag, abs(term))
-        t = s + term
-        if abs(s) >= abs(term):
-            comp += (s - t) + term
-        else:
-            comp += (term - t) + s
-        s = t
-    if not overflow:
-        bracket = (e1s - (s + comp)) * (-1.0) ** (j - 1)
-        if bracket > 1e-3 * maxmag:
-            log_val = math.log(bracket) - math.lgamma(j) - j * math.log(zeta)
-            if log_val < 700.0:
-                val = math.exp(log_val)
-                if 0.0 < val <= 1.0:
-                    return val
-    return _laplace_product_integral(np.array([zeta]), np.array([j]))
-
-
-def mean_inv_one_plus(spec: HypoexpSpec) -> float:
-    """E{1/(v+1)} for a hypoexponential v.
-
-    Combines the characteristic coefficients with the per-multiplicity closed
-    forms; if the signed combination leaves the provable envelope
-    [1/(1+E{v}), 1] it is recomputed from the stable Laplace-domain integral,
-    and the result is clamped to that envelope either way (which also keeps
-    the Jensen ordering of the rate expressions exact in floating point).
-    """
-    floor = 1.0 / (1.0 + spec.mean)
-    total = 0.0
-    comp = 0.0
-    maxmag = 0.0
-    for zh, lam in zip(spec.distinct, spec.char_coeffs):
-        for j, l in enumerate(lam, start=1):
-            if l == 0.0:
-                continue
-            term = l * _erlang_mean_inv_one_plus(j, float(zh))
-            maxmag = max(maxmag, abs(term))
-            t = total + term
-            if abs(total) >= abs(term):
-                comp += (total - t) + term
-            else:
-                comp += (term - t) + total
-            total = t
-    total += comp
-    # the signed terms can exceed the result by many orders of magnitude
-    # (close-but-unmerged means); keep the expansion only while it retains
-    # ~10 reliable digits, as judged from the observed cancellation
-    ill_conditioned = not math.isfinite(total) or abs(total) < 1e-6 * maxmag
-    if ill_conditioned or total < floor * (1.0 - 1e-6) or total > 1.0 + 1e-6:
-        total = _laplace_product_integral(spec.distinct, spec.multiplicities.astype(float))
-    return min(max(total, floor), 1.0)
 
 
 # E{1/(v+1)} depends only on the interference means, which stay fixed while one
@@ -320,8 +92,9 @@ _FACTOR_CACHE_SIZE = 16
 def interference_factor(zetas) -> float:
     """E{1/(v+1)} for hypoexponential interference v with means ``zetas``.
 
-    Equals 1 with no active interferers. Memoised on the exact bytes of
-    ``zetas``, so a repeated call returns the identical float.
+    Equals 1 with no active interferers; a mean that is not finite and
+    positive is a ValueError. Memoised on the exact bytes of ``zetas``, so a
+    repeated call returns the identical float.
     """
     z = np.ascontiguousarray(zetas, dtype=float)
     if z.size == 0:
@@ -331,7 +104,12 @@ def interference_factor(zetas) -> float:
 
 @lru_cache(maxsize=_FACTOR_CACHE_SIZE)
 def _factor_of_bytes(key: bytes) -> float:
-    return mean_inv_one_plus(characteristic_coefficients(np.frombuffer(key)))
+    z = np.frombuffer(key)
+    if not np.isfinite(z).all() or (z <= 0.0).any():
+        raise ValueError("all zeta values must be finite and positive")
+    # the clamp keeps the Jensen ordering of the rate expressions exact in
+    # floating point
+    return min(max(_laplace_product_integral(z), 1.0 / (1.0 + float(z.sum()))), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +354,9 @@ PROFILE_COEFFICIENTS = {"lower": _lower, "upper": _upper, "approx": _approx, "do
 # out in the broadcast shape, every row with the bits of its own evaluation.
 
 def _rate(sinr, profile, m: int, n: int, powers) -> np.ndarray:
-    """log2(1 + sinr(profile, m, n, p)) at the checked powers p."""
+    """log2(1 + sinr(profile, m, n, p)) at the checked N and powers p."""
+    if n != profile.n_users:
+        raise ValueError(f"N={n} must equal the profile's {profile.n_users} users")
     p = np.asarray(powers, dtype=float)
     if p.ndim not in (1, 2) or p.shape[-1] != profile.n_users:
         raise ValueError(f"powers must have shape ({profile.n_users},) or (rows, {profile.n_users})")
@@ -602,8 +382,8 @@ def uplink_approximation(profile: InterferenceProfile, m: int, n: int, powers) -
 def uplink_upper_bound(profile: InterferenceProfile, m: int, n: int, powers) -> np.ndarray:
     """Jensen upper bound on the per-user ergodic ZF uplink rate.
 
-    With no active interferers the hypoexponential machinery degenerates and
-    the bound reduces to log2(1 + p beta (M-N+1)), i.e. E{1/(v+1)} = 1.
+    With no active interferers E{1/(v+1)} = 1 and the bound reduces to
+    log2(1 + p beta (M-N+1)).
     """
     return _rate(_upper, profile, m, n, powers)
 

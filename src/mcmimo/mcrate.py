@@ -63,7 +63,10 @@ its own; version 4 draws the uplink from its scalar law, and the points of a
 power sweep (fig3, custom) share one seed per drop; version 5 inverts the
 downlink's factors by forward substitution and draws the fading as z^T K^{-1},
 where version 4 took LAPACK's inverse and drew K^{-H} z; version 6 draws the
-downlink from its scalar law too, so neither link draws a matrix.
+downlink from its scalar law too, so neither link draws a matrix; version 7
+keeps version 6's draws and evaluates the upper bound's E{1/(v+1)} by the
+Laplace-domain integral alone, where version 6 expanded it in partial
+fractions.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ import numpy as np
 
 from .topology import _MASK64, CellTopology
 
-ESTIMATOR_VERSION = 6
+ESTIMATOR_VERSION = 7
 BLOCK_TRIALS = 256
 
 

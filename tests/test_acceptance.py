@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from hypoexp_oracle import hypoexp_cdf, hypoexp_pdf
+from hypoexp_oracle import characteristic_reference, exp_integral_e1, hypoexp_cdf, hypoexp_pdf
 from mcmimo.allocation import (
     PROFILE_COEFFICIENTS,
     WaterfillCoefficients,
@@ -33,9 +33,7 @@ from mcmimo.cli import (
 )
 from mcmimo.closedform import (
     InterferenceProfile,
-    characteristic_coefficients,
     downlink_profile,
-    exp_integral_e1,
     uplink_approximation,
     uplink_lower_bound,
     uplink_profile,
@@ -147,7 +145,7 @@ def test_criterion_05_hypoexponential():
         z = 10.0 ** rng.uniform(math.log10(0.05), math.log10(20.0), k)
         if trial % 3 == 0:
             z = np.concatenate([z, z[: max(1, k // 2)]])  # repeated values
-        spec = characteristic_coefficients(z)
+        spec = characteristic_reference(z)
         val, _ = integrate.quad(lambda v: float(hypoexp_pdf(spec, v)), 0, np.inf, limit=300)
         worst_pdf = max(worst_pdf, abs(val - 1.0))
         samples = np.zeros(100_000)

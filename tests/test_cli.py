@@ -374,6 +374,18 @@ class TestRunExperiment:
         assert manifest["spec"]["kind"] == "custom"
         assert "inputHash" in manifest
 
+    def test_upper_bound_of_clustered_interference_is_finite(self, tmp_path):
+        # no path loss and 1e-5 dB shadowing: the 60 interference means of a
+        # cell lie within ~1e-6 relative of each other, where a partial-fraction
+        # expansion of E{1/(v+1)} overflows
+        doc = tiny_spec(tmp_path, trials=10, options={"estimators": ["upper"]},
+                        network={"usersPerCell": 10, "bsAntennas": 20, "cellCount": 19,
+                                 "pathLossExponent": 0.0, "shadowStdDb": 1e-5, "seed": 7})
+        del doc["sweep"]  # the default antenna sweep: 20, 100 and 500
+        out = run_experiment(ExperimentSpec.from_dict(doc))
+        rows = read_curve(out / "custom__upper.csv")
+        assert len(rows) == 3 and all(math.isfinite(mean) and mean > 0 for _, mean, _ in rows)
+
     def test_byte_identical_reruns(self, tmp_path):
         doc = tiny_spec(tmp_path, trials=500)
         spec = ExperimentSpec.from_dict(doc)
@@ -392,7 +404,7 @@ class TestRunExperiment:
         reran = {p.name: p.read_bytes() for p in out2.iterdir()}
         assert originals == reran
 
-    @pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 5, 7])
+    @pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 5, 6, 8])
     def test_manifest_of_another_estimator_version_rejected(self, tmp_path, version):
         out = run_experiment(ExperimentSpec.from_dict(tiny_spec(tmp_path, trials=20)))
         manifest = json.loads((out / "manifest.json").read_text())
@@ -408,7 +420,7 @@ class TestRunExperiment:
         doc = tiny_spec(tmp_path, trials=20)
         out = run_experiment(ExperimentSpec.from_dict(doc))
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["estimatorVersion"] == 6
+        assert manifest["estimatorVersion"] == 7
         rerun = run_experiment(ExperimentSpec.from_dict(manifest))
         assert json.loads((rerun / "manifest.json").read_text()) == manifest
         # the version is an input of the content hash
@@ -851,9 +863,9 @@ class TestDropReuse:
             seen["build"].append(cfg)
             return build_topology(cfg)
 
-        def coefficients(zetas):
+        def integral(zetas):
             seen["factor"] += 1
-            return characteristic(zetas)
+            return laplace(zetas)
 
         def profiled(fn):
             def profile(tops, allocations, target):  # one topology or a stack of drops
@@ -863,12 +875,12 @@ class TestDropReuse:
                 return fn(tops, allocations, target)
             return profile
 
-        characteristic = closedform.characteristic_coefficients
+        laplace = closedform._laplace_product_integral
         seen["profile"] = []
         monkeypatch.setattr(cli, "build_topology", build)
         for name in ("uplink_profile", "downlink_profile"):
             monkeypatch.setattr(cli, name, profiled(getattr(cli, name)))
-        monkeypatch.setattr(closedform, "characteristic_coefficients", coefficients)
+        monkeypatch.setattr(closedform, "_laplace_product_integral", integral)
         return seen
 
     def test_fig5_builds_each_drop_once(self, tmp_path, calls):

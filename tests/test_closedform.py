@@ -7,19 +7,22 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy import special as sp
 
-from hypoexp_oracle import hypoexp_cdf, hypoexp_pdf
-from mcmimo import allocation
+from hypoexp_oracle import (
+    characteristic_reference,
+    exp_integral_e1,
+    hypoexp_cdf,
+    hypoexp_pdf,
+    mean_inv_one_plus,
+)
+from mcmimo import allocation, closedform
 from mcmimo.closedform import (
     PROFILE_COEFFICIENTS,
     DownlinkProfile,
     InterferenceProfile,
     _laplace_product_integral,
-    characteristic_coefficients,
     downlink_lower_bound,
     downlink_profile,
-    exp_integral_e1,
     interference_factor,
-    mean_inv_one_plus,
     uplink_approximation,
     uplink_lower_bound,
     uplink_profile,
@@ -64,14 +67,14 @@ class TestExpIntegral:
 
 class TestCharacteristicCoefficients:
     def test_single_value_is_pure_exponential(self):
-        spec = characteristic_coefficients([3.0])
+        spec = characteristic_reference([3.0])
         assert spec.distinct.tolist() == [3.0]
         assert spec.multiplicities.tolist() == [1]
         assert spec.char_coeffs[0].tolist() == [1.0]
 
     def test_two_distinct_values_hand_partial_fractions(self):
         # 1/((1+2s)(1+s)) = 2/(1+2s) - 1/(1+s) -> pdf e^{-v/2} - e^{-v}
-        spec = characteristic_coefficients([2.0, 1.0])
+        spec = characteristic_reference([2.0, 1.0])
         assert spec.distinct.tolist() == [2.0, 1.0]
         assert spec.char_coeffs[0][0] == pytest.approx(2.0, rel=1e-12)
         assert spec.char_coeffs[1][0] == pytest.approx(-1.0, rel=1e-12)
@@ -79,190 +82,112 @@ class TestCharacteristicCoefficients:
         assert hypoexp_pdf(spec, v) == pytest.approx(np.exp(-v / 2) - np.exp(-v), rel=1e-10, abs=1e-14)
 
     def test_equal_values_collapse_to_erlang(self):
-        spec = characteristic_coefficients([0.7, 0.7, 0.7])
+        spec = characteristic_reference([0.7, 0.7, 0.7])
         assert spec.distinct.tolist() == [0.7]
         assert spec.multiplicities.tolist() == [3]
         assert spec.char_coeffs[0] == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
 
     def test_near_equal_values_are_merged(self):
-        spec = characteristic_coefficients([1.0, 1.0 + 1e-12])
+        spec = characteristic_reference([1.0, 1.0 + 1e-12])
         assert spec.multiplicities.tolist() == [2]
 
     def test_coefficients_sum_to_one(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             z = 10.0 ** rng.uniform(-2, 2, rng.integers(1, 8))
-            spec = characteristic_coefficients(z)
+            spec = characteristic_reference(z)
             assert sum(c.sum() for c in spec.char_coeffs) == pytest.approx(1.0, abs=1e-8)
 
-    def test_empty_and_nonpositive_inputs(self):
-        with pytest.raises(ValueError):
-            characteristic_coefficients([])
-        with pytest.raises(ValueError):
-            characteristic_coefficients([1.0, -2.0])
-
     def test_pdf_normalisation_and_cdf_limits(self):
-        spec = characteristic_coefficients([0.5, 2.0, 2.0, 9.0])
+        spec = characteristic_reference([0.5, 2.0, 2.0, 9.0])
         val, _ = integrate.quad(lambda v: float(hypoexp_pdf(spec, v)), 0, np.inf, limit=200)
         assert val == pytest.approx(1.0, abs=1e-9)
         assert hypoexp_cdf(spec, np.array([0.0]))[0] == 0.0
         assert hypoexp_cdf(spec, np.array([1e4]))[0] == pytest.approx(1.0, abs=1e-9)
 
 
-def characteristic_reference(zetas):
-    """One h at a time, the g != h terms taken with np.delete: the vectorised
-    expansion must give the same merged means and coefficients bit for bit."""
-    z_sorted = np.sort(np.asarray(zetas, dtype=float).ravel())[::-1]
-    distinct, groups = [], []
-    for val in z_sorted:
-        if distinct and (distinct[-1] - val) <= 1e-9 * distinct[-1]:
-            groups[-1].append(val)
-            g = groups[-1]
-            distinct[-1] = g[0] if min(g) == max(g) else float(np.mean(g))
-        else:
-            distinct.append(float(val))
-            groups.append([val])
-    dist = np.array(distinct)
-    mult = np.array([len(g) for g in groups], dtype=int)
-    coeffs = []
-    for h in range(dist.size):
-        zh, tau = dist[h], int(mult[h])
-        zg, tg = np.delete(dist, h), np.delete(mult, h)
-        if zg.size:
-            base = 1.0 - zg / zh
-            sign = float(np.prod(np.sign(base) ** tg))
-            g0 = sign * math.exp(-float(np.sum(tg * np.log(np.abs(base)))))
-            ratio = zg * zh / (zh - zg)
-        else:
-            g0, ratio = 1.0, np.empty(0)
-        G = np.zeros(tau)
-        G[0] = g0
-        L = [0.0] * tau
-        for k in range(1, tau):
-            L[k] = (-1.0) ** k * math.factorial(k - 1) * float(np.sum(tg * ratio**k))
-        for m_ in range(1, tau):
-            G[m_] = sum(math.comb(m_ - 1, i) * L[m_ - i] * G[i] for i in range(m_))
-        coeffs.append(np.array([G[tau - j] / (math.factorial(tau - j) * zh ** (tau - j))
-                                for j in range(1, tau + 1)]))
-    return dist, mult, coeffs
-
-
-@st.composite
-def zeta_sets(draw):
-    """Up to 60 means with exact repeats and near-equal (merged) neighbours."""
-    base = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=30))
-    zetas = list(base)
-    for z in base:
-        copies = draw(st.sampled_from([0, 0, 1, 2]))
-        jitter = draw(st.sampled_from([0.0, 1e-12, 1e-10]))
-        zetas += [z * (1.0 + jitter)] * copies
-    return np.array(zetas)
-
-
-class TestVectorisedExpansion:
-    @settings(max_examples=300, deadline=None)
-    @given(zeta_sets())
-    def test_equals_one_h_at_a_time(self, zetas):
-        try:
-            dist, mult, coeffs = characteristic_reference(zetas)
-        except OverflowError:
-            with pytest.raises(OverflowError):
-                characteristic_coefficients(zetas)
-            return
-        if not all(np.all(np.isfinite(lam)) for lam in coeffs):
-            with pytest.raises(ValueError, match="zeta spacing"):
-                characteristic_coefficients(zetas)
-            return
-        spec = characteristic_coefficients(zetas)
-        assert np.array_equal(spec.distinct, dist)
-        assert np.array_equal(spec.multiplicities, mult)
-        assert len(spec.char_coeffs) == len(coeffs)
-        for got, want in zip(spec.char_coeffs, coeffs):
-            assert np.array_equal(got, want)
-
-    def test_realistic_interference_equals_one_h_at_a_time(self):
-        # 60 terms of a real drop, with every other cell's powers repeated so
-        # that multiplicities above one occur too
-        top = build_topology(NetworkConfig(users_per_cell=10, bs_antennas=128, seed=3))
-        allocs = [PowerAllocation(np.full(10, 10.0), "uplink")] * 19
-        zetas = uplink_profile(top, allocs, 0).zetas()
-        for z in (zetas, np.concatenate([zetas, zetas[:20]])):
-            spec = characteristic_coefficients(z)
-            dist, mult, coeffs = characteristic_reference(z)
-            assert np.array_equal(spec.distinct, dist) and np.array_equal(spec.multiplicities, mult)
-            assert all(np.array_equal(a, b) for a, b in zip(spec.char_coeffs, coeffs))
-
-
 class TestMeanInvOnePlus:
     def test_single_exponential_closed_form(self):
         # E{1/(v+1)} = (1/z) e^{1/z} E1(1/z); at z=1 this is e*E1(1)
-        spec = characteristic_coefficients([1.0])
         oracle, _ = integrate.quad(lambda v: math.exp(-v) / (v + 1.0), 0, np.inf)
-        got = mean_inv_one_plus(spec)
+        got = interference_factor([1.0])
         assert got == pytest.approx(math.e * exp_integral_e1(1.0), rel=1e-12)
         assert got == pytest.approx(oracle, rel=1e-10)
         assert got == pytest.approx(0.59634736, rel=1e-7)
 
     def test_two_terms_against_monte_carlo(self):
-        spec = characteristic_coefficients([2.0, 1.0])
         rng = np.random.default_rng(11)
         samples = rng.exponential(2.0, 1_000_000) + rng.exponential(1.0, 1_000_000)
         mc = float(np.mean(1.0 / (samples + 1.0)))
-        assert mean_inv_one_plus(spec) == pytest.approx(mc, rel=2e-3)
+        assert interference_factor([2.0, 1.0]) == pytest.approx(mc, rel=2e-3)
 
     def test_vanishing_interference_limit(self):
-        spec = characteristic_coefficients([1e-9, 1e-10, 1e-11])
-        assert mean_inv_one_plus(spec) == pytest.approx(1.0, abs=1e-8)
+        assert interference_factor([1e-9, 1e-10, 1e-11]) == pytest.approx(1.0, abs=1e-8)
 
     def test_erlang_against_independent_quadrature(self):
         for tau, z in [(3, 1.0), (10, 0.1), (40, 0.05), (7, 8.0)]:
-            spec = characteristic_coefficients(np.full(tau, z))
+            spec = characteristic_reference(np.full(tau, z))
             oracle, _ = integrate.quad(
                 lambda v: float(hypoexp_pdf(spec, v)) / (v + 1.0), 0, np.inf, limit=200
             )
-            assert mean_inv_one_plus(spec) == pytest.approx(oracle, rel=1e-8)
+            assert interference_factor(np.full(tau, z)) == pytest.approx(oracle, rel=1e-8)
 
     def test_mixed_multiplicities_against_monte_carlo(self):
         z = np.array([0.3, 0.3, 2.0, 5.0, 5.0, 5.0])
-        spec = characteristic_coefficients(z)
         rng = np.random.default_rng(5)
         samples = sum(rng.exponential(zz, 500_000) for zz in z)
         mc = float(np.mean(1.0 / (samples + 1.0)))
-        assert mean_inv_one_plus(spec) == pytest.approx(mc, rel=3e-3)
+        assert interference_factor(z) == pytest.approx(mc, rel=3e-3)
 
     def test_always_within_jensen_envelope(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
             z = 10.0 ** rng.uniform(-5, 3, rng.integers(1, 30))
-            spec = characteristic_coefficients(z)
-            val = mean_inv_one_plus(spec)
+            val = interference_factor(z)
             assert 1.0 / (1.0 + z.sum()) - 1e-12 <= val <= 1.0
 
-    def test_interference_factor_is_the_memoised_expansion(self):
+    def test_quadrature_rule_is_numpys_gauss_legendre(self):
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        assert np.array_equal(closedform._GL_NODES, nodes)
+        assert np.array_equal(closedform._GL_WEIGHTS, weights)
+
+    def test_interference_factor_is_the_memoised_integral(self):
         z = np.array([0.3, 2.0, 2.0, 5.0])
-        direct = mean_inv_one_plus(characteristic_coefficients(z))
+        direct = _laplace_product_integral(z)
+        assert 1.0 / (1.0 + z.sum()) < direct < 1.0  # inside the clamp's envelope
         assert interference_factor(z) == direct
         assert interference_factor(z.copy()) == direct  # cache hit, same float
         assert interference_factor(np.empty(0)) == 1.0
-        with pytest.raises(ValueError, match="positive"):
-            interference_factor([1.0, -1.0])
 
-    def test_realistic_topology_profiles_match_stable_integral(self):
-        # 60 interference terms from real drops: the partial-fraction route
-        # (with its cancellation guard) must agree with the Laplace-domain
-        # integral far below any tolerance used elsewhere
+    def test_empty_and_nonpositive_inputs(self):
+        assert interference_factor([]) == 1.0  # no interferers
+        for zetas in ([1.0, -2.0], [0.0], [1.0, np.nan], [np.inf]):
+            with pytest.raises(ValueError, match="finite and positive"):
+                interference_factor(zetas)
+
+    def test_realistic_topology_profiles_match_the_expansion(self):
+        # 60 interference terms from real drops: the integral agrees with
+        # adaptive quadrature, and the paper's partial-fraction expansion
+        # agrees with it wherever the expansion's terms do not cancel
         from mcmimo.allocation import equal_alloc
-        from mcmimo.closedform import _laplace_product_integral, uplink_profile
-        from mcmimo.topology import NetworkConfig, build_topology
 
+        held = 0
         for seed in range(10):
             cfg = NetworkConfig(users_per_cell=10, bs_antennas=128, seed=seed)
             top = build_topology(cfg)
             allocs = [equal_alloc(10, 100.0) for _ in range(19)]
-            spec = characteristic_coefficients(uplink_profile(top, allocs, 0).zetas())
-            a = mean_inv_one_plus(spec)
-            b = _laplace_product_integral(spec.distinct, spec.multiplicities.astype(float))
-            assert a == pytest.approx(b, rel=1e-7)
+            zetas = uplink_profile(top, allocs, 0).zetas()
+            got = interference_factor(zetas)
+            want, _ = integrate.quad(lambda s: math.exp(-s) / np.prod(1.0 + zetas * s), 0, np.inf,
+                                     epsabs=0.0, epsrel=1e-12, limit=200)
+            assert got == pytest.approx(want, rel=1e-10)
+            try:
+                expansion = mean_inv_one_plus(characteristic_reference(zetas))
+            except ArithmeticError:  # the expansion's guard saw its terms cancel
+                continue
+            held += 1
+            assert expansion == pytest.approx(got, rel=1e-7)
+        assert held == 3  # the expansion cancels on 7 of these 10 drops
 
 
 def make_profile(rng, n, L):
@@ -295,12 +220,20 @@ class TestUplinkExpressions:
             with pytest.raises(ValueError):
                 fn(prof, 0, 1, np.array([1.0]))
 
+    def test_n_must_match_the_profile(self):
+        # rated at another N, a 3-user profile would take M-N from the wrong N
+        up = InterferenceProfile(np.ones(3), np.ones(2), np.ones(2))
+        with pytest.raises(ValueError, match="N=2"):
+            uplink_lower_bound(up, 10, 2, np.ones(3))
+        with pytest.raises(ValueError, match="N=7"):
+            downlink_lower_bound(DownlinkProfile(1.0, np.ones(3)), 10, 7, np.ones(3))
+
     def test_approximation_relation_to_lower_bound(self):
         # replacing M-N by M-N+1 doubles the SINR when M-N = 1
         prof = InterferenceProfile(np.array([0.3]), np.array([2.0]), np.array([0.01]))
         p = np.array([5.0])
-        lo = uplink_lower_bound(prof, 4, 3, p)
-        ap = uplink_approximation(prof, 4, 3, p)
+        lo = uplink_lower_bound(prof, 2, 1, p)
+        ap = uplink_approximation(prof, 2, 1, p)
         assert 2.0 ** ap[0] - 1.0 == pytest.approx(2.0 * (2.0 ** lo[0] - 1.0), rel=1e-12)
 
     def test_upper_bound_single_interferer(self):

@@ -1,14 +1,15 @@
 """mpmath as an independent high-precision oracle for the closed-form numerics.
 
-E1 is checked against ``mpmath.e1`` on both sides of the series/continued
-fraction switch. E{1/(v+1)} is checked against its Laplace-domain integral
+E{1/(v+1)} is checked against its Laplace-domain integral
 
     E{1/(v+1)} = int_0^inf e^{-s} prod_k (1 + zeta_k s)^{-1} ds
 
-evaluated by ``mpmath.quad`` at 30 digits, in the regimes where the
-expansion is used as is and in those where a guard falls back to
-``_laplace_product_integral``; each fallback test asserts that the fallback
-really fired.
+evaluated by ``mpmath.quad`` at 30 digits. ``interference_factor`` evaluates
+the same integral in double precision and agrees to 1e-13 relative on every
+input, adversarial ones included: clustered means, means spread over ten
+decades, equal means, a single mean and the largest outer-ring K. The paper's
+partial-fraction expansion (``hypoexp_oracle``) and its E1 are checked in the
+regimes where the expansion holds.
 """
 
 from __future__ import annotations
@@ -19,18 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcmimo import closedform
-from mcmimo.closedform import (
-    _SERIES_SWITCH,
-    _erlang_mean_inv_one_plus,
-    characteristic_coefficients,
-    exp_integral_e1,
-    mean_inv_one_plus,
-)
+from hypoexp_oracle import (SERIES_SWITCH, characteristic_reference, exp_integral_e1,
+                            mean_inv_one_plus)
+from mcmimo.closedform import interference_factor, uplink_profile
+from mcmimo.topology import NetworkConfig, build_topology
 
 DIGITS = 30
 E1_RTOL = 2e-14
-MEAN_RTOL = 1e-12
+MEAN_RTOL = 1e-12  # the expansion, where it holds
+FACTOR_RTOL = 1e-13  # interference_factor, everywhere
 
 
 def e1_oracle(x: float) -> float:
@@ -47,24 +45,46 @@ def mean_inv_oracle(zetas) -> float:
         return float(value)
 
 
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """Counts the calls of the stable Laplace-integral fallback."""
-    seen = []
-    integral = closedform._laplace_product_integral
+def assert_factor_matches_mpmath(zetas):
+    want = mean_inv_oracle(zetas)
+    assert abs(interference_factor(zetas) - want) <= FACTOR_RTOL * want
 
-    def counted(zetas, mults):
-        seen.append((tuple(zetas), tuple(mults)))
-        return integral(zetas, mults)
 
-    monkeypatch.setattr(closedform, "_laplace_product_integral", counted)
-    return seen
+def clustered(k: int, spread: float) -> np.ndarray:
+    """k means within ``spread`` relative of each other, at a fixed seed."""
+    return 1.7 * (1.0 + spread * np.random.default_rng(k).random(k))
+
+
+def ten_decades(k: int) -> np.ndarray:
+    """k means spread over 1e-5..1e5, at a fixed seed."""
+    return 10.0 ** np.random.default_rng(100 + k).uniform(-5.0, 5.0, k)
+
+
+def outer_ring_means() -> np.ndarray:
+    """The 60 means of a cell of the shipped network (N = 10) whose six
+    neighbours include outer-ring cells: with the outer ring every cell has
+    six, the most any cell has."""
+    top = build_topology(NetworkConfig(users_per_cell=10, bs_antennas=128, seed=2024,
+                                       outer_ring_cells=18))
+    return uplink_profile(top, [np.full(10, 10.0)] * top.n_cells, 7).zetas()
+
+
+@st.composite
+def zeta_sets(draw):
+    """Up to 90 means with exact repeats and near-equal neighbours."""
+    base = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=30))
+    zetas = list(base)
+    for z in base:
+        copies = draw(st.sampled_from([0, 0, 1, 2]))
+        jitter = draw(st.sampled_from([0.0, 1e-12, 1e-10]))
+        zetas += [z * (1.0 + jitter)] * copies
+    return np.array(zetas)
 
 
 class TestExpIntegralE1:
     @pytest.mark.parametrize("x", [
-        1e-300, 1e-12, 1e-6, 0.01, 0.5, 1.0, np.nextafter(_SERIES_SWITCH, 0.0),  # series
-        _SERIES_SWITCH, np.nextafter(_SERIES_SWITCH, 2.0), 3.0, 10.0, 50.0, 300.0, 700.0,
+        1e-300, 1e-12, 1e-6, 0.01, 0.5, 1.0, np.nextafter(SERIES_SWITCH, 0.0),  # series
+        SERIES_SWITCH, np.nextafter(SERIES_SWITCH, 2.0), 3.0, 10.0, 50.0, 300.0, 700.0,
     ])
     def test_matches_mpmath_on_both_branches(self, x):
         want = e1_oracle(x)
@@ -85,39 +105,35 @@ class TestMeanInvOnePlus:
         [50.0] * 40,                          # Erlang(40) with large means
         [1e-9, 2e-9],                         # vanishing interference
     ])
-    def test_expansion_matches_mpmath(self, zetas, fallbacks):
-        got = mean_inv_one_plus(characteristic_coefficients(zetas))
+    def test_expansion_matches_mpmath(self, zetas):
         want = mean_inv_oracle(zetas)
-        assert abs(got - want) <= MEAN_RTOL * want
-        assert fallbacks == []  # the expansion itself was accurate enough
+        assert abs(mean_inv_one_plus(characteristic_reference(zetas)) - want) <= MEAN_RTOL * want
+        assert_factor_matches_mpmath(zetas)
 
     @pytest.mark.parametrize("j, zeta", [
-        (30, 0.01), (8, 1e-3), (3, 1e-6),  # the alternating terms cancel
-        (200, 1.0),                        # the factorial terms overflow
+        (30, 0.01), (8, 1e-3), (3, 1e-6),  # the expansion's alternating terms cancel
+        (200, 1.0),                        # its factorial terms overflow
+        (1, 0.37), (1, 1e-5), (1, 1e5),    # a single mean
+        (80, 2.5),                         # all-equal means
     ])
-    def test_erlang_fallback_matches_mpmath(self, j, zeta, fallbacks):
-        got = _erlang_mean_inv_one_plus(j, zeta)
-        assert fallbacks == [((zeta,), (j,))]
-        want = mean_inv_oracle([zeta] * j)
-        assert abs(got - want) <= MEAN_RTOL * want
+    def test_erlang_matches_mpmath(self, j, zeta):
+        assert_factor_matches_mpmath([zeta] * j)
 
     @pytest.mark.parametrize("zetas", [
-        [1.0, 1.0 + 1e-7, 1.0 + 2e-7, 1.0 + 3e-7],
-        [2.0, 2.0 * (1 + 5e-8), 0.5, 0.5 * (1 + 5e-8)],
+        # close but unmerged means, where the signed expansion cancels
+        pytest.param([1.0, 1.0 + 1e-7, 1.0 + 2e-7, 1.0 + 3e-7], id="close-1e-7"),
+        pytest.param([2.0, 2.0 * (1 + 5e-8), 0.5, 0.5 * (1 + 5e-8)], id="close-5e-8"),
+        *(pytest.param(clustered(k, 1e-4), id=f"clustered-K{k}") for k in (2, 10, 40, 80)),
+        pytest.param(clustered(80, 1e-6), id="clustered-1e-6-K80"),
+        *(pytest.param(ten_decades(k), id=f"ten-decades-K{k}") for k in (1, 2, 20, 80)),
+        pytest.param(outer_ring_means(), id="outer-ring-K60"),
     ])
-    def test_close_means_fallback_matches_mpmath(self, zetas, fallbacks):
-        # close but unmerged means: the signed expansion cancels, and the
-        # stable integral over the distinct means replaces it
-        spec = characteristic_coefficients(zetas)
-        got = mean_inv_one_plus(spec)
-        assert (tuple(spec.distinct), tuple(spec.multiplicities.astype(float))) in fallbacks
-        want = mean_inv_oracle(zetas)
-        assert abs(got - want) <= MEAN_RTOL * want
+    def test_adversarial_means_match_mpmath(self, zetas):
+        assert_factor_matches_mpmath(zetas)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.sampled_from([1e-3, 0.02, 0.3, 1.0, 4.0, 25.0, 600.0]),
-                    min_size=1, max_size=8))
+    @given(st.one_of(st.lists(st.sampled_from([1e-3, 0.02, 0.3, 1.0, 4.0, 25.0, 600.0]),
+                              min_size=1, max_size=8),
+                     zeta_sets()))
     def test_matches_mpmath_for_any_means(self, zetas):
-        got = mean_inv_one_plus(characteristic_coefficients(zetas))
-        want = mean_inv_oracle(zetas)
-        assert abs(got - want) <= MEAN_RTOL * want
+        assert_factor_matches_mpmath(zetas)

@@ -256,16 +256,17 @@ class TestRunScheduled:
 
     # SHA-256 of the per-slot history followed by the final power matrix, at
     # the fig12 parameters (N = 5, M = 20, 50 W, 10 W per user, 12 slots),
-    # recorded while each strategy call allocated one cell
+    # recorded while each strategy call allocated one cell; the upper-bound
+    # strategy's re-recorded when E{1/(v+1)} became the integral alone
     DIGESTS = {
         ("uplink_alloc_approx", 3, 0):
             "7f6e7fba3bacfd3e0a09f462e998e6667d121995e318e1b295026c083593974b",
         ("uplink_alloc_approx", 7919, 0):
             "9bd439ffb7c0c4687d98e63f8163b7e18fd755284e9e35ef72e138fdc9389201",
         ("uplink_alloc_upper_bound", 3, 5):
-            "52adb88cf75fb354a6d16e1e7920b6c830ed668d421ce0ac2bbde6c981a8d97f",
+            "ae554bd84490cb719faec69f11bab7d34178647da28930868bedef3226968e58",
         ("uplink_alloc_upper_bound", 7919, 5):
-            "140e784778f1713396fae90b80e3a809cc4383fd989b263b09f5fb2e369e12fc",
+            "6bc8c0137631d1b72980f1eaf355c1315cd6a9dea5b34f203cb321839b2dac24",
         ("downlink_alloc", 3, 5):
             "6350f18089ffe590bf27c0929ef0137662c0a2e2fef9949a0a51b1f140ce00bb",
         ("downlink_alloc", 7919, 5):

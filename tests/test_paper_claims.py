@@ -7,6 +7,8 @@ restate a claim of the paper on the curves it reproduces:
 
 * fig2: the closed forms nest, lower <= approx <= upper, and the Monte Carlo
   rate lies within [lower - ci, upper + ci].
+* fig3: the same over transmit power on configs/fig3.json's network (N = 10,
+  M = 12), and every curve rises with power.
 * fig5: water-filling gains over equal power are positive and diminish as M
   grows at fixed N.
 * fig6: at a fixed M/N, the sum rate grows with M with and without
@@ -60,6 +62,17 @@ def test_fig2_bounds_nest_and_hold_the_monte_carlo_rate(tmp_path):
         assert np.all(lower[:, 1] <= approx[:, 1]) and np.all(approx[:, 1] <= upper[:, 1])
         ci = mc[:, 2]
         assert np.all(lower[:, 1] - ci <= mc[:, 1]) and np.all(mc[:, 1] <= upper[:, 1] + ci)
+
+
+def test_fig3_bounds_nest_hold_the_monte_carlo_rate_and_rise_with_power(tmp_path):
+    # the abstract: "we derive tractable expressions for the achievable rate
+    # with zero-forcing receivers"; a bound on the rate must hold at every power
+    curves = run(tmp_path, "fig3", trials=400, network={**NETWORK, "bsAntennas": 12})
+    lower, approx, upper, mc = (curves[("", label)] for label in ("lower", "approx", "upper", "mc"))
+    assert np.all(lower[:, 1] <= approx[:, 1]) and np.all(approx[:, 1] <= upper[:, 1])
+    ci = mc[:, 2]
+    assert np.all(lower[:, 1] - ci <= mc[:, 1]) and np.all(mc[:, 1] <= upper[:, 1] + ci)
+    assert all(falls(-curve[:, 1]) for curve in (lower, approx, upper, mc))
 
 
 def test_fig5_gains_are_positive_and_fall_with_antennas(tmp_path):
