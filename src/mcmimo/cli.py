@@ -5,6 +5,13 @@ watts against unit noise power. Every experiment is deterministic given the
 root seed: user drops, fading trials and search evaluations derive their
 streams from (seed, purpose tag, indices), so re-running a spec (or the
 manifest it wrote) reproduces the output files byte for byte.
+
+Each figure or table of the paper is one experiment kind, and one row of
+``_KINDS`` says all that the kind is: its job runner (or its threshold
+search), its link, its sweep variables and defaults, its options with their
+defaults, and whether its curves are gains or split edge users. A link's
+interferer option, threshold-query default and closed-form rates are one row
+of ``_LINKS``. Every other part of the CLI reads these two tables.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from .allocation import (
     waterfill,
 )
 from .closedform import (
-    DownlinkProfile,
     InterferenceProfile,
     downlink_lower_bound,
     downlink_profile,
@@ -53,13 +59,6 @@ EDGE_SPLIT_FACTOR = 0.8  # users beyond this fraction of the cell radius are "ed
 
 # stream tags for seed derivation
 _TAG_DROP, _TAG_MC, _TAG_SLOT, _TAG_GAIN = 1, 2, 3, 4
-
-KINDS = (
-    "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-    "fig10", "fig11", "fig12", "table2", "table3a", "table3b", "custom",
-)
-# the kinds run on the downlink; custom takes its link from the direction option
-_DOWNLINK_KINDS = ("fig8", "fig10", "fig11", "table3a", "table3b")
 
 
 def db_to_linear(db: float) -> float:
@@ -78,8 +77,8 @@ class SweepSpec:
     def __post_init__(self):
         # antenna, user, ratio and slot counts are run as ints, so a fraction
         # must not be truncated, nor a 0 run as the network's own count (a
-        # fig12 slot 0 would read the last slot); only a power sweep takes any
-        # real value
+        # slot 0 would read the last slot); only a power sweep takes any real
+        # value
         check_field("sweep.values", self.values,
                     ["number" if self.variable == "powerDb" else "size"])
         vals = tuple(float(v) for v in self.values)
@@ -88,59 +87,15 @@ class SweepSpec:
         object.__setattr__(self, "values", vals)
 
 
-_KIND_DEFAULTS = {
-    # kind: (sweep variable, sweep values, options)
-    "fig2": ("bsAntennas", [20, 50, 100, 150, 200, 250, 300, 350, 400, 450, 500],
-             {"powersDb": [20, 30], "interfererUserPowerDb": 10,
-              "estimators": ["mc", "lower", "upper", "approx"]}),
-    "fig3": ("powerDb", [0, 5, 10, 15, 20, 25, 30],
-             {"interfererUserPowerDb": 10,
-              "estimators": ["mc", "lower", "upper", "approx"]}),
-    "fig4": ("bsAntennas", [20, 50, 100, 150, 200, 300, 400, 500],
-             {"powerDb": 20, "interfererUserPowerDb": 10, "evaluator": "approx",
-              "scenarios": ["multicell", "singlecell"]}),
-    "fig5": ("bsAntennas", [20, 50, 100, 150, 200, 300, 400, 500],
-             {"powerDb": 20, "interfererUserPowerDb": 10, "evaluator": "approx",
-              "scenarios": ["multicell", "singlecell"]}),
-    "fig6": ("usersPerCell", [4, 8, 12, 16, 20],
-             {"ratios": [2, 5, 10], "powerDb": 20, "interfererUserPowerDb": 10}),
-    "fig7": ("ratio", [2, 4, 6, 8, 10, 14, 18, 22, 26, 30],
-             {"powersDb": [10, 15, 20, 25], "interfererUserPowerDb": 10}),
-    "fig8": ("bsAntennas", [20, 50, 100, 150, 200, 250, 300, 350, 400, 450, 500],
-             {"powersDb": [40, 50], "interfererCellPowerDb": 30, "estimators": ["mc", "lower"]}),
-    "fig10": ("bsAntennas", [20, 50, 100, 150, 200, 300, 400, 500],
-              {"powerDb": 40, "interfererCellPowerDb": 30}),
-    "fig11": ("bsAntennas", [20, 50, 100, 150, 200, 300, 400, 500],
-              {"powerDb": 40, "interfererCellPowerDb": 30}),
-    "fig12": ("slot", list(range(1, 13)),
-              {"powerW": 50.0, "initialUserPowerDb": 10, "estimator": "closedForm",
-               "jointMaxIters": 800, "jointTolerance": 1e-10}),
-    # table kinds bisect inside [sweep.values[0], sweep.values[-1]]
-    "table2": ("ratio", [2, 120],
-               {"powersDb": [10, 15, 20, 25], "thresholds": [0.10, 0.20],
-                "interfererUserPowerDb": 10}),
-    "table3a": ("bsAntennas", [6, 2000],
-                {"usersList": [5, 10, 20], "powersDb": [35, 40, 45],
-                 "thresholds": [0.10, 0.20], "interfererCellPowerDb": 30}),
-    "table3b": ("usersPerCell", [1, 45],
-                {"antennasList": [50, 100, 200], "powersDb": [35, 40, 45],
-                 "thresholds": [0.10, 0.20], "interfererCellPowerDb": 30}),
-    "custom": ("bsAntennas", [20, 100, 500],
-               {"direction": "uplink", "powerDb": 20, "interfererUserPowerDb": 10,
-                "interfererCellPowerDb": 30, "estimators": ["mc", "approx"]}),
-}
-
-
-# each kind sweeps its default variable; only custom has a second one
-_KIND_SWEEP_VARS = {kind: (var,) for kind, (var, _, _) in _KIND_DEFAULTS.items()}
-_KIND_SWEEP_VARS["custom"] += ("powerDb",)
-
-
 _UPLINK_RATES = {"lower": uplink_lower_bound, "upper": uplink_upper_bound,
                  "approx": uplink_approximation}
-
-
 _DOWNLINK_RATES = {"lower": downlink_lower_bound}
+
+# link: (its interferer power option, a threshold query's default interferer
+# power in dB, its closed-form rates). The rates stay in their module-level
+# dicts, whose values span tracing replaces, so a row holds no function itself.
+_LINKS = {"uplink": ("interfererUserPowerDb", 10.0, _UPLINK_RATES),
+          "downlink": ("interfererCellPowerDb", 30.0, _DOWNLINK_RATES)}
 
 
 # The kind of value (see topology.check_field) of every spec, option and
@@ -150,7 +105,7 @@ _FIELDS = {
     # options
     "powersDb": ["number"], "powerDb": "number", "interfererUserPowerDb": "number",
     "interfererCellPowerDb": "number", "initialUserPowerDb": "number",
-    "estimators": [("mc", *_UPLINK_RATES)],  # on the downlink ("mc", *_DOWNLINK_RATES)
+    "estimators": [("mc", *_UPLINK_RATES)],  # checked as the link's: ("mc", *its rates)
     "evaluator": (*_UPLINK_RATES, "mc"), "estimator": ("closedForm", "monteCarlo"),
     "direction": ("uplink", "downlink"),
     # a misspelt scenario would otherwise run the multicell geometry under its own name
@@ -177,36 +132,34 @@ class ExperimentSpec:
 
     def __post_init__(self):
         check_field("kind", self.kind, KINDS)
-        allowed = _KIND_SWEEP_VARS[self.kind]
-        if self.sweep.variable not in allowed:
+        row = _KINDS[self.kind]
+        if self.sweep.variable not in row.sweeps:
             raise ValueError(
-                f"kind {self.kind!r} sweeps over {' or '.join(allowed)}, "
+                f"kind {self.kind!r} sweeps over {' or '.join(row.sweeps)}, "
                 f"not {self.sweep.variable!r}"
             )
         for name in ("trials", "drops"):
             object.__setattr__(self, name, int(check_field(name, getattr(self, name), _FIELDS[name])))
         check_field("output", self.output, "string")
-        known = _KIND_DEFAULTS[self.kind][2]
-        # options are stored as given: the manifest echoes them
-        for key, value in self.options.items():
-            if key not in known:
-                raise ValueError(
-                    f"unknown option {key!r} for kind {self.kind!r}; expected one of {sorted(known)}")
-            check_field(f"option {key!r}", value, _FIELDS[key])
-        if self.kind == "fig12":  # run_scheduled_drops' budget test, before any job
-            opts, n = {**known, **self.options}, self.network.users_per_cell
+        # options are stored as given: the manifest echoes them. The direction
+        # goes first, as the link decides which estimators there are.
+        for key in sorted(self.options, key=lambda k: k != "direction"):
+            if key not in row.options:
+                raise ValueError(f"unknown option {key!r} for kind {self.kind!r}; "
+                                 f"expected one of {sorted(row.options)}")
+            check_field(f"option {key!r}", self.options[key], [("mc", *_LINKS[self.direction][2])]
+                        if key == "estimators" else _FIELDS[key])
+        opts, n = {**row.options, **self.options}, self.network.users_per_cell
+        if "powerW" in opts:  # run_scheduled_drops' budget test, before any job
             db, budget = opts["initialUserPowerDb"], opts["powerW"]
             if db_to_linear(db) * n > budget * (1 + 1e-9):
                 raise ValueError(f"option 'initialUserPowerDb' {db} dB times usersPerCell {n} "
                                  f"exceeds option 'powerW' {budget}")
-        if "estimators" in self.options and self.direction == "downlink":
-            check_field("option 'estimators'", self.options["estimators"],
-                        [("mc", *_DOWNLINK_RATES)])
 
     @property
     def direction(self) -> str:
-        """The link the kind runs on: a downlink kind's, else the direction option's."""
-        return "downlink" if self.kind in _DOWNLINK_KINDS else self.options.get("direction", "uplink")
+        """The link the kind runs on: its row's, else the direction option's."""
+        return _KINDS[self.kind].link or self.options.get("direction", "uplink")
 
     @classmethod
     def from_dict(cls, data: dict, overrides: dict | None = None) -> "ExperimentSpec":
@@ -226,11 +179,14 @@ class ExperimentSpec:
         network = NetworkConfig.from_json(check_field("network", data["network"], "object"))
         if "seed" in overrides and overrides["seed"] is not None:
             network = replace(network, seed=int(overrides["seed"]))
-        default_var, default_vals, default_opts = _KIND_DEFAULTS[kind]
-        sweep = data.get("sweep", {"variable": default_var, "values": default_vals})
+        row = _KINDS[kind]
+        sweep = data.get("sweep", {"variable": row.sweeps[0], "values": row.values})
         if sorted(check_field("sweep", sweep, "object")) != ["values", "variable"]:
             raise ValueError(f"sweep must have exactly the keys variable and values, got {sweep!r}")
-        options = {**default_opts, **check_field("options", data.get("options", {}), "object")}
+        given = check_field("options", data.get("options", {}), "object")
+        options = {**row.options, **given}
+        if options.get("direction") == "downlink" and "estimators" not in given:
+            options["estimators"] = ["mc", *_DOWNLINK_RATES]  # the row's default is the uplink's
         known = {"kind", "network", "sweep", "trials", "drops", "output", "options", "spec"}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -269,11 +225,6 @@ class ExperimentSpec:
 # shared evaluation helpers
 # ---------------------------------------------------------------------------
 
-def _fixed_allocs(n_cells, n_users, user_power):
-    """(C, N) powers: ``user_power`` for every user."""
-    return np.full((n_cells, n_users), float(user_power))
-
-
 def _mc_values(top, own, interferers, direction, trials, mc_seed):
     """(sum rate, within-drop CI) of cell 0 by Monte Carlo for each row of its powers
     ``own`` against the (C, N) ``interferers``, every row from one set of draws."""
@@ -286,7 +237,7 @@ def _mc_values(top, own, interferers, direction, trials, mc_seed):
             for est in mc(top, rows, 0, trials, mc_seed)]
 
 
-# the uplink strategies in record order; fig12's scheduler runs "approx"
+# the uplink strategies in record order; the network scheduler runs "approx"
 _UPLINK_STRATEGIES = {
     "lower": uplink_alloc_lower_bound,
     "upper": uplink_alloc_upper_bound,
@@ -311,17 +262,16 @@ def _drop_topology(spec: ExperimentSpec, drop: int, *, users=None, antennas=None
 # helpers below take cell 0's profiles stacked over drops (one row each) and
 # evaluate a probe for every drop in one array expression.
 
-def _uplink_rows(tops, interferer_user_power) -> InterferenceProfile:
-    """Cell 0's uplink profile in each drop of ``tops``, stacked."""
-    allocs = _fixed_allocs(tops[0].n_cells, tops[0].n_users, interferer_user_power)
-    return uplink_profile(tops, [allocs] * len(tops), 0)
-
-
-def _downlink_rows(tops, interferer_cell_power) -> DownlinkProfile:
-    """Cell 0's downlink profile in each drop of ``tops``, stacked."""
+def _cell0_rows(tops, direction, power):
+    """(profile, interferers): cell 0's profile in each drop of ``tops``,
+    stacked, and the (C, N) powers of the interferers it is against. These
+    transmit ``power`` (linear) per user on the uplink, and on the downlink a
+    cell total ``power`` split equally across the users."""
     n = tops[0].n_users
-    allocs = _fixed_allocs(tops[0].n_cells, n, interferer_cell_power / n)
-    return downlink_profile(tops, [allocs] * len(tops), 0)
+    interferers = np.full((tops[0].n_cells, n), power if direction == "uplink" else power / n)
+    # looked up by module-level name on each call, as for _mc_values
+    profile = uplink_profile if direction == "uplink" else downlink_profile
+    return profile(tops, [interferers] * len(tops), 0), interferers
 
 
 def _waterfilled_rows(prof, strategies, ms, p_lin) -> np.ndarray:
@@ -348,10 +298,10 @@ def _edge_users(top: CellTopology) -> np.ndarray:
     return top.user_distances(0) > EDGE_SPLIT_FACTOR * top.config.cell_radius
 
 
-def _downlink_gains(prof: DownlinkProfile, m: int, p_lin, users=None) -> np.ndarray:
-    """Relative downlink gain of cell 0 per drop, over the users selected by
-    the (D, N) mask ``users`` (all when None); drops selecting no user are
-    left out."""
+def _gains(prof, m: int, p_lin, users=None) -> np.ndarray:
+    """Relative gain of cell 0 per drop, as ``_pa_eq`` rates it, over the
+    users selected by the (D, N) mask ``users`` (all when None); drops
+    selecting no user are left out."""
     (r_pa, r_eq), = _pa_eq(prof, [m], p_lin)
     if users is None:
         return relative_gain(r_pa.sum(axis=1), r_eq.sum(axis=1))
@@ -384,7 +334,7 @@ def _each_drop(run_drop):
 
 @_each_drop
 def _job_equal_power(spec: ExperimentSpec, d: int) -> list[dict]:
-    """Equal-power rate curves (fig2, fig3, fig8, custom) of one drop.
+    """Equal-power rate curves of one drop, on the spec's link.
 
     An M sweep rates each M's power panels as the rows of one call; a power
     sweep rates every power as a row of one call. Monte Carlo draws each
@@ -404,14 +354,8 @@ def _job_equal_power(spec: ExperimentSpec, d: int) -> list[dict]:
                   derive_seed(root, _TAG_MC, d, i, 0)) for i, x in enumerate(spec.sweep.values)]
     top = _drop_topology(spec, d, antennas=calls[0][0])
     n = top.n_users
-
-    # uplink interferers transmit a per-user power, downlink ones a cell total
-    uplink = spec.direction == "uplink"
-    p_x = db_to_linear(opts["interfererUserPowerDb" if uplink else "interfererCellPowerDb"])
-    interferers = _fixed_allocs(top.n_cells, n, p_x if uplink else p_x / n)
-    # cell 0's profile reads the interferers only
-    prof = (uplink_profile if uplink else downlink_profile)(top, interferers, 0)
-    formulas = _UPLINK_RATES if uplink else _DOWNLINK_RATES
+    option, _, formulas = _LINKS[spec.direction]
+    prof, interferers = _cell0_rows([top], spec.direction, db_to_linear(opts[option]))
 
     records = []
     for m, points, mc_seed in calls:
@@ -432,8 +376,8 @@ def _job_equal_power(spec: ExperimentSpec, d: int) -> list[dict]:
 
 @_each_drop
 def _job_fixed_ratio(spec: ExperimentSpec, d: int) -> list[dict]:
-    """Sum rate with M and N scaled together at fixed M/N (fig6), at every
-    user count of one drop."""
+    """Sum rate with M and N scaled together at fixed M/N, at every user
+    count of one drop."""
     opts = spec.options
     ratios = [int(ratio) for ratio in opts["ratios"]]
     p_x, p_lin = db_to_linear(opts["interfererUserPowerDb"]), db_to_linear(opts["powerDb"])
@@ -443,7 +387,7 @@ def _job_fixed_ratio(spec: ExperimentSpec, d: int) -> list[dict]:
         # each N is its own drop; it serves every ratio, as only M changes
         top = _drop_topology(spec, d, users=n, antennas=min(ratios) * n)
         ms = [ratio * n for ratio in ratios]
-        rates = _pa_eq(_uplink_rows([top], p_x), ms, p_lin)
+        rates = _pa_eq(_cell0_rows([top], "uplink", p_x)[0], ms, p_lin)
         records += [{"panel": f"ratio{ratio}", "label": label, "x": m,
                      "value": float(r.sum(axis=1)[0]), "ci": 0.0}
                     for ratio, m, pair in zip(ratios, ms, rates)
@@ -453,7 +397,7 @@ def _job_fixed_ratio(spec: ExperimentSpec, d: int) -> list[dict]:
 
 @_each_drop
 def _drop_strategies(spec: ExperimentSpec, d: int) -> list[dict]:
-    """Per-strategy sum rates (fig4) or relative gains (fig5) at every M.
+    """Per-strategy sum rates, or relative gains for a gain kind, at every M.
 
     One call water-fills every (M, strategy) row; at each M, equal power and
     the three allocations are rated as four rows of one expression (Monte
@@ -469,8 +413,7 @@ def _drop_strategies(spec: ExperimentSpec, d: int) -> list[dict]:
         cells = 1 if panel == "singlecell" else None
         top = _drop_topology(spec, d, antennas=ms[0], cells=cells)
         n = top.n_users
-        allocs = _fixed_allocs(top.n_cells, n, db_to_linear(opts["interfererUserPowerDb"]))
-        prof = uplink_profile(top, allocs, 0)
+        prof, allocs = _cell0_rows([top], "uplink", db_to_linear(opts["interfererUserPowerDb"]))
         eq = equal_alloc(n, p_lin).powers
         pa = _waterfilled_rows(prof, _UPLINK_STRATEGIES, ms, p_lin)
         for i, m in enumerate(ms):
@@ -483,7 +426,7 @@ def _drop_strategies(spec: ExperimentSpec, d: int) -> list[dict]:
                 values = _UPLINK_RATES[evaluator](prof, m, n, rows).sum(axis=1).tolist()
                 cis = [0.0] * len(values)
 
-            if spec.kind == "fig5":  # gains over equal power
+            if _KINDS[spec.kind].gain:  # gains over equal power
                 labels, cis = list(_UPLINK_STRATEGIES), [0.0] * 3
                 values = relative_gain(np.array(values[1:]), values[0]).tolist()
             else:  # the strategies, then equal power
@@ -496,13 +439,13 @@ def _drop_strategies(spec: ExperimentSpec, d: int) -> list[dict]:
 
 @_each_drop
 def _drop_gain_vs_ratio(spec: ExperimentSpec, d: int) -> list[dict]:
-    """Relative gain against the antennas-per-user ratio (fig7) at every
-    ratio: one water-filling call per power panel."""
+    """Relative gain against the antennas-per-user ratio at every ratio: one
+    water-filling call per power panel."""
     opts = spec.options
     ratios = [int(v) for v in spec.sweep.values]
     ms = [ratio * spec.network.users_per_cell for ratio in ratios]
     top = _drop_topology(spec, d, antennas=ms[0])
-    prof = _uplink_rows([top], db_to_linear(opts["interfererUserPowerDb"]))
+    prof, _ = _cell0_rows([top], "uplink", db_to_linear(opts["interfererUserPowerDb"]))
     return [{"panel": f"P{p_db:g}dB", "label": "gain", "x": ratio,
              "value": float(relative_gain(*(r.sum(axis=1) for r in rates))[0]), "ci": 0.0}
             for p_db in opts["powersDb"]
@@ -511,11 +454,11 @@ def _drop_gain_vs_ratio(spec: ExperimentSpec, d: int) -> list[dict]:
 
 @_each_drop
 def _drop_downlink_split(spec: ExperimentSpec, d: int) -> list[dict]:
-    """Central/edge user sums (fig10) or gains (fig11) on the downlink at every M."""
+    """Central/edge user sums, or gains for a gain kind, on the downlink at every M."""
     ms = [int(v) for v in spec.sweep.values]
     opts = spec.options
     top = _drop_topology(spec, d, antennas=ms[0])
-    prof = _downlink_rows([top], db_to_linear(opts["interfererCellPowerDb"]))
+    prof, _ = _cell0_rows([top], "downlink", db_to_linear(opts["interfererCellPowerDb"]))
     edge = _edge_users(top)
 
     records = []
@@ -524,7 +467,7 @@ def _drop_downlink_split(spec: ExperimentSpec, d: int) -> list[dict]:
             if not mask.any():
                 continue
             c_pa, c_eq = float(r_pa[0][mask].sum()), float(r_eq[0][mask].sum())
-            if spec.kind == "fig11":
+            if _KINDS[spec.kind].gain:
                 records.append({"panel": "", "label": cls, "x": m,
                                 "value": relative_gain(c_pa, c_eq), "ci": 0.0})
             else:
@@ -534,7 +477,7 @@ def _drop_downlink_split(spec: ExperimentSpec, d: int) -> list[dict]:
 
 
 def _job_network_slots(spec: ExperimentSpec, job: dict) -> list[dict]:
-    """Scheduled vs joint vs equal network sum rate per slot (fig12) of each of
+    """Scheduled vs joint vs equal network sum rate per slot of each of
     the job's drops; the scheduler and the joint optimiser run them as stacks."""
     opts = spec.options
     budget = float(opts["powerW"])
@@ -568,21 +511,6 @@ def _job_network_slots(spec: ExperimentSpec, job: dict) -> list[dict]:
     return records
 
 
-_JOB_RUNNERS = {
-    "fig2": _job_equal_power,
-    "fig3": _job_equal_power,
-    "fig8": _job_equal_power,
-    "custom": _job_equal_power,
-    "fig6": _job_fixed_ratio,
-    "fig4": _drop_strategies,
-    "fig5": _drop_strategies,
-    "fig7": _drop_gain_vs_ratio,
-    "fig10": _drop_downlink_split,
-    "fig11": _drop_downlink_split,
-    "fig12": _job_network_slots,
-}
-
-
 def _plan_jobs(spec: ExperimentSpec, workers: int) -> list[dict]:
     # one contiguous chunk of drops per worker (never more chunks than drops);
     # the chunks' records join in drop order, so every sweep point receives its
@@ -595,7 +523,7 @@ def _plan_jobs(spec: ExperimentSpec, workers: int) -> list[dict]:
 
 def _run_payload(payload: dict) -> list[dict]:
     spec = ExperimentSpec.from_dict(payload["spec"])
-    return _JOB_RUNNERS[spec.kind](spec, payload["job"])
+    return _KINDS[spec.kind].run(spec, payload["job"])
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +537,9 @@ _QUERY_FIELDS = {
     "fixedAntennas": "fixed_antennas", "drops": "drops",
     "interfererPowerDb": "interferer_power_db", "edgeOnly": "edge_only",
 }
+# the query fields that only some modes, or one link, read: query name -> the readers
+_QUERY_READERS = {"fixedUsers": ("maxRatio", "maxAntennas"), "fixedAntennas": ("minUsers",),
+                  "edgeOnly": ("downlink",)}
 
 
 @dataclass(frozen=True)
@@ -632,6 +563,11 @@ class GainThresholdQuery:
             # None leaves a field whose default is None to the network or direction
             if value is not None or getattr(GainThresholdQuery, name, 0) is not None:
                 check_field(key, value, _FIELDS[key])
+        for key, readers in _QUERY_READERS.items():
+            given = getattr(self, _QUERY_FIELDS[key]) is not None
+            if given and self.mode not in readers and self.direction not in readers:
+                raise ValueError(f"{key} is read by {' and '.join(readers)} queries only, "
+                                 f"not by a {self.direction} {self.mode} one")
         if len(self.search_range) != 2 or self.search_range[0] > self.search_range[1]:
             raise ValueError(f"searchRange must be [lo, hi] with lo <= hi, "
                              f"got {self.search_range!r}")
@@ -649,7 +585,7 @@ class GainThresholdQuery:
 
 class _DropProfiles:
     """Cell 0's profiles in a threshold search's drops, stacked, one stack per
-    user count N (with each drop's edge-user mask on the downlink).
+    user count N, with each drop's edge-user mask.
 
     A stack depends on the drops, N, the direction and the interferer power
     only, so every probe of a query reads it, and so does every query of a
@@ -665,11 +601,8 @@ class _DropProfiles:
         key = (cfg, drop_seeds, direction, interferer_power)
         if key not in self._stacks:
             tops = [build_topology(replace(cfg, seed=s)) for s in drop_seeds]
-            if direction == "uplink":
-                self._stacks[key] = (_uplink_rows(tops, interferer_power), None)
-            else:
-                self._stacks[key] = (_downlink_rows(tops, interferer_power),
-                                     np.stack([_edge_users(top) for top in tops]))
+            self._stacks[key] = (_cell0_rows(tops, direction, interferer_power)[0],
+                                 np.stack([_edge_users(top) for top in tops]))
         return self._stacks[key]
 
 
@@ -696,13 +629,12 @@ def find_max_ratio(query: GainThresholdQuery, base: NetworkConfig,
     if lo > hi:
         raise ValueError("search range is empty after feasibility clamping")
 
-    edge_only = query.edge_only
-    if edge_only is None:
-        edge_only = query.direction == "downlink"
+    # only the downlink reads edgeOnly, and there it defaults to true
+    edge_only = query.direction == "downlink" and query.edge_only is not False
     p_lin = db_to_linear(query.power_db)
     interferer_db = query.interferer_power_db
     if interferer_db is None:
-        interferer_db = 10.0 if query.direction == "uplink" else 30.0
+        interferer_db = _LINKS[query.direction][1]
     interferer_lin = db_to_linear(interferer_db)
 
     drop_seeds = tuple(derive_seed(base.seed, _TAG_GAIN, d) for d in range(query.drops))
@@ -717,10 +649,7 @@ def find_max_ratio(query: GainThresholdQuery, base: NetworkConfig,
         else:
             m, n = m0, x
         prof, edges = profiles.rows(base, drop_seeds, n, query.direction, interferer_lin)
-        if query.direction == "uplink":
-            gains = relative_gain(*(r.sum(axis=1) for r in _pa_eq(prof, [m], p_lin)[0]))
-        else:
-            gains = _downlink_gains(prof, m, p_lin, edges if edge_only else None)
+        gains = _gains(prof, m, p_lin, edges if edge_only else None)
         if not gains.size:
             raise ValueError(
                 f"no drop has an edge user at {query.mode} probe {x}: edgeOnly averages "
@@ -745,24 +674,12 @@ def find_max_ratio(query: GainThresholdQuery, base: NetworkConfig,
     return inside, False
 
 
-# table kind: (search mode, the query field its first loop fixes, its loops as
-# (column, option) pairs in row order)
-_TABLES = {
-    "table2": ("maxRatio", None, (("powerDb", "powersDb"), ("threshold", "thresholds"))),
-    "table3a": ("maxAntennas", "fixed_users",
-                (("users", "usersList"), ("threshold", "thresholds"), ("powerDb", "powersDb"))),
-    "table3b": ("minUsers", "fixed_antennas",
-                (("antennas", "antennasList"), ("threshold", "thresholds"), ("powerDb", "powersDb"))),
-}
-
-
 def _run_tables(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
-    mode, fixed, loops = _TABLES[spec.kind]
+    mode, fixed, loops = _KINDS[spec.kind].run
     direction = spec.direction
     opts = spec.options
     lo, hi = int(spec.sweep.values[0]), int(spec.sweep.values[-1])
-    interferer_db = opts.get("interfererUserPowerDb" if direction == "uplink"
-                             else "interfererCellPowerDb")
+    interferer_db = opts[_LINKS[direction][0]]
     rows = []
     # every query of a table runs on the same drops at one interferer power,
     # so queries that probe the same N share its profiles
@@ -774,6 +691,73 @@ def _run_tables(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
                                drops=spec.drops, interferer_power_db=interferer_db, **sizes)
         rows.append([*row, *find_max_ratio(q, spec.network, profiles=profiles)])
     return [*(column for column, _ in loops), mode, "atBoundary"], rows
+
+
+# ---------------------------------------------------------------------------
+# the experiment kinds
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Kind:
+    """One experiment kind: all that the rest of the CLI knows of it."""
+
+    # the job runner, (spec, job) -> records; or a table search's (mode, the
+    # query field its first loop fixes, its loops as (column, option) in row order)
+    run: object
+    link: str | None  # None: the direction option decides
+    sweeps: tuple  # the sweep variables it accepts, the default first
+    values: list  # the default sweep values; a table bisects inside the first and last
+    options: dict  # every option it takes, with its default
+    gain: bool = False  # its curves are relative gains
+    edge: bool = False  # it splits cell 0's users at EDGE_SPLIT_FACTOR
+
+
+_M_FINE, _M_COARSE = [20, *range(50, 501, 50)], [20, 50, 100, 150, 200, 300, 400, 500]
+_STRATEGY_OPTIONS = {"powerDb": 20, "interfererUserPowerDb": 10, "evaluator": "approx",
+                     "scenarios": ["multicell", "singlecell"]}
+_THRESHOLD_LOOPS = (("threshold", "thresholds"), ("powerDb", "powersDb"))
+_KINDS = {
+    "fig2": _Kind(_job_equal_power, "uplink", ("bsAntennas",), _M_FINE,
+                  {"powersDb": [20, 30], "interfererUserPowerDb": 10,
+                   "estimators": ["mc", "lower", "upper", "approx"]}),
+    "fig3": _Kind(_job_equal_power, "uplink", ("powerDb",), [0, 5, 10, 15, 20, 25, 30],
+                  {"interfererUserPowerDb": 10, "estimators": ["mc", "lower", "upper", "approx"]}),
+    "fig4": _Kind(_drop_strategies, "uplink", ("bsAntennas",), _M_COARSE, _STRATEGY_OPTIONS),
+    "fig5": _Kind(_drop_strategies, "uplink", ("bsAntennas",), _M_COARSE, _STRATEGY_OPTIONS,
+                  gain=True),
+    "fig6": _Kind(_job_fixed_ratio, "uplink", ("usersPerCell",), [4, 8, 12, 16, 20],
+                  {"ratios": [2, 5, 10], "powerDb": 20, "interfererUserPowerDb": 10}),
+    "fig7": _Kind(_drop_gain_vs_ratio, "uplink", ("ratio",), [2, 4, 6, 8, 10, 14, 18, 22, 26, 30],
+                  {"powersDb": [10, 15, 20, 25], "interfererUserPowerDb": 10}, gain=True),
+    "fig8": _Kind(_job_equal_power, "downlink", ("bsAntennas",), _M_FINE,
+                  {"powersDb": [40, 50], "interfererCellPowerDb": 30,
+                   "estimators": ["mc", "lower"]}),
+    "fig10": _Kind(_drop_downlink_split, "downlink", ("bsAntennas",), _M_COARSE,
+                   {"powerDb": 40, "interfererCellPowerDb": 30}, edge=True),
+    "fig11": _Kind(_drop_downlink_split, "downlink", ("bsAntennas",), _M_COARSE,
+                   {"powerDb": 40, "interfererCellPowerDb": 30}, gain=True, edge=True),
+    "fig12": _Kind(_job_network_slots, "uplink", ("slot",), list(range(1, 13)),
+                   {"powerW": 50.0, "initialUserPowerDb": 10, "estimator": "closedForm",
+                    "jointMaxIters": 800, "jointTolerance": 1e-10}),
+    "table2": _Kind(("maxRatio", None, (("powerDb", "powersDb"), ("threshold", "thresholds"))),
+                    "uplink", ("ratio",), [2, 120],
+                    {"powersDb": [10, 15, 20, 25], "thresholds": [0.10, 0.20],
+                     "interfererUserPowerDb": 10}),
+    "table3a": _Kind(("maxAntennas", "fixed_users",
+                      (("users", "usersList"), *_THRESHOLD_LOOPS)),
+                     "downlink", ("bsAntennas",), [6, 2000],
+                     {"usersList": [5, 10, 20], "powersDb": [35, 40, 45],
+                      "thresholds": [0.10, 0.20], "interfererCellPowerDb": 30}, edge=True),
+    "table3b": _Kind(("minUsers", "fixed_antennas",
+                      (("antennas", "antennasList"), *_THRESHOLD_LOOPS)),
+                     "downlink", ("usersPerCell",), [1, 45],
+                     {"antennasList": [50, 100, 200], "powersDb": [35, 40, 45],
+                      "thresholds": [0.10, 0.20], "interfererCellPowerDb": 30}, edge=True),
+    "custom": _Kind(_job_equal_power, None, ("bsAntennas", "powerDb"), [20, 100, 500],
+                    {"direction": "uplink", "powerDb": 20, "interfererUserPowerDb": 10,
+                     "interfererCellPowerDb": 30, "estimators": ["mc", "approx"]}),
+}
+KINDS = tuple(_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -819,9 +803,9 @@ def _manifest_notes(spec: ExperimentSpec) -> dict:
     }
     if spec.direction == "downlink":
         notes["downlinkInterfererPower"] = "per-cell total, split equally across users"
-    if spec.kind in ("fig10", "fig11", "table3a", "table3b"):
+    if _KINDS[spec.kind].edge:
         notes["edgeSplitRadiusFactor"] = EDGE_SPLIT_FACTOR
-    if spec.kind == "fig12":
+    if "estimator" in spec.options:
         notes["sumRateMethod"] = spec.options["estimator"]
     return notes
 
@@ -931,7 +915,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> Path:
     }
 
     files = {}
-    if spec.kind in _TABLES:
+    if isinstance(_KINDS[spec.kind].run, tuple):
         header, rows = _run_tables(spec)
         table_file = f"{spec.kind}.csv"
         files[table_file] = "".join(",".join(str(v) for v in row) + "\n"
@@ -961,7 +945,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> Path:
 _AXIS_LABELS = {
     "bsAntennas": "BS antennas",
     "powerDb": "total transmit power (dB)",
-    "usersPerCell": "BS antennas",  # fig6 reports x = M = ratio * N
+    "usersPerCell": "BS antennas",  # a fixed-ratio run reports x = M = ratio * N
     "ratio": "antennas per user M/N",
     "slot": "time slot",
 }
@@ -973,14 +957,14 @@ def emit_plot_data(directory) -> Path:
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise ValueError(f"no manifest.json in {directory}")
-    manifest = json.loads(manifest_path.read_text())
-    spec = manifest["spec"]
+    manifest = check_field("manifest.json", json.loads(manifest_path.read_text()), "object")
+    spec = check_field("manifest spec", manifest.get("spec"), "object")
+    kind = check_field("manifest spec kind", spec.get("kind"), KINDS)
 
     doc = {
-        "kind": spec["kind"],
+        "kind": kind,
         "xLabel": _AXIS_LABELS.get(spec["sweep"]["variable"], spec["sweep"]["variable"]),
-        "yLabel": "relative gain" if spec["kind"] in ("fig5", "fig7", "fig11")
-                  else "sum rate (bits/s/Hz)",
+        "yLabel": "relative gain" if _KINDS[kind].gain else "sum rate (bits/s/Hz)",
         "panels": [],
     }
     panels: dict[str, list] = {}

@@ -106,14 +106,6 @@ class PowerAllocation:
         p.setflags(write=False)
         object.__setattr__(self, "powers", p)
 
-    @property
-    def total(self) -> float:
-        return float(self.powers.sum())
-
-    def check_budget(self, budget: float, rtol: float = 1e-9) -> None:
-        if self.total > budget * (1.0 + rtol):
-            raise ValueError(f"allocation total {self.total} exceeds budget {budget}")
-
 
 @dataclass(frozen=True, eq=False)
 class RateEstimate:

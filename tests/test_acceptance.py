@@ -25,8 +25,8 @@ from mcmimo.allocation import (
 )
 from mcmimo.cli import (
     GainThresholdQuery,
+    _cell0_rows,
     _pa_eq,
-    _uplink_rows,
     db_to_linear,
     derive_seed,
     find_max_ratio,
@@ -203,7 +203,7 @@ def test_criterion_08_relative_gain():
     """uplink gain at M=100, N=10, P=20 dB, 19 cells: 14% +- 5 pp (50 drops)."""
     base = NetworkConfig(users_per_cell=10, bs_antennas=100, seed=2024)
     drops = [build_topology(replace(base, seed=derive_seed(2024, 1, d))) for d in range(50)]
-    rows = _uplink_rows(drops, db_to_linear(10.0))  # cell 0's profile in every drop
+    rows, _ = _cell0_rows(drops, "uplink", db_to_linear(10.0))  # cell 0's profile in every drop
     gains = relative_gain(*(r.sum(axis=1) for r in _pa_eq(rows, [100], db_to_linear(20.0))[0]))
     eta = float(np.mean(gains))
     report(8, "relative gain", 0.09 <= eta <= 0.19, f"eta = {eta:.4f}")

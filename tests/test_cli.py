@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -249,6 +250,22 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match="^spec must be a JSON object"):
             ExperimentSpec.from_dict({"spec": ["fig2"], "estimatorVersion": cli.ESTIMATOR_VERSION})
 
+    def test_custom_estimators_default_follows_the_link(self, tmp_path):
+        # the downlink has no upper bound or approximation, so the uplink
+        # default [mc, approx] would refuse a spec that never named estimators
+        def spec(options):
+            return ExperimentSpec.from_dict({
+                "kind": "custom", "network": {"usersPerCell": 2, "bsAntennas": 8, "seed": 1},
+                "sweep": {"variable": "bsAntennas", "values": [8]}, "drops": 1, "trials": 8,
+                "options": options, "output": str(tmp_path / "out")})
+
+        assert spec({}).options["estimators"] == ["mc", "approx"]
+        down = spec({"direction": "downlink"})
+        assert down.options["estimators"] == ["mc", "lower"]
+        manifest = json.loads((run_experiment(down) / "manifest.json").read_text())
+        assert manifest["spec"]["options"]["estimators"] == ["mc", "lower"]
+        assert {c["label"] for c in manifest["curves"]} == {"mc", "lower"}
+
     def test_power_sweeps_stay_real(self):
         doc = {"kind": "custom", "network": {"usersPerCell": 2, "bsAntennas": 8},
                "sweep": {"variable": "powerDb", "values": [0.5, 2.25]}}
@@ -269,7 +286,7 @@ QUERY = {"direction": "uplink", "threshold": 0.1, "power": 20, "searchRange": [2
 
 
 def _field_cases():
-    options = sorted({key for _, _, opts in cli._KIND_DEFAULTS.values() for key in opts})
+    options = sorted({key for row in cli._KINDS.values() for key in row.options})
     return ([("option", key) for key in options] + [("query", key) for key in cli._QUERY_FIELDS]
             + [("network", key) for key in topology._JSON_FIELDS])
 
@@ -281,9 +298,9 @@ class TestFieldTable:
     @pytest.mark.parametrize("table, key", _field_cases())
     def test_every_field_has_a_kind_and_is_checked(self, table, key):
         if table == "option":
-            kinds = [kind for kind, (_, _, opts) in cli._KIND_DEFAULTS.items() if key in opts]
+            kinds = [kind for kind, row in cli._KINDS.items() if key in row.options]
             for kind in kinds:  # every kind's default passes its own check
-                default = cli._KIND_DEFAULTS[kind][2][key]
+                default = cli._KINDS[kind].options[key]
                 assert check_field(key, default, cli._FIELDS[key]) is default
 
             def build(value):
@@ -484,7 +501,7 @@ class TestRunExperiment:
         for panel, cells, tag in (("multicell", None, 0), ("singlecell", 1, 1)):
             for i, m in enumerate(ms):
                 top = cli._drop_topology(spec, 0, antennas=m, cells=cells)
-                allocs = cli._fixed_allocs(top.n_cells, 4, db_to_linear(10))
+                allocs = np.full((top.n_cells, 4), db_to_linear(10))
                 seed = cli.derive_seed(net["seed"], cli._TAG_MC, 0, i, tag)
                 for label, strategy in [("equal", None), *cli._UPLINK_STRATEGIES.items()]:
                     cand = list(allocs)
@@ -512,7 +529,7 @@ class TestRunExperiment:
         for panel, cells, tag in (("multicell", None, 0), ("singlecell", 1, 1)):
             for i, m in enumerate(ms):
                 top = cli._drop_topology(spec, 0, antennas=m, cells=cells)
-                allocs = cli._fixed_allocs(top.n_cells, 4, db_to_linear(10))
+                allocs = np.full((top.n_cells, 4), db_to_linear(10))
                 seed = cli.derive_seed(net["seed"], cli._TAG_MC, 0, i, tag)
                 eq = uplink_rate_mc(top, [equal_alloc(4, 100.0), *allocs[1:]], 0, 64,
                                     seed).sum_rate
@@ -684,6 +701,16 @@ class TestPlotData:
         with pytest.raises(ValueError, match="manifest"):
             emit_plot_data(tmp_path)
 
+    @pytest.mark.parametrize("manifest, name", [
+        ({"curves": []}, "manifest spec must be a JSON object"),
+        ({"spec": {"kind": "fig9", "sweep": {"variable": "bsAntennas"}}, "curves": []},
+         "manifest spec kind must be one of"),
+    ])
+    def test_manifest_spec_and_kind_are_checked(self, tmp_path, manifest, name):
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=name):
+            emit_plot_data(tmp_path)
+
 
 class TestFindMaxRatio:
     BASE = NetworkConfig(users_per_cell=5, bs_antennas=64, seed=77)
@@ -791,12 +818,27 @@ class TestFindMaxRatio:
             return pa_eq(prof, ms, p_lin)
 
         monkeypatch.setattr(cli, "_pa_eq", recording)
+        # each query gives only the fields its mode and link read
+        sizes = {"fixed_antennas": 40} if mode == "minUsers" else {"fixed_users": 4}
         q = GainThresholdQuery(direction, threshold, 20.0 if direction == "uplink" else 40.0,
-                               bounds, mode, fixed_users=4, fixed_antennas=40, drops=3,
-                               edge_only=False)
+                               bounds, mode, drops=3, **sizes,
+                               edge_only=None if direction == "uplink" else False)
         base = NetworkConfig(users_per_cell=4, bs_antennas=40, seed=3)
         assert find_max_ratio(q, base) == answer
         assert seen == probes
+
+    @pytest.mark.parametrize("over, key", [
+        ({"edgeOnly": True}, "edgeOnly"),
+        ({"edgeOnly": False}, "edgeOnly"),
+        ({"fixedAntennas": 100}, "fixedAntennas"),
+        ({"mode": "maxAntennas", "fixedAntennas": 100}, "fixedAntennas"),
+        ({"direction": "downlink", "mode": "minUsers", "fixedUsers": 5}, "fixedUsers"),
+    ])
+    def test_fields_the_query_never_reads_are_rejected(self, over, key):
+        # each once changed nothing: an uplink query answered (6, True) with
+        # edgeOnly true and with it false
+        with pytest.raises(ValueError, match=f"^{key} is read by"):
+            GainThresholdQuery.from_dict({**QUERY, **over})
 
     def test_unknown_query_key_rejected(self):
         with pytest.raises(ValueError, match="unknown query keys"):
@@ -813,17 +855,17 @@ class TestStackedDrops:
 
     def test_uplink_gains_equal_one_drop_at_a_time(self):
         tops = self.drops(12)
-        (r_pa, r_eq), = cli._pa_eq(cli._uplink_rows(tops, 10.0), [48], 100.0)
+        (r_pa, r_eq), = cli._pa_eq(cli._cell0_rows(tops, "uplink", 10.0)[0], [48], 100.0)
         stacked = relative_gain(r_pa.sum(axis=1), r_eq.sum(axis=1))
         for top, gain in zip(tops, stacked):
-            (r_pa, r_eq), = cli._pa_eq(cli._uplink_rows([top], 10.0), [48], 100.0)
+            (r_pa, r_eq), = cli._pa_eq(cli._cell0_rows([top], "uplink", 10.0)[0], [48], 100.0)
             assert gain == relative_gain(float(r_pa.sum(axis=1)[0]), float(r_eq.sum(axis=1)[0]))
 
     def test_antenna_counts_equal_one_at_a_time(self):
         # one water-filling call serves every M with the bits of its own call
         ms = [13, 48, 200, 500]
-        up = cli._uplink_rows(self.drops(12), 10.0)
-        down = cli._downlink_rows(self.drops(12), 1000.0)
+        up = cli._cell0_rows(self.drops(12), "uplink", 10.0)[0]
+        down = cli._cell0_rows(self.drops(12), "downlink", 1000.0)[0]
         for prof in (up, down):
             together = cli._pa_eq(prof, ms, 100.0)
             assert len(together) == len(ms)
@@ -840,11 +882,11 @@ class TestStackedDrops:
             users = np.stack([cli._edge_users(top) for top in tops])
         else:
             users = np.random.default_rng(0).random((len(tops), 16)) < 0.6
-        stacked = cli._downlink_gains(cli._downlink_rows(tops, 1000.0), 64, 1e4, users)
+        stacked = cli._gains(cli._cell0_rows(tops, "downlink", 1000.0)[0], 64, 1e4, users)
         want = []
         for top, chosen in zip(tops, users):
             if chosen.any():
-                (r_pa, r_eq), = cli._pa_eq(cli._downlink_rows([top], 1000.0), [64], 1e4)
+                (r_pa, r_eq), = cli._pa_eq(cli._cell0_rows([top], "downlink", 1000.0)[0], [64], 1e4)
                 want.append(relative_gain(float(r_pa[0][chosen].sum()),
                                           float(r_eq[0][chosen].sum())))
         assert 0 < len(want) and stacked.tolist() == want
@@ -1140,14 +1182,14 @@ class TestOutputDirectory:
         out = tmp_path / "fig5"
         run_experiment(self.spec(out))
         before = self.snapshot(out)
-        runner = cli._JOB_RUNNERS["fig5"]
+        row = cli._KINDS["fig5"]
 
         def fail_on_last_drop(spec, job):
             if 2 in job["drops"]:
                 raise RuntimeError("interrupted")
-            return runner(spec, job)
+            return row.run(spec, job)
 
-        monkeypatch.setitem(cli._JOB_RUNNERS, "fig5", fail_on_last_drop)
+        monkeypatch.setitem(cli._KINDS, "fig5", dataclasses.replace(row, run=fail_on_last_drop))
         for target in (out, tmp_path / "fresh"):
             with pytest.raises(RuntimeError, match="interrupted"):
                 run_experiment(self.spec(target, drops=4, options={"powerDb": 30}))
@@ -1205,7 +1247,8 @@ class TestOutputDirectory:
             raise RuntimeError("interrupted")
 
         # the next run puts the old outputs back before it computes anything
-        monkeypatch.setitem(cli._JOB_RUNNERS, "fig5", interrupted)
+        monkeypatch.setitem(cli._KINDS, "fig5",
+                            dataclasses.replace(cli._KINDS["fig5"], run=interrupted))
         with pytest.raises(RuntimeError, match="interrupted"):
             run_experiment(self.spec(out, options={"powerDb": 30}))
         assert self.snapshot(out) == before
@@ -1322,3 +1365,41 @@ class TestJobs:
                "drops": 3, "output": str(tmp_path / "fig11")}
         run_experiment(ExperimentSpec.from_dict(doc), jobs=8)
         assert workers == [3]
+
+
+CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_loads_through_its_entry_point(path):
+    data = json.loads(path.read_text())
+    if "kind" in data:  # an experiment spec, as `mcmimo run` reads it
+        assert ExperimentSpec.from_json(path).kind == data["kind"]
+    else:  # a threshold query, as `mcmimo table` reads it
+        NetworkConfig.from_json(data.pop("network"))
+        assert GainThresholdQuery.from_dict(data).direction == data["direction"]
+
+
+def test_span_tracing_records_every_layer(tmp_path):
+    # the benchmark's tracer wraps module-level names and module-level dict
+    # values only; a layer reached another way would go unrecorded
+    import importlib.util
+
+    where = Path(__file__).parents[1] / "benchmarks" / "spans.py"
+    loader = importlib.util.spec_from_file_location("mcmimo_bench_spans", where)
+    spans = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        for kind in ("fig2", "fig8", "fig5"):
+            run_experiment(ExperimentSpec.from_dict({
+                "kind": kind, "network": {"usersPerCell": 3, "bsAntennas": 12, "seed": 4},
+                "sweep": {"variable": "bsAntennas", "values": [12]}, "drops": 1, "trials": 8,
+                "output": str(tmp_path / kind)}))
+    finally:
+        restore()
+    assert {"closedform.uplink_lower_bound", "closedform.downlink_lower_bound",
+            "mcrate.uplink_rate_mc", "mcrate.downlink_rate_mc",
+            "allocation.waterfill"} <= {rec[0] for rec in tracer.spans}
+    assert not hasattr(cli.uplink_rate_mc, "__wrapped__")

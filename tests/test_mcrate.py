@@ -39,12 +39,6 @@ class TestPowerAllocation:
         with pytest.raises(ValueError):
             PowerAllocation(np.array([1.0]), "sideways")
 
-    def test_budget_check(self):
-        alloc = PowerAllocation(np.array([3.0, 4.0]), "uplink")
-        alloc.check_budget(7.0)
-        with pytest.raises(ValueError, match="budget"):
-            alloc.check_budget(6.9)
-
 
 class TestZfReceiver:
     def test_scalar_channel(self):
