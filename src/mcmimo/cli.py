@@ -17,7 +17,6 @@ of ``_LINKS``. Every other part of the CLI reads these two tables.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import itertools
 import json
@@ -317,162 +316,163 @@ def _gains(prof, m: int, p_lin, users=None) -> np.ndarray:
 # per-kind job runners: payload {"drops": [d, ...]} -> records
 # ---------------------------------------------------------------------------
 
-# A job is a contiguous chunk of drops. Large-scale fading does not depend on
-# M, and cell 0's profile depends on neither the sweep point, nor M, nor the
-# cell's own power: so a job builds each of its geometries once per drop, at
-# the smallest M it rates (so that config check covers every M), reaches the
-# other M through ``CellTopology.with_antennas`` and profiles cell 0 once.
+# A job is a contiguous chunk of drops, and its records go out drop by drop.
+# Large-scale fading does not depend on M, and cell 0's profile depends on
+# neither the sweep point, nor M, nor the cell's own power: so a job builds
+# each geometry once, at the smallest M it rates (so that config check covers
+# every M), reaches the other M through ``CellTopology.with_antennas`` and
+# profiles cell 0 in all its drops as one stack. Water-filling and each
+# closed-form rate then take every drop's rows in one call, each row with the
+# bits of a job of its drop alone.
 
-def _each_drop(run_drop):
-    """The job runner that concatenates ``run_drop(spec, d)``'s records over
-    the job's drops, in order."""
-    @functools.wraps(run_drop)
-    def run(spec: ExperimentSpec, job: dict) -> list[dict]:
-        return [rec for d in job["drops"] for rec in run_drop(spec, d)]
-    return run
-
-
-@_each_drop
-def _job_equal_power(spec: ExperimentSpec, d: int) -> list[dict]:
-    """Equal-power rate curves of one drop, on the spec's link.
+def _job_equal_power(spec: ExperimentSpec, job: dict) -> list[dict]:
+    """Equal-power rate curves of each drop, on the spec's link.
 
     An M sweep rates each M's power panels as the rows of one call; a power
     sweep rates every power as a row of one call. Monte Carlo draws each
-    call's rows from one set of draws, as nothing drawn depends on power.
+    call's rows from one set of draws, as nothing drawn depends on power. The
+    drops run one at a time, as the Monte Carlo is their cost.
     """
     opts = spec.options
     root = spec.network.seed
-
-    # calls as (M, [(panel, x, power)], Monte Carlo seed)
-    if spec.sweep.variable == "powerDb":
-        calls = [(spec.network.bs_antennas, [("", x, db_to_linear(x)) for x in spec.sweep.values],
-                  derive_seed(root, _TAG_MC, d))]
-    else:
-        panels = ([(f"P{num:g}dB", db_to_linear(num)) for num in opts["powersDb"]]
-                  if "powersDb" in opts else [("", db_to_linear(opts.get("powerDb", 20)))])
-        calls = [(int(x), [(panel, x, p_lin) for panel, p_lin in panels],
-                  derive_seed(root, _TAG_MC, d, i, 0)) for i, x in enumerate(spec.sweep.values)]
-    top = _drop_topology(spec, d, antennas=calls[0][0])
-    n = top.n_users
     option, _, formulas = _LINKS[spec.direction]
-    prof, interferers = _cell0_rows([top], spec.direction, db_to_linear(opts[option]))
-
+    panels = ([(f"P{num:g}dB", db_to_linear(num)) for num in opts["powersDb"]]
+              if "powersDb" in opts else [("", db_to_linear(opts.get("powerDb", 20)))])
     records = []
-    for m, points, mc_seed in calls:
-        own = np.array([equal_alloc(n, p_lin).powers for _, _, p_lin in points])
-        values = {}
-        for est in opts["estimators"]:
-            if est == "mc":
-                values[est] = _mc_values(top.with_antennas(m), own, interferers, spec.direction,
-                                         spec.trials, mc_seed)
-            else:
-                per_user = formulas[est](prof, m, n, own)
-                values[est] = [(value, 0.0) for value in per_user.sum(axis=1).tolist()]
-        records += [{"panel": panel, "label": est, "x": x, "value": rates[pi][0],
-                     "ci": rates[pi][1]}
-                    for pi, (panel, x, _) in enumerate(points) for est, rates in values.items()]
+    for d in job["drops"]:
+        # calls as (M, [(panel, x, power)], Monte Carlo seed)
+        if spec.sweep.variable == "powerDb":
+            calls = [(spec.network.bs_antennas,
+                      [("", x, db_to_linear(x)) for x in spec.sweep.values],
+                      derive_seed(root, _TAG_MC, d))]
+        else:
+            calls = [(int(x), [(panel, x, p_lin) for panel, p_lin in panels],
+                      derive_seed(root, _TAG_MC, d, i, 0)) for i, x in enumerate(spec.sweep.values)]
+        top = _drop_topology(spec, d, antennas=calls[0][0])
+        n = top.n_users
+        prof, interferers = _cell0_rows([top], spec.direction, db_to_linear(opts[option]))
+        for m, points, mc_seed in calls:
+            own = np.array([equal_alloc(n, p_lin).powers for _, _, p_lin in points])
+            values = {}
+            for est in opts["estimators"]:
+                if est == "mc":
+                    values[est] = _mc_values(top.with_antennas(m), own, interferers,
+                                             spec.direction, spec.trials, mc_seed)
+                else:
+                    per_user = formulas[est](prof, m, n, own)
+                    values[est] = [(value, 0.0) for value in per_user.sum(axis=1).tolist()]
+            records += [{"panel": panel, "label": est, "x": x, "value": rates[pi][0],
+                         "ci": rates[pi][1]}
+                        for pi, (panel, x, _) in enumerate(points)
+                        for est, rates in values.items()]
     return records
 
 
-@_each_drop
-def _job_fixed_ratio(spec: ExperimentSpec, d: int) -> list[dict]:
+def _job_fixed_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
     """Sum rate with M and N scaled together at fixed M/N, at every user
-    count of one drop."""
+    count of each drop: one stack of the job's drops per N."""
     opts = spec.options
     ratios = [int(ratio) for ratio in opts["ratios"]]
     p_x, p_lin = db_to_linear(opts["interfererUserPowerDb"]), db_to_linear(opts["powerDb"])
-    records = []
+    by_n = []  # per N: its Ms, and per M the (pa, eq) sum rates of every drop
     for users in spec.sweep.values:
         n = int(users)
         # each N is its own drop; it serves every ratio, as only M changes
-        top = _drop_topology(spec, d, users=n, antennas=min(ratios) * n)
+        tops = [_drop_topology(spec, d, users=n, antennas=min(ratios) * n) for d in job["drops"]]
         ms = [ratio * n for ratio in ratios]
-        rates = _pa_eq(_cell0_rows([top], "uplink", p_x)[0], ms, p_lin)
-        records += [{"panel": f"ratio{ratio}", "label": label, "x": m,
-                     "value": float(r.sum(axis=1)[0]), "ci": 0.0}
-                    for ratio, m, pair in zip(ratios, ms, rates)
-                    for label, r in zip(("pa", "eq"), pair)]
-    return records
+        by_n.append((ms, [[r.sum(axis=1).tolist() for r in pair]
+                          for pair in _pa_eq(_cell0_rows(tops, "uplink", p_x)[0], ms, p_lin)]))
+    return [{"panel": f"ratio{ratio}", "label": label, "x": m, "value": sums[j], "ci": 0.0}
+            for j in range(len(job["drops"])) for ms, rates in by_n
+            for ratio, m, pair in zip(ratios, ms, rates)
+            for label, sums in zip(("pa", "eq"), pair)]
 
 
-@_each_drop
-def _drop_strategies(spec: ExperimentSpec, d: int) -> list[dict]:
+def _job_strategies(spec: ExperimentSpec, job: dict) -> list[dict]:
     """Per-strategy sum rates, or relative gains for a gain kind, at every M.
 
-    One call water-fills every (M, strategy) row; at each M, equal power and
-    the three allocations are rated as four rows of one expression (Monte
-    Carlo: from one set of draws).
+    Per scenario, one call water-fills every (M, strategy, drop) row, and each
+    (M, allocation) is rated in one call over the job's drops. Monte Carlo
+    rates equal power and the three allocations of one drop and M as four rows
+    of one call, from one set of draws.
     """
     ms = [int(v) for v in spec.sweep.values]
     opts = spec.options
     p_lin = db_to_linear(opts["powerDb"])
-    evaluator = opts["evaluator"]
-
-    records = []
+    drops = job["drops"]
+    scenarios = []  # (panel, labels, values, cis), values and cis as [drop][M][label]
     for panel in opts["scenarios"]:
         cells = 1 if panel == "singlecell" else None
-        top = _drop_topology(spec, d, antennas=ms[0], cells=cells)
-        n = top.n_users
-        prof, allocs = _cell0_rows([top], "uplink", db_to_linear(opts["interfererUserPowerDb"]))
+        tops = [_drop_topology(spec, d, antennas=ms[0], cells=cells) for d in drops]
+        n = tops[0].n_users
+        prof, allocs = _cell0_rows(tops, "uplink", db_to_linear(opts["interfererUserPowerDb"]))
         eq = equal_alloc(n, p_lin).powers
-        pa = _waterfilled_rows(prof, _UPLINK_STRATEGIES, ms, p_lin)
-        for i, m in enumerate(ms):
-            rows = np.vstack([eq, pa[i]])
-            if evaluator == "mc":
-                mc_seed = derive_seed(spec.network.seed, _TAG_MC, d, i, 0 if cells is None else 1)
-                values, cis = map(list, zip(*_mc_values(top.with_antennas(m), rows, allocs,
-                                                        "uplink", spec.trials, mc_seed)))
-            else:
-                values = _UPLINK_RATES[evaluator](prof, m, n, rows).sum(axis=1).tolist()
-                cis = [0.0] * len(values)
+        pa = _waterfilled_rows(prof, _UPLINK_STRATEGIES, ms, p_lin).reshape(
+            len(ms), len(_UPLINK_STRATEGIES), len(drops), n)
+        # (D, M, 4) values and cis of equal power and the three allocations
+        if opts["evaluator"] == "mc":
+            est = np.array([[_mc_values(top.with_antennas(m), np.vstack([eq, pa[i, :, j]]), allocs,
+                                        "uplink", spec.trials,
+                                        derive_seed(spec.network.seed, _TAG_MC, d, i,
+                                                    0 if cells is None else 1))
+                             for i, m in enumerate(ms)] for j, (d, top) in enumerate(zip(drops, tops))])
+            values, cis = est[..., 0], est[..., 1]
+        else:
+            rate = _UPLINK_RATES[opts["evaluator"]]
+            values = np.array([[rate(prof, m, n, p).sum(axis=1) for p in (eq, *pa[i])]
+                               for i, m in enumerate(ms)]).transpose(2, 0, 1)
+            cis = np.zeros_like(values)
+        if _KINDS[spec.kind].gain:  # gains over equal power
+            labels = list(_UPLINK_STRATEGIES)
+            values, cis = relative_gain(values[..., 1:], values[..., :1]), np.zeros_like(cis[..., 1:])
+        else:  # the strategies, then equal power
+            labels = [*_UPLINK_STRATEGIES, "equal"]
+            values, cis = np.roll(values, -1, axis=-1), np.roll(cis, -1, axis=-1)
+        scenarios.append((panel, labels, values.tolist(), cis.tolist()))
+    return [{"panel": panel, "label": label, "x": m, "value": value, "ci": ci}
+            for j in range(len(drops)) for panel, labels, values, cis in scenarios
+            for i, m in enumerate(ms)
+            for label, value, ci in zip(labels, values[j][i], cis[j][i])]
 
-            if _KINDS[spec.kind].gain:  # gains over equal power
-                labels, cis = list(_UPLINK_STRATEGIES), [0.0] * 3
-                values = relative_gain(np.array(values[1:]), values[0]).tolist()
-            else:  # the strategies, then equal power
-                labels = [*_UPLINK_STRATEGIES, "equal"]
-                values, cis = values[1:] + values[:1], cis[1:] + cis[:1]
-            records += [{"panel": panel, "label": label, "x": m, "value": value, "ci": ci}
-                        for label, value, ci in zip(labels, values, cis)]
-    return records
 
-
-@_each_drop
-def _drop_gain_vs_ratio(spec: ExperimentSpec, d: int) -> list[dict]:
+def _job_gain_vs_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
     """Relative gain against the antennas-per-user ratio at every ratio: one
-    water-filling call per power panel."""
+    water-filling call per power panel for all the job's drops."""
     opts = spec.options
     ratios = [int(v) for v in spec.sweep.values]
     ms = [ratio * spec.network.users_per_cell for ratio in ratios]
-    top = _drop_topology(spec, d, antennas=ms[0])
-    prof, _ = _cell0_rows([top], "uplink", db_to_linear(opts["interfererUserPowerDb"]))
-    return [{"panel": f"P{p_db:g}dB", "label": "gain", "x": ratio,
-             "value": float(relative_gain(*(r.sum(axis=1) for r in rates))[0]), "ci": 0.0}
-            for p_db in opts["powersDb"]
-            for ratio, rates in zip(ratios, _pa_eq(prof, ms, db_to_linear(p_db)))]
+    tops = [_drop_topology(spec, d, antennas=ms[0]) for d in job["drops"]]
+    prof, _ = _cell0_rows(tops, "uplink", db_to_linear(opts["interfererUserPowerDb"]))
+    gains = [[relative_gain(*(r.sum(axis=1) for r in rates)).tolist()
+              for rates in _pa_eq(prof, ms, db_to_linear(p_db))] for p_db in opts["powersDb"]]
+    return [{"panel": f"P{p_db:g}dB", "label": "gain", "x": ratio, "value": gain[j], "ci": 0.0}
+            for j in range(len(tops)) for p_db, by_ratio in zip(opts["powersDb"], gains)
+            for ratio, gain in zip(ratios, by_ratio)]
 
 
-@_each_drop
-def _drop_downlink_split(spec: ExperimentSpec, d: int) -> list[dict]:
-    """Central/edge user sums, or gains for a gain kind, on the downlink at every M."""
+def _job_downlink_split(spec: ExperimentSpec, job: dict) -> list[dict]:
+    """Central/edge user sums, or gains for a gain kind, on the downlink at
+    every M: one water-filling call for all the job's drops."""
     ms = [int(v) for v in spec.sweep.values]
     opts = spec.options
-    top = _drop_topology(spec, d, antennas=ms[0])
-    prof, _ = _cell0_rows([top], "downlink", db_to_linear(opts["interfererCellPowerDb"]))
-    edge = _edge_users(top)
+    tops = [_drop_topology(spec, d, antennas=ms[0]) for d in job["drops"]]
+    prof, _ = _cell0_rows(tops, "downlink", db_to_linear(opts["interfererCellPowerDb"]))
+    rates = _pa_eq(prof, ms, db_to_linear(opts["powerDb"]))
 
     records = []
-    for m, (r_pa, r_eq) in zip(ms, _pa_eq(prof, ms, db_to_linear(opts["powerDb"]))):
-        for cls, mask in (("central", ~edge), ("edge", edge)):
-            if not mask.any():
-                continue
-            c_pa, c_eq = float(r_pa[0][mask].sum()), float(r_eq[0][mask].sum())
-            if _KINDS[spec.kind].gain:
-                records.append({"panel": "", "label": cls, "x": m,
-                                "value": relative_gain(c_pa, c_eq), "ci": 0.0})
-            else:
-                records.append({"panel": cls, "label": "pa", "x": m, "value": c_pa, "ci": 0.0})
-                records.append({"panel": cls, "label": "eq", "x": m, "value": c_eq, "ci": 0.0})
+    for j, top in enumerate(tops):
+        edge = _edge_users(top)
+        for m, (r_pa, r_eq) in zip(ms, rates):
+            for cls, mask in (("central", ~edge), ("edge", edge)):
+                if not mask.any():
+                    continue
+                c_pa, c_eq = float(r_pa[j][mask].sum()), float(r_eq[j][mask].sum())
+                if _KINDS[spec.kind].gain:
+                    records.append({"panel": "", "label": cls, "x": m,
+                                    "value": relative_gain(c_pa, c_eq), "ci": 0.0})
+                else:
+                    records.append({"panel": cls, "label": "pa", "x": m, "value": c_pa, "ci": 0.0})
+                    records.append({"panel": cls, "label": "eq", "x": m, "value": c_eq, "ci": 0.0})
     return records
 
 
@@ -722,19 +722,19 @@ _KINDS = {
                    "estimators": ["mc", "lower", "upper", "approx"]}),
     "fig3": _Kind(_job_equal_power, "uplink", ("powerDb",), [0, 5, 10, 15, 20, 25, 30],
                   {"interfererUserPowerDb": 10, "estimators": ["mc", "lower", "upper", "approx"]}),
-    "fig4": _Kind(_drop_strategies, "uplink", ("bsAntennas",), _M_COARSE, _STRATEGY_OPTIONS),
-    "fig5": _Kind(_drop_strategies, "uplink", ("bsAntennas",), _M_COARSE, _STRATEGY_OPTIONS,
+    "fig4": _Kind(_job_strategies, "uplink", ("bsAntennas",), _M_COARSE, _STRATEGY_OPTIONS),
+    "fig5": _Kind(_job_strategies, "uplink", ("bsAntennas",), _M_COARSE, _STRATEGY_OPTIONS,
                   gain=True),
     "fig6": _Kind(_job_fixed_ratio, "uplink", ("usersPerCell",), [4, 8, 12, 16, 20],
                   {"ratios": [2, 5, 10], "powerDb": 20, "interfererUserPowerDb": 10}),
-    "fig7": _Kind(_drop_gain_vs_ratio, "uplink", ("ratio",), [2, 4, 6, 8, 10, 14, 18, 22, 26, 30],
+    "fig7": _Kind(_job_gain_vs_ratio, "uplink", ("ratio",), [2, 4, 6, 8, 10, 14, 18, 22, 26, 30],
                   {"powersDb": [10, 15, 20, 25], "interfererUserPowerDb": 10}, gain=True),
     "fig8": _Kind(_job_equal_power, "downlink", ("bsAntennas",), _M_FINE,
                   {"powersDb": [40, 50], "interfererCellPowerDb": 30,
                    "estimators": ["mc", "lower"]}),
-    "fig10": _Kind(_drop_downlink_split, "downlink", ("bsAntennas",), _M_COARSE,
+    "fig10": _Kind(_job_downlink_split, "downlink", ("bsAntennas",), _M_COARSE,
                    {"powerDb": 40, "interfererCellPowerDb": 30}, edge=True),
-    "fig11": _Kind(_drop_downlink_split, "downlink", ("bsAntennas",), _M_COARSE,
+    "fig11": _Kind(_job_downlink_split, "downlink", ("bsAntennas",), _M_COARSE,
                    {"powerDb": 40, "interfererCellPowerDb": 30}, gain=True, edge=True),
     "fig12": _Kind(_job_network_slots, "uplink", ("slot",), list(range(1, 13)),
                    {"powerW": 50.0, "initialUserPowerDb": 10, "estimator": "closedForm",
@@ -960,31 +960,35 @@ def emit_plot_data(directory) -> Path:
     manifest = check_field("manifest.json", json.loads(manifest_path.read_text()), "object")
     spec = check_field("manifest spec", manifest.get("spec"), "object")
     kind = check_field("manifest spec kind", spec.get("kind"), KINDS)
+    sweep = check_field("manifest spec sweep", spec.get("sweep"), "object")
+    variable = check_field("manifest spec sweep variable", sweep.get("variable"), "string")
 
     doc = {
         "kind": kind,
-        "xLabel": _AXIS_LABELS.get(spec["sweep"]["variable"], spec["sweep"]["variable"]),
+        "xLabel": _AXIS_LABELS.get(variable, variable),
         "yLabel": "relative gain" if _KINDS[kind].gain else "sum rate (bits/s/Hz)",
         "panels": [],
     }
     panels: dict[str, list] = {}
     for curve in manifest.get("curves", []):
-        path = directory / curve["file"]
-        lines = path.read_text().strip().splitlines()
+        curve = check_field("manifest curve", curve, "object")
+        # a panel may be "": the kind's curves have one panel
+        panel, label, name = (check_field(f"manifest curve {key}", curve.get(key), of)
+                              for key, of in (("panel", "text"), ("label", "string"),
+                                              ("file", "string")))
+        lines = (directory / name).read_text().strip().splitlines()
         if not lines or lines[0].split(",") != ["x", "mean", "ciHalfWidth"]:
-            raise ValueError(f"{curve['file']}: expected header 'x,mean,ciHalfWidth'")
+            raise ValueError(f"{name}: expected header 'x,mean,ciHalfWidth'")
         if len(lines) < 2:
-            raise ValueError(f"{curve['file']}: no data rows")
+            raise ValueError(f"{name}: no data rows")
         xs, ys, cis = [], [], []
         for line in lines[1:]:
             x, y, ci = line.split(",")
             xs.append(float(x))
             ys.append(float(y))
             cis.append(float(ci))
-        panels.setdefault(curve["panel"], []).append(
-            {"label": curve["label"], "file": curve["file"], "x": xs, "y": ys,
-             "ciHalfWidth": cis}
-        )
+        panels.setdefault(panel, []).append(
+            {"label": label, "file": name, "x": xs, "y": ys, "ciHalfWidth": cis})
     if not panels and "tables" not in manifest:
         raise ValueError("manifest lists no curves or tables")
     for name in sorted(panels):

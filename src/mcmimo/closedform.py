@@ -33,7 +33,6 @@ close means, so it lives in ``tests/hypoexp_oracle.py`` as a reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -83,28 +82,15 @@ def _laplace_product_integral(zetas: np.ndarray) -> float:
         a, b = b, min(2.0 * b, 46.0)
 
 
-# E{1/(v+1)} depends only on the interference means, which stay fixed while one
-# drop is swept over M, evaluated at several powers or allocated by several
-# strategies; jobs visit one drop at a time, so a few entries catch every reuse.
-_FACTOR_CACHE_SIZE = 16
-
-
 def interference_factor(zetas) -> float:
     """E{1/(v+1)} for hypoexponential interference v with means ``zetas``.
 
     Equals 1 with no active interferers; a mean that is not finite and
-    positive is a ValueError. Memoised on the exact bytes of ``zetas``, so a
-    repeated call returns the identical float.
+    positive is a ValueError.
     """
-    z = np.ascontiguousarray(zetas, dtype=float)
+    z = np.ascontiguousarray(zetas, dtype=float).ravel()
     if z.size == 0:
         return 1.0
-    return _factor_of_bytes(z.tobytes())
-
-
-@lru_cache(maxsize=_FACTOR_CACHE_SIZE)
-def _factor_of_bytes(key: bytes) -> float:
-    z = np.frombuffer(key)
     if not np.isfinite(z).all() or (z <= 0.0).any():
         raise ValueError("all zeta values must be finite and positive")
     # the clamp keeps the Jensen ordering of the rate expressions exact in
@@ -142,6 +128,7 @@ class InterferenceProfile:
     cross_betas: np.ndarray
     cross_lengths: np.ndarray | None = None
     cross_sum: float | np.ndarray = field(init=False)
+    _factor: float | np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         bs = np.asarray(self.beta_self, dtype=float)
@@ -189,11 +176,22 @@ class InterferenceProfile:
         return z[z > 0]
 
     def interference_factor(self) -> float | np.ndarray:
-        """E{1/(v+1)} of the interference: a float, or a (D, 1) column for a stack."""
-        if self.cross_powers.ndim == 1:
-            return interference_factor(self.zetas())
-        z = self.cross_powers * self.cross_betas
-        return np.array([[interference_factor(row[row > 0])] for row in z])
+        """E{1/(v+1)} of the interference: a float, or a read-only (D, 1) column
+        for a stack.
+
+        The interference means stay fixed while a profile is swept over M,
+        rated at several powers or allocated by several strategies, so the
+        profile computes its factor once, on first use, and keeps it.
+        """
+        if self._factor is None:
+            if self.cross_powers.ndim == 1:
+                factor = interference_factor(self.zetas())
+            else:
+                z = self.cross_powers * self.cross_betas
+                factor = np.array([[interference_factor(row[row > 0])] for row in z])
+                factor.setflags(write=False)
+            object.__setattr__(self, "_factor", factor)
+        return self._factor
 
 
 def _cross_lengths(lengths, cross_powers: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ normalised to one everywhere, so linear transmit powers double as SNRs.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -45,9 +46,10 @@ _KIND_NAMES = {
     "positive": "a finite number > 0",
     "bool": "true or false",
     "string": "a non-empty string",
+    "text": "a string",
     "object": "a JSON object",
 }
-_TYPE_KINDS = {"bool": bool, "string": str, "object": dict}
+_TYPE_KINDS = {"bool": bool, "string": str, "text": str, "object": dict}
 
 
 def _describe(kind) -> str:
@@ -65,7 +67,7 @@ def _fits(value, kind) -> bool:
     if isinstance(kind, tuple):
         return value in kind
     if kind in _TYPE_KINDS:
-        return isinstance(value, _TYPE_KINDS[kind]) and value != ""
+        return isinstance(value, _TYPE_KINDS[kind]) and (value != "" or kind == "text")
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         return False
     whole = isinstance(value, (int, np.integer))
@@ -209,6 +211,20 @@ def _axial_to_xy(axial: np.ndarray, cell_radius: float) -> np.ndarray:
     return np.column_stack((1.5 * cell_radius * q, _SQRT3 * cell_radius * (r + 0.5 * q)))
 
 
+@functools.lru_cache(maxsize=None)
+def _layout(cell_count: int, outer_ring_cells: int, cell_radius: float):
+    """Read-only (axial coordinates, BS positions, adjacency) of a layout:
+    the hexagonal disk, then the first ``outer_ring_cells`` of the next ring."""
+    radius = _LAYOUT_RADIUS[cell_count]
+    axial = np.asarray(_axial_disk(radius) + _axial_ring(radius + 1)[:outer_ring_cells],
+                       dtype=int)
+    bs = _axial_to_xy(axial, cell_radius)
+    adj = _hex_distance(axial[:, None, :], axial[None, :, :]) == 1
+    for arr in (axial, bs, adj):
+        arr.setflags(write=False)
+    return axial, bs, adj
+
+
 def _hex_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     dq = a[..., 0] - b[..., 0]
     dr = a[..., 1] - b[..., 1]
@@ -240,7 +256,6 @@ class CellTopology:
     bs_positions: np.ndarray   # (C, 2) metres
     user_positions: np.ndarray  # (C, N, 2) metres
     large_scale: np.ndarray    # (C, C, N) linear gains
-    shadowing: np.ndarray      # (C, C, N) linear shadow gains actually drawn
     adjacency: np.ndarray      # (C, C) bool, True iff cells share an edge
     cluster_size: int
 
@@ -275,22 +290,43 @@ def sample_shadowing(rng: np.random.Generator, cfg: NetworkConfig, size) -> np.n
     return 10.0 ** (cfg.shadow_std_db * rng.standard_normal(size) / 10.0)
 
 
-def _sample_users_in_cell(rng: np.random.Generator, cfg: NetworkConfig, n: int) -> np.ndarray:
-    """Uniform points in the hexagon minus the central exclusion disk."""
-    R = cfg.cell_radius
-    rh2 = cfg.exclusion_radius**2
-    out = np.empty((n, 2))
-    got = 0
-    while got < n:
-        m = max(2 * (n - got), 8)
-        x = rng.uniform(-R, R, m)
-        y = rng.uniform(-0.5 * _SQRT3 * R, 0.5 * _SQRT3 * R, m)
-        ok = _in_hexagon(x, y, R) & (x * x + y * y >= rh2)
-        take = min(int(ok.sum()), n - got)
-        idx = np.flatnonzero(ok)[:take]
-        out[got : got + take, 0] = x[idx]
-        out[got : got + take, 1] = y[idx]
-        got += take
+def _place_users(rng: np.random.Generator, cfg: NetworkConfig, n_cells: int) -> np.ndarray:
+    """(C, N, 2) uniform points in each cell's hexagon minus its exclusion disk,
+    relative to the cell's BS.
+
+    Cell after cell, each rejection-samples in rounds of m = max(2 (N - placed), 8)
+    x values, then m y values, from one stream of doubles: ``uniform(lo, hi, m)``
+    is ``lo + (hi - lo) * random(m)`` bit for bit. The cells whose first round
+    places all N are placed in one array pass; a cell that falls short goes on
+    round by round, and the pass resumes after it.
+    """
+    R, n = cfg.cell_radius, cfg.users_per_cell
+    half, m0 = 0.5 * _SQRT3 * R, max(2 * n, 8)
+    stream, out = rng.random(2 * m0 * n_cells), np.empty((n_cells, n, 2))
+    cell = pos = 0
+
+    def draws(k: int, m: int):  # x, y and acceptance of k rounds of m from ``pos`` on
+        nonlocal stream
+        if stream.size < pos + 2 * m * k:  # nothing else reads the stream: draw ahead
+            stream = np.concatenate([stream, rng.random(pos + 2 * m * k)])
+        u = stream[pos:pos + 2 * m * k].reshape(k, 2, m)
+        x, y = -R + (R - -R) * u[:, 0], -half + (half - -half) * u[:, 1]
+        return x, y, _in_hexagon(x, y, R) & (x * x + y * y >= cfg.exclusion_radius**2)
+
+    while cell < n_cells:
+        x, y, ok = draws(n_cells - cell, m0)
+        short = np.flatnonzero(ok.sum(axis=1) < n)
+        done = short[0] if short.size else n_cells - cell
+        take = ok[:done] & (ok[:done].cumsum(axis=1) <= n)  # each cell's first N
+        out[cell:cell + done] = np.stack((x[:done][take], y[:done][take]), -1).reshape(done, n, 2)
+        cell, pos, got = cell + done, pos + 2 * m0 * done, 0
+        while cell < n_cells and got < n:  # the short cell, from its first round on
+            m = max(2 * (n - got), 8)
+            x, y, ok = (a[0] for a in draws(1, m))
+            keep = np.flatnonzero(ok)[:n - got]
+            out[cell, got:got + keep.size] = np.column_stack((x[keep], y[keep]))
+            got, pos = got + keep.size, pos + 2 * m
+        cell += got > 0  # past the short cell, if the pass left one
     return out
 
 
@@ -309,48 +345,21 @@ def build_topology(cfg: NetworkConfig) -> CellTopology:
     Monte Carlo estimators derive their own streams from the seed they are
     given.
     """
-    radius = _LAYOUT_RADIUS[cfg.cell_count]
-    axial = _axial_disk(radius)
-    if cfg.outer_ring_cells:
-        axial = axial + _axial_ring(radius + 1)[: cfg.outer_ring_cells]
-    axial = np.asarray(axial, dtype=int)
-    n_cells = axial.shape[0]
-    n = cfg.users_per_cell
-
-    bs = _axial_to_xy(axial, cfg.cell_radius)
-
-    root = np.random.SeedSequence(cfg.seed & _MASK64)
-    place_ss, shadow_ss = root.spawn(2)
-    place_rng = np.random.default_rng(place_ss)
-    shadow_rng = np.random.default_rng(shadow_ss)
-
-    users = np.empty((n_cells, n, 2))
-    for l in range(n_cells):
-        users[l] = bs[l] + _sample_users_in_cell(place_rng, cfg, n)
-
+    axial, bs, adj = _layout(cfg.cell_count, cfg.outer_ring_cells, cfg.cell_radius)
+    place_ss, shadow_ss = np.random.SeedSequence(cfg.seed & _MASK64).spawn(2)
+    users = bs[:, None, :] + _place_users(np.random.default_rng(place_ss), cfg, len(axial))
     # One independent shadow draw per (BS, user) link.
-    shadows = sample_shadowing(shadow_rng, cfg, (n_cells, n_cells, n))
+    shadows = sample_shadowing(np.random.default_rng(shadow_ss), cfg,
+                               (len(axial), len(axial), cfg.users_per_cell))
 
     # distances[i, l, c]: BS i to user c of cell l
     diff = users[None, :, :, :] - bs[:, None, None, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])
     beta = shadows / (dist / cfg.exclusion_radius) ** cfg.path_loss_exponent
-
-    adj = _hex_distance(axial[:, None, :], axial[None, :, :]) == 1
-
-    for arr in (axial, bs, users, beta, shadows, adj):
-        arr.setflags(write=False)
-
-    return CellTopology(
-        config=cfg,
-        axial=axial,
-        bs_positions=bs,
-        user_positions=users,
-        large_scale=beta,
-        shadowing=shadows,
-        adjacency=adj,
-        cluster_size=cfg.cell_count,
-    )
+    users.setflags(write=False)
+    beta.setflags(write=False)
+    return CellTopology(config=cfg, axial=axial, bs_positions=bs, user_positions=users,
+                        large_scale=beta, adjacency=adj, cluster_size=cfg.cell_count)
 
 
 def schedule_groups(topology: CellTopology) -> list[list[int]]:

@@ -496,7 +496,7 @@ class TestRunExperiment:
                "output": str(tmp_path / "fig4")}
         spec = ExperimentSpec.from_dict(doc)
         got = {(r["panel"], r["label"], r["x"]): (r["value"], r["ci"])
-               for r in cli._drop_strategies(spec, {"drops": [0]})}
+               for r in cli._job_strategies(spec, {"drops": [0]})}
         assert len(got) == 2 * 4 * len(ms)
         for panel, cells, tag in (("multicell", None, 0), ("singlecell", 1, 1)):
             for i, m in enumerate(ms):
@@ -524,7 +524,7 @@ class TestRunExperiment:
                "output": str(tmp_path / "fig5")}
         spec = ExperimentSpec.from_dict(doc)
         got = {(r["panel"], r["label"], r["x"]): r["value"]
-               for r in cli._drop_strategies(spec, {"drops": [0]})}
+               for r in cli._job_strategies(spec, {"drops": [0]})}
         assert len(got) == 2 * 3 * len(ms)
         for panel, cells, tag in (("multicell", None, 0), ("singlecell", 1, 1)):
             for i, m in enumerate(ms):
@@ -711,6 +711,25 @@ class TestPlotData:
         with pytest.raises(ValueError, match=name):
             emit_plot_data(tmp_path)
 
+    @pytest.mark.parametrize("field, drop", [
+        ("manifest spec sweep must be a JSON object", ("spec", "sweep")),  # was KeyError: 'sweep'
+        ("manifest spec sweep variable must be a non-empty string", ("spec", "sweep", "variable")),
+        ("manifest curve panel must be a string", ("curves", 0, "panel")),
+        ("manifest curve label must be a non-empty string", ("curves", 0, "label")),
+        ("manifest curve file must be a non-empty string", ("curves", 0, "file")),  # was KeyError
+    ])
+    def test_manifest_sweep_and_curve_fields_are_checked(self, tmp_path, field, drop):
+        out = run_experiment(ExperimentSpec.from_dict(tiny_spec(tmp_path, trials=50)))
+        manifest = json.loads((out / "manifest.json").read_text())
+        emit_plot_data(out)  # the run's own manifest passes
+        parent = manifest
+        for key in drop[:-1]:
+            parent = parent[key]
+        del parent[drop[-1]]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=field):
+            emit_plot_data(out)
+
 
 class TestFindMaxRatio:
     BASE = NetworkConfig(users_per_cell=5, bs_antennas=64, seed=77)
@@ -892,13 +911,36 @@ class TestStackedDrops:
         assert 0 < len(want) and stacked.tolist() == want
 
 
+class TestStackedJobs:
+    """A closed-form job runs its drops as one stack: its records equal, value
+    for value and in order, those of one-drop jobs run one after another."""
+
+    @pytest.mark.parametrize("kind, values, options", [
+        ("fig4", [12, 30, 75], {"evaluator": "approx"}),
+        ("fig4", [12, 30, 75], {"evaluator": "mc"}),
+        ("fig5", [12, 30, 75], {}),
+        ("fig6", [2, 4], {"ratios": [2, 5]}),
+        ("fig7", [2, 6, 10], {"powersDb": [10, 20]}),
+        ("fig10", [12, 30, 75], {}),
+        ("fig11", [12, 30, 75], {}),
+    ])
+    def test_five_drops_equal_five_one_drop_jobs(self, kind, values, options):
+        spec = ExperimentSpec.from_dict({
+            "kind": kind, "network": {"usersPerCell": 4, "bsAntennas": 30, "cellCount": 7,
+                                      "seed": 21},
+            "sweep": {"variable": cli._KINDS[kind].sweeps[0], "values": values},
+            "trials": 32, "options": options})
+        run = cli._KINDS[kind].run
+        stacked = run(spec, {"drops": [0, 1, 2, 3, 4]})
+        assert stacked and stacked == [rec for d in range(5) for rec in run(spec, {"drops": [d]})]
+
+
 class TestDropReuse:
     """Each drop's geometry is built once per run (or per fixed-N query) and
     its E{1/(v+1)} computed once, whatever the number of sweep points."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        closedform._factor_of_bytes.cache_clear()
         seen = {"build": [], "factor": 0}
 
         def build(cfg):
@@ -925,8 +967,10 @@ class TestDropReuse:
         monkeypatch.setattr(closedform, "_laplace_product_integral", integral)
         return seen
 
-    def test_fig5_builds_each_drop_once(self, tmp_path, calls):
-        drops = 3
+    @pytest.mark.parametrize("drops", [3, 20])
+    def test_fig5_builds_each_drop_once(self, tmp_path, calls, drops):
+        # 20 drops in one job: each drop's factor is kept on its row of the
+        # job's stacked profile, however many drops the stack holds
         doc = {
             "kind": "fig5",
             "network": {"usersPerCell": 3, "bsAntennas": 30, "seed": 6},
@@ -1028,8 +1072,7 @@ class TestDropReuse:
                                              outer_ring_cells=3))
         assert reused.config == fresh.config
         assert reused.cluster_size == fresh.cluster_size
-        for name in ("axial", "bs_positions", "user_positions", "large_scale",
-                     "shadowing", "adjacency"):
+        for name in ("axial", "bs_positions", "user_positions", "large_scale", "adjacency"):
             np.testing.assert_array_equal(getattr(reused, name), getattr(fresh, name))
 
 

@@ -38,7 +38,7 @@ def synthetic_two_cell(beta_self, beta_cross, n, m, mirror=True, seed=0):
     pos = np.array([[0.0, 0.0], [1000.0, 0.0]])
     users = np.zeros((2, n, 2))
     adj = np.array([[False, True], [True, False]])
-    return CellTopology(cfg, axial, pos, users, beta, np.ones_like(beta), adj, 2)
+    return CellTopology(cfg, axial, pos, users, beta, adj, 2)
 
 
 def project_row(v, budget):

@@ -9,12 +9,19 @@ restate a claim of the paper on the curves it reproduces:
   rate lies within [lower - ci, upper + ci].
 * fig3: the same over transmit power on configs/fig3.json's network (N = 10,
   M = 12), and every curve rises with power.
+* fig4: under the approx evaluator, the approx strategy is never below equal
+  power: it maximises that very objective, and equal power is one of its
+  feasible allocations.
 * fig5: water-filling gains over equal power are positive and diminish as M
   grows at fixed N.
 * fig6: at a fixed M/N, the sum rate grows with M with and without
   water-filling, and water-filling never loses (claim i).
 * fig7: the gain falls with M/N and with the transmit power (claim ii).
 * fig11: on the downlink, edge users gain more than central users.
+* table2, table3a, table3b: the gain falls as M/N grows (claim ii), so a
+  lower threshold is met over a wider range: the largest ratio (table2) and
+  the largest M (table3a) at a 0.10 gain are at least those at 0.20, and the
+  smallest N (table3b) at 0.10 is at most the one at 0.20.
 * fig12: the slot scheduler comes within 2% of the joint optimum from the
   third slot on, and equal power stays below the joint optimum. fig12 runs
   on configs/fig12.json's network (N = 5, M = 20): its default options need
@@ -26,9 +33,11 @@ another seed.
 
 from __future__ import annotations
 
+import csv
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from mcmimo.cli import ExperimentSpec, run_experiment
 
@@ -48,6 +57,14 @@ def run(tmp_path: Path, kind: str, trials: int = 1,
         curves[(panel[0] if panel else "", label)] = np.loadtxt(path, delimiter=",", skiprows=1,
                                                                 ndmin=2)
     return curves
+
+
+def table(tmp_path: Path, kind: str) -> list[dict]:
+    """The rows of one threshold table, run as ``run`` runs a curve kind."""
+    spec = ExperimentSpec.from_dict({"kind": kind, "network": NETWORK, "drops": DROPS,
+                                     "output": str(tmp_path / kind)})
+    with open(run_experiment(spec) / f"{kind}.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def falls(values) -> bool:
@@ -73,6 +90,14 @@ def test_fig3_bounds_nest_hold_the_monte_carlo_rate_and_rise_with_power(tmp_path
     ci = mc[:, 2]
     assert np.all(lower[:, 1] - ci <= mc[:, 1]) and np.all(mc[:, 1] <= upper[:, 1] + ci)
     assert all(falls(-curve[:, 1]) for curve in (lower, approx, upper, mc))
+
+
+def test_fig4_approx_strategy_never_loses_to_equal_power_under_its_own_objective(tmp_path):
+    curves = run(tmp_path, "fig4")  # evaluator "approx" by default
+    for panel in ("multicell", "singlecell"):
+        approx, equal = curves[(panel, "approx")], curves[(panel, "equal")]
+        assert np.array_equal(approx[:, 0], equal[:, 0])
+        assert np.all(approx[:, 1] >= equal[:, 1])
 
 
 def test_fig5_gains_are_positive_and_fall_with_antennas(tmp_path):
@@ -103,6 +128,20 @@ def test_fig11_edge_users_gain_more_than_central_users(tmp_path):
     assert np.array_equal(edge[:, 0], central[:, 0])
     assert np.all(edge[:, 1] > central[:, 1])
 
+
+
+@pytest.mark.parametrize("kind, size, wider", [
+    ("table2", "maxRatio", 1), ("table3a", "maxAntennas", 1), ("table3b", "minUsers", -1),
+])
+def test_a_lower_gain_threshold_is_met_over_a_wider_range(tmp_path, kind, size, wider):
+    # claim (ii): the gain falls as M/N grows, so wherever 0.20 is met, so is 0.10
+    answers = {}
+    for row in table(tmp_path, kind):
+        fixed = tuple(v for k, v in row.items() if k not in ("threshold", size, "atBoundary"))
+        answers.setdefault(fixed, {})[float(row["threshold"])] = int(row[size])
+    assert answers and all(sorted(a) == [0.1, 0.2] for a in answers.values())
+    for a in answers.values():
+        assert wider * a[0.1] >= wider * a[0.2]
 
 
 def test_fig12_scheduler_approaches_the_joint_optimum(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from placement_oracle import reference_topology
 
 from mcmimo.topology import (
     CellTopology,
@@ -146,11 +149,14 @@ class TestNetworkConfig:
 class TestLargeScaleGain:
     def test_direct_substitution(self):
         # every link gain is shadow / (d / r_h)^v, d recomputed from positions
+        # and the shadow gains redrawn from the seed's second spawned stream
         cfg = make_cfg(users_per_cell=5, outer_ring_cells=4, path_loss_exponent=3.1, seed=8)
         top = build_topology(cfg)
         diff = top.user_positions[None, :, :, :] - top.bs_positions[:, None, None, :]
         dist = np.hypot(diff[..., 0], diff[..., 1])
-        want = top.shadowing / (dist / cfg.exclusion_radius) ** cfg.path_loss_exponent
+        _, shadow_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+        shadows = sample_shadowing(np.random.default_rng(shadow_ss), cfg, (23, 23, 5))
+        want = shadows / (dist / cfg.exclusion_radius) ** cfg.path_loss_exponent
         assert np.array_equal(top.large_scale, want)
 
     def test_shadow_std_is_8db(self):
@@ -159,6 +165,22 @@ class TestLargeScaleGain:
         rng = np.random.default_rng(0)
         z = sample_shadowing(rng, cfg, 100_000)
         assert 10 * np.log10(z).std() == pytest.approx(8.0, abs=0.1)
+
+
+class TestPlacementOracle:
+    def test_one_pass_placement_matches_the_cell_by_cell_loop(self):
+        # 315 drops over N, layouts, outer rings and exclusion radii. At 900 m
+        # about 3.5% of draws land in a cell, so nearly every cell falls short
+        # of N in its first round and goes on round by round
+        grid = list(itertools.product((1, 2, 3, 5, 10, 20, 45), (1, 7, 19), (100.0, 500.0, 900.0)))
+        for i, (n, cells, r_h) in enumerate(grid * 5):
+            outer = min((0, 6, 12)[i // len(grid) % 3], {1: 6, 7: 12, 19: 18}[cells])
+            cfg = make_cfg(users_per_cell=n, bs_antennas=n + 1, seed=i, cell_count=cells,
+                           exclusion_radius=r_h, outer_ring_cells=outer)
+            top = build_topology(cfg)
+            users, gains = reference_topology(cfg)
+            assert np.array_equal(top.user_positions, users), cfg
+            assert np.array_equal(top.large_scale, gains), cfg
 
 
 class TestBuildTopology:
