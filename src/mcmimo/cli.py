@@ -270,7 +270,8 @@ def _cell0_rows(tops, direction, power):
     interferers = np.full((tops[0].n_cells, n), power if direction == "uplink" else power / n)
     # looked up by module-level name on each call, as for _mc_values
     profile = uplink_profile if direction == "uplink" else downlink_profile
-    return profile(tops, [interferers] * len(tops), 0), interferers
+    stack = np.broadcast_to(interferers, (len(tops), *interferers.shape))  # one set per drop
+    return profile(tops, stack, 0), interferers
 
 
 def _waterfilled_rows(prof, strategies, ms, p_lin) -> np.ndarray:

@@ -143,15 +143,22 @@ def _power_rows(topology: CellTopology, allocations, cells, direction: str | Non
     """(powers, single, direction): the (R, C, N) powers of ``allocations``,
     one set or R rows of the module docstring's form, read in ``cells`` only
     (0 elsewhere); whether it was one set; and its direction, which the
-    PowerAllocations read give, and must agree on, when ``direction`` is None."""
+    PowerAllocations read give, and must agree on, when ``direction`` is None.
+    A float (R, C, N) or (C, N) array in a given direction is copied whole."""
     if len(allocations) == 0:
         raise ValueError("allocations must hold at least one row")
-    single = all(isinstance(a, PowerAllocation) or _is_cell_entry(a) for a in allocations)
-    rows = [allocations] if single else allocations
     n_cells, n = topology.n_cells, topology.n_users
+    whole = (direction is not None and isinstance(allocations, np.ndarray)
+             and allocations.dtype.kind == "f" and allocations.ndim <= 3
+             and allocations.shape[-2:] == (n_cells, n))
+    single = (allocations.ndim == 2 if whole else
+              all(isinstance(a, PowerAllocation) or _is_cell_entry(a) for a in allocations))
+    rows = [allocations] if single else allocations
     powers = np.zeros((len(rows), n_cells, n))
-    raw = False  # a PowerAllocation's powers are checked already
-    for r, row in enumerate(rows):
+    raw = whole  # a PowerAllocation's powers are checked already
+    if whole:
+        powers[:, cells] = allocations.reshape(powers.shape)[:, cells]
+    for r, row in enumerate([] if whole else rows):
         if len(row) != n_cells:
             raise ValueError(f"an allocation set must hold {n_cells} cells, got {len(row)}")
         for cell in cells:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -29,15 +29,23 @@ _STEPS = np.arange(1.0, 65.0)  # the divisors j = 1..N of the simplex threshold
 _ESTIMATORS = ("closedForm", "monteCarlo")
 
 
+def _per_cell_powers(result) -> list[PowerAllocation]:
+    """A result's read-only (C, N) ``powers`` as one PowerAllocation per cell,
+    built when a result's ``per_cell_powers`` is first read."""
+    return [PowerAllocation(p, result.direction) for p in result.powers]
+
+
 @dataclass(eq=False)
 class NetworkState:
     """Result of a scheduled allocation run."""
 
     slot_index: int
-    per_cell_powers: list
+    powers: np.ndarray
     groups: list
     history: list  # network sum rate after each slot, bits/s/Hz
     estimator: str
+    direction: str = "uplink"
+    per_cell_powers = cached_property(_per_cell_powers)
 
     def __post_init__(self):
         if len(self.history) != self.slot_index:
@@ -46,10 +54,12 @@ class NetworkState:
 
 @dataclass(eq=False)
 class JointResult:
-    per_cell_powers: list
+    powers: np.ndarray
     objective: float
     iterations: int
     converged: bool
+    direction = "uplink"  # not a field: the joint objective is the uplink's
+    per_cell_powers = cached_property(_per_cell_powers)
 
 
 def project_budget_simplex(v: np.ndarray, budget: float) -> np.ndarray:
@@ -87,18 +97,20 @@ def project_budget_simplex(v: np.ndarray, budget: float) -> np.ndarray:
     return out.reshape(v.shape)
 
 
-@lru_cache(maxsize=4)
 def _objective_constants(topology: CellTopology):
     """The topology's fixed arrays of the uplink objective, as a stack of one
     drop: a = beta_iii (M-N+1) of shape (1, k, N) and the cluster BSs' gains
-    zeroed outside their edge-adjacent cells (1, k, C, N)."""
+    zeroed outside their edge-adjacent cells (1, k, C, N), built once per
+    topology and kept in its ``__dict__``, as ``functools.cached_property`` does."""
+    if (arrays := vars(topology).get("_objective_constants")) is not None:
+        return arrays
     cfg = topology.config
     k = topology.cluster_size
     a = topology.large_scale[np.arange(k), np.arange(k), :] * (
         cfg.bs_antennas - cfg.users_per_cell + 1)
     # adjacency is 0/1, so masking the gains leaves every product's bits as they are
     beta = topology.large_scale[:k] * topology.adjacency[:k, :, None]
-    arrays = (a[None], beta[None])
+    arrays = vars(topology)["_objective_constants"] = (a[None], beta[None])
     for arr in arrays:
         arr.setflags(write=False)  # shared by every call on this topology
     return arrays
@@ -116,23 +128,28 @@ def _uplink_forward(consts, pmat: np.ndarray):
     their (D, C, N) powers. rate_in = log2(1 + a_in p_in / (b_i + 1)) with
     a_in = beta_iin (M-N+1) and b_i the interference power at BS i from its
     edge-adjacent cells. Returns the (D,) sums with b_i + 1 and a_in p_in,
-    which ``_uplink_gradient`` reads.
+    which ``_uplink_gradient`` reads. This is the ascent's own copy of the
+    approximation, with b_i as one batched matmul over (cells, users): a
+    profile per candidate would cost more than the whole pass.
     """
     a, beta = consts  # (D, k, N), (D, k, C, N)
-    b1 = np.einsum("dilc,dlc->dil", beta, pmat).sum(axis=2) + 1.0  # (D, k)
-    ap = a * pmat[:, :a.shape[1]]
-    return np.log2(1.0 + ap / b1[:, :, None]).reshape(len(a), -1).sum(axis=1), b1, ap
+    d, k = a.shape[:2]
+    b1 = (beta.reshape(d, k, -1) @ pmat.reshape(d, -1, 1))[:, :, 0] + 1.0  # (D, k)
+    ap = a * pmat[:, :k]
+    return np.log2(1.0 + ap / b1[:, :, None]).reshape(d, -1).sum(axis=1), b1, ap
 
 
 def _uplink_gradient(consts, b1: np.ndarray, ap: np.ndarray) -> np.ndarray:
     """Gradient of the uplink objective in the cluster cells' powers, (D, k, N),
     from ``_uplink_forward``'s b_i + 1 and a_in p_in at those powers."""
     a, beta = consts
+    d, k, n = a.shape
     denom = b1[:, :, None] + ap
     # own-cell term, then the interference term: d b_i / d p_jm is the masked
-    # gain beta[i,j,m] of cluster cell j
+    # gain beta[i,j,m] of cluster cell j, so the sum over i is one matmul
     u = (ap / (b1[:, :, None] * denom)).sum(axis=2)  # (D, k)
-    return a / denom / _LN2 - np.einsum("di,dijm->djm", u, beta[:, :, :a.shape[1]]) / _LN2
+    interference = (u[:, None] @ beta.reshape(d, k, -1)).reshape(d, -1, n)[:, :k]
+    return a / denom / _LN2 - interference / _LN2
 
 
 def _downlink_objective(topology: CellTopology, pmat: np.ndarray) -> float:
@@ -237,8 +254,9 @@ def run_scheduled_drops(topologies, strategy, budget: float, initial_power: floa
             history.append([network_sum_rate(top, [PowerAllocation(q, direction) for q in p],
                                              rate_estimator, trials, derive_seed(seed, slot))
                             for top, p, seed in zip(tops, pmat, seeds)])
-    return [NetworkState(slots, [PowerAllocation(q, direction) for q in p], groups, h,
-                         rate_estimator) for p, h in zip(pmat, np.array(history).T.tolist())]
+    pmat.setflags(write=False)  # the states' powers are its rows
+    return [NetworkState(slots, p, groups, h, rate_estimator, direction)
+            for p, h in zip(pmat, np.array(history).T.tolist())]
 
 
 def run_joint(topology: CellTopology, budget: float, max_iters: int = 500,
@@ -305,10 +323,10 @@ def run_joint_drops(topologies, budget: float, max_iters: int = 500, tolerance: 
         done = converged | (advance & (it == max_iters))
         it += advance & ~done
         if done.any():
+            pmat.setflags(write=False)  # the results' powers are its rows
             for row in np.flatnonzero(done):
-                results[live[row]] = JointResult(
-                    [PowerAllocation(p, "uplink") for p in pmat[row]], float(f[row]),
-                    int(it[row]), bool(converged[row]))
+                results[live[row]] = JointResult(pmat[row], float(f[row]), int(it[row]),
+                                                 bool(converged[row]))
             keep = ~done
             live, pmat, f, grad, step, it = (x[keep] for x in (live, pmat, f, grad, step, it))
             consts = tuple(c[keep] for c in consts)

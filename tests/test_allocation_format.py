@@ -7,6 +7,8 @@ or an (N,) vector of linear powers. A sequence of sets is a stack of rows.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcmimo.closedform import InterferenceProfile, downlink_profile, uplink_profile
 from mcmimo.mcrate import PowerAllocation, _power_rows, downlink_rate_mc, uplink_rate_mc
@@ -122,6 +124,63 @@ def test_power_rows_tells_one_set_from_rows():
         _power_rows(TOP, [], [0], "uplink")
     with pytest.raises(ValueError, match="must hold 7 cells, got 6"):
         _power_rows(TOP, ups[:6], [0], "uplink")
+
+
+@st.composite
+def power_arrays(draw, dtypes=(np.float64, np.float32)):
+    """(array, cells, direction): one (C, N) set or an (R, C, N) stack of
+    finite non-negative powers, and the non-empty cells read, in a given form."""
+    rows = draw(st.sampled_from([None, 1, 2, 3]))  # None: one set
+    shape = (TOP.n_cells, N) if rows is None else (rows, TOP.n_cells, N)
+    value = st.sampled_from([0.0, 5e-324, 1e-3, 1.0, 1e30]) | st.floats(0.0, 1e6)
+    values = draw(st.lists(value, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    arr = np.array(values).reshape(shape).astype(draw(st.sampled_from(dtypes)))
+    cells = draw(st.lists(st.integers(0, TOP.n_cells - 1), min_size=1, unique=True))
+    form = draw(st.sampled_from([list, np.array, lambda c: range(c[0], c[0] + 1)]))
+    return arr, form(cells), draw(st.sampled_from(["uplink", "downlink"]))
+
+
+def as_sets(arr, entry=lambda p: p):
+    """``arr`` as the loop reads it: one list of cell entries, or a list of them."""
+    sets = [[entry(p) for p in s] for s in arr.reshape(-1, *arr.shape[-2:])]
+    return sets[0] if arr.ndim == 2 else sets
+
+
+@settings(max_examples=30, deadline=None)
+@given(power_arrays())
+def test_power_rows_reads_a_float_array_as_the_loop_reads_its_cells(case):
+    arr, cells, direction = case
+    got = _power_rows(TOP, arr, cells, direction)
+    for form in (as_sets(arr), as_sets(arr, lambda p: PowerAllocation(p, direction))):
+        want = _power_rows(TOP, form, cells, direction)
+        assert got[1:] == want[1:] and got[0].tobytes() == want[0].tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(power_arrays(), st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -1e-30]), st.data())
+def test_power_rows_names_the_cell_and_row_of_a_bad_power_in_a_float_array(case, bad, data):
+    arr, cells, direction = case
+    stack = arr.reshape(-1, TOP.n_cells, N)  # a view: writes reach ``arr``
+    r, cell = data.draw(st.integers(0, len(stack) - 1)), data.draw(st.sampled_from(list(cells)))
+    unread = sorted(set(range(TOP.n_cells)) - set(cells))
+    if unread:  # ignored where it is not read, as the loop ignores it
+        stack[r, data.draw(st.sampled_from(unread)), data.draw(st.integers(0, N - 1))] = np.nan
+        want = _power_rows(TOP, as_sets(arr), cells, direction)[0]
+        assert _power_rows(TOP, arr, cells, direction)[0].tobytes() == want.tobytes()
+    stack[r, cell, data.draw(st.integers(0, N - 1))] = bad
+    message = rf"cell {cell} powers must be finite and non-negative \(row {r}\)"
+    for form in (arr, as_sets(arr)):
+        with pytest.raises(ValueError, match=message):
+            _power_rows(TOP, form, cells, direction)
+
+
+@settings(max_examples=30, deadline=None)
+@given(power_arrays(dtypes=(bool, complex, np.complex64)))
+def test_power_rows_refuses_a_bool_or_complex_array_by_cell(case):
+    arr, cells, direction = case
+    message = rf"cell {list(cells)[0]} powers must be real, got dtype {arr.dtype}"
+    with pytest.raises(ValueError, match=message):
+        _power_rows(TOP, arr, cells, direction)
 
 
 @pytest.mark.parametrize("reader", READERS)

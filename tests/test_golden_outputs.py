@@ -20,6 +20,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -28,6 +30,7 @@ import pytest
 from mcmimo.cli import KINDS, ExperimentSpec, run_experiment
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
+ROOT = Path(__file__).resolve().parents[1]
 NETWORK = {"usersPerCell": 4, "bsAntennas": 20, "seed": 11}
 TRIALS, DROPS = 8, 2
 # with 2 drops, table3b's N=1 probe has no edge user in either drop, which the
@@ -64,6 +67,25 @@ def test_parallel_jobs_match_golden(golden, tmp_path, monkeypatch):
     # downlink Monte Carlo rows, fig12 the network sum rate
     for kind in ("fig5", "fig8", "fig11", "fig12"):
         assert digests(kind, jobs=2) == golden[kind]
+
+
+def test_fig12_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # fig12's joint ascent contracts by matmul, which OpenBLAS may split over
+    # threads; an interpreter fixes its thread count when numpy loads, so each
+    # count runs in an interpreter of its own
+    outputs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=path)
+        subprocess.run([sys.executable, "-m", "mcmimo.cli", "run",
+                        str(ROOT / "configs" / "fig12.json"), "--drops", "3", "--out", "fig12"],
+                       cwd=cwd, env=env, check=True, capture_output=True, timeout=120)
+        outputs.append({p.name: p.read_bytes() for p in sorted((cwd / "fig12").iterdir())})
+    assert any(name.endswith(".csv") for name in outputs[0])
+    assert outputs[0] == outputs[1]
 
 
 def changed_digests(old: dict, new: dict) -> list[tuple[str, str, str]]:

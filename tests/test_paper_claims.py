@@ -17,6 +17,8 @@ restate a claim of the paper on the curves it reproduces:
 * fig6: at a fixed M/N, the sum rate grows with M with and without
   water-filling, and water-filling never loses (claim i).
 * fig7: the gain falls with M/N and with the transmit power (claim ii).
+* fig8: on the downlink, the Monte Carlo rate lies above the lower bound
+  (within ci), and both rise with M at either power.
 * fig11: on the downlink, edge users gain more than central users.
 * table2, table3a, table3b: the gain falls as M/N grows (claim ii), so a
   lower threshold is met over a wider range: the largest ratio (table2) and
@@ -120,6 +122,17 @@ def test_fig7_gain_falls_with_ratio_and_with_power(tmp_path):
     by_power = [curves[(f"P{p}dB", "gain")][:, 1] for p in (10, 15, 20, 25)]
     assert all(falls(gain) for gain in by_power)
     assert np.all(np.diff(by_power, axis=0) < 0)
+
+
+def test_fig8_monte_carlo_holds_the_downlink_lower_bound_and_both_rise_with_antennas(tmp_path):
+    # the abstract: "improved rates are achieved as M grows"; a lower bound on
+    # the zero-forcing precoders' rate must hold at every M
+    curves = run(tmp_path, "fig8", trials=400)
+    for panel in ("P40dB", "P50dB"):
+        lower, mc = curves[(panel, "lower")], curves[(panel, "mc")]
+        assert np.array_equal(lower[:, 0], mc[:, 0])
+        assert np.all(lower[:, 1] - mc[:, 2] <= mc[:, 1])
+        assert falls(-lower[:, 1]) and falls(-mc[:, 1])
 
 
 def test_fig11_edge_users_gain_more_than_central_users(tmp_path):
