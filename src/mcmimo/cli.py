@@ -24,7 +24,6 @@ import os
 import re
 import shutil
 import uuid
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import NormalDist
@@ -50,7 +49,13 @@ from .closedform import (
     uplink_profile,
     uplink_upper_bound,
 )
-from .mcrate import ESTIMATOR_VERSION, PowerAllocation, downlink_rate_mc, uplink_rate_mc
+from .mcrate import (
+    ESTIMATOR_VERSION,
+    PowerAllocation,
+    downlink_rate_mc,
+    shared_draws,
+    uplink_rate_mc,
+)
 from .network import network_sum_rate, run_joint_drops, run_scheduled_drops
 from .topology import CellTopology, NetworkConfig, build_topology, check_field, derive_seed
 
@@ -224,16 +229,23 @@ class ExperimentSpec:
 # shared evaluation helpers
 # ---------------------------------------------------------------------------
 
-def _mc_values(top, own, interferers, direction, trials, mc_seed):
-    """(sum rate, within-drop CI) of cell 0 by Monte Carlo for each row of its powers
-    ``own`` against the (C, N) ``interferers``, every row from one set of draws."""
+def _own_rows(own, interferers) -> np.ndarray:
+    """(R, C, N) powers: the (C, N) ``interferers`` with cell 0's replaced by
+    each of the R rows of ``own``."""
     rows = np.repeat(interferers[None], len(own), axis=0)
     rows[:, 0] = own
+    return rows
+
+
+def _mc_values(top, rows, direction, trials, mc_seed, shared=None):
+    """(sum rate, within-drop CI) of cell 0 by Monte Carlo for each of the
+    (R, C, N) power ``rows``, every row from one set of draws: ``shared``,
+    the drop's ``shared_draws``, if given."""
     # looked up by module-level name on each call, as the tracing of
     # benchmarks/spans.py replaces those names
     mc = uplink_rate_mc if direction == "uplink" else downlink_rate_mc
     return [(est.sum_rate, float(est.ci_half_width.sum()))
-            for est in mc(top, rows, 0, trials, mc_seed)]
+            for est in mc(top, rows, 0, trials, mc_seed, shared=shared)]
 
 
 # the uplink strategies in record order; the network scheduler runs "approx"
@@ -329,42 +341,43 @@ def _gains(prof, m: int, p_lin, users=None) -> np.ndarray:
 def _job_equal_power(spec: ExperimentSpec, job: dict) -> list[dict]:
     """Equal-power rate curves of each drop, on the spec's link.
 
-    An M sweep rates each M's power panels as the rows of one call; a power
-    sweep rates every power as a row of one call. Monte Carlo draws each
-    call's rows from one set of draws, as nothing drawn depends on power. The
-    drops run one at a time, as the Monte Carlo is their cost.
+    An M sweep rates the power panels, a power sweep every power, as the rows
+    of one call per M. Monte Carlo draws a drop's interference once, for all
+    its rows and Ms (``shared_draws``), as nothing drawn depends on power and
+    only the Gammas on M. The drops run one at a time, as the Monte Carlo is
+    their cost.
     """
     opts = spec.options
-    root = spec.network.seed
     option, _, formulas = _LINKS[spec.direction]
-    panels = ([(f"P{num:g}dB", db_to_linear(num)) for num in opts["powersDb"]]
-              if "powersDb" in opts else [("", db_to_linear(opts.get("powerDb", 20)))])
+    # each row's (panel, power), and per call its M and each row's x
+    if spec.sweep.variable == "powerDb":
+        powers = [("", db_to_linear(x)) for x in spec.sweep.values]
+        calls = [(spec.network.bs_antennas, spec.sweep.values)]
+    else:
+        powers = ([(f"P{num:g}dB", db_to_linear(num)) for num in opts["powersDb"]]
+                  if "powersDb" in opts else [("", db_to_linear(opts.get("powerDb", 20)))])
+        calls = [(int(x), [x] * len(powers)) for x in spec.sweep.values]
     records = []
     for d in job["drops"]:
-        # calls as (M, [(panel, x, power)], Monte Carlo seed)
-        if spec.sweep.variable == "powerDb":
-            calls = [(spec.network.bs_antennas,
-                      [("", x, db_to_linear(x)) for x in spec.sweep.values],
-                      derive_seed(root, _TAG_MC, d))]
-        else:
-            calls = [(int(x), [(panel, x, p_lin) for panel, p_lin in panels],
-                      derive_seed(root, _TAG_MC, d, i, 0)) for i, x in enumerate(spec.sweep.values)]
         top = _drop_topology(spec, d, antennas=calls[0][0])
         n = top.n_users
         prof, interferers = _cell0_rows([top], spec.direction, db_to_linear(opts[option]))
-        for m, points, mc_seed in calls:
-            own = np.array([equal_alloc(n, p_lin).powers for _, _, p_lin in points])
+        own = np.array([equal_alloc(n, p_lin).powers for _, p_lin in powers])
+        rows, mc_seed = _own_rows(own, interferers), derive_seed(spec.network.seed, _TAG_MC, d)
+        draws = (shared_draws(top, rows, 0, spec.trials, mc_seed, spec.direction)
+                 if "mc" in opts["estimators"] else None)
+        for m, xs in calls:
             values = {}
             for est in opts["estimators"]:
                 if est == "mc":
-                    values[est] = _mc_values(top.with_antennas(m), own, interferers,
-                                             spec.direction, spec.trials, mc_seed)
+                    values[est] = _mc_values(top.with_antennas(m), rows, spec.direction,
+                                             spec.trials, mc_seed, draws)
                 else:
                     per_user = formulas[est](prof, m, n, own)
                     values[est] = [(value, 0.0) for value in per_user.sum(axis=1).tolist()]
             records += [{"panel": panel, "label": est, "x": x, "value": rates[pi][0],
                          "ci": rates[pi][1]}
-                        for pi, (panel, x, _) in enumerate(points)
+                        for pi, ((panel, _), x) in enumerate(zip(powers, xs))
                         for est, rates in values.items()]
     return records
 
@@ -412,7 +425,8 @@ def _job_strategies(spec: ExperimentSpec, job: dict) -> list[dict]:
             len(ms), len(_UPLINK_STRATEGIES), len(drops), n)
         # (D, M, 4) values and cis of equal power and the three allocations
         if opts["evaluator"] == "mc":
-            est = np.array([[_mc_values(top.with_antennas(m), np.vstack([eq, pa[i, :, j]]), allocs,
+            est = np.array([[_mc_values(top.with_antennas(m),
+                                        _own_rows(np.vstack([eq, pa[i, :, j]]), allocs),
                                         "uplink", spec.trials,
                                         derive_seed(spec.network.seed, _TAG_MC, d, i,
                                                     0 if cells is None else 1))
@@ -880,6 +894,14 @@ def _write_replacing(outdir: Path, files: dict[str, str]) -> None:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
     shutil.rmtree(old, ignore_errors=True)
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures' process pool, imported when a run first starts one:
+    the import takes about 15 ms of every start, and a single job never needs it."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> Path:

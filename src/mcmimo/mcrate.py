@@ -33,20 +33,23 @@ distribution, at a cost that does not depend on M:
   Gamma(M - N + 1) (Tulino and Verdu 2004), so the leakage has the law
   (sum_j v_j E_j) / Y with v_j = p_lj / beta_ll,j, E_j ~ Exp(1) i.i.d. and
   Y ~ Gamma(M - N + 1) independent of them, for every p_l >= 0 (zero powers
-  follow by continuity). Per neighbour, in neighbour order, a block draws
-  the (trials, users, N) exponentials and then the (trials, users) Gammas.
-  As on the uplink, users within a trial are drawn independently: per-user
-  and sum-rate means stay exact, but neither the joint law across users nor
-  the event cond(S) > 1e12 on which the matrix-level precoder rejects is
-  modelled.
+  follow by continuity). As on the uplink, users within a trial are drawn
+  independently: per-user and sum-rate means stay exact, but neither the
+  joint law across users nor the event cond(S) > 1e12 on which the
+  matrix-level precoder rejects is modelled.
 
-Trials are drawn in fixed blocks of BLOCK_TRIALS, each from its own stream
-keyed by (seed, block index). Estimates are therefore deterministic in
-(seed, trials), do not depend on the order in which blocks are evaluated,
-and two allocations compared at the same seed see identical draws (common
-random numbers): nothing drawn depends on the powers. So one call rates R
-rows of allocations from one set of draws, and each row's estimate is the
-one a call with that row alone returns, bit for bit.
+Trials are drawn in fixed blocks of BLOCK_TRIALS. Only the Gammas depend on
+M: a block draws its exponentials from a stream keyed by (seed, block index)
+and its Gamma(M - N + 1) draws from one keyed by (seed, block index, M).
+``shared_draws`` makes the M-independent part once for every M of a sweep:
+the uplink's 1 + sum_k w_k E_nk and, per neighbour in neighbour order, the
+downlink's sum_j v_lj E_nlj. Estimates are therefore deterministic in (seed,
+trials, M), do not depend on the order in which blocks are evaluated nor on
+which other Ms a sweep holds, and two allocations compared at the same seed
+see identical draws (common random numbers): nothing drawn depends on the
+powers. So one call rates R rows of allocations from one set of draws, and
+each row's estimate is the one a call with that row alone returns, bit for
+bit.
 
 Allocations. Every reader of per-cell powers takes one form: a set indexed by
 cell whose entries are None, a PowerAllocation or an (N,) vector of linear
@@ -66,7 +69,10 @@ where version 4 took LAPACK's inverse and drew K^{-H} z; version 6 draws the
 downlink from its scalar law too, so neither link draws a matrix; version 7
 keeps version 6's draws and evaluates the upper bound's E{1/(v+1)} by the
 Laplace-domain integral alone, where version 6 expanded it in partial
-fractions.
+fractions; version 8 keys the exponentials by (seed, block) and the Gammas
+by (seed, block, M), and the M points of a drop (fig2, fig8) share its seed,
+hence its interference draws, where version 7 drew a block's Gammas and
+exponentials from one stream and each M point at its own seed.
 """
 
 from __future__ import annotations
@@ -77,9 +83,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .topology import _MASK64, CellTopology
+from .topology import _MASK64, CellTopology, check_field
 
-ESTIMATOR_VERSION = 7
+ESTIMATOR_VERSION = 8
 BLOCK_TRIALS = 256
 
 
@@ -119,8 +125,9 @@ class RateEstimate:
     def __post_init__(self):
         for field in ("per_user_rate", "ci_half_width"):
             x = np.array(getattr(self, field), dtype=float)
-            # a NaN compares False with 0, so finiteness is checked first
-            if not np.all(np.isfinite(x)) or np.any(x < 0):
+            # a NaN compares False with 0, so finiteness is checked first; method
+            # reductions cost less than np.all/np.any, once per row of every call
+            if not np.isfinite(x).all() or (x < 0).any():
                 raise ValueError(f"{field} must be finite and non-negative")
             x.setflags(write=False)
             object.__setattr__(self, field, x)
@@ -217,34 +224,107 @@ def _ci_half_width(sum_x, sum_x2, trials: int, confidence: float) -> np.ndarray:
     return z * np.sqrt(var / trials)
 
 
-def block_rng(seed: int, block: int) -> np.random.Generator:
-    """Independent stream of trial block ``block`` derived from (seed, block)."""
-    return np.random.default_rng([seed & _MASK64, block & _MASK64])
+def block_rng(seed: int, block: int, *keys: int) -> np.random.Generator:
+    """Independent stream of trial block ``block`` derived from (seed, block, *keys)."""
+    return np.random.default_rng([seed & _MASK64, block & _MASK64, *(k & _MASK64 for k in keys)])
 
 
-def _estimate(block_rates, trials: int, seed: int, confidence: float) -> list[RateEstimate]:
+def _blocks(trials: int) -> list[tuple[int, int]]:
+    """(index, size) of each trial block: BLOCK_TRIALS trials, the last the remainder."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return [(block, min(BLOCK_TRIALS, trials - start))
+            for block, start in enumerate(range(0, trials, BLOCK_TRIALS))]
+
+
+def _estimate(block_rates, trials: int, confidence: float) -> list[RateEstimate]:
     """Mean per-user rates over ``trials``, one estimate per row;
-    block_rates(rng, size) returns the (R, size, N) rates of one block of
-    trials drawn from rng.
+    block_rates(block, size) returns the (R, size, N) rates of trial block
+    ``block``, which holds ``size`` trials.
 
     Sums are taken about the first trial's rates, which keeps the variance
     free of cancellation and exactly zero when the rates do not vary. Each
-    row is reduced on its own, so its estimate does not depend on the others.
+    row's sums run over trials in order, element by element, so its estimate
+    does not depend on the others.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
-        rates = block_rates(block_rng(seed, block), min(BLOCK_TRIALS, trials - start))
+    sum_d = sum_d2 = 0.0
+    for block, size in _blocks(trials):
+        rates = block_rates(block, size)
         if block == 0:
-            shift = rates[:, 0]
-            sum_d = [0.0] * len(rates)
-            sum_d2 = [0.0] * len(rates)
-        for r, rate in enumerate(rates):
-            d = rate - shift[r]
-            sum_d[r] = sum_d[r] + d.sum(axis=0)
-            sum_d2[r] = sum_d2[r] + (d * d).sum(axis=0)
-    return [RateEstimate(s + d / trials, trials, _ci_half_width(d, d2, trials, confidence))
-            for s, d, d2 in zip(shift, sum_d, sum_d2)]
+            shift = rates[:, :1]
+        d = rates - shift
+        sum_d = sum_d + d.sum(axis=1)
+        sum_d2 = sum_d2 + (d * d).sum(axis=1)
+    means = shift[:, 0] + sum_d / trials
+    return [RateEstimate(mean, trials, ci) for mean, ci in
+            zip(means, _ci_half_width(sum_d, sum_d2, trials, confidence))]
+
+
+@dataclass(frozen=True, eq=False)
+class SharedDraws:
+    """The M-independent draws of an estimator call (see the module docstring),
+    made by ``shared_draws`` for the call's link, seed, trials, target cell
+    and interferer ``weights`` (w_k per row on the uplink, v_lj on the
+    downlink); ``blocks`` holds them per trial block, (R, size, N) on the
+    uplink and (R, L, size, N) on the downlink."""
+
+    direction: str
+    seed: int
+    trials: int
+    target_cell: int
+    weights: np.ndarray
+    blocks: list
+
+
+def shared_draws(topology: CellTopology, allocations, target_cell: int, trials: int,
+                 seed: int, direction: str) -> SharedDraws:
+    """The draws of ``direction``'s estimator that do not depend on M, for
+    these arguments. An M sweep passes them as ``shared`` to its call at
+    each M, which then draws only its Gammas; ``topology`` may be the drop
+    at any M."""
+    check_field("direction", direction, ("uplink", "downlink"))
+    return _inputs(topology, allocations, target_cell, trials, seed, direction, None)[-1]
+
+
+def _inputs(topology, allocations, target_cell, trials, seed, direction, shared):
+    """(powers, single, target, neighbours, shared) of an estimator call:
+    ``allocations`` read by ``_power_rows`` in the target cell and its
+    neighbours, and the call's M-independent draws, ``shared`` once checked to
+    be the call's, else drawn."""
+    blocks = _blocks(trials)
+    target = int(_target_cells(target_cell, topology.n_cells, many=False)[0][0])
+    nbrs = topology.neighbors(target)
+    powers, single, _ = _power_rows(topology, allocations, [target, *nbrs], direction)
+    n = topology.n_users
+    if direction == "uplink":  # w_k = beta_k p_k at the target BS, in neighbour order
+        weights = (topology.large_scale[target, nbrs] * powers[:, nbrs]).reshape(len(powers), -1)
+    else:  # v_lj = p_lj / beta_ll,j of each neighbour l
+        weights = powers[:, nbrs] / topology.large_scale[nbrs, nbrs]
+    if shared is not None:
+        if shared.direction != direction:
+            raise ValueError(f"shared draws are the {shared.direction}'s, not the {direction}'s")
+        for name, value in (("seed", seed), ("trials", trials), ("target_cell", target)):
+            if getattr(shared, name) != value:
+                raise ValueError(f"shared draws were made for {name} "
+                                 f"{getattr(shared, name)!r}, not {value!r}")
+        if not np.array_equal(shared.weights, weights):
+            raise ValueError("shared draws were made for other interferer rows "
+                             "than these allocations hold")
+        return powers, single, target, nbrs, shared
+    sums = []
+    for block, size in blocks:
+        rng = block_rng(seed, block)
+        if direction == "uplink":  # one matrix-vector product per row and block
+            e = rng.standard_exponential((size * n, weights.shape[1]))  # [trial x user, k]
+            sums.append(1.0 + np.stack([e @ w for w in weights]).reshape(len(weights), size, n))
+        else:
+            e = rng.standard_exponential((len(nbrs), size * n, n))  # [l, trial x user, j]
+            sums.append(np.stack([e @ v[:, :, None] for v in weights]).reshape(
+                len(weights), len(nbrs), size, n))
+    for a in (weights, *sums):
+        a.setflags(write=False)  # read by every M of a sweep
+    return powers, single, target, nbrs, SharedDraws(direction, seed, trials, target,
+                                                     weights, sums)
 
 
 def uplink_rate_mc(
@@ -254,6 +334,7 @@ def uplink_rate_mc(
     trials: int,
     seed: int,
     confidence: float = 0.95,
+    shared: SharedDraws | None = None,
 ):
     """Monte Carlo ergodic uplink rates of the target cell's users.
 
@@ -263,28 +344,20 @@ def uplink_rate_mc(
     all R rows are rated from one set of draws and the result is the list of
     their R estimates, each equal to the estimate of its row alone. The
     expectation is over fast fading only; the topology's large-scale fading
-    stays fixed.
+    stays fixed. ``shared`` takes this call's ``shared_draws``, made once for
+    every M of a sweep; the result is the same without them.
     """
     m, n = topology.config.bs_antennas, topology.n_users
-    (target_cell,), _ = _target_cells(target_cell, topology.n_cells, many=False)
-    nbrs = topology.neighbors(target_cell)
-    powers, single, _ = _power_rows(topology, allocations, [target_cell, *nbrs], "uplink")
+    powers, single, target, _, shared = _inputs(topology, allocations, target_cell, trials, seed,
+                                                "uplink", shared)
+    # per row: the users' signal gains p_n beta_n
+    gain = powers[:, target] * topology.large_scale[target, target]
 
-    beta = topology.large_scale[target_cell]  # beta[l]: cell l's users at the target BS
-    # per row: the users' signal gains p_n beta_n and the received interferer
-    # power weights w_k = beta_k p_k, in neighbour order
-    gain = powers[:, target_cell] * beta[target_cell]
-    w_x = (beta[nbrs] * powers[:, nbrs]).reshape(len(powers), -1)
+    def block_rates(block, size):
+        x = block_rng(seed, block, m).standard_gamma(m - n + 1.0, size=(size, n))
+        return np.log2(1.0 + gain[:, None] * x / shared.blocks[block])
 
-    def block_rates(rng, size):
-        sinr = gain[:, None] * rng.standard_gamma(m - n + 1.0, size=(size, n))
-        # one user's exponentials at a time bound the working set of a block
-        for user in range(n if nbrs.size else 0):
-            e = rng.standard_exponential((size, w_x.shape[1]))
-            sinr[..., user] /= 1.0 + np.stack([e @ w for w in w_x])
-        return np.log2(1.0 + sinr)
-
-    estimates = _estimate(block_rates, trials, seed, confidence)
+    estimates = _estimate(block_rates, trials, confidence)
     return estimates[0] if single else estimates
 
 
@@ -295,36 +368,32 @@ def downlink_rate_mc(
     trials: int,
     seed: int,
     confidence: float = 0.95,
+    shared: SharedDraws | None = None,
 ):
     """Monte Carlo ergodic downlink rates of the target cell's users.
 
-    ``allocations`` is one allocation set or a sequence of R rows, as for
-    ``uplink_rate_mc``. The serving cell's own ZF precoding removes intracell
-    interference and contributes the deterministic gain alpha_0^2; randomness
-    enters only via the neighbouring cells' precoders, whose leakage each
-    trial draws from its scalar law (see the module docstring).
+    ``allocations`` is one allocation set or a sequence of R rows, and
+    ``shared`` this call's ``shared_draws``, as for ``uplink_rate_mc``. The
+    serving cell's own ZF precoding removes intracell interference and
+    contributes the deterministic gain alpha_0^2; randomness enters only via
+    the neighbouring cells' precoders, whose leakage each trial draws from
+    its scalar law (see the module docstring).
     """
     m, n = topology.config.bs_antennas, topology.n_users
-    (target_cell,), _ = _target_cells(target_cell, topology.n_cells, many=False)
-    nbrs = topology.neighbors(target_cell)
-    powers, single, _ = _power_rows(topology, allocations, [target_cell, *nbrs], "downlink")
+    powers, single, target, nbrs, shared = _inputs(topology, allocations, target_cell, trials,
+                                                   seed, "downlink", shared)
 
-    def alpha_sq(cell):  # the power normalisation of cell's ZF precoder
-        return (m - n) / float(np.sum(1.0 / topology.large_scale[cell, cell]))
+    def alpha_sq(cells):  # the power normalisation of each cell's ZF precoder
+        return (m - n) / (1.0 / topology.large_scale[cells, cells]).sum(axis=-1)
 
-    signal = alpha_sq(target_cell) * powers[:, target_cell]
-    # per neighbour l: the target users' gains alpha_l^2 beta_{l,0,n} and every
-    # row's leakage weights v_lj = p_lj / beta_ll,j
-    terms = [(alpha_sq(l) * topology.large_scale[l, target_cell],
-              powers[:, l] / topology.large_scale[l, l]) for l in nbrs]
+    signal = alpha_sq(target) * powers[:, target]
+    # per neighbour l: the target users' gains alpha_l^2 beta_{l,0,n}
+    gains = alpha_sq(nbrs)[:, None] * topology.large_scale[nbrs, target]
 
-    def block_rates(rng, size):
-        interference = np.zeros((len(powers), size, n))
-        for gain, v_l in terms:
-            e = rng.standard_exponential((size, n, n))  # [trial, target user, j]
-            y = rng.standard_gamma(m - n + 1.0, size=(size, n))
-            interference += gain / y * np.stack([e @ v for v in v_l])
+    def block_rates(block, size):
+        y = block_rng(seed, block, m).standard_gamma(m - n + 1.0, size=(len(nbrs), size, n))
+        interference = (gains[:, None] / y * shared.blocks[block]).sum(axis=1)
         return np.log2(1.0 + signal[:, None] / (interference + 1.0))
 
-    estimates = _estimate(block_rates, trials, seed, confidence)
+    estimates = _estimate(block_rates, trials, confidence)
     return estimates[0] if single else estimates

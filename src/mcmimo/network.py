@@ -168,19 +168,23 @@ def network_sum_rate(
     estimator: str = "closedForm",
     trials: int = 10_000,
     seed: int = 0,
+    direction: str | None = None,
 ) -> float:
     """Sum rate of the cluster cells under the given powers.
 
     ``closedForm`` uses the uplink approximation (or the downlink lower bound
-    when the set's PowerAllocations agree on the downlink); ``monteCarlo``
-    averages fading draws per cell. ``per_cell_powers`` may also be a sequence
+    on the downlink); ``monteCarlo`` averages fading draws per cell. The link
+    is ``direction``, which raw power rows need, else the one the set's
+    PowerAllocations agree on. ``per_cell_powers`` may also be a sequence
     of R allocation sets: the result is then the list of their R sum rates,
     and ``monteCarlo`` rates a cell's R rows from one set of draws.
     """
     check_field("estimator", estimator, _ESTIMATORS)
     check_field("trials", trials, "count")
+    if direction is not None:
+        check_field("direction", direction, ("uplink", "downlink"))
     powers, single, direction = _power_rows(topology, per_cell_powers, range(topology.n_cells),
-                                            None)
+                                            direction)
     if estimator == "closedForm":
         if direction == "uplink":
             consts = _objective_constants(topology)
@@ -251,8 +255,8 @@ def run_scheduled_drops(topologies, strategy, budget: float, initial_power: floa
         elif closed:
             history.append([_downlink_objective(top, p) for top, p in zip(tops, pmat)])
         else:
-            history.append([network_sum_rate(top, [PowerAllocation(q, direction) for q in p],
-                                             rate_estimator, trials, derive_seed(seed, slot))
+            history.append([network_sum_rate(top, p, rate_estimator, trials,
+                                             derive_seed(seed, slot), direction)
                             for top, p, seed in zip(tops, pmat, seeds)])
     pmat.setflags(write=False)  # the states' powers are its rows
     return [NetworkState(slots, p, groups, h, rate_estimator, direction)

@@ -1,7 +1,10 @@
 import dataclasses
+import inspect
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -421,7 +424,7 @@ class TestRunExperiment:
         reran = {p.name: p.read_bytes() for p in out2.iterdir()}
         assert originals == reran
 
-    @pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 5, 6, 8])
+    @pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 5, 6, 7, 9])
     def test_manifest_of_another_estimator_version_rejected(self, tmp_path, version):
         out = run_experiment(ExperimentSpec.from_dict(tiny_spec(tmp_path, trials=20)))
         manifest = json.loads((out / "manifest.json").read_text())
@@ -437,7 +440,7 @@ class TestRunExperiment:
         doc = tiny_spec(tmp_path, trials=20)
         out = run_experiment(ExperimentSpec.from_dict(doc))
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["estimatorVersion"] == 7
+        assert manifest["estimatorVersion"] == 8
         rerun = run_experiment(ExperimentSpec.from_dict(manifest))
         assert json.loads((rerun / "manifest.json").read_text()) == manifest
         # the version is an input of the content hash
@@ -571,6 +574,40 @@ class TestRunExperiment:
                "output": str(tmp_path)}
         cli._job_equal_power(ExperimentSpec.from_dict(doc), {"drops": [0]})
         assert sorted(set(calls)) == sorted(names)
+
+    @pytest.mark.parametrize("kind", ["fig2", "fig8"])
+    def test_one_estimator_call_per_swept_m(self, tmp_path, monkeypatch, kind):
+        # the benchmark's span tracing reads each estimator call's antennas and
+        # trials, and reports a cost per trial for every swept M; each point is
+        # the estimate of its own single-M call, bit for bit, and does not
+        # depend on which other Ms the sweep holds
+        name = {"fig2": "uplink_rate_mc", "fig8": "downlink_rate_mc"}[kind]
+        estimator, calls = getattr(cli, name), []
+        signature = inspect.signature(estimator)
+        monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(
+            signature.bind(*a, **k).arguments) or estimator(*a, **k))
+
+        def records(ms):
+            doc = {"kind": kind, "network": {"usersPerCell": 3, "bsAntennas": 12, "seed": 4},
+                   "sweep": {"variable": "bsAntennas", "values": ms}, "drops": 1,
+                   "trials": 300, "output": str(tmp_path)}
+            spec = ExperimentSpec.from_dict(doc)
+            return spec, [r for r in cli._job_equal_power(spec, {"drops": [0]})
+                          if r["label"] == "mc"]
+
+        ms = [4, 12, 40, 128]
+        spec, got = records(ms)
+        assert [call["topology"].config.bs_antennas for call in calls] == ms
+        assert all(call["trials"] == spec.trials for call in calls)
+        panels = [f"P{p:g}dB" for p in spec.options["powersDb"]]
+        for call in calls[:len(ms)]:  # the same call without the drop's shared draws
+            alone = {key: value for key, value in call.items() if key != "shared"}
+            m = call["topology"].config.bs_antennas
+            want = [{"panel": panel, "label": "mc", "x": m, "value": est.sum_rate,
+                     "ci": float(est.ci_half_width.sum())}
+                    for panel, est in zip(panels, estimator(**alone))]
+            assert [r for r in got if r["x"] == m] == want
+            assert records([m])[1] == want
 
     @pytest.mark.parametrize("kind", ["fig2", "fig8"])
     def test_power_panels_share_draws(self, tmp_path, kind):
@@ -1387,6 +1424,15 @@ class TestJobs:
             runs.append((files, manifest))
         assert runs[0] == runs[1]
         assert len(runs[0][0]) == len(runs[0][1]["curves"]) > 0
+
+    def test_cli_import_leaves_the_pool_unimported(self):
+        # the pool's import costs every run's start, and a single job never uses it
+        path = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        probe = "import sys, mcmimo.cli; print('concurrent.futures' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=path), check=True).stdout
+        assert out.strip() == "False"
 
     def test_pool_has_at_most_one_worker_per_job(self, tmp_path, monkeypatch):
         workers = []

@@ -18,7 +18,14 @@ from zf_oracle import (
 
 from mcmimo import mcrate
 from mcmimo.closedform import downlink_lower_bound, downlink_profile, uplink_approximation, uplink_profile
-from mcmimo.mcrate import PowerAllocation, RateEstimate, block_rng, downlink_rate_mc, uplink_rate_mc
+from mcmimo.mcrate import (
+    PowerAllocation,
+    RateEstimate,
+    block_rng,
+    downlink_rate_mc,
+    shared_draws,
+    uplink_rate_mc,
+)
 from mcmimo.topology import NetworkConfig, build_topology
 
 
@@ -177,7 +184,10 @@ class TestUplinkRateMC:
         gaps = []
         for m in (16, 64, 256, 1024):
             t = top.with_antennas(m)
-            mc = uplink_rate_mc(t, allocs, 0, trials=4000, seed=21)
+            # the Ms share their interference draws, so the gaps at M = 256 and
+            # 1024 share most of their noise, which at 4000 trials was as large
+            # as the gaps themselves
+            mc = uplink_rate_mc(t, allocs, 0, trials=16_000, seed=21)
             prof = uplink_profile(t, allocs, 0)
             ap = uplink_approximation(prof, m, 4, allocs[0].powers)
             gaps.append(float(np.max(np.abs(mc.per_user_rate - ap) / mc.per_user_rate)))
@@ -243,10 +253,11 @@ def test_trial_streams_are_order_independent():
 
 
 def test_estimate_is_assembled_from_keyed_blocks():
-    # trial block b is drawn from block_rng(seed, b) alone; the last block
-    # holds the remainder of the trials
+    # block b's rates are block_rates(b, size), every block but the last
+    # holding BLOCK_TRIALS trials and the last the remainder
     block = mcrate.BLOCK_TRIALS
-    est, = mcrate._estimate(lambda rng, size: rng.random((1, size, 2)), block + 3, 5, 0.95)
+    est, = mcrate._estimate(lambda b, size: block_rng(5, b).random((1, size, 2)), block + 3,
+                            0.95)
     rates = np.vstack([block_rng(5, 0).random((block, 2)), block_rng(5, 1).random((3, 2))])
     np.testing.assert_allclose(est.per_user_rate, rates.mean(axis=0), rtol=1e-12)
     assert est.trials == block + 3
@@ -339,7 +350,7 @@ def _uplink_rate_v3(top, allocations, target, trials, seed):
         e, F = _faded_energy_v4(rng, m, sqrt_beta, size, w.size)
         return np.log2(1.0 + p_own / (e @ w + (np.abs(F)**2).sum(axis=2)))[None]
 
-    est, = mcrate._estimate(block_rates, trials, seed, 0.95)
+    est, = mcrate._estimate(lambda b, size: block_rates(block_rng(seed, b), size), trials, 0.95)
     return est
 
 
@@ -360,7 +371,7 @@ def _downlink_rate_v4(top, allocations, target, trials, seed):
         signal = alpha_sq(target) * allocations[target].powers
         return np.log2(1.0 + signal / (interference + 1.0))[None]
 
-    est, = mcrate._estimate(block_rates, trials, seed, 0.95)
+    est, = mcrate._estimate(lambda b, size: block_rates(block_rng(seed, b), size), trials, 0.95)
     return est
 
 
@@ -425,6 +436,46 @@ def test_rows_equal_one_row_at_a_time(estimator, direction, cells):
             assert np.array_equal(est.per_user_rate, want.per_user_rate)
             assert np.array_equal(est.ci_half_width, want.ci_half_width)
             assert est.trials == want.trials
+
+
+@pytest.mark.parametrize("estimator,direction", [(uplink_rate_mc, "uplink"),
+                                                 (downlink_rate_mc, "downlink")])
+@pytest.mark.parametrize("cells", [1, 7])
+def test_shared_draws_give_each_m_its_own_estimate(estimator, direction, cells):
+    # a drop's M-independent draws, made once, give the estimate at every M
+    # of its call alone, bit for bit, whatever the target cell's own powers
+    top, rows = _rows_setup(direction, cells)
+    trials = mcrate.BLOCK_TRIALS + 37  # a full block and a partial one
+    shared = shared_draws(top, rows, 0, trials, 5, direction)
+    own = [[PowerAllocation(2.0 * row[0].powers, direction), *row[1:]] for row in rows]
+    for m in (5, 12, 40):
+        t = top.with_antennas(m)
+        for got, want in zip(estimator(t, own, 0, trials, 5, shared=shared),
+                             estimator(t, own, 0, trials, 5)):
+            assert np.array_equal(got.per_user_rate, want.per_user_rate)
+            assert np.array_equal(got.ci_half_width, want.ci_half_width)
+
+
+@pytest.mark.parametrize("estimator,direction", [(uplink_rate_mc, "uplink"),
+                                                 (downlink_rate_mc, "downlink")])
+def test_shared_draws_of_another_call_are_refused(estimator, direction):
+    top, rows = _rows_setup(direction, 7)
+    shared = shared_draws(top, rows, 0, 40, 5, direction)
+    other = [list(row) for row in rows]
+    other[1][2] = PowerAllocation(2.0 * rows[1][2].powers, direction)
+    for args, name in [((rows, 0, 40, 6), "seed 5, not 6"), ((rows, 0, 41, 5), "trials 40"),
+                       ((rows, 1, 40, 5), "target_cell 0"), ((other, 0, 40, 5), "allocations"),
+                       ((rows[:2], 0, 40, 5), "allocations")]:
+        with pytest.raises(ValueError, match=name):
+            estimator(top, *args, shared=shared)
+    powers = np.array([[a.powers for a in row] for row in rows])
+    other_link = {"uplink": downlink_rate_mc, "downlink": uplink_rate_mc}[direction]
+    with pytest.raises(ValueError, match=f"the {direction}'s"):
+        other_link(top, powers, 0, 40, 5, shared=shared_draws(top, powers, 0, 40, 5, direction))
+    with pytest.raises(ValueError, match="direction"):
+        shared_draws(top, powers, 0, 40, 5, "sideways")
+    with pytest.raises(ValueError, match="trials"):
+        shared_draws(top, rows, 0, 0, 5, direction)
 
 
 def test_rows_are_checked_one_by_one():

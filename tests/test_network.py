@@ -399,6 +399,23 @@ class TestUplinkObjective:
             own = consts[0] / (want[1][:, :, None] + want[2]) / np.log(2.0)
             assert np.all(np.abs(grad - ref) <= 1e-13 * (own + np.abs(own - ref)))
 
+    @pytest.mark.parametrize("outer", [0, 6, 12, 18])
+    def test_forward_is_the_stacked_profile_approximation(self, outer):
+        # the ascent's own copy of the approximation: each drop's cluster sum
+        # is the stacked cluster profile's approximation summed over the cluster
+        doc = json.loads((Path(__file__).parents[1] / "configs" / "fig12.json").read_text())
+        doc["network"]["outerRingCells"] = outer
+        spec = cli.ExperimentSpec.from_dict(doc, {"drops": 5})
+        tops = [cli._drop_topology(spec, d) for d in range(5)]
+        m, n, k = spec.network.bs_antennas, 5, tops[0].cluster_size
+        rng = np.random.default_rng(outer + 1)
+        pmat = rng.uniform(0.0, 10.0, (5, tops[0].n_cells, n))
+        pmat[rng.random(pmat.shape) < 0.2] = 0.0
+        got = network._uplink_forward(network._stacked_constants(tops), pmat)[0]
+        prof = uplink_profile(tops, pmat, range(k))  # (drop, cell) rows, drop-major
+        rates = uplink_approximation(prof, m, n, pmat[:, :k].reshape(-1, n))
+        np.testing.assert_allclose(got, rates.reshape(5, -1).sum(axis=1), rtol=1e-13, atol=0)
+
 
 class TestNetworkSumRate:
     def test_zero_powers_give_zero(self):
@@ -430,6 +447,23 @@ class TestNetworkSumRate:
         cf = network_sum_rate(top, allocs)
         mc = network_sum_rate(top, allocs, "monteCarlo", trials=1500, seed=4)
         assert cf <= mc * 1.05  # lower bound, up to MC noise
+
+    @pytest.mark.parametrize("direction", ["uplink", "downlink"])
+    def test_raw_rows_take_an_explicit_direction(self, direction):
+        # the scheduler rates its (C, N) power rows as they are, on its link
+        top = build_topology(NetworkConfig(users_per_cell=2, bs_antennas=8, cell_count=7, seed=16))
+        powers = np.random.default_rng(2).uniform(0.0, 50.0, (7, 2))
+        allocs = [PowerAllocation(p, direction) for p in powers]
+        for estimator in ("closedForm", "monteCarlo"):
+            assert (network_sum_rate(top, powers, estimator, 40, 3, direction)
+                    == network_sum_rate(top, allocs, estimator, 40, 3))
+        with pytest.raises(ValueError, match="direction"):
+            network_sum_rate(top, powers)  # raw rows name no link
+        with pytest.raises(ValueError, match="direction"):
+            network_sum_rate(top, powers, direction="sideways")
+        other = {"uplink": "downlink", "downlink": "uplink"}[direction]
+        with pytest.raises(ValueError, match=f"is {direction}, not {other}"):
+            network_sum_rate(top, allocs, direction=other)
 
     def test_unknown_estimator(self):
         cfg = NetworkConfig(users_per_cell=2, bs_antennas=8, cell_count=1, seed=1)
