@@ -753,7 +753,7 @@ _KINDS = {
                    {"powerDb": 40, "interfererCellPowerDb": 30}, gain=True, edge=True),
     "fig12": _Kind(_job_network_slots, "uplink", ("slot",), list(range(1, 13)),
                    {"powerW": 50.0, "initialUserPowerDb": 10, "estimator": "closedForm",
-                    "jointMaxIters": 800, "jointTolerance": 1e-10}),
+                    "jointMaxIters": 800, "jointTolerance": 1e-8}),
     "table2": _Kind(("maxRatio", None, (("powerDb", "powersDb"), ("threshold", "thresholds"))),
                     "uplink", ("ratio",), [2, 120],
                     {"powersDb": [10, 15, 20, 25], "thresholds": [0.10, 0.20],

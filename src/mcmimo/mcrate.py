@@ -72,7 +72,8 @@ Laplace-domain integral alone, where version 6 expanded it in partial
 fractions; version 8 keys the exponentials by (seed, block) and the Gammas
 by (seed, block, M), and the M points of a drop (fig2, fig8) share its seed,
 hence its interference draws, where version 7 drew a block's Gammas and
-exponentials from one stream and each M point at its own seed.
+exponentials from one stream and each M point at its own seed; version 9
+moves fig12's joint curve only: Barzilai-Borwein ascent to a residual stop.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ import numpy as np
 
 from .topology import _MASK64, CellTopology, check_field
 
-ESTIMATOR_VERSION = 8
+ESTIMATOR_VERSION = 9
 BLOCK_TRIALS = 256
 
 

@@ -5,7 +5,8 @@ The scheduler divides the cells into non-interfering groups (reuse-3 for the
 hexagonal layouts) and lets one group re-allocate per time slot against a
 frozen snapshot of everyone else's powers, so after one round every cell has
 optimised at least once. The joint benchmark runs projected-gradient ascent
-on all cluster cells' powers at once against the same analytic objective.
+on all cluster cells' powers at once against the same analytic objective,
+to a stationarity ``residual`` (``converged``) or an iteration cap.
 ``run_scheduled_drops`` and ``run_joint_drops`` run them for a stack of
 topologies of one layout (one per drop) in one loop, the scheduler with one
 strategy call per slot; ``run_scheduled`` and ``run_joint`` are stacks of one.
@@ -58,6 +59,7 @@ class JointResult:
     objective: float
     iterations: int
     converged: bool
+    residual: float
     direction = "uplink"  # not a field: the joint objective is the uplink's
     per_cell_powers = cached_property(_per_cell_powers)
 
@@ -264,30 +266,33 @@ def run_scheduled_drops(topologies, strategy, budget: float, initial_power: floa
 
 
 def run_joint(topology: CellTopology, budget: float, max_iters: int = 500,
-              tolerance: float = 1e-9, outer_user_power: float | None = None) -> JointResult:
+              tolerance: float = 1e-8, outer_user_power: float | None = None) -> JointResult:
     """Jointly optimise all cluster cells' uplink powers: ``run_joint_drops``
     on a stack of this one topology."""
     return run_joint_drops([topology], budget, max_iters, tolerance, outer_user_power)[0]
 
 
-def run_joint_drops(topologies, budget: float, max_iters: int = 500, tolerance: float = 1e-9,
+def run_joint_drops(topologies, budget: float, max_iters: int = 500, tolerance: float = 1e-8,
                     outer_user_power: float | None = None) -> list[JointResult]:
     """Jointly optimise all cluster cells' uplink powers by projected-gradient
     ascent on the closed-form approximation objective, for each of a stack of
     topologies of one layout (one per drop).
 
     Each drop starts from the equal split (so its result is never worse than
-    it), takes Armijo-backtracked steps projected onto each cell's budget
-    simplex, and stops when its relative objective improvement drops below
-    ``tolerance``. Every drop keeps its own iterate, step, iteration count and
-    flag; a round rates one candidate for each drop still running, with one
-    projection and one forward pass for all of them, and an accepted
-    candidate's forward pass feeds that drop's next gradient. Each drop's
+    it) and steps along d = P(p + alpha g) - p, P the projection onto each
+    cell's budget simplex and alpha the Barzilai-Borwein step of its last
+    accepted move (clipped to [1e-10, 1e10] budget), backtracking p + lam d
+    by a monotone Armijo test. ``residual`` is the r = |d| / alpha * budget
+    / |f| of the returned powers; ``converged`` says the drop stopped at
+    r <= ``tolerance``, at a float-floor rise (<= 1e-15 relative) or on
+    backtracking underflow. Every drop keeps its own state; a round rates
+    one candidate for each drop still running in one forward pass and
+    projects the accepted drops' next directions at once, and each drop's
     result is bit for bit that of running it alone. Outer-ring users keep
-    ``outer_user_power`` each (the equal split if None).
-    The objective is not jointly concave; like any local method this returns a
-    stationary point, flagged ``converged=False`` with one warning per drop if
-    the iteration cap was reached first.
+    ``outer_user_power`` each (the equal split if None). The objective is
+    not jointly concave; like any local method this returns a stationary
+    point, flagged ``converged=False`` with one warning per drop if the
+    iteration cap was reached first.
     """
     check_field("budget", budget, "positive")
     check_field("max_iters", max_iters, "count")
@@ -297,6 +302,12 @@ def run_joint_drops(topologies, budget: float, max_iters: int = 500, tolerance: 
     tops, _ = _topology_stack(topologies)
     n, k = tops[0].n_users, tops[0].cluster_size
 
+    def direction(p, g, alpha, f):
+        """d = P(p + alpha g) - p of (m, k, N) cluster powers, and its r."""
+        d = project_budget_simplex((p + alpha[:, None, None] * g).reshape(-1, n),
+                                   budget).reshape(-1, k, n) - p
+        return d, np.linalg.norm(d.reshape(len(d), -1), axis=1) / alpha * budget / np.abs(f)
+
     pmat = np.full((len(tops), tops[0].n_cells, n), budget / n)
     if outer_user_power is not None:
         pmat[:, k:] = check_field("outer_user_power", outer_user_power, "nonnegative")
@@ -305,24 +316,31 @@ def run_joint_drops(topologies, budget: float, max_iters: int = 500, tolerance: 
 
     f, b1, ap = _uplink_forward(consts, pmat)
     grad = _uplink_gradient(consts, b1, ap)
-    step = np.full(len(tops), float(budget))
+    alpha = np.full(len(tops), float(budget))
+    d, resid = direction(pmat[:, :k], grad, alpha, f)
+    lam = np.ones(len(tops))
     it = np.ones(len(tops), dtype=np.int64)  # the iteration each drop is in
     live = np.arange(len(tops))  # the drop of each running row
     results: list = [None] * len(tops)
     while live.size:
         cand = pmat.copy()
-        cand[:, :k] = project_budget_simplex(
-            (pmat[:, :k] + step[:, None, None] * grad).reshape(-1, n), budget).reshape(-1, k, n)
+        cand[:, :k] += lam[:, None, None] * d  # feasible: between p and P(p + alpha g)
         fc, b1, ap = _uplink_forward(consts, cand)
-        rise = (grad * (cand[:, :k] - pmat[:, :k])).reshape(live.size, -1).sum(axis=1)
-        accepted = (fc > f) & (fc >= f + 1e-4 * rise)
-        rel = (fc - f) / np.maximum(np.abs(f), 1e-12)
-        if accepted.any():
-            pmat[accepted], f[accepted] = cand[accepted], fc[accepted]
-            grad[accepted] = _uplink_gradient(consts, b1, ap)[accepted]
-        step = np.where(accepted, step * 2.0, step * 0.5)
-        # a drop stops once backtracking underflows or its improvement is small
-        converged = np.where(accepted, rel < tolerance, ~(step > 1e-16 * budget))
+        accepted = fc >= f + 1e-4 * lam * (grad * d).reshape(live.size, -1).sum(axis=1)
+        floor = fc - f <= 1e-15 * np.abs(f)
+        if (acc := np.flatnonzero(accepted)).size:
+            s = cand[acc, :k] - pmat[acc, :k]
+            g = _uplink_gradient(consts, b1, ap)[acc]
+            # s'y and s's, y the fall of the gradient: the ascent minimises -f
+            sy, ss = ((s * v).reshape(acc.size, -1).sum(axis=1) for v in (grad[acc] - g, s))
+            alpha[acc] = np.clip(np.divide(ss, sy, out=np.full(acc.size, float(budget)),
+                                           where=sy > 0), 1e-10 * budget, 1e10 * budget)
+            pmat[acc], f[acc], grad[acc] = cand[acc], fc[acc], g
+            d[acc], resid[acc] = direction(pmat[acc, :k], g, alpha[acc], f[acc])
+        lam = np.where(accepted, 1.0, lam * 0.5)
+        # a drop stops once backtracking underflows or it is stationary
+        converged = np.where(accepted, (resid <= tolerance) | floor,
+                             ~(lam * alpha > 1e-16 * budget))
         advance = accepted & ~converged  # on to the next iteration, unless capped
         done = converged | (advance & (it == max_iters))
         it += advance & ~done
@@ -330,9 +348,10 @@ def run_joint_drops(topologies, budget: float, max_iters: int = 500, tolerance: 
             pmat.setflags(write=False)  # the results' powers are its rows
             for row in np.flatnonzero(done):
                 results[live[row]] = JointResult(pmat[row], float(f[row]), int(it[row]),
-                                                 bool(converged[row]))
+                                                 bool(converged[row]), float(resid[row]))
             keep = ~done
-            live, pmat, f, grad, step, it = (x[keep] for x in (live, pmat, f, grad, step, it))
+            live, pmat, f, grad, alpha, d, resid, lam, it = (
+                x[keep] for x in (live, pmat, f, grad, alpha, d, resid, lam, it))
             consts = tuple(c[keep] for c in consts)
     for res in results:
         if not res.converged:

@@ -521,13 +521,12 @@ class TestRunJoint:
         assert res.objective >= eq - 1e-12
 
     # SHA-256 of the power matrix and the iteration count at the fig12
-    # parameters, recorded before the projection was batched over cells.
-    # Seeds 5 and 8 were re-recorded when the interference sums became one
-    # batched matmul, which moved their last bits, not their iteration counts.
+    # parameters, recorded when the ascent took Barzilai-Borwein steps and
+    # stopped on its projected-gradient residual
     DIGESTS = {
-        3: (35, "83371ad49c35b1ce89c35083dc9dfb52a05b697d7ed0c871da12e847af857b84"),
-        5: (103, "db8ba79e24b22dc49e2debbdde462249387a92685f89082b54a32bc65b56668a"),
-        8: (54, "aa7e1c60c84a0c8ffe6cbfc5fc87103c446c5e5e29c4220a171f484bb93e3b1c"),
+        3: (31, "cfa9c1d463ae88b92eac81ad139a76065d6898dd9eaa9d073e7c35b98bbc4456"),
+        5: (67, "17a5a4e03d1ad5bcf8c0165202c311311b100cc866dca15ed6453de4d3001199"),
+        8: (46, "b4af576726f10712a26103070021d1eb45f07b6a25b1040b2edeacd485c31aba"),
     }
 
     @pytest.mark.parametrize("seed", sorted(DIGESTS))
@@ -538,13 +537,11 @@ class TestRunJoint:
         assert res.converged
         assert (res.iterations, hashlib.sha256(pmat.tobytes()).hexdigest()) == self.DIGESTS[seed]
 
-    # the same with outer-ring cells, keyed (outer cells, outer user power,
-    # seed), recorded before the gradient came from the accepted candidate's
-    # forward pass; the last two re-recorded as above
+    # the same with outer-ring cells, keyed (outer cells, outer user power, seed)
     OUTER_DIGESTS = {
-        (6, None, 3): (71, "df1d9dabfb96cf135628ad3f782acf96cbe32e0cb0048bdb6d506744274c570c"),
-        (12, 3.0, 5): (76, "47ab693a639214ed617d2b140a7c833b8370675a324302550b185ef97fc56271"),
-        (18, 0.5, 8): (61, "0030756e62371f5406572fc3f9733b4fa7fbb48d13f0950871289546aeb038fa"),
+        (6, None, 3): (45, "eb6d09d1dd336085f10b9a10942ee9ab9a4e13827c75a4f67bc8b1f1580ab89a"),
+        (12, 3.0, 5): (42, "2f41965a045c5e10ec172eb57030c8cc25993361509623ac09599a1e1a38f9c2"),
+        (18, 0.5, 8): (43, "b1e03980c965290dc9e01d3f8fafc268ea3e0aeb49f4f75a2a4e165998e87ef4"),
     }
 
     @pytest.mark.parametrize("outer, outer_power, seed", sorted(OUTER_DIGESTS, key=str))
@@ -558,6 +555,36 @@ class TestRunJoint:
             assert np.all(pmat[19:] == outer_power)
         digest = (res.iterations, hashlib.sha256(pmat.tobytes()).hexdigest())
         assert digest == self.OUTER_DIGESTS[outer, outer_power, seed]
+
+    @pytest.mark.parametrize("seed, outer, outer_power", [
+        (3, 0, None), (5, 0, None), (8, 0, None), (5, 12, 3.0)])
+    def test_result_meets_the_kkt_conditions(self, seed, outer, outer_power):
+        # an oracle that knows the objective, not the algorithm: on the budget
+        # simplex a stationary point gives every user with power one gradient,
+        # the cell's largest, and no user without power a larger one. With
+        # q = P(p + alpha g) and d = q - p, g_n = (d_n - theta) / alpha where
+        # q_n > 0 and g_n <= -theta / alpha where q_n = 0, so those gaps are
+        # at most 2 |d| / alpha = 2 r |f| / budget for the returned residual r.
+        budget = 50.0
+        top = build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=seed,
+                                           outer_ring_cells=outer))
+        res = run_joint(top, budget, max_iters=800, outer_user_power=outer_power)
+        assert res.converged
+        k = top.cluster_size
+        p = res.powers[:k]
+        assert np.all(p >= 0) and np.all(np.abs(p.sum(axis=1) - budget) <= 1e-12)
+        consts = network._objective_constants(top)
+        f, b1, ap = network._uplink_forward(consts, res.powers[None])
+        assert f[0] == res.objective
+        g = network._uplink_gradient(consts, b1, ap)[0]
+        bound = 2.0 * res.residual * abs(res.objective) / budget
+        assert 0 < bound < 1e-7
+        on = p > 1e-9 * budget
+        assert on.any(axis=1).all() and not on.all()  # both kinds of users occur
+        top_g = g.max(axis=1, keepdims=True)
+        assert np.all(np.where(on, top_g - g, 0.0) <= bound)
+        top_on = np.where(on, g, -np.inf).max(axis=1, keepdims=True)
+        assert np.all(np.where(on, -np.inf, g) <= top_on + bound)
 
     def test_objective_constants_built_once(self, monkeypatch):
         # a fig12 job reads each drop's constants in the joint ascent, in the
@@ -588,7 +615,7 @@ class TestRunJoint:
         tops = [build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=seed))
                 for seed in (3, 5, 8)]
         assert {top.cluster_size for top in tops} == {19}
-        calls = []  # (function, drops rated)
+        calls = []  # (function, drops rated or projected)
         project, forward = network.project_budget_simplex, network._uplink_forward
 
         def spy_project(v, budget):
@@ -604,23 +631,31 @@ class TestRunJoint:
         monkeypatch.setattr(network, "_uplink_forward", spy_forward)
 
         def rounds(stack):
-            """The drops rated in each round of one run on ``stack``."""
+            """(drops rated, drops projected) in each round of one run on ``stack``."""
             calls.clear()
             run_joint_drops(stack, 50.0, max_iters=800, tolerance=1e-10)
-            # the first forward pass rates the equal starts; then each round
-            # projects and rates one candidate for every drop still running
-            assert calls[0] == ("forward", len(stack))
-            names, sizes = zip(*calls[1:])
-            assert names == ("project", "forward") * (len(names) // 2)
-            assert sizes[::2] == sizes[1::2]
-            assert list(sizes[::2]) == sorted(sizes[::2], reverse=True)
-            return sizes[::2]
+            # the equal starts are rated and their first directions projected;
+            # then each round rates one candidate for every drop still running
+            # and projects the next directions of those it accepted, if any
+            assert calls[:2] == [("forward", len(stack)), ("project", len(stack))]
+            per_round = []
+            for name, size in calls[2:]:
+                if name == "forward":
+                    per_round.append([size, 0])
+                else:
+                    assert per_round[-1][1] == 0  # at most one projection a round
+                    per_round[-1][1] = size
+            assert all(0 <= q <= r for r, q in per_round)
+            rated, projected = map(list, zip(*per_round))
+            assert rated == sorted(rated, reverse=True)  # the stack never grows
+            return rated, projected
 
         alone = [rounds([top]) for top in tops]  # one candidate per round
-        stacked = rounds(tops)
+        stacked, projected = rounds(tops)
         assert stacked[0] == len(tops)
-        assert sum(stacked) == sum(map(len, alone))
-        assert len(stacked) == max(map(len, alone)) > 1
+        assert sum(stacked) == sum(len(r) for r, _ in alone)
+        assert sum(projected) == sum(sum(q) for _, q in alone)
+        assert len(stacked) == max(len(r) for r, _ in alone) > 1
 
     @pytest.mark.parametrize("kwargs, field", [
         ({"budget": -5.0}, "budget"),
@@ -670,24 +705,48 @@ class TestRunJoint:
 
 def joint_fields(res: JointResult):
     pmat = np.stack([a.powers for a in res.per_cell_powers])
-    return res.iterations, res.converged, res.objective.hex(), pmat.tobytes()
+    return (res.iterations, res.converged, res.objective.hex(), res.residual.hex(),
+            pmat.tobytes())
 
 
 def results_digest(fields) -> str:
     h = hashlib.sha256()
-    for iterations, converged, objective, powers in fields:
-        h.update(f"{iterations},{converged},{objective};".encode() + powers)
+    for iterations, converged, objective, residual, powers in fields:
+        h.update(f"{iterations},{converged},{objective},{residual};".encode() + powers)
     return h.hexdigest()
+
+
+def fig12_stack():
+    """20 drops of configs/fig12.json and ``run_joint_drops``' keyword
+    arguments from its default options."""
+    doc = json.loads((Path(__file__).parents[1] / "configs" / "fig12.json").read_text())
+    spec = cli.ExperimentSpec.from_dict(doc, {"drops": 20})
+    assert spec.network.seed == 2024
+    opts = spec.options
+    kwargs = {"budget": float(opts["powerW"]), "max_iters": opts["jointMaxIters"],
+              "tolerance": float(opts["jointTolerance"]),
+              "outer_user_power": cli.db_to_linear(opts["initialUserPowerDb"])}
+    return [cli._drop_topology(spec, d) for d in range(20)], kwargs
 
 
 class TestRunJointDrops:
     """A stack of drops gives, field for field, what each drop gives alone.
 
-    The digests of ``results_digest`` were recorded with the one-drop-at-a-time
-    optimiser that preceded the stacked one, and re-recorded when the
-    interference sums became one batched matmul, which moved the last bits of
-    the powers and objectives, not the iteration counts.
+    The digests of ``results_digest`` were recorded when the ascent took
+    Barzilai-Borwein steps and stopped on its projected-gradient residual.
     """
+
+    # fig12's 20 drop objectives under the relative-rise stop the residual
+    # stop replaced (doubling/halving steps, rise below 1e-10), as float.hex
+    RELATIVE_RISE_OBJECTIVES = [
+        "0x1.798e2e3273c6ep+6", "0x1.01c434247f9bep+7", "0x1.a50d27bf9f6e5p+6",
+        "0x1.7f3978f092cd1p+6", "0x1.191e2a4421fc0p+7", "0x1.eed6dda8c2651p+6",
+        "0x1.8adbb49c34f4dp+6", "0x1.70c031b14ec42p+6", "0x1.a88f9e7215b9dp+6",
+        "0x1.cdbb0aeeee9b3p+6", "0x1.bdf752fe9b36fp+6", "0x1.5ef4db42b27acp+6",
+        "0x1.aa6b30c037c86p+6", "0x1.0eac95d30e32fp+7", "0x1.c5c2500ad51a9p+6",
+        "0x1.7a33071348099p+6", "0x1.fb1fded6fa834p+6", "0x1.0081d22f2ab99p+7",
+        "0x1.d4aa6353072bdp+6", "0x1.d1f72e6af34c6p+6",
+    ]
 
     @staticmethod
     def alone_and_stacked(tops, **kwargs):
@@ -703,21 +762,43 @@ class TestRunJointDrops:
         return runs
 
     def test_fig12_drops(self):
-        doc = json.loads((Path(__file__).parents[1] / "configs" / "fig12.json").read_text())
-        spec = cli.ExperimentSpec.from_dict(doc, {"drops": 20})
-        assert spec.network.seed == 2024
-        opts = spec.options
-        tops = [cli._drop_topology(spec, d) for d in range(20)]
-        alone, stacked = self.alone_and_stacked(
-            tops, budget=float(opts["powerW"]), max_iters=opts["jointMaxIters"],
-            tolerance=float(opts["jointTolerance"]),
-            outer_user_power=cli.db_to_linear(opts["initialUserPowerDb"]))
+        tops, kwargs = fig12_stack()
+        alone, stacked = self.alone_and_stacked(tops, **kwargs)
         assert stacked == alone
         assert results_digest(alone[0]) == (
-            "070dacca5de029fdf421f1ab2685cc772d359d6a02097029aef1021f6234416c")
+            "c9ace3658c4b44795acc9a8a5aa17c4edfe059cbb3c342db89549aa5deee4c30")
         # drops that stop at different rounds, so the stack shrinks as it runs
-        assert [fields[0] for fields in alone[0]] == [79, 67, 45, 65, 46, 61, 34, 45, 42, 54,
-                                                       42, 44, 182, 134, 30, 60, 54, 83, 29, 18]
+        assert [fields[0] for fields in alone[0]] == [53, 56, 36, 38, 41, 42, 33, 30, 39, 41,
+                                                       46, 36, 77, 44, 30, 45, 40, 40, 28, 20]
+
+    def test_fig12_objectives_no_worse_than_the_relative_rise_stop(self):
+        tops, kwargs = fig12_stack()
+        results = run_joint_drops(tops, **kwargs)
+        n, budget, outer = tops[0].n_users, kwargs["budget"], kwargs["outer_user_power"]
+        for top, res, old in zip(tops, results, self.RELATIVE_RISE_OBJECTIVES, strict=True):
+            k = top.cluster_size
+            equal = network_sum_rate(top, [equal_alloc(n, budget)] * k
+                                     + [PowerAllocation(np.full(n, outer), "uplink")]
+                                     * (top.n_cells - k))
+            assert res.converged
+            assert res.objective >= float.fromhex(old) * (1.0 - 1e-9)
+            assert res.objective >= equal
+
+    def test_fig12_stack_ends_at_tolerance_zero(self, monkeypatch):
+        # no residual reaches 0 in floating point: the float-floor stop ends
+        # the stack in 136 rounds here, and without it every drop would step
+        # on at the float floor until the iteration cap
+        tops, kwargs = fig12_stack()
+        forward, passes = network._uplink_forward, []
+
+        def spy(consts, pmat):
+            passes.append(len(pmat))
+            return forward(consts, pmat)
+
+        monkeypatch.setattr(network, "_uplink_forward", spy)
+        results = run_joint_drops(tops, **{**kwargs, "tolerance": 0.0})
+        assert all(res.converged for res in results)
+        assert passes[0] == len(tops) and len(passes) - 1 <= 150
 
     @pytest.mark.parametrize("outer, outer_power", [(6, None), (12, 3.0)])
     def test_outer_ring_stacks(self, outer, outer_power):
@@ -740,9 +821,9 @@ class TestRunJointDrops:
                                                            tolerance=1e-10)
         assert stacked == (fields, warned)
         assert results_digest(fields) == (
-            "acab79dc8f1bf1c4fc7dae0f750651f04f0d20f2a7d693ab2a363cf4107a9168")
+            "2dd9e2c516cee5a52ee31ce152d2f777fec17d7002275bee9cc81f651e1c6989")
         # the cap stops some drops, not all, each at the cap
-        assert [f[:2] for f in fields] == [(35, True), (40, False), (40, False), (40, False)]
+        assert [f[:2] for f in fields] == [(31, True), (40, False), (40, False), (40, False)]
         assert len(warned) == 3
         assert all("40-iteration cap" in w for w in warned)
 

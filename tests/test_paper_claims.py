@@ -19,6 +19,10 @@ restate a claim of the paper on the curves it reproduces:
 * fig7: the gain falls with M/N and with the transmit power (claim ii).
 * fig8: on the downlink, the Monte Carlo rate lies above the lower bound
   (within ci), and both rise with M at either power.
+* fig10: on the downlink, central and edge users' rates rise with M under
+  power allocation and under equal power, and the relative gap between the
+  two shrinks from the smallest to the largest M in both classes: the gains
+  diminish as M grows at fixed N.
 * fig11: on the downlink, edge users gain more than central users.
 * table2, table3a, table3b: the gain falls as M/N grows (claim ii), so a
   lower threshold is met over a wider range: the largest ratio (table2) and
@@ -133,6 +137,18 @@ def test_fig8_monte_carlo_holds_the_downlink_lower_bound_and_both_rise_with_ante
         assert np.array_equal(lower[:, 0], mc[:, 0])
         assert np.all(lower[:, 1] - mc[:, 2] <= mc[:, 1])
         assert falls(-lower[:, 1]) and falls(-mc[:, 1])
+
+
+def test_fig10_both_classes_rise_with_antennas_and_their_gaps_diminish(tmp_path):
+    # the abstract: "with fixed number of users (N), these gains diminish as
+    # M -> infinity, and equal power allocation becomes optimal"
+    curves = run(tmp_path, "fig10")
+    for cls in ("central", "edge"):
+        pa, eq = curves[(cls, "pa")], curves[(cls, "eq")]
+        assert np.array_equal(pa[:, 0], eq[:, 0])
+        assert falls(-pa[:, 1]) and falls(-eq[:, 1])
+        gap = np.abs(pa[:, 1] - eq[:, 1]) / eq[:, 1]
+        assert gap[-1] < gap[0]
 
 
 def test_fig11_edge_users_gain_more_than_central_users(tmp_path):
