@@ -31,7 +31,6 @@ from .closedform import (
     uplink_upper_bound,
 )
 from .mcrate import (
-    PowerAllocation,
     RateEstimate,
     downlink_rate_mc,
     uplink_rate_mc,
@@ -39,6 +38,7 @@ from .mcrate import (
 from .network import (
     JointResult,
     NetworkState,
+    PowerAllocation,
     network_sum_rate,
     run_joint,
     run_scheduled,

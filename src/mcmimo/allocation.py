@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import PROFILE_COEFFICIENTS, downlink_profile, uplink_profile
-from .mcrate import PowerAllocation
 from .topology import CellTopology
 
 
@@ -81,16 +80,16 @@ def waterfill(wc: WaterfillCoefficients) -> WaterfillResult:
 # --- allocation strategies --------------------------------------------------
 #
 # A strategy allocates ``target_cell`` against the frozen ``interfering_powers``
-# and returns its PowerAllocation; given a sequence of cells, one water-filling
-# call gives one PowerAllocation per cell, each equal to that cell's own call;
-# given D drops of one layout, it returns the (D, cells, N) array of their rows.
+# and returns its water-filled (N,) powers; given a sequence of cells, one
+# water-filling call gives their (cells, N) rows, each equal to that cell's own
+# call; given D drops of one layout, it returns the (D, cells, N) array of their
+# rows. The powers carry no link: the strategy's ``direction`` attribute names it.
 
 def _strategy(public: str, name: str, direction: str, m_above_n: bool = False):
     """The strategy ``public`` water-filling ``PROFILE_COEFFICIENTS[name]`` of the
     ``direction`` profile of the target cell(s); ``m_above_n`` when c has the factor M-N."""
 
-    def strategy(topology, interfering_powers, target_cell, m, n,
-                 budget) -> PowerAllocation | list[PowerAllocation] | np.ndarray:
+    def strategy(topology, interfering_powers, target_cell, m, n, budget) -> np.ndarray:
         # the profile builders and waterfill are looked up by their module-level
         # names on each call, as the tracing of benchmarks/spans.py replaces them
         prof = (uplink_profile if direction == "uplink" else downlink_profile)(
@@ -103,9 +102,7 @@ def _strategy(public: str, name: str, direction: str, m_above_n: bool = False):
         powers = waterfill(WaterfillCoefficients(c, budget)).powers
         if not isinstance(topology, CellTopology):  # a stack of drops
             return powers.reshape(-1, np.size(target_cell), n)
-        if powers.ndim == 1:
-            return PowerAllocation(powers, direction)
-        return [PowerAllocation(row, direction) for row in powers]
+        return powers
 
     # the public name keeps the strategy picklable, as a module-level function is
     strategy.__name__ = strategy.__qualname__ = public
@@ -120,13 +117,13 @@ uplink_alloc_approx = _strategy("uplink_alloc_approx", "approx", "uplink")
 downlink_alloc = _strategy("downlink_alloc", "downlink", "downlink", True)
 
 
-def equal_alloc(n_users: int, budget: float, direction: str = "uplink") -> PowerAllocation:
-    """Equal-power baseline: every user gets budget/N."""
+def equal_alloc(n_users: int, budget: float) -> np.ndarray:
+    """Equal-power baseline: the (N,) powers in which every user gets budget/N."""
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
     if not budget > 0:
         raise ValueError("budget must be positive")
-    return PowerAllocation(np.full(n_users, budget / n_users), direction)
+    return np.full(n_users, budget / n_users)
 
 
 def relative_gain(c_pa, c_eq):

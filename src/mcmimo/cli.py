@@ -51,7 +51,6 @@ from .closedform import (
 )
 from .mcrate import (
     ESTIMATOR_VERSION,
-    PowerAllocation,
     downlink_rate_mc,
     shared_draws,
     uplink_rate_mc,
@@ -173,7 +172,7 @@ class ExperimentSpec:
             if version != ESTIMATOR_VERSION:
                 raise ValueError(
                     f"manifest estimatorVersion {version!r} is not this build's "
-                    f"{ESTIMATOR_VERSION}: its Monte Carlo outputs would not be reproduced"
+                    f"{ESTIMATOR_VERSION}: its outputs would not be reproduced"
                 )
             data = dict(check_field("spec", data["spec"], "object"))
         kind = check_field("kind", data.get("kind"), KINDS)
@@ -301,7 +300,7 @@ def _pa_eq(prof, ms, p_lin) -> list[tuple[np.ndarray, np.ndarray]]:
     strategy, rate = (("approx", uplink_approximation) if isinstance(prof, InterferenceProfile)
                       else ("downlink", downlink_lower_bound))
     n = prof.n_users
-    eq = equal_alloc(n, p_lin).powers
+    eq = equal_alloc(n, p_lin)
     return [(rate(prof, m, n, pa), rate(prof, m, n, eq))
             for m, pa in zip(ms, _waterfilled_rows(prof, (strategy,), ms, p_lin))]
 
@@ -362,7 +361,7 @@ def _job_equal_power(spec: ExperimentSpec, job: dict) -> list[dict]:
         top = _drop_topology(spec, d, antennas=calls[0][0])
         n = top.n_users
         prof, interferers = _cell0_rows([top], spec.direction, db_to_linear(opts[option]))
-        own = np.array([equal_alloc(n, p_lin).powers for _, p_lin in powers])
+        own = np.array([equal_alloc(n, p_lin) for _, p_lin in powers])
         rows, mc_seed = _own_rows(own, interferers), derive_seed(spec.network.seed, _TAG_MC, d)
         draws = (shared_draws(top, rows, 0, spec.trials, mc_seed, spec.direction)
                  if "mc" in opts["estimators"] else None)
@@ -420,7 +419,7 @@ def _job_strategies(spec: ExperimentSpec, job: dict) -> list[dict]:
         tops = [_drop_topology(spec, d, antennas=ms[0], cells=cells) for d in drops]
         n = tops[0].n_users
         prof, allocs = _cell0_rows(tops, "uplink", db_to_linear(opts["interfererUserPowerDb"]))
-        eq = equal_alloc(n, p_lin).powers
+        eq = equal_alloc(n, p_lin)
         pa = _waterfilled_rows(prof, _UPLINK_STRATEGIES, ms, p_lin).reshape(
             len(ms), len(_UPLINK_STRATEGIES), len(drops), n)
         # (D, M, 4) values and cis of equal power and the three allocations
@@ -509,16 +508,15 @@ def _job_network_slots(spec: ExperimentSpec, job: dict) -> list[dict]:
                                  estimator, spec.trials, seeds)
     records = []
     for s, top, joint, sched in zip(job["drops"], tops, joints, scheds, strict=True):
-        n, k = top.n_users, top.cluster_size
-        eq_allocs = ([equal_alloc(n, budget)] * k
-                     + [PowerAllocation(np.full(n, initial), "uplink")] * (top.n_cells - k))
+        eq = np.full((top.n_cells, top.n_users), initial)
+        eq[:top.cluster_size] = equal_alloc(top.n_users, budget)
         mc_seed = derive_seed(spec.network.seed, _TAG_MC, s)
         if estimator == "monteCarlo":  # both rated from one set of draws per cell
-            joint_value, eq_value = network_sum_rate(top, [joint.per_cell_powers, eq_allocs],
+            joint_value, eq_value = network_sum_rate(top, np.stack([joint.powers, eq]), "uplink",
                                                      estimator, spec.trials, mc_seed)
         else:
             joint_value = joint.objective
-            eq_value = network_sum_rate(top, eq_allocs, estimator, spec.trials, mc_seed)
+            eq_value = network_sum_rate(top, eq, "uplink", estimator, spec.trials, mc_seed)
         records += [{"panel": "", "label": label, "x": slot, "value": value, "ci": 0.0}
                     for slot in slots
                     for label, value in (("scheduled", sched.history[slot - 1]),
@@ -925,7 +923,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> Path:
     # the output directory is not an input to the computation: two runs that
     # differ only in destination carry the same content hash
     hashed = {k: v for k, v in spec_dict.items() if k != "output"}
-    # Monte Carlo outputs depend on the estimator's sampling scheme too
+    # outputs depend on the estimator version too: it moves with the Monte Carlo
+    # sampling and with closed-form evaluations (the upper bound, fig12's joint curve)
     hashed["estimatorVersion"] = ESTIMATOR_VERSION
     manifest = {
         "spec": spec_dict,

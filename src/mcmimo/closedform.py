@@ -246,7 +246,7 @@ def _profile_inputs(topology, interfering_powers, target_cell, direction: str):
     tops, one_top = _topology_stack(topology)
     cells, one_cell = _target_cells(target_cell, tops[0].n_cells)
     heard = np.flatnonzero(tops[0].adjacency[cells].any(axis=0))  # one layout for the stack
-    powers, one_set, _ = _power_rows(tops[0], interfering_powers, heard, direction)
+    powers, one_set = _power_rows(tops[0], interfering_powers, heard, direction)
     if one_set != one_top or len(powers) != len(tops):
         raise ValueError("interfering_powers must be one allocation set per topology")
     return tops, powers, cells, heard, one_top and one_cell

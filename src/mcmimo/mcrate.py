@@ -51,11 +51,11 @@ powers. So one call rates R rows of allocations from one set of draws, and
 each row's estimate is the one a call with that row alone returns, bit for
 bit.
 
-Allocations. Every reader of per-cell powers takes one form: a set indexed by
-cell whose entries are None, a PowerAllocation or an (N,) vector of linear
-powers, or a sequence of such sets (rows). ``_power_rows`` alone makes it a
-(rows, cells, N) array and checks that each cell read holds N finite,
-non-negative powers, in the caller's direction; unread cells count as 0.
+Allocations. Every reader of per-cell powers takes one form, an array-like of
+linear powers: one (C, N) set indexed by cell, or (R, C, N) rows of such sets.
+The powers carry no link: each reader is given its own. ``_power_rows`` alone
+reads them: it refuses anything but real numbers of those shapes and checks
+that each cell read holds finite, non-negative powers; unread cells count as 0.
 
 ESTIMATOR_VERSION names the sampling scheme and how the experiments key it.
 Version 1 drew full M x N channels per trial from streams keyed by (seed,
@@ -78,7 +78,6 @@ moves fig12's joint curve only: Barzilai-Borwein ascent to a residual stop.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -88,30 +87,6 @@ from .topology import _MASK64, CellTopology, check_field
 
 ESTIMATOR_VERSION = 9
 BLOCK_TRIALS = 256
-
-
-@dataclass(frozen=True, eq=False)
-class PowerAllocation:
-    """Per-user transmit powers (linear watts) for one cell."""
-
-    powers: np.ndarray
-    direction: str  # "uplink" | "downlink"
-
-    def __post_init__(self):
-        p = np.asarray(self.powers)
-        if p.dtype.kind in "bc":  # 0/1 flags or a dropped imaginary part are not powers
-            raise ValueError(f"powers must be real, got dtype {p.dtype}")
-        p = p.astype(float)  # a copy, so the caller's array cannot change it
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("powers must be a non-empty 1-D vector")
-        # method reductions cost less than np.all/np.any on arrays this small;
-        # the scheduler builds one allocation per cell and slot
-        if not np.isfinite(p).all() or (p < 0).any():
-            raise ValueError("powers must be finite and non-negative (linear watts)")
-        if self.direction not in ("uplink", "downlink"):
-            raise ValueError(f"direction must be 'uplink' or 'downlink', got {self.direction!r}")
-        p.setflags(write=False)
-        object.__setattr__(self, "powers", p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,61 +113,33 @@ class RateEstimate:
         return float(self.per_user_rate.sum())
 
 
-def _is_cell_entry(a) -> bool:
-    """Whether ``a`` is a cell's entry, not a set: anything but a sequence or array of
-    more than numbers (np.ndim alone takes a list of PowerAllocations for a vector).
-    Complex and bool entries count, so that ``_power_rows`` refuses them by cell."""
-    if isinstance(a, (list, tuple)):
-        return all(isinstance(x, numbers.Number) for x in a)
-    return not isinstance(a, np.ndarray) or (a.ndim <= 1 and a.dtype.kind in "biufc")
-
-
-def _power_rows(topology: CellTopology, allocations, cells, direction: str | None):
-    """(powers, single, direction): the (R, C, N) powers of ``allocations``,
-    one set or R rows of the module docstring's form, read in ``cells`` only
-    (0 elsewhere); whether it was one set; and its direction, which the
-    PowerAllocations read give, and must agree on, when ``direction`` is None.
-    A float (R, C, N) or (C, N) array in a given direction is copied whole."""
-    if len(allocations) == 0:
-        raise ValueError("allocations must hold at least one row")
+def _power_rows(topology: CellTopology, allocations, cells, direction: str):
+    """(powers, single): ``allocations``, one set or R rows of ``direction``'s
+    powers in the module docstring's form, as an (R, C, N) float array read in
+    ``cells`` only (0 elsewhere); and whether it was one set."""
+    check_field("direction", direction, ("uplink", "downlink"))
     n_cells, n = topology.n_cells, topology.n_users
-    whole = (direction is not None and isinstance(allocations, np.ndarray)
-             and allocations.dtype.kind == "f" and allocations.ndim <= 3
-             and allocations.shape[-2:] == (n_cells, n))
-    single = (allocations.ndim == 2 if whole else
-              all(isinstance(a, PowerAllocation) or _is_cell_entry(a) for a in allocations))
-    rows = [allocations] if single else allocations
-    powers = np.zeros((len(rows), n_cells, n))
-    raw = whole  # a PowerAllocation's powers are checked already
-    if whole:
-        powers[:, cells] = allocations.reshape(powers.shape)[:, cells]
-    for r, row in enumerate([] if whole else rows):
-        if len(row) != n_cells:
-            raise ValueError(f"an allocation set must hold {n_cells} cells, got {len(row)}")
-        for cell in cells:
-            a = row[cell]
-            if isinstance(a, PowerAllocation):
-                direction = direction or a.direction
-                if a.direction != direction:
-                    raise ValueError(f"cell {cell} allocation is {a.direction}, not {direction}")
-                p = a.powers
-            elif a is None:
-                raise ValueError(f"no allocation for cell {cell}")
-            else:
-                p, raw = np.asarray(a), True
-                if p.dtype.kind in "bc":
-                    raise ValueError(f"cell {cell} powers must be real, got dtype {p.dtype}")
-                p = p.astype(float, copy=False)
-            if p.shape != (n,):
-                raise ValueError(f"cell {cell} powers must have shape ({n},), got {p.shape}")
-            powers[r, cell] = p
-    if direction is None:
-        raise ValueError("the allocations hold no PowerAllocation to give their direction")
+    shapes = f"a ({n_cells}, {n}) set or (rows, {n_cells}, {n}) rows"
+    try:
+        p = np.asarray(allocations)
+    except ValueError:  # numpy refuses a ragged sequence
+        raise ValueError(f"{direction} powers must be {shapes}, got a ragged sequence") from None
+    # np.asarray makes a bool or complex vector among float ones float, so the
+    # entries of a sequence are checked one by one
+    entries = [p] if p is allocations else np.asarray(allocations, dtype=object).flat
+    bad = [d for d in (np.asarray(e).dtype for e in entries) if d.kind not in "iuf"]
+    if bad:  # 0/1 flags, a dropped imaginary part or None are not powers
+        raise ValueError(f"{direction} powers must be real numbers, got dtype {bad[0]}")
+    if p.ndim not in (2, 3) or p.shape[-2:] != (n_cells, n) or p.size == 0:
+        raise ValueError(f"{direction} powers must be {shapes}, got shape {p.shape}")
+    rows = p.reshape(-1, n_cells, n)
+    powers = np.zeros(rows.shape)
+    powers[:, cells] = rows[:, cells]
     # one check of every cell, vectorised; the failing cell is looked up only on failure
-    if raw and not (powers.min() >= 0 and powers.max() < np.inf):
+    if not (powers.min() >= 0 and powers.max() < np.inf):
         r, cell = np.argwhere(~(np.isfinite(powers) & (powers >= 0)).all(axis=2))[0]
         raise ValueError(f"cell {cell} powers must be finite and non-negative (row {r})")
-    return powers, single, direction
+    return powers, p.ndim == 2
 
 
 def _topology_stack(topology) -> tuple[list[CellTopology], bool]:
@@ -283,7 +230,6 @@ def shared_draws(topology: CellTopology, allocations, target_cell: int, trials: 
     these arguments. An M sweep passes them as ``shared`` to its call at
     each M, which then draws only its Gammas; ``topology`` may be the drop
     at any M."""
-    check_field("direction", direction, ("uplink", "downlink"))
     return _inputs(topology, allocations, target_cell, trials, seed, direction, None)[-1]
 
 
@@ -295,7 +241,7 @@ def _inputs(topology, allocations, target_cell, trials, seed, direction, shared)
     blocks = _blocks(trials)
     target = int(_target_cells(target_cell, topology.n_cells, many=False)[0][0])
     nbrs = topology.neighbors(target)
-    powers, single, _ = _power_rows(topology, allocations, [target, *nbrs], direction)
+    powers, single = _power_rows(topology, allocations, [target, *nbrs], direction)
     n = topology.n_users
     if direction == "uplink":  # w_k = beta_k p_k at the target BS, in neighbour order
         weights = (topology.large_scale[target, nbrs] * powers[:, nbrs]).reshape(len(powers), -1)
@@ -339,9 +285,9 @@ def uplink_rate_mc(
 ):
     """Monte Carlo ergodic uplink rates of the target cell's users.
 
-    ``allocations`` is one allocation set (see the module docstring) that
-    covers the target cell and its interfering (edge-adjacent) neighbours;
-    the result is a RateEstimate. It may instead be a sequence of R such sets:
+    ``allocations`` is one (C, N) set of powers (see the module docstring),
+    read in the target cell and its interfering (edge-adjacent) neighbours;
+    the result is a RateEstimate. It may instead be (R, C, N) rows of sets:
     all R rows are rated from one set of draws and the result is the list of
     their R estimates, each equal to the estimate of its row alone. The
     expectation is over fast fading only; the topology's large-scale fading
@@ -373,7 +319,7 @@ def downlink_rate_mc(
 ):
     """Monte Carlo ergodic downlink rates of the target cell's users.
 
-    ``allocations`` is one allocation set or a sequence of R rows, and
+    ``allocations`` is one (C, N) set or (R, C, N) rows, and
     ``shared`` this call's ``shared_draws``, as for ``uplink_rate_mc``. The
     serving cell's own ZF precoding removes intracell interference and
     contributes the deterministic gain alpha_0^2; randomness enters only via

@@ -22,12 +22,36 @@ from functools import cached_property
 import numpy as np
 
 from . import closedform
-from .mcrate import PowerAllocation, _power_rows, _topology_stack, downlink_rate_mc, uplink_rate_mc
+from .mcrate import _power_rows, _topology_stack, downlink_rate_mc, uplink_rate_mc
 from .topology import CellTopology, check_field, derive_seed, schedule_groups
 
 _LN2 = math.log(2.0)
 _STEPS = np.arange(1.0, 65.0)  # the divisors j = 1..N of the simplex threshold
 _ESTIMATORS = ("closedForm", "monteCarlo")
+
+
+@dataclass(frozen=True, eq=False)
+class PowerAllocation:
+    """Per-user transmit powers (linear watts) for one cell: the element of a
+    result's ``per_cell_powers``."""
+
+    powers: np.ndarray
+    direction: str  # "uplink" | "downlink"
+
+    def __post_init__(self):
+        p = np.asarray(self.powers)
+        if p.dtype.kind in "bc":  # 0/1 flags or a dropped imaginary part are not powers
+            raise ValueError(f"powers must be real, got dtype {p.dtype}")
+        p = p.astype(float)  # a copy, so the caller's array cannot change it
+        if p.ndim != 1 or p.size == 0:
+            raise ValueError("powers must be a non-empty 1-D vector")
+        # method reductions cost less than np.all/np.any on arrays this small
+        if not np.isfinite(p).all() or (p < 0).any():
+            raise ValueError("powers must be finite and non-negative (linear watts)")
+        if self.direction not in ("uplink", "downlink"):
+            raise ValueError(f"direction must be 'uplink' or 'downlink', got {self.direction!r}")
+        p.setflags(write=False)
+        object.__setattr__(self, "powers", p)
 
 
 def _per_cell_powers(result) -> list[PowerAllocation]:
@@ -166,27 +190,24 @@ def _downlink_objective(topology: CellTopology, pmat: np.ndarray) -> float:
 
 def network_sum_rate(
     topology: CellTopology,
-    per_cell_powers,
+    powers,
+    direction: str,
     estimator: str = "closedForm",
     trials: int = 10_000,
     seed: int = 0,
-    direction: str | None = None,
 ) -> float:
-    """Sum rate of the cluster cells under the given powers.
+    """Sum rate of the cluster cells under the given (C, N) powers on the
+    ``direction`` link.
 
     ``closedForm`` uses the uplink approximation (or the downlink lower bound
-    on the downlink); ``monteCarlo`` averages fading draws per cell. The link
-    is ``direction``, which raw power rows need, else the one the set's
-    PowerAllocations agree on. ``per_cell_powers`` may also be a sequence
-    of R allocation sets: the result is then the list of their R sum rates,
-    and ``monteCarlo`` rates a cell's R rows from one set of draws.
+    on the downlink); ``monteCarlo`` averages fading draws per cell.
+    ``powers`` may also be (R, C, N) rows: the result is then the
+    list of their R sum rates, and ``monteCarlo`` rates a cell's R rows from
+    one set of draws.
     """
     check_field("estimator", estimator, _ESTIMATORS)
     check_field("trials", trials, "count")
-    if direction is not None:
-        check_field("direction", direction, ("uplink", "downlink"))
-    powers, single, direction = _power_rows(topology, per_cell_powers, range(topology.n_cells),
-                                            direction)
+    powers, single = _power_rows(topology, powers, range(topology.n_cells), direction)
     if estimator == "closedForm":
         if direction == "uplink":
             consts = _objective_constants(topology)
@@ -257,8 +278,8 @@ def run_scheduled_drops(topologies, strategy, budget: float, initial_power: floa
         elif closed:
             history.append([_downlink_objective(top, p) for top, p in zip(tops, pmat)])
         else:
-            history.append([network_sum_rate(top, p, rate_estimator, trials,
-                                             derive_seed(seed, slot), direction)
+            history.append([network_sum_rate(top, p, direction, rate_estimator, trials,
+                                             derive_seed(seed, slot))
                             for top, p, seed in zip(tops, pmat, seeds)])
     pmat.setflags(write=False)  # the states' powers are its rows
     return [NetworkState(slots, p, groups, h, rate_estimator, direction)

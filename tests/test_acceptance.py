@@ -39,7 +39,7 @@ from mcmimo.closedform import (
     uplink_profile,
     uplink_upper_bound,
 )
-from mcmimo.mcrate import PowerAllocation, uplink_rate_mc
+from mcmimo.mcrate import uplink_rate_mc
 from mcmimo.network import run_joint, run_scheduled
 from mcmimo.topology import NetworkConfig, build_topology
 
@@ -79,10 +79,10 @@ def test_criterion_02_approximation_accuracy():
     """
     cfg = NetworkConfig(users_per_cell=10, bs_antennas=128, seed=0)
     top = build_topology(cfg)
-    allocs = [equal_alloc(10, db_to_linear(20.0)) for _ in range(19)]
+    allocs = np.tile(equal_alloc(10, db_to_linear(20.0)), (19, 1))
     mc = uplink_rate_mc(top, allocs, 0, trials=10_000, seed=91)
     prof = uplink_profile(top, allocs, 0)
-    approx = uplink_approximation(prof, 128, 10, allocs[0].powers)
+    approx = uplink_approximation(prof, 128, 10, allocs[0])
     rel = float(np.max(np.abs(mc.per_user_rate - approx) / mc.per_user_rate))
     report(2, "approximation vs MC", rel < 0.02, f"max per-user rel err {rel:.4f}")
 
@@ -95,7 +95,7 @@ def test_criterion_03_exact_rate_oracle():
     )
     top = build_topology(cfg)
     est = uplink_rate_mc(
-        top, [PowerAllocation(np.ones(1), "uplink")], 0,
+        top, np.ones((1, 1)), 0,
         trials=100_000, seed=11, confidence=0.99,
     )
     target = 1.0 / math.log(2.0)
@@ -118,8 +118,8 @@ def test_criterion_04_waterfill_vs_grid():
                             seed=int(rng.integers(0, 2**31)))
         top = build_topology(cfg)
         budget = float(10.0 ** rng.uniform(0, 2))
-        up_int = [PowerAllocation(10.0 ** rng.uniform(-1, 1.5, 3), "uplink") for _ in range(7)]
-        dl_int = [PowerAllocation(10.0 ** rng.uniform(0, 2.5, 3), "downlink") for _ in range(7)]
+        up_int = np.array([10.0 ** rng.uniform(-1, 1.5, 3) for _ in range(7)])
+        dl_int = np.array([10.0 ** rng.uniform(0, 2.5, 3) for _ in range(7)])
         grid = np.column_stack([ij * (budget / 100), budget - ij.sum(axis=1) * (budget / 100)])
         for name, direction in strategies:
             if direction == "uplink":
@@ -180,8 +180,8 @@ def test_criterion_07_asymptotic_equal_power():
     cfg = NetworkConfig(users_per_cell=5, bs_antennas=32, seed=7)
     top = build_topology(cfg)
     budget = db_to_linear(30.0)
-    ul = [PowerAllocation(np.full(5, db_to_linear(10.0)), "uplink") for _ in range(19)]
-    dl = [PowerAllocation(np.full(5, db_to_linear(30.0) / 5), "downlink") for _ in range(19)]
+    ul = np.full((19, 5), db_to_linear(10.0))
+    dl = np.full((19, 5), db_to_linear(30.0) / 5)
     ok = True
     finals = []
     for name, strategy, interferers in [
@@ -193,7 +193,7 @@ def test_criterion_07_asymptotic_equal_power():
         devs = []
         for m in (32, 128, 512, 2048):
             out = strategy(top.with_antennas(m), interferers, 0, m, 5, budget)
-            devs.append(float(np.max(np.abs(out.powers - budget / 5)) / (budget / 5)))
+            devs.append(float(np.max(np.abs(out - budget / 5)) / (budget / 5)))
         ok = ok and all(b <= a + 1e-12 for a, b in zip(devs, devs[1:])) and devs[-1] < 0.05
         finals.append(f"{name}:{devs[-1]:.4f}")
     report(7, "asymptotic equal power", ok, "dev@M=2048 " + ", ".join(finals))

@@ -19,7 +19,6 @@ from mcmimo.allocation import (
     waterfill,
 )
 from mcmimo.closedform import DownlinkProfile, InterferenceProfile, downlink_profile, uplink_profile
-from mcmimo.mcrate import PowerAllocation
 from mcmimo.topology import NetworkConfig, build_topology
 
 
@@ -178,12 +177,11 @@ def small_topology():
 
 
 def uplink_interferers(top, per_user=10.0):
-    return [PowerAllocation(np.full(top.n_users, per_user), "uplink") for _ in range(top.n_cells)]
+    return np.full((top.n_cells, top.n_users), per_user)
 
 
 def downlink_interferers(top, per_cell=1000.0):
-    n = top.n_users
-    return [PowerAllocation(np.full(n, per_cell / n), "downlink") for _ in range(top.n_cells)]
+    return np.full((top.n_cells, top.n_users), per_cell / top.n_users)
 
 
 # the coefficient vector (or rows) a strategy water-fills, from the profile
@@ -218,8 +216,8 @@ class TestStrategies:
         top = small_topology
         allocs = make_interf(top)
         out = strategy(top, allocs, 0, 12, 3, 30.0)
-        assert np.all(out.powers >= 0)
-        assert out.powers.sum() == pytest.approx(30.0, rel=1e-12)
+        assert np.all(out >= 0)
+        assert out.sum() == pytest.approx(30.0, rel=1e-12)
 
     @pytest.mark.parametrize("name,strategy,coeff_fn,make_interf", STRATEGIES)
     def test_beats_grid_search(self, small_topology, name, strategy, coeff_fn, make_interf):
@@ -228,7 +226,7 @@ class TestStrategies:
         budget = 30.0
         c = coeff_fn(top, allocs, 0, 12, 3)
         out = strategy(top, allocs, 0, 12, 3, budget)
-        assert surrogate(c, out.powers) >= grid_best(c, budget) - 1e-12
+        assert surrogate(c, out) >= grid_best(c, budget) - 1e-12
 
     @pytest.mark.parametrize("name,strategy,_,make_interf", STRATEGIES)
     def test_asymptotic_equal_split(self, small_topology, name, strategy, _, make_interf):
@@ -239,32 +237,32 @@ class TestStrategies:
         devs = []
         for m in (32, 128, 512, 2048):
             out = strategy(top.with_antennas(m), allocs, 0, m, 3, budget)
-            devs.append(float(np.max(np.abs(out.powers - budget / 3)) / (budget / 3)))
+            devs.append(float(np.max(np.abs(out - budget / 3)) / (budget / 3)))
         assert all(b <= a + 1e-12 for a, b in zip(devs, devs[1:]))
         out = strategy(top.with_antennas(10**6), allocs, 0, 10**6, 3, budget)
-        assert np.max(np.abs(out.powers - budget / 3)) / (budget / 3) < 0.01
+        assert np.max(np.abs(out - budget / 3)) / (budget / 3) < 0.01
 
     def test_upper_matches_approx_without_interference(self):
         cfg = NetworkConfig(users_per_cell=3, bs_antennas=12, cell_count=1, seed=31)
         top = build_topology(cfg)
-        allocs = [PowerAllocation(np.zeros(3), "uplink")]
+        allocs = np.zeros((1, 3))
         a = uplink_alloc_upper_bound(top, allocs, 0, 12, 3, 9.0)
         b = uplink_alloc_approx(top, allocs, 0, 12, 3, 9.0)
-        assert np.array_equal(a.powers, b.powers)
+        assert np.array_equal(a, b)
 
     def test_upper_power_ranking_follows_beta(self, small_topology):
         top = small_topology
         allocs = uplink_interferers(top)
         out = uplink_alloc_upper_bound(top, allocs, 0, 12, 3, 30.0)
         beta = top.large_scale[0, 0]
-        assert np.array_equal(np.argsort(out.powers), np.argsort(beta))
+        assert np.array_equal(np.argsort(out), np.argsort(beta))
 
     def test_approx_equals_lower_for_large_m(self, small_topology):
         top = small_topology
         allocs = uplink_interferers(top)
         a = uplink_alloc_lower_bound(top.with_antennas(512), allocs, 0, 512, 3, 30.0)
         b = uplink_alloc_approx(top.with_antennas(512), allocs, 0, 512, 3, 30.0)
-        assert np.max(np.abs(a.powers - b.powers)) < 1e-3 * 30.0 / 3
+        assert np.max(np.abs(a - b)) < 1e-3 * 30.0 / 3
 
     def test_symmetric_betas_split_equally(self):
         cfg = NetworkConfig(
@@ -272,17 +270,17 @@ class TestStrategies:
             path_loss_exponent=0.0, shadow_std_db=0.0, seed=2,
         )
         top = build_topology(cfg)
-        allocs = [PowerAllocation(np.zeros(3), "uplink")]
+        allocs = np.zeros((1, 3))
         out = uplink_alloc_lower_bound(top, allocs, 0, 9, 3, 6.0)
-        assert out.powers == pytest.approx([2.0, 2.0, 2.0])
+        assert out == pytest.approx([2.0, 2.0, 2.0])
 
     def test_downlink_single_user_gets_everything(self):
         cfg = NetworkConfig(users_per_cell=1, bs_antennas=4, cell_count=7, seed=3)
         top = build_topology(cfg)
         allocs = downlink_interferers(top, per_cell=10.0)
         out = downlink_alloc(top, allocs, 0, 4, 1, 5.0)
-        assert out.powers == pytest.approx([5.0])
-        assert out.direction == "downlink"
+        assert out == pytest.approx([5.0])
+        assert downlink_alloc.direction == "downlink"
 
     def test_requires_m_above_n(self, small_topology):
         allocs = uplink_interferers(small_topology)
@@ -314,7 +312,7 @@ def test_strategies_call_builders_by_module_name(monkeypatch, small_topology, na
     assert strategy.direction == direction
     out = strategy(small_topology, make_interf(small_topology), 0, 12, 3, 30.0)
     group = strategy(small_topology, make_interf(small_topology), [0, 1], 12, 3, 30.0)
-    assert {out.direction} | {a.direction for a in group} == {direction}
+    assert out.shape == (3,) and group.shape == (2, 3)
     assert calls == {"uplink_profile": 2 * (direction == "uplink"),
                      "downlink_profile": 2 * (direction == "downlink"), "waterfill": 2}
 
@@ -328,13 +326,13 @@ def profile_reference(top, allocs, cell, direction):
         if not nbrs.size:
             return InterferenceProfile(beta[cell, cell], np.empty(0), np.empty(0))
         return InterferenceProfile(beta[cell, cell],
-                                   np.concatenate([allocs[l].powers for l in nbrs]),
+                                   np.concatenate([allocs[l] for l in nbrs]),
                                    np.concatenate([beta[cell, l] for l in nbrs]))
     load = np.zeros(top.n_users)
     for l in nbrs:
         beta_ll = beta[l, l]
         lam_l = float(np.sum(1.0 / beta_ll))
-        load += beta[l, cell] * float(np.sum(allocs[l].powers / beta_ll)) / lam_l
+        load += beta[l, cell] * float(np.sum(allocs[l] / beta_ll)) / lam_l
     return DownlinkProfile(float(np.sum(1.0 / beta[cell, cell])), load)
 
 
@@ -363,20 +361,18 @@ class TestGroupCalls:
     def test_group_rows_equal_cell_calls(self, name, strategy, coeff_fn, _, case):
         top, group, powers, budget = case
         m, n = top.config.bs_antennas, top.n_users
-        direction = strategy.direction
-        allocs = [PowerAllocation(p, direction) for p in powers]
-        got = strategy(top, allocs, group, m, n, budget)
-        rows = coeff_fn(top, allocs, group, m, n)
-        assert len(got) == len(group) and rows.shape == (len(group), n)
+        got = strategy(top, powers, group, m, n, budget)
+        rows = coeff_fn(top, powers, group, m, n)
+        assert got.shape == rows.shape == (len(group), n)
         for cell, alloc, row in zip(group, got, rows):
-            one = strategy(top, allocs, cell, m, n, budget)
-            c = PROFILE_COEFFICIENTS[name](profile_reference(top, allocs, cell, direction), m, n)
+            one = strategy(top, powers, cell, m, n, budget)
+            c = PROFILE_COEFFICIENTS[name](profile_reference(top, powers, cell, strategy.direction),
+                                           m, n)
             assert np.array_equal(row, c)
-            assert np.array_equal(coeff_fn(top, allocs, cell, m, n), c)
+            assert np.array_equal(coeff_fn(top, powers, cell, m, n), c)
             want = waterfill(WaterfillCoefficients(c, budget)).powers
-            assert alloc.direction == one.direction == direction
-            assert np.array_equal(alloc.powers, want)
-            assert np.array_equal(one.powers, want)
+            assert np.array_equal(alloc, want)
+            assert np.array_equal(one, want)
 
     @pytest.mark.parametrize("cell", [True, 1.0, [], [[0, 1]], "0"])
     def test_bad_target_cell_rejected(self, small_topology, cell):
@@ -386,13 +382,13 @@ class TestGroupCalls:
 
 class TestBaselines:
     def test_equal_alloc_examples(self):
-        assert equal_alloc(10, 100.0).powers == pytest.approx([10.0] * 10)
-        assert equal_alloc(1, 7.0).powers == pytest.approx([7.0])
+        assert equal_alloc(10, 100.0) == pytest.approx([10.0] * 10)
+        assert equal_alloc(1, 7.0) == pytest.approx([7.0])
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 40), budget=st.floats(1e-3, 1e6))
     def test_equal_alloc_sums_to_budget(self, n, budget):
-        assert equal_alloc(n, budget).powers.sum() == pytest.approx(budget, rel=1e-12)
+        assert equal_alloc(n, budget).sum() == pytest.approx(budget, rel=1e-12)
 
     def test_relative_gain(self):
         assert relative_gain(114.0, 100.0) == pytest.approx(0.14)

@@ -1,8 +1,8 @@
-"""The one allocation format: every reader of per-cell powers accepts the same
-inputs and rejects the same faults, naming the cell.
+"""The one allocation format: every reader of per-cell powers takes the same
+array-likes and rejects the same faults through one check.
 
-An allocation set is indexed by cell; its entries are None, a PowerAllocation
-or an (N,) vector of linear powers. A sequence of sets is a stack of rows.
+Powers are linear and indexed by cell: one (C, N) set, or an (R, C, N) stack
+of rows. A bad power in a cell read is named by its cell and row.
 """
 
 import numpy as np
@@ -11,17 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmimo.closedform import InterferenceProfile, downlink_profile, uplink_profile
-from mcmimo.mcrate import PowerAllocation, _power_rows, downlink_rate_mc, uplink_rate_mc
-from mcmimo.network import network_sum_rate
+from mcmimo.mcrate import _power_rows, downlink_rate_mc, shared_draws, uplink_rate_mc
+from mcmimo.network import PowerAllocation, network_sum_rate
 from mcmimo.topology import NetworkConfig, build_topology
 
 N = 3
 TOP = build_topology(NetworkConfig(users_per_cell=N, bs_antennas=8, cell_count=7, seed=5))
 POWERS = np.random.default_rng(8).uniform(0.5, 4.0, (TOP.n_cells, N))
-
-
-def allocations(direction):
-    return [PowerAllocation(p, direction) for p in POWERS]
 
 
 def _fields(result):
@@ -32,98 +28,138 @@ def _fields(result):
         return [result]
     if hasattr(result, "per_user_rate"):
         return [result.per_user_rate, result.ci_half_width]
+    if hasattr(result, "blocks"):
+        return [result.weights, *result.blocks]
     return [result.lambda_self, result.cross_load]
 
 
-# (name, call(allocations), direction, whether cell 0 is read); the target is cell 0
+# name -> (call(allocations), whether cell 0 is read, whether it takes rows); the target is cell 0
 READERS = {
-    "uplink_profile": (lambda a: uplink_profile(TOP, a, 0), "uplink", False),
-    "downlink_profile": (lambda a: downlink_profile(TOP, a, 0), "downlink", False),
-    "uplink_rate_mc": (lambda a: uplink_rate_mc(TOP, a, 0, 40, 3), "uplink", True),
-    "downlink_rate_mc": (lambda a: downlink_rate_mc(TOP, a, 0, 40, 3), "downlink", True),
-    "network_sum_rate[uplink]": (lambda a: network_sum_rate(TOP, a), "uplink", True),
-    "network_sum_rate[downlink]": (lambda a: network_sum_rate(TOP, a), "downlink", True),
+    "uplink_profile": (lambda a: uplink_profile(TOP, a, 0), False, False),
+    "downlink_profile": (lambda a: downlink_profile(TOP, a, 0), False, False),
+    "uplink_rate_mc": (lambda a: uplink_rate_mc(TOP, a, 0, 40, 3), True, True),
+    "downlink_rate_mc": (lambda a: downlink_rate_mc(TOP, a, 0, 40, 3), True, True),
+    "shared_draws[uplink]": (lambda a: shared_draws(TOP, a, 0, 40, 3, "uplink"), True, True),
+    "shared_draws[downlink]": (lambda a: shared_draws(TOP, a, 0, 40, 3, "downlink"), True, True),
+    "network_sum_rate[uplink]": (lambda a: network_sum_rate(TOP, a, "uplink"), True, True),
+    "network_sum_rate[downlink]": (lambda a: network_sum_rate(TOP, a, "downlink"), True, True),
 }
 
-OTHER = {"uplink": "downlink", "downlink": "uplink"}
 
-# case -> (cell, its entry given the reader's direction, the error it raises)
+def _with(cell, entry):
+    """POWERS as a list of cell vectors, with ``cell``'s replaced by ``entry``."""
+    rows = list(POWERS)
+    rows[cell] = entry
+    return rows
+
+
+SHAPES = r"powers must be a \(7, 3\) set or \(rows, 7, 3\) rows"
+
+# case -> (the malformed input, the error it raises)
 FAULTS = {
-    "none_in_read_cell": (1, lambda d: None, "no allocation for cell 1"),
-    "wrong_direction": (2, lambda d: PowerAllocation(POWERS[2], OTHER[d]), "cell 2 allocation is"),
-    "too_long": (3, lambda d: np.ones(N + 1), r"cell 3 powers must have shape \(3,\)"),
-    "scalar": (3, lambda d: 2.0, r"cell 3 powers must have shape \(3,\), got \(\)"),
-    "nan": (4, lambda d: np.array([1.0, np.nan, 1.0]), "cell 4 powers must be finite"),
-    "negative": (4, lambda d: np.array([1.0, -0.5, 1.0]), "cell 4 powers must be finite"),
-    "complex": (5, lambda d: np.ones(N, complex), "cell 5 powers must be real, got dtype complex128"),
-    "complex_list": (5, lambda d: [1.0, 2j, 1.0], "cell 5 powers must be real, got dtype complex128"),
-    "bool": (6, lambda d: np.ones(N, bool), "cell 6 powers must be real, got dtype bool"),
-    "bool_list": (6, lambda d: [True, False, True], "cell 6 powers must be real, got dtype bool"),
+    "none_for_a_cell": (_with(1, None), SHAPES + ", got a ragged sequence"),
+    "none_for_a_user": (_with(1, [1.0, None, 1.0]), "powers must be real numbers, got dtype object"),
+    "ragged": (_with(3, np.ones(N + 1)), SHAPES + ", got a ragged sequence"),
+    "scalar_for_a_cell": (_with(3, 2.0), SHAPES + ", got a ragged sequence"),
+    "object": (POWERS.astype(object), "powers must be real numbers, got dtype object"),
+    "powerallocations": ([PowerAllocation(p, "uplink") for p in POWERS],
+                         "powers must be real numbers, got dtype object"),
+    # a bool or complex vector among float ones, which np.asarray would make float
+    "bool": (_with(6, np.ones(N, bool)), "powers must be real numbers, got dtype bool"),
+    "bool_list": (_with(6, [True, False, True]), "powers must be real numbers, got dtype bool"),
+    "bool_in_a_row": ([POWERS, _with(6, np.ones(N, bool))],
+                      "powers must be real numbers, got dtype bool"),
+    "complex": (_with(5, np.ones(N, complex)), "powers must be real numbers, got dtype complex128"),
+    "complex_list": (_with(5, [1.0, 2j, 1.0]), "powers must be real numbers, got dtype complex128"),
+    "bool_array": (np.ones((TOP.n_cells, N), bool), "powers must be real numbers, got dtype bool"),
+    "bool_nested_list": (np.ones((TOP.n_cells, N), bool).tolist(),
+                         "powers must be real numbers, got dtype bool"),
+    "complex_array": (np.ones((TOP.n_cells, N), complex),
+                      "powers must be real numbers, got dtype complex128"),
+    "string": (POWERS.astype(str), "powers must be real numbers, got dtype <U"),
+    "too_few_cells": (POWERS[:-1], SHAPES + r", got shape \(6, 3\)"),
+    "too_many_users": (np.ones((TOP.n_cells, N + 1)), SHAPES + r", got shape \(7, 4\)"),
+    "empty_list": ([], SHAPES + r", got shape \(0,\)"),
+    "empty_stack": (np.empty((0, TOP.n_cells, N)), SHAPES + r", got shape \(0, 7, 3\)"),
+    "one_vector": (POWERS[0], SHAPES + r", got shape \(3,\)"),
+    "scalar": (2.0, SHAPES + r", got shape \(\)"),
+    "four_dims": (POWERS[None, None], SHAPES + r", got shape \(1, 1, 7, 3\)"),
 }
 
 
 @pytest.mark.parametrize("reader", READERS)
 @pytest.mark.parametrize("case", FAULTS)
-def test_fault_names_the_cell(reader, case):
-    call, direction, _ = READERS[reader]
-    cell, entry, match = FAULTS[case]
-    allocs = allocations(direction)
-    allocs[cell] = entry(direction)
+def test_malformed_powers_are_refused(reader, case):
+    call = READERS[reader][0]
+    allocs, match = FAULTS[case]
     with pytest.raises(ValueError, match=match):
         call(allocs)
-    # and in any row of a stack
-    if reader.endswith("_mc") or reader.startswith("network"):
-        with pytest.raises(ValueError, match=match):
-            call([allocations(direction), allocs])
+
+
+# case -> (the bad power, its cell); cell 4 neighbours cell 0, so every reader reads it
+NAMED = {"nan": (np.nan, 4), "negative": (-0.5, 4), "infinite": (np.inf, 2)}
 
 
 @pytest.mark.parametrize("reader", READERS)
-def test_none_in_cell_zero(reader):
-    call, direction, reads_cell_0 = READERS[reader]
-    allocs = allocations(direction)
-    allocs[0] = None
+@pytest.mark.parametrize("case", NAMED)
+def test_bad_power_names_the_cell_and_row(reader, case):
+    call, _, takes_rows = READERS[reader]
+    bad, cell = NAMED[case]
+    powers = POWERS.copy()
+    powers[cell, 1] = bad
+    with pytest.raises(ValueError, match=rf"cell {cell} powers must be finite and non-negative "
+                                         r"\(row 0\)"):
+        call(powers)
+    # and in any row of a stack
+    if takes_rows:
+        with pytest.raises(ValueError, match=rf"cell {cell} powers .* \(row 1\)"):
+            call(np.stack([POWERS, powers]))
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_bad_power_in_cell_zero(reader):
+    call, reads_cell_0, _ = READERS[reader]
+    powers = POWERS.copy()
+    powers[0, 2] = np.nan
     if reads_cell_0:
-        with pytest.raises(ValueError, match="no allocation for cell 0"):
-            call(allocs)
+        with pytest.raises(ValueError, match=r"cell 0 powers must be finite"):
+            call(powers)
     else:  # the profile of cell 0 reads its neighbours only
-        for got, want in zip(_fields(call(allocs)), _fields(call(allocations(direction)))):
+        for got, want in zip(_fields(call(powers)), _fields(call(POWERS))):
             assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("reader", READERS)
-def test_raw_vectors_give_the_powerallocation_bits(reader):
-    call, direction, _ = READERS[reader]
-    want = _fields(call(allocations(direction)))
-    # network_sum_rate takes the direction from its PowerAllocations: cell 0 keeps one
-    first = 1 if reader.startswith("network") else 0
-    for raw in (POWERS, list(POWERS), [p.tolist() for p in POWERS]):
-        allocs = [*allocations(direction)[:first], *raw[first:]] if first else raw
-        for got, w in zip(_fields(call(allocs)), want):
+def test_every_array_like_gives_the_same_bits(reader):
+    call = READERS[reader][0]
+    want = _fields(call(POWERS))
+    frozen = POWERS.copy()
+    frozen.setflags(write=False)
+    for form in (list(POWERS), POWERS.tolist(), frozen, np.asfortranarray(POWERS)):
+        for got, w in zip(_fields(call(form)), want):
             assert np.array_equal(got, w)
 
 
 def test_power_rows_reads_only_the_given_cells():
-    allocs = [None] * TOP.n_cells
-    allocs[2], allocs[5] = POWERS[2], PowerAllocation(POWERS[5], "uplink")
-    powers, single, direction = _power_rows(TOP, allocs, [2, 5], "uplink")
-    assert single and direction == "uplink" and powers.shape == (1, TOP.n_cells, N)
+    allocs = np.full((TOP.n_cells, N), np.nan)
+    allocs[[2, 5]] = POWERS[[2, 5]]
+    powers, single = _power_rows(TOP, allocs, [2, 5], "uplink")
+    assert single and powers.shape == (1, TOP.n_cells, N)
     want = np.zeros((TOP.n_cells, N))
     want[[2, 5]] = POWERS[[2, 5]]
     assert np.array_equal(powers[0], want)  # unread cells are 0, never NaN
 
 
 def test_power_rows_tells_one_set_from_rows():
-    ups = allocations("uplink")
-    mixed = [ups[0], *POWERS[1:]]
-    for one in (ups, mixed, POWERS, list(POWERS)):
+    for one in (POWERS, list(POWERS), POWERS.tolist(), POWERS.astype(int)):
         assert _power_rows(TOP, one, range(TOP.n_cells), "uplink")[1]
-    for rows in ([ups, mixed], np.stack([POWERS, 2 * POWERS]), [POWERS, ups]):
-        powers, single, _ = _power_rows(TOP, rows, range(TOP.n_cells), "uplink")
+    for rows in (np.stack([POWERS, 2 * POWERS]), [POWERS, list(POWERS)]):
+        powers, single = _power_rows(TOP, rows, range(TOP.n_cells), "uplink")
         assert not single and powers.shape == (2, TOP.n_cells, N)
-    with pytest.raises(ValueError, match="at least one row"):
+    with pytest.raises(ValueError, match=r"got shape \(0,\)"):
         _power_rows(TOP, [], [0], "uplink")
-    with pytest.raises(ValueError, match="must hold 7 cells, got 6"):
-        _power_rows(TOP, ups[:6], [0], "uplink")
+    with pytest.raises(ValueError, match=r"got shape \(6, 3\)"):
+        _power_rows(TOP, POWERS[:6], [0], "uplink")
 
 
 @st.composite
@@ -140,20 +176,22 @@ def power_arrays(draw, dtypes=(np.float64, np.float32)):
     return arr, form(cells), draw(st.sampled_from(["uplink", "downlink"]))
 
 
-def as_sets(arr, entry=lambda p: p):
-    """``arr`` as the loop reads it: one list of cell entries, or a list of them."""
-    sets = [[entry(p) for p in s] for s in arr.reshape(-1, *arr.shape[-2:])]
-    return sets[0] if arr.ndim == 2 else sets
+def zeroed_outside(arr, cells):
+    """The (R, C, N) float64 rows of ``arr`` with every cell not in ``cells`` set to 0."""
+    want = arr.reshape(-1, TOP.n_cells, N).astype(np.float64)
+    want[:, ~np.isin(np.arange(TOP.n_cells), list(cells))] = 0.0
+    return want
 
 
 @settings(max_examples=30, deadline=None)
 @given(power_arrays())
-def test_power_rows_reads_a_float_array_as_the_loop_reads_its_cells(case):
+def test_power_rows_reads_an_array_zeroed_outside_its_cells(case):
     arr, cells, direction = case
-    got = _power_rows(TOP, arr, cells, direction)
-    for form in (as_sets(arr), as_sets(arr, lambda p: PowerAllocation(p, direction))):
-        want = _power_rows(TOP, form, cells, direction)
-        assert got[1:] == want[1:] and got[0].tobytes() == want[0].tobytes()
+    want = zeroed_outside(arr, cells)
+    for form in (arr, arr.tolist()):
+        powers, single = _power_rows(TOP, form, cells, direction)
+        assert single == (arr.ndim == 2) and powers.dtype == np.float64
+        assert powers.tobytes() == want.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -163,36 +201,25 @@ def test_power_rows_names_the_cell_and_row_of_a_bad_power_in_a_float_array(case,
     stack = arr.reshape(-1, TOP.n_cells, N)  # a view: writes reach ``arr``
     r, cell = data.draw(st.integers(0, len(stack) - 1)), data.draw(st.sampled_from(list(cells)))
     unread = sorted(set(range(TOP.n_cells)) - set(cells))
-    if unread:  # ignored where it is not read, as the loop ignores it
+    if unread:  # ignored where it is not read
         stack[r, data.draw(st.sampled_from(unread)), data.draw(st.integers(0, N - 1))] = np.nan
-        want = _power_rows(TOP, as_sets(arr), cells, direction)[0]
+        want = zeroed_outside(arr, cells)
         assert _power_rows(TOP, arr, cells, direction)[0].tobytes() == want.tobytes()
     stack[r, cell, data.draw(st.integers(0, N - 1))] = bad
     message = rf"cell {cell} powers must be finite and non-negative \(row {r}\)"
-    for form in (arr, as_sets(arr)):
+    for form in (arr, arr.tolist()):
         with pytest.raises(ValueError, match=message):
             _power_rows(TOP, form, cells, direction)
 
 
 @settings(max_examples=30, deadline=None)
 @given(power_arrays(dtypes=(bool, complex, np.complex64)))
-def test_power_rows_refuses_a_bool_or_complex_array_by_cell(case):
+def test_power_rows_refuses_a_bool_or_complex_array(case):
     arr, cells, direction = case
-    message = rf"cell {list(cells)[0]} powers must be real, got dtype {arr.dtype}"
-    with pytest.raises(ValueError, match=message):
-        _power_rows(TOP, arr, cells, direction)
-
-
-@pytest.mark.parametrize("reader", READERS)
-@pytest.mark.parametrize("dtype", [complex, bool])
-def test_a_whole_set_of_complex_or_bool_vectors_names_a_cell(reader, dtype):
-    # a (cells, N) array is one set whatever its dtype, never N rows of cells
-    call, direction, _ = READERS[reader]
-    allocs = np.ones((TOP.n_cells, N), dtype)
-    if reader.startswith("network"):  # the direction comes from cell 0
-        allocs = [allocations(direction)[0], *allocs[1:]]
-    with pytest.raises(ValueError, match=rf"cell \d powers must be real, got dtype {np.dtype(dtype)}"):
-        call(allocs)
+    for form in (arr, arr.tolist()):
+        message = rf"{direction} powers must be real numbers, got dtype {np.asarray(form).dtype}"
+        with pytest.raises(ValueError, match=message):
+            _power_rows(TOP, form, cells, direction)
 
 
 @pytest.mark.parametrize("powers, dtype", [
@@ -215,23 +242,10 @@ def test_powerallocation_copies_real_powers():
     assert not alloc.powers.flags.writeable
 
 
-def test_network_sum_rate_takes_one_direction_from_its_allocations():
-    ups = allocations("uplink")
-    mixed = list(ups)
-    mixed[3] = PowerAllocation(POWERS[3], "downlink")
-    with pytest.raises(ValueError, match="cell 3 allocation is downlink, not uplink"):
-        network_sum_rate(TOP, mixed)
-    with pytest.raises(ValueError, match="cell 3 allocation is downlink, not uplink"):
-        network_sum_rate(TOP, [ups, mixed], "monteCarlo", trials=10)
-    with pytest.raises(ValueError, match="no PowerAllocation to give their direction"):
-        network_sum_rate(TOP, POWERS)
-
-
 @pytest.mark.parametrize("build", [uplink_profile, downlink_profile])
 def test_profiles_take_one_set(build):
-    direction = "uplink" if build is uplink_profile else "downlink"
     with pytest.raises(ValueError, match="one allocation set"):
-        build(TOP, [allocations(direction)] * 2, 0)
+        build(TOP, np.stack([POWERS, POWERS]), 0)
 
 
 @pytest.mark.parametrize("call", [

@@ -433,7 +433,8 @@ class TestRunExperiment:
             del manifest["estimatorVersion"]
         else:
             manifest["estimatorVersion"] = version
-        with pytest.raises(ValueError, match="estimatorVersion"):
+        with pytest.raises(ValueError, match=r"estimatorVersion .*: its outputs would not be "
+                                             "reproduced"):
             ExperimentSpec.from_dict(manifest)
 
     def test_manifest_records_estimator_version(self, tmp_path, monkeypatch):
@@ -507,7 +508,7 @@ class TestRunExperiment:
                 allocs = np.full((top.n_cells, 4), db_to_linear(10))
                 seed = cli.derive_seed(net["seed"], cli._TAG_MC, 0, i, tag)
                 for label, strategy in [("equal", None), *cli._UPLINK_STRATEGIES.items()]:
-                    cand = list(allocs)
+                    cand = allocs.copy()
                     cand[0] = (equal_alloc(4, db_to_linear(20)) if strategy is None
                                else strategy(top, allocs, 0, m, 4, db_to_linear(20)))
                     if evaluator == "mc":  # one allocation per call
@@ -516,7 +517,7 @@ class TestRunExperiment:
                     else:
                         rate = cli._UPLINK_RATES[evaluator]
                         want = (float(rate(closedform.uplink_profile(top, cand, 0), m, 4,
-                                           cand[0].powers).sum()), 0.0)
+                                           cand[0]).sum()), 0.0)
                     assert got[(panel, label, m)] == want
 
     def test_fig5_mc_gains_equal_one_strategy_at_a_time(self, tmp_path):
@@ -552,9 +553,9 @@ class TestRunExperiment:
         joint = run_joint(top, 20.0, max_iters=int(spec.options["jointMaxIters"]),
                           tolerance=float(spec.options["jointTolerance"]))
         seed = cli.derive_seed(3, cli._TAG_MC, 0)
-        assert got["joint"] == network_sum_rate(top, joint.per_cell_powers, "monteCarlo", 40, seed)
-        eq = [equal_alloc(2, 20.0)] * top.n_cells
-        assert got["equal"] == network_sum_rate(top, eq, "monteCarlo", 40, seed)
+        assert got["joint"] == network_sum_rate(top, joint.powers, "uplink", "monteCarlo", 40, seed)
+        eq = np.tile(equal_alloc(2, 20.0), (top.n_cells, 1))
+        assert got["equal"] == network_sum_rate(top, eq, "uplink", "monteCarlo", 40, seed)
 
     @pytest.mark.parametrize("kind,names", [
         ("fig2", ["uplink_rate_mc", "uplink_profile"]),
@@ -665,10 +666,10 @@ class TestRunExperiment:
                "output": str(tmp_path / "fig12")}
         cli._job_network_slots(ExperimentSpec.from_dict(doc), {"drops": [0]})
         for name in ("scheduled", "joint"):
-            allocs = seen[name].per_cell_powers
-            assert len(allocs) == 26 and [a.powers.tolist() for a in allocs[19:]] == [[1.0] * 2] * 7
-        assert [a.powers.tolist() for a in seen["equal"]] == [[10.0] * 2] * 19 + [[1.0] * 2] * 7
-        assert all(a.powers.sum() == pytest.approx(20.0) for a in seen["joint"].per_cell_powers[:19])
+            powers = seen[name].powers
+            assert len(powers) == 26 and powers[19:].tolist() == [[1.0] * 2] * 7
+        assert seen["equal"].tolist() == [[10.0] * 2] * 19 + [[1.0] * 2] * 7
+        assert seen["joint"].powers[:19].sum(axis=1) == pytest.approx([20.0] * 19)
 
     def test_fig12_structure(self, tmp_path):
         doc = {

@@ -28,7 +28,7 @@ from mcmimo.closedform import (
     uplink_profile,
     uplink_upper_bound,
 )
-from mcmimo.mcrate import PowerAllocation
+from mcmimo.network import PowerAllocation
 from mcmimo.topology import NetworkConfig, build_topology
 
 
@@ -175,7 +175,7 @@ class TestMeanInvOnePlus:
         for seed in range(10):
             cfg = NetworkConfig(users_per_cell=10, bs_antennas=128, seed=seed)
             top = build_topology(cfg)
-            allocs = [equal_alloc(10, 100.0) for _ in range(19)]
+            allocs = np.tile(equal_alloc(10, 100.0), (19, 1))
             zetas = uplink_profile(top, allocs, 0).zetas()
             got = interference_factor(zetas)
             want, _ = integrate.quad(lambda s: math.exp(-s) / np.prod(1.0 + zetas * s), 0, np.inf,
@@ -308,8 +308,8 @@ class TestStackedProfiles:
         # unsorted and repeated cells with 3, 4 and 6 neighbours
         cells = [18, 0, 7, 12, 18, 5]
         for direction, build in (("uplink", uplink_profile), ("downlink", downlink_profile)):
-            allocs = [PowerAllocation(rng.uniform(0.0, 5.0, 3) * rng.integers(0, 2, 3), direction)
-                      for _ in range(top.n_cells)]
+            allocs = np.array([rng.uniform(0.0, 5.0, 3) * rng.integers(0, 2, 3)
+                               for _ in range(top.n_cells)])
             stack = build(top, allocs, cells)
             for row, cell in enumerate(cells):
                 one = build(top, allocs, cell)
@@ -353,8 +353,10 @@ class TestStackedProfiles:
         top = build_topology(NetworkConfig(users_per_cell=2, bs_antennas=6, cell_count=7, seed=4))
         allocs = [np.ones(2)] * 7
         allocs[1] = 5.0  # would broadcast over the users
-        with pytest.raises(ValueError, match="cell 1 powers must have shape"):
+        with pytest.raises(ValueError, match=r"powers must be a \(7, 2\) set"):
             build(top, allocs, 0)
+        with pytest.raises(ValueError, match=r"got shape \(7, 1\)"):
+            build(top, np.full((7, 1), 5.0), 0)
 
     def test_stack_has_no_single_zeta_set(self):
         rng = np.random.default_rng(7)
@@ -383,9 +385,8 @@ class TestOneFormulaTable:
         # cells 0, 7 and 18 of 19 have 6, 4 and 3 neighbours: ragged stacked rows
         top = build_topology(NetworkConfig(users_per_cell=4, bs_antennas=16, seed=21))
         rng = np.random.default_rng(21)
-        direction = "downlink" if name == "downlink" else "uplink"
         build = downlink_profile if name == "downlink" else uplink_profile
-        allocs = [PowerAllocation(rng.uniform(0.0, 5.0, 4), direction) for _ in range(19)]
+        allocs = rng.uniform(0.0, 5.0, (19, 4))
         return build(top, allocs, 7), build(top, allocs, [0, 7, 18])
 
     @pytest.mark.parametrize("name", list(RATES))
@@ -422,7 +423,7 @@ class TestDownlinkExpression:
     def test_profile_construction_from_topology(self):
         cfg = NetworkConfig(users_per_cell=3, bs_antennas=8, cell_count=7, seed=4)
         top = build_topology(cfg)
-        allocs = [PowerAllocation(np.array([1.0, 2.0, 3.0]), "downlink") for _ in range(7)]
+        allocs = np.tile([1.0, 2.0, 3.0], (7, 1))
         prof = downlink_profile(top, allocs, 0)
         beta = top.large_scale
         lam = [np.sum(1.0 / beta[l, l]) for l in range(7)]
@@ -431,12 +432,13 @@ class TestDownlinkExpression:
         want = 0.0
         for l in top.neighbors(0):
             for c in range(3):
-                want += allocs[l].powers[c] * beta[l, 0, 0] / (beta[l, l, c] * lam[l])
+                want += allocs[l, c] * beta[l, 0, 0] / (beta[l, l, c] * lam[l])
         assert prof.cross_load[0] == pytest.approx(want, rel=1e-10)
 
     def test_uplink_profile_direction_validation(self):
         cfg = NetworkConfig(users_per_cell=2, bs_antennas=6, cell_count=7, seed=4)
         top = build_topology(cfg)
+        # a link's powers are plain numbers: per-cell objects that carry a link are refused
         allocs = [PowerAllocation(np.ones(2), "downlink") for _ in range(7)]
-        with pytest.raises(ValueError, match="uplink"):
+        with pytest.raises(ValueError, match="uplink powers must be real numbers"):
             uplink_profile(top, allocs, 0)

@@ -19,13 +19,13 @@ from zf_oracle import (
 from mcmimo import mcrate
 from mcmimo.closedform import downlink_lower_bound, downlink_profile, uplink_approximation, uplink_profile
 from mcmimo.mcrate import (
-    PowerAllocation,
     RateEstimate,
     block_rng,
     downlink_rate_mc,
     shared_draws,
     uplink_rate_mc,
 )
+from mcmimo.network import PowerAllocation
 from mcmimo.topology import NetworkConfig, build_topology
 
 
@@ -134,7 +134,7 @@ class TestUplinkRateMC:
         # exact rate for M=2, N=1, p = beta = 1 is 1/ln 2 (integral of
         # log2(1+z) against the z e^{-z} density)
         top = build_topology(unit_gain_cfg(1, 2))
-        est = uplink_rate_mc(top, [PowerAllocation(np.ones(1), "uplink")], 0,
+        est = uplink_rate_mc(top, np.ones((1, 1)), 0,
                              trials=30_000, seed=9, confidence=0.99)
         assert abs(est.per_user_rate[0] - 1.0 / math.log(2.0)) <= est.ci_half_width[0]
         assert est.trials == 30_000
@@ -142,14 +142,14 @@ class TestUplinkRateMC:
     def test_zero_power_gives_zero_rate(self):
         cfg = NetworkConfig(users_per_cell=2, bs_antennas=6, cell_count=7, seed=1)
         top = build_topology(cfg)
-        allocs = [PowerAllocation(np.zeros(2), "uplink") for _ in range(7)]
+        allocs = np.zeros((7, 2))
         est = uplink_rate_mc(top, allocs, 0, trials=50, seed=0)
         assert np.all(est.per_user_rate == 0.0)
 
     def test_deterministic_in_seed(self):
         cfg = NetworkConfig(users_per_cell=2, bs_antennas=5, cell_count=7, seed=2)
         top = build_topology(cfg)
-        allocs = [PowerAllocation(np.full(2, 3.0), "uplink") for _ in range(7)]
+        allocs = np.full((7, 2), 3.0)
         a = uplink_rate_mc(top, allocs, 0, trials=200, seed=5)
         b = uplink_rate_mc(top, allocs, 0, trials=200, seed=5)
         assert np.array_equal(a.per_user_rate, b.per_user_rate)
@@ -159,20 +159,18 @@ class TestUplinkRateMC:
         # user's estimated rate
         cfg = NetworkConfig(users_per_cell=3, bs_antennas=8, cell_count=7, seed=3)
         top = build_topology(cfg)
-        base = [PowerAllocation(np.full(3, 2.0), "uplink") for _ in range(7)]
         rates = []
         for p0 in (0.5, 1.0, 2.0, 4.0):
-            allocs = list(base)
-            allocs[0] = PowerAllocation(np.array([p0, 2.0, 2.0]), "uplink")
+            allocs = np.full((7, 3), 2.0)
+            allocs[0, 0] = p0
             rates.append(uplink_rate_mc(top, allocs, 0, trials=150, seed=11).per_user_rate[0])
         assert all(b >= a for a, b in zip(rates, rates[1:]))
 
     def test_missing_neighbor_allocation_rejected(self):
         cfg = NetworkConfig(users_per_cell=2, bs_antennas=5, cell_count=7, seed=2)
         top = build_topology(cfg)
-        allocs = [None] * 7
-        allocs[0] = PowerAllocation(np.ones(2), "uplink")
-        with pytest.raises(ValueError, match="cell"):
+        allocs = np.ones((1, 2))  # the target cell's powers alone
+        with pytest.raises(ValueError, match=r"\(7, 2\) set"):
             uplink_rate_mc(top, allocs, 0, trials=10, seed=0)
 
     def test_approximation_tracks_mc(self):
@@ -180,7 +178,7 @@ class TestUplinkRateMC:
         # gap shrinks and is below 0.5% at M=1024
         cfg = NetworkConfig(users_per_cell=4, bs_antennas=16, cell_count=7, seed=12)
         top = build_topology(cfg)
-        allocs = [PowerAllocation(np.full(4, 25.0), "uplink") for _ in range(7)]
+        allocs = np.full((7, 4), 25.0)
         gaps = []
         for m in (16, 64, 256, 1024):
             t = top.with_antennas(m)
@@ -189,7 +187,7 @@ class TestUplinkRateMC:
             # as the gaps themselves
             mc = uplink_rate_mc(t, allocs, 0, trials=16_000, seed=21)
             prof = uplink_profile(t, allocs, 0)
-            ap = uplink_approximation(prof, m, 4, allocs[0].powers)
+            ap = uplink_approximation(prof, m, 4, allocs[0])
             gaps.append(float(np.max(np.abs(mc.per_user_rate - ap) / mc.per_user_rate)))
         assert all(b <= a * 1.05 for a, b in zip(gaps, gaps[1:]))  # small MC-noise slack
         assert gaps[-1] < 0.005
@@ -198,7 +196,7 @@ class TestUplinkRateMC:
 class TestDownlinkRateMC:
     def test_interference_free_is_deterministic(self):
         top = build_topology(unit_gain_cfg(1, 2))
-        est = downlink_rate_mc(top, [PowerAllocation(np.ones(1), "downlink")], 0,
+        est = downlink_rate_mc(top, np.ones((1, 1)), 0,
                                trials=25, seed=4)
         assert est.per_user_rate[0] == pytest.approx(1.0, rel=1e-12)
         assert np.all(est.ci_half_width == 0.0)
@@ -206,17 +204,17 @@ class TestDownlinkRateMC:
     def test_zero_power_gives_zero_rate(self):
         cfg = NetworkConfig(users_per_cell=2, bs_antennas=6, cell_count=7, seed=5)
         top = build_topology(cfg)
-        allocs = [PowerAllocation(np.zeros(2), "downlink") for _ in range(7)]
+        allocs = np.zeros((7, 2))
         est = downlink_rate_mc(top, allocs, 0, trials=40, seed=0)
         assert np.all(est.per_user_rate == 0.0)
 
     def test_mc_stays_above_lower_bound(self):
         cfg = NetworkConfig(users_per_cell=4, bs_antennas=32, seed=6)
         top = build_topology(cfg)
-        allocs = [PowerAllocation(np.full(4, 250.0), "downlink") for _ in range(19)]
+        allocs = np.full((19, 4), 250.0)
         est = downlink_rate_mc(top, allocs, 0, trials=2500, seed=7)
         prof = downlink_profile(top, allocs, 0)
-        bound = downlink_lower_bound(prof, 32, 4, allocs[0].powers)
+        bound = downlink_lower_bound(prof, 32, 4, allocs[0])
         assert np.all(est.per_user_rate >= bound - est.ci_half_width)
 
 
@@ -293,11 +291,10 @@ def test_agrees_with_matrix_oracle(direction, m, n, cells, oracle_trials, unequa
     power = 10.0 if direction == "uplink" else 100.0
     powers = (_unequal_powers(np.random.default_rng(m), cells, n, power) if unequal
               else np.full((cells, n), power))
-    allocs = [PowerAllocation(p, direction) for p in powers]
     estimator, oracle = {"uplink": (uplink_rate_mc, uplink_rate_oracle),
                          "downlink": (downlink_rate_mc, downlink_rate_oracle)}[direction]
-    new = estimator(top, allocs, 0, trials=2000, seed=17)
-    ref = oracle(top, allocs, 0, trials=oracle_trials, seed=17)
+    new = estimator(top, powers, 0, trials=2000, seed=17)
+    ref = oracle(top, powers, 0, trials=oracle_trials, seed=17)
     if not np.any(ref.ci_half_width):  # interference-free downlink is deterministic
         np.testing.assert_allclose(new.per_user_rate, ref.per_user_rate, rtol=1e-12)
         assert not np.any(new.ci_half_width)
@@ -342,9 +339,9 @@ def _uplink_rate_v3(top, allocations, target, trials, seed):
     |F Z|^2, Z ~ CN(0, I)."""
     m = top.config.bs_antennas
     nbrs = top.neighbors(target)
-    p_own = allocations[target].powers
+    p_own = allocations[target]
     sqrt_beta = np.sqrt(top.large_scale[target, target])
-    w = np.concatenate([top.large_scale[target, l] * allocations[l].powers for l in nbrs])
+    w = np.concatenate([top.large_scale[target, l] * allocations[l] for l in nbrs])
 
     def block_rates(rng, size):
         e, F = _faded_energy_v4(rng, m, sqrt_beta, size, w.size)
@@ -367,8 +364,8 @@ def _downlink_rate_v4(top, allocations, target, trials, seed):
         for l in top.neighbors(target):
             e, _ = _faded_energy_v4(rng, m, np.sqrt(top.large_scale[l, l]), size, n)
             gain = alpha_sq(l) * top.large_scale[l, target]
-            interference += gain * (allocations[l].powers @ e)
-        signal = alpha_sq(target) * allocations[target].powers
+            interference += gain * (allocations[l] @ e)
+        signal = alpha_sq(target) * allocations[target]
         return np.log2(1.0 + signal / (interference + 1.0))[None]
 
     est, = mcrate._estimate(lambda b, size: block_rates(block_rng(seed, b), size), trials, 0.95)
@@ -386,7 +383,7 @@ def test_uplink_agrees_with_version_3(m):
     # user: a two-sample |z| < 4 over independent seeds (Bonferroni, 10 users)
     top = build_topology(NetworkConfig(users_per_cell=10, bs_antennas=m, seed=5))
     rng = np.random.default_rng(m)
-    allocs = [PowerAllocation(rng.uniform(1.0, 100.0, 10), "uplink") for _ in range(19)]
+    allocs = np.array([rng.uniform(1.0, 100.0, 10) for _ in range(19)])
     new = uplink_rate_mc(top, allocs, 0, trials=4000, seed=1)
     ref = _uplink_rate_v3(top, allocs, 0, trials=4000, seed=2)
     z = _two_sample_z(new, ref)
@@ -401,9 +398,8 @@ def test_downlink_agrees_with_version_4(m):
     # |z| < 4 over independent seeds (Bonferroni, 10 users)
     top = build_topology(NetworkConfig(users_per_cell=10, bs_antennas=m, seed=5))
     powers = _unequal_powers(np.random.default_rng(m), 19, 10, 500.0)
-    allocs = [PowerAllocation(p, "downlink") for p in powers]
-    new = downlink_rate_mc(top, allocs, 0, trials=2000, seed=1)
-    ref = _downlink_rate_v4(top, allocs, 0, trials=2000, seed=2)
+    new = downlink_rate_mc(top, powers, 0, trials=2000, seed=1)
+    ref = _downlink_rate_v4(top, powers, 0, trials=2000, seed=2)
     z = _two_sample_z(new, ref)
     assert np.max(np.abs(z)) < 4.0, z
 
@@ -415,10 +411,10 @@ def _rows_setup(direction, cells, seed=3):
     rng = np.random.default_rng(seed)
     scale = 10.0 if direction == "uplink" else 100.0
     # rows differ in the target cell's powers and in their interferers' (fig12)
-    rows = [[PowerAllocation(scale * rng.random(n), direction) for _ in range(cells)]
-            for _ in range(3)]
-    rows.append([PowerAllocation(np.full(n, scale), direction), *rows[0][1:]])
-    return top, rows
+    rows = np.array([[scale * rng.random(n) for _ in range(cells)] for _ in range(3)])
+    own = rows[:1].copy()
+    own[0, 0] = scale
+    return top, np.concatenate([rows, own])
 
 
 @pytest.mark.parametrize("estimator,direction", [(uplink_rate_mc, "uplink"),
@@ -447,7 +443,8 @@ def test_shared_draws_give_each_m_its_own_estimate(estimator, direction, cells):
     top, rows = _rows_setup(direction, cells)
     trials = mcrate.BLOCK_TRIALS + 37  # a full block and a partial one
     shared = shared_draws(top, rows, 0, trials, 5, direction)
-    own = [[PowerAllocation(2.0 * row[0].powers, direction), *row[1:]] for row in rows]
+    own = rows.copy()
+    own[:, 0] *= 2.0
     for m in (5, 12, 40):
         t = top.with_antennas(m)
         for got, want in zip(estimator(t, own, 0, trials, 5, shared=shared),
@@ -461,14 +458,14 @@ def test_shared_draws_give_each_m_its_own_estimate(estimator, direction, cells):
 def test_shared_draws_of_another_call_are_refused(estimator, direction):
     top, rows = _rows_setup(direction, 7)
     shared = shared_draws(top, rows, 0, 40, 5, direction)
-    other = [list(row) for row in rows]
-    other[1][2] = PowerAllocation(2.0 * rows[1][2].powers, direction)
+    other = rows.copy()
+    other[1, 2] *= 2.0
     for args, name in [((rows, 0, 40, 6), "seed 5, not 6"), ((rows, 0, 41, 5), "trials 40"),
                        ((rows, 1, 40, 5), "target_cell 0"), ((other, 0, 40, 5), "allocations"),
                        ((rows[:2], 0, 40, 5), "allocations")]:
         with pytest.raises(ValueError, match=name):
             estimator(top, *args, shared=shared)
-    powers = np.array([[a.powers for a in row] for row in rows])
+    powers = rows
     other_link = {"uplink": downlink_rate_mc, "downlink": uplink_rate_mc}[direction]
     with pytest.raises(ValueError, match=f"the {direction}'s"):
         other_link(top, powers, 0, 40, 5, shared=shared_draws(top, powers, 0, 40, 5, direction))
@@ -480,9 +477,8 @@ def test_shared_draws_of_another_call_are_refused(estimator, direction):
 
 def test_rows_are_checked_one_by_one():
     top, rows = _rows_setup("uplink", 7)
-    rows[2] = list(rows[2])
-    rows[2][3] = None
-    with pytest.raises(ValueError, match="cell 3"):
+    rows[2, 3, 1] = np.nan
+    with pytest.raises(ValueError, match=r"cell 3 powers .* \(row 2\)"):
         uplink_rate_mc(top, rows, 0, trials=10, seed=0)
-    with pytest.raises(ValueError, match="at least one row"):
+    with pytest.raises(ValueError, match=r"got shape \(0,\)"):
         uplink_rate_mc(top, [], 0, trials=10, seed=0)

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from mcmimo import allocation, cli, network
 from mcmimo.allocation import equal_alloc, uplink_alloc_approx
 from mcmimo.closedform import uplink_approximation, uplink_profile
-from mcmimo.mcrate import PowerAllocation
 from mcmimo.network import (
     JointResult,
     NetworkState,
+    PowerAllocation,
     network_sum_rate,
     project_budget_simplex,
     run_joint,
@@ -186,27 +186,34 @@ class TestRunScheduled:
         cfg = NetworkConfig(users_per_cell=3, bs_antennas=12, cell_count=1, seed=8)
         top = build_topology(cfg)
         state = run_scheduled(top, uplink_alloc_approx, 30.0, 10.0, 1)
-        direct = uplink_alloc_approx(
-            top, [PowerAllocation(np.full(3, 10.0), "uplink")], 0, 12, 3, 30.0
-        )
-        assert np.array_equal(state.per_cell_powers[0].powers, direct.powers)
+        direct = uplink_alloc_approx(top, np.full((1, 3), 10.0), 0, 12, 3, 30.0)
+        assert np.array_equal(state.powers[0], direct)
         assert len(state.history) == 1
+
+    def test_per_cell_powers_are_the_rows_of_powers(self):
+        top = build_topology(NetworkConfig(users_per_cell=2, bs_antennas=8, cell_count=7, seed=9))
+        for result in (run_scheduled(top, allocation.downlink_alloc, 20.0, 1.0, 2),
+                       run_joint(top, 20.0)):
+            cells = result.per_cell_powers
+            assert all(isinstance(a, PowerAllocation) for a in cells)
+            assert {a.direction for a in cells} == {result.direction}
+            assert np.array_equal(np.stack([a.powers for a in cells]), result.powers)
 
     def test_all_cells_allocate_within_one_round(self):
         cfg = NetworkConfig(users_per_cell=2, bs_antennas=8, seed=9)
         top = build_topology(cfg)
         state = run_scheduled(top, uplink_alloc_approx, 20.0, 10.0, 3)
         # every cell's powers differ from the uniform start (waterfill output)
-        for alloc in state.per_cell_powers[: top.cluster_size]:
-            assert alloc.powers.sum() == pytest.approx(20.0, rel=1e-9)
+        for p in state.powers[: top.cluster_size]:
+            assert p.sum() == pytest.approx(20.0, rel=1e-9)
 
     def test_budget_conservation_every_slot(self):
         cfg = NetworkConfig(users_per_cell=3, bs_antennas=10, cell_count=7, seed=10)
         top = build_topology(cfg)
         budget = 30.0
         state = run_scheduled(top, uplink_alloc_approx, budget, 10.0, 5)
-        for alloc in state.per_cell_powers:
-            assert alloc.powers.sum() <= budget * (1 + 1e-9)
+        for p in state.powers:
+            assert p.sum() <= budget * (1 + 1e-9)
 
     def test_own_cell_surrogate_never_decreases(self):
         # re-allocating against the frozen snapshot cannot hurt the cell's own
@@ -214,15 +221,15 @@ class TestRunScheduled:
         cfg = NetworkConfig(users_per_cell=3, bs_antennas=10, cell_count=7, seed=11)
         top = build_topology(cfg)
         budget = 30.0
-        allocs = [PowerAllocation(np.full(3, 10.0), "uplink") for _ in range(7)]
+        allocs = np.full((7, 3), 10.0)
         groups = schedule_groups(top)
         for slot in range(4):
-            snapshot = list(allocs)
+            snapshot = allocs.copy()
             for cell in groups[slot % len(groups)]:
                 prof = uplink_profile(top, snapshot, cell)
-                before = uplink_approximation(prof, 10, 3, snapshot[cell].powers).sum()
+                before = uplink_approximation(prof, 10, 3, snapshot[cell]).sum()
                 new = uplink_alloc_approx(top, snapshot, cell, 10, 3, budget)
-                after = uplink_approximation(prof, 10, 3, new.powers).sum()
+                after = uplink_approximation(prof, 10, 3, new).sum()
                 assert after >= before - 1e-12
                 allocs[cell] = new
 
@@ -233,11 +240,11 @@ class TestRunScheduled:
         top = build_topology(cfg)
         budget = 20.0
         state = run_scheduled(top, uplink_alloc_approx, budget, 10.0, 1)
-        snapshot = [PowerAllocation(np.full(2, 10.0), "uplink") for _ in range(19)]
+        snapshot = np.full((19, 2), 10.0)
         group = state.groups[0]
         for cell in reversed(group):
             expect = uplink_alloc_approx(top, snapshot, cell, 8, 2, budget)
-            assert np.array_equal(state.per_cell_powers[cell].powers, expect.powers)
+            assert np.array_equal(state.powers[cell], expect)
 
     def test_one_strategy_call_per_slot(self):
         top = build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=3))
@@ -295,7 +302,7 @@ class TestRunScheduled:
         top = build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=seed,
                                            outer_ring_cells=outer))
         state = run_scheduled(top, getattr(allocation, strategy), 50.0, 10.0, 12)
-        pmat = np.stack([a.powers for a in state.per_cell_powers])
+        pmat = state.powers
         digest = hashlib.sha256(np.array(state.history).tobytes() + pmat.tobytes()).hexdigest()
         assert digest == self.DIGESTS[strategy, seed, outer]
 
@@ -358,7 +365,7 @@ class TestUplinkObjective:
         (f,), (b1,), (ap,) = network._uplink_forward(consts, pmat[None])
         (grad,) = network._uplink_gradient(consts, b1[None], ap[None])
         # the scheduler's closed-form sum rate is this objective, bit for bit
-        assert f == network_sum_rate(top, [PowerAllocation(p, "uplink") for p in pmat])
+        assert f == network_sum_rate(top, pmat, "uplink")
         assert grad.shape == (k, 3)
         h = 1e-5
         fd = np.empty((k, 3))
@@ -421,62 +428,57 @@ class TestNetworkSumRate:
     def test_zero_powers_give_zero(self):
         cfg = NetworkConfig(users_per_cell=2, bs_antennas=8, cell_count=7, seed=13)
         top = build_topology(cfg)
-        allocs = [PowerAllocation(np.zeros(2), "uplink") for _ in range(7)]
-        assert network_sum_rate(top, allocs) == 0.0
+        assert network_sum_rate(top, np.zeros((7, 2)), "uplink") == 0.0
 
     def test_single_cell_equals_cell_sum(self):
         cfg = NetworkConfig(users_per_cell=3, bs_antennas=12, cell_count=1, seed=14)
         top = build_topology(cfg)
-        allocs = [equal_alloc(3, 30.0)]
+        allocs = equal_alloc(3, 30.0)[None]
         prof = uplink_profile(top, allocs, 0)
-        want = uplink_approximation(prof, 12, 3, allocs[0].powers).sum()
-        assert network_sum_rate(top, allocs) == pytest.approx(want, rel=1e-12)
+        want = uplink_approximation(prof, 12, 3, allocs[0]).sum()
+        assert network_sum_rate(top, allocs, "uplink") == pytest.approx(want, rel=1e-12)
 
     def test_closed_form_tracks_monte_carlo(self):
         cfg = NetworkConfig(users_per_cell=8, bs_antennas=64, cell_count=7, seed=15)
         top = build_topology(cfg)
-        allocs = [equal_alloc(8, 100.0) for _ in range(7)]
-        cf = network_sum_rate(top, allocs, "closedForm")
-        mc = network_sum_rate(top, allocs, "monteCarlo", trials=2500, seed=3)
+        allocs = np.tile(equal_alloc(8, 100.0), (7, 1))
+        cf = network_sum_rate(top, allocs, "uplink", "closedForm")
+        mc = network_sum_rate(top, allocs, "uplink", "monteCarlo", trials=2500, seed=3)
         assert abs(cf - mc) / mc < 0.03
 
     def test_downlink_direction_supported(self):
         cfg = NetworkConfig(users_per_cell=2, bs_antennas=8, cell_count=7, seed=16)
         top = build_topology(cfg)
-        allocs = [equal_alloc(2, 100.0, "downlink") for _ in range(7)]
-        cf = network_sum_rate(top, allocs)
-        mc = network_sum_rate(top, allocs, "monteCarlo", trials=1500, seed=4)
+        allocs = np.tile(equal_alloc(2, 100.0), (7, 1))
+        cf = network_sum_rate(top, allocs, "downlink")
+        mc = network_sum_rate(top, allocs, "downlink", "monteCarlo", trials=1500, seed=4)
         assert cf <= mc * 1.05  # lower bound, up to MC noise
 
     @pytest.mark.parametrize("direction", ["uplink", "downlink"])
-    def test_raw_rows_take_an_explicit_direction(self, direction):
+    def test_rows_take_an_explicit_direction(self, direction):
         # the scheduler rates its (C, N) power rows as they are, on its link
         top = build_topology(NetworkConfig(users_per_cell=2, bs_antennas=8, cell_count=7, seed=16))
         powers = np.random.default_rng(2).uniform(0.0, 50.0, (7, 2))
-        allocs = [PowerAllocation(p, direction) for p in powers]
         for estimator in ("closedForm", "monteCarlo"):
-            assert (network_sum_rate(top, powers, estimator, 40, 3, direction)
-                    == network_sum_rate(top, allocs, estimator, 40, 3))
+            one = network_sum_rate(top, powers, direction, estimator, 40, 3)
+            assert network_sum_rate(top, [powers, 2 * powers], direction, estimator, 40, 3)[0] == one
+        with pytest.raises(TypeError, match="direction"):
+            network_sum_rate(top, powers)  # powers name no link
         with pytest.raises(ValueError, match="direction"):
-            network_sum_rate(top, powers)  # raw rows name no link
-        with pytest.raises(ValueError, match="direction"):
-            network_sum_rate(top, powers, direction="sideways")
-        other = {"uplink": "downlink", "downlink": "uplink"}[direction]
-        with pytest.raises(ValueError, match=f"is {direction}, not {other}"):
-            network_sum_rate(top, allocs, direction=other)
+            network_sum_rate(top, powers, "sideways")
 
     def test_unknown_estimator(self):
         cfg = NetworkConfig(users_per_cell=2, bs_antennas=8, cell_count=1, seed=1)
         top = build_topology(cfg)
         with pytest.raises(ValueError, match="estimator"):
-            network_sum_rate(top, [equal_alloc(2, 1.0)], "guess")
+            network_sum_rate(top, equal_alloc(2, 1.0)[None], "uplink", "guess")
 
     @pytest.mark.parametrize("trials", [0, 2.5, True, "10"])
     def test_bad_trials_rejected(self, trials):
         top = build_topology(NetworkConfig(users_per_cell=2, bs_antennas=8, cell_count=1, seed=1))
         for estimator in ("closedForm", "monteCarlo"):
             with pytest.raises(ValueError, match="trials must be an integer >= 1"):
-                network_sum_rate(top, [equal_alloc(2, 1.0)], estimator, trials)
+                network_sum_rate(top, equal_alloc(2, 1.0)[None], "uplink", estimator, trials)
 
 
 class TestRunJoint:
@@ -484,18 +486,15 @@ class TestRunJoint:
         cfg = NetworkConfig(users_per_cell=3, bs_antennas=12, cell_count=1, seed=17)
         top = build_topology(cfg)
         res = run_joint(top, 30.0, max_iters=2000, tolerance=1e-14)
-        direct = uplink_alloc_approx(
-            top, [PowerAllocation(np.zeros(3), "uplink")], 0, 12, 3, 30.0
-        )
+        direct = uplink_alloc_approx(top, np.zeros((1, 3)), 0, 12, 3, 30.0)
         assert res.converged
-        assert np.max(np.abs(res.per_cell_powers[0].powers - direct.powers)) < 1e-6
+        assert np.max(np.abs(res.powers[0] - direct)) < 1e-6
 
     def test_mirror_symmetric_cells_get_symmetric_powers(self):
         beta_self = np.array([1.0, 0.2, 0.05])
         top = synthetic_two_cell(beta_self, np.full(3, 1e-3), 3, 12)
         res = run_joint(top, 10.0, max_iters=3000, tolerance=1e-14)
-        p0 = res.per_cell_powers[0].powers
-        p1 = res.per_cell_powers[1].powers
+        p0, p1 = res.powers
         assert np.max(np.abs(p0 - p1)) < 1e-6
 
     def test_beats_exhaustive_grid(self):
@@ -516,7 +515,7 @@ class TestRunJoint:
     def test_never_worse_than_equal_start(self):
         cfg = NetworkConfig(users_per_cell=3, bs_antennas=10, cell_count=7, seed=18)
         top = build_topology(cfg)
-        eq = network_sum_rate(top, [equal_alloc(3, 30.0) for _ in range(7)])
+        eq = network_sum_rate(top, np.tile(equal_alloc(3, 30.0), (7, 1)), "uplink")
         res = run_joint(top, 30.0)
         assert res.objective >= eq - 1e-12
 
@@ -533,7 +532,7 @@ class TestRunJoint:
     def test_powers_match_recorded_digest(self, seed):
         top = build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=seed))
         res = run_joint(top, 50.0, max_iters=800, tolerance=1e-10)
-        pmat = np.stack([a.powers for a in res.per_cell_powers])
+        pmat = res.powers
         assert res.converged
         assert (res.iterations, hashlib.sha256(pmat.tobytes()).hexdigest()) == self.DIGESTS[seed]
 
@@ -549,7 +548,7 @@ class TestRunJoint:
         top = build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=seed,
                                            outer_ring_cells=outer))
         res = run_joint(top, 50.0, max_iters=800, tolerance=1e-10, outer_user_power=outer_power)
-        pmat = np.stack([a.powers for a in res.per_cell_powers])
+        pmat = res.powers
         assert pmat.shape == (19 + outer, 5) and res.converged
         if outer_power is not None:
             assert np.all(pmat[19:] == outer_power)
@@ -704,7 +703,7 @@ class TestRunJoint:
 
 
 def joint_fields(res: JointResult):
-    pmat = np.stack([a.powers for a in res.per_cell_powers])
+    pmat = res.powers
     return (res.iterations, res.converged, res.objective.hex(), res.residual.hex(),
             pmat.tobytes())
 
@@ -776,10 +775,9 @@ class TestRunJointDrops:
         results = run_joint_drops(tops, **kwargs)
         n, budget, outer = tops[0].n_users, kwargs["budget"], kwargs["outer_user_power"]
         for top, res, old in zip(tops, results, self.RELATIVE_RISE_OBJECTIVES, strict=True):
-            k = top.cluster_size
-            equal = network_sum_rate(top, [equal_alloc(n, budget)] * k
-                                     + [PowerAllocation(np.full(n, outer), "uplink")]
-                                     * (top.n_cells - k))
+            powers = np.full((top.n_cells, n), outer)
+            powers[:top.cluster_size] = equal_alloc(n, budget)
+            equal = network_sum_rate(top, powers, "uplink")
             assert res.converged
             assert res.objective >= float.fromhex(old) * (1.0 - 1e-9)
             assert res.objective >= equal
@@ -837,7 +835,7 @@ class TestRunJointDrops:
 
 
 def scheduled_fields(state: NetworkState):
-    pmat = np.stack([a.powers for a in state.per_cell_powers])
+    pmat = state.powers
     return (state.slot_index, state.groups, state.estimator, np.array(state.history).tobytes(),
             pmat.tobytes(), {a.direction for a in state.per_cell_powers})
 
@@ -875,7 +873,7 @@ class TestRunScheduledDrops:
         # the recorded digest of the one-drop scheduler, field for field
         state = run_scheduled_drops([top], uplink_alloc_approx, 50.0, 10.0, 12)[0]
         digest = hashlib.sha256(np.array(state.history).tobytes()
-                                + np.stack([a.powers for a in state.per_cell_powers]).tobytes())
+                                + state.powers.tobytes())
         assert digest.hexdigest() == TestRunScheduled.DIGESTS["uplink_alloc_approx", 3, 0]
 
     def test_fig12_drops(self):
