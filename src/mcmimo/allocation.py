@@ -2,21 +2,23 @@
 
 Every strategy maximises a surrogate sum rate sum_n log2(1 + c_n p_n) under
 sum_n p_n = P, p_n >= 0, whose KKT solution is the water-filling form
-p_n = (mu - 1/c_n)^+. The strategies differ only in the coefficient vector:
-the SINR at unit power of the closed form they are named for, from
-``closedform.PROFILE_COEFFICIENTS`` (whose docstring states the four), with
-the interfering cells' powers frozen while one cell allocates. As M grows
-the 1/c_n terms vanish and every strategy tends to the equal split P/N.
+p_n = (mu - 1/c_n)^+. A strategy is a function of the target cell's profile,
+which its caller builds with the interfering cells' powers frozen while the
+cell allocates. The strategies differ only in the coefficient vector: the
+SINR at unit power of the closed form they are named for, from
+``closedform.PROFILE_COEFFICIENTS`` (whose docstring states the four). As M
+grows the 1/c_n terms vanish and every strategy tends to the equal split P/N.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import PROFILE_COEFFICIENTS, downlink_profile, uplink_profile
-from .topology import CellTopology
+from .closedform import PROFILE_COEFFICIENTS
+from .topology import check_field
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,14 +33,14 @@ class WaterfillCoefficients:
     budget: float
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
+        c = np.array(self.coeffs, dtype=float)  # a copy, so the caller's array cannot change it
         if c.ndim not in (1, 2) or c.size == 0:
             raise ValueError("coeffs must be a non-empty 1-D vector or 2-D array of rows")
-        if np.any(c <= 0) or not np.all(np.isfinite(c)):
+        # method reductions, not np.* wrappers: fig5 makes a small call per (M, strategy)
+        if not (c.min() > 0 and c.max() < np.inf):
             raise ValueError("all water-filling coefficients must be finite and positive")
-        if not (np.isfinite(self.budget) and self.budget > 0):
+        if not (math.isfinite(self.budget) and self.budget > 0):
             raise ValueError("budget must be finite and positive")
-        c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -79,30 +81,26 @@ def waterfill(wc: WaterfillCoefficients) -> WaterfillResult:
 
 # --- allocation strategies --------------------------------------------------
 #
-# A strategy allocates ``target_cell`` against the frozen ``interfering_powers``
-# and returns its water-filled (N,) powers; given a sequence of cells, one
-# water-filling call gives their (cells, N) rows, each equal to that cell's own
-# call; given D drops of one layout, it returns the (D, cells, N) array of their
-# rows. The powers carry no link: the strategy's ``direction`` attribute names it.
+# A strategy water-fills the profile of the target cell(s), which the caller
+# builds against the frozen powers of the interfering cells: the scheduler
+# with the profile builder its ``direction`` attribute names, the figure kinds
+# and the threshold search from cell 0's profile stacked over drops. It
+# returns powers shaped like the profile's rows: (N,) for one view, (D, N)
+# for a stack, each row equal to the call on that row alone.
 
 def _strategy(public: str, name: str, direction: str, m_above_n: bool = False):
-    """The strategy ``public`` water-filling ``PROFILE_COEFFICIENTS[name]`` of the
-    ``direction`` profile of the target cell(s); ``m_above_n`` when c has the factor M-N."""
+    """The strategy ``public`` water-filling ``PROFILE_COEFFICIENTS[name]`` of a
+    ``direction`` profile; ``m_above_n`` when c has the factor M-N."""
 
-    def strategy(topology, interfering_powers, target_cell, m, n, budget) -> np.ndarray:
-        # the profile builders and waterfill are looked up by their module-level
-        # names on each call, as the tracing of benchmarks/spans.py replaces them
-        prof = (uplink_profile if direction == "uplink" else downlink_profile)(
-            topology, interfering_powers, target_cell)
-        if n != prof.n_users:
-            raise ValueError(f"N={n} does not match the topology's {prof.n_users} users per cell")
+    def strategy(profile, m, n, budget) -> np.ndarray:
+        if n != profile.n_users:
+            raise ValueError(f"N={n} does not match the profile's {profile.n_users} users")
         if m_above_n and m <= n:
             raise ValueError(f"{public} requires M > N")
-        c = PROFILE_COEFFICIENTS[name](prof, m, n)
-        powers = waterfill(WaterfillCoefficients(c, budget)).powers
-        if not isinstance(topology, CellTopology):  # a stack of drops
-            return powers.reshape(-1, np.size(target_cell), n)
-        return powers
+        c = PROFILE_COEFFICIENTS[name](profile, m, n)
+        # waterfill is looked up by its module-level name on each call, as the
+        # tracing of benchmarks/spans.py replaces it
+        return waterfill(WaterfillCoefficients(c, budget)).powers
 
     # the public name keeps the strategy picklable, as a module-level function is
     strategy.__name__ = strategy.__qualname__ = public
@@ -119,17 +117,16 @@ downlink_alloc = _strategy("downlink_alloc", "downlink", "downlink", True)
 
 def equal_alloc(n_users: int, budget: float) -> np.ndarray:
     """Equal-power baseline: the (N,) powers in which every user gets budget/N."""
-    if n_users < 1:
-        raise ValueError("n_users must be >= 1")
-    if not budget > 0:
-        raise ValueError("budget must be positive")
+    check_field("n_users", n_users, "count")
+    check_field("budget", budget, "positive")
     return np.full(n_users, budget / n_users)
 
 
 def relative_gain(c_pa, c_eq):
     """(C_PA - C_EQ) / C_EQ, the sum-rate gain of optimised over equal power
     (elementwise for arrays of sum rates)."""
+    if not (np.isfinite(c_pa).all() and np.isfinite(c_eq).all()):
+        raise ValueError("sum rates must be finite")
     if not np.all(np.asarray(c_eq) > 0):
         raise ValueError("equal-power sum rate must be positive")
     return (c_pa - c_eq) / c_eq
-

@@ -31,14 +31,12 @@ from statistics import NormalDist
 import numpy as np
 
 from .allocation import (
-    PROFILE_COEFFICIENTS,
-    WaterfillCoefficients,
+    downlink_alloc,
     equal_alloc,
     relative_gain,
     uplink_alloc_approx,
     uplink_alloc_lower_bound,
     uplink_alloc_upper_bound,
-    waterfill,
 )
 from .closedform import (
     InterferenceProfile,
@@ -285,24 +283,17 @@ def _cell0_rows(tops, direction, power):
     return profile(tops, stack, 0), interferers
 
 
-def _waterfilled_rows(prof, strategies, ms, p_lin) -> np.ndarray:
-    """Powers water-filled by each of S ``strategies`` at each M of ``ms``, one
-    call for all rows: (len(ms), S * D, N) for a profile of D rows (1 unstacked)."""
-    n = prof.n_users
-    coeffs = np.vstack([PROFILE_COEFFICIENTS[name](prof, m, n) for m in ms for name in strategies])
-    return waterfill(WaterfillCoefficients(coeffs, p_lin)).powers.reshape(len(ms), -1, n)
-
-
 def _pa_eq(prof, ms, p_lin) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-user rates of cell 0 per drop, (D, N) each, with water-filling and
     with equal power at each M of ``ms``: the uplink approximation of an
     InterferenceProfile, the downlink lower bound of a DownlinkProfile."""
-    strategy, rate = (("approx", uplink_approximation) if isinstance(prof, InterferenceProfile)
-                      else ("downlink", downlink_lower_bound))
+    # the strategies are looked up by module-level name on each call, as for _mc_values
+    uplink = isinstance(prof, InterferenceProfile)
+    strategy, rate = ((uplink_alloc_approx, uplink_approximation) if uplink
+                      else (downlink_alloc, downlink_lower_bound))
     n = prof.n_users
     eq = equal_alloc(n, p_lin)
-    return [(rate(prof, m, n, pa), rate(prof, m, n, eq))
-            for m, pa in zip(ms, _waterfilled_rows(prof, (strategy,), ms, p_lin))]
+    return [(rate(prof, m, n, strategy(prof, m, n, p_lin)), rate(prof, m, n, eq)) for m in ms]
 
 
 def _edge_users(top: CellTopology) -> np.ndarray:
@@ -333,9 +324,9 @@ def _gains(prof, m: int, p_lin, users=None) -> np.ndarray:
 # neither the sweep point, nor M, nor the cell's own power: so a job builds
 # each geometry once, at the smallest M it rates (so that config check covers
 # every M), reaches the other M through ``CellTopology.with_antennas`` and
-# profiles cell 0 in all its drops as one stack. Water-filling and each
-# closed-form rate then take every drop's rows in one call, each row with the
-# bits of a job of its drop alone.
+# profiles cell 0 in all its drops as one stack. Each strategy (at each M)
+# and each closed-form rate then take every drop's rows in one call, each row
+# with the bits of a job of its drop alone.
 
 def _job_equal_power(spec: ExperimentSpec, job: dict) -> list[dict]:
     """Equal-power rate curves of each drop, on the spec's link.
@@ -404,10 +395,10 @@ def _job_fixed_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
 def _job_strategies(spec: ExperimentSpec, job: dict) -> list[dict]:
     """Per-strategy sum rates, or relative gains for a gain kind, at every M.
 
-    Per scenario, one call water-fills every (M, strategy, drop) row, and each
-    (M, allocation) is rated in one call over the job's drops. Monte Carlo
-    rates equal power and the three allocations of one drop and M as four rows
-    of one call, from one set of draws.
+    Per scenario, each strategy water-fills every drop's row at each M in one
+    call, and each (M, allocation) is rated in one call over the job's drops.
+    Monte Carlo rates equal power and the three allocations of one drop and M
+    as four rows of one call, from one set of draws.
     """
     ms = [int(v) for v in spec.sweep.values]
     opts = spec.options
@@ -420,8 +411,9 @@ def _job_strategies(spec: ExperimentSpec, job: dict) -> list[dict]:
         n = tops[0].n_users
         prof, allocs = _cell0_rows(tops, "uplink", db_to_linear(opts["interfererUserPowerDb"]))
         eq = equal_alloc(n, p_lin)
-        pa = _waterfilled_rows(prof, _UPLINK_STRATEGIES, ms, p_lin).reshape(
-            len(ms), len(_UPLINK_STRATEGIES), len(drops), n)
+        # (M, strategy, D, N): each strategy water-fills every drop's row at each M
+        pa = np.array([[strategy(prof, m, n, p_lin) for strategy in _UPLINK_STRATEGIES.values()]
+                       for m in ms])
         # (D, M, 4) values and cis of equal power and the three allocations
         if opts["evaluator"] == "mc":
             est = np.array([[_mc_values(top.with_antennas(m),
@@ -451,7 +443,7 @@ def _job_strategies(spec: ExperimentSpec, job: dict) -> list[dict]:
 
 def _job_gain_vs_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
     """Relative gain against the antennas-per-user ratio at every ratio: one
-    water-filling call per power panel for all the job's drops."""
+    strategy call per (power panel, ratio) for all the job's drops."""
     opts = spec.options
     ratios = [int(v) for v in spec.sweep.values]
     ms = [ratio * spec.network.users_per_cell for ratio in ratios]
@@ -466,7 +458,7 @@ def _job_gain_vs_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
 
 def _job_downlink_split(spec: ExperimentSpec, job: dict) -> list[dict]:
     """Central/edge user sums, or gains for a gain kind, on the downlink at
-    every M: one water-filling call for all the job's drops."""
+    every M: one strategy call per M for all the job's drops."""
     ms = [int(v) for v in spec.sweep.values]
     opts = spec.options
     tops = [_drop_topology(spec, d, antennas=ms[0]) for d in job["drops"]]

@@ -179,8 +179,6 @@ def block_rng(seed: int, block: int, *keys: int) -> np.random.Generator:
 
 def _blocks(trials: int) -> list[tuple[int, int]]:
     """(index, size) of each trial block: BLOCK_TRIALS trials, the last the remainder."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     return [(block, min(BLOCK_TRIALS, trials - start))
             for block, start in enumerate(range(0, trials, BLOCK_TRIALS))]
 
@@ -238,6 +236,8 @@ def _inputs(topology, allocations, target_cell, trials, seed, direction, shared)
     ``allocations`` read by ``_power_rows`` in the target cell and its
     neighbours, and the call's M-independent draws, ``shared`` once checked to
     be the call's, else drawn."""
+    check_field("trials", trials, "count")
+    check_field("seed", seed, "integer")
     blocks = _blocks(trials)
     target = int(_target_cells(target_cell, topology.n_cells, many=False)[0][0])
     nbrs = topology.neighbors(target)

@@ -33,7 +33,7 @@ _ESTIMATORS = ("closedForm", "monteCarlo")
 @dataclass(frozen=True, eq=False)
 class PowerAllocation:
     """Per-user transmit powers (linear watts) for one cell: the element of a
-    result's ``per_cell_powers``."""
+    ``NetworkState``'s ``per_cell_powers``."""
 
     powers: np.ndarray
     direction: str  # "uplink" | "downlink"
@@ -54,12 +54,6 @@ class PowerAllocation:
         object.__setattr__(self, "powers", p)
 
 
-def _per_cell_powers(result) -> list[PowerAllocation]:
-    """A result's read-only (C, N) ``powers`` as one PowerAllocation per cell,
-    built when a result's ``per_cell_powers`` is first read."""
-    return [PowerAllocation(p, result.direction) for p in result.powers]
-
-
 @dataclass(eq=False)
 class NetworkState:
     """Result of a scheduled allocation run."""
@@ -70,22 +64,32 @@ class NetworkState:
     history: list  # network sum rate after each slot, bits/s/Hz
     estimator: str
     direction: str = "uplink"
-    per_cell_powers = cached_property(_per_cell_powers)
 
     def __post_init__(self):
         if len(self.history) != self.slot_index:
             raise ValueError("history length must equal the slot index")
 
+    @cached_property
+    def per_cell_powers(self) -> list[PowerAllocation]:
+        """The read-only (C, N) ``powers`` as one PowerAllocation per cell,
+        built when first read."""
+        return [PowerAllocation(p, self.direction) for p in self.powers]
+
 
 @dataclass(eq=False)
 class JointResult:
+    """A joint ascent's read-only (C, N) ``powers``, their uplink cluster sum
+    rate ``objective`` and the ``iterations`` taken. ``converged`` says the
+    ascent stopped before its iteration cap: at ``residual`` <= tolerance, or
+    at a float-floor rise or backtracking underflow, so a converged result's
+    ``residual`` (the r of ``run_joint_drops`` at ``powers``) can exceed the
+    tolerance, as at 1e-8, near this objective's float floor."""
+
     powers: np.ndarray
     objective: float
     iterations: int
     converged: bool
     residual: float
-    direction = "uplink"  # not a field: the joint objective is the uplink's
-    per_cell_powers = cached_property(_per_cell_powers)
 
 
 def project_budget_simplex(v: np.ndarray, budget: float) -> np.ndarray:
@@ -239,22 +243,24 @@ def run_scheduled_drops(topologies, strategy, budget: float, initial_power: floa
 
     In slot s only the cells of group s mod G re-allocate, against the powers
     at the start of the slot (they do not interfere, so their updates commute):
-    ``strategy(topologies, powers, cells, m, n, budget)`` maps the (D, C, N)
-    powers to the group's (D, cells, N), as ``allocation``'s strategies do.
-    Outer-ring cells keep their initial power. Drop d's sum rate is recorded
-    after every slot at seed ``derive_seed(seeds[d], slot)`` (seeds default to 0).
+    ``strategy(profile, m, n, budget)`` water-fills the (D * cells, N) rows of
+    the group's profile in every drop, built for ``strategy.direction``'s link,
+    as ``allocation``'s strategies do. Outer-ring cells keep their initial
+    power. Drop d's sum rate is recorded after every slot at seed
+    ``derive_seed(seeds[d], slot)`` (seeds default to 0).
     """
     check_field("budget", budget, "positive")
     check_field("initial_power", initial_power, "nonnegative")
     check_field("slots", slots, "count")
     check_field("rate_estimator", rate_estimator, _ESTIMATORS)
     check_field("trials", trials, "count")
+    direction = check_field("strategy.direction", getattr(strategy, "direction", None),
+                            ("uplink", "downlink"))
     tops, _ = _topology_stack(topologies)
     seeds = [0] * len(tops) if seeds is None else check_field("seeds", seeds, ["integer"])
     if len(seeds) != len(tops):
         raise ValueError(f"seeds must hold one seed per topology, got {len(seeds)}")
     d, m, n = len(tops), tops[0].config.bs_antennas, tops[0].n_users
-    direction = getattr(strategy, "direction", "uplink")
     if initial_power * n > budget * (1.0 + 1e-9):
         raise ValueError("initial per-user power exceeds the cell budget")
 
@@ -265,14 +271,17 @@ def run_scheduled_drops(topologies, strategy, budget: float, initial_power: floa
     history = []
     for slot in range(slots):
         group = groups[slot % len(groups)]
-        # the call reads ``pmat`` before any cell of the group is replaced
-        new = np.asarray(strategy(tops, pmat, group, m, n, budget))
-        if new.shape != (d, len(group), n) or new.dtype.kind not in "fiu" or not (new >= 0).all():
+        # the profile reads ``pmat`` before any cell of the group is replaced;
+        # the builder is looked up on closedform on each call, as the tracing
+        # of benchmarks/spans.py replaces it there
+        build = closedform.uplink_profile if direction == "uplink" else closedform.downlink_profile
+        new = np.asarray(strategy(build(tops, pmat, group), m, n, budget))
+        if new.shape != (d * len(group), n) or new.dtype.kind not in "fiu" or not (new >= 0).all():
             raise ValueError(f"the strategy must return non-negative real powers of shape "
-                             f"{(d, len(group), n)}, got {new.shape} of {new.dtype}")
-        if not (total := new.sum(axis=2).max()) <= budget * (1.0 + 1e-9):
+                             f"{(d * len(group), n)}, got {new.shape} of {new.dtype}")
+        if not (total := new.sum(axis=1).max()) <= budget * (1.0 + 1e-9):
             raise ValueError(f"allocation total {total} exceeds budget {budget}")
-        pmat[:, group] = new
+        pmat[:, group] = new.reshape(d, len(group), n)  # the rows are drop-major
         if consts is not None:
             history.append(_uplink_forward(consts, pmat)[0])
         elif closed:

@@ -14,14 +14,12 @@ from scipy import integrate
 from hypoexp_oracle import characteristic_reference, exp_integral_e1, hypoexp_cdf, hypoexp_pdf
 from mcmimo.allocation import (
     PROFILE_COEFFICIENTS,
-    WaterfillCoefficients,
     downlink_alloc,
     equal_alloc,
     relative_gain,
     uplink_alloc_approx,
     uplink_alloc_lower_bound,
     uplink_alloc_upper_bound,
-    waterfill,
 )
 from mcmimo.cli import (
     GainThresholdQuery,
@@ -110,8 +108,8 @@ def test_criterion_04_waterfill_vs_grid():
     """waterfill surrogate sum rate beats the P/100 grid on 100 instances."""
     rng = np.random.default_rng(44)
     ij = np.array([(i, j) for i in range(101) for j in range(101 - i)])
-    strategies = [("lower", "uplink"), ("upper", "uplink"), ("approx", "uplink"),
-                  ("downlink", "downlink")]
+    strategies = [("lower", uplink_alloc_lower_bound), ("upper", uplink_alloc_upper_bound),
+                  ("approx", uplink_alloc_approx), ("downlink", downlink_alloc)]
     worst = np.inf
     for inst in range(100):
         cfg = NetworkConfig(users_per_cell=3, bs_antennas=12, cell_count=7,
@@ -121,14 +119,14 @@ def test_criterion_04_waterfill_vs_grid():
         up_int = np.array([10.0 ** rng.uniform(-1, 1.5, 3) for _ in range(7)])
         dl_int = np.array([10.0 ** rng.uniform(0, 2.5, 3) for _ in range(7)])
         grid = np.column_stack([ij * (budget / 100), budget - ij.sum(axis=1) * (budget / 100)])
-        for name, direction in strategies:
-            if direction == "uplink":
+        for name, strategy in strategies:
+            if strategy.direction == "uplink":
                 prof = uplink_profile(top, up_int, 0)
             else:
                 prof = downlink_profile(top, dl_int, 0)
             c = PROFILE_COEFFICIENTS[name](prof, 12, 3)
-            wf = waterfill(WaterfillCoefficients(c, budget))
-            values = np.log2(1.0 + np.vstack([wf.powers, grid]) * c).sum(axis=1)
+            powers = strategy(prof, 12, 3, budget)
+            values = np.log2(1.0 + np.vstack([powers, grid]) * c).sum(axis=1)
             worst = min(worst, float(values[0] - values[1:].max()))
     # grid corners reconstruct the budget as budget - i*step - j*step, which
     # can land an ulp above it; ties then show as O(1e-16) rounding, not as
@@ -184,15 +182,16 @@ def test_criterion_07_asymptotic_equal_power():
     dl = np.full((19, 5), db_to_linear(30.0) / 5)
     ok = True
     finals = []
-    for name, strategy, interferers in [
-        ("lower", uplink_alloc_lower_bound, ul),
-        ("upper", uplink_alloc_upper_bound, ul),
-        ("approx", uplink_alloc_approx, ul),
-        ("downlink", downlink_alloc, dl),
+    up, down = uplink_profile(top, ul, 0), downlink_profile(top, dl, 0)  # the same at every M
+    for name, strategy, prof in [
+        ("lower", uplink_alloc_lower_bound, up),
+        ("upper", uplink_alloc_upper_bound, up),
+        ("approx", uplink_alloc_approx, up),
+        ("downlink", downlink_alloc, down),
     ]:
         devs = []
         for m in (32, 128, 512, 2048):
-            out = strategy(top.with_antennas(m), interferers, 0, m, 5, budget)
+            out = strategy(prof, m, 5, budget)
             devs.append(float(np.max(np.abs(out - budget / 5)) / (budget / 5)))
         ok = ok and all(b <= a + 1e-12 for a, b in zip(devs, devs[1:])) and devs[-1] < 0.05
         finals.append(f"{name}:{devs[-1]:.4f}")

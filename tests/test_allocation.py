@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mcmimo import allocation
+from mcmimo import allocation, closedform
 from mcmimo.allocation import (
     PROFILE_COEFFICIENTS,
     WaterfillCoefficients,
@@ -19,6 +19,7 @@ from mcmimo.allocation import (
     waterfill,
 )
 from mcmimo.closedform import DownlinkProfile, InterferenceProfile, downlink_profile, uplink_profile
+from mcmimo.network import run_scheduled
 from mcmimo.topology import NetworkConfig, build_topology
 
 
@@ -210,12 +211,21 @@ STRATEGIES = [
 ]
 
 
+# the profile builder of each link, keyed by a strategy's ``direction``
+BUILDERS = {"uplink": uplink_profile, "downlink": downlink_profile}
+
+
+def allocate(strategy, top, allocs, cell, m, n, budget):
+    """``strategy`` on the profile of ``cell`` (or cells) against ``allocs``."""
+    return strategy(BUILDERS[strategy.direction](top, allocs, cell), m, n, budget)
+
+
 class TestStrategies:
     @pytest.mark.parametrize("name,strategy,_,make_interf", STRATEGIES)
     def test_budget_and_nonnegativity(self, small_topology, name, strategy, _, make_interf):
         top = small_topology
         allocs = make_interf(top)
-        out = strategy(top, allocs, 0, 12, 3, 30.0)
+        out = allocate(strategy, top, allocs, 0, 12, 3, 30.0)
         assert np.all(out >= 0)
         assert out.sum() == pytest.approx(30.0, rel=1e-12)
 
@@ -225,43 +235,42 @@ class TestStrategies:
         allocs = make_interf(top)
         budget = 30.0
         c = coeff_fn(top, allocs, 0, 12, 3)
-        out = strategy(top, allocs, 0, 12, 3, budget)
+        out = allocate(strategy, top, allocs, 0, 12, 3, budget)
         assert surrogate(c, out) >= grid_best(c, budget) - 1e-12
 
     @pytest.mark.parametrize("name,strategy,_,make_interf", STRATEGIES)
     def test_asymptotic_equal_split(self, small_topology, name, strategy, _, make_interf):
-        # powers approach P/N as the array grows; deviation is monotone
+        # powers approach P/N as the array grows; deviation is monotone. The
+        # profile does not depend on M, so one serves every M
         top = small_topology
-        allocs = make_interf(top)
+        rows = BUILDERS[strategy.direction](top, make_interf(top), 0)
         budget = 1000.0
         devs = []
         for m in (32, 128, 512, 2048):
-            out = strategy(top.with_antennas(m), allocs, 0, m, 3, budget)
+            out = strategy(rows, m, 3, budget)
             devs.append(float(np.max(np.abs(out - budget / 3)) / (budget / 3)))
         assert all(b <= a + 1e-12 for a, b in zip(devs, devs[1:]))
-        out = strategy(top.with_antennas(10**6), allocs, 0, 10**6, 3, budget)
+        out = strategy(rows, 10**6, 3, budget)
         assert np.max(np.abs(out - budget / 3)) / (budget / 3) < 0.01
 
     def test_upper_matches_approx_without_interference(self):
         cfg = NetworkConfig(users_per_cell=3, bs_antennas=12, cell_count=1, seed=31)
         top = build_topology(cfg)
-        allocs = np.zeros((1, 3))
-        a = uplink_alloc_upper_bound(top, allocs, 0, 12, 3, 9.0)
-        b = uplink_alloc_approx(top, allocs, 0, 12, 3, 9.0)
+        rows = uplink_profile(top, np.zeros((1, 3)), 0)
+        a = uplink_alloc_upper_bound(rows, 12, 3, 9.0)
+        b = uplink_alloc_approx(rows, 12, 3, 9.0)
         assert np.array_equal(a, b)
 
     def test_upper_power_ranking_follows_beta(self, small_topology):
         top = small_topology
-        allocs = uplink_interferers(top)
-        out = uplink_alloc_upper_bound(top, allocs, 0, 12, 3, 30.0)
+        out = uplink_alloc_upper_bound(uplink_profile(top, uplink_interferers(top), 0), 12, 3, 30.0)
         beta = top.large_scale[0, 0]
         assert np.array_equal(np.argsort(out), np.argsort(beta))
 
     def test_approx_equals_lower_for_large_m(self, small_topology):
-        top = small_topology
-        allocs = uplink_interferers(top)
-        a = uplink_alloc_lower_bound(top.with_antennas(512), allocs, 0, 512, 3, 30.0)
-        b = uplink_alloc_approx(top.with_antennas(512), allocs, 0, 512, 3, 30.0)
+        rows = uplink_profile(small_topology, uplink_interferers(small_topology), 0)
+        a = uplink_alloc_lower_bound(rows, 512, 3, 30.0)
+        b = uplink_alloc_approx(rows, 512, 3, 30.0)
         assert np.max(np.abs(a - b)) < 1e-3 * 30.0 / 3
 
     def test_symmetric_betas_split_equally(self):
@@ -270,36 +279,41 @@ class TestStrategies:
             path_loss_exponent=0.0, shadow_std_db=0.0, seed=2,
         )
         top = build_topology(cfg)
-        allocs = np.zeros((1, 3))
-        out = uplink_alloc_lower_bound(top, allocs, 0, 9, 3, 6.0)
+        out = uplink_alloc_lower_bound(uplink_profile(top, np.zeros((1, 3)), 0), 9, 3, 6.0)
         assert out == pytest.approx([2.0, 2.0, 2.0])
 
     def test_downlink_single_user_gets_everything(self):
         cfg = NetworkConfig(users_per_cell=1, bs_antennas=4, cell_count=7, seed=3)
         top = build_topology(cfg)
-        allocs = downlink_interferers(top, per_cell=10.0)
-        out = downlink_alloc(top, allocs, 0, 4, 1, 5.0)
+        out = downlink_alloc(downlink_profile(top, downlink_interferers(top, per_cell=10.0), 0),
+                             4, 1, 5.0)
         assert out == pytest.approx([5.0])
         assert downlink_alloc.direction == "downlink"
 
     def test_requires_m_above_n(self, small_topology):
-        allocs = uplink_interferers(small_topology)
+        top = small_topology
         with pytest.raises(ValueError, match="M > N"):
-            uplink_alloc_lower_bound(small_topology, allocs, 0, 3, 3, 1.0)
+            uplink_alloc_lower_bound(uplink_profile(top, uplink_interferers(top), 0), 3, 3, 1.0)
         with pytest.raises(ValueError, match="M > N"):
-            downlink_alloc(small_topology, downlink_interferers(small_topology), 0, 3, 3, 1.0)
+            downlink_alloc(downlink_profile(top, downlink_interferers(top), 0), 3, 3, 1.0)
+
+    @pytest.mark.parametrize("name,strategy,_,make_interf", STRATEGIES)
+    def test_profile_users_must_match_n(self, small_topology, name, strategy, _, make_interf):
+        with pytest.raises(ValueError, match="N=4 does not match the profile's 3 users"):
+            allocate(strategy, small_topology, make_interf(small_topology), 0, 12, 4, 30.0)
 
 
 @pytest.mark.parametrize("name,strategy,_,make_interf", STRATEGIES)
 def test_strategies_call_builders_by_module_name(monkeypatch, small_topology, name, strategy,
                                                  _, make_interf):
     """The benchmark's span tracing replaces the module-level names: a
-    strategy that captured its profile builder or ``waterfill`` at definition
-    would run untraced."""
+    strategy that captured ``waterfill`` at definition, or a scheduler that
+    captured the profile builder, would run untraced. A strategy builds no
+    profile of its own."""
     calls = {"uplink_profile": 0, "downlink_profile": 0, "waterfill": 0}
 
-    def counting(attr):
-        original = getattr(allocation, attr)
+    def counting(module, attr):
+        original = getattr(module, attr)
 
         def wrapper(*args, **kwargs):
             calls[attr] += 1
@@ -307,14 +321,20 @@ def test_strategies_call_builders_by_module_name(monkeypatch, small_topology, na
         return wrapper
 
     for attr in calls:
-        monkeypatch.setattr(allocation, attr, counting(attr))
+        module = allocation if attr == "waterfill" else closedform
+        monkeypatch.setattr(module, attr, counting(module, attr))
     direction = "downlink" if name == "downlink" else "uplink"
     assert strategy.direction == direction
-    out = strategy(small_topology, make_interf(small_topology), 0, 12, 3, 30.0)
-    group = strategy(small_topology, make_interf(small_topology), [0, 1], 12, 3, 30.0)
+    top, allocs = small_topology, make_interf(small_topology)
+    out = strategy(BUILDERS[direction](top, allocs, 0), 12, 3, 30.0)
+    group = strategy(BUILDERS[direction](top, allocs, [0, 1]), 12, 3, 30.0)
     assert out.shape == (3,) and group.shape == (2, 3)
-    assert calls == {"uplink_profile": 2 * (direction == "uplink"),
-                     "downlink_profile": 2 * (direction == "downlink"), "waterfill": 2}
+    assert calls == {"uplink_profile": 0, "downlink_profile": 0, "waterfill": 2}
+    # each of the scheduler's three slots builds the group's profile, and on
+    # the downlink one more for the closed-form sum rate
+    run_scheduled(top, strategy, 30.0, 1.0, 3)
+    assert calls == {"uplink_profile": 3 * (direction == "uplink"),
+                     "downlink_profile": 6 * (direction == "downlink"), "waterfill": 5}
 
 
 def profile_reference(top, allocs, cell, direction):
@@ -361,11 +381,11 @@ class TestGroupCalls:
     def test_group_rows_equal_cell_calls(self, name, strategy, coeff_fn, _, case):
         top, group, powers, budget = case
         m, n = top.config.bs_antennas, top.n_users
-        got = strategy(top, powers, group, m, n, budget)
+        got = allocate(strategy, top, powers, group, m, n, budget)
         rows = coeff_fn(top, powers, group, m, n)
         assert got.shape == rows.shape == (len(group), n)
         for cell, alloc, row in zip(group, got, rows):
-            one = strategy(top, powers, cell, m, n, budget)
+            one = allocate(strategy, top, powers, cell, m, n, budget)
             c = PROFILE_COEFFICIENTS[name](profile_reference(top, powers, cell, strategy.direction),
                                            m, n)
             assert np.array_equal(row, c)
@@ -376,8 +396,10 @@ class TestGroupCalls:
 
     @pytest.mark.parametrize("cell", [True, 1.0, [], [[0, 1]], "0"])
     def test_bad_target_cell_rejected(self, small_topology, cell):
-        with pytest.raises(ValueError, match="target_cell"):
-            uplink_alloc_approx(small_topology, uplink_interferers(small_topology), cell, 12, 3, 30.0)
+        # the profile builders name the cells a strategy's rows are of
+        for build in BUILDERS.values():
+            with pytest.raises(ValueError, match="target_cell"):
+                build(small_topology, uplink_interferers(small_topology), cell)
 
 
 class TestBaselines:
@@ -390,8 +412,26 @@ class TestBaselines:
     def test_equal_alloc_sums_to_budget(self, n, budget):
         assert equal_alloc(n, budget).sum() == pytest.approx(budget, rel=1e-12)
 
+    @pytest.mark.parametrize("n_users, budget, field", [
+        (0, 1.0, "n_users"), (True, 1.0, "n_users"), (2.5, 1.0, "n_users"), ("3", 1.0, "n_users"),
+        (3, 0.0, "budget"), (3, -1.0, "budget"), (3, np.inf, "budget"), (3, np.nan, "budget"),
+        (3, True, "budget"),
+    ])
+    def test_equal_alloc_rejects_bad_inputs(self, n_users, budget, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            equal_alloc(n_users, budget)
+
     def test_relative_gain(self):
         assert relative_gain(114.0, 100.0) == pytest.approx(0.14)
         assert relative_gain(100.0, 100.0) == 0.0
         with pytest.raises(ValueError):
             relative_gain(1.0, 0.0)
+
+    @pytest.mark.parametrize("c_pa, c_eq", [
+        (1.0, np.inf), (np.inf, 1.0), (np.nan, 1.0), (1.0, np.nan),
+        (np.array([1.0, np.inf]), np.array([1.0, 1.0])),
+        (np.array([1.0, 2.0]), np.array([1.0, np.inf])),
+    ])
+    def test_relative_gain_rejects_non_finite_sums(self, c_pa, c_eq):
+        with pytest.raises(ValueError, match="sum rates must be finite"):
+            relative_gain(c_pa, c_eq)

@@ -492,7 +492,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("evaluator", ["lower", "upper", "approx", "mc"])
     def test_fig4_rows_equal_one_strategy_at_a_time(self, tmp_path, evaluator):
         # one drop's job rates every M; each (M, strategy) matches its own
-        # topology-level strategy call at that M
+        # strategy call on that drop's profile at that M
         net = {"usersPerCell": 4, "bsAntennas": 30, "cellCount": 7, "seed": 8}
         ms = [12, 30, 75]
         doc = {"kind": "fig4", "network": net, "sweep": {"variable": "bsAntennas", "values": ms},
@@ -510,7 +510,8 @@ class TestRunExperiment:
                 for label, strategy in [("equal", None), *cli._UPLINK_STRATEGIES.items()]:
                     cand = allocs.copy()
                     cand[0] = (equal_alloc(4, db_to_linear(20)) if strategy is None
-                               else strategy(top, allocs, 0, m, 4, db_to_linear(20)))
+                               else strategy(closedform.uplink_profile(top, allocs, 0), m, 4,
+                                             db_to_linear(20)))
                     if evaluator == "mc":  # one allocation per call
                         est = uplink_rate_mc(top, cand, 0, 64, seed)
                         want = (est.sum_rate, float(est.ci_half_width.sum()))
@@ -538,7 +539,8 @@ class TestRunExperiment:
                 eq = uplink_rate_mc(top, [equal_alloc(4, 100.0), *allocs[1:]], 0, 64,
                                     seed).sum_rate
                 for label, strategy in cli._UPLINK_STRATEGIES.items():
-                    cand = [strategy(top, allocs, 0, m, 4, 100.0), *allocs[1:]]
+                    cand = [strategy(closedform.uplink_profile(top, allocs, 0), m, 4, 100.0),
+                            *allocs[1:]]
                     pa = uplink_rate_mc(top, cand, 0, 64, seed).sum_rate
                     assert got[(panel, label, m)] == relative_gain(np.array([pa]), eq).tolist()[0]
 
@@ -1493,3 +1495,33 @@ def test_span_tracing_records_every_layer(tmp_path):
             "mcrate.uplink_rate_mc", "mcrate.downlink_rate_mc",
             "allocation.waterfill"} <= {rec[0] for rec in tracer.spans}
     assert not hasattr(cli.uplink_rate_mc, "__wrapped__")
+
+
+@pytest.mark.parametrize("kind", ["fig4", "fig5", "fig6", "fig7", "fig10", "fig11", "fig12",
+                                  "table2", "table3a", "table3b"])
+def test_every_waterfill_call_is_made_by_a_strategy(tmp_path, monkeypatch, kind):
+    # one allocation path: the figure kinds, the scheduler and the threshold
+    # search reach water-filling only through the strategies, so the layer
+    # report counts their allocation work under allocation.strategies
+    from mcmimo import allocation
+
+    original = allocation.waterfill
+    callers = []
+
+    def spy(wc):
+        callers.append(sys._getframe(1).f_code)
+        return original(wc)
+
+    # every module namespace that holds the function, as the span tracer patches
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mcmimo":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, spy)
+    doc = {"kind": kind, "network": {"usersPerCell": 4, "bsAntennas": 20, "seed": 11},
+           "output": str(tmp_path / kind)}
+    # table3b's edge-only search needs an edge user in some drop at every probe
+    run_experiment(ExperimentSpec.from_dict(doc, {"trials": 8,
+                                                  "drops": 4 if kind == "table3b" else 2}))
+    # the four strategies are closures of one function, so they share its code
+    assert callers and set(callers) == {allocation.uplink_alloc_approx.__code__}

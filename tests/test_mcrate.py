@@ -475,6 +475,28 @@ def test_shared_draws_of_another_call_are_refused(estimator, direction):
         shared_draws(top, rows, 0, 0, 5, direction)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"trials": True}, "trials must be an integer >= 1, got True"),
+    ({"trials": 2.5}, "trials must be an integer >= 1, got 2.5"),
+    ({"trials": 0}, "trials must be an integer >= 1, got 0"),
+    ({"trials": "10"}, "trials must be an integer >= 1"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"seed": None}, "seed must be an integer, got None"),
+])
+def test_trials_and_seed_checked_by_every_entry(kwargs, message):
+    # a bool once ran one trial and reported trials=True; a float failed deep
+    # inside the estimator with a TypeError
+    for direction in ("uplink", "downlink"):
+        top, rows = _rows_setup(direction, 7)
+        args = {"trials": 10, "seed": 0, **kwargs}
+        estimator = uplink_rate_mc if direction == "uplink" else downlink_rate_mc
+        for call in (lambda: estimator(top, rows, 0, args["trials"], args["seed"]),
+                     lambda: shared_draws(top, rows, 0, args["trials"], args["seed"], direction)):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                call()
+
+
 def test_rows_are_checked_one_by_one():
     top, rows = _rows_setup("uplink", 7)
     rows[2, 3, 1] = np.nan

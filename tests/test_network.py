@@ -181,23 +181,29 @@ class TestProjection:
             assert np.linalg.norm(v - p) <= np.linalg.norm(v - q) + 1e-9
 
 
+def profile_cells(top, beta_self):
+    """The cells whose own gains beta_ll are the rows of ``beta_self``: the
+    cells that a strategy's profile rows are of."""
+    own = top.large_scale[np.arange(top.n_cells), np.arange(top.n_cells)]  # (C, N)
+    return [int(np.flatnonzero((own == row).all(axis=1))[0]) for row in np.atleast_2d(beta_self)]
+
+
 class TestRunScheduled:
     def test_single_cell_single_slot_equals_strategy(self):
         cfg = NetworkConfig(users_per_cell=3, bs_antennas=12, cell_count=1, seed=8)
         top = build_topology(cfg)
         state = run_scheduled(top, uplink_alloc_approx, 30.0, 10.0, 1)
-        direct = uplink_alloc_approx(top, np.full((1, 3), 10.0), 0, 12, 3, 30.0)
+        direct = uplink_alloc_approx(uplink_profile(top, np.full((1, 3), 10.0), 0), 12, 3, 30.0)
         assert np.array_equal(state.powers[0], direct)
         assert len(state.history) == 1
 
     def test_per_cell_powers_are_the_rows_of_powers(self):
         top = build_topology(NetworkConfig(users_per_cell=2, bs_antennas=8, cell_count=7, seed=9))
-        for result in (run_scheduled(top, allocation.downlink_alloc, 20.0, 1.0, 2),
-                       run_joint(top, 20.0)):
-            cells = result.per_cell_powers
-            assert all(isinstance(a, PowerAllocation) for a in cells)
-            assert {a.direction for a in cells} == {result.direction}
-            assert np.array_equal(np.stack([a.powers for a in cells]), result.powers)
+        result = run_scheduled(top, allocation.downlink_alloc, 20.0, 1.0, 2)
+        cells = result.per_cell_powers
+        assert all(isinstance(a, PowerAllocation) for a in cells)
+        assert {a.direction for a in cells} == {result.direction} == {"downlink"}
+        assert np.array_equal(np.stack([a.powers for a in cells]), result.powers)
 
     def test_all_cells_allocate_within_one_round(self):
         cfg = NetworkConfig(users_per_cell=2, bs_antennas=8, seed=9)
@@ -228,7 +234,7 @@ class TestRunScheduled:
             for cell in groups[slot % len(groups)]:
                 prof = uplink_profile(top, snapshot, cell)
                 before = uplink_approximation(prof, 10, 3, snapshot[cell]).sum()
-                new = uplink_alloc_approx(top, snapshot, cell, 10, 3, budget)
+                new = uplink_alloc_approx(prof, 10, 3, budget)
                 after = uplink_approximation(prof, 10, 3, new).sum()
                 assert after >= before - 1e-12
                 allocs[cell] = new
@@ -243,39 +249,42 @@ class TestRunScheduled:
         snapshot = np.full((19, 2), 10.0)
         group = state.groups[0]
         for cell in reversed(group):
-            expect = uplink_alloc_approx(top, snapshot, cell, 8, 2, budget)
+            expect = uplink_alloc_approx(uplink_profile(top, snapshot, cell), 8, 2, budget)
             assert np.array_equal(state.powers[cell], expect)
 
     def test_one_strategy_call_per_slot(self):
         top = build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=3))
         calls = []
 
-        def spy(topology, allocs, cells, m, n, budget):
-            calls.append(list(cells))
-            return uplink_alloc_approx(topology, allocs, cells, m, n, budget)
+        def spy(profile, m, n, budget):
+            calls.append(profile_cells(top, profile.beta_self))
+            return uplink_alloc_approx(profile, m, n, budget)
 
+        spy.direction = "uplink"
         state = run_scheduled(top, spy, 50.0, 10.0, 7)
         assert calls == [state.groups[s % 3] for s in range(7)]
 
     def test_every_returned_row_checked_against_budget(self):
         top = build_topology(NetworkConfig(users_per_cell=2, bs_antennas=8, cell_count=7, seed=4))
 
-        def over_budget_last(topology, allocs, cells, m, n, budget):
-            rows = uplink_alloc_approx(topology, allocs, cells, m, n, budget)  # (drops, cells, N)
-            if len(cells) > 1:
-                rows[:, -1] = budget
+        def over_budget_last(profile, m, n, budget):
+            rows = uplink_alloc_approx(profile, m, n, budget)  # (drops x cells, N)
+            if len(rows) > 1:
+                rows[-1] = budget
             return rows
 
+        over_budget_last.direction = "uplink"
         with pytest.raises(ValueError, match="exceeds budget"):  # slot 2's group has 3 cells
             run_scheduled(top, over_budget_last, 20.0, 1.0, 2)
 
     def test_missing_rows_rejected(self):
         top = build_topology(NetworkConfig(users_per_cell=2, bs_antennas=8, cell_count=7, seed=4))
 
-        def first_cell_only(topology, allocs, cells, m, n, budget):
-            return uplink_alloc_approx(topology, allocs, cells[:1], m, n, budget)
+        def first_cell_only(profile, m, n, budget):
+            return uplink_alloc_approx(profile, m, n, budget)[:1]
 
-        with pytest.raises(ValueError, match=r"shape \(1, 3, 2\), got \(1, 1, 2\)"):  # 3 cells
+        first_cell_only.direction = "uplink"
+        with pytest.raises(ValueError, match=r"shape \(3, 2\), got \(1, 2\)"):  # 3 cells
             run_scheduled(top, first_cell_only, 20.0, 1.0, 2)
 
     # SHA-256 of the per-slot history followed by the final power matrix, at
@@ -339,8 +348,25 @@ class TestRunScheduled:
             calls.append(args)
             return uplink_alloc_approx(*args)
 
+        spy.direction = "uplink"
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             run_scheduled(top, spy, 30.0, 1.0, 2, **kwargs)
+        assert calls == []
+
+    @pytest.mark.parametrize("direction", [None, "sideways", "Uplink"])
+    def test_strategy_without_a_link_rejected(self, direction):
+        # the link picks the profile builder: none is guessed
+        top = build_topology(NetworkConfig(users_per_cell=3, bs_antennas=10, cell_count=7, seed=18))
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return uplink_alloc_approx(*args)
+
+        if direction is not None:
+            spy.direction = direction
+        with pytest.raises(ValueError, match=r"^strategy\.direction must be one of"):
+            run_scheduled(top, spy, 30.0, 1.0, 2)
         assert calls == []
 
     def test_initial_power_over_budget_rejected(self):
@@ -486,7 +512,7 @@ class TestRunJoint:
         cfg = NetworkConfig(users_per_cell=3, bs_antennas=12, cell_count=1, seed=17)
         top = build_topology(cfg)
         res = run_joint(top, 30.0, max_iters=2000, tolerance=1e-14)
-        direct = uplink_alloc_approx(top, np.zeros((1, 3)), 0, 12, 3, 30.0)
+        direct = uplink_alloc_approx(uplink_profile(top, np.zeros((1, 3)), 0), 12, 3, 30.0)
         assert res.converged
         assert np.max(np.abs(res.powers[0] - direct)) < 1e-6
 
@@ -892,28 +918,32 @@ class TestRunScheduledDrops:
                                              seed=seed)) for seed in (1, 2, 3)]
         calls = []
 
-        def spy(topologies, powers, cells, m, n, budget):
-            calls.append((len(topologies), powers.shape, list(cells)))
-            return uplink_alloc_approx(topologies, powers, cells, m, n, budget)
+        def spy(profile, m, n, budget):
+            # the rows are drop-major: each drop's group cells in turn
+            rows = np.asarray(profile.beta_self).reshape(len(tops), -1, n)
+            calls.append([profile_cells(top, r) for top, r in zip(tops, rows)])
+            return uplink_alloc_approx(profile, m, n, budget)
 
+        spy.direction = "uplink"
         states = run_scheduled_drops(tops, spy, 30.0, 2.0, 7)
         groups = states[0].groups
-        assert calls == [(3, (3, 7, 3), groups[s % 3]) for s in range(7)]
+        assert calls == [[groups[s % 3]] * 3 for s in range(7)]
 
     def test_strategy_result_checked(self):
         tops = [build_topology(NetworkConfig(users_per_cell=2, bs_antennas=8, cell_count=7,
                                              seed=seed)) for seed in (4, 5)]
 
         def returning(make):
-            def strategy(topologies, powers, cells, m, n, budget):
-                return make(uplink_alloc_approx(topologies, powers, cells, m, n, budget))
+            def strategy(profile, m, n, budget):
+                return make(uplink_alloc_approx(profile, m, n, budget))
+            strategy.direction = "uplink"
             return strategy
 
-        def over_in_second_drop(rows):
-            rows[1, 0] += 1.0
+        def over_in_second_drop(rows):  # the rows are drop-major
+            rows[len(rows) // 2] += 1.0
             return rows
 
-        for make, match in ((lambda r: r[:1], r"shape \(2, (\d), 2\), got \(1, \1, 2\)"),
+        for make, match in ((lambda r: r[:1], r"shape \((\d), 2\), got \(1, 2\)"),
                             (lambda r: r.astype(complex), "real powers"),
                             (lambda r: -r, "non-negative"),
                             (lambda r: r * np.nan, "non-negative"),
