@@ -25,8 +25,8 @@ from .topology import check_field
 class WaterfillCoefficients:
     """Per-user surrogate-SINR slopes c_n and the cell power budget.
 
-    ``coeffs`` is one vector (N,) or a (B, N) array with one cell problem per
-    row, all under the same budget.
+    ``coeffs`` is a (B, N) array with one cell problem per row, all under the
+    same budget; one problem is a stack of one row.
     """
 
     coeffs: np.ndarray
@@ -34,8 +34,9 @@ class WaterfillCoefficients:
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=float)  # a copy, so the caller's array cannot change it
-        if c.ndim not in (1, 2) or c.size == 0:
-            raise ValueError("coeffs must be a non-empty 1-D vector or 2-D array of rows")
+        if c.ndim != 2 or c.size == 0:
+            raise ValueError(f"coeffs must be a non-empty (B, N) array, one cell problem "
+                             f"per row, got shape {c.shape}")
         # method reductions, not np.* wrappers: fig5 makes a small call per (M, strategy)
         if not (c.min() > 0 and c.max() < np.inf):
             raise ValueError("all water-filling coefficients must be finite and positive")
@@ -47,11 +48,11 @@ class WaterfillCoefficients:
 
 @dataclass(frozen=True, eq=False)
 class WaterfillResult:
-    """Powers shaped like the coefficients; ``water_level`` is a float for one
-    vector and a (B,) array for rows."""
+    """Powers (B, N), shaped like the coefficients, and the (B,) water levels,
+    one per row."""
 
     powers: np.ndarray
-    water_level: float | np.ndarray
+    water_level: np.ndarray
 
 
 def waterfill(wc: WaterfillCoefficients) -> WaterfillResult:
@@ -65,16 +66,13 @@ def waterfill(wc: WaterfillCoefficients) -> WaterfillResult:
     """
     inv = 1.0 / wc.coeffs
     inv_sorted = np.sort(inv)
-    n = inv.shape[-1]
+    n = inv.shape[1]
     # method calls keep small calls cheap: the scheduler makes one per slot
-    mu = (wc.budget + inv_sorted.cumsum(-1)) / np.arange(1, n + 1)
+    mu = (wc.budget + inv_sorted.cumsum(1)) / np.arange(1, n + 1)
     qualifies = mu > inv_sorted
-    qualifies[..., 0] = True
+    qualifies[:, 0] = True
     # rounding can break the monotonicity of ``qualifies``: the largest k wins
-    k = n - qualifies[..., ::-1].argmax(-1)
-    if inv.ndim == 1:
-        level = mu[k - 1]
-        return WaterfillResult(np.maximum(level - inv, 0.0), float(level))
+    k = n - qualifies[:, ::-1].argmax(1)
     level = mu[np.arange(inv.shape[0]), k - 1]
     return WaterfillResult(np.maximum(level[:, None] - inv, 0.0), level)
 
@@ -85,8 +83,8 @@ def waterfill(wc: WaterfillCoefficients) -> WaterfillResult:
 # builds against the frozen powers of the interfering cells: the scheduler
 # with the profile builder its ``direction`` attribute names, the figure kinds
 # and the threshold search from cell 0's profile stacked over drops. It
-# returns powers shaped like the profile's rows: (N,) for one view, (D, N)
-# for a stack, each row equal to the call on that row alone.
+# returns (D, N) powers, one row per profile row (a (1, N) row for one view),
+# each row equal to the call on that row alone.
 
 def _strategy(public: str, name: str, direction: str, m_above_n: bool = False):
     """The strategy ``public`` water-filling ``PROFILE_COEFFICIENTS[name]`` of a

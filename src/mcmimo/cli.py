@@ -177,7 +177,7 @@ class ExperimentSpec:
         if "network" not in data:
             raise ValueError("experiment spec needs a 'network' field")
         overrides = overrides or {}
-        network = NetworkConfig.from_json(check_field("network", data["network"], "object"))
+        network = NetworkConfig.from_json(data["network"])
         if "seed" in overrides and overrides["seed"] is not None:
             network = replace(network, seed=int(overrides["seed"]))
         row = _KINDS[kind]

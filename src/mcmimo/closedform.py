@@ -15,6 +15,11 @@ forms lie in that order for every input (two Jensen bounds around a
 mean-ratio approximation), and the gap closes as M grows. On the downlink
 L_l = sum_k 1/beta_lk and D_n = sum_{l,c} p_cl beta_ln / (beta_lc L_l).
 
+A profile is a stack of rows, each one target cell's view in one drop (one
+per drop, or per drop and cell); one view is a stack of one row. Every
+formula reads all rows in one array expression, each row with the bits of
+its own evaluation.
+
 ``PROFILE_COEFFICIENTS`` holds these four SINRs, each written once. At p = 1
 they are the coefficients c_n of the strategies, which water-fill
 sum_n log2(1 + c_n p_n): each maximises the rate of the form it is named for.
@@ -104,17 +109,16 @@ def interference_factor(zetas) -> float:
 
 @dataclass(frozen=True, eq=False)
 class InterferenceProfile:
-    """Uplink large-scale view of one target cell, or a stack of such views.
+    """Uplink large-scale view of a stack of target cells, one view per row
+    (one drop or one (drop, cell) each, say).
 
-    ``beta_self[n]`` is user n's gain to its own BS; ``cross_powers`` and
-    ``cross_betas`` list (p, beta) for every user of every interfering cell.
-    The interference power seen at the BS is user-independent.
-
-    A stacked profile has a leading axis of rows, one view per row (one drop
-    or one (drop, cell) each, say): ``beta_self`` is (D, N), the cross arrays
-    are (D, L), and ``cross_sum`` and ``interference_factor()`` are (D, 1)
-    columns, so every rate and coefficient formula evaluates all rows in one
-    expression with the same bits as row by row.
+    Row d's ``beta_self[d, n]`` is user n's gain to its own BS; its
+    ``cross_powers[d]`` and ``cross_betas[d]`` list (p, beta) for every user of
+    every interfering cell. The interference power seen at the BS is
+    user-independent. ``beta_self`` is (D, N), the cross arrays are (D, L),
+    and ``cross_sum`` and ``interference_factor()`` are (D, 1) columns, so
+    every rate and coefficient formula evaluates all rows in one expression
+    with the same bits as row by row. One view is a stack of one row.
 
     Rows may hold fewer than L cross terms (cells with 3, 4 or 6 neighbours):
     ``cross_lengths`` (D,) then counts each row's terms, and the entries past
@@ -127,20 +131,16 @@ class InterferenceProfile:
     cross_powers: np.ndarray
     cross_betas: np.ndarray
     cross_lengths: np.ndarray | None = None
-    cross_sum: float | np.ndarray = field(init=False)
-    _factor: float | np.ndarray | None = field(init=False, default=None, repr=False)
+    cross_sum: np.ndarray = field(init=False)
+    _factor: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         bs = np.asarray(self.beta_self, dtype=float)
         cp = np.asarray(self.cross_powers, dtype=float)
         cb = np.asarray(self.cross_betas, dtype=float)
-        if bs.ndim == 1:
-            cp, cb = cp.ravel(), cb.ravel()
-            if self.cross_lengths is not None:
-                raise ValueError("cross_lengths belongs to a stacked profile")
-        elif bs.ndim != 2 or cp.ndim != 2 or cp.shape[0] != bs.shape[0]:
-            raise ValueError(
-                "a stacked profile needs beta_self (D, N) and cross arrays (D, L)")
+        if bs.ndim != 2 or cp.ndim != 2 or cp.shape[0] != bs.shape[0]:
+            raise ValueError(f"a profile needs beta_self (D, N) and cross arrays (D, L), one "
+                             f"row per view, got {bs.shape} and {cp.shape}")
         # method reductions cost less than np.any/np.all on arrays this small
         if (bs <= 0).any() or not np.isfinite(bs).all():
             raise ValueError("beta_self must be finite and positive")
@@ -154,42 +154,28 @@ class InterferenceProfile:
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        # total interference power sum p_cl beta_cl (0 with no interferers)
-        if bs.ndim == 1:
-            cross_sum = float(np.dot(cp, cb))
-        else:
-            lengths = _cross_lengths(self.cross_lengths, cp)
-            object.__setattr__(self, "cross_lengths", lengths)
-            cross_sum = np.array([[np.dot(p[:k], b[:k])] for p, b, k in zip(cp, cb, lengths)])
-        object.__setattr__(self, "cross_sum", cross_sum)
+        lengths = _cross_lengths(self.cross_lengths, cp)
+        object.__setattr__(self, "cross_lengths", lengths)
+        # each row's total interference power sum p_cl beta_cl (0 with no interferers)
+        object.__setattr__(self, "cross_sum", np.array(
+            [[np.dot(p[:k], b[:k])] for p, b, k in zip(cp, cb, lengths)]))
 
     @property
     def n_users(self) -> int:
-        return self.beta_self.shape[-1]
+        return self.beta_self.shape[1]
 
-    def zetas(self) -> np.ndarray:
-        """Exponential means p_cl beta_cl of the active interference terms
-        (of an unstacked profile)."""
-        if self.cross_powers.ndim != 1:
-            raise ValueError("zetas() needs an unstacked profile; a stack has one set per row")
-        z = self.cross_powers * self.cross_betas
-        return z[z > 0]
-
-    def interference_factor(self) -> float | np.ndarray:
-        """E{1/(v+1)} of the interference: a float, or a read-only (D, 1) column
-        for a stack.
+    def interference_factor(self) -> np.ndarray:
+        """E{1/(v+1)} of each row's interference, a read-only (D, 1) column.
 
         The interference means stay fixed while a profile is swept over M,
         rated at several powers or allocated by several strategies, so the
         profile computes its factor once, on first use, and keeps it.
         """
         if self._factor is None:
-            if self.cross_powers.ndim == 1:
-                factor = interference_factor(self.zetas())
-            else:
-                z = self.cross_powers * self.cross_betas
-                factor = np.array([[interference_factor(row[row > 0])] for row in z])
-                factor.setflags(write=False)
+            # a row's means are its positive p_cl beta_cl: padding and silent users drop out
+            z = self.cross_powers * self.cross_betas
+            factor = np.array([[interference_factor(row[row > 0])] for row in z])
+            factor.setflags(write=False)
             object.__setattr__(self, "_factor", factor)
         return self._factor
 
@@ -211,13 +197,11 @@ def _cross_lengths(lengths, cross_powers: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DownlinkProfile:
-    """Downlink large-scale view: own-cell inverse-gain sum and the per-user
-    normalised interference load D_n.
+    """Downlink large-scale view of a stack of target cells, one view per row:
+    the own-cell inverse-gain sum ``lambda_self`` (D, 1) and the per-user
+    normalised interference load D_n, ``cross_load`` (D, N)."""
 
-    A stacked profile holds one view per row: ``lambda_self`` (D, 1), ``cross_load`` (D, N).
-    """
-
-    lambda_self: float | np.ndarray
+    lambda_self: np.ndarray
     cross_load: np.ndarray
 
     def __post_init__(self):
@@ -225,44 +209,44 @@ class DownlinkProfile:
         cl = np.array(self.cross_load, dtype=float)
         if not (np.isfinite(lam).all() and (lam > 0).all()):
             raise ValueError("lambda_self must be finite and positive")
-        one_view = lam.ndim == 0 and cl.ndim == 1
-        if not (one_view or (cl.ndim == 2 and lam.shape == (cl.shape[0], 1))):
-            raise ValueError("cross_load must be a 1-D vector, or (D, N) beside a (D, 1) lambda_self")
+        if not (cl.ndim == 2 and lam.shape == (cl.shape[0], 1)):
+            raise ValueError(f"a downlink profile needs lambda_self (D, 1) beside cross_load "
+                             f"(D, N), one row per view, got {lam.shape} and {cl.shape}")
         if (cl < 0).any() or not np.isfinite(cl).all():
             raise ValueError("cross_load must be non-negative and finite")
         lam.setflags(write=False)
         cl.setflags(write=False)
-        object.__setattr__(self, "lambda_self", float(lam) if one_view else lam)
+        object.__setattr__(self, "lambda_self", lam)
         object.__setattr__(self, "cross_load", cl)
 
     @property
     def n_users(self) -> int:
-        return self.cross_load.shape[-1]
+        return self.cross_load.shape[1]
 
 
 def _profile_inputs(topology, interfering_powers, target_cell, direction: str):
     """(topologies, (D, C, N) powers read in the heard cells, target cells, heard
-    cells, whether the result is one unstacked view) of a profile builder."""
-    tops, one_top = _topology_stack(topology)
-    cells, one_cell = _target_cells(target_cell, tops[0].n_cells)
+    cells) of a profile builder."""
+    tops = _topology_stack(topology)
+    cells = _target_cells(target_cell, tops[0].n_cells)
     heard = np.flatnonzero(tops[0].adjacency[cells].any(axis=0))  # one layout for the stack
-    powers, one_set = _power_rows(tops[0], interfering_powers, heard, direction)
-    if one_set != one_top or len(powers) != len(tops):
+    powers, _ = _power_rows(tops[0], interfering_powers, heard, direction)
+    if len(powers) != len(tops):
         raise ValueError("interfering_powers must be one allocation set per topology")
-    return tops, powers, cells, heard, one_top and one_cell
+    return tops, powers, cells, heard
 
 
 def uplink_profile(topology, interfering_powers, target_cell) -> InterferenceProfile:
     """Build the uplink interference profile of ``target_cell`` from the
     current powers of its edge-adjacent neighbours.
 
-    ``target_cell`` may also be a sequence of cells, and ``topology`` one of D
-    drops of one layout with one allocation set each: the result is then a
-    stack of (drop, cell) rows, drop-major, each listing its neighbours' terms
-    in ascending neighbour order and padded to the widest row.
+    ``target_cell`` is one cell or a sequence of cells, and ``topology`` one
+    drop or a sequence of D drops of one layout, with one allocation set
+    each. The result is a stack of (drop, cell) rows, drop-major (one row
+    for one drop and one cell), each listing its neighbours' terms in
+    ascending neighbour order and padded to the widest row.
     """
-    tops, powers, cells, _, single = _profile_inputs(topology, interfering_powers, target_cell,
-                                                     "uplink")
+    tops, powers, cells, _ = _profile_inputs(topology, interfering_powers, target_cell, "uplink")
     adj, k, n = tops[0].adjacency[cells], cells.size, powers.shape[2]
     counts = adj.sum(axis=1)
     # row j's neighbours in ascending order, then other cells as padding
@@ -273,23 +257,19 @@ def uplink_profile(topology, interfering_powers, target_cell) -> InterferencePro
     cross_powers = np.where(real, powers[:, nbrs], 0.0).reshape(shape)
     cross_betas = np.where(real, gains[:, np.arange(k)[:, None], nbrs], 1.0).reshape(shape)
     beta_self = gains[:, np.arange(k), cells].reshape(-1, n)
-    lengths = np.tile(counts * n, len(tops))
-    if single:
-        return InterferenceProfile(beta_self[0], cross_powers[0, :lengths[0]],
-                                   cross_betas[0, :lengths[0]])
-    return InterferenceProfile(beta_self, cross_powers, cross_betas, lengths)
+    return InterferenceProfile(beta_self, cross_powers, cross_betas, np.tile(counts * n, len(tops)))
 
 
 def downlink_profile(topology, interfering_powers, target_cell) -> DownlinkProfile:
     """Build the downlink profile of ``target_cell`` from the current powers
     of its edge-adjacent neighbours.
 
-    ``target_cell`` and ``topology`` may also be sequences, as for
-    ``uplink_profile``, for a stack of (drop, cell) rows. Each row adds its
-    neighbours' loads in ascending order, as one cell alone does.
+    ``target_cell`` and ``topology`` are one or a sequence each, as for
+    ``uplink_profile``, and the result is a stack of (drop, cell) rows. Each
+    row adds its neighbours' loads in ascending order, as one cell alone does.
     """
-    tops, powers, cells, heard, single = _profile_inputs(topology, interfering_powers,
-                                                         target_cell, "downlink")
+    tops, powers, cells, heard = _profile_inputs(topology, interfering_powers, target_cell,
+                                                 "downlink")
     adj, every = tops[0].adjacency[cells], np.arange(tops[0].n_cells)  # one layout for the stack
     own = np.stack([top.large_scale[every, every] for top in tops])  # beta_ll of every l, (D, C, N)
     gains = np.stack([top.large_scale[np.ix_(heard, cells)] for top in tops])  # (D, H, k, N)
@@ -300,8 +280,6 @@ def downlink_profile(topology, interfering_powers, target_cell) -> DownlinkProfi
         # The rows of cells that l does not neighbour add exactly 0.
         shared = (powers[:, l] / own[:, l]).sum(axis=1)[:, None, None]
         load += gains[:, h] * shared / lam[:, l] * adj[:, l, None]
-    if single:
-        return DownlinkProfile(float(lam[0, cells[0], 0, 0]), load[0, 0])
     return DownlinkProfile(lam[:, cells].reshape(-1, 1), load.reshape(-1, load.shape[2]))
 
 
@@ -309,8 +287,8 @@ def downlink_profile(topology, interfering_powers, target_cell) -> DownlinkProfi
 # SINR formulas and rate expressions
 # ---------------------------------------------------------------------------
 
-# Each formula is one closed form's SINR of a profile (InterferenceProfile or
-# DownlinkProfile, of one (N,) view or a (D, N) stack) at the powers ``p``.
+# Each formula is one closed form's SINR of a profile's (D, N) rows
+# (InterferenceProfile or DownlinkProfile) at the powers ``p``.
 # ``p`` is the first factor and 1.0 * x == x: at the default p = 1 a formula
 # gives the bits of the strategies' coefficients c_n, at the powers the rate's.
 
@@ -348,8 +326,9 @@ PROFILE_COEFFICIENTS = {"lower": _lower, "upper": _upper, "approx": _approx, "do
 
 
 # Each rate takes ``powers`` of shape (N,) or (R, N), one allocation per row,
-# and a profile of one view or a stack of D views; the per-user rates come
-# out in the broadcast shape, every row with the bits of its own evaluation.
+# and a profile of D rows; the per-user rates come out in the broadcast shape,
+# (D, N) or (R, N) with D = 1 or R = D, every row with the bits of its own
+# evaluation.
 
 def _rate(sinr, profile, m: int, n: int, powers) -> np.ndarray:
     """log2(1 + sinr(profile, m, n, p)) at the checked N and powers p."""

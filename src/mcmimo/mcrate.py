@@ -142,25 +142,24 @@ def _power_rows(topology: CellTopology, allocations, cells, direction: str):
     return powers, p.ndim == 2
 
 
-def _topology_stack(topology) -> tuple[list[CellTopology], bool]:
+def _topology_stack(topology) -> list[CellTopology]:
     """``topology`` as a stack of one, or a sequence of drops checked to share one layout
-    (antennas, users per cell, cluster cells, adjacency); and whether it was one."""
+    (antennas, users per cell, cluster cells, adjacency)."""
     tops = [topology] if isinstance(topology, CellTopology) else list(topology)
     if len({(t.config.bs_antennas, t.n_users, t.cluster_size, t.adjacency.tobytes())
             for t in tops}) != 1:  # an empty stack too
         raise ValueError("topologies must be a non-empty stack of one layout")
-    return tops, isinstance(topology, CellTopology)
+    return tops
 
 
-def _target_cells(target_cell, n_cells: int, many: bool = True) -> tuple[np.ndarray, bool]:
-    """``target_cell`` as 1-D cell indices in [0, n_cells), and whether it was
-    one index; ``many`` admits a sequence."""
+def _target_cells(target_cell, n_cells: int, many: bool = True) -> np.ndarray:
+    """``target_cell`` as 1-D cell indices in [0, n_cells); ``many`` admits a sequence."""
     cells = np.asarray(target_cell)
     if (cells.ndim > many or cells.size == 0 or cells.dtype.kind not in "iu"
             or not all(0 <= c < n_cells for c in cells.reshape(-1).tolist())):
         raise ValueError(f"target_cell must be a cell index in [0, {n_cells})"
                          + " or a non-empty sequence of them" * many + f", got {target_cell!r}")
-    return cells.reshape(-1), cells.ndim == 0
+    return cells.reshape(-1)
 
 
 def _ci_half_width(sum_x, sum_x2, trials: int, confidence: float) -> np.ndarray:
@@ -239,7 +238,7 @@ def _inputs(topology, allocations, target_cell, trials, seed, direction, shared)
     check_field("trials", trials, "count")
     check_field("seed", seed, "integer")
     blocks = _blocks(trials)
-    target = int(_target_cells(target_cell, topology.n_cells, many=False)[0][0])
+    target = int(_target_cells(target_cell, topology.n_cells, many=False)[0])
     nbrs = topology.neighbors(target)
     powers, single = _power_rows(topology, allocations, [target, *nbrs], direction)
     n = topology.n_users

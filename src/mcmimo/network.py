@@ -93,38 +93,38 @@ class JointResult:
 
 
 def project_budget_simplex(v: np.ndarray, budget: float) -> np.ndarray:
-    """Euclidean projection of each row of ``v`` onto {p >= 0, sum p = budget}.
+    """Euclidean projection of each row of the (k, N) ``v`` onto
+    {p >= 0, sum p = budget}.
 
-    Sort-and-threshold (Duchi et al., ICML 2008), vectorised over rows: a
-    (k, N) input gives k independent projections, a 1-D input one.
+    Sort-and-threshold (Duchi et al., ICML 2008), vectorised over rows: k
+    independent projections, one row for one vector.
     """
     if not (math.isfinite(budget) and budget > 0):
         raise ValueError(f"budget must be finite and > 0, got {budget}")
     v = np.asarray(v)
-    if v.ndim not in (1, 2):
-        raise ValueError(f"v must be 1-D or 2-D, got {v.ndim} dimensions")
+    if v.ndim != 2:
+        raise ValueError(f"v must be (k, N) rows, one vector per row, got shape {v.shape}")
     # array methods, not np.* wrappers: on small (k, N) rows the wrappers cost most
     if not np.isfinite(v).all():
         raise ValueError("v must have only finite entries")
-    rows = v.reshape(-1, v.shape[-1])
-    n = rows.shape[1]
-    u = np.sort(rows, axis=1)[:, ::-1]
+    n = v.shape[1]
+    u = np.sort(v, axis=1)[:, ::-1]
     css = u.cumsum(axis=1)
     j = _STEPS[:n] if n <= _STEPS.size else np.arange(1.0, n + 1.0)
     active = u + (budget - css) / j > 0
     # rounding can make ``active`` non-monotone: rho is its last True index
     # (+1), not its first False one
     rho = n - active[:, ::-1].argmax(axis=1)
-    theta = (budget - css[np.arange(rows.shape[0]), rho - 1]) / rho
-    out = np.maximum(rows + theta[:, None], 0.0)
+    theta = (budget - css[np.arange(v.shape[0]), rho - 1]) / rho
+    out = np.maximum(v + theta[:, None], 0.0)
     found = active.any(axis=1)
     if not found.all():
         # a spread that dwarfs the budget rounds every u_j + (budget - css_j)/j
         # to <= 0. The projection does not change when a row is shifted, and
         # shifted by its maximum the row's largest entry qualifies.
-        wide = rows[~found]
+        wide = v[~found]
         out[~found] = project_budget_simplex(wide - wide.max(axis=1, keepdims=True), budget)
-    return out.reshape(v.shape)
+    return out
 
 
 def _objective_constants(topology: CellTopology):
@@ -182,14 +182,15 @@ def _uplink_gradient(consts, b1: np.ndarray, ap: np.ndarray) -> np.ndarray:
     return a / denom / _LN2 - interference / _LN2
 
 
-def _downlink_objective(topology: CellTopology, pmat: np.ndarray) -> float:
-    """Cluster sum of the closed-form downlink lower bound at (C, N) powers."""
-    cfg = topology.config
-    k = topology.cluster_size
-    prof = closedform.downlink_profile(topology, pmat, range(k))
-    rates = closedform.downlink_lower_bound(prof, cfg.bs_antennas, cfg.users_per_cell, pmat[:k])
+def _downlink_objective(tops, pmat: np.ndarray) -> list[float]:
+    """Cluster sum of the closed-form downlink lower bound in each of D drops
+    of one layout, at their (D, C, N) powers: one profile of every (drop,
+    cluster cell) row and one bound."""
+    m, n, k = tops[0].config.bs_antennas, tops[0].n_users, tops[0].cluster_size
+    prof = closedform.downlink_profile(tops, pmat, range(k))
+    rates = closedform.downlink_lower_bound(prof, m, n, pmat[:, :k].reshape(-1, n))
     # per-cell sums added in cell order, as cell by cell
-    return sum(float(row.sum()) for row in rates)
+    return [sum(float(row.sum()) for row in drop) for drop in rates.reshape(len(tops), k, n)]
 
 
 def network_sum_rate(
@@ -217,7 +218,7 @@ def network_sum_rate(
             consts = _objective_constants(topology)
             totals = [float(_uplink_forward(consts, p[None])[0][0]) for p in powers]
         else:
-            totals = [_downlink_objective(topology, p) for p in powers]
+            totals = _downlink_objective([topology] * len(powers), powers)
     else:
         mc = uplink_rate_mc if direction == "uplink" else downlink_rate_mc
         totals = [0.0] * len(powers)
@@ -247,7 +248,10 @@ def run_scheduled_drops(topologies, strategy, budget: float, initial_power: floa
     the group's profile in every drop, built for ``strategy.direction``'s link,
     as ``allocation``'s strategies do. Outer-ring cells keep their initial
     power. Drop d's sum rate is recorded after every slot at seed
-    ``derive_seed(seeds[d], slot)`` (seeds default to 0).
+    ``derive_seed(seeds[d], slot)`` (seeds default to 0). The closed-form
+    history rates all drops at once: the uplink's in one forward pass, the
+    downlink's from one profile of every (drop, cluster cell) row, so a
+    downlink slot builds two profiles.
     """
     check_field("budget", budget, "positive")
     check_field("initial_power", initial_power, "nonnegative")
@@ -256,7 +260,7 @@ def run_scheduled_drops(topologies, strategy, budget: float, initial_power: floa
     check_field("trials", trials, "count")
     direction = check_field("strategy.direction", getattr(strategy, "direction", None),
                             ("uplink", "downlink"))
-    tops, _ = _topology_stack(topologies)
+    tops = _topology_stack(topologies)
     seeds = [0] * len(tops) if seeds is None else check_field("seeds", seeds, ["integer"])
     if len(seeds) != len(tops):
         raise ValueError(f"seeds must hold one seed per topology, got {len(seeds)}")
@@ -285,7 +289,7 @@ def run_scheduled_drops(topologies, strategy, budget: float, initial_power: floa
         if consts is not None:
             history.append(_uplink_forward(consts, pmat)[0])
         elif closed:
-            history.append([_downlink_objective(top, p) for top, p in zip(tops, pmat)])
+            history.append(_downlink_objective(tops, pmat))
         else:
             history.append([network_sum_rate(top, p, direction, rate_estimator, trials,
                                              derive_seed(seed, slot))
@@ -329,7 +333,7 @@ def run_joint_drops(topologies, budget: float, max_iters: int = 500, tolerance: 
     # a NaN or negative tolerance is never met, so the loop would run until
     # backtracking underflows and still report convergence
     check_field("tolerance", tolerance, "nonnegative")
-    tops, _ = _topology_stack(topologies)
+    tops = _topology_stack(topologies)
     n, k = tops[0].n_users, tops[0].cluster_size
 
     def direction(p, g, alpha, f):

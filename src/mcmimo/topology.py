@@ -7,10 +7,8 @@ normalised to one everywhere, so linear transmit powers double as SNRs.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -151,31 +149,12 @@ class NetworkConfig:
             )
 
     @classmethod
-    def from_json(cls, source) -> "NetworkConfig":
-        """Load a config from a JSON file path, JSON string, or dict.
+    def from_json(cls, data: dict) -> "NetworkConfig":
+        """Load a config from its JSON object.
 
         Keys must match the documented names exactly; unknown keys are errors.
         """
-        if isinstance(source, (str, Path)):
-            text = str(source)
-            try:
-                is_file = Path(text).is_file()
-            except OSError:  # a JSON text can be longer than a file name may be
-                is_file = False
-            if is_file:
-                text = Path(text).read_text()
-            try:
-                data = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"network config {str(source)!r} is neither an existing file nor valid "
-                    f"JSON ({exc.msg})"
-                ) from exc
-        else:
-            data = dict(source)
-        if not isinstance(data, dict):
-            raise ValueError("network config JSON must be an object")
-        unknown = sorted(set(data) - set(_JSON_FIELDS))
+        unknown = sorted(set(check_field("network", data, "object")) - set(_JSON_FIELDS))
         if unknown:
             raise ValueError(f"unknown network config keys: {unknown}")
         kwargs = {_JSON_FIELDS[k][0]: v for k, v in data.items()}

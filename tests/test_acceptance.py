@@ -55,10 +55,10 @@ def test_criterion_01_sandwich():
         n = int(rng.integers(1, 17))
         m = int(rng.integers(n + 1, 257))
         L = int(rng.integers(0, 7))
-        prof = InterferenceProfile(
-            10.0 ** rng.uniform(-6, 0, n),
-            10.0 ** rng.uniform(-1, 2, n * L),
-            10.0 ** rng.uniform(-6, 0, n * L),
+        prof = InterferenceProfile(  # a stack of one row
+            10.0 ** rng.uniform(-6, 0, (1, n)),
+            10.0 ** rng.uniform(-1, 2, (1, n * L)),
+            10.0 ** rng.uniform(-6, 0, (1, n * L)),
         )
         p = 10.0 ** rng.uniform(-1, 2, n)
         lo = uplink_lower_bound(prof, m, n, p)

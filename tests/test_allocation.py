@@ -36,6 +36,14 @@ def waterfill_loop(c, budget):
     return np.maximum(mu - inv, 0.0), float(mu)
 
 
+def waterfill_row(c, budget):
+    """``waterfill`` of one cell's coefficients, a stack of one row: its (N,)
+    powers and its water level."""
+    wf = waterfill(WaterfillCoefficients(np.asarray(c, dtype=float)[None], budget))
+    assert wf.powers.shape == (1, len(c)) and wf.water_level.shape == (1,)
+    return wf.powers[0], float(wf.water_level[0])
+
+
 def surrogate(c, p):
     return float(np.log2(1.0 + c * p).sum())
 
@@ -60,27 +68,33 @@ def grid_best(c, budget, step_count=100):
 
 class TestWaterfill:
     def test_symmetric_coefficients_split_equally(self):
-        wf = waterfill(WaterfillCoefficients(np.array([4.0, 4.0, 4.0]), 6.0))
-        assert wf.powers == pytest.approx([2.0, 2.0, 2.0])
-        assert wf.water_level == pytest.approx(2.0 + 0.25)
+        powers, level = waterfill_row([4.0, 4.0, 4.0], 6.0)
+        assert powers == pytest.approx([2.0, 2.0, 2.0])
+        assert level == pytest.approx(2.0 + 0.25)
 
     def test_boundary_user_excluded(self):
-        wf = waterfill(WaterfillCoefficients(np.array([1.0, 0.5]), 1.0))
-        assert wf.powers == pytest.approx([1.0, 0.0])
-        assert wf.water_level == pytest.approx(2.0)
-        assert wf.powers[1] == 0.0
+        powers, level = waterfill_row([1.0, 0.5], 1.0)
+        assert powers == pytest.approx([1.0, 0.0])
+        assert level == pytest.approx(2.0)
+        assert powers[1] == 0.0
 
     def test_two_user_closed_form(self):
-        wf = waterfill(WaterfillCoefficients(np.array([2.0, 1.0]), 3.0))
-        assert wf.powers == pytest.approx([1.75, 1.25])
-        assert wf.water_level == pytest.approx(2.25)
-        assert surrogate(np.array([2.0, 1.0]), wf.powers) >= grid_best(np.array([2.0, 1.0]), 3.0)
+        powers, level = waterfill_row([2.0, 1.0], 3.0)
+        assert powers == pytest.approx([1.75, 1.25])
+        assert level == pytest.approx(2.25)
+        assert surrogate(np.array([2.0, 1.0]), powers) >= grid_best(np.array([2.0, 1.0]), 3.0)
 
     def test_rejects_nonpositive_coefficients(self):
-        with pytest.raises(ValueError):
-            WaterfillCoefficients(np.array([1.0, 0.0]), 1.0)
-        with pytest.raises(ValueError):
-            WaterfillCoefficients(np.array([1.0]), 0.0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            WaterfillCoefficients(np.array([[1.0, 0.0]]), 1.0)
+        with pytest.raises(ValueError, match="budget"):
+            WaterfillCoefficients(np.array([[1.0]]), 0.0)
+
+    @pytest.mark.parametrize("coeffs", [np.ones(3), np.ones((2, 2, 3)), np.ones((2, 0))])
+    def test_one_vector_and_other_shapes_refused(self, coeffs):
+        # a water-filling problem is a stack of rows: one cell is a stack of one row
+        with pytest.raises(ValueError, match=r"non-empty \(B, N\) array"):
+            WaterfillCoefficients(coeffs, 1.0)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -92,19 +106,19 @@ class TestWaterfill:
     @example(c=[0.00010000000000000002, 0.0001], budget=1.0)
     def test_invariants(self, c, budget):
         c = np.array(c)
-        wf = waterfill(WaterfillCoefficients(c, budget))
-        assert np.all(wf.powers >= 0.0)
+        powers, level = waterfill_row(c, budget)
+        assert np.all(powers >= 0.0)
         # float64 bound: the level (P + sum of k levels 1/c)/k carries k + 1
         # roundings of the level, each power two more, and the k powers add
         # them up; the final sum rounds relative to the budget
-        active = wf.powers > 0
+        active = powers > 0
         k = int(active.sum())
-        assert wf.powers.sum() == pytest.approx(
-            budget, rel=1e-12, abs=k * (k + 3) * np.spacing(wf.water_level))
+        assert powers.sum() == pytest.approx(
+            budget, rel=1e-12, abs=k * (k + 3) * np.spacing(level))
         # every active user floats at the common water level
-        assert np.all(wf.water_level > 1.0 / c[active])
+        assert np.all(level > 1.0 / c[active])
         np.testing.assert_allclose(
-            wf.powers[active], wf.water_level - 1.0 / c[active], rtol=1e-9, atol=1e-12 * budget
+            powers[active], level - 1.0 / c[active], rtol=1e-9, atol=1e-12 * budget
         )
 
     @settings(max_examples=150, deadline=None)
@@ -121,8 +135,8 @@ class TestWaterfill:
         assert wf.powers.shape == (b, n) and wf.water_level.shape == (b,)
         for row, powers, level in zip(c, wf.powers, wf.water_level):
             want_powers, want_level = waterfill_loop(row, budget)
-            one = waterfill(WaterfillCoefficients(row, budget))
-            assert np.array_equal(one.powers, want_powers) and one.water_level == want_level
+            one_powers, one_level = waterfill_row(row, budget)
+            assert np.array_equal(one_powers, want_powers) and one_level == want_level
             assert np.array_equal(powers, want_powers) and level == want_level
         # KKT: the budget is met (to the rounding of mu - 1/c at the level's
         # scale) and p = (mu - 1/c)^+ at each row's level
@@ -141,7 +155,7 @@ class TestWaterfill:
         # hold, fail and hold again as k grows: the largest k must win
         c = np.array(c)
         want_powers, want_level = waterfill_loop(c, budget)
-        for coeffs in (c, np.stack([c, c])):
+        for coeffs in (c[None], np.stack([c, c])):
             wf = waterfill(WaterfillCoefficients(coeffs, budget))
             assert np.all(wf.powers == want_powers) and np.all(wf.water_level == want_level)
 
@@ -150,12 +164,12 @@ class TestWaterfill:
         for _ in range(50):
             c = 10.0 ** rng.uniform(-2, 2, 5)
             budget = float(10.0 ** rng.uniform(-1, 2))
-            wf = waterfill(WaterfillCoefficients(c, budget))
-            base = surrogate(c, wf.powers)
+            powers, _ = waterfill_row(c, budget)
+            base = surrogate(c, powers)
             eps = 1e-6 * budget
             for i, j in itertools.permutations(range(5), 2):
-                if wf.powers[i] >= eps:
-                    p = wf.powers.copy()
+                if powers[i] >= eps:
+                    p = powers.copy()
                     p[i] -= eps
                     p[j] += eps
                     assert surrogate(c, p) <= base + 1e-12
@@ -164,11 +178,10 @@ class TestWaterfill:
         # a common scale factor moves the water level but the users keep the
         # same ranking by allocated power (allocation is monotone in c)
         c = np.array([0.3, 5.0, 1.1, 0.9])
-        a = waterfill(WaterfillCoefficients(c, 7.0))
-        b = waterfill(WaterfillCoefficients(3.7 * c, 7.0))
-        assert a.water_level != b.water_level
-        assert np.array_equal(np.argsort(a.powers, kind="stable"),
-                              np.argsort(b.powers, kind="stable"))
+        a, a_level = waterfill_row(c, 7.0)
+        b, b_level = waterfill_row(3.7 * c, 7.0)
+        assert a_level != b_level
+        assert np.array_equal(np.argsort(a, kind="stable"), np.argsort(b, kind="stable"))
 
 
 @pytest.fixture(scope="module")
@@ -265,7 +278,8 @@ class TestStrategies:
         top = small_topology
         out = uplink_alloc_upper_bound(uplink_profile(top, uplink_interferers(top), 0), 12, 3, 30.0)
         beta = top.large_scale[0, 0]
-        assert np.array_equal(np.argsort(out), np.argsort(beta))
+        assert out.shape == (1, 3)  # one row: the profile's
+        assert np.array_equal(np.argsort(out[0]), np.argsort(beta))
 
     def test_approx_equals_lower_for_large_m(self, small_topology):
         rows = uplink_profile(small_topology, uplink_interferers(small_topology), 0)
@@ -280,14 +294,14 @@ class TestStrategies:
         )
         top = build_topology(cfg)
         out = uplink_alloc_lower_bound(uplink_profile(top, np.zeros((1, 3)), 0), 9, 3, 6.0)
-        assert out == pytest.approx([2.0, 2.0, 2.0])
+        assert out[0] == pytest.approx([2.0, 2.0, 2.0])
 
     def test_downlink_single_user_gets_everything(self):
         cfg = NetworkConfig(users_per_cell=1, bs_antennas=4, cell_count=7, seed=3)
         top = build_topology(cfg)
         out = downlink_alloc(downlink_profile(top, downlink_interferers(top, per_cell=10.0), 0),
                              4, 1, 5.0)
-        assert out == pytest.approx([5.0])
+        assert out.shape == (1, 1) and out[0, 0] == pytest.approx(5.0)
         assert downlink_alloc.direction == "downlink"
 
     def test_requires_m_above_n(self, small_topology):
@@ -328,7 +342,7 @@ def test_strategies_call_builders_by_module_name(monkeypatch, small_topology, na
     top, allocs = small_topology, make_interf(small_topology)
     out = strategy(BUILDERS[direction](top, allocs, 0), 12, 3, 30.0)
     group = strategy(BUILDERS[direction](top, allocs, [0, 1]), 12, 3, 30.0)
-    assert out.shape == (3,) and group.shape == (2, 3)
+    assert out.shape == (1, 3) and group.shape == (2, 3)
     assert calls == {"uplink_profile": 0, "downlink_profile": 0, "waterfill": 2}
     # each of the scheduler's three slots builds the group's profile, and on
     # the downlink one more for the closed-form sum rate
@@ -338,22 +352,22 @@ def test_strategies_call_builders_by_module_name(monkeypatch, small_topology, na
 
 
 def profile_reference(top, allocs, cell, direction):
-    """One cell's profile built neighbour by neighbour: the arithmetic every
-    row of a group call must reproduce bit for bit."""
+    """One cell's profile, a stack of one row, built neighbour by neighbour:
+    the arithmetic every row of a group call must reproduce bit for bit."""
     beta = top.large_scale
     nbrs = np.flatnonzero(top.adjacency[cell])
     if direction == "uplink":
         if not nbrs.size:
-            return InterferenceProfile(beta[cell, cell], np.empty(0), np.empty(0))
-        return InterferenceProfile(beta[cell, cell],
-                                   np.concatenate([allocs[l] for l in nbrs]),
-                                   np.concatenate([beta[cell, l] for l in nbrs]))
+            return InterferenceProfile(beta[cell, cell][None], np.empty((1, 0)), np.empty((1, 0)))
+        return InterferenceProfile(beta[cell, cell][None],
+                                   np.concatenate([allocs[l] for l in nbrs])[None],
+                                   np.concatenate([beta[cell, l] for l in nbrs])[None])
     load = np.zeros(top.n_users)
     for l in nbrs:
         beta_ll = beta[l, l]
         lam_l = float(np.sum(1.0 / beta_ll))
         load += beta[l, cell] * float(np.sum(allocs[l] / beta_ll)) / lam_l
-    return DownlinkProfile(float(np.sum(1.0 / beta[cell, cell])), load)
+    return DownlinkProfile([[float(np.sum(1.0 / beta[cell, cell]))]], load[None])
 
 
 @st.composite
@@ -387,11 +401,11 @@ class TestGroupCalls:
         for cell, alloc, row in zip(group, got, rows):
             one = allocate(strategy, top, powers, cell, m, n, budget)
             c = PROFILE_COEFFICIENTS[name](profile_reference(top, powers, cell, strategy.direction),
-                                           m, n)
-            assert np.array_equal(row, c)
+                                           m, n)  # one row
+            assert np.array_equal(row, c[0])
             assert np.array_equal(coeff_fn(top, powers, cell, m, n), c)
             want = waterfill(WaterfillCoefficients(c, budget)).powers
-            assert np.array_equal(alloc, want)
+            assert np.array_equal(alloc, want[0])
             assert np.array_equal(one, want)
 
     @pytest.mark.parametrize("cell", [True, 1.0, [], [[0, 1]], "0"])

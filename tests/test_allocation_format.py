@@ -276,7 +276,7 @@ def test_estimators_rate_one_target_cell(estimator):
     ("cross_betas", [1.0], [np.nan]),
 ])
 def test_profile_rejects_non_finite_cross_terms(field, powers, betas):
-    with pytest.raises(ValueError, match=field):
-        InterferenceProfile(np.ones(2), powers, betas)
-    with pytest.raises(ValueError, match=field):  # stacked
+    with pytest.raises(ValueError, match=field):  # one row
+        InterferenceProfile(np.ones((1, 2)), [powers], [betas])
+    with pytest.raises(ValueError, match=field):  # two rows
         InterferenceProfile(np.ones((2, 2)), [powers, [1.0]], [betas, [1.0]])

@@ -539,7 +539,8 @@ class TestRunExperiment:
                 eq = uplink_rate_mc(top, [equal_alloc(4, 100.0), *allocs[1:]], 0, 64,
                                     seed).sum_rate
                 for label, strategy in cli._UPLINK_STRATEGIES.items():
-                    cand = [strategy(closedform.uplink_profile(top, allocs, 0), m, 4, 100.0),
+                    # the strategy's one row is cell 0's (N,) powers
+                    cand = [strategy(closedform.uplink_profile(top, allocs, 0), m, 4, 100.0)[0],
                             *allocs[1:]]
                     pa = uplink_rate_mc(top, cand, 0, 64, seed).sum_rate
                     assert got[(panel, label, m)] == relative_gain(np.array([pa]), eq).tolist()[0]
@@ -1181,6 +1182,19 @@ class TestMainEntry:
         qpath.write_text(json.dumps({k: v for k, v in query.items() if v is not self.ABSENT}))
         csv_out = tmp_path / "res.csv"
         with pytest.raises(ValueError, match=name):
+            main(["table", str(qpath), "--out", str(csv_out)])
+        assert not csv_out.exists()
+
+    @pytest.mark.parametrize("network", [5, [["usersPerCell", 3], ["bsAntennas", 12]],
+                                         json.dumps({"usersPerCell": 3, "bsAntennas": 12})],
+                             ids=["number", "pairs", "json_text"])
+    def test_table_network_must_be_an_object(self, tmp_path, network):
+        # a number raised a TypeError, the pairs were read as a dict and the
+        # JSON text was parsed
+        qpath = tmp_path / "query.json"
+        qpath.write_text(json.dumps({**QUERY, "network": network}))
+        csv_out = tmp_path / "res.csv"
+        with pytest.raises(ValueError, match="network must be a JSON object"):
             main(["table", str(qpath), "--out", str(csv_out)])
         assert not csv_out.exists()
 

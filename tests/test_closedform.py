@@ -176,8 +176,10 @@ class TestMeanInvOnePlus:
             cfg = NetworkConfig(users_per_cell=10, bs_antennas=128, seed=seed)
             top = build_topology(cfg)
             allocs = np.tile(equal_alloc(10, 100.0), (19, 1))
-            zetas = uplink_profile(top, allocs, 0).zetas()
+            prof = uplink_profile(top, allocs, 0)
+            zetas = row_zetas(prof)
             got = interference_factor(zetas)
+            assert prof.interference_factor()[0, 0] == got
             want, _ = integrate.quad(lambda s: math.exp(-s) / np.prod(1.0 + zetas * s), 0, np.inf,
                                      epsabs=0.0, epsrel=1e-12, limit=200)
             assert got == pytest.approx(want, rel=1e-10)
@@ -190,70 +192,78 @@ class TestMeanInvOnePlus:
         assert held == 3  # the expansion cancels on 7 of these 10 drops
 
 
+def row_zetas(prof, row=0) -> np.ndarray:
+    """The exponential means p_cl beta_cl of a profile row's active interference terms."""
+    z = prof.cross_powers[row] * prof.cross_betas[row]
+    return z[z > 0]
+
+
 def make_profile(rng, n, L):
-    beta_self = 10.0 ** rng.uniform(-5, 0, n)
-    cp = 10.0 ** rng.uniform(-1, 2, n * L)
-    cb = 10.0 ** rng.uniform(-6, 0, n * L)
+    """A one-row profile of N users and L interferers per user."""
+    beta_self = 10.0 ** rng.uniform(-5, 0, (1, n))
+    cp = 10.0 ** rng.uniform(-1, 2, (1, n * L))
+    cb = 10.0 ** rng.uniform(-6, 0, (1, n * L))
     return InterferenceProfile(beta_self, cp, cb)
 
 
 def stack_uplink(profiles) -> InterferenceProfile:
-    """One stacked profile whose row d is ``profiles[d]`` (equal N and L)."""
-    return InterferenceProfile(*(np.stack([getattr(p, name) for p in profiles])
+    """One stacked profile whose row d is the one row of ``profiles[d]`` (equal N and L)."""
+    return InterferenceProfile(*(np.concatenate([getattr(p, name) for p in profiles])
                                  for name in ("beta_self", "cross_powers", "cross_betas")))
 
 
 class TestUplinkExpressions:
     def test_lower_bound_direct_substitution(self):
-        prof = InterferenceProfile(np.array([1.0]), np.empty(0), np.empty(0))
+        prof = InterferenceProfile([[1.0]], np.empty((1, 0)), np.empty((1, 0)))
         got = uplink_lower_bound(prof, 11, 1, np.array([1.0]))
-        assert got[0] == pytest.approx(math.log2(11.0), rel=1e-12)
+        assert got[0, 0] == pytest.approx(math.log2(11.0), rel=1e-12)
 
     def test_m_equal_n_gives_zero(self):
-        prof = InterferenceProfile(np.array([2.0, 0.5]), np.array([1.0]), np.array([0.1]))
+        prof = InterferenceProfile([[2.0, 0.5]], [[1.0]], [[0.1]])
         assert np.all(uplink_lower_bound(prof, 2, 2, np.array([3.0, 1.0])) == 0.0)
-        assert np.all(downlink_lower_bound(DownlinkProfile(1.0, np.zeros(2)), 2, 2, np.ones(2)) == 0.0)
+        down = DownlinkProfile([[1.0]], np.zeros((1, 2)))
+        assert np.all(downlink_lower_bound(down, 2, 2, np.ones(2)) == 0.0)
 
     def test_m_below_n_rejected(self):
-        prof = InterferenceProfile(np.array([1.0]), np.empty(0), np.empty(0))
+        prof = InterferenceProfile([[1.0]], np.empty((1, 0)), np.empty((1, 0)))
         for fn in (uplink_lower_bound, uplink_approximation, uplink_upper_bound):
             with pytest.raises(ValueError):
                 fn(prof, 0, 1, np.array([1.0]))
 
     def test_n_must_match_the_profile(self):
         # rated at another N, a 3-user profile would take M-N from the wrong N
-        up = InterferenceProfile(np.ones(3), np.ones(2), np.ones(2))
+        up = InterferenceProfile(np.ones((1, 3)), np.ones((1, 2)), np.ones((1, 2)))
         with pytest.raises(ValueError, match="N=2"):
             uplink_lower_bound(up, 10, 2, np.ones(3))
         with pytest.raises(ValueError, match="N=7"):
-            downlink_lower_bound(DownlinkProfile(1.0, np.ones(3)), 10, 7, np.ones(3))
+            downlink_lower_bound(DownlinkProfile([[1.0]], np.ones((1, 3))), 10, 7, np.ones(3))
 
     def test_approximation_relation_to_lower_bound(self):
         # replacing M-N by M-N+1 doubles the SINR when M-N = 1
-        prof = InterferenceProfile(np.array([0.3]), np.array([2.0]), np.array([0.01]))
+        prof = InterferenceProfile([[0.3]], [[2.0]], [[0.01]])
         p = np.array([5.0])
         lo = uplink_lower_bound(prof, 2, 1, p)
         ap = uplink_approximation(prof, 2, 1, p)
-        assert 2.0 ** ap[0] - 1.0 == pytest.approx(2.0 * (2.0 ** lo[0] - 1.0), rel=1e-12)
+        assert 2.0 ** ap[0, 0] - 1.0 == pytest.approx(2.0 * (2.0 ** lo[0, 0] - 1.0), rel=1e-12)
 
     def test_upper_bound_single_interferer(self):
-        prof = InterferenceProfile(np.array([1.0]), np.array([1.0]), np.array([1.0]))
+        prof = InterferenceProfile([[1.0]], [[1.0]], [[1.0]])
         got = uplink_upper_bound(prof, 9, 1, np.array([1.0]))
         eta = math.e * exp_integral_e1(1.0)
-        assert got[0] == pytest.approx(math.log2(1.0 + 9.0 * eta), rel=1e-12)
+        assert got[0, 0] == pytest.approx(math.log2(1.0 + 9.0 * eta), rel=1e-12)
 
     def test_upper_bound_vanishing_interference(self):
-        strong = InterferenceProfile(np.array([1.0]), np.array([1e-12]), np.array([1e-9]))
+        strong = InterferenceProfile([[1.0]], [[1e-12]], [[1e-9]])
         got = uplink_upper_bound(strong, 9, 1, np.array([1.0]))
-        assert got[0] == pytest.approx(math.log2(10.0), rel=1e-9)
+        assert got[0, 0] == pytest.approx(math.log2(10.0), rel=1e-9)
 
     def test_upper_bound_no_interferers_degenerate(self):
-        prof = InterferenceProfile(np.array([2.0]), np.empty(0), np.empty(0))
+        prof = InterferenceProfile([[2.0]], np.empty((1, 0)), np.empty((1, 0)))
         got = uplink_upper_bound(prof, 5, 1, np.array([1.0]))
-        assert got[0] == pytest.approx(math.log2(1.0 + 2.0 * 5.0), rel=1e-12)
+        assert got[0, 0] == pytest.approx(math.log2(1.0 + 2.0 * 5.0), rel=1e-12)
         # zero-power interferers behave like none at all
-        silent = InterferenceProfile(np.array([2.0]), np.array([0.0]), np.array([1.0]))
-        assert uplink_upper_bound(silent, 5, 1, np.array([1.0]))[0] == got[0]
+        silent = InterferenceProfile([[2.0]], [[0.0]], [[1.0]])
+        assert uplink_upper_bound(silent, 5, 1, np.array([1.0]))[0, 0] == got[0, 0]
 
     def test_sandwich_on_random_profiles(self):
         rng = np.random.default_rng(77)
@@ -283,21 +293,23 @@ class TestStackedProfiles:
             assert stack.beta_self.shape == (d, n) and stack.cross_sum.shape == (d, 1)
             p = 10.0 ** rng.uniform(-1, 2, (d, n))
             for fn in (uplink_lower_bound, uplink_approximation, uplink_upper_bound):
-                want = np.stack([fn(prof, m, n, row) for prof, row in zip(profiles, p)])
+                want = np.concatenate([fn(prof, m, n, row) for prof, row in zip(profiles, p)])
                 assert np.array_equal(fn(stack, m, n, p), want)
-                rows = np.stack([fn(profiles[0], m, n, row) for row in p])
+                rows = np.concatenate([fn(profiles[0], m, n, row) for row in p])
                 assert np.array_equal(fn(profiles[0], m, n, p), rows)
 
     def test_downlink_rows_equal_one_profile_at_a_time(self):
         rng = np.random.default_rng(6)
         n, d, m = 9, 5, 40
-        profiles = [DownlinkProfile(float(10.0 ** rng.uniform(0, 6)), 10.0 ** rng.uniform(-3, 2, n))
+        profiles = [DownlinkProfile(10.0 ** rng.uniform(0, 6, (1, 1)),
+                                    10.0 ** rng.uniform(-3, 2, (1, n)))
                     for _ in range(d)]
-        stack = DownlinkProfile(np.array([[p.lambda_self] for p in profiles]),
-                                np.stack([p.cross_load for p in profiles]))
+        stack = DownlinkProfile(np.concatenate([p.lambda_self for p in profiles]),
+                                np.concatenate([p.cross_load for p in profiles]))
         assert stack.lambda_self.shape == (d, 1)
         p = 10.0 ** rng.uniform(0, 3, (d, n))
-        want = np.stack([downlink_lower_bound(prof, m, n, row) for prof, row in zip(profiles, p)])
+        want = np.concatenate([downlink_lower_bound(prof, m, n, row)
+                               for prof, row in zip(profiles, p)])
         assert np.array_equal(downlink_lower_bound(stack, m, n, p), want)
 
     @pytest.mark.parametrize("outer", [0, 6])
@@ -312,19 +324,20 @@ class TestStackedProfiles:
                                for _ in range(top.n_cells)])
             stack = build(top, allocs, cells)
             for row, cell in enumerate(cells):
-                one = build(top, allocs, cell)
+                one = build(top, allocs, cell)  # a stack of one row
                 if direction == "uplink":
-                    k = one.cross_powers.size
+                    k = one.cross_lengths[0]
+                    assert one.cross_powers.shape[1] == k
                     assert stack.cross_lengths[row] == k
-                    assert np.array_equal(stack.beta_self[row], one.beta_self)
-                    assert np.array_equal(stack.cross_powers[row, :k], one.cross_powers)
-                    assert np.array_equal(stack.cross_betas[row, :k], one.cross_betas)
+                    assert np.array_equal(stack.beta_self[row], one.beta_self[0])
+                    assert np.array_equal(stack.cross_powers[row, :k], one.cross_powers[0])
+                    assert np.array_equal(stack.cross_betas[row, :k], one.cross_betas[0])
                     assert not stack.cross_powers[row, k:].any()
-                    assert stack.cross_sum[row, 0] == one.cross_sum
-                    assert stack.interference_factor()[row, 0] == one.interference_factor()
+                    assert stack.cross_sum[row, 0] == one.cross_sum[0, 0]
+                    assert stack.interference_factor()[row, 0] == one.interference_factor()[0, 0]
                 else:
-                    assert stack.lambda_self[row, 0] == one.lambda_self
-                    assert np.array_equal(stack.cross_load[row], one.cross_load)
+                    assert stack.lambda_self[row, 0] == one.lambda_self[0, 0]
+                    assert np.array_equal(stack.cross_load[row], one.cross_load[0])
 
     def test_ragged_rows_sum_their_own_terms(self):
         # 17 terms past BLAS's 16-element block: zero-padding to 32 would
@@ -345,8 +358,6 @@ class TestStackedProfiles:
     def test_bad_cross_lengths_rejected(self, lengths, match):
         with pytest.raises(ValueError, match=match):
             InterferenceProfile(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)), lengths)
-        with pytest.raises(ValueError, match="stacked profile"):
-            InterferenceProfile(np.ones(2), np.ones(2), np.ones(2), [2])
 
     @pytest.mark.parametrize("build", [uplink_profile, downlink_profile])
     def test_interferer_power_shape_checked(self, build):
@@ -358,18 +369,19 @@ class TestStackedProfiles:
         with pytest.raises(ValueError, match=r"got shape \(7, 1\)"):
             build(top, np.full((7, 1), 5.0), 0)
 
-    def test_stack_has_no_single_zeta_set(self):
-        rng = np.random.default_rng(7)
-        stack = stack_uplink([make_profile(rng, 2, 1) for _ in range(2)])
-        with pytest.raises(ValueError, match="unstacked"):
-            stack.zetas()
+    def test_one_view_shapes_refused(self):
+        # a profile is a stack of rows: one view is a stack of one row
+        with pytest.raises(ValueError, match=r"beta_self \(D, N\) and cross arrays \(D, L\)"):
+            InterferenceProfile(np.ones(3), np.ones(2), np.ones(2))
+        with pytest.raises(ValueError, match=r"lambda_self \(D, 1\) beside cross_load \(D, N\)"):
+            DownlinkProfile(1.0, np.ones(3))
 
     def test_bad_shapes_rejected(self):
-        with pytest.raises(ValueError, match="stacked profile"):
+        with pytest.raises(ValueError, match=r"beta_self \(D, N\)"):
             InterferenceProfile(np.ones((2, 3)), np.ones(4), np.ones(4))
         with pytest.raises(ValueError, match="cross_load"):
             DownlinkProfile(np.ones((3, 1)), np.ones((2, 4)))
-        prof = InterferenceProfile(np.ones(3), np.ones(2), np.ones(2))
+        prof = InterferenceProfile(np.ones((1, 3)), np.ones((1, 2)), np.ones((1, 2)))
         with pytest.raises(ValueError, match="powers must have shape"):
             uplink_approximation(prof, 8, 3, np.ones((2, 2, 3)))
 
@@ -417,8 +429,8 @@ class TestOneFormulaTable:
 
 class TestDownlinkExpression:
     def test_no_interference_matches_exact_rate(self):
-        prof = DownlinkProfile(1.0, np.zeros(1))
-        assert downlink_lower_bound(prof, 2, 1, np.array([1.0]))[0] == pytest.approx(1.0)
+        prof = DownlinkProfile([[1.0]], np.zeros((1, 1)))
+        assert downlink_lower_bound(prof, 2, 1, np.array([1.0]))[0, 0] == pytest.approx(1.0)
 
     def test_profile_construction_from_topology(self):
         cfg = NetworkConfig(users_per_cell=3, bs_antennas=8, cell_count=7, seed=4)
@@ -427,13 +439,14 @@ class TestDownlinkExpression:
         prof = downlink_profile(top, allocs, 0)
         beta = top.large_scale
         lam = [np.sum(1.0 / beta[l, l]) for l in range(7)]
-        assert prof.lambda_self == pytest.approx(lam[0], rel=1e-12)
+        assert prof.lambda_self.shape == (1, 1) and prof.cross_load.shape == (1, 3)
+        assert prof.lambda_self[0, 0] == pytest.approx(lam[0], rel=1e-12)
         # brute-force the per-user load for user 0
         want = 0.0
         for l in top.neighbors(0):
             for c in range(3):
                 want += allocs[l, c] * beta[l, 0, 0] / (beta[l, l, c] * lam[l])
-        assert prof.cross_load[0] == pytest.approx(want, rel=1e-10)
+        assert prof.cross_load[0, 0] == pytest.approx(want, rel=1e-10)
 
     def test_uplink_profile_direction_validation(self):
         cfg = NetworkConfig(users_per_cell=2, bs_antennas=6, cell_count=7, seed=4)

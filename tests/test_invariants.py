@@ -39,9 +39,9 @@ def test_rate_formulas_invariant_under_power_gain_rescaling():
     # expressions depend on powers only through p*beta products
     rng = np.random.default_rng(4)
     n, m, L = 4, 32, 2
-    beta_self = 10.0 ** rng.uniform(-4, 0, n)
-    cp = 10.0 ** rng.uniform(-1, 2, n * L)
-    cb = 10.0 ** rng.uniform(-5, -1, n * L)
+    beta_self = 10.0 ** rng.uniform(-4, 0, (1, n))  # one profile row
+    cp = 10.0 ** rng.uniform(-1, 2, (1, n * L))
+    cb = 10.0 ** rng.uniform(-5, -1, (1, n * L))
     p = 10.0 ** rng.uniform(-1, 2, n)
     k = 37.5
     a = InterferenceProfile(beta_self, cp, cb)

@@ -66,7 +66,9 @@ def outer_ring_means() -> np.ndarray:
     six, the most any cell has."""
     top = build_topology(NetworkConfig(users_per_cell=10, bs_antennas=128, seed=2024,
                                        outer_ring_cells=18))
-    return uplink_profile(top, [np.full(10, 10.0)] * top.n_cells, 7).zetas()
+    prof = uplink_profile(top, [np.full(10, 10.0)] * top.n_cells, 7)
+    z = prof.cross_powers[0] * prof.cross_betas[0]
+    return z[z > 0]
 
 
 @st.composite

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcmimo import allocation, cli, network
+from mcmimo import allocation, cli, closedform, network
 from mcmimo.allocation import equal_alloc, uplink_alloc_approx
 from mcmimo.closedform import uplink_approximation, uplink_profile
 from mcmimo.network import (
@@ -103,7 +103,7 @@ class TestProjection:
         v, budget = case
         got = project_budget_simplex(v, budget)
         assert got.shape == v.shape
-        assert np.array_equal(project_budget_simplex(v[0], budget), got[0])
+        assert np.array_equal(project_budget_simplex(v[:1], budget), got[:1])
         for row, p in zip(v, got):
             try:
                 want = project_row(row, budget)
@@ -118,8 +118,8 @@ class TestProjection:
             assert np.array_equal(p, want)
 
     @pytest.mark.parametrize("v, budget, want", [
-        ([1e20, 0.0], 1.0, [1.0, 0.0]),
-        ([-1e20, -2e20, -1e20], 2.0, [1.0, 0.0, 1.0]),
+        ([[1e20, 0.0]], 1.0, [[1.0, 0.0]]),
+        ([[-1e20, -2e20, -1e20]], 2.0, [[1.0, 0.0, 1.0]]),
         ([[0.0, 5e18], [1.0, 2.0]], 1.0, [[0.0, 1.0], [0.0, 1.0]]),
     ])
     def test_wide_range_rows_projected(self, v, budget, want):
@@ -151,29 +151,30 @@ class TestProjection:
         with pytest.raises(ValueError, match="v must"):
             project_budget_simplex(np.array([[1.0, 2.0], [bad, 0.0]]), 1.0)
 
-    @pytest.mark.parametrize("v", [np.float64(1.0), np.ones((2, 2, 3))])
+    @pytest.mark.parametrize("v", [np.float64(1.0), np.ones((2, 2, 3)), np.ones(3)])
     def test_only_rows_projected(self, v):
-        with pytest.raises(ValueError, match="v must be 1-D or 2-D"):
+        # one vector is a stack of one row
+        with pytest.raises(ValueError, match=r"v must be \(k, N\) rows"):
             project_budget_simplex(v, 1.0)
 
     @pytest.mark.parametrize("budget", [-1.0, 0.0, np.nan, np.inf])
     def test_bad_budget_rejected(self, budget):
         with pytest.raises(ValueError, match="budget"):
-            project_budget_simplex(np.array([1.0, 2.0]), budget)
+            project_budget_simplex(np.array([[1.0, 2.0]]), budget)
 
     def test_interior_point_shifts_uniformly(self):
-        got = project_budget_simplex(np.array([1.0, 2.0, 3.0]), 9.0)
-        assert got == pytest.approx([2.0, 3.0, 4.0])
+        got = project_budget_simplex(np.array([[1.0, 2.0, 3.0]]), 9.0)
+        assert got[0] == pytest.approx([2.0, 3.0, 4.0])
 
     def test_clipping(self):
-        got = project_budget_simplex(np.array([-5.0, 1.0]), 2.0)
-        assert got == pytest.approx([0.0, 2.0])
+        got = project_budget_simplex(np.array([[-5.0, 1.0]]), 2.0)
+        assert got[0] == pytest.approx([0.0, 2.0])
 
     def test_random_projections_feasible_and_closest(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             v = rng.normal(0, 5, 6)
-            p = project_budget_simplex(v, 4.0)
+            p = project_budget_simplex(v[None], 4.0)[0]
             assert p.sum() == pytest.approx(4.0, rel=1e-10)
             assert np.all(p >= 0)
             # no feasible random candidate may be closer
@@ -194,7 +195,7 @@ class TestRunScheduled:
         top = build_topology(cfg)
         state = run_scheduled(top, uplink_alloc_approx, 30.0, 10.0, 1)
         direct = uplink_alloc_approx(uplink_profile(top, np.full((1, 3), 10.0), 0), 12, 3, 30.0)
-        assert np.array_equal(state.powers[0], direct)
+        assert np.array_equal(state.powers, direct)  # one cell, one row
         assert len(state.history) == 1
 
     def test_per_cell_powers_are_the_rows_of_powers(self):
@@ -234,7 +235,7 @@ class TestRunScheduled:
             for cell in groups[slot % len(groups)]:
                 prof = uplink_profile(top, snapshot, cell)
                 before = uplink_approximation(prof, 10, 3, snapshot[cell]).sum()
-                new = uplink_alloc_approx(prof, 10, 3, budget)
+                new = uplink_alloc_approx(prof, 10, 3, budget)[0]  # the cell's one row
                 after = uplink_approximation(prof, 10, 3, new).sum()
                 assert after >= before - 1e-12
                 allocs[cell] = new
@@ -250,7 +251,7 @@ class TestRunScheduled:
         group = state.groups[0]
         for cell in reversed(group):
             expect = uplink_alloc_approx(uplink_profile(top, snapshot, cell), 8, 2, budget)
-            assert np.array_equal(state.powers[cell], expect)
+            assert np.array_equal(state.powers[cell], expect[0])
 
     def test_one_strategy_call_per_slot(self):
         top = build_topology(NetworkConfig(users_per_cell=5, bs_antennas=20, seed=3))
@@ -928,6 +929,26 @@ class TestRunScheduledDrops:
         states = run_scheduled_drops(tops, spy, 30.0, 2.0, 7)
         groups = states[0].groups
         assert calls == [[groups[s % 3]] * 3 for s in range(7)]
+
+    def test_downlink_history_is_one_profile_per_slot(self, monkeypatch):
+        tops = [build_topology(NetworkConfig(users_per_cell=3, bs_antennas=10, cell_count=7,
+                                             seed=seed)) for seed in (1, 2, 3, 4)]
+        alone = [scheduled_fields(run_scheduled(top, allocation.downlink_alloc, 30.0, 2.0, 3))
+                 for top in tops]
+        rows, build = [], closedform.downlink_profile
+
+        def counting(topologies, powers, cells):
+            profile = build(topologies, powers, cells)
+            rows.append(len(profile.cross_load))
+            return profile
+
+        monkeypatch.setattr(closedform, "downlink_profile", counting)
+        stacked = run_scheduled_drops(tops, allocation.downlink_alloc, 30.0, 2.0, 3)
+        # per slot: the group's rows in every drop, then the closed-form
+        # history's rows of every drop's seven cluster cells
+        groups = stacked[0].groups
+        assert rows == [r for s in range(3) for r in (4 * len(groups[s % 3]), 4 * 7)]
+        assert [scheduled_fields(state) for state in stacked] == alone
 
     def test_strategy_result_checked(self):
         tops = [build_topology(NetworkConfig(users_per_cell=2, bs_antennas=8, cell_count=7,

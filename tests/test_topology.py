@@ -99,9 +99,9 @@ class TestNetworkConfig:
 
     def test_mistyped_json_field_named(self):
         with pytest.raises(ValueError, match="usersPerCell must be an integer"):
-            NetworkConfig.from_json('{"usersPerCell": 10.7, "bsAntennas": 20}')
+            NetworkConfig.from_json(json.loads('{"usersPerCell": 10.7, "bsAntennas": 20}'))
         with pytest.raises(ValueError, match="bsAntennas must be an integer"):
-            NetworkConfig.from_json('{"usersPerCell": 4, "bsAntennas": 1e999}')
+            NetworkConfig.from_json(json.loads('{"usersPerCell": 4, "bsAntennas": 1e999}'))
 
     def test_numpy_integers_stored_as_int(self):
         cfg = make_cfg(users_per_cell=np.int64(4), seed=np.uint64(2**64 - 1))
@@ -120,7 +120,7 @@ class TestNetworkConfig:
             "bsAntennas": 12,
             "seed": 99,
         }
-        cfg = NetworkConfig.from_json(json.dumps(doc))
+        cfg = NetworkConfig.from_json(json.loads(json.dumps(doc)))
         assert cfg.cell_radius == 800.0
         assert cfg.users_per_cell == 3
         assert cfg.seed == 99
@@ -132,14 +132,13 @@ class TestNetworkConfig:
         with pytest.raises(ValueError, match="unknown network config keys"):
             NetworkConfig.from_json({"usersPerCell": 2, "bsAntennas": 8, "cellradius": 1.0})
 
-    def test_mistyped_json_path_names_the_path(self, tmp_path):
-        missing = tmp_path / "nope.json"
-        for source in (str(missing), missing):
-            with pytest.raises(ValueError, match="nope.json"):
-                NetworkConfig.from_json(source)
+    def test_only_a_json_object_accepted(self, tmp_path):
+        # the caller reads the file and parses the JSON: a path or a JSON text is refused
         path = tmp_path / "net.json"
         path.write_text(json.dumps({"usersPerCell": 2, "bsAntennas": 8}))
-        assert NetworkConfig.from_json(str(path)).bs_antennas == 8
+        for source in (path, str(path), path.read_text(), [["usersPerCell", 2]], 5, None):
+            with pytest.raises(ValueError, match="network must be a JSON object"):
+                NetworkConfig.from_json(source)
 
     def test_json_missing_required_field(self):
         with pytest.raises(ValueError, match="invalid network config"):
