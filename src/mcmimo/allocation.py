@@ -12,7 +12,6 @@ grows the 1/c_n terms vanish and every strategy tends to the equal split P/N.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,27 +22,33 @@ from .topology import check_field
 
 @dataclass(frozen=True, eq=False)
 class WaterfillCoefficients:
-    """Per-user surrogate-SINR slopes c_n and the cell power budget.
+    """Per-user surrogate-SINR slopes c_n and the cell power budgets.
 
-    ``coeffs`` is a (B, N) array with one cell problem per row, all under the
-    same budget; one problem is a stack of one row.
+    ``coeffs`` is a (B, N) array with one cell problem per row; one problem is
+    a stack of one row. ``budget`` is one number for every row or a (B, 1)
+    column of one budget per row; it is kept as a read-only (B, 1) column.
     """
 
     coeffs: np.ndarray
-    budget: float
+    budget: float | np.ndarray
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=float)  # a copy, so the caller's array cannot change it
         if c.ndim != 2 or c.size == 0:
             raise ValueError(f"coeffs must be a non-empty (B, N) array, one cell problem "
                              f"per row, got shape {c.shape}")
-        # method reductions, not np.* wrappers: fig5 makes a small call per (M, strategy)
+        # method reductions, not np.* wrappers: the scheduler makes a small call per slot
         if not (c.min() > 0 and c.max() < np.inf):
             raise ValueError("all water-filling coefficients must be finite and positive")
-        if not (math.isfinite(self.budget) and self.budget > 0):
+        b = np.array(self.budget, dtype=float)
+        if b.ndim and b.shape != (c.shape[0], 1):
+            raise ValueError(f"budget must be a number or a ({c.shape[0]}, 1) column, one "
+                             f"per row, got shape {b.shape}")
+        if not (b.min() > 0 and b.max() < np.inf):  # NaN fails both
             raise ValueError("budget must be finite and positive")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "budget", np.broadcast_to(b, (c.shape[0], 1)))  # read-only
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +88,10 @@ def waterfill(wc: WaterfillCoefficients) -> WaterfillResult:
 # builds against the frozen powers of the interfering cells: the scheduler
 # with the profile builder its ``direction`` attribute names, the figure kinds
 # and the threshold search from cell 0's profile stacked over drops. It
-# returns (D, N) powers, one row per profile row (a (1, N) row for one view),
-# each row equal to the call on that row alone.
+# returns (D, N) powers, one row per profile row, for one M and one budget;
+# M and budget arrays such as (K, 1, 1) columns broadcast over leading sweep
+# axes, (K, D, N) from one water-filling call. Each row equals the call on
+# that row alone at its own M and budget.
 
 def _strategy(public: str, name: str, direction: str, m_above_n: bool = False):
     """The strategy ``public`` water-filling ``PROFILE_COEFFICIENTS[name]`` of a
@@ -93,12 +100,15 @@ def _strategy(public: str, name: str, direction: str, m_above_n: bool = False):
     def strategy(profile, m, n, budget) -> np.ndarray:
         if n != profile.n_users:
             raise ValueError(f"N={n} does not match the profile's {profile.n_users} users")
-        if m_above_n and m <= n:
+        if m_above_n and (np.asarray(m) <= n).any():
             raise ValueError(f"{public} requires M > N")
         c = PROFILE_COEFFICIENTS[name](profile, m, n)
         # waterfill is looked up by its module-level name on each call, as the
         # tracing of benchmarks/spans.py replaces it
-        return waterfill(WaterfillCoefficients(c, budget)).powers
+        shape = np.broadcast_shapes(c.shape, np.shape(budget))
+        rows = np.broadcast_to(budget, (*shape[:-1], 1)).reshape(-1, 1)
+        wc = WaterfillCoefficients(np.broadcast_to(c, shape).reshape(-1, n), rows)
+        return waterfill(wc).powers.reshape(shape)
 
     # the public name keeps the strategy picklable, as a module-level function is
     strategy.__name__ = strategy.__qualname__ = public

@@ -286,33 +286,37 @@ def _cell0_rows(tops, direction, power):
 def _pa_eq(prof, ms, p_lin) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-user rates of cell 0 per drop, (D, N) each, with water-filling and
     with equal power at each M of ``ms``: the uplink approximation of an
-    InterferenceProfile, the downlink lower bound of a DownlinkProfile."""
+    InterferenceProfile, the downlink lower bound of a DownlinkProfile. The
+    budget ``p_lin`` is one float or one per M: both are columns of one call."""
     # the strategies are looked up by module-level name on each call, as for _mc_values
     uplink = isinstance(prof, InterferenceProfile)
     strategy, rate = ((uplink_alloc_approx, uplink_approximation) if uplink
                       else (downlink_alloc, downlink_lower_bound))
     n = prof.n_users
-    eq = equal_alloc(n, p_lin)
-    return [(rate(prof, m, n, strategy(prof, m, n, p_lin)), rate(prof, m, n, eq)) for m in ms]
+    m, budget = np.array(ms)[:, None, None], np.array(p_lin, dtype=float).reshape(-1, 1, 1)
+    eq = np.array([equal_alloc(n, b) for b in budget.ravel().tolist()])[:, None]
+    return list(zip(rate(prof, m, n, strategy(prof, m, n, budget)), rate(prof, m, n, eq)))
 
 
 def _edge_users(top: CellTopology) -> np.ndarray:
     return top.user_distances(0) > EDGE_SPLIT_FACTOR * top.config.cell_radius
 
 
-def _gains(prof, m: int, p_lin, users=None) -> np.ndarray:
-    """Relative gain of cell 0 per drop, as ``_pa_eq`` rates it, over the
-    users selected by the (D, N) mask ``users`` (all when None); drops
-    selecting no user are left out."""
-    (r_pa, r_eq), = _pa_eq(prof, [m], p_lin)
+def _gains(prof, ms, budgets, users=None) -> np.ndarray:
+    """Relative gains of cell 0 per drop, (probes, D), at each probe's M of
+    ``ms`` and budget of ``budgets`` (equal-length lists), from one ``_pa_eq``
+    call, over the users selected by the (D, N) mask ``users`` (all when
+    None); drops selecting no user are left out."""
+    pairs = _pa_eq(prof, ms, budgets)
     if users is None:
-        return relative_gain(r_pa.sum(axis=1), r_eq.sum(axis=1))
-    keep = users.any(axis=1)
-    # summed as 1-D selections: numpy's pairwise sum of a zero-filled row
-    # rounds differently from the sum of its selected entries
-    c_pa = np.array([r[u].sum() for r, u in zip(r_pa[keep], users[keep])])
-    c_eq = np.array([r[u].sum() for r, u in zip(r_eq[keep], users[keep])])
-    return relative_gain(c_pa, c_eq)
+        sums = [[r.sum(axis=1) for r in pair] for pair in pairs]
+    else:
+        keep = users.any(axis=1)
+        # summed as 1-D selections: numpy's pairwise sum of a zero-filled row
+        # rounds differently from the sum of its selected entries
+        sums = [[[row[u].sum() for row, u in zip(r[keep], users[keep])] for r in pair]
+                for pair in pairs]
+    return relative_gain(*np.array(sums, dtype=float).transpose(1, 0, 2))  # (pa, eq) sums
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +328,19 @@ def _gains(prof, m: int, p_lin, users=None) -> np.ndarray:
 # neither the sweep point, nor M, nor the cell's own power: so a job builds
 # each geometry once, at the smallest M it rates (so that config check covers
 # every M), reaches the other M through ``CellTopology.with_antennas`` and
-# profiles cell 0 in all its drops as one stack. Each strategy (at each M)
-# and each closed-form rate then take every drop's rows in one call, each row
-# with the bits of a job of its drop alone.
+# profiles cell 0 in all its drops as one stack. The swept Ms are then a
+# (K, 1, 1) column: each strategy and each closed-form rate takes every
+# drop's row at every M in one call, giving (K, D, N), each entry with the
+# bits of a job of its drop alone at that M.
 
 def _job_equal_power(spec: ExperimentSpec, job: dict) -> list[dict]:
     """Equal-power rate curves of each drop, on the spec's link.
 
-    An M sweep rates the power panels, a power sweep every power, as the rows
-    of one call per M. Monte Carlo draws a drop's interference once, for all
-    its rows and Ms (``shared_draws``), as nothing drawn depends on power and
-    only the Gammas on M. The drops run one at a time, as the Monte Carlo is
+    An M sweep rates the power panels, a power sweep every power, as rows;
+    each closed form rates them at every M of a drop in one call, and Monte
+    Carlo in one call per M. Monte Carlo draws a drop's interference once,
+    for all its rows and Ms (``shared_draws``), as nothing drawn depends on
+    power and only the Gammas on M. The drops run one at a time, as the Monte Carlo is
     their cost.
     """
     opts = spec.options
@@ -356,15 +362,15 @@ def _job_equal_power(spec: ExperimentSpec, job: dict) -> list[dict]:
         rows, mc_seed = _own_rows(own, interferers), derive_seed(spec.network.seed, _TAG_MC, d)
         draws = (shared_draws(top, rows, 0, spec.trials, mc_seed, spec.direction)
                  if "mc" in opts["estimators"] else None)
-        for m, xs in calls:
-            values = {}
-            for est in opts["estimators"]:
-                if est == "mc":
-                    values[est] = _mc_values(top.with_antennas(m), rows, spec.direction,
-                                             spec.trials, mc_seed, draws)
-                else:
-                    per_user = formulas[est](prof, m, n, own)
-                    values[est] = [(value, 0.0) for value in per_user.sum(axis=1).tolist()]
+        # each closed form's (M, panel) sum rates, every M of the drop in one call
+        ms = np.array([m for m, _ in calls])[:, None, None]
+        sums = {est: formulas[est](prof, ms, n, own).sum(axis=2).tolist()
+                for est in opts["estimators"] if est != "mc"}
+        for k, (m, xs) in enumerate(calls):
+            values = {est: _mc_values(top.with_antennas(m), rows, spec.direction, spec.trials,
+                                      mc_seed, draws) if est == "mc"
+                      else [(value, 0.0) for value in sums[est][k]]
+                      for est in opts["estimators"]}
             records += [{"panel": panel, "label": est, "x": x, "value": rates[pi][0],
                          "ci": rates[pi][1]}
                         for pi, ((panel, _), x) in enumerate(zip(powers, xs))
@@ -395,12 +401,14 @@ def _job_fixed_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
 def _job_strategies(spec: ExperimentSpec, job: dict) -> list[dict]:
     """Per-strategy sum rates, or relative gains for a gain kind, at every M.
 
-    Per scenario, each strategy water-fills every drop's row at each M in one
-    call, and each (M, allocation) is rated in one call over the job's drops.
-    Monte Carlo rates equal power and the three allocations of one drop and M
-    as four rows of one call, from one set of draws.
+    Per scenario, each strategy water-fills every drop's row at every M in
+    one call, and one call rates equal power and the three allocations at
+    every M over the job's drops. Monte Carlo rates equal power and the three
+    allocations of one drop and M as four rows of one call, from one set of
+    draws.
     """
     ms = [int(v) for v in spec.sweep.values]
+    m_col = np.array(ms)[:, None, None]
     opts = spec.options
     p_lin = db_to_linear(opts["powerDb"])
     drops = job["drops"]
@@ -411,22 +419,22 @@ def _job_strategies(spec: ExperimentSpec, job: dict) -> list[dict]:
         n = tops[0].n_users
         prof, allocs = _cell0_rows(tops, "uplink", db_to_linear(opts["interfererUserPowerDb"]))
         eq = equal_alloc(n, p_lin)
-        # (M, strategy, D, N): each strategy water-fills every drop's row at each M
-        pa = np.array([[strategy(prof, m, n, p_lin) for strategy in _UPLINK_STRATEGIES.values()]
-                       for m in ms])
+        # (strategy, M, D, N): each strategy water-fills every drop's row at every M at once
+        pa = np.array([strategy(prof, m_col, n, p_lin) for strategy in _UPLINK_STRATEGIES.values()])
         # (D, M, 4) values and cis of equal power and the three allocations
         if opts["evaluator"] == "mc":
             est = np.array([[_mc_values(top.with_antennas(m),
-                                        _own_rows(np.vstack([eq, pa[i, :, j]]), allocs),
+                                        _own_rows(np.vstack([eq, pa[:, i, j]]), allocs),
                                         "uplink", spec.trials,
                                         derive_seed(spec.network.seed, _TAG_MC, d, i,
                                                     0 if cells is None else 1))
                              for i, m in enumerate(ms)] for j, (d, top) in enumerate(zip(drops, tops))])
             values, cis = est[..., 0], est[..., 1]
         else:
-            rate = _UPLINK_RATES[opts["evaluator"]]
-            values = np.array([[rate(prof, m, n, p).sum(axis=1) for p in (eq, *pa[i])]
-                               for i, m in enumerate(ms)]).transpose(2, 0, 1)
+            # every allocation at every M in one call: (4, M, D) sums, then (D, M, 4)
+            allocations = np.concatenate([np.broadcast_to(eq, (1, *pa.shape[1:])), pa])
+            values = _UPLINK_RATES[opts["evaluator"]](prof, m_col[None], n, allocations)
+            values = values.sum(axis=3).transpose(2, 1, 0)
             cis = np.zeros_like(values)
         if _KINDS[spec.kind].gain:  # gains over equal power
             labels = list(_UPLINK_STRATEGIES)
@@ -443,7 +451,7 @@ def _job_strategies(spec: ExperimentSpec, job: dict) -> list[dict]:
 
 def _job_gain_vs_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
     """Relative gain against the antennas-per-user ratio at every ratio: one
-    strategy call per (power panel, ratio) for all the job's drops."""
+    strategy call per power panel for every ratio and all the job's drops."""
     opts = spec.options
     ratios = [int(v) for v in spec.sweep.values]
     ms = [ratio * spec.network.users_per_cell for ratio in ratios]
@@ -458,7 +466,7 @@ def _job_gain_vs_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
 
 def _job_downlink_split(spec: ExperimentSpec, job: dict) -> list[dict]:
     """Central/edge user sums, or gains for a gain kind, on the downlink at
-    every M: one strategy call per M for all the job's drops."""
+    every M: one strategy call for every M and all the job's drops."""
     ms = [int(v) for v in spec.sweep.values]
     opts = spec.options
     tops = [_drop_topology(spec, d, antennas=ms[0]) for d in job["drops"]]
@@ -588,40 +596,22 @@ class GainThresholdQuery:
                       if key in data or not hasattr(cls, name)})
 
 
-class _DropProfiles:
-    """Cell 0's profiles in a threshold search's drops, stacked, one stack per
-    user count N, with each drop's edge-user mask.
-
-    A stack depends on the drops, N, the direction and the interferer power
-    only, so every probe of a query reads it, and so does every query of a
-    table that shares those inputs: each (N, drop) is built and profiled once.
-    """
-
-    def __init__(self):
-        self._stacks: dict = {}
-
-    def rows(self, base: NetworkConfig, drop_seeds: tuple, n: int, direction: str,
-             interferer_power: float):
-        cfg = replace(base, users_per_cell=n, bs_antennas=n + 1)
-        key = (cfg, drop_seeds, direction, interferer_power)
-        if key not in self._stacks:
-            tops = [build_topology(replace(cfg, seed=s)) for s in drop_seeds]
-            self._stacks[key] = (_cell0_rows(tops, direction, interferer_power)[0],
-                                 np.stack([_edge_users(top) for top in tops]))
-        return self._stacks[key]
-
-
-def find_max_ratio(query: GainThresholdQuery, base: NetworkConfig,
-                   profiles: _DropProfiles | None = None):
+def find_max_ratio(query: GainThresholdQuery, base: NetworkConfig):
     """Largest M/N ratio (or M, or smallest N) whose relative gain meets the
-    threshold, by monotone integer bisection with drop averaging.
+    threshold, by monotone integer bisection with drop averaging:
+    ``find_max_ratios`` of a stack of one query.
 
     Returns (value, at_boundary); ``at_boundary`` is True when the answer is
     pinned by the search range (the threshold was met nowhere, or everywhere).
-    Each probe evaluates all drops at once from their stacked profiles;
-    ``profiles`` lets queries on the same drops share them, and without it
-    the query keeps its own.
     """
+    return find_max_ratios([query], base)[0]
+
+
+def _bisection(query: GainThresholdQuery, base: NetworkConfig):
+    """One query's search as a generator: its first step clamps the range (a
+    ValueError if none is left) and yields the first probe, each gain sent back
+    the next, as (((N, drop seeds, direction, interferer power), edge only), M,
+    budget, x), until it returns (value, at_boundary)."""
     lo, hi = query.search_range
     n0 = query.fixed_users or base.users_per_cell
     m0 = query.fixed_antennas or base.bs_antennas
@@ -636,47 +626,74 @@ def find_max_ratio(query: GainThresholdQuery, base: NetworkConfig,
 
     # only the downlink reads edgeOnly, and there it defaults to true
     edge_only = query.direction == "downlink" and query.edge_only is not False
-    p_lin = db_to_linear(query.power_db)
     interferer_db = query.interferer_power_db
     if interferer_db is None:
         interferer_db = _LINKS[query.direction][1]
-    interferer_lin = db_to_linear(interferer_db)
-
     drop_seeds = tuple(derive_seed(base.seed, _TAG_GAIN, d) for d in range(query.drops))
-    if profiles is None:
-        profiles = _DropProfiles()
+    p_lin = db_to_linear(query.power_db)
 
-    def gain(x: int) -> float:
-        if query.mode == "maxRatio":
-            m, n = x * n0, n0
-        elif query.mode == "maxAntennas":
-            m, n = x, n0
-        else:
-            m, n = m0, x
-        prof, edges = profiles.rows(base, drop_seeds, n, query.direction, interferer_lin)
-        gains = _gains(prof, m, p_lin, edges if edge_only else None)
-        if not gains.size:
-            raise ValueError(
-                f"no drop has an edge user at {query.mode} probe {x}: edgeOnly averages "
-                f"edge users only; raise drops (now {query.drops}) or set edgeOnly false"
-            )
-        return float(np.mean(gains))
+    def probe(x: int):
+        m, n = {"maxRatio": (x * n0, n0), "maxAntennas": (x, n0), "minUsers": (m0, x)}[query.mode]
+        stack = (n, drop_seeds, query.direction, db_to_linear(interferer_db))
+        return (stack, edge_only), m, p_lin, x
 
     # the "inside" end meets the threshold wherever any probe does: the gain
     # decreases with the ratio or M, and increases with N (minUsers)
     inside, outside = (hi, lo) if query.mode == "minUsers" else (lo, hi)
     th = query.threshold
-    if gain(inside) < th:
+    if (yield probe(inside)) < th:
         return inside, True
-    if gain(outside) >= th:
+    if (yield probe(outside)) >= th:
         return outside, True
     while abs(outside - inside) > 1:
         mid = (inside + outside) // 2
-        if gain(mid) >= th:
+        if (yield probe(mid)) >= th:
             inside = mid
         else:
             outside = mid
     return inside, False
+
+
+def find_max_ratios(queries, base: NetworkConfig) -> list[tuple[int, bool]]:
+    """``find_max_ratio`` of each query, the searches bisecting in lockstep.
+
+    Every range is clamped before the first probe, so an invalid query fails
+    before any search runs. Each round advances every unfinished search by one
+    probe and rates the round's probes on one stack of cell 0's profiles (one
+    N, in a table) in one ``_gains`` call, M and the budget as columns. The
+    queries share the stacks: each (N, drop) is built and profiled once. Each
+    query probes and answers as its search alone does.
+    """
+    searches = [_bisection(q, base) for q in queries]
+    probes = dict(enumerate(next(search) for search in searches))  # the unfinished ones'
+    answers, stacks = [None] * len(searches), {}
+    while probes:
+        groups: dict = {}
+        for i, (key, *_) in probes.items():
+            groups.setdefault(key, []).append(i)
+        for (stack, edge_only), members in groups.items():
+            if stack not in stacks:
+                n, seeds, direction, interferer = stack
+                cfg = replace(base, users_per_cell=n, bs_antennas=n + 1)
+                tops = [build_topology(replace(cfg, seed=s)) for s in seeds]
+                stacks[stack] = (_cell0_rows(tops, direction, interferer)[0],
+                                 np.stack([_edge_users(top) for top in tops]))
+            prof, edges = stacks[stack]
+            _, ms, budgets, xs = zip(*(probes[i] for i in members))
+            gains = _gains(prof, list(ms), list(budgets), edges if edge_only else None)
+            if not gains.shape[1]:
+                q = queries[members[0]]
+                raise ValueError(
+                    f"no drop has an edge user at {q.mode} probe {xs[0]}: edgeOnly averages "
+                    f"edge users only; raise drops (now {q.drops}) or set edgeOnly false"
+                )
+            for i, row in zip(members, gains):
+                try:
+                    probes[i] = searches[i].send(float(np.mean(row)))
+                except StopIteration as done:
+                    answers[i] = done.value
+                    del probes[i]
+    return answers
 
 
 def _run_tables(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
@@ -685,16 +702,17 @@ def _run_tables(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     opts = spec.options
     lo, hi = int(spec.sweep.values[0]), int(spec.sweep.values[-1])
     interferer_db = opts[_LINKS[direction][0]]
-    rows = []
-    # every query of a table runs on the same drops at one interferer power,
-    # so queries that probe the same N share its profiles
-    profiles = _DropProfiles()
-    for row in itertools.product(*(opts[option] for _, option in loops)):
+    points = list(itertools.product(*(opts[option] for _, option in loops)))
+    queries = []
+    for row in points:
         point = dict(zip((option for _, option in loops), row))
         sizes = {fixed: int(row[0])} if fixed else {}
-        q = GainThresholdQuery(direction, point["thresholds"], point["powersDb"], (lo, hi), mode,
-                               drops=spec.drops, interferer_power_db=interferer_db, **sizes)
-        rows.append([*row, *find_max_ratio(q, spec.network, profiles=profiles)])
+        queries.append(GainThresholdQuery(direction, point["thresholds"], point["powersDb"],
+                                          (lo, hi), mode, drops=spec.drops,
+                                          interferer_power_db=interferer_db, **sizes))
+    # every query of a table runs on the same drops at one interferer power,
+    # so queries that probe the same N share its profiles and its rounds' calls
+    rows = [[*row, *answer] for row, answer in zip(points, find_max_ratios(queries, spec.network))]
     return [*(column for column, _ in loops), mode, "atBoundary"], rows
 
 

@@ -291,11 +291,19 @@ def downlink_profile(topology, interfering_powers, target_cell) -> DownlinkProfi
 # (InterferenceProfile or DownlinkProfile) at the powers ``p``.
 # ``p`` is the first factor and 1.0 * x == x: at the default p = 1 a formula
 # gives the bits of the strategies' coefficients c_n, at the powers the rate's.
+# ``m`` is an int or an integer array of shape (..., 1, 1), such as a (K, 1, 1)
+# column of Ms, that broadcasts over leading sweep axes: (K, D, N), each with
+# its scalar bits.
 
-def _gap(m: int, n: int) -> int:
-    """M - N, which no closed form admits below 0."""
-    if m < n:
-        raise ValueError(f"the closed forms require M >= N, got M={m}, N={n}")
+def _gap(m, n: int):
+    """M - N, an int or an array like ``m``, which no closed form admits below 0.
+
+    An array M must end in two axes of 1, so that it cannot broadcast against
+    a profile's drops or users."""
+    if np.ndim(m) and np.shape(m)[-2:] != (1, 1):
+        raise ValueError(f"an array of Ms must have shape (..., 1, 1), got {np.shape(m)}")
+    if (np.asarray(m) < n).any():
+        raise ValueError(f"the closed forms require M >= N, got M={np.min(m)}, N={n}")
     return m - n
 
 
@@ -328,15 +336,17 @@ PROFILE_COEFFICIENTS = {"lower": _lower, "upper": _upper, "approx": _approx, "do
 # Each rate takes ``powers`` of shape (N,) or (R, N), one allocation per row,
 # and a profile of D rows; the per-user rates come out in the broadcast shape,
 # (D, N) or (R, N) with D = 1 or R = D, every row with the bits of its own
-# evaluation.
+# evaluation. The powers may carry an array ``m``'s leading axes: a (K, 1, 1)
+# column of Ms with (K, D, N) powers rates each row's K allocations at K Ms.
 
-def _rate(sinr, profile, m: int, n: int, powers) -> np.ndarray:
+def _rate(sinr, profile, m, n: int, powers) -> np.ndarray:
     """log2(1 + sinr(profile, m, n, p)) at the checked N and powers p."""
     if n != profile.n_users:
         raise ValueError(f"N={n} must equal the profile's {profile.n_users} users")
     p = np.asarray(powers, dtype=float)
-    if p.ndim not in (1, 2) or p.shape[-1] != profile.n_users:
-        raise ValueError(f"powers must have shape ({profile.n_users},) or (rows, {profile.n_users})")
+    if not 0 < p.ndim <= max(2, np.ndim(m)) or p.shape[-1] != profile.n_users:
+        raise ValueError(f"powers must have shape ({profile.n_users},) or (rows, "
+                         f"{profile.n_users}), with the leading axes of an array of Ms")
     if np.any(p < 0) or not np.all(np.isfinite(p)):
         raise ValueError("powers must be finite and non-negative")
     return np.log2(1.0 + sinr(profile, m, n, p))

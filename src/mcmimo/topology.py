@@ -331,9 +331,10 @@ def build_topology(cfg: NetworkConfig) -> CellTopology:
     shadows = sample_shadowing(np.random.default_rng(shadow_ss), cfg,
                                (len(axial), len(axial), cfg.users_per_cell))
 
-    # distances[i, l, c]: BS i to user c of cell l
-    diff = users[None, :, :, :] - bs[:, None, None, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
+    # distances[i, l, c]: BS i to user c of cell l, from contiguous (C, N)
+    # x and y planes against (C, 1, 1) BS coordinates
+    ux, uy = users[..., 0].copy(), users[..., 1].copy()
+    dist = np.hypot(ux[None] - bs[:, 0, None, None], uy[None] - bs[:, 1, None, None])
     beta = shadows / (dist / cfg.exclusion_radius) ** cfg.path_loss_exponent
     users.setflags(write=False)
     beta.setflags(write=False)

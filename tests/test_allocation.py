@@ -416,6 +416,72 @@ class TestGroupCalls:
                 build(small_topology, uplink_interferers(small_topology), cell)
 
 
+class TestSweepAxes:
+    """M and the budget as columns: one call gives each (M, budget) the bits
+    of its scalar call."""
+
+    MS = [5, 6, 17, 40, 500]
+    BUDGETS = [0.5, 3.0, 30.0, 1e3, 1e5]
+
+    def test_budget_column_equals_one_budget_per_call(self):
+        c = np.random.default_rng(4).uniform(1e-3, 50.0, (5, 6))
+        wf = waterfill(WaterfillCoefficients(c, np.array(self.BUDGETS)[:, None]))
+        for row, level, budget, coeffs in zip(wf.powers, wf.water_level, self.BUDGETS, c):
+            one = waterfill(WaterfillCoefficients(coeffs[None], budget))
+            assert np.array_equal(row, one.powers[0]) and level == one.water_level[0]
+
+    @pytest.mark.parametrize("budget", [10, np.int64(10), np.float32(10), np.array(10.0),
+                                        np.full((5, 1), 10)])
+    def test_numpy_scalar_budget_is_one_budget(self, budget):
+        c = np.random.default_rng(4).uniform(1e-3, 50.0, (5, 6))
+        wc = WaterfillCoefficients(c, budget)
+        assert wc.budget.shape == (5, 1) and not wc.budget.flags.writeable
+        assert np.array_equal(waterfill(wc).powers,
+                              waterfill(WaterfillCoefficients(c, 10.0)).powers)
+
+    @pytest.mark.parametrize("budget", [np.ones(5), np.ones((1, 1)), np.ones((5, 2)),
+                                        np.array([[1.0], [0.0], [1.0], [1.0], [1.0]]),
+                                        np.array([[1.0], [np.inf], [1.0], [1.0], [1.0]])])
+    def test_bad_budget_column_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be"):
+            WaterfillCoefficients(np.ones((5, 3)), budget)
+
+    @pytest.mark.parametrize("name,strategy,_,make_interf", STRATEGIES)
+    def test_columns_equal_scalar_calls(self, name, strategy, _, make_interf):
+        # cells 0, 7 and 18 of 19 have 6, 4 and 3 neighbours: ragged rows
+        top = build_topology(NetworkConfig(users_per_cell=4, bs_antennas=16, seed=21))
+        rows = BUILDERS[strategy.direction](top, make_interf(top), [0, 7, 18])
+        ms, budgets = np.array(self.MS)[:, None, None], np.array(self.BUDGETS)[:, None, None]
+        got = strategy(rows, ms, 4, budgets)
+        assert got.shape == (5, 3, 4)
+        assert np.array_equal(got, [strategy(rows, m, 4, b) for m, b in zip(self.MS, self.BUDGETS)])
+        # one budget at every M, one M at every budget, and an (M, budget) grid
+        assert np.array_equal(strategy(rows, ms, 4, 30.0),
+                              [strategy(rows, m, 4, 30.0) for m in self.MS])
+        assert np.array_equal(strategy(rows, 40, 4, budgets),
+                              [strategy(rows, 40, 4, b) for b in self.BUDGETS])
+        grid = strategy(rows, ms, 4, budgets[:, None])
+        assert np.array_equal(grid, [[strategy(rows, m, 4, b) for m in self.MS]
+                                     for b in self.BUDGETS])
+
+    @pytest.mark.parametrize("m", [np.array([5, 6, 17, 40]), np.array([40]),
+                                   np.array([[40], [17], [6]])])
+    @pytest.mark.parametrize("name,strategy,_,make_interf", STRATEGIES)
+    def test_m_array_must_be_a_column(self, name, strategy, _, make_interf, m):
+        # an (N,), (1,) or (K, 1) M would broadcast against the users or rows
+        top = build_topology(NetworkConfig(users_per_cell=4, bs_antennas=16, seed=21))
+        rows = BUILDERS[strategy.direction](top, make_interf(top), [0, 7, 18])
+        with pytest.raises(ValueError, match=r"must have shape \(\.\.\., 1, 1\)"):
+            strategy(rows, m, 4, 30.0)
+
+    @pytest.mark.parametrize("name,strategy,_,make_interf", STRATEGIES)
+    def test_m_column_checks_every_m(self, small_topology, name, strategy, _, make_interf):
+        rows = BUILDERS[strategy.direction](small_topology, make_interf(small_topology), 0)
+        low = 3 if name in ("lower", "downlink") else 2  # M = N or M < N
+        with pytest.raises(ValueError, match="M > N|M >= N"):
+            strategy(rows, np.array([12, low, 40])[:, None, None], 3, 30.0)
+
+
 class TestBaselines:
     def test_equal_alloc_examples(self):
         assert equal_alloc(10, 100.0) == pytest.approx([10.0] * 10)

@@ -942,7 +942,7 @@ class TestStackedDrops:
             users = np.stack([cli._edge_users(top) for top in tops])
         else:
             users = np.random.default_rng(0).random((len(tops), 16)) < 0.6
-        stacked = cli._gains(cli._cell0_rows(tops, "downlink", 1000.0)[0], 64, 1e4, users)
+        stacked, = cli._gains(cli._cell0_rows(tops, "downlink", 1000.0)[0], [64], [1e4], users)
         want = []
         for top, chosen in zip(tops, users):
             if chosen.any():
@@ -950,6 +950,86 @@ class TestStackedDrops:
                 want.append(relative_gain(float(r_pa[0][chosen].sum()),
                                           float(r_eq[0][chosen].sum())))
         assert 0 < len(want) and stacked.tolist() == want
+
+
+class TestLockstep:
+    """A table's threshold queries bisect in lockstep: each probes and answers
+    as its search alone does, and a round's probes on one N share one
+    evaluation."""
+
+    BASE = NetworkConfig(users_per_cell=4, bs_antennas=30, seed=11)
+
+    @staticmethod
+    def queries(shape):
+        """Query sets shaped as table2's, table3a's and table3b's."""
+        if shape == "table2":
+            return [GainThresholdQuery("uplink", th, p, (2, 60), drops=3)
+                    for p in (10.0, 20.0) for th in (0.1, 0.2)]
+        if shape == "table3a":
+            return [GainThresholdQuery("downlink", th, p, (6, 400), "maxAntennas", fixed_users=n,
+                                       drops=4, interferer_power_db=30.0)
+                    for n in (3, 5) for th in (0.005, 0.1) for p in (35.0, 45.0)]
+        return [GainThresholdQuery("downlink", th, p, (3, 59), "minUsers", fixed_antennas=a,
+                                   drops=6, interferer_power_db=50.0)
+                for a in (40, 60) for th in (0.05, 0.15) for p in (10.0, 20.0, 40.0)]
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        """The probed x values of each search, in the order the searches start."""
+        seen = []
+        bisection = cli._bisection
+
+        def recording(query, base):
+            xs, gain = [], None
+            seen.append(xs)
+            search = bisection(query, base)
+            while True:
+                try:
+                    probe = search.send(gain)
+                except StopIteration as done:
+                    return done.value
+                xs.append(probe[-1])
+                gain = yield probe
+
+        monkeypatch.setattr(cli, "_bisection", recording)
+        return seen
+
+    @pytest.mark.parametrize("shape", ["table2", "table3a", "table3b"])
+    def test_lockstep_equals_one_query_at_a_time(self, probes, shape):
+        queries = self.queries(shape)
+        together = cli.find_max_ratios(queries, self.BASE)
+        lockstep = probes[:]
+        probes.clear()
+        alone = [find_max_ratio(q, self.BASE) for q in queries]
+        assert together == alone and lockstep == probes
+        # interior crossings, so the searches run different numbers of rounds
+        assert not all(boundary for _, boundary in alone)
+        assert len({len(xs) for xs in probes}) > 1
+
+    def test_one_evaluation_per_round_on_one_n(self, monkeypatch, probes):
+        calls = []
+        gains = cli._gains
+
+        def counting(prof, ms, p_lin, users=None):
+            calls.append(len(ms))
+            return gains(prof, ms, p_lin, users)
+
+        monkeypatch.setattr(cli, "_gains", counting)
+        cli.find_max_ratios(self.queries("table2"), self.BASE)
+        # round r rates the probes of every search that runs r rounds or more
+        assert calls == [sum(len(xs) > r for xs in probes) for r in range(max(map(len, probes)))]
+
+    def test_invalid_query_fails_before_any_probe(self, tmp_path, monkeypatch):
+        # 1 antenna clamps minUsers' range to [1, 0]; the 40-antenna queries
+        # before it must not run first
+        calls = []
+        monkeypatch.setattr(cli, "_gains", lambda *args: calls.append(args))
+        doc = {"kind": "table3b", "network": {"usersPerCell": 4, "bsAntennas": 30, "seed": 11},
+               "sweep": {"variable": "usersPerCell", "values": [1, 30]}, "drops": 2,
+               "options": {"antennasList": [40, 1]}, "output": str(tmp_path / "t3b")}
+        with pytest.raises(ValueError, match="search range is empty after feasibility clamping"):
+            run_experiment(ExperimentSpec.from_dict(doc))
+        assert calls == [] and not (tmp_path / "t3b").exists()
 
 
 class TestStackedJobs:
@@ -974,6 +1054,26 @@ class TestStackedJobs:
         run = cli._KINDS[kind].run
         stacked = run(spec, {"drops": [0, 1, 2, 3, 4]})
         assert stacked and stacked == [rec for d in range(5) for rec in run(spec, {"drops": [d]})]
+
+    def test_fig5_job_makes_one_call_per_scenario_and_strategy(self, monkeypatch):
+        # every M of a scenario is water-filled in one strategy call, and all
+        # four allocations (equal power and the strategies') rated in one call
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        for name, strategy in cli._UPLINK_STRATEGIES.items():
+            monkeypatch.setitem(cli._UPLINK_STRATEGIES, name, counting(name, strategy))
+        monkeypatch.setitem(cli._UPLINK_RATES, "approx", counting("rate", cli._UPLINK_RATES["approx"]))
+        spec = ExperimentSpec.from_dict({
+            "kind": "fig5", "network": {"usersPerCell": 4, "bsAntennas": 30, "seed": 21},
+            "sweep": {"variable": "bsAntennas", "values": [12, 30, 75, 200]}})
+        assert cli._KINDS["fig5"].run(spec, {"drops": [0, 1, 2]})
+        assert sorted(calls) == sorted([*cli._UPLINK_STRATEGIES, "rate"] * 2)
 
 
 class TestDropReuse:

@@ -414,6 +414,31 @@ class TestOneFormulaTable:
                 # the water-filling coefficients are the SINR at unit power
                 assert np.array_equal(formula(prof, m, 4), formula(prof, m, 4, np.ones(4)))
 
+    @pytest.mark.parametrize("name", list(RATES))
+    def test_m_column_equals_scalar_calls(self, name):
+        # a (K, 1, 1) column of Ms gives every M the bits of its scalar call,
+        # with one allocation for every M or one per M
+        rng = np.random.default_rng(5)
+        ms = [4, 5, 17, 40, 500]
+        col = np.array(ms)[:, None, None]
+        formula, rate = PROFILE_COEFFICIENTS[name], self.RATES[name]
+        for prof in self.profiles(name):
+            rows = len(prof.cross_load if name == "downlink" else prof.beta_self)
+            shared, per_m = rng.uniform(0.0, 20.0, (rows, 4)), rng.uniform(0.0, 20.0, (5, rows, 4))
+            assert np.array_equal(formula(prof, col, 4), [formula(prof, m, 4) for m in ms])
+            assert np.array_equal(rate(prof, col, 4, shared), [rate(prof, m, 4, shared) for m in ms])
+            assert np.array_equal(rate(prof, col, 4, per_m),
+                                  [rate(prof, m, 4, p) for m, p in zip(ms, per_m)])
+            with pytest.raises(ValueError, match="M >= N"):
+                rate(prof, np.array([5, 3])[:, None, None], 4, shared)
+            with pytest.raises(ValueError, match="powers must have shape"):
+                rate(prof, col, 4, per_m[None])
+            # an (N,), (1,) or (K, 1) M would broadcast against the users or rows
+            for bad in (np.array(ms[:4]), np.array([40]), np.array([[40], [17], [5]])):
+                for call in (lambda: formula(prof, bad, 4), lambda: rate(prof, bad, 4, shared)):
+                    with pytest.raises(ValueError, match=r"must have shape \(\.\.\., 1, 1\)"):
+                        call()
+
     def test_allocation_reads_the_same_table(self):
         assert allocation.PROFILE_COEFFICIENTS is PROFILE_COEFFICIENTS
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from placement_oracle import reference_topology
 
+from mcmimo import topology
 from mcmimo.topology import (
     CellTopology,
     NetworkConfig,
@@ -278,6 +279,26 @@ class TestScheduleGroups:
         top = build_topology(make_cfg(outer_ring_cells=6))
         groups = schedule_groups(top)
         assert sorted(i for g in groups for i in g) == list(range(19))
+
+
+@pytest.mark.parametrize("cells, outer", [(1, 0), (1, 6), (7, 0), (7, 12), (19, 0), (19, 18)])
+def test_large_scale_equals_the_broadcast_pair_form(monkeypatch, cells, outer):
+    # the distances come from contiguous x and y planes; the bits are those of
+    # the (C, C, N, 2) broadcast difference of the positions
+    drawn = []
+
+    def shadowing(*args):
+        drawn.append(sample_shadowing(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(topology, "sample_shadowing", shadowing)
+    cfg = make_cfg(users_per_cell=5, cell_count=cells, outer_ring_cells=outer, seed=cells + outer)
+    top = build_topology(cfg)
+    diff = top.user_positions[None, :, :, :] - top.bs_positions[:, None, None, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    want = drawn[0] / (dist / cfg.exclusion_radius) ** cfg.path_loss_exponent
+    assert top.large_scale.shape == (cells + outer, cells + outer, 5)
+    assert np.array_equal(top.large_scale, want)
 
 
 @settings(max_examples=30, deadline=None)
