@@ -252,7 +252,8 @@ def uplink_profile(topology, interfering_powers, target_cell) -> InterferencePro
     # row j's neighbours in ascending order, then other cells as padding
     nbrs = np.argsort(~adj, axis=1, kind="stable")[:, :counts.max()]
     real = (np.arange(nbrs.shape[1]) < counts[:, None])[None, :, :, None]
-    gains = np.stack([top.large_scale[cells] for top in tops])  # (D, k, C, N)
+    rows = int(cells.max()) + 1  # only the target cells' BS rows are read
+    gains = np.stack([top.large_scale_rows(rows)[cells] for top in tops])  # (D, k, C, N)
     shape = (len(tops) * k, nbrs.shape[1] * n)
     cross_powers = np.where(real, powers[:, nbrs], 0.0).reshape(shape)
     cross_betas = np.where(real, gains[:, np.arange(k)[:, None], nbrs], 1.0).reshape(shape)
@@ -270,10 +271,12 @@ def downlink_profile(topology, interfering_powers, target_cell) -> DownlinkProfi
     """
     tops, powers, cells, heard = _profile_inputs(topology, interfering_powers, target_cell,
                                                  "downlink")
-    adj, every = tops[0].adjacency[cells], np.arange(tops[0].n_cells)  # one layout for the stack
-    own = np.stack([top.large_scale[every, every] for top in tops])  # beta_ll of every l, (D, C, N)
-    gains = np.stack([top.large_scale[np.ix_(heard, cells)] for top in tops])  # (D, H, k, N)
-    lam = (1.0 / own).sum(axis=2)[:, :, None, None]  # L_l, (D, C, 1, 1)
+    adj = tops[0].adjacency[cells]  # one layout for the stack
+    every = np.arange(max(cells.max(), heard.max(initial=0)) + 1)  # the BS rows it reads
+    rows = [top.large_scale_rows(every.size) for top in tops]
+    own = np.stack([g[every, every] for g in rows])  # beta_ll of those l, (D, rows, N)
+    gains = np.stack([g[np.ix_(heard, cells)] for g in rows])  # (D, H, k, N)
+    lam = (1.0 / own).sum(axis=2)[:, :, None, None]  # L_l, (D, rows, 1, 1)
     load = np.zeros((len(tops), cells.size, powers.shape[2]))
     for h, l in enumerate(heard):
         # sum_c p_c / beta_lc, shared by all target users; beta_ln scales it.

@@ -231,10 +231,10 @@ def shared_draws(topology: CellTopology, allocations, target_cell: int, trials: 
 
 
 def _inputs(topology, allocations, target_cell, trials, seed, direction, shared):
-    """(powers, single, target, neighbours, shared) of an estimator call:
+    """(powers, single, target, neighbours, gains, shared) of an estimator call:
     ``allocations`` read by ``_power_rows`` in the target cell and its
-    neighbours, and the call's M-independent draws, ``shared`` once checked to
-    be the call's, else drawn."""
+    neighbours, the leading BS rows of the gains that the call reads, and its
+    M-independent draws, ``shared`` once checked to be the call's, else drawn."""
     check_field("trials", trials, "count")
     check_field("seed", seed, "integer")
     blocks = _blocks(trials)
@@ -243,9 +243,11 @@ def _inputs(topology, allocations, target_cell, trials, seed, direction, shared)
     powers, single = _power_rows(topology, allocations, [target, *nbrs], direction)
     n = topology.n_users
     if direction == "uplink":  # w_k = beta_k p_k at the target BS, in neighbour order
-        weights = (topology.large_scale[target, nbrs] * powers[:, nbrs]).reshape(len(powers), -1)
+        gains = topology.large_scale_rows(target + 1)
+        weights = (gains[target, nbrs] * powers[:, nbrs]).reshape(len(powers), -1)
     else:  # v_lj = p_lj / beta_ll,j of each neighbour l
-        weights = powers[:, nbrs] / topology.large_scale[nbrs, nbrs]
+        gains = topology.large_scale_rows(nbrs.max(initial=target) + 1)
+        weights = powers[:, nbrs] / gains[nbrs, nbrs]
     if shared is not None:
         if shared.direction != direction:
             raise ValueError(f"shared draws are the {shared.direction}'s, not the {direction}'s")
@@ -256,7 +258,7 @@ def _inputs(topology, allocations, target_cell, trials, seed, direction, shared)
         if not np.array_equal(shared.weights, weights):
             raise ValueError("shared draws were made for other interferer rows "
                              "than these allocations hold")
-        return powers, single, target, nbrs, shared
+        return powers, single, target, nbrs, gains, shared
     sums = []
     for block, size in blocks:
         rng = block_rng(seed, block)
@@ -269,8 +271,8 @@ def _inputs(topology, allocations, target_cell, trials, seed, direction, shared)
                 len(weights), len(nbrs), size, n))
     for a in (weights, *sums):
         a.setflags(write=False)  # read by every M of a sweep
-    return powers, single, target, nbrs, SharedDraws(direction, seed, trials, target,
-                                                     weights, sums)
+    return powers, single, target, nbrs, gains, SharedDraws(direction, seed, trials, target,
+                                                            weights, sums)
 
 
 def uplink_rate_mc(
@@ -294,10 +296,10 @@ def uplink_rate_mc(
     every M of a sweep; the result is the same without them.
     """
     m, n = topology.config.bs_antennas, topology.n_users
-    powers, single, target, _, shared = _inputs(topology, allocations, target_cell, trials, seed,
-                                                "uplink", shared)
+    powers, single, target, _, gains, shared = _inputs(topology, allocations, target_cell,
+                                                       trials, seed, "uplink", shared)
     # per row: the users' signal gains p_n beta_n
-    gain = powers[:, target] * topology.large_scale[target, target]
+    gain = powers[:, target] * gains[target, target]
 
     def block_rates(block, size):
         x = block_rng(seed, block, m).standard_gamma(m - n + 1.0, size=(size, n))
@@ -326,15 +328,15 @@ def downlink_rate_mc(
     its scalar law (see the module docstring).
     """
     m, n = topology.config.bs_antennas, topology.n_users
-    powers, single, target, nbrs, shared = _inputs(topology, allocations, target_cell, trials,
-                                                   seed, "downlink", shared)
+    powers, single, target, nbrs, beta, shared = _inputs(topology, allocations, target_cell,
+                                                         trials, seed, "downlink", shared)
 
     def alpha_sq(cells):  # the power normalisation of each cell's ZF precoder
-        return (m - n) / (1.0 / topology.large_scale[cells, cells]).sum(axis=-1)
+        return (m - n) / (1.0 / beta[cells, cells]).sum(axis=-1)
 
     signal = alpha_sq(target) * powers[:, target]
     # per neighbour l: the target users' gains alpha_l^2 beta_{l,0,n}
-    gains = alpha_sq(nbrs)[:, None] * topology.large_scale[nbrs, target]
+    gains = alpha_sq(nbrs)[:, None] * beta[nbrs, target]
 
     def block_rates(block, size):
         y = block_rng(seed, block, m).standard_gamma(m - n + 1.0, size=(len(nbrs), size, n))

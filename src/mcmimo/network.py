@@ -79,9 +79,9 @@ class NetworkState:
 @dataclass(eq=False)
 class JointResult:
     """A joint ascent's read-only (C, N) ``powers``, their uplink cluster sum
-    rate ``objective`` and the ``iterations`` taken. ``converged`` says the
-    ascent stopped before its iteration cap: at ``residual`` <= tolerance, or
-    at a float-floor rise or backtracking underflow, so a converged result's
+    rate ``objective`` and the ``iterations`` taken. ``stop`` names what ended
+    it, ``converged`` unless the iteration ``"cap"``: ``"residual"`` <=
+    tolerance, or a ``"floor"`` rise or backtracking ``"underflow"``, where
     ``residual`` (the r of ``run_joint_drops`` at ``powers``) can exceed the
     tolerance, as at 1e-8, near this objective's float floor."""
 
@@ -90,6 +90,7 @@ class JointResult:
     iterations: int
     converged: bool
     residual: float
+    stop: str
 
 
 def project_budget_simplex(v: np.ndarray, budget: float) -> np.ndarray:
@@ -136,10 +137,10 @@ def _objective_constants(topology: CellTopology):
         return arrays
     cfg = topology.config
     k = topology.cluster_size
-    a = topology.large_scale[np.arange(k), np.arange(k), :] * (
-        cfg.bs_antennas - cfg.users_per_cell + 1)
+    gains = topology.large_scale_rows(k)  # the cluster BSs' rows
+    a = gains[np.arange(k), np.arange(k), :] * (cfg.bs_antennas - cfg.users_per_cell + 1)
     # adjacency is 0/1, so masking the gains leaves every product's bits as they are
-    beta = topology.large_scale[:k] * topology.adjacency[:k, :, None]
+    beta = gains * topology.adjacency[:k, :, None]
     arrays = vars(topology)["_objective_constants"] = (a[None], beta[None])
     for arr in arrays:
         arr.setflags(write=False)  # shared by every call on this topology
@@ -317,9 +318,9 @@ def run_joint_drops(topologies, budget: float, max_iters: int = 500, tolerance: 
     cell's budget simplex and alpha the Barzilai-Borwein step of its last
     accepted move (clipped to [1e-10, 1e10] budget), backtracking p + lam d
     by a monotone Armijo test. ``residual`` is the r = |d| / alpha * budget
-    / |f| of the returned powers; ``converged`` says the drop stopped at
-    r <= ``tolerance``, at a float-floor rise (<= 1e-15 relative) or on
-    backtracking underflow. Every drop keeps its own state; a round rates
+    / |f| of the returned powers; ``stop`` names what ended the drop: r <=
+    ``tolerance``, a float-floor rise (<= 1e-15 relative), backtracking
+    underflow or the cap. Every drop keeps its own state; a round rates
     one candidate for each drop still running in one forward pass and
     projects the accepted drops' next directions at once, and each drop's
     result is bit for bit that of running it alone. Outer-ring users keep
@@ -381,8 +382,10 @@ def run_joint_drops(topologies, budget: float, max_iters: int = 500, tolerance: 
         if done.any():
             pmat.setflags(write=False)  # the results' powers are its rows
             for row in np.flatnonzero(done):
+                stop = ("cap" if not converged[row] else "underflow" if not accepted[row]
+                        else "residual" if resid[row] <= tolerance else "floor")
                 results[live[row]] = JointResult(pmat[row], float(f[row]), int(it[row]),
-                                                 bool(converged[row]), float(resid[row]))
+                                                 stop != "cap", float(resid[row]), stop)
             keep = ~done
             live, pmat, f, grad, alpha, d, resid, lam, it = (
                 x[keep] for x in (live, pmat, f, grad, alpha, d, resid, lam, it))

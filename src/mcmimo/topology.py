@@ -220,23 +220,56 @@ def _in_hexagon(x: np.ndarray, y: np.ndarray, circumradius: float) -> np.ndarray
     )
 
 
+class _GainRows:
+    """A drop's (C, C, N) large-scale gains, filled BS row by BS row on first
+    read by ``fill(a, b)`` (rows [a, b)); with no ``fill``, every row given.
+    Racing first reads fill equal bits, and ``filled`` only grows."""
+
+    def __init__(self, buffer: np.ndarray, fill=None):
+        self.buffer, self.fill, self.filled = buffer, fill, 0 if fill else len(buffer)
+        self.view = buffer.view()  # what readers get: read-only
+        self.view.setflags(write=False)
+
+    def leading(self, rows: int) -> np.ndarray:
+        if rows > (a := self.filled):
+            self.buffer[a:rows] = self.fill(a, rows)
+            self.filled = max(self.filled, rows)
+        return self.view if rows == len(self.view) else self.view[:rows]
+
+
 @dataclass(frozen=True, eq=False)
 class CellTopology:
     """One realisation of the network geometry and its large-scale fading.
 
     ``large_scale[i, l, c]`` is the linear power gain from user c of cell l to
     BS i. The first ``cluster_size`` cells are the optimisable cluster; any
-    further cells are the fixed-power outer ring. Arrays are read-only, so a
-    topology can be shared freely across threads.
+    further cells are the fixed-power outer ring. ``gain_rows`` is a hand-built
+    (C, C, N) array or rows that ``build_topology`` fills per BS on first read,
+    once, read-only and idempotently: a topology can be shared across threads.
     """
 
     config: NetworkConfig
     axial: np.ndarray          # (C, 2) int axial coordinates
     bs_positions: np.ndarray   # (C, 2) metres
     user_positions: np.ndarray  # (C, N, 2) metres
-    large_scale: np.ndarray    # (C, C, N) linear gains
+    gain_rows: _GainRows       # the (C, C, N) large-scale gains by BS row
     adjacency: np.ndarray      # (C, C) bool, True iff cells share an edge
     cluster_size: int
+
+    def __post_init__(self):
+        if isinstance(self.gain_rows, np.ndarray):
+            object.__setattr__(self, "gain_rows", _GainRows(self.gain_rows))
+
+    @property
+    def large_scale(self) -> np.ndarray:
+        return self.gain_rows.leading(self.n_cells)
+
+    def large_scale_rows(self, rows) -> np.ndarray:
+        """``large_scale[:rows]``, computing only the first ``rows`` BSs' gains.
+        Cells run centre-out, so cell 0 and its ring are rows [0, 7)."""
+        if not (_fits(rows, "count") and rows <= self.n_cells):
+            raise ValueError(f"rows must be an integer in [1, {self.n_cells}], got {rows!r}")
+        return self.gain_rows.leading(int(rows))
 
     @property
     def n_cells(self) -> int:
@@ -258,8 +291,8 @@ class CellTopology:
     def with_antennas(self, bs_antennas: int) -> "CellTopology":
         """Same geometry and fading with a different BS array size.
 
-        Large-scale gains do not depend on M, so antenna sweeps can reuse one
-        drop instead of rebuilding it.
+        Large-scale gains do not depend on M, so antenna sweeps reuse one drop,
+        whose gain rows, once filled through any copy, serve every copy.
         """
         return replace(self, config=replace(self.config, bs_antennas=bs_antennas))
 
@@ -316,30 +349,33 @@ def derive_seed(root: int, *parts: int) -> int:
 
 
 def build_topology(cfg: NetworkConfig) -> CellTopology:
-    """Build the hexagonal layout, drop users, and draw large-scale fading.
+    """Build the hexagonal layout, drop users, and set up large-scale fading.
 
     Deterministic for a fixed ``cfg.seed``: the seed is split into independent
     sub-streams for user placement and shadowing, so enabling or disabling one
-    consumer never perturbs the other. Fast fading is *not* drawn here; the
-    Monte Carlo estimators derive their own streams from the seed they are
-    given.
+    consumer never perturbs the other. Gains are computed per BS row on first
+    read (``CellTopology.large_scale_rows``); rows [0, r) take the shadow
+    stream's first r C N draws, the whole-array gains' prefix bit for bit.
+    Fast fading is *not* drawn here; the Monte Carlo estimators derive their
+    own streams from the seed they are given.
     """
     axial, bs, adj = _layout(cfg.cell_count, cfg.outer_ring_cells, cfg.cell_radius)
     place_ss, shadow_ss = np.random.SeedSequence(cfg.seed & _MASK64).spawn(2)
     users = bs[:, None, :] + _place_users(np.random.default_rng(place_ss), cfg, len(axial))
-    # One independent shadow draw per (BS, user) link.
-    shadows = sample_shadowing(np.random.default_rng(shadow_ss), cfg,
-                               (len(axial), len(axial), cfg.users_per_cell))
-
-    # distances[i, l, c]: BS i to user c of cell l, from contiguous (C, N)
-    # x and y planes against (C, 1, 1) BS coordinates
-    ux, uy = users[..., 0].copy(), users[..., 1].copy()
-    dist = np.hypot(ux[None] - bs[:, 0, None, None], uy[None] - bs[:, 1, None, None])
-    beta = shadows / (dist / cfg.exclusion_radius) ** cfg.path_loss_exponent
     users.setflags(write=False)
-    beta.setflags(write=False)
-    return CellTopology(config=cfg, axial=axial, bs_positions=bs, user_positions=users,
-                        large_scale=beta, adjacency=adj, cluster_size=cfg.cell_count)
+    # distances[i, l, c]: BS i to user c of cell l, from contiguous (C, N)
+    # x and y planes against (rows, 1, 1) BS coordinates
+    ux, uy = users[..., 0].copy(), users[..., 1].copy()
+    shape = (len(axial), len(axial), cfg.users_per_cell)
+
+    def fill(a: int, b: int) -> np.ndarray:
+        # BS rows [a, b) of a fresh (b, C, N) draw: the same bits whatever was read before
+        shadows = sample_shadowing(np.random.default_rng(shadow_ss), cfg, (b, *shape[1:]))[a:]
+        dist = np.hypot(ux[None] - bs[a:b, 0, None, None], uy[None] - bs[a:b, 1, None, None])
+        return shadows / (dist / cfg.exclusion_radius) ** cfg.path_loss_exponent
+
+    return CellTopology(cfg, axial, bs, users, _GainRows(np.empty(shape), fill), adj,
+                        cfg.cell_count)
 
 
 def schedule_groups(topology: CellTopology) -> list[list[int]]:

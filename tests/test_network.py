@@ -725,7 +725,7 @@ class TestRunJoint:
         top = build_topology(cfg)
         with pytest.warns(RuntimeWarning, match="iteration cap"):
             res = run_joint(top, 30.0, max_iters=1)
-        assert not res.converged
+        assert not res.converged and res.stop == "cap"
         assert isinstance(res, JointResult)
 
 
@@ -809,6 +809,18 @@ class TestRunJointDrops:
             assert res.objective >= float.fromhex(old) * (1.0 - 1e-9)
             assert res.objective >= equal
 
+    def test_fig12_stops_are_named(self):
+        # at fig12's 1e-8 five drops end at the float floor with a residual
+        # still above the tolerance; they are converged, but not by the residual
+        tops, kwargs = fig12_stack()
+        results = run_joint_drops(tops, **kwargs)
+        floor = {0, 1, 10, 14, 16}
+        assert [res.stop for res in results] == [
+            "floor" if d in floor else "residual" for d in range(20)]
+        assert all(res.converged for res in results)
+        for d, res in enumerate(results):
+            assert (res.residual > kwargs["tolerance"]) == (d in floor), d
+
     def test_fig12_stack_ends_at_tolerance_zero(self, monkeypatch):
         # no residual reaches 0 in floating point: the float-floor stop ends
         # the stack in 136 rounds here, and without it every drop would step
@@ -823,6 +835,7 @@ class TestRunJointDrops:
         monkeypatch.setattr(network, "_uplink_forward", spy)
         results = run_joint_drops(tops, **{**kwargs, "tolerance": 0.0})
         assert all(res.converged for res in results)
+        assert {res.stop for res in results} <= {"floor", "underflow"}
         assert passes[0] == len(tops) and len(passes) - 1 <= 150
 
     @pytest.mark.parametrize("outer, outer_power", [(6, None), (12, 3.0)])

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from placement_oracle import reference_topology
 
-from mcmimo import topology
+from mcmimo import cli, topology
+from mcmimo.closedform import downlink_profile, uplink_profile
 from mcmimo.topology import (
     CellTopology,
     NetworkConfig,
@@ -180,7 +182,12 @@ class TestPlacementOracle:
             top = build_topology(cfg)
             users, gains = reference_topology(cfg)
             assert np.array_equal(top.user_positions, users), cfg
-            assert np.array_equal(top.large_scale, gains), cfg
+            # gain rows read one BS, then cell 0's ring, then all: each read is
+            # the prefix of the whole-array gains, and so is a first read of all
+            c = top.n_cells
+            for rows in (1, 7, c) if c >= 7 else (1, c):
+                assert np.array_equal(top.large_scale_rows(rows), gains[:rows]), (cfg, rows)
+            assert np.array_equal(build_topology(cfg).large_scale, gains), cfg
 
 
 class TestBuildTopology:
@@ -241,6 +248,21 @@ class TestBuildTopology:
         # ring cells are adjacent to some cluster edge cell
         assert any(top.adjacency[i, 19:].any() for i in range(19))
 
+    def test_row_count_must_be_an_integer_in_range(self):
+        top = build_topology(make_cfg(cell_count=7))
+        assert top.large_scale_rows(np.int64(7)).shape == (7, 7, 4)
+        for rows in (0, 8, -1, 1.0, 2.5, True, "1", None):
+            with pytest.raises(ValueError, match=r"rows must be an integer in \[1, 7\]"):
+                top.large_scale_rows(rows)
+
+    def test_hand_built_gains_are_every_row(self):
+        top = build_topology(make_cfg(cell_count=7))
+        beta = np.arange(7 * 7 * 4, dtype=float).reshape(7, 7, 4) + 1.0
+        hand = dataclasses.replace(top, gain_rows=beta)
+        assert np.array_equal(hand.large_scale, beta)
+        assert np.array_equal(hand.large_scale_rows(2), beta[:2])
+        assert not hand.large_scale.flags.writeable
+
     def test_with_antennas_shares_geometry(self):
         top = build_topology(make_cfg())
         top2 = top.with_antennas(64)
@@ -294,10 +316,11 @@ def test_large_scale_equals_the_broadcast_pair_form(monkeypatch, cells, outer):
     monkeypatch.setattr(topology, "sample_shadowing", shadowing)
     cfg = make_cfg(users_per_cell=5, cell_count=cells, outer_ring_cells=outer, seed=cells + outer)
     top = build_topology(cfg)
+    # the shadows are drawn when the gains are first read
+    assert top.large_scale.shape == (cells + outer, cells + outer, 5)
     diff = top.user_positions[None, :, :, :] - top.bs_positions[:, None, None, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])
     want = drawn[0] / (dist / cfg.exclusion_radius) ** cfg.path_loss_exponent
-    assert top.large_scale.shape == (cells + outer, cells + outer, 5)
     assert np.array_equal(top.large_scale, want)
 
 
@@ -321,3 +344,44 @@ def test_hexagon_membership_matches_vertex_hull(x, y):
             inside = False
     got = bool(_in_hexagon(np.array([x]), np.array([y]), r)[0])
     assert got == inside
+
+
+class TestGainRowsOnFirstRead:
+    """The readers compute only the BS rows they read, and every copy of a
+    drop shares them: spied through the shapes of the shadow draws."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        shapes = []
+
+        def shadowing(rng, cfg, size):
+            shapes.append(tuple(size))
+            return sample_shadowing(rng, cfg, size)
+
+        monkeypatch.setattr(topology, "sample_shadowing", shadowing)
+        return shapes
+
+    def test_building_draws_nothing(self, draws):
+        build_topology(make_cfg(users_per_cell=10))
+        assert draws == []
+
+    def test_cell0_uplink_profile_draws_one_row(self, draws):
+        top = build_topology(make_cfg(users_per_cell=10))
+        uplink_profile(top, np.ones((19, 10)), 0)
+        assert draws == [(1, 19, 10)]
+
+    def test_cell0_downlink_profile_draws_its_ring(self, draws):
+        top = build_topology(make_cfg(users_per_cell=10))
+        downlink_profile(top, np.ones((19, 10)), 0)
+        assert draws == [(7, 19, 10)]
+        # the rest: rows [7, 19) of a whole-array draw
+        assert top.large_scale.shape == (19, 19, 10)
+        assert draws == [(7, 19, 10), (19, 19, 10)]
+
+    def test_fig8_antenna_sweep_draws_each_drop_once(self, draws):
+        # every M of a drop is a with_antennas copy that reads the ring's rows
+        doc = json.loads((Path(__file__).parents[1] / "configs" / "fig8.json").read_text())
+        spec = cli.ExperimentSpec.from_dict(doc, {"drops": 2, "trials": 40})
+        assert len(spec.sweep.values) > 1
+        cli._job_equal_power(spec, {"drops": [0, 1]})
+        assert draws == [(7, 19, 10)] * 2
