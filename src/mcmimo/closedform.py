@@ -122,9 +122,10 @@ class InterferenceProfile:
 
     Rows may hold fewer than L cross terms (cells with 3, 4 or 6 neighbours):
     ``cross_lengths`` (D,) then counts each row's terms, and the entries past
-    them are padding with power 0. A row's cross sum is ``np.dot`` over its
-    own terms only, because zero-padding moves the last bits of ``np.dot``
-    once a row spans BLAS's unrolled blocks.
+    them are padding with power 0. A row's cross sum takes its own terms
+    only, because zero-padding moves the last bits once a row spans BLAS's
+    unrolled blocks; the rows of one length share one batched matmul, bit for
+    bit each row's ``np.dot`` of its terms.
     """
 
     beta_self: np.ndarray
@@ -156,9 +157,13 @@ class InterferenceProfile:
             object.__setattr__(self, name, arr)
         lengths = _cross_lengths(self.cross_lengths, cp)
         object.__setattr__(self, "cross_lengths", lengths)
-        # each row's total interference power sum p_cl beta_cl (0 with no interferers)
-        object.__setattr__(self, "cross_sum", np.array(
-            [[np.dot(p[:k], b[:k])] for p, b, k in zip(cp, cb, lengths)]))
+        # each row's total interference power sum p_cl beta_cl (0 with no interferers):
+        # one (R, 1, L) @ (R, L, 1) matmul over the R rows of each length L
+        cross_sum = np.zeros((len(cp), 1))
+        for k in set(lengths.tolist()):  # not np.unique: its first call imports numpy.ma
+            rows = np.flatnonzero(lengths == k)
+            cross_sum[rows] = (cp[rows, None, :k] @ cb[rows, :k, None])[:, 0]
+        object.__setattr__(self, "cross_sum", cross_sum)
 
     @property
     def n_users(self) -> int:

@@ -73,7 +73,9 @@ fractions; version 8 keys the exponentials by (seed, block) and the Gammas
 by (seed, block, M), and the M points of a drop (fig2, fig8) share its seed,
 hence its interference draws, where version 7 drew a block's Gammas and
 exponentials from one stream and each M point at its own seed; version 9
-moves fig12's joint curve only: Barzilai-Borwein ascent to a residual stop.
+moves fig12's joint curve only: Barzilai-Borwein ascent to a residual stop;
+version 10 too, its ascent accepting a step against the least of the last
+10 accepted objectives (nonmonotone), where version 9 compared the last.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ import numpy as np
 
 from .topology import _MASK64, CellTopology, check_field
 
-ESTIMATOR_VERSION = 9
+ESTIMATOR_VERSION = 10
 BLOCK_TRIALS = 256
 
 

@@ -4,9 +4,10 @@ optimisation benchmark.
 The scheduler divides the cells into non-interfering groups (reuse-3 for the
 hexagonal layouts) and lets one group re-allocate per time slot against a
 frozen snapshot of everyone else's powers, so after one round every cell has
-optimised at least once. The joint benchmark runs projected-gradient ascent
-on all cluster cells' powers at once against the same analytic objective,
-to a stationarity ``residual`` (``converged``) or an iteration cap.
+optimised at least once. The joint benchmark runs nonmonotone spectral
+projected-gradient ascent on all cluster cells' powers at once against the
+same analytic objective, to a stationarity ``residual`` (``converged``) or an
+iteration cap.
 ``run_scheduled_drops`` and ``run_joint_drops`` run them for a stack of
 topologies of one layout (one per drop) in one loop, the scheduler with one
 strategy call per slot; ``run_scheduled`` and ``run_joint`` are stacks of one.
@@ -27,6 +28,7 @@ from .topology import CellTopology, check_field, derive_seed, schedule_groups
 
 _LN2 = math.log(2.0)
 _STEPS = np.arange(1.0, 65.0)  # the divisors j = 1..N of the simplex threshold
+_MEMORY = 10  # accepted objectives the joint ascent's nonmonotone test compares against
 _ESTIMATORS = ("closedForm", "monteCarlo")
 
 
@@ -81,9 +83,9 @@ class JointResult:
     """A joint ascent's read-only (C, N) ``powers``, their uplink cluster sum
     rate ``objective`` and the ``iterations`` taken. ``stop`` names what ended
     it, ``converged`` unless the iteration ``"cap"``: ``"residual"`` <=
-    tolerance, or a ``"floor"`` rise or backtracking ``"underflow"``, where
+    tolerance, or a ``"floor"`` step or backtracking ``"underflow"``, where
     ``residual`` (the r of ``run_joint_drops`` at ``powers``) can exceed the
-    tolerance, as at 1e-8, near this objective's float floor."""
+    tolerance, as at 1e-10, near this objective's float floor."""
 
     powers: np.ndarray
     objective: float
@@ -317,17 +319,23 @@ def run_joint_drops(topologies, budget: float, max_iters: int = 500, tolerance: 
     it) and steps along d = P(p + alpha g) - p, P the projection onto each
     cell's budget simplex and alpha the Barzilai-Borwein step of its last
     accepted move (clipped to [1e-10, 1e10] budget), backtracking p + lam d
-    by a monotone Armijo test. ``residual`` is the r = |d| / alpha * budget
-    / |f| of the returned powers; ``stop`` names what ended the drop: r <=
-    ``tolerance``, a float-floor rise (<= 1e-15 relative), backtracking
-    underflow or the cap. Every drop keeps its own state; a round rates
+    by the nonmonotone Armijo test of Grippo, Lampariello and Lucidi (1986):
+    f(p + lam d) >= min(last ``_MEMORY`` accepted f) + 1e-4 lam g'd, the
+    spectral projected gradient of Birgin, Martinez and Raydan (2000). An
+    accepted step may fall below the last one, but never below that window's
+    least, so no iterate falls below the equal split. ``residual`` is the
+    r = |d| / alpha * budget / |f| of the returned powers; ``stop`` names
+    what ended the drop: r <= ``tolerance``, an accepted step that moves f
+    by at most its float floor (1e-15 relative), backtracking underflow or
+    the cap. Every drop keeps its own state; a round rates
     one candidate for each drop still running in one forward pass and
     projects the accepted drops' next directions at once, and each drop's
     result is bit for bit that of running it alone. Outer-ring users keep
     ``outer_user_power`` each (the equal split if None). The objective is
     not jointly concave; like any local method this returns a stationary
     point, flagged ``converged=False`` with one warning per drop if the
-    iteration cap was reached first.
+    iteration cap was reached first; such a drop returns its last accepted
+    iterate.
     """
     check_field("budget", budget, "positive")
     check_field("max_iters", max_iters, "count")
@@ -355,15 +363,20 @@ def run_joint_drops(topologies, budget: float, max_iters: int = 500, tolerance: 
     d, resid = direction(pmat[:, :k], grad, alpha, f)
     lam = np.ones(len(tops))
     it = np.ones(len(tops), dtype=np.int64)  # the iteration each drop is in
+    # each drop's last _MEMORY accepted objectives, f_j written at j % _MEMORY;
+    # the equal split fills the slots no accepted step has written yet
+    recent = np.repeat(f[:, None], _MEMORY, axis=1)
     live = np.arange(len(tops))  # the drop of each running row
     results: list = [None] * len(tops)
     while live.size:
         cand = pmat.copy()
         cand[:, :k] += lam[:, None, None] * d  # feasible: between p and P(p + alpha g)
         fc, b1, ap = _uplink_forward(consts, cand)
-        accepted = fc >= f + 1e-4 * lam * (grad * d).reshape(live.size, -1).sum(axis=1)
-        floor = fc - f <= 1e-15 * np.abs(f)
+        rise = 1e-4 * lam * (grad * d).reshape(live.size, -1).sum(axis=1)
+        accepted = fc >= recent.min(axis=1) + rise
+        floor = np.abs(fc - f) <= 1e-15 * np.abs(f)
         if (acc := np.flatnonzero(accepted)).size:
+            recent[acc, it[acc] % _MEMORY] = fc[acc]
             s = cand[acc, :k] - pmat[acc, :k]
             g = _uplink_gradient(consts, b1, ap)[acc]
             # s'y and s's, y the fall of the gradient: the ascent minimises -f
@@ -387,14 +400,14 @@ def run_joint_drops(topologies, budget: float, max_iters: int = 500, tolerance: 
                 results[live[row]] = JointResult(pmat[row], float(f[row]), int(it[row]),
                                                  stop != "cap", float(resid[row]), stop)
             keep = ~done
-            live, pmat, f, grad, alpha, d, resid, lam, it = (
-                x[keep] for x in (live, pmat, f, grad, alpha, d, resid, lam, it))
+            live, pmat, f, grad, alpha, d, resid, lam, it, recent = (
+                x[keep] for x in (live, pmat, f, grad, alpha, d, resid, lam, it, recent))
             consts = tuple(c[keep] for c in consts)
     for res in results:
         if not res.converged:
             warnings.warn(
                 f"joint power optimisation hit the {max_iters}-iteration cap; "
-                "returning the best iterate",
+                "returning the last accepted iterate, no worse than the equal split",
                 RuntimeWarning,
             )
     return results

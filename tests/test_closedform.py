@@ -348,6 +348,40 @@ class TestStackedProfiles:
         stack = InterferenceProfile(np.ones((2, 2)), cp, cb, [17, 32])
         assert stack.cross_sum[0, 0] == np.dot(cp[0, :17], cb[0, :17])
         assert stack.cross_sum[1, 0] == np.dot(cp[1], cb[1])
+        # rows of one length share a matmul, in any order among the others
+        lengths = np.array([0, 15, 20, 30, 60, 90, 0, 90, 15, 7])
+        cp = 10.0 ** rng.uniform(-3, 3, (lengths.size, 90))
+        cb = 10.0 ** rng.uniform(-9, -3, (lengths.size, 90))
+        cp[np.arange(90) >= lengths[:, None]] = 0.0
+        want = np.array([[np.dot(p[:k], b[:k])] for p, b, k in zip(cp, cb, lengths)])
+        for order in (np.arange(lengths.size), rng.permutation(lengths.size)):
+            stack = InterferenceProfile(np.ones((lengths.size, 2)), cp[order], cb[order],
+                                        lengths[order])
+            assert np.array_equal(stack.cross_sum, want[order])
+
+    @pytest.mark.parametrize("cells, outer", [(1, 0), (1, 6), (7, 0), (7, 12), (19, 0), (19, 18)])
+    def test_cross_sums_are_each_rows_own_dot(self, cells, outer):
+        # the rows of one length share a batched matmul, which must give each
+        # row's np.dot of its own terms; 5 and 15 users make rows of 0 (a
+        # lone cell), 15, 20, 30, 45, 60 and 90 terms, and a shuffle of the
+        # target cells shuffles their sums
+        rng = np.random.default_rng(cells + outer)
+        for n in (5, 15):
+            tops = [build_topology(NetworkConfig(users_per_cell=n, bs_antennas=n + 4, seed=seed,
+                                                 cell_count=cells, outer_ring_cells=outer))
+                    for seed in (2, 3)]
+            c = tops[0].n_cells
+            powers = rng.uniform(0.0, 5.0, (2, c, n)) * rng.integers(0, 2, (2, c, n))
+            order = rng.permutation(c)
+            stack = uplink_profile(tops, powers, np.arange(c))
+            shuffled = uplink_profile(tops, powers, order)
+            for prof in (stack, shuffled):
+                want = [[np.dot(p[:k], b[:k])] for p, b, k in
+                        zip(prof.cross_powers, prof.cross_betas, prof.cross_lengths)]
+                assert np.array_equal(prof.cross_sum, np.array(want))
+            rows = (np.arange(2)[:, None] * c + order).reshape(-1)  # drop-major
+            assert np.array_equal(shuffled.cross_sum, stack.cross_sum[rows])
+            assert (cells + outer > 1) == stack.cross_lengths.any()  # a lone cell hears none
 
     @pytest.mark.parametrize("lengths, match", [
         ([3, 5], "cross_lengths must be"),
