@@ -54,7 +54,8 @@ from .mcrate import (
     uplink_rate_mc,
 )
 from .network import network_sum_rate, run_joint_drops, run_scheduled_drops
-from .topology import CellTopology, NetworkConfig, build_topology, check_field, derive_seed
+from .topology import (  # build_topology, the stack of one, is re-exported
+    CellTopology, NetworkConfig, build_topology, build_topology_drops, check_field, derive_seed)
 
 EDGE_SPLIT_FACTOR = 0.8  # users beyond this fraction of the cell radius are "edge"
 
@@ -253,16 +254,16 @@ _UPLINK_STRATEGIES = {
 }
 
 
-def _drop_topology(spec: ExperimentSpec, drop: int, *, users=None, antennas=None, cells=None):
+def _drop_topologies(spec: ExperimentSpec, drops, *, users=None, antennas=None, cells=None):
+    """The topologies of ``drops`` (indices) as one stack."""
     cfg = spec.network
     extra = [] if users is None else [int(users)]
-    return build_topology(replace(
+    return build_topology_drops(replace(
         cfg,
-        seed=derive_seed(cfg.seed, _TAG_DROP, drop, *extra),
         users_per_cell=cfg.users_per_cell if users is None else users,
         bs_antennas=cfg.bs_antennas if antennas is None else antennas,
         cell_count=cfg.cell_count if cells is None else cells,
-    ))
+    ), [derive_seed(cfg.seed, _TAG_DROP, d, *extra) for d in drops])
 
 
 # Cell 0's profile against fixed-power interferers depends on the drop, N and
@@ -326,12 +327,12 @@ def _gains(prof, ms, budgets, users=None) -> np.ndarray:
 # A job is a contiguous chunk of drops, and its records go out drop by drop.
 # Large-scale fading does not depend on M, and cell 0's profile depends on
 # neither the sweep point, nor M, nor the cell's own power: so a job builds
-# each geometry once, at the smallest M it rates (so that config check covers
-# every M), reaches the other M through ``CellTopology.with_antennas`` and
-# profiles cell 0 in all its drops as one stack. The swept Ms are then a
-# (K, 1, 1) column: each strategy and each closed-form rate takes every
-# drop's row at every M in one call, giving (K, D, N), each entry with the
-# bits of a job of its drop alone at that M.
+# its drops once, as one stack (``build_topology_drops``), at the smallest M
+# it rates (so that config check covers every M), reaches the other M through
+# ``CellTopology.with_antennas`` and profiles cell 0 in all its drops as one
+# stack. The swept Ms are then a (K, 1, 1) column: each strategy and each
+# closed-form rate takes every drop's row at every M in one call, giving
+# (K, D, N), each entry with the bits of a job of its drop alone at that M.
 
 def _job_equal_power(spec: ExperimentSpec, job: dict) -> list[dict]:
     """Equal-power rate curves of each drop, on the spec's link.
@@ -340,8 +341,8 @@ def _job_equal_power(spec: ExperimentSpec, job: dict) -> list[dict]:
     each closed form rates them at every M of a drop in one call, and Monte
     Carlo in one call per M. Monte Carlo draws a drop's interference once,
     for all its rows and Ms (``shared_draws``), as nothing drawn depends on
-    power and only the Gammas on M. The drops run one at a time, as the Monte Carlo is
-    their cost.
+    power and only the Gammas on M. The job's drops are built as one stack,
+    then run one at a time, as the Monte Carlo is their cost.
     """
     opts = spec.options
     option, _, formulas = _LINKS[spec.direction]
@@ -354,8 +355,7 @@ def _job_equal_power(spec: ExperimentSpec, job: dict) -> list[dict]:
                   if "powersDb" in opts else [("", db_to_linear(opts.get("powerDb", 20)))])
         calls = [(int(x), [x] * len(powers)) for x in spec.sweep.values]
     records = []
-    for d in job["drops"]:
-        top = _drop_topology(spec, d, antennas=calls[0][0])
+    for d, top in zip(job["drops"], _drop_topologies(spec, job["drops"], antennas=calls[0][0])):
         n = top.n_users
         prof, interferers = _cell0_rows([top], spec.direction, db_to_linear(opts[option]))
         own = np.array([equal_alloc(n, p_lin) for _, p_lin in powers])
@@ -388,7 +388,7 @@ def _job_fixed_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
     for users in spec.sweep.values:
         n = int(users)
         # each N is its own drop; it serves every ratio, as only M changes
-        tops = [_drop_topology(spec, d, users=n, antennas=min(ratios) * n) for d in job["drops"]]
+        tops = _drop_topologies(spec, job["drops"], users=n, antennas=min(ratios) * n)
         ms = [ratio * n for ratio in ratios]
         by_n.append((ms, [[r.sum(axis=1).tolist() for r in pair]
                           for pair in _pa_eq(_cell0_rows(tops, "uplink", p_x)[0], ms, p_lin)]))
@@ -415,7 +415,7 @@ def _job_strategies(spec: ExperimentSpec, job: dict) -> list[dict]:
     scenarios = []  # (panel, labels, values, cis), values and cis as [drop][M][label]
     for panel in opts["scenarios"]:
         cells = 1 if panel == "singlecell" else None
-        tops = [_drop_topology(spec, d, antennas=ms[0], cells=cells) for d in drops]
+        tops = _drop_topologies(spec, drops, antennas=ms[0], cells=cells)
         n = tops[0].n_users
         prof, allocs = _cell0_rows(tops, "uplink", db_to_linear(opts["interfererUserPowerDb"]))
         eq = equal_alloc(n, p_lin)
@@ -455,7 +455,7 @@ def _job_gain_vs_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
     opts = spec.options
     ratios = [int(v) for v in spec.sweep.values]
     ms = [ratio * spec.network.users_per_cell for ratio in ratios]
-    tops = [_drop_topology(spec, d, antennas=ms[0]) for d in job["drops"]]
+    tops = _drop_topologies(spec, job["drops"], antennas=ms[0])
     prof, _ = _cell0_rows(tops, "uplink", db_to_linear(opts["interfererUserPowerDb"]))
     gains = [[relative_gain(*(r.sum(axis=1) for r in rates)).tolist()
               for rates in _pa_eq(prof, ms, db_to_linear(p_db))] for p_db in opts["powersDb"]]
@@ -469,7 +469,7 @@ def _job_downlink_split(spec: ExperimentSpec, job: dict) -> list[dict]:
     every M: one strategy call for every M and all the job's drops."""
     ms = [int(v) for v in spec.sweep.values]
     opts = spec.options
-    tops = [_drop_topology(spec, d, antennas=ms[0]) for d in job["drops"]]
+    tops = _drop_topologies(spec, job["drops"], antennas=ms[0])
     prof, _ = _cell0_rows(tops, "downlink", db_to_linear(opts["interfererCellPowerDb"]))
     rates = _pa_eq(prof, ms, db_to_linear(opts["powerDb"]))
 
@@ -498,7 +498,7 @@ def _job_network_slots(spec: ExperimentSpec, job: dict) -> list[dict]:
     initial = db_to_linear(opts["initialUserPowerDb"])
     estimator = opts["estimator"]
     slots = [int(v) for v in spec.sweep.values]
-    tops = [_drop_topology(spec, s) for s in job["drops"]]
+    tops = _drop_topologies(spec, job["drops"])
     # the outer ring keeps the scheduler's initial power under all three curves
     joints = run_joint_drops(tops, budget, max_iters=opts["jointMaxIters"],
                              tolerance=float(opts["jointTolerance"]), outer_user_power=initial)
@@ -675,7 +675,7 @@ def find_max_ratios(queries, base: NetworkConfig) -> list[tuple[int, bool]]:
             if stack not in stacks:
                 n, seeds, direction, interferer = stack
                 cfg = replace(base, users_per_cell=n, bs_antennas=n + 1)
-                tops = [build_topology(replace(cfg, seed=s)) for s in seeds]
+                tops = build_topology_drops(cfg, seeds)
                 stacks[stack] = (_cell0_rows(tops, direction, interferer)[0],
                                  np.stack([_edge_users(top) for top in tops]))
             prof, edges = stacks[stack]
@@ -797,26 +797,29 @@ def _curve_filename(kind: str, panel: str, label: str) -> str:
 
 
 def _aggregate(records: list[dict]) -> dict:
-    """Group records into curves: (panel, label) -> sorted (x, mean, ci)."""
+    """Group records into curves: (panel, label) -> sorted (x, mean, ci).
+
+    The points with k samples are the rows of one (points, k) array, reduced
+    row-wise, each row with the bits of its own 1-D mean and std; a
+    one-sample point keeps its record's ci."""
     z95 = NormalDist().inv_cdf(0.975)
-    buckets: dict = {}
+    points: dict = {}  # ((panel, label), x) -> [(value, ci)], in order of first record
     for rec in records:
-        buckets.setdefault((rec["panel"], rec["label"]), {}).setdefault(
-            float(rec["x"]), []
-        ).append((rec["value"], rec["ci"]))
-    curves = {}
-    for key, by_x in buckets.items():
-        rows = []
-        for x in sorted(by_x):
-            samples = by_x[x]
-            vals = np.array([v for v, _ in samples])
-            if len(samples) > 1:
-                ci = float(z95 * vals.std(ddof=1) / np.sqrt(len(samples)))
-            else:
-                ci = float(samples[0][1])
-            rows.append((x, float(vals.mean()), ci))
-        curves[key] = rows
-    return curves
+        points.setdefault(((rec["panel"], rec["label"]), float(rec["x"])), []).append(
+            (rec["value"], rec["ci"]))
+    by_count: dict = {}
+    for point, samples in points.items():
+        by_count.setdefault(len(samples), []).append(point)
+    stats = {}
+    for k, keys in by_count.items():
+        vals = np.array([[v for v, _ in points[p]] for p in keys])
+        cis = ((z95 * vals.std(axis=1, ddof=1) / np.sqrt(k)).tolist() if k > 1
+               else [float(points[p][0][1]) for p in keys])
+        stats.update(zip(keys, zip(vals.mean(axis=1).tolist(), cis)))
+    curves: dict = {}
+    for key, x in points:
+        curves.setdefault(key, []).append((x, *stats[key, x]))
+    return {key: sorted(rows) for key, rows in curves.items()}
 
 
 def _manifest_notes(spec: ExperimentSpec) -> dict:

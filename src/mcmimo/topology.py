@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -221,20 +222,25 @@ def _in_hexagon(x: np.ndarray, y: np.ndarray, circumradius: float) -> np.ndarray
 
 
 class _GainRows:
-    """A drop's (C, C, N) large-scale gains, filled BS row by BS row on first
-    read by ``fill(a, b)`` (rows [a, b)); with no ``fill``, every row given.
-    Racing first reads fill equal bits, and ``filled`` only grows."""
+    """A stack of drops' large-scale gains, (D, C, C, N), filled BS row by BS
+    row on first read by ``fill(out, a, b)``, which writes rows [a, b) of every
+    drop into ``out``; with no ``fill``, every row given. One lock serialises
+    the fills, and ``filled`` only grows."""
 
     def __init__(self, buffer: np.ndarray, fill=None):
-        self.buffer, self.fill, self.filled = buffer, fill, 0 if fill else len(buffer)
-        self.view = buffer.view()  # what readers get: read-only
-        self.view.setflags(write=False)
+        self.buffer, self.fill, self.filled = buffer, fill, 0 if fill else buffer.shape[1]
+        view = buffer.view()
+        view.setflags(write=False)
+        self.views, self.lock = list(view), threading.Lock()  # readers get a drop's view
 
-    def leading(self, rows: int) -> np.ndarray:
-        if rows > (a := self.filled):
-            self.buffer[a:rows] = self.fill(a, rows)
-            self.filled = max(self.filled, rows)
-        return self.view if rows == len(self.view) else self.view[:rows]
+    def leading(self, drop: int, rows: int) -> np.ndarray:
+        if rows > self.filled:
+            with self.lock:
+                if rows > (a := self.filled):
+                    self.fill(self.buffer[:, a:rows], a, rows)
+                    self.filled = rows
+        view = self.views[drop]
+        return view if rows == len(view) else view[:rows]
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,32 +250,36 @@ class CellTopology:
     ``large_scale[i, l, c]`` is the linear power gain from user c of cell l to
     BS i. The first ``cluster_size`` cells are the optimisable cluster; any
     further cells are the fixed-power outer ring. ``gain_rows`` is a hand-built
-    (C, C, N) array or rows that ``build_topology`` fills per BS on first read,
-    once, read-only and idempotently: a topology can be shared across threads.
+    (C, C, N) array (a stack of one) or the stack of ``build_topology_drops``,
+    whose drop ``drop`` this is: a first read of BS rows through any drop of a
+    stack fills them for every drop, once, read-only and idempotently, so
+    topologies can be shared across threads.
     """
 
     config: NetworkConfig
     axial: np.ndarray          # (C, 2) int axial coordinates
     bs_positions: np.ndarray   # (C, 2) metres
     user_positions: np.ndarray  # (C, N, 2) metres
-    gain_rows: _GainRows       # the (C, C, N) large-scale gains by BS row
+    gain_rows: _GainRows       # the stack's (D, C, C, N) large-scale gains by BS row
     adjacency: np.ndarray      # (C, C) bool, True iff cells share an edge
     cluster_size: int
+    drop: int = 0              # this drop's index in the stack of ``gain_rows``
 
     def __post_init__(self):
         if isinstance(self.gain_rows, np.ndarray):
-            object.__setattr__(self, "gain_rows", _GainRows(self.gain_rows))
+            object.__setattr__(self, "gain_rows", _GainRows(self.gain_rows[None]))
+            object.__setattr__(self, "drop", 0)
 
     @property
     def large_scale(self) -> np.ndarray:
-        return self.gain_rows.leading(self.n_cells)
+        return self.gain_rows.leading(self.drop, self.n_cells)
 
     def large_scale_rows(self, rows) -> np.ndarray:
         """``large_scale[:rows]``, computing only the first ``rows`` BSs' gains.
         Cells run centre-out, so cell 0 and its ring are rows [0, 7)."""
         if not (_fits(rows, "count") and rows <= self.n_cells):
             raise ValueError(f"rows must be an integer in [1, {self.n_cells}], got {rows!r}")
-        return self.gain_rows.leading(int(rows))
+        return self.gain_rows.leading(self.drop, int(rows))
 
     @property
     def n_cells(self) -> int:
@@ -302,43 +312,55 @@ def sample_shadowing(rng: np.random.Generator, cfg: NetworkConfig, size) -> np.n
     return 10.0 ** (cfg.shadow_std_db * rng.standard_normal(size) / 10.0)
 
 
-def _place_users(rng: np.random.Generator, cfg: NetworkConfig, n_cells: int) -> np.ndarray:
-    """(C, N, 2) uniform points in each cell's hexagon minus its exclusion disk,
-    relative to the cell's BS.
+def _place_users(rngs, cfg: NetworkConfig, n_cells: int) -> np.ndarray:
+    """(D, C, N, 2) uniform points in each cell's hexagon minus its exclusion disk,
+    relative to the cell's BS, in the drop of each of the D Generators.
 
     Cell after cell, each rejection-samples in rounds of m = max(2 (N - placed), 8)
-    x values, then m y values, from one stream of doubles: ``uniform(lo, hi, m)``
-    is ``lo + (hi - lo) * random(m)`` bit for bit. The cells whose first round
-    places all N are placed in one array pass; a cell that falls short goes on
-    round by round, and the pass resumes after it.
+    x values, then m y values, from its drop's one stream of doubles:
+    ``uniform(lo, hi, m)`` is ``lo + (hi - lo) * random(m)`` bit for bit. One
+    array pass over the stack places every drop's cells before its first short
+    one (placing fewer than N in its first round); that cell goes on round by
+    round, then a pass over the drop's later cells, and so on.
     """
     R, n = cfg.cell_radius, cfg.users_per_cell
     half, m0 = 0.5 * _SQRT3 * R, max(2 * n, 8)
-    stream, out = rng.random(2 * m0 * n_cells), np.empty((n_cells, n, 2))
-    cell = pos = 0
+    out, block = np.empty((len(rngs), n_cells, n, 2)), np.empty((len(rngs), n_cells, 2, m0))
+    for rng, first in zip(rngs, block):  # each drop's first round of every cell
+        rng.random(out=first)
+    streams = [first.ravel() for first in block]
 
-    def draws(k: int, m: int):  # x, y and acceptance of k rounds of m from ``pos`` on
-        nonlocal stream
-        if stream.size < pos + 2 * m * k:  # nothing else reads the stream: draw ahead
-            stream = np.concatenate([stream, rng.random(pos + 2 * m * k)])
-        u = stream[pos:pos + 2 * m * k].reshape(k, 2, m)
-        x, y = -R + (R - -R) * u[:, 0], -half + (half - -half) * u[:, 1]
+    def doubles(d: int, pos: int, count: int) -> np.ndarray:
+        if streams[d].size < pos + count:  # nothing else reads the stream: draw ahead
+            streams[d] = np.concatenate([streams[d], rngs[d].random(pos + count)])
+        return streams[d][pos:pos + count]
+
+    def rounds(u):  # x, y and acceptance of the rounds u[..., 2, m]
+        x, y = -R + (R - -R) * u[..., 0, :], -half + (half - -half) * u[..., 1, :]
         return x, y, _in_hexagon(x, y, R) & (x * x + y * y >= cfg.exclusion_radius**2)
 
-    while cell < n_cells:
-        x, y, ok = draws(n_cells - cell, m0)
-        short = np.flatnonzero(ok.sum(axis=1) < n)
-        done = short[0] if short.size else n_cells - cell
-        take = ok[:done] & (ok[:done].cumsum(axis=1) <= n)  # each cell's first N
-        out[cell:cell + done] = np.stack((x[:done][take], y[:done][take]), -1).reshape(done, n, 2)
-        cell, pos, got = cell + done, pos + 2 * m0 * done, 0
-        while cell < n_cells and got < n:  # the short cell, from its first round on
-            m = max(2 * (n - got), 8)
-            x, y, ok = (a[0] for a in draws(1, m))
-            keep = np.flatnonzero(ok)[:n - got]
-            out[cell, got:got + keep.size] = np.column_stack((x[keep], y[keep]))
-            got, pos = got + keep.size, pos + 2 * m
-        cell += got > 0  # past the short cell, if the pass left one
+    def first_rounds(dst: np.ndarray, u: np.ndarray) -> np.ndarray:
+        # places dst's (D', K) cells before each drop's first short one; returns how many
+        x, y, ok = rounds(u)
+        lead = np.logical_and.accumulate(ok.sum(axis=-1) >= n, axis=-1)
+        take = ok & lead[..., None] & (ok.cumsum(axis=-1) <= n)  # each cell's first N
+        dst[lead] = np.stack((x[take], y[take]), -1).reshape(-1, n, 2)
+        return lead.sum(axis=-1)
+
+    for d, cell in enumerate(first_rounds(out, block).tolist()):
+        pos = 2 * m0 * cell
+        while cell < n_cells:
+            got = 0
+            while got < n:  # the short cell, from its first round on
+                m = max(2 * (n - got), 8)
+                x, y, ok = rounds(doubles(d, pos, 2 * m).reshape(2, m))
+                keep = np.flatnonzero(ok)[:n - got]
+                out[d, cell, got:got + keep.size] = np.column_stack((x[keep], y[keep]))
+                got, pos = got + keep.size, pos + 2 * m
+            k = n_cells - cell - 1
+            done = int(first_rounds(out[d:d + 1, cell + 1:],
+                                    doubles(d, pos, 2 * m0 * k).reshape(1, k, 2, m0))[0])
+            cell, pos = cell + 1 + done, pos + 2 * m0 * done
     return out
 
 
@@ -348,34 +370,49 @@ def derive_seed(root: int, *parts: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def build_topology(cfg: NetworkConfig) -> CellTopology:
-    """Build the hexagonal layout, drop users, and set up large-scale fading.
+def build_topology_drops(cfg: NetworkConfig, seeds) -> list[CellTopology]:
+    """One drop per seed of ``seeds``, ``cfg`` with that seed, built as one stack.
 
-    Deterministic for a fixed ``cfg.seed``: the seed is split into independent
-    sub-streams for user placement and shadowing, so enabling or disabling one
-    consumer never perturbs the other. Gains are computed per BS row on first
-    read (``CellTopology.large_scale_rows``); rows [0, r) take the shadow
-    stream's first r C N draws, the whole-array gains' prefix bit for bit.
-    Fast fading is *not* drawn here; the Monte Carlo estimators derive their
-    own streams from the seed they are given.
+    Each drop's seed is split into independent sub-streams for user placement
+    and shadowing, so enabling or disabling one consumer never perturbs the
+    other. Users are placed in one array pass over the stack (``_place_users``).
+    Gains are computed per BS row on first read through any drop
+    (``CellTopology.large_scale_rows``), for every drop: rows [a, b) take one
+    path-loss expression over the stack and each drop's rows [a, b) of a fresh
+    (b, C, N) shadow draw, the whole-array gains' prefix bit for bit whatever
+    was read before. Each drop is bit for bit its stack of one. Fast fading is
+    *not* drawn here; the Monte Carlo estimators derive their own streams.
     """
+    cfgs = [replace(cfg, seed=seed) for seed in seeds]
     axial, bs, adj = _layout(cfg.cell_count, cfg.outer_ring_cells, cfg.cell_radius)
-    place_ss, shadow_ss = np.random.SeedSequence(cfg.seed & _MASK64).spawn(2)
-    users = bs[:, None, :] + _place_users(np.random.default_rng(place_ss), cfg, len(axial))
+    streams = [np.random.SeedSequence(c.seed & _MASK64).spawn(2) for c in cfgs]
+    users = bs[:, None, :] + _place_users([np.random.default_rng(place) for place, _ in streams],
+                                          cfg, len(axial))
     users.setflags(write=False)
-    # distances[i, l, c]: BS i to user c of cell l, from contiguous (C, N)
-    # x and y planes against (rows, 1, 1) BS coordinates
-    ux, uy = users[..., 0].copy(), users[..., 1].copy()
-    shape = (len(axial), len(axial), cfg.users_per_cell)
+    # distances[d, i, l, c]: BS i to user c of cell l in drop d, from contiguous
+    # (D, 1, C, N) x and y planes against (rows, 1, 1) BS coordinates
+    ux, uy = users[:, None, ..., 0].copy(), users[:, None, ..., 1].copy()
+    shape = (len(cfgs), len(axial), len(axial), cfg.users_per_cell)
 
-    def fill(a: int, b: int) -> np.ndarray:
-        # BS rows [a, b) of a fresh (b, C, N) draw: the same bits whatever was read before
-        shadows = sample_shadowing(np.random.default_rng(shadow_ss), cfg, (b, *shape[1:]))[a:]
-        dist = np.hypot(ux[None] - bs[a:b, 0, None, None], uy[None] - bs[a:b, 1, None, None])
-        return shadows / (dist / cfg.exclusion_radius) ** cfg.path_loss_exponent
+    def fill(out: np.ndarray, a: int, b: int) -> None:
+        # in place, with one temporary: the path loss of every drop, then each
+        # drop's shadows, rows [a, b) of a fresh (b, C, N) draw
+        dy = uy - bs[a:b, 1, None, None]
+        np.hypot(np.subtract(ux, bs[a:b, 0, None, None], out=out), dy, out=out)
+        out /= cfg.exclusion_radius
+        out **= cfg.path_loss_exponent
+        for c, (_, shadow), drop in zip(cfgs, streams, out):
+            shadows = sample_shadowing(np.random.default_rng(shadow), c, (b, *shape[2:]))
+            np.divide(shadows[a:], drop, out=drop)
 
-    return CellTopology(cfg, axial, bs, users, _GainRows(np.empty(shape), fill), adj,
-                        cfg.cell_count)
+    gains = _GainRows(np.empty(shape), fill)
+    return [CellTopology(c, axial, bs, u, gains, adj, cfg.cell_count, d)
+            for d, (c, u) in enumerate(zip(cfgs, users))]
+
+
+def build_topology(cfg: NetworkConfig) -> CellTopology:
+    """The topology of ``cfg``'s seed: ``build_topology_drops`` of a stack of one."""
+    return build_topology_drops(cfg, [cfg.seed])[0]
 
 
 def schedule_groups(topology: CellTopology) -> list[list[int]]:

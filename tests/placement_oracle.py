@@ -1,10 +1,11 @@
 """Reference user placement: the cell-by-cell rejection loop, one cell at a time.
 
-``topology.build_topology`` places all cells' users in one array pass over
-one block of the placement stream. This module keeps the plain form it must
-reproduce bit for bit: each cell in turn draws rounds of m = max(2 (N -
-placed), 8) x values then m y values with ``Generator.uniform`` and keeps
-the first N points inside its hexagon and outside its exclusion disk.
+``topology.build_topology_drops`` places the users of all cells of all its
+drops in one array pass over the first rounds of each drop's placement
+stream. This module keeps the plain form it must reproduce bit for bit:
+each cell in turn draws rounds of m = max(2 (N - placed), 8) x values then
+m y values with ``Generator.uniform`` and keeps the first N points inside
+its hexagon and outside its exclusion disk.
 """
 
 from __future__ import annotations

@@ -23,7 +23,8 @@ from mcmimo.cli import (
 from mcmimo.allocation import equal_alloc, relative_gain
 from mcmimo.mcrate import uplink_rate_mc
 from mcmimo.network import network_sum_rate, run_joint
-from mcmimo.topology import CellTopology, NetworkConfig, build_topology, check_field
+from mcmimo.topology import (CellTopology, NetworkConfig, build_topology,
+                             build_topology_drops, check_field)
 
 
 def tiny_spec(tmp_path, **over):
@@ -219,7 +220,7 @@ class TestSpecParsing:
     def test_drop_topology_takes_zero_as_given(self, tmp_path):
         spec = ExperimentSpec.from_dict(tiny_spec(tmp_path))
         with pytest.raises(ValueError, match="bsAntennas"):
-            cli._drop_topology(spec, 0, antennas=0)
+            cli._drop_topologies(spec, [0], antennas=0)
 
     @pytest.mark.parametrize("over, name", [
         ({"sweep": {"values": [20, 30]}}, "sweep"),  # was KeyError: 'variable'
@@ -504,7 +505,7 @@ class TestRunExperiment:
         assert len(got) == 2 * 4 * len(ms)
         for panel, cells, tag in (("multicell", None, 0), ("singlecell", 1, 1)):
             for i, m in enumerate(ms):
-                top = cli._drop_topology(spec, 0, antennas=m, cells=cells)
+                top, = cli._drop_topologies(spec, [0], antennas=m, cells=cells)
                 allocs = np.full((top.n_cells, 4), db_to_linear(10))
                 seed = cli.derive_seed(net["seed"], cli._TAG_MC, 0, i, tag)
                 for label, strategy in [("equal", None), *cli._UPLINK_STRATEGIES.items()]:
@@ -533,7 +534,7 @@ class TestRunExperiment:
         assert len(got) == 2 * 3 * len(ms)
         for panel, cells, tag in (("multicell", None, 0), ("singlecell", 1, 1)):
             for i, m in enumerate(ms):
-                top = cli._drop_topology(spec, 0, antennas=m, cells=cells)
+                top, = cli._drop_topologies(spec, [0], antennas=m, cells=cells)
                 allocs = np.full((top.n_cells, 4), db_to_linear(10))
                 seed = cli.derive_seed(net["seed"], cli._TAG_MC, 0, i, tag)
                 eq = uplink_rate_mc(top, [equal_alloc(4, 100.0), *allocs[1:]], 0, 64,
@@ -552,7 +553,7 @@ class TestRunExperiment:
                "output": str(tmp_path / "fig12")}
         spec = ExperimentSpec.from_dict(doc)
         got = {r["label"]: r["value"] for r in cli._job_network_slots(spec, {"drops": [0]})}
-        top = cli._drop_topology(spec, 0)
+        top, = cli._drop_topologies(spec, [0])
         joint = run_joint(top, 20.0, max_iters=int(spec.options["jointMaxIters"]),
                           tolerance=float(spec.options["jointTolerance"]))
         seed = cli.derive_seed(3, cli._TAG_MC, 0)
@@ -1084,9 +1085,10 @@ class TestDropReuse:
     def calls(self, monkeypatch):
         seen = {"build": [], "factor": 0}
 
-        def build(cfg):
-            seen["build"].append(cfg)
-            return build_topology(cfg)
+        def build(cfg, seeds):  # one config per drop built
+            tops = build_topology_drops(cfg, seeds)
+            seen["build"] += [top.config for top in tops]
+            return tops
 
         def integral(zetas):
             seen["factor"] += 1
@@ -1102,7 +1104,7 @@ class TestDropReuse:
 
         laplace = closedform._laplace_product_integral
         seen["profile"] = []
-        monkeypatch.setattr(cli, "build_topology", build)
+        monkeypatch.setattr(cli, "build_topology_drops", build)
         for name in ("uplink_profile", "downlink_profile"):
             monkeypatch.setattr(cli, name, profiled(getattr(cli, name)))
         monkeypatch.setattr(closedform, "_laplace_product_integral", integral)
@@ -1207,7 +1209,7 @@ class TestDropReuse:
             "kind": "fig2",
             "network": {"usersPerCell": 4, "bsAntennas": 20, "seed": 5, "outerRingCells": 3},
         })
-        reused = cli._drop_topology(spec, 0, antennas=20).with_antennas(64)
+        reused = cli._drop_topologies(spec, [0], antennas=20)[0].with_antennas(64)
         fresh = build_topology(NetworkConfig(users_per_cell=4, bs_antennas=64,
                                              seed=cli.derive_seed(5, cli._TAG_DROP, 0),
                                              outer_ring_cells=3))
@@ -1639,3 +1641,41 @@ def test_every_waterfill_call_is_made_by_a_strategy(tmp_path, monkeypatch, kind)
                                                   "drops": 4 if kind == "table3b" else 2}))
     # the four strategies are closures of one function, so they share its code
     assert callers and set(callers) == {allocation.uplink_alloc_approx.__code__}
+
+
+def aggregate_point_by_point(records):
+    """The per-point form ``cli._aggregate`` must reproduce bit for bit: one
+    1-D mean and std per (curve, x)."""
+    z95 = cli.NormalDist().inv_cdf(0.975)
+    buckets = {}
+    for rec in records:
+        buckets.setdefault((rec["panel"], rec["label"]), {}).setdefault(
+            float(rec["x"]), []).append((rec["value"], rec["ci"]))
+    curves = {}
+    for key, by_x in buckets.items():
+        rows = []
+        for x in sorted(by_x):
+            vals = np.array([v for v, _ in by_x[x]])
+            ci = (float(z95 * vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1
+                  else float(by_x[x][0][1]))
+            rows.append((x, float(vals.mean()), ci))
+        curves[key] = rows
+    return curves
+
+
+def test_aggregate_equals_the_per_point_reductions():
+    # ragged sample counts, 1 to 257, across curves and x, records interleaved
+    rng = np.random.default_rng(33)
+    records = []
+    for curve in range(8):
+        for x in rng.permutation(10):
+            k = int(rng.choice([1, 2, 3, 5, 7, 20, 69, 100, 128, 200, 257]))
+            scale = 10.0 ** rng.integers(-3, 4)
+            records += [{"panel": f"P{curve % 3}", "label": f"L{curve}", "x": int(x) * 0.5,
+                         "value": float(v), "ci": float(c)}
+                        for v, c in scale * rng.standard_normal((k, 2))]
+    records = [records[i] for i in rng.permutation(len(records))]
+    got, want = cli._aggregate(records), aggregate_point_by_point(records)
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key] == want[key]  # exact float equality, point by point

@@ -416,7 +416,7 @@ class TestUplinkObjective:
         doc = json.loads((Path(__file__).parents[1] / "configs" / "fig12.json").read_text())
         doc["network"]["outerRingCells"] = outer
         spec = cli.ExperimentSpec.from_dict(doc, {"drops": 20})
-        tops = [cli._drop_topology(spec, d) for d in range(20)]
+        tops = cli._drop_topologies(spec, range(20))
         rng = np.random.default_rng(outer)
         pmat = rng.uniform(0.0, 10.0, (20, tops[0].n_cells, 5))
         pmat[rng.random(pmat.shape) < 0.2] = 0.0
@@ -440,7 +440,7 @@ class TestUplinkObjective:
         doc = json.loads((Path(__file__).parents[1] / "configs" / "fig12.json").read_text())
         doc["network"]["outerRingCells"] = outer
         spec = cli.ExperimentSpec.from_dict(doc, {"drops": 5})
-        tops = [cli._drop_topology(spec, d) for d in range(5)]
+        tops = cli._drop_topologies(spec, range(5))
         m, n, k = spec.network.bs_antennas, 5, tops[0].cluster_size
         rng = np.random.default_rng(outer + 1)
         pmat = rng.uniform(0.0, 10.0, (5, tops[0].n_cells, n))
@@ -752,7 +752,7 @@ def fig12_stack():
     kwargs = {"budget": float(opts["powerW"]), "max_iters": opts["jointMaxIters"],
               "tolerance": float(opts["jointTolerance"]),
               "outer_user_power": cli.db_to_linear(opts["initialUserPowerDb"])}
-    return [cli._drop_topology(spec, d) for d in range(20)], kwargs
+    return cli._drop_topologies(spec, range(20)), kwargs
 
 
 class TestRunJointDrops:
@@ -974,7 +974,7 @@ class TestRunScheduledDrops:
         doc = json.loads((Path(__file__).parents[1] / "configs" / "fig12.json").read_text())
         spec = cli.ExperimentSpec.from_dict(doc, {"drops": 20})
         opts = spec.options
-        tops = [cli._drop_topology(spec, d) for d in range(20)]
+        tops = cli._drop_topologies(spec, range(20))
         alone, stacked = self.alone_and_stacked(
             tops, uplink_alloc_approx, [cli.derive_seed(2024, cli._TAG_SLOT, d) for d in range(20)],
             budget=float(opts["powerW"]), initial_power=cli.db_to_linear(opts["initialUserPowerDb"]),

@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from placement_oracle import reference_topology
+from placement_oracle import reference_topology, sample_users_in_cell
 
 from mcmimo import cli, topology
 from mcmimo.closedform import downlink_profile, uplink_profile
@@ -18,6 +20,7 @@ from mcmimo.topology import (
     NetworkConfig,
     _in_hexagon,
     build_topology,
+    build_topology_drops,
     check_field,
     sample_shadowing,
     schedule_groups,
@@ -188,6 +191,90 @@ class TestPlacementOracle:
             for rows in (1, 7, c) if c >= 7 else (1, c):
                 assert np.array_equal(top.large_scale_rows(rows), gains[:rows]), (cfg, rows)
             assert np.array_equal(build_topology(cfg).large_scale, gains), cfg
+
+
+def has_short_cell(cfg: NetworkConfig) -> bool:
+    """True if some cell of ``cfg``'s drop places fewer than N users in its
+    first round: the reference loop then reads past the first rounds' doubles."""
+    place_ss, _ = np.random.SeedSequence(cfg.seed).spawn(2)
+    rng, fresh = np.random.default_rng(place_ss), np.random.default_rng(place_ss)
+    n_cells = cfg.cell_count + cfg.outer_ring_cells
+    for _ in range(n_cells):
+        sample_users_in_cell(rng, cfg, cfg.users_per_cell)
+    fresh.random(2 * max(2 * cfg.users_per_cell, 8) * n_cells)
+    return rng.random() != fresh.random()
+
+
+class TestStackedBuild:
+    """A stack of drops equals its drops built alone and the cell-by-cell
+    reference, whatever order its gain rows are read in."""
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 10])
+    @pytest.mark.parametrize("cells, outer", [(1, 0), (1, 4), (7, 0), (7, 9), (19, 0), (19, 12)])
+    def test_each_drop_equals_its_build_alone(self, monkeypatch, cells, outer, n):
+        cfg = make_cfg(users_per_cell=n, bs_antennas=n + 1, cell_count=cells,
+                       outer_ring_cells=outer)
+        seeds = [1000 * n + 50 * cells + outer + i for i in range(20)]
+        refs = [reference_topology(dataclasses.replace(cfg, seed=s)) for s in seeds]
+        if cells == 19 and n >= 5:  # the round-by-round continuation is reached
+            assert any(has_short_cell(dataclasses.replace(cfg, seed=s)) for s in seeds)
+        draws = []
+
+        def shadowing(rng, c, size):
+            draws.append(c.seed)
+            return sample_shadowing(rng, c, size)
+
+        monkeypatch.setattr(topology, "sample_shadowing", shadowing)
+        c = cells + outer
+        for size, first_all in itertools.product((1, 3, 20), (False, True)):
+            tops = build_topology_drops(cfg, seeds[:size])
+            assert [top.config for top in tops] == [
+                dataclasses.replace(cfg, seed=s) for s in seeds[:size]]
+            for rows in [c] if first_all else sorted({1, min(7, c), c}):
+                # each read goes through one drop's copy at another M and
+                # fills every drop's rows
+                draws.clear()
+                tops[rows % size].with_antennas(n + 1 + rows).large_scale_rows(rows)
+                assert draws == seeds[:size]
+                for top, (users, gains) in zip(tops, refs):
+                    assert np.array_equal(top.user_positions, users)
+                    assert np.array_equal(top.large_scale_rows(rows), gains[:rows])
+                assert draws == seeds[:size]
+        for s, top, (users, gains) in zip(seeds, tops, refs):
+            alone = build_topology(dataclasses.replace(cfg, seed=s))
+            assert np.array_equal(alone.user_positions, top.user_positions)
+            assert np.array_equal(alone.large_scale, gains)
+
+    def test_racing_first_reads_see_whole_rows(self):
+        # the fill computes in place, so readers racing through the drops of a
+        # fresh stack must each get finished rows, never a fill's middle steps
+        cfg = make_cfg(users_per_cell=5)
+        seeds = list(range(8))
+        want = [reference_topology(dataclasses.replace(cfg, seed=s))[1] for s in seeds]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                tops, got, start = build_topology_drops(cfg, seeds), {}, threading.Barrier(12)
+
+                def read(i):
+                    rows = (1, 7, 19)[i % 3]
+                    start.wait(timeout=30)
+                    got[i] = (i % 8, rows, tops[i % 8].large_scale_rows(rows).copy())
+
+                threads = [threading.Thread(target=read, args=(i,)) for i in range(12)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads) and len(got) == 12
+                for d, rows, gains in got.values():
+                    assert np.array_equal(gains, want[d][:rows])
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_an_empty_stack_is_empty(self):
+        assert build_topology_drops(make_cfg(), []) == []
 
 
 class TestBuildTopology:
