@@ -11,7 +11,9 @@ A change that alters outputs on purpose (a new ``estimatorVersion``, say)
 re-records the digests with
 ``PYTHONPATH=src python tests/test_golden_outputs.py``, which prints every
 (kind, file) whose digest changed, appeared or went away, and says why in
-CHANGES.md. The digests hold for one numpy/libm build; the last bits
+CHANGES.md. ``golden_variants.json`` holds, the same way, the digests of the
+option paths a default run does not take (``VARIANTS``), recorded by the same
+command. The digests hold for one numpy/libm build; the last bits
 of some floating-point functions may differ on another.
 """
 
@@ -30,20 +32,40 @@ import pytest
 from mcmimo.cli import KINDS, ExperimentSpec, run_experiment
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
+GOLDEN_VARIANTS = Path(__file__).with_name("golden_variants.json")
 ROOT = Path(__file__).resolve().parents[1]
 NETWORK = {"usersPerCell": 4, "bsAntennas": 20, "seed": 11}
 TRIALS, DROPS = 8, 2
 # with 2 drops, table3b's N=1 probe has no edge user in either drop, which the
 # edge-only gain search rejects as an error; 4 drops give every probe one
 KIND_DROPS = {"table3b": 4}
+# case -> (kind, spec fields over the default run's): the option paths the
+# closed-form runs branch on, on the same network
+_SPLIT = {"drops": 6, "sweep": {"variable": "bsAntennas", "values": [12, 30, 75, 300]}}
+VARIANTS = {
+    **{f"fig4-{e}": ("fig4", {"options": {"evaluator": e}}) for e in ("lower", "upper", "mc")},
+    "fig5-mc-reversed": ("fig5", {"options": {"evaluator": "mc",
+                                              "scenarios": ["singlecell", "multicell"]}}),
+    "fig6-unsorted-ratios": ("fig6", {"options": {"ratios": [5, 2, 10]}}),
+    "fig7-three-powers": ("fig7", {"options": {"powersDb": [10, 20, 25]}}),
+    "fig10-six-drops": ("fig10", _SPLIT),
+    "fig11-six-drops": ("fig11", _SPLIT),
+}
 
 
-def digests(kind: str, jobs: int = 1) -> dict[str, str]:
-    """Run ``kind`` into ./<kind> and return {file name: sha256 hex}."""
-    spec = ExperimentSpec.from_dict({"kind": kind, "network": NETWORK, "output": kind},
-                                    {"trials": TRIALS, "drops": KIND_DROPS.get(kind, DROPS)})
+def digests(kind: str, jobs: int = 1, **fields) -> dict[str, str]:
+    """Run ``kind`` into ./<kind> and return {file name: sha256 hex}; ``fields``
+    replace the default run's spec fields."""
+    drops = fields.pop("drops", KIND_DROPS.get(kind, DROPS))
+    spec = ExperimentSpec.from_dict({"kind": kind, "network": NETWORK, "output": kind, **fields},
+                                    {"trials": TRIALS, "drops": drops})
     out = run_experiment(spec, jobs=jobs)
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+def variant_digests(case: str) -> dict[str, str]:
+    kind, fields = VARIANTS[case]
+    return digests(kind, **fields)
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +81,16 @@ def test_golden_covers_every_kind(golden):
 def test_outputs_match_golden(kind, golden, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert digests(kind) == golden[kind]
+
+
+def test_variants_are_recorded():
+    assert sorted(json.loads(GOLDEN_VARIANTS.read_text())) == sorted(VARIANTS)
+
+
+@pytest.mark.parametrize("case", VARIANTS)
+def test_variant_outputs_match_golden(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert variant_digests(case) == json.loads(GOLDEN_VARIANTS.read_text())[case]
 
 
 def test_parallel_jobs_match_golden(golden, tmp_path, monkeypatch):
@@ -114,16 +146,17 @@ def test_changed_digests_names_each_difference():
 
 
 if __name__ == "__main__":
-    previous = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     here = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        try:
-            recorded = {kind: digests(kind) for kind in KINDS}
-        finally:
-            os.chdir(here)
-    GOLDEN.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
-    changes = changed_digests(previous, recorded)
-    for kind, name, what in changes:
-        print(f"{what}: {kind} {name}")
-    print(f"wrote {GOLDEN}: {len(changes)} digest(s) differ from the previous record")
+    for path, cases, run in ((GOLDEN, KINDS, digests), (GOLDEN_VARIANTS, VARIANTS, variant_digests)):
+        previous = json.loads(path.read_text()) if path.exists() else {}
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                recorded = {case: run(case) for case in cases}
+            finally:
+                os.chdir(here)
+        path.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
+        changes = changed_digests(previous, recorded)
+        for case, name, what in changes:
+            print(f"{what}: {case} {name}")
+        print(f"wrote {path}: {len(changes)} digest(s) differ from the previous record")
