@@ -9,9 +9,12 @@ manifest it wrote) reproduces the output files byte for byte.
 Each figure or table of the paper is one experiment kind, and one row of
 ``_KINDS`` says all that the kind is: its job runner (or its threshold
 search), its link, its sweep variables and defaults, its options with their
-defaults, and whether its curves are gains or split edge users. A link's
-interferer option, threshold-query default and closed-form rates are one row
-of ``_LINKS``. Every other part of the CLI reads these two tables.
+defaults, whether its curves are gains or split edge users, and how a
+closed-form kind names its curves. A link's interferer option,
+threshold-query default and closed-form rates are one row of ``_LINKS``.
+Every other part of the CLI reads these two tables. The power-allocation
+curves (fig4-fig7, fig10, fig11) share one runner, ``_job_closed_form``,
+whose drop stacks and probes the spec decides (``_probes``).
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .mcrate import (
 )
 from .network import network_sum_rate, run_joint_drops, run_scheduled_drops
 from .topology import (  # build_topology, the stack of one, is re-exported
-    CellTopology, NetworkConfig, build_topology, build_topology_drops, check_field, derive_seed)
+    NetworkConfig, build_topology, build_topology_drops, check_field, derive_seed)
 
 EDGE_SPLIT_FACTOR = 0.8  # users beyond this fraction of the cell radius are "edge"
 
@@ -157,6 +160,12 @@ class ExperimentSpec:
             if db_to_linear(db) * n > budget * (1 + 1e-9):
                 raise ValueError(f"option 'initialUserPowerDb' {db} dB times usersPerCell {n} "
                                  f"exceeds option 'powerW' {budget}")
+        for users, _, probes in _probes(self):  # each stack's build test, before any job
+            m, n_stack = min(m for _, m, _, _ in probes), users or n
+            if m <= n_stack:
+                name = "option 'ratios'" if users else "sweep.values"
+                raise ValueError(f"{name} gives M = {m} antennas for N = {n_stack} users: "
+                                 "a probe needs M > N")
 
     @property
     def direction(self) -> str:
@@ -246,7 +255,7 @@ def _mc_values(top, rows, direction, trials, mc_seed, shared=None):
             for est in mc(top, rows, 0, trials, mc_seed, shared=shared)]
 
 
-# the uplink strategies in record order; the network scheduler runs "approx"
+# the uplink strategies in allocation order; the network scheduler runs "approx"
 _UPLINK_STRATEGIES = {
     "lower": uplink_alloc_lower_bound,
     "upper": uplink_alloc_upper_bound,
@@ -284,23 +293,49 @@ def _cell0_rows(tops, direction, power):
     return profile(tops, stack, 0), interferers
 
 
-def _pa_eq(prof, ms, p_lin) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-user rates of cell 0 per drop, (D, N) each, with water-filling and
-    with equal power at each M of ``ms``: the uplink approximation of an
-    InterferenceProfile, the downlink lower bound of a DownlinkProfile. The
-    budget ``p_lin`` is one float or one per M: both are columns of one call."""
-    # the strategies are looked up by module-level name on each call, as for _mc_values
-    uplink = isinstance(prof, InterferenceProfile)
-    strategy, rate = ((uplink_alloc_approx, uplink_approximation) if uplink
-                      else (downlink_alloc, downlink_lower_bound))
+def _pa_eq(prof, ms, budgets, evaluator=None):
+    """(allocations, per-user rates) of cell 0 per drop, (A, P, D, N) each:
+    equal power, then each strategy's water-filling, at each probe's M of
+    ``ms`` and budget of ``budgets`` (one float, or one per probe). Under an
+    ``evaluator`` the strategies are the three uplink ones and its closed
+    form the rate (None under "mc"); else the link's own strategy, rated by
+    the uplink approximation of an InterferenceProfile or the downlink lower
+    bound of a DownlinkProfile. M and the budget are columns of one call per
+    strategy and of one rate call."""
+    # looked up by module-level name or dict value on each call, as for _mc_values
+    if evaluator:
+        strategies, rate = list(_UPLINK_STRATEGIES.values()), _UPLINK_RATES.get(evaluator)
+    elif isinstance(prof, InterferenceProfile):
+        strategies, rate = [_UPLINK_STRATEGIES["approx"]], _UPLINK_RATES["approx"]
+    else:
+        strategies, rate = [downlink_alloc], _DOWNLINK_RATES["lower"]
     n = prof.n_users
-    m, budget = np.array(ms)[:, None, None], np.array(p_lin, dtype=float).reshape(-1, 1, 1)
+    m, budget = np.array(ms)[:, None, None], np.array(budgets, dtype=float).reshape(-1, 1, 1)
+    pa = [strategy(prof, m, n, budget) for strategy in strategies]
     eq = np.array([equal_alloc(n, b) for b in budget.ravel().tolist()])[:, None]
-    return list(zip(rate(prof, m, n, strategy(prof, m, n, budget)), rate(prof, m, n, eq)))
+    allocs = np.stack([np.broadcast_to(eq, pa[0].shape), *pa])
+    return allocs, None if rate is None else rate(prof, m[None], n, allocs)
 
 
-def _edge_users(top: CellTopology) -> np.ndarray:
-    return top.user_distances(0) > EDGE_SPLIT_FACTOR * top.config.cell_radius
+def _edge_users(tops) -> np.ndarray:
+    """(D, N): the users of cell 0 beyond the edge radius in each drop of ``tops``."""
+    return np.stack([top.user_distances(0) > EDGE_SPLIT_FACTOR * top.config.cell_radius
+                     for top in tops])
+
+
+def _class_sums(rates, users=None) -> np.ndarray:
+    """Sums of the (..., D, N) per-user ``rates`` over each drop's users, (..., D),
+    or over those the (D, N) mask ``users`` selects, (..., D') over the drops
+    that select any."""
+    if users is None:
+        return rates.sum(axis=-1)
+    keep = users.any(axis=1)
+    picked = rates[..., keep, :]
+    # summed as 1-D selections: numpy's pairwise sum of a zero-filled row
+    # rounds differently from the sum of its selected entries
+    sums = [[row[u].sum() for row, u in zip(picked[i], users[keep])]
+            for i in np.ndindex(picked.shape[:-2])]
+    return np.array(sums, dtype=float).reshape(picked.shape[:-1])
 
 
 def _gains(prof, ms, budgets, users=None) -> np.ndarray:
@@ -308,16 +343,32 @@ def _gains(prof, ms, budgets, users=None) -> np.ndarray:
     ``ms`` and budget of ``budgets`` (equal-length lists), from one ``_pa_eq``
     call, over the users selected by the (D, N) mask ``users`` (all when
     None); drops selecting no user are left out."""
-    pairs = _pa_eq(prof, ms, budgets)
-    if users is None:
-        sums = [[r.sum(axis=1) for r in pair] for pair in pairs]
+    eq, pa = _class_sums(_pa_eq(prof, ms, budgets)[1], users)
+    return relative_gain(pa, eq)
+
+
+def _probes(spec: ExperimentSpec) -> list[tuple]:
+    """Each stack of drops a figure job builds, as (N, None for the
+    network's; scenario, "" without the option; its probes as (x, M, ratio,
+    power dB)), read by the spec check and the closed-form runner. M is an
+    antenna sweep's, or a ratio times N: the ratio sweep's (x the ratio) or
+    the ``ratios`` option's (x the M); at ``powerDb`` or at each of
+    ``powersDb``. A power or slot sweep probes the network's M, and a table
+    bisects its sweep: they have none."""
+    row = _KINDS[spec.kind]
+    opts, variable = {**row.options, **spec.options}, spec.sweep.variable
+    if isinstance(row.run, tuple) or variable in ("powerDb", "slot"):
+        return []
+    values = [int(v) for v in spec.sweep.values]
+    if variable == "usersPerCell":  # one stack per N: it serves every ratio, as only M changes
+        stacks = [(n, "", [(r * n, r * n, r) for r in map(int, opts["ratios"])]) for n in values]
     else:
-        keep = users.any(axis=1)
-        # summed as 1-D selections: numpy's pairwise sum of a zero-filled row
-        # rounds differently from the sum of its selected entries
-        sums = [[[row[u].sum() for row, u in zip(r[keep], users[keep])] for r in pair]
-                for pair in pairs]
-    return relative_gain(*np.array(sums, dtype=float).transpose(1, 0, 2))  # (pa, eq) sums
+        n = spec.network.users_per_cell
+        sizes = [(x, x * n, x) if variable == "ratio" else (x, x, None) for x in values]
+        stacks = [(None, scenario, sizes) for scenario in opts.get("scenarios", [""])]
+    powers = opts.get("powersDb", [opts.get("powerDb")])
+    return [(users, scenario, [(x, m, ratio, p) for p in powers for x, m, ratio in sizes])
+            for users, scenario, sizes in stacks]
 
 
 # ---------------------------------------------------------------------------
@@ -378,116 +429,56 @@ def _job_equal_power(spec: ExperimentSpec, job: dict) -> list[dict]:
     return records
 
 
-def _job_fixed_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
-    """Sum rate with M and N scaled together at fixed M/N, at every user
-    count of each drop: one stack of the job's drops per N."""
-    opts = spec.options
-    ratios = [int(ratio) for ratio in opts["ratios"]]
-    p_x, p_lin = db_to_linear(opts["interfererUserPowerDb"]), db_to_linear(opts["powerDb"])
-    by_n = []  # per N: its Ms, and per M the (pa, eq) sum rates of every drop
-    for users in spec.sweep.values:
-        n = int(users)
-        # each N is its own drop; it serves every ratio, as only M changes
-        tops = _drop_topologies(spec, job["drops"], users=n, antennas=min(ratios) * n)
-        ms = [ratio * n for ratio in ratios]
-        by_n.append((ms, [[r.sum(axis=1).tolist() for r in pair]
-                          for pair in _pa_eq(_cell0_rows(tops, "uplink", p_x)[0], ms, p_lin)]))
-    return [{"panel": f"ratio{ratio}", "label": label, "x": m, "value": sums[j], "ci": 0.0}
-            for j in range(len(job["drops"])) for ms, rates in by_n
-            for ratio, m, pair in zip(ratios, ms, rates)
-            for label, sums in zip(("pa", "eq"), pair)]
+def _job_closed_form(spec: ExperimentSpec, job: dict) -> list[dict]:
+    """Water-filled and equal-power sum rates of cell 0, or for a gain kind
+    the relative gains over equal power, per user class at every probe of
+    each stack of ``_probes``.
 
-
-def _job_strategies(spec: ExperimentSpec, job: dict) -> list[dict]:
-    """Per-strategy sum rates, or relative gains for a gain kind, at every M.
-
-    Per scenario, each strategy water-fills every drop's row at every M in
-    one call, and one call rates equal power and the three allocations at
-    every M over the job's drops. Monte Carlo rates equal power and the three
-    allocations of one drop and M as four rows of one call, from one set of
-    draws.
+    Per stack, ``_pa_eq`` water-fills every drop's row at every probe in one
+    call per strategy and rates every allocation in one call; Monte Carlo
+    (the ``mc`` evaluator) rates a drop's allocations at one M as the rows of
+    one call, from one set of draws. Each curve is named once per stack and
+    user class, from the kind's ``curve`` templates.
     """
-    ms = [int(v) for v in spec.sweep.values]
-    m_col = np.array(ms)[:, None, None]
-    opts = spec.options
-    p_lin = db_to_linear(opts["powerDb"])
-    drops = job["drops"]
-    scenarios = []  # (panel, labels, values, cis), values and cis as [drop][M][label]
-    for panel in opts["scenarios"]:
-        cells = 1 if panel == "singlecell" else None
-        tops = _drop_topologies(spec, drops, antennas=ms[0], cells=cells)
-        n = tops[0].n_users
-        prof, allocs = _cell0_rows(tops, "uplink", db_to_linear(opts["interfererUserPowerDb"]))
-        eq = equal_alloc(n, p_lin)
-        # (strategy, M, D, N): each strategy water-fills every drop's row at every M at once
-        pa = np.array([strategy(prof, m_col, n, p_lin) for strategy in _UPLINK_STRATEGIES.values()])
-        # (D, M, 4) values and cis of equal power and the three allocations
-        if opts["evaluator"] == "mc":
-            est = np.array([[_mc_values(top.with_antennas(m),
-                                        _own_rows(np.vstack([eq, pa[:, i, j]]), allocs),
-                                        "uplink", spec.trials,
-                                        derive_seed(spec.network.seed, _TAG_MC, d, i,
-                                                    0 if cells is None else 1))
-                             for i, m in enumerate(ms)] for j, (d, top) in enumerate(zip(drops, tops))])
-            values, cis = est[..., 0], est[..., 1]
-        else:
-            # every allocation at every M in one call: (4, M, D) sums, then (D, M, 4)
-            allocations = np.concatenate([np.broadcast_to(eq, (1, *pa.shape[1:])), pa])
-            values = _UPLINK_RATES[opts["evaluator"]](prof, m_col[None], n, allocations)
-            values = values.sum(axis=3).transpose(2, 1, 0)
-            cis = np.zeros_like(values)
-        if _KINDS[spec.kind].gain:  # gains over equal power
-            labels = list(_UPLINK_STRATEGIES)
-            values, cis = relative_gain(values[..., 1:], values[..., :1]), np.zeros_like(cis[..., 1:])
-        else:  # the strategies, then equal power
-            labels = [*_UPLINK_STRATEGIES, "equal"]
-            values, cis = np.roll(values, -1, axis=-1), np.roll(cis, -1, axis=-1)
-        scenarios.append((panel, labels, values.tolist(), cis.tolist()))
-    return [{"panel": panel, "label": label, "x": m, "value": value, "ci": ci}
-            for j in range(len(drops)) for panel, labels, values, cis in scenarios
-            for i, m in enumerate(ms)
-            for label, value, ci in zip(labels, values[j][i], cis[j][i])]
-
-
-def _job_gain_vs_ratio(spec: ExperimentSpec, job: dict) -> list[dict]:
-    """Relative gain against the antennas-per-user ratio at every ratio: one
-    strategy call per power panel for every ratio and all the job's drops."""
-    opts = spec.options
-    ratios = [int(v) for v in spec.sweep.values]
-    ms = [ratio * spec.network.users_per_cell for ratio in ratios]
-    tops = _drop_topologies(spec, job["drops"], antennas=ms[0])
-    prof, _ = _cell0_rows(tops, "uplink", db_to_linear(opts["interfererUserPowerDb"]))
-    gains = [[relative_gain(*(r.sum(axis=1) for r in rates)).tolist()
-              for rates in _pa_eq(prof, ms, db_to_linear(p_db))] for p_db in opts["powersDb"]]
-    return [{"panel": f"P{p_db:g}dB", "label": "gain", "x": ratio, "value": gain[j], "ci": 0.0}
-            for j in range(len(tops)) for p_db, by_ratio in zip(opts["powersDb"], gains)
-            for ratio, gain in zip(ratios, by_ratio)]
-
-
-def _job_downlink_split(spec: ExperimentSpec, job: dict) -> list[dict]:
-    """Central/edge user sums, or gains for a gain kind, on the downlink at
-    every M: one strategy call for every M and all the job's drops."""
-    ms = [int(v) for v in spec.sweep.values]
-    opts = spec.options
-    tops = _drop_topologies(spec, job["drops"], antennas=ms[0])
-    prof, _ = _cell0_rows(tops, "downlink", db_to_linear(opts["interfererCellPowerDb"]))
-    rates = _pa_eq(prof, ms, db_to_linear(opts["powerDb"]))
-
-    records = []
-    for j, top in enumerate(tops):
-        edge = _edge_users(top)
-        for m, (r_pa, r_eq) in zip(ms, rates):
-            for cls, mask in (("central", ~edge), ("edge", edge)):
-                if not mask.any():
-                    continue
-                c_pa, c_eq = float(r_pa[j][mask].sum()), float(r_eq[j][mask].sum())
-                if _KINDS[spec.kind].gain:
-                    records.append({"panel": "", "label": cls, "x": m,
-                                    "value": relative_gain(c_pa, c_eq), "ci": 0.0})
-                else:
-                    records.append({"panel": cls, "label": "pa", "x": m, "value": c_pa, "ci": 0.0})
-                    records.append({"panel": cls, "label": "eq", "x": m, "value": c_eq, "ci": 0.0})
-    return records
+    row, opts, drops = _KINDS[spec.kind], spec.options, job["drops"]
+    evaluator = opts.get("evaluator")
+    labels = ["equal", *_UPLINK_STRATEGIES] if evaluator else ["eq", "pa"]
+    labels = labels[1:] if row.gain else labels  # a gain is over equal power, the first
+    interferer = db_to_linear(opts[_LINKS[spec.direction][0]])
+    parts = []  # per stack and user class: its points' names, and per drop their (values, cis)
+    for users, scenario, probes in _probes(spec):
+        xs, ms, ratios, powers = zip(*probes)
+        single = scenario == "singlecell"
+        tops = _drop_topologies(spec, drops, users=users, antennas=min(ms),
+                                cells=1 if single else None)
+        prof, interferers = _cell0_rows(tops, spec.direction, interferer)
+        allocs, rates = _pa_eq(prof, ms, [db_to_linear(p) for p in powers], evaluator)
+        if rates is None:  # Monte Carlo: (A, P, D) sums and cis over every user
+            est = [[_mc_values(top.with_antennas(m), _own_rows(allocs[:, i, j], interferers),
+                               spec.direction, spec.trials,
+                               derive_seed(spec.network.seed, _TAG_MC, d, i, int(single)))
+                    for i, m in enumerate(ms)] for j, (d, top) in enumerate(zip(drops, tops))]
+            classes = [("", None, *np.array(est).transpose(3, 2, 1, 0))]
+        else:  # each user class's (A, P, D') sums
+            edge = _edge_users(tops) if row.edge else None
+            masks = [("central", ~edge), ("edge", edge)] if row.edge else [("", None)]
+            classes = [(cls, mask, _class_sums(rates, mask), None) for cls, mask in masks]
+        for cls, mask, sums, cis in classes:
+            if row.gain:
+                sums = relative_gain(sums[1:], sums[:1])
+            cis = np.zeros_like(sums) if row.gain or cis is None else cis
+            kept = (range(len(drops)) if mask is None
+                    else np.flatnonzero(mask.any(axis=1)).tolist())
+            fields = {"scenario": scenario, "cls": cls}
+            points = [(*(t.format(**fields, ratio=r, power=p, alloc=a) for t in row.curve), x)
+                      for x, r, p in zip(xs, ratios, powers) for a in labels]
+            # per kept drop, its values and cis in the order of ``points``
+            rows = [a.transpose(2, 1, 0).reshape(len(kept), len(points)).tolist()
+                    for a in (sums, cis)]
+            parts.append((points, dict(zip(kept, zip(*rows)))))
+    return [{"panel": panel, "label": label, "x": x, "value": value, "ci": ci}
+            for j in range(len(drops)) for points, by_drop in parts if j in by_drop
+            for (panel, label, x), value, ci in zip(points, *by_drop[j])]
 
 
 def _job_network_slots(spec: ExperimentSpec, job: dict) -> list[dict]:
@@ -677,7 +668,7 @@ def find_max_ratios(queries, base: NetworkConfig) -> list[tuple[int, bool]]:
                 cfg = replace(base, users_per_cell=n, bs_antennas=n + 1)
                 tops = build_topology_drops(cfg, seeds)
                 stacks[stack] = (_cell0_rows(tops, direction, interferer)[0],
-                                 np.stack([_edge_users(top) for top in tops]))
+                                 _edge_users(tops))
             prof, edges = stacks[stack]
             _, ms, budgets, xs = zip(*(probes[i] for i in members))
             gains = _gains(prof, list(ms), list(budgets), edges if edge_only else None)
@@ -733,6 +724,9 @@ class _Kind:
     options: dict  # every option it takes, with its default
     gain: bool = False  # its curves are relative gains
     edge: bool = False  # it splits cell 0's users at EDGE_SPLIT_FACTOR
+    # a closed-form kind's (panel, label) of each curve, formatted with its
+    # scenario, ratio, power (dB), user class (cls) and allocation (alloc)
+    curve: tuple = ()
 
 
 _M_FINE, _M_COARSE = [20, *range(50, 501, 50)], [20, 50, 100, 150, 200, 300, 400, 500]
@@ -745,20 +739,25 @@ _KINDS = {
                    "estimators": ["mc", "lower", "upper", "approx"]}),
     "fig3": _Kind(_job_equal_power, "uplink", ("powerDb",), [0, 5, 10, 15, 20, 25, 30],
                   {"interfererUserPowerDb": 10, "estimators": ["mc", "lower", "upper", "approx"]}),
-    "fig4": _Kind(_job_strategies, "uplink", ("bsAntennas",), _M_COARSE, _STRATEGY_OPTIONS),
-    "fig5": _Kind(_job_strategies, "uplink", ("bsAntennas",), _M_COARSE, _STRATEGY_OPTIONS,
-                  gain=True),
-    "fig6": _Kind(_job_fixed_ratio, "uplink", ("usersPerCell",), [4, 8, 12, 16, 20],
-                  {"ratios": [2, 5, 10], "powerDb": 20, "interfererUserPowerDb": 10}),
-    "fig7": _Kind(_job_gain_vs_ratio, "uplink", ("ratio",), [2, 4, 6, 8, 10, 14, 18, 22, 26, 30],
-                  {"powersDb": [10, 15, 20, 25], "interfererUserPowerDb": 10}, gain=True),
+    "fig4": _Kind(_job_closed_form, "uplink", ("bsAntennas",), _M_COARSE, _STRATEGY_OPTIONS,
+                  curve=("{scenario}", "{alloc}")),
+    "fig5": _Kind(_job_closed_form, "uplink", ("bsAntennas",), _M_COARSE, _STRATEGY_OPTIONS,
+                  gain=True, curve=("{scenario}", "{alloc}")),
+    "fig6": _Kind(_job_closed_form, "uplink", ("usersPerCell",), [4, 8, 12, 16, 20],
+                  {"ratios": [2, 5, 10], "powerDb": 20, "interfererUserPowerDb": 10},
+                  curve=("ratio{ratio}", "{alloc}")),
+    "fig7": _Kind(_job_closed_form, "uplink", ("ratio",), [2, 4, 6, 8, 10, 14, 18, 22, 26, 30],
+                  {"powersDb": [10, 15, 20, 25], "interfererUserPowerDb": 10}, gain=True,
+                  curve=("P{power:g}dB", "gain")),
     "fig8": _Kind(_job_equal_power, "downlink", ("bsAntennas",), _M_FINE,
                   {"powersDb": [40, 50], "interfererCellPowerDb": 30,
                    "estimators": ["mc", "lower"]}),
-    "fig10": _Kind(_job_downlink_split, "downlink", ("bsAntennas",), _M_COARSE,
-                   {"powerDb": 40, "interfererCellPowerDb": 30}, edge=True),
-    "fig11": _Kind(_job_downlink_split, "downlink", ("bsAntennas",), _M_COARSE,
-                   {"powerDb": 40, "interfererCellPowerDb": 30}, gain=True, edge=True),
+    "fig10": _Kind(_job_closed_form, "downlink", ("bsAntennas",), _M_COARSE,
+                   {"powerDb": 40, "interfererCellPowerDb": 30}, edge=True,
+                   curve=("{cls}", "{alloc}")),
+    "fig11": _Kind(_job_closed_form, "downlink", ("bsAntennas",), _M_COARSE,
+                   {"powerDb": 40, "interfererCellPowerDb": 30}, gain=True, edge=True,
+                   curve=("", "{cls}")),
     "fig12": _Kind(_job_network_slots, "uplink", ("slot",), list(range(1, 13)),
                    {"powerW": 50.0, "initialUserPowerDb": 10, "estimator": "closedForm",
                     "jointMaxIters": 800, "jointTolerance": 1e-8}),

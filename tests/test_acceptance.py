@@ -16,7 +16,6 @@ from mcmimo.allocation import (
     PROFILE_COEFFICIENTS,
     downlink_alloc,
     equal_alloc,
-    relative_gain,
     uplink_alloc_approx,
     uplink_alloc_lower_bound,
     uplink_alloc_upper_bound,
@@ -24,7 +23,7 @@ from mcmimo.allocation import (
 from mcmimo.cli import (
     GainThresholdQuery,
     _cell0_rows,
-    _pa_eq,
+    _gains,
     db_to_linear,
     derive_seed,
     find_max_ratio,
@@ -203,7 +202,7 @@ def test_criterion_08_relative_gain():
     base = NetworkConfig(users_per_cell=10, bs_antennas=100, seed=2024)
     drops = [build_topology(replace(base, seed=derive_seed(2024, 1, d))) for d in range(50)]
     rows, _ = _cell0_rows(drops, "uplink", db_to_linear(10.0))  # cell 0's profile in every drop
-    gains = relative_gain(*(r.sum(axis=1) for r in _pa_eq(rows, [100], db_to_linear(20.0))[0]))
+    gains, = _gains(rows, [100], [db_to_linear(20.0)])  # one probe's gain in every drop
     eta = float(np.mean(gains))
     report(8, "relative gain", 0.09 <= eta <= 0.19, f"eta = {eta:.4f}")
 

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -216,6 +217,38 @@ class TestSpecParsing:
                "sweep": {"variable": variable, "values": [0, 30]}}
         with pytest.raises(ValueError, match="sweep.values"):
             ExperimentSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("kind, sweep, options, name", [
+        *[(kind, ("bsAntennas", [4, 30]), {}, "sweep.values")
+          for kind in ("fig2", "fig4", "fig5", "fig8", "fig10", "fig11", "custom")],
+        ("fig4", ("bsAntennas", [3, 30]), {"evaluator": "mc"}, "sweep.values"),
+        ("custom", ("bsAntennas", [2, 30]), {"direction": "downlink"}, "sweep.values"),
+        ("fig7", ("ratio", [1, 2]), {}, "sweep.values"),
+        ("fig6", ("usersPerCell", [2, 4]), {"ratios": [2, 1]}, "option 'ratios'"),
+    ])
+    def test_infeasible_probe_fails_before_any_job(self, tmp_path, kind, sweep, options, name):
+        # each ran into a job, a pool worker at --jobs 2, and failed there with
+        # "bsAntennas must be at least usersPerCell+1"
+        doc = {"kind": kind, "network": {"usersPerCell": 4, "bsAntennas": 30},
+               "sweep": {"variable": sweep[0], "values": sweep[1]}, "options": options,
+               "output": str(tmp_path / kind)}
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} gives M = "):
+            ExperimentSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("kind, sweep, options", [
+        ("fig4", ("bsAntennas", [5, 30]), {}),
+        ("fig10", ("bsAntennas", [5]), {}),
+        ("fig7", ("ratio", [2]), {}),
+        ("fig6", ("usersPerCell", [1]), {"ratios": [2]}),
+        ("fig3", ("powerDb", [0, 10]), {}),
+    ])
+    def test_smallest_feasible_probe_runs(self, tmp_path, kind, sweep, options):
+        # M = N + 1 is the smallest M a job builds; a power sweep probes the
+        # network's M, which NetworkConfig checks
+        doc = {"kind": kind, "network": {"usersPerCell": 4, "bsAntennas": 5},
+               "sweep": {"variable": sweep[0], "values": sweep[1]}, "options": options,
+               "drops": 1, "trials": 8, "output": str(tmp_path / kind)}
+        assert (run_experiment(ExperimentSpec.from_dict(doc)) / "manifest.json").exists()
 
     def test_drop_topology_takes_zero_as_given(self, tmp_path):
         spec = ExperimentSpec.from_dict(tiny_spec(tmp_path))
@@ -501,7 +534,7 @@ class TestRunExperiment:
                "output": str(tmp_path / "fig4")}
         spec = ExperimentSpec.from_dict(doc)
         got = {(r["panel"], r["label"], r["x"]): (r["value"], r["ci"])
-               for r in cli._job_strategies(spec, {"drops": [0]})}
+               for r in cli._job_closed_form(spec, {"drops": [0]})}
         assert len(got) == 2 * 4 * len(ms)
         for panel, cells, tag in (("multicell", None, 0), ("singlecell", 1, 1)):
             for i, m in enumerate(ms):
@@ -530,7 +563,7 @@ class TestRunExperiment:
                "output": str(tmp_path / "fig5")}
         spec = ExperimentSpec.from_dict(doc)
         got = {(r["panel"], r["label"], r["x"]): r["value"]
-               for r in cli._job_strategies(spec, {"drops": [0]})}
+               for r in cli._job_closed_form(spec, {"drops": [0]})}
         assert len(got) == 2 * 3 * len(ms)
         for panel, cells, tag in (("multicell", None, 0), ("singlecell", 1, 1)):
             for i, m in enumerate(ms):
@@ -916,10 +949,11 @@ class TestStackedDrops:
 
     def test_uplink_gains_equal_one_drop_at_a_time(self):
         tops = self.drops(12)
-        (r_pa, r_eq), = cli._pa_eq(cli._cell0_rows(tops, "uplink", 10.0)[0], [48], 100.0)
-        stacked = relative_gain(r_pa.sum(axis=1), r_eq.sum(axis=1))
+        stacked, = cli._gains(cli._cell0_rows(tops, "uplink", 10.0)[0], [48], [100.0])
         for top, gain in zip(tops, stacked):
-            (r_pa, r_eq), = cli._pa_eq(cli._cell0_rows([top], "uplink", 10.0)[0], [48], 100.0)
+            # equal power first, then the water-filling: (A, P, D, N) rates
+            _, ((r_eq,), (r_pa,)) = cli._pa_eq(cli._cell0_rows([top], "uplink", 10.0)[0], [48],
+                                               100.0)
             assert gain == relative_gain(float(r_pa.sum(axis=1)[0]), float(r_eq.sum(axis=1)[0]))
 
     def test_antenna_counts_equal_one_at_a_time(self):
@@ -928,11 +962,12 @@ class TestStackedDrops:
         up = cli._cell0_rows(self.drops(12), "uplink", 10.0)[0]
         down = cli._cell0_rows(self.drops(12), "downlink", 1000.0)[0]
         for prof in (up, down):
-            together = cli._pa_eq(prof, ms, 100.0)
-            assert len(together) == len(ms)
-            for m, (r_pa, r_eq) in zip(ms, together):
-                (one_pa, one_eq), = cli._pa_eq(prof, [m], 100.0)
-                assert r_pa.tolist() == one_pa.tolist() and r_eq.tolist() == one_eq.tolist()
+            allocs, rates = cli._pa_eq(prof, ms, 100.0)
+            assert allocs.shape == rates.shape == (2, len(ms), 8, 12)
+            for k, m in enumerate(ms):
+                one_allocs, one_rates = cli._pa_eq(prof, [m], 100.0)
+                assert allocs[:, k].tolist() == one_allocs[:, 0].tolist()
+                assert rates[:, k].tolist() == one_rates[:, 0].tolist()
 
     @pytest.mark.parametrize("selection", ["edge", "random"])
     def test_selected_gains_equal_one_drop_at_a_time(self, selection):
@@ -940,16 +975,16 @@ class TestStackedDrops:
         # round differently from the sum of the selected users
         tops = self.drops(16)
         if selection == "edge":
-            users = np.stack([cli._edge_users(top) for top in tops])
+            users = cli._edge_users(tops)
         else:
             users = np.random.default_rng(0).random((len(tops), 16)) < 0.6
         stacked, = cli._gains(cli._cell0_rows(tops, "downlink", 1000.0)[0], [64], [1e4], users)
         want = []
         for top, chosen in zip(tops, users):
             if chosen.any():
-                (r_pa, r_eq), = cli._pa_eq(cli._cell0_rows([top], "downlink", 1000.0)[0], [64], 1e4)
-                want.append(relative_gain(float(r_pa[0][chosen].sum()),
-                                          float(r_eq[0][chosen].sum())))
+                _, rates = cli._pa_eq(cli._cell0_rows([top], "downlink", 1000.0)[0], [64], 1e4)
+                r_eq, r_pa = rates[:, 0, 0]
+                want.append(relative_gain(float(r_pa[chosen].sum()), float(r_eq[chosen].sum())))
         assert 0 < len(want) and stacked.tolist() == want
 
 
@@ -1041,7 +1076,9 @@ class TestStackedJobs:
         ("fig4", [12, 30, 75], {"evaluator": "approx"}),
         ("fig4", [12, 30, 75], {"evaluator": "mc"}),
         ("fig5", [12, 30, 75], {}),
+        ("fig5", [12, 30, 75], {"evaluator": "mc"}),
         ("fig6", [2, 4], {"ratios": [2, 5]}),
+        ("fig6", [2, 4], {"ratios": [5, 2, 10]}),
         ("fig7", [2, 6, 10], {"powersDb": [10, 20]}),
         ("fig10", [12, 30, 75], {}),
         ("fig11", [12, 30, 75], {}),
