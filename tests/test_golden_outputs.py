@@ -50,6 +50,13 @@ VARIANTS = {
     "fig7-three-powers": ("fig7", {"options": {"powersDb": [10, 20, 25]}}),
     "fig10-six-drops": ("fig10", _SPLIT),
     "fig11-six-drops": ("fig11", _SPLIT),
+    # the equal-power runs: a downlink power sweep, one power panel, one estimator
+    "custom-downlink-power-sweep": ("custom", {
+        "options": {"direction": "downlink"},
+        "sweep": {"variable": "powerDb", "values": [30, 37.5, 45]}}),
+    "fig8-one-power": ("fig8", {"options": {"powersDb": [45]}}),
+    "fig3-mc-only": ("fig3", {"options": {"estimators": ["mc"]}}),
+    "fig2-upper-only": ("fig2", {"options": {"estimators": ["upper"]}}),
 }
 
 
