@@ -9,12 +9,13 @@ manifest it wrote) reproduces the output files byte for byte.
 Each figure or table of the paper is one experiment kind, and one row of
 ``_KINDS`` says all that the kind is: its job runner (or its threshold
 search), its link, its sweep variables and defaults, its options with their
-defaults, whether its curves are gains or split edge users, and how a
-closed-form kind names its curves. A link's interferer option,
-threshold-query default and closed-form rates are one row of ``_LINKS``.
-Every other part of the CLI reads these two tables. The power-allocation
-curves (fig4-fig7, fig10, fig11) share one runner, ``_job_closed_form``,
-whose drop stacks and probes the spec decides (``_probes``).
+defaults, whether its curves are gains or split edge users, and how it
+names its curves. A link's interferer option, threshold-query default and
+closed-form rates are one row of ``_LINKS``. Every other part of the CLI
+reads these two tables. Every figure but fig12 runs one runner,
+``_job_curves``, whose drop stacks and probes the spec decides
+(``_probes``): the equal-power curves (fig2, fig3, fig8, custom) by each
+estimator, the power-allocation curves (fig4-fig7, fig10, fig11) by one.
 """
 
 from __future__ import annotations
@@ -152,8 +153,12 @@ class ExperimentSpec:
             if key not in row.options:
                 raise ValueError(f"unknown option {key!r} for kind {self.kind!r}; "
                                  f"expected one of {sorted(row.options)}")
-            check_field(f"option {key!r}", self.options[key], [("mc", *_LINKS[self.direction][2])]
-                        if key == "estimators" else _FIELDS[key])
+            value = check_field(f"option {key!r}", self.options[key],
+                                [("mc", *_LINKS[self.direction][2])]
+                                if key == "estimators" else _FIELDS[key])
+            # a repeated entry would count each drop twice in a curve point, or repeat table rows
+            if isinstance(value, (list, tuple)) and len(set(value)) < len(value):
+                raise ValueError(f"option {key!r} must not repeat an entry, got {value!r}")
         opts, n = {**row.options, **self.options}, self.network.users_per_cell
         if "powerW" in opts:  # run_scheduled_drops' budget test, before any job
             db, budget = opts["initialUserPowerDb"], opts["powerW"]
@@ -236,31 +241,21 @@ class ExperimentSpec:
 # shared evaluation helpers
 # ---------------------------------------------------------------------------
 
-def _own_rows(own, interferers) -> np.ndarray:
-    """(R, C, N) powers: the (C, N) ``interferers`` with cell 0's replaced by
-    each of the R rows of ``own``."""
-    rows = np.repeat(interferers[None], len(own), axis=0)
-    rows[:, 0] = own
-    return rows
-
-
-def _mc_values(top, rows, direction, trials, mc_seed, shared=None):
-    """(sum rate, within-drop CI) of cell 0 by Monte Carlo for each of the
-    (R, C, N) power ``rows``, every row from one set of draws: ``shared``,
-    the drop's ``shared_draws``, if given."""
-    # looked up by module-level name on each call, as the tracing of
-    # benchmarks/spans.py replaces those names
-    mc = uplink_rate_mc if direction == "uplink" else downlink_rate_mc
-    return [(est.sum_rate, float(est.ci_half_width.sum()))
-            for est in mc(top, rows, 0, trials, mc_seed, shared=shared)]
-
-
 # the uplink strategies in allocation order; the network scheduler runs "approx"
 _UPLINK_STRATEGIES = {
     "lower": uplink_alloc_lower_bound,
     "upper": uplink_alloc_upper_bound,
     "approx": uplink_alloc_approx,
 }
+
+
+def _link_strategy(direction: str) -> tuple:
+    """(strategy, closed form): the link's own water-filling and the name of
+    the closed form it maximises. Looked up by dict value or module-level
+    name on each call, as the tracing of benchmarks/spans.py replaces those."""
+    if direction == "uplink":
+        return _UPLINK_STRATEGIES["approx"], "approx"
+    return downlink_alloc, "lower"
 
 
 def _drop_topologies(spec: ExperimentSpec, drops, *, users=None, antennas=None, cells=None):
@@ -287,34 +282,49 @@ def _cell0_rows(tops, direction, power):
     cell total ``power`` split equally across the users."""
     n = tops[0].n_users
     interferers = np.full((tops[0].n_cells, n), power if direction == "uplink" else power / n)
-    # looked up by module-level name on each call, as for _mc_values
+    # looked up by module-level name on each call, as for _link_strategy
     profile = uplink_profile if direction == "uplink" else downlink_profile
     stack = np.broadcast_to(interferers, (len(tops), *interferers.shape))  # one set per drop
     return profile(tops, stack, 0), interferers
 
 
-def _pa_eq(prof, ms, budgets, evaluator=None):
-    """(allocations, per-user rates) of cell 0 per drop, (A, P, D, N) each:
-    equal power, then each strategy's water-filling, at each probe's M of
-    ``ms`` and budget of ``budgets`` (one float, or one per probe). Under an
-    ``evaluator`` the strategies are the three uplink ones and its closed
-    form the rate (None under "mc"); else the link's own strategy, rated by
-    the uplink approximation of an InterferenceProfile or the downlink lower
-    bound of a DownlinkProfile. M and the budget are columns of one call per
-    strategy and of one rate call."""
-    # looked up by module-level name or dict value on each call, as for _mc_values
-    if evaluator:
-        strategies, rate = list(_UPLINK_STRATEGIES.values()), _UPLINK_RATES.get(evaluator)
-    elif isinstance(prof, InterferenceProfile):
-        strategies, rate = [_UPLINK_STRATEGIES["approx"]], _UPLINK_RATES["approx"]
-    else:
-        strategies, rate = [downlink_alloc], _DOWNLINK_RATES["lower"]
+def _allocations(prof, ms, budgets, strategies) -> np.ndarray:
+    """(A, P, D, N) powers of cell 0 per drop: equal power, then each of
+    ``strategies``' water-filling, at each probe's M of ``ms`` and budget of
+    ``budgets`` (one float, or one per probe). M and the budget are columns
+    of one call per strategy. Equal power is every user's budget / N, one
+    split for every drop: with no strategy, D is 1."""
     n = prof.n_users
     m, budget = np.array(ms)[:, None, None], np.array(budgets, dtype=float).reshape(-1, 1, 1)
-    pa = [strategy(prof, m, n, budget) for strategy in strategies]
-    eq = np.array([equal_alloc(n, b) for b in budget.ravel().tolist()])[:, None]
-    allocs = np.stack([np.broadcast_to(eq, pa[0].shape), *pa])
-    return allocs, None if rate is None else rate(prof, m[None], n, allocs)
+    eq = np.broadcast_to(budget / n, (len(ms), 1, n))
+    return np.stack(np.broadcast_arrays(eq, *(strategy(prof, m, n, budget)
+                                              for strategy in strategies)))
+
+
+def _mc_rates(spec: ExperimentSpec, drops, tops, interferers, ms, allocs):
+    """(2, A, P, D, N): cell 0's per-user Monte Carlo rates, then their
+    half-widths, under the (A, P, D, N) ``allocs`` (D may be 1), at each
+    probe's M of ``ms``, the probes at one M following one another.
+
+    A drop's draws are keyed by the drop alone: its interference is drawn
+    once (``shared_draws``), as nothing drawn depends on power and only the
+    Gammas on M, and its allocations at one M are the rows of one call."""
+    a, p, _, n = allocs.shape
+    size = p // len(set(ms))  # the probes at each M
+    rows = np.empty((len(tops), p * a, *interferers.shape))  # per drop, its (P, A) rows
+    rows[:] = interferers
+    rows[:, :, 0] = allocs.transpose(2, 1, 0, 3).reshape(-1, p * a, n)
+    # looked up by module-level name on each call, as for _link_strategy
+    mc = uplink_rate_mc if spec.direction == "uplink" else downlink_rate_mc
+    ests = []
+    for d, top, own in zip(drops, tops, rows):
+        seed = derive_seed(spec.network.seed, _TAG_MC, d)
+        draws = shared_draws(top, own[:size * a], 0, spec.trials, seed, spec.direction)
+        for k in range(0, p, size):
+            ests += mc(top.with_antennas(ms[k]), own[k * a:(k + size) * a], 0, spec.trials,
+                       seed, shared=draws)
+    values = np.array([(est.per_user_rate, est.ci_half_width) for est in ests])
+    return values.reshape(len(tops), p, a, 2, n).transpose(3, 2, 1, 0, 4)
 
 
 def _edge_users(tops) -> np.ndarray:
@@ -339,26 +349,33 @@ def _class_sums(rates, users=None) -> np.ndarray:
 
 
 def _gains(prof, ms, budgets, users=None) -> np.ndarray:
-    """Relative gains of cell 0 per drop, (probes, D), at each probe's M of
-    ``ms`` and budget of ``budgets`` (equal-length lists), from one ``_pa_eq``
-    call, over the users selected by the (D, N) mask ``users`` (all when
-    None); drops selecting no user are left out."""
-    eq, pa = _class_sums(_pa_eq(prof, ms, budgets)[1], users)
+    """Relative gains of cell 0 per drop, (probes, D), of the link's own
+    strategy over equal power at each probe's M of ``ms`` and budget of
+    ``budgets`` (equal-length lists), over the users selected by the (D, N)
+    mask ``users`` (all when None); drops selecting no user are left out."""
+    direction = "uplink" if isinstance(prof, InterferenceProfile) else "downlink"
+    strategy, rate = _link_strategy(direction)
+    allocs = _allocations(prof, ms, budgets, [strategy])
+    m = np.array(ms)[None, :, None, None]
+    eq, pa = _class_sums(_LINKS[direction][2][rate](prof, m, prof.n_users, allocs), users)
     return relative_gain(pa, eq)
 
 
 def _probes(spec: ExperimentSpec) -> list[tuple]:
     """Each stack of drops a figure job builds, as (N, None for the
     network's; scenario, "" without the option; its probes as (x, M, ratio,
-    power dB)), read by the spec check and the closed-form runner. M is an
-    antenna sweep's, or a ratio times N: the ratio sweep's (x the ratio) or
-    the ``ratios`` option's (x the M); at ``powerDb`` or at each of
-    ``powersDb``. A power or slot sweep probes the network's M, and a table
-    bisects its sweep: they have none."""
+    power dB)), read by the spec check and the curve runner. M is an antenna
+    sweep's, or a ratio times N: the ratio sweep's (x the ratio) or the
+    ``ratios`` option's (x the M); at ``powerDb`` or at each of ``powersDb``,
+    the probes at one M following one another. A power sweep probes the
+    network's M at each power (x the power). A slot sweep and a table's
+    bisection have none."""
     row = _KINDS[spec.kind]
     opts, variable = {**row.options, **spec.options}, spec.sweep.variable
-    if isinstance(row.run, tuple) or variable in ("powerDb", "slot"):
+    if isinstance(row.run, tuple) or variable == "slot":
         return []
+    if variable == "powerDb":
+        return [(None, "", [(p, spec.network.bs_antennas, None, p) for p in spec.sweep.values])]
     values = [int(v) for v in spec.sweep.values]
     if variable == "usersPerCell":  # one stack per N: it serves every ratio, as only M changes
         stacks = [(n, "", [(r * n, r * n, r) for r in map(int, opts["ratios"])]) for n in values]
@@ -367,7 +384,7 @@ def _probes(spec: ExperimentSpec) -> list[tuple]:
         sizes = [(x, x * n, x) if variable == "ratio" else (x, x, None) for x in values]
         stacks = [(None, scenario, sizes) for scenario in opts.get("scenarios", [""])]
     powers = opts.get("powersDb", [opts.get("powerDb")])
-    return [(users, scenario, [(x, m, ratio, p) for p in powers for x, m, ratio in sizes])
+    return [(users, scenario, [(x, m, ratio, p) for x, m, ratio in sizes for p in powers])
             for users, scenario, sizes in stacks]
 
 
@@ -385,97 +402,62 @@ def _probes(spec: ExperimentSpec) -> list[tuple]:
 # closed-form rate takes every drop's row at every M in one call, giving
 # (K, D, N), each entry with the bits of a job of its drop alone at that M.
 
-def _job_equal_power(spec: ExperimentSpec, job: dict) -> list[dict]:
-    """Equal-power rate curves of each drop, on the spec's link.
+def _job_curves(spec: ExperimentSpec, job: dict) -> list[dict]:
+    """Sum rates of cell 0, or for a gain kind the relative gains over equal
+    power, per user class at every probe of each stack of ``_probes``: of
+    equal power by each estimator of the ``estimators`` option, else of equal
+    power and each strategy's water-filling by one evaluator (the
+    ``evaluator`` option, or the closed form the link's strategy maximises).
 
-    An M sweep rates the power panels, a power sweep every power, as rows;
-    each closed form rates them at every M of a drop in one call, and Monte
-    Carlo in one call per M. Monte Carlo draws a drop's interference once,
-    for all its rows and Ms (``shared_draws``), as nothing drawn depends on
-    power and only the Gammas on M. The job's drops are built as one stack,
-    then run one at a time, as the Monte Carlo is their cost.
-    """
-    opts = spec.options
-    option, _, formulas = _LINKS[spec.direction]
-    # each row's (panel, power), and per call its M and each row's x
-    if spec.sweep.variable == "powerDb":
-        powers = [("", db_to_linear(x)) for x in spec.sweep.values]
-        calls = [(spec.network.bs_antennas, spec.sweep.values)]
-    else:
-        powers = ([(f"P{num:g}dB", db_to_linear(num)) for num in opts["powersDb"]]
-                  if "powersDb" in opts else [("", db_to_linear(opts.get("powerDb", 20)))])
-        calls = [(int(x), [x] * len(powers)) for x in spec.sweep.values]
-    records = []
-    for d, top in zip(job["drops"], _drop_topologies(spec, job["drops"], antennas=calls[0][0])):
-        n = top.n_users
-        prof, interferers = _cell0_rows([top], spec.direction, db_to_linear(opts[option]))
-        own = np.array([equal_alloc(n, p_lin) for _, p_lin in powers])
-        rows, mc_seed = _own_rows(own, interferers), derive_seed(spec.network.seed, _TAG_MC, d)
-        draws = (shared_draws(top, rows, 0, spec.trials, mc_seed, spec.direction)
-                 if "mc" in opts["estimators"] else None)
-        # each closed form's (M, panel) sum rates, every M of the drop in one call
-        ms = np.array([m for m, _ in calls])[:, None, None]
-        sums = {est: formulas[est](prof, ms, n, own).sum(axis=2).tolist()
-                for est in opts["estimators"] if est != "mc"}
-        for k, (m, xs) in enumerate(calls):
-            values = {est: _mc_values(top.with_antennas(m), rows, spec.direction, spec.trials,
-                                      mc_seed, draws) if est == "mc"
-                      else [(value, 0.0) for value in sums[est][k]]
-                      for est in opts["estimators"]}
-            records += [{"panel": panel, "label": est, "x": x, "value": rates[pi][0],
-                         "ci": rates[pi][1]}
-                        for pi, ((panel, _), x) in enumerate(zip(powers, xs))
-                        for est, rates in values.items()]
-    return records
-
-
-def _job_closed_form(spec: ExperimentSpec, job: dict) -> list[dict]:
-    """Water-filled and equal-power sum rates of cell 0, or for a gain kind
-    the relative gains over equal power, per user class at every probe of
-    each stack of ``_probes``.
-
-    Per stack, ``_pa_eq`` water-fills every drop's row at every probe in one
-    call per strategy and rates every allocation in one call; Monte Carlo
-    (the ``mc`` evaluator) rates a drop's allocations at one M as the rows of
-    one call, from one set of draws. Each curve is named once per stack and
-    user class, from the kind's ``curve`` templates.
+    Per stack, ``_allocations`` water-fills every drop's row at every probe
+    in one call per strategy, and a closed form rates every allocation in one
+    call; Monte Carlo rates them as ``_mc_rates`` says. Each curve is named
+    once per stack, user class and (ratio, power), from the kind's ``curve``
+    templates.
     """
     row, opts, drops = _KINDS[spec.kind], spec.options, job["drops"]
-    evaluator = opts.get("evaluator")
-    labels = ["equal", *_UPLINK_STRATEGIES] if evaluator else ["eq", "pa"]
+    option, _, formulas = _LINKS[spec.direction]
+    if "estimators" in opts:
+        strategies, labels, ests = [], ["equal"], opts["estimators"]
+    elif "evaluator" in opts:
+        strategies, labels = list(_UPLINK_STRATEGIES.values()), ["equal", *_UPLINK_STRATEGIES]
+        ests = [opts["evaluator"]]
+    else:
+        strategy, est = _link_strategy(spec.direction)
+        strategies, labels, ests = [strategy], ["eq", "pa"], [est]
     labels = labels[1:] if row.gain else labels  # a gain is over equal power, the first
-    interferer = db_to_linear(opts[_LINKS[spec.direction][0]])
+    interferer = db_to_linear(opts[option])
     parts = []  # per stack and user class: its points' names, and per drop their (values, cis)
     for users, scenario, probes in _probes(spec):
-        xs, ms, ratios, powers = zip(*probes)
-        single = scenario == "singlecell"
+        _, ms, _, powers = zip(*probes)
         tops = _drop_topologies(spec, drops, users=users, antennas=min(ms),
-                                cells=1 if single else None)
+                                cells=1 if scenario == "singlecell" else None)
         prof, interferers = _cell0_rows(tops, spec.direction, interferer)
-        allocs, rates = _pa_eq(prof, ms, [db_to_linear(p) for p in powers], evaluator)
-        if rates is None:  # Monte Carlo: (A, P, D) sums and cis over every user
-            est = [[_mc_values(top.with_antennas(m), _own_rows(allocs[:, i, j], interferers),
-                               spec.direction, spec.trials,
-                               derive_seed(spec.network.seed, _TAG_MC, d, i, int(single)))
-                    for i, m in enumerate(ms)] for j, (d, top) in enumerate(zip(drops, tops))]
-            classes = [("", None, *np.array(est).transpose(3, 2, 1, 0))]
-        else:  # each user class's (A, P, D') sums
-            edge = _edge_users(tops) if row.edge else None
-            masks = [("central", ~edge), ("edge", edge)] if row.edge else [("", None)]
-            classes = [(cls, mask, _class_sums(rates, mask), None) for cls, mask in masks]
-        for cls, mask, sums, cis in classes:
+        allocs = _allocations(prof, ms, [db_to_linear(p) for p in powers], strategies)
+        m = np.array(ms)[None, :, None, None]
+        # per estimator, the (A, P, D, N) per-user rates and half-widths (None: 0)
+        rates = [_mc_rates(spec, drops, tops, interferers, ms, allocs) if est == "mc"
+                 else (formulas[est](prof, m, prof.n_users, allocs), None) for est in ests]
+        edge = _edge_users(tops) if row.edge else None
+        for cls, mask in [("central", ~edge), ("edge", edge)] if row.edge else [("", None)]:
+            sums = np.stack([_class_sums(rate, mask) for rate, _ in rates])  # (E, A, P, D')
             if row.gain:
-                sums = relative_gain(sums[1:], sums[:1])
-            cis = np.zeros_like(sums) if row.gain or cis is None else cis
+                sums = relative_gain(sums[:, 1:], sums[:, :1])
+            cis = np.stack([np.zeros(sums.shape[1:]) if ci is None or row.gain
+                            else _class_sums(ci, mask) for _, ci in rates])
             kept = (range(len(drops)) if mask is None
                     else np.flatnonzero(mask.any(axis=1)).tolist())
-            fields = {"scenario": scenario, "cls": cls}
-            points = [(*(t.format(**fields, ratio=r, power=p, alloc=a) for t in row.curve), x)
-                      for x, r, p in zip(xs, ratios, powers) for a in labels]
+            fields, named, points = {"scenario": scenario, "cls": cls}, {}, []
+            for x, _, ratio, power in probes:
+                if (ratio, power) not in named:
+                    named[ratio, power] = [
+                        tuple(t.format(**fields, ratio=ratio, power=power, alloc=a, est=e)
+                              for t in row.curve) for a in labels for e in ests]
+                points += [(*name, x) for name in named[ratio, power]]
             # per kept drop, its values and cis in the order of ``points``
-            rows = [a.transpose(2, 1, 0).reshape(len(kept), len(points)).tolist()
-                    for a in (sums, cis)]
-            parts.append((points, dict(zip(kept, zip(*rows)))))
+            values = [a.transpose(3, 2, 1, 0).reshape(len(kept), len(points)).tolist()
+                      for a in (sums, cis)]
+            parts.append((points, dict(zip(kept, zip(*values)))))
     return [{"panel": panel, "label": label, "x": x, "value": value, "ci": ci}
             for j in range(len(drops)) for points, by_drop in parts if j in by_drop
             for (panel, label, x), value, ci in zip(points, *by_drop[j])]
@@ -724,8 +706,8 @@ class _Kind:
     options: dict  # every option it takes, with its default
     gain: bool = False  # its curves are relative gains
     edge: bool = False  # it splits cell 0's users at EDGE_SPLIT_FACTOR
-    # a closed-form kind's (panel, label) of each curve, formatted with its
-    # scenario, ratio, power (dB), user class (cls) and allocation (alloc)
+    # a curve kind's (panel, label) of each curve, formatted with its scenario,
+    # ratio, power (dB), user class (cls), allocation (alloc) and estimator (est)
     curve: tuple = ()
 
 
@@ -734,28 +716,30 @@ _STRATEGY_OPTIONS = {"powerDb": 20, "interfererUserPowerDb": 10, "evaluator": "a
                      "scenarios": ["multicell", "singlecell"]}
 _THRESHOLD_LOOPS = (("threshold", "thresholds"), ("powerDb", "powersDb"))
 _KINDS = {
-    "fig2": _Kind(_job_equal_power, "uplink", ("bsAntennas",), _M_FINE,
+    "fig2": _Kind(_job_curves, "uplink", ("bsAntennas",), _M_FINE,
                   {"powersDb": [20, 30], "interfererUserPowerDb": 10,
-                   "estimators": ["mc", "lower", "upper", "approx"]}),
-    "fig3": _Kind(_job_equal_power, "uplink", ("powerDb",), [0, 5, 10, 15, 20, 25, 30],
-                  {"interfererUserPowerDb": 10, "estimators": ["mc", "lower", "upper", "approx"]}),
-    "fig4": _Kind(_job_closed_form, "uplink", ("bsAntennas",), _M_COARSE, _STRATEGY_OPTIONS,
+                   "estimators": ["mc", "lower", "upper", "approx"]},
+                  curve=("P{power:g}dB", "{est}")),
+    "fig3": _Kind(_job_curves, "uplink", ("powerDb",), [0, 5, 10, 15, 20, 25, 30],
+                  {"interfererUserPowerDb": 10, "estimators": ["mc", "lower", "upper", "approx"]},
+                  curve=("", "{est}")),
+    "fig4": _Kind(_job_curves, "uplink", ("bsAntennas",), _M_COARSE, _STRATEGY_OPTIONS,
                   curve=("{scenario}", "{alloc}")),
-    "fig5": _Kind(_job_closed_form, "uplink", ("bsAntennas",), _M_COARSE, _STRATEGY_OPTIONS,
+    "fig5": _Kind(_job_curves, "uplink", ("bsAntennas",), _M_COARSE, _STRATEGY_OPTIONS,
                   gain=True, curve=("{scenario}", "{alloc}")),
-    "fig6": _Kind(_job_closed_form, "uplink", ("usersPerCell",), [4, 8, 12, 16, 20],
+    "fig6": _Kind(_job_curves, "uplink", ("usersPerCell",), [4, 8, 12, 16, 20],
                   {"ratios": [2, 5, 10], "powerDb": 20, "interfererUserPowerDb": 10},
                   curve=("ratio{ratio}", "{alloc}")),
-    "fig7": _Kind(_job_closed_form, "uplink", ("ratio",), [2, 4, 6, 8, 10, 14, 18, 22, 26, 30],
+    "fig7": _Kind(_job_curves, "uplink", ("ratio",), [2, 4, 6, 8, 10, 14, 18, 22, 26, 30],
                   {"powersDb": [10, 15, 20, 25], "interfererUserPowerDb": 10}, gain=True,
                   curve=("P{power:g}dB", "gain")),
-    "fig8": _Kind(_job_equal_power, "downlink", ("bsAntennas",), _M_FINE,
+    "fig8": _Kind(_job_curves, "downlink", ("bsAntennas",), _M_FINE,
                   {"powersDb": [40, 50], "interfererCellPowerDb": 30,
-                   "estimators": ["mc", "lower"]}),
-    "fig10": _Kind(_job_closed_form, "downlink", ("bsAntennas",), _M_COARSE,
+                   "estimators": ["mc", "lower"]}, curve=("P{power:g}dB", "{est}")),
+    "fig10": _Kind(_job_curves, "downlink", ("bsAntennas",), _M_COARSE,
                    {"powerDb": 40, "interfererCellPowerDb": 30}, edge=True,
                    curve=("{cls}", "{alloc}")),
-    "fig11": _Kind(_job_closed_form, "downlink", ("bsAntennas",), _M_COARSE,
+    "fig11": _Kind(_job_curves, "downlink", ("bsAntennas",), _M_COARSE,
                    {"powerDb": 40, "interfererCellPowerDb": 30}, gain=True, edge=True,
                    curve=("", "{cls}")),
     "fig12": _Kind(_job_network_slots, "uplink", ("slot",), list(range(1, 13)),
@@ -775,9 +759,10 @@ _KINDS = {
                      "downlink", ("usersPerCell",), [1, 45],
                      {"antennasList": [50, 100, 200], "powersDb": [35, 40, 45],
                       "thresholds": [0.10, 0.20], "interfererCellPowerDb": 30}, edge=True),
-    "custom": _Kind(_job_equal_power, None, ("bsAntennas", "powerDb"), [20, 100, 500],
+    "custom": _Kind(_job_curves, None, ("bsAntennas", "powerDb"), [20, 100, 500],
                     {"direction": "uplink", "powerDb": 20, "interfererUserPowerDb": 10,
-                     "interfererCellPowerDb": 30, "estimators": ["mc", "approx"]}),
+                     "interfererCellPowerDb": 30, "estimators": ["mc", "approx"]},
+                    curve=("", "{est}")),
 }
 KINDS = tuple(_KINDS)
 

@@ -75,7 +75,11 @@ hence its interference draws, where version 7 drew a block's Gammas and
 exponentials from one stream and each M point at its own seed; version 9
 moves fig12's joint curve only: Barzilai-Borwein ascent to a residual stop;
 version 10 too, its ascent accepting a step against the least of the last
-10 accepted objectives (nonmonotone), where version 9 compared the last.
+10 accepted objectives (nonmonotone), where version 9 compared the last;
+version 11 keys the Monte Carlo of fig4 and fig5 (the ``mc`` evaluator)
+as fig2's, by drop: every scenario of a drop draws from the drop's seed, and
+its every M and allocation share its interference draws, where version 10
+drew each (drop, probe, scenario) at its own seed.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ import numpy as np
 
 from .topology import _MASK64, CellTopology, check_field
 
-ESTIMATOR_VERSION = 10
+ESTIMATOR_VERSION = 11
 BLOCK_TRIALS = 256
 
 

@@ -235,6 +235,28 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match=f"^{re.escape(name)} gives M = "):
             ExperimentSpec.from_dict(doc)
 
+    @pytest.mark.parametrize("kind, option, value", [
+        ("fig6", "ratios", [2, 5, 2]),
+        ("fig7", "powersDb", [10, 10.0]),
+        ("fig2", "powersDb", [20, 30, 20]),
+        ("table2", "thresholds", [0.1, 0.2, 0.1]),
+        ("table3a", "usersList", [5, 5]),
+        ("table3b", "antennasList", [50, 100, 50]),
+    ])
+    def test_repeated_list_entry_rejected(self, kind, option, value):
+        # a repeat counted every drop twice in a curve point, shrinking its CI
+        # by about sqrt(2) (fig6 ratios [2, 2]: ci 1.742 against 2.661 for
+        # [2]), or wrote a table's rows twice
+        doc = {"kind": kind, "network": {"usersPerCell": 4, "bsAntennas": 30},
+               "options": {option: value}}
+        with pytest.raises(ValueError, match=f"^option '{option}' must not repeat an entry"):
+            ExperimentSpec.from_dict(doc)
+
+    def test_search_range_may_repeat_its_end(self):
+        # [x, x] asks about x alone: a range, not a list of entries
+        query = GainThresholdQuery.from_dict({**QUERY, "searchRange": [3, 3]})
+        assert query.search_range == (3, 3)
+
     @pytest.mark.parametrize("kind, sweep, options", [
         ("fig4", ("bsAntennas", [5, 30]), {}),
         ("fig10", ("bsAntennas", [5]), {}),
@@ -458,7 +480,7 @@ class TestRunExperiment:
         reran = {p.name: p.read_bytes() for p in out2.iterdir()}
         assert originals == reran
 
-    @pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11])
+    @pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12])
     def test_manifest_of_another_estimator_version_rejected(self, tmp_path, version):
         out = run_experiment(ExperimentSpec.from_dict(tiny_spec(tmp_path, trials=20)))
         manifest = json.loads((out / "manifest.json").read_text())
@@ -475,7 +497,7 @@ class TestRunExperiment:
         doc = tiny_spec(tmp_path, trials=20)
         out = run_experiment(ExperimentSpec.from_dict(doc))
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["estimatorVersion"] == 10
+        assert manifest["estimatorVersion"] == 11
         rerun = run_experiment(ExperimentSpec.from_dict(manifest))
         assert json.loads((rerun / "manifest.json").read_text()) == manifest
         # the version is an input of the content hash
@@ -534,13 +556,13 @@ class TestRunExperiment:
                "output": str(tmp_path / "fig4")}
         spec = ExperimentSpec.from_dict(doc)
         got = {(r["panel"], r["label"], r["x"]): (r["value"], r["ci"])
-               for r in cli._job_closed_form(spec, {"drops": [0]})}
+               for r in cli._job_curves(spec, {"drops": [0]})}
         assert len(got) == 2 * 4 * len(ms)
-        for panel, cells, tag in (("multicell", None, 0), ("singlecell", 1, 1)):
-            for i, m in enumerate(ms):
+        seed = cli.derive_seed(net["seed"], cli._TAG_MC, 0)  # the drop's, at every M
+        for panel, cells in (("multicell", None), ("singlecell", 1)):
+            for m in ms:
                 top, = cli._drop_topologies(spec, [0], antennas=m, cells=cells)
                 allocs = np.full((top.n_cells, 4), db_to_linear(10))
-                seed = cli.derive_seed(net["seed"], cli._TAG_MC, 0, i, tag)
                 for label, strategy in [("equal", None), *cli._UPLINK_STRATEGIES.items()]:
                     cand = allocs.copy()
                     cand[0] = (equal_alloc(4, db_to_linear(20)) if strategy is None
@@ -563,13 +585,13 @@ class TestRunExperiment:
                "output": str(tmp_path / "fig5")}
         spec = ExperimentSpec.from_dict(doc)
         got = {(r["panel"], r["label"], r["x"]): r["value"]
-               for r in cli._job_closed_form(spec, {"drops": [0]})}
+               for r in cli._job_curves(spec, {"drops": [0]})}
         assert len(got) == 2 * 3 * len(ms)
-        for panel, cells, tag in (("multicell", None, 0), ("singlecell", 1, 1)):
-            for i, m in enumerate(ms):
+        seed = cli.derive_seed(net["seed"], cli._TAG_MC, 0)  # the drop's, at every M
+        for panel, cells in (("multicell", None), ("singlecell", 1)):
+            for m in ms:
                 top, = cli._drop_topologies(spec, [0], antennas=m, cells=cells)
                 allocs = np.full((top.n_cells, 4), db_to_linear(10))
-                seed = cli.derive_seed(net["seed"], cli._TAG_MC, 0, i, tag)
                 eq = uplink_rate_mc(top, [equal_alloc(4, 100.0), *allocs[1:]], 0, 64,
                                     seed).sum_rate
                 for label, strategy in cli._UPLINK_STRATEGIES.items():
@@ -610,7 +632,7 @@ class TestRunExperiment:
         doc = {"kind": kind, "network": {"usersPerCell": 3, "bsAntennas": 12, "seed": 4},
                "sweep": {"variable": "bsAntennas", "values": [12]}, "drops": 1, "trials": 8,
                "output": str(tmp_path)}
-        cli._job_equal_power(ExperimentSpec.from_dict(doc), {"drops": [0]})
+        cli._job_curves(ExperimentSpec.from_dict(doc), {"drops": [0]})
         assert sorted(set(calls)) == sorted(names)
 
     @pytest.mark.parametrize("kind", ["fig2", "fig8"])
@@ -630,7 +652,7 @@ class TestRunExperiment:
                    "sweep": {"variable": "bsAntennas", "values": ms}, "drops": 1,
                    "trials": 300, "output": str(tmp_path)}
             spec = ExperimentSpec.from_dict(doc)
-            return spec, [r for r in cli._job_equal_power(spec, {"drops": [0]})
+            return spec, [r for r in cli._job_curves(spec, {"drops": [0]})
                           if r["label"] == "mc"]
 
         ms = [4, 12, 40, 128]
@@ -656,7 +678,7 @@ class TestRunExperiment:
                    "sweep": {"variable": "bsAntennas", "values": [12]}, "drops": 1,
                    "trials": 40, "options": {"powersDb": powers}, "output": str(tmp_path)}
             spec = ExperimentSpec.from_dict(doc)
-            return cli._job_equal_power(spec, {"drops": [0]})
+            return cli._job_curves(spec, {"drops": [0]})
 
         both = records([20, 30])
         assert both == records([20]) + records([30])
@@ -676,9 +698,9 @@ class TestRunExperiment:
                 "options": options, "output": str(tmp_path)})
 
         assert cli._plan_jobs(spec([0, 10]), 2) == [{"drops": [0]}, {"drops": [1]}]
-        both = cli._job_equal_power(spec([0, 10]), {"drops": [1]})
-        assert both == (cli._job_equal_power(spec([0]), {"drops": [1]})
-                        + cli._job_equal_power(spec([10]), {"drops": [1]}))
+        both = cli._job_curves(spec([0, 10]), {"drops": [1]})
+        assert both == (cli._job_curves(spec([0]), {"drops": [1]})
+                        + cli._job_curves(spec([10]), {"drops": [1]}))
         assert [r["x"] for r in both if r["label"] == "mc"] == [0, 10]
 
     def test_fig12_outer_ring_keeps_initial_power_in_every_curve(self, tmp_path, monkeypatch):
@@ -903,15 +925,15 @@ class TestFindMaxRatio:
     def test_probe_sequence(self, monkeypatch, mode, direction, threshold, bounds, probes,
                             answer):
         seen = []
-        pa_eq = cli._pa_eq
+        allocations = cli._allocations
 
-        def recording(prof, ms, p_lin):
+        def recording(prof, ms, budgets, strategies):
             (m,) = ms
             seen.append({"maxRatio": m // prof.n_users, "maxAntennas": m,
                          "minUsers": prof.n_users}[mode])
-            return pa_eq(prof, ms, p_lin)
+            return allocations(prof, ms, budgets, strategies)
 
-        monkeypatch.setattr(cli, "_pa_eq", recording)
+        monkeypatch.setattr(cli, "_allocations", recording)
         # each query gives only the fields its mode and link read
         sizes = {"fixed_antennas": 40} if mode == "minUsers" else {"fixed_users": 4}
         q = GainThresholdQuery(direction, threshold, 20.0 if direction == "uplink" else 40.0,
@@ -947,25 +969,35 @@ class TestStackedDrops:
         return [build_topology(NetworkConfig(users_per_cell=n, bs_antennas=4 * n, seed=s))
                 for s in range(8)]
 
+    @staticmethod
+    def one_drop_rates(top, direction, interferer, m, budget):
+        """(equal-power, water-filled) per-user rates of cell 0 in ``top`` alone."""
+        prof = cli._cell0_rows([top], direction, interferer)[0]
+        strategy, rate = cli._link_strategy(direction)
+        n = top.n_users
+        return [cli._LINKS[direction][2][rate](prof, m, n, p)[0]
+                for p in (equal_alloc(n, budget), strategy(prof, m, n, budget))]
+
     def test_uplink_gains_equal_one_drop_at_a_time(self):
         tops = self.drops(12)
         stacked, = cli._gains(cli._cell0_rows(tops, "uplink", 10.0)[0], [48], [100.0])
         for top, gain in zip(tops, stacked):
-            # equal power first, then the water-filling: (A, P, D, N) rates
-            _, ((r_eq,), (r_pa,)) = cli._pa_eq(cli._cell0_rows([top], "uplink", 10.0)[0], [48],
-                                               100.0)
-            assert gain == relative_gain(float(r_pa.sum(axis=1)[0]), float(r_eq.sum(axis=1)[0]))
+            r_eq, r_pa = self.one_drop_rates(top, "uplink", 10.0, 48, 100.0)
+            assert gain == relative_gain(float(r_pa.sum()), float(r_eq.sum()))
 
     def test_antenna_counts_equal_one_at_a_time(self):
         # one water-filling call serves every M with the bits of its own call
         ms = [13, 48, 200, 500]
-        up = cli._cell0_rows(self.drops(12), "uplink", 10.0)[0]
-        down = cli._cell0_rows(self.drops(12), "downlink", 1000.0)[0]
-        for prof in (up, down):
-            allocs, rates = cli._pa_eq(prof, ms, 100.0)
+        for direction, interferer in (("uplink", 10.0), ("downlink", 1000.0)):
+            prof = cli._cell0_rows(self.drops(12), direction, interferer)[0]
+            strategy, name = cli._link_strategy(direction)
+            rate = cli._LINKS[direction][2][name]
+            allocs = cli._allocations(prof, ms, 100.0, [strategy])
+            rates = rate(prof, np.array(ms)[None, :, None, None], 12, allocs)
             assert allocs.shape == rates.shape == (2, len(ms), 8, 12)
             for k, m in enumerate(ms):
-                one_allocs, one_rates = cli._pa_eq(prof, [m], 100.0)
+                one_allocs = cli._allocations(prof, [m], 100.0, [strategy])
+                one_rates = rate(prof, np.full((1, 1, 1, 1), m), 12, one_allocs)
                 assert allocs[:, k].tolist() == one_allocs[:, 0].tolist()
                 assert rates[:, k].tolist() == one_rates[:, 0].tolist()
 
@@ -982,8 +1014,7 @@ class TestStackedDrops:
         want = []
         for top, chosen in zip(tops, users):
             if chosen.any():
-                _, rates = cli._pa_eq(cli._cell0_rows([top], "downlink", 1000.0)[0], [64], 1e4)
-                r_eq, r_pa = rates[:, 0, 0]
+                r_eq, r_pa = self.one_drop_rates(top, "downlink", 1000.0, 64, 1e4)
                 want.append(relative_gain(float(r_pa[chosen].sum()), float(r_eq[chosen].sum())))
         assert 0 < len(want) and stacked.tolist() == want
 
@@ -1069,10 +1100,14 @@ class TestLockstep:
 
 
 class TestStackedJobs:
-    """A closed-form job runs its drops as one stack: its records equal, value
-    for value and in order, those of one-drop jobs run one after another."""
+    """A curve job runs its drops as one stack: its records equal, value for
+    value and in order, those of one-drop jobs run one after another."""
 
     @pytest.mark.parametrize("kind, values, options", [
+        ("fig2", [12, 30, 75], {}),
+        ("fig3", [0, 10], {}),
+        ("fig8", [12, 30], {"powersDb": [40]}),
+        ("custom", [12, 30], {"direction": "downlink"}),
         ("fig4", [12, 30, 75], {"evaluator": "approx"}),
         ("fig4", [12, 30, 75], {"evaluator": "mc"}),
         ("fig5", [12, 30, 75], {}),
@@ -1092,6 +1127,42 @@ class TestStackedJobs:
         run = cli._KINDS[kind].run
         stacked = run(spec, {"drops": [0, 1, 2, 3, 4]})
         assert stacked and stacked == [rec for d in range(5) for rec in run(spec, {"drops": [d]})]
+
+    def test_mc_evaluator_draws_once_per_drop_and_stack(self, monkeypatch):
+        # a drop's seed keys all its Monte Carlo: each scenario draws the
+        # drop's interference once, its allocations at one M are the rows of
+        # one call, and each (M, allocation) row equals its one-row call
+        net = {"usersPerCell": 4, "bsAntennas": 30, "cellCount": 7, "seed": 8}
+        ms = [12, 30, 75]
+        spec = ExperimentSpec.from_dict({
+            "kind": "fig4", "network": net, "sweep": {"variable": "bsAntennas", "values": ms},
+            "trials": 64, "options": {"evaluator": "mc"}})
+        draws, calls = [], []
+        shared, rate = cli.shared_draws, cli.uplink_rate_mc
+        monkeypatch.setattr(cli, "shared_draws", lambda top, rows, *a: draws.append(
+            (top.n_cells, a[2])) or shared(top, rows, *a))
+        monkeypatch.setattr(cli, "uplink_rate_mc", lambda top, rows, *a, **k: calls.append(
+            (top.config.bs_antennas, len(rows))) or rate(top, rows, *a, **k))
+        records = cli._job_curves(spec, {"drops": [1, 2]})
+        seeds = [cli.derive_seed(8, cli._TAG_MC, d) for d in (1, 2)]
+        assert draws == [(7, seeds[0]), (7, seeds[1]), (1, seeds[0]), (1, seeds[1])]
+        assert calls == [(m, 4) for _ in range(4) for m in ms]
+        half = len(records) // 2
+        for d, seed, part in zip((1, 2), seeds, (records[:half], records[half:])):
+            got = {(r["panel"], r["label"], r["x"]): (r["value"], r["ci"]) for r in part}
+            assert len(got) == len(part) == 2 * 4 * len(ms)
+            for panel, cells in (("multicell", None), ("singlecell", 1)):
+                for m in ms:
+                    top, = cli._drop_topologies(spec, [d], antennas=m, cells=cells)
+                    allocs = np.full((top.n_cells, 4), 10.0)
+                    prof = closedform.uplink_profile(top, allocs, 0)
+                    for label, strategy in [("equal", None), *cli._UPLINK_STRATEGIES.items()]:
+                        cand = allocs.copy()
+                        cand[0] = (equal_alloc(4, 100.0) if strategy is None
+                                   else strategy(prof, m, 4, 100.0))
+                        est = rate(top, cand, 0, 64, seed)
+                        assert got[panel, label, m] == (est.sum_rate,
+                                                        float(est.ci_half_width.sum()))
 
     def test_fig5_job_makes_one_call_per_scenario_and_strategy(self, monkeypatch):
         # every M of a scenario is water-filled in one strategy call, and all

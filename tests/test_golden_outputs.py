@@ -10,8 +10,9 @@ so the manifest bytes do not depend on where the test runs.
 A change that alters outputs on purpose (a new ``estimatorVersion``, say)
 re-records the digests with
 ``PYTHONPATH=src python tests/test_golden_outputs.py``, which prints every
-(kind, file) whose digest changed, appeared or went away, and says why in
-CHANGES.md. ``golden_variants.json`` holds, the same way, the digests of the
+(kind, file) whose digest changed, appeared or went away in a kind with a CSV
+difference, then on one line the kinds whose manifest alone changed, and says
+why in CHANGES.md. ``golden_variants.json`` holds, the same way, the digests of the
 option paths a default run does not take (``VARIANTS``), recorded by the same
 command. The digests hold for one numpy/libm build; the last bits
 of some floating-point functions may differ on another.
@@ -40,7 +41,7 @@ TRIALS, DROPS = 8, 2
 # edge-only gain search rejects as an error; 4 drops give every probe one
 KIND_DROPS = {"table3b": 4}
 # case -> (kind, spec fields over the default run's): the option paths the
-# closed-form runs branch on, on the same network
+# curve runner branches on, on the same network
 _SPLIT = {"drops": 6, "sweep": {"variable": "bsAntennas", "values": [12, 30, 75, 300]}}
 VARIANTS = {
     **{f"fig4-{e}": ("fig4", {"options": {"evaluator": e}}) for e in ("lower", "upper", "mc")},
@@ -142,6 +143,15 @@ def changed_digests(old: dict, new: dict) -> list[tuple[str, str, str]]:
     return out
 
 
+def split_changes(changes) -> tuple[list, list[str]]:
+    """(the changes of every case with a CSV difference, the cases whose
+    manifest alone differs): a version bump changes every manifest, and
+    those changes must not hide a CSV change."""
+    csv = {case for case, name, _ in changes if name != "manifest.json"}
+    return ([c for c in changes if c[0] in csv],
+            [case for case, _, _ in changes if case not in csv])
+
+
 def test_changed_digests_names_each_difference():
     old = {"fig2": {"a.csv": "1", "b.csv": "2"}, "fig3": {"c.csv": "3"}}
     new = {"fig2": {"a.csv": "1", "b.csv": "9", "d.csv": "4"}, "fig4": {"c.csv": "3"}}
@@ -150,6 +160,13 @@ def test_changed_digests_names_each_difference():
         ("fig3", "c.csv", "removed"), ("fig4", "c.csv", "added"),
     ]
     assert changed_digests(new, new) == []
+    # a manifest-only change is told apart from a CSV change beside it
+    old = {k: {"a.csv": "1", "manifest.json": "m"} for k in ("fig2", "fig3", "fig5")}
+    new = {**old, "fig2": {"a.csv": "1", "manifest.json": "n"},
+           "fig3": {"a.csv": "2", "manifest.json": "n"}}
+    assert split_changes(changed_digests(old, new)) == (
+        [("fig3", "a.csv", "changed"), ("fig3", "manifest.json", "changed")], ["fig2"])
+    assert split_changes([]) == ([], [])
 
 
 if __name__ == "__main__":
@@ -164,6 +181,9 @@ if __name__ == "__main__":
                 os.chdir(here)
         path.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
         changes = changed_digests(previous, recorded)
-        for case, name, what in changes:
+        csv, manifest_only = split_changes(changes)
+        for case, name, what in csv:
             print(f"{what}: {case} {name}")
+        if manifest_only:
+            print(f"manifest only: {', '.join(manifest_only)}")
         print(f"wrote {path}: {len(changes)} digest(s) differ from the previous record")

@@ -470,5 +470,5 @@ class TestGainRowsOnFirstRead:
         doc = json.loads((Path(__file__).parents[1] / "configs" / "fig8.json").read_text())
         spec = cli.ExperimentSpec.from_dict(doc, {"drops": 2, "trials": 40})
         assert len(spec.sweep.values) > 1
-        cli._job_equal_power(spec, {"drops": [0, 1]})
+        cli._job_curves(spec, {"drops": [0, 1]})
         assert draws == [(7, 19, 10)] * 2
