@@ -30,11 +30,7 @@ from .closedform import (
     uplink_profile,
     uplink_upper_bound,
 )
-from .mcrate import (
-    RateEstimate,
-    downlink_rate_mc,
-    uplink_rate_mc,
-)
+from .mcrate import downlink_rate_mc, uplink_rate_mc
 from .network import (
     JointResult,
     NetworkState,
@@ -60,7 +56,6 @@ __all__ = [
     "NetworkConfig",
     "NetworkState",
     "PowerAllocation",
-    "RateEstimate",
     "WaterfillCoefficients",
     "WaterfillResult",
     "build_topology",

@@ -316,15 +316,15 @@ def _mc_rates(spec: ExperimentSpec, drops, tops, interferers, ms, allocs):
     rows[:, :, 0] = allocs.transpose(2, 1, 0, 3).reshape(-1, p * a, n)
     # looked up by module-level name on each call, as for _link_strategy
     mc = uplink_rate_mc if spec.direction == "uplink" else downlink_rate_mc
-    ests = []
-    for d, top, own in zip(drops, tops, rows):
+    values = np.empty((2, len(tops), p * a, n))  # rates, then half-widths, per drop
+    for j, (d, top, own) in enumerate(zip(drops, tops, rows)):
         seed = derive_seed(spec.network.seed, _TAG_MC, d)
         draws = shared_draws(top, own[:size * a], 0, spec.trials, seed, spec.direction)
         for k in range(0, p, size):
-            ests += mc(top.with_antennas(ms[k]), own[k * a:(k + size) * a], 0, spec.trials,
-                       seed, shared=draws)
-    values = np.array([(est.per_user_rate, est.ci_half_width) for est in ests])
-    return values.reshape(len(tops), p, a, 2, n).transpose(3, 2, 1, 0, 4)
+            values[:, j, k * a:(k + size) * a] = mc(top.with_antennas(ms[k]),
+                                                    own[k * a:(k + size) * a], 0, spec.trials,
+                                                    seed, shared=draws)
+    return values.reshape(2, len(tops), p, a, n).transpose(0, 3, 2, 1, 4)
 
 
 def _edge_users(tops) -> np.ndarray:

@@ -56,6 +56,9 @@ linear powers: one (C, N) set indexed by cell, or (R, C, N) rows of such sets.
 The powers carry no link: each reader is given its own. ``_power_rows`` alone
 reads them: it refuses anything but real numbers of those shapes and checks
 that each cell read holds finite, non-negative powers; unread cells count as 0.
+A reader's results lead with the allocations' leading shape: the estimators
+return (rates, half_widths), two read-only float arrays, (N,) for one set and
+(R, N) for rows, as the closed forms' rates do.
 
 ESTIMATOR_VERSION names the sampling scheme and how the experiments key it.
 Version 1 drew full M x N channels per trial from streams keyed by (seed,
@@ -89,40 +92,17 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .topology import _MASK64, CellTopology, check_field
+from .topology import _MASK64, CellTopology, check_field, check_seed
 
 ESTIMATOR_VERSION = 11
 BLOCK_TRIALS = 256
 
 
-@dataclass(frozen=True, eq=False)
-class RateEstimate:
-    """Monte Carlo per-user rates in bits/s/Hz, with the trial count and the
-    per-user confidence half-widths."""
-
-    per_user_rate: np.ndarray
-    trials: int
-    ci_half_width: np.ndarray
-
-    def __post_init__(self):
-        for field in ("per_user_rate", "ci_half_width"):
-            x = np.array(getattr(self, field), dtype=float)
-            # a NaN compares False with 0, so finiteness is checked first; method
-            # reductions cost less than np.all/np.any, once per row of every call
-            if not np.isfinite(x).all() or (x < 0).any():
-                raise ValueError(f"{field} must be finite and non-negative")
-            x.setflags(write=False)
-            object.__setattr__(self, field, x)
-
-    @property
-    def sum_rate(self) -> float:
-        return float(self.per_user_rate.sum())
-
-
 def _power_rows(topology: CellTopology, allocations, cells, direction: str):
-    """(powers, single): ``allocations``, one set or R rows of ``direction``'s
+    """(powers, lead): ``allocations``, one set or R rows of ``direction``'s
     powers in the module docstring's form, as an (R, C, N) float array read in
-    ``cells`` only (0 elsewhere); and whether it was one set."""
+    ``cells`` only (0 elsewhere); and their leading shape, () for one set and
+    (R,) for rows, which the readers' results take."""
     check_field("direction", direction, ("uplink", "downlink"))
     n_cells, n = topology.n_cells, topology.n_users
     shapes = f"a ({n_cells}, {n}) set or (rows, {n_cells}, {n}) rows"
@@ -145,7 +125,7 @@ def _power_rows(topology: CellTopology, allocations, cells, direction: str):
     if not (powers.min() >= 0 and powers.max() < np.inf):
         r, cell = np.argwhere(~(np.isfinite(powers) & (powers >= 0)).all(axis=2))[0]
         raise ValueError(f"cell {cell} powers must be finite and non-negative (row {r})")
-    return powers, p.ndim == 2
+    return powers, p.shape[:-2]
 
 
 def _topology_stack(topology) -> list[CellTopology]:
@@ -188,10 +168,12 @@ def _blocks(trials: int) -> list[tuple[int, int]]:
             for block, start in enumerate(range(0, trials, BLOCK_TRIALS))]
 
 
-def _estimate(block_rates, trials: int, confidence: float) -> list[RateEstimate]:
-    """Mean per-user rates over ``trials``, one estimate per row;
-    block_rates(block, size) returns the (R, size, N) rates of trial block
-    ``block``, which holds ``size`` trials.
+def _estimate(block_rates, trials: int, confidence: float, lead: tuple):
+    """(rates, half_widths): the mean per-user rates over ``trials`` and
+    their ``confidence`` half-widths, read-only (*lead, N) arrays of the R
+    rows, checked finite and non-negative; block_rates(block, size) returns
+    the (R, size, N) rates of trial block ``block``, which holds ``size``
+    trials.
 
     Sums are taken about the first trial's rates, which keeps the variance
     free of cancellation and exactly zero when the rates do not vary. Each
@@ -207,8 +189,13 @@ def _estimate(block_rates, trials: int, confidence: float) -> list[RateEstimate]
         sum_d = sum_d + d.sum(axis=1)
         sum_d2 = sum_d2 + (d * d).sum(axis=1)
     means = shift[:, 0] + sum_d / trials
-    return [RateEstimate(mean, trials, ci) for mean, ci in
-            zip(means, _ci_half_width(sum_d, sum_d2, trials, confidence))]
+    out = (means, _ci_half_width(sum_d, sum_d2, trials, confidence))
+    for name, x in zip(("rates", "half-widths"), out):
+        # a NaN compares False with 0, so finiteness is checked first
+        if not np.isfinite(x).all() or (x < 0).any():
+            raise ValueError(f"Monte Carlo {name} must be finite and non-negative")
+        x.setflags(write=False)  # the reshaped views below inherit it
+    return tuple(x.reshape(*lead, -1) for x in out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,16 +224,16 @@ def shared_draws(topology: CellTopology, allocations, target_cell: int, trials: 
 
 
 def _inputs(topology, allocations, target_cell, trials, seed, direction, shared):
-    """(powers, single, target, neighbours, gains, shared) of an estimator call:
+    """(powers, lead, target, neighbours, gains, shared) of an estimator call:
     ``allocations`` read by ``_power_rows`` in the target cell and its
     neighbours, the leading BS rows of the gains that the call reads, and its
     M-independent draws, ``shared`` once checked to be the call's, else drawn."""
     check_field("trials", trials, "count")
-    check_field("seed", seed, "integer")
+    check_seed("seed", seed)
     blocks = _blocks(trials)
     target = int(_target_cells(target_cell, topology.n_cells, many=False)[0])
     nbrs = topology.neighbors(target)
-    powers, single = _power_rows(topology, allocations, [target, *nbrs], direction)
+    powers, lead = _power_rows(topology, allocations, [target, *nbrs], direction)
     n = topology.n_users
     if direction == "uplink":  # w_k = beta_k p_k at the target BS, in neighbour order
         gains = topology.large_scale_rows(target + 1)
@@ -264,7 +251,7 @@ def _inputs(topology, allocations, target_cell, trials, seed, direction, shared)
         if not np.array_equal(shared.weights, weights):
             raise ValueError("shared draws were made for other interferer rows "
                              "than these allocations hold")
-        return powers, single, target, nbrs, gains, shared
+        return powers, lead, target, nbrs, gains, shared
     sums = []
     for block, size in blocks:
         rng = block_rng(seed, block)
@@ -277,8 +264,8 @@ def _inputs(topology, allocations, target_cell, trials, seed, direction, shared)
                 len(weights), len(nbrs), size, n))
     for a in (weights, *sums):
         a.setflags(write=False)  # read by every M of a sweep
-    return powers, single, target, nbrs, gains, SharedDraws(direction, seed, trials, target,
-                                                            weights, sums)
+    return powers, lead, target, nbrs, gains, SharedDraws(direction, seed, trials, target,
+                                                          weights, sums)
 
 
 def uplink_rate_mc(
@@ -290,20 +277,23 @@ def uplink_rate_mc(
     confidence: float = 0.95,
     shared: SharedDraws | None = None,
 ):
-    """Monte Carlo ergodic uplink rates of the target cell's users.
+    """Monte Carlo ergodic uplink rates of the target cell's users:
+    (rates, half_widths), the per-user rates in bits/s/Hz and the half-widths
+    of their ``confidence`` intervals, each a read-only float array.
 
     ``allocations`` is one (C, N) set of powers (see the module docstring),
-    read in the target cell and its interfering (edge-adjacent) neighbours;
-    the result is a RateEstimate. It may instead be (R, C, N) rows of sets:
-    all R rows are rated from one set of draws and the result is the list of
-    their R estimates, each equal to the estimate of its row alone. The
-    expectation is over fast fading only; the topology's large-scale fading
-    stays fixed. ``shared`` takes this call's ``shared_draws``, made once for
-    every M of a sweep; the result is the same without them.
+    read in the target cell and its interfering (edge-adjacent) neighbours,
+    and both arrays are (N,). It may instead be (R, C, N) rows of sets: all
+    R rows are rated from one set of draws, both arrays are (R, N), and each
+    row is bit for bit the result of its set alone. The expectation is over
+    fast fading only; the topology's large-scale fading stays fixed.
+    ``shared`` takes this call's ``shared_draws``, made once for every M of
+    a sweep; the result is the same without them.
     """
+    check_field("confidence", confidence, "fraction")
     m, n = topology.config.bs_antennas, topology.n_users
-    powers, single, target, _, gains, shared = _inputs(topology, allocations, target_cell,
-                                                       trials, seed, "uplink", shared)
+    powers, lead, target, _, gains, shared = _inputs(topology, allocations, target_cell,
+                                                     trials, seed, "uplink", shared)
     # per row: the users' signal gains p_n beta_n
     gain = powers[:, target] * gains[target, target]
 
@@ -311,8 +301,7 @@ def uplink_rate_mc(
         x = block_rng(seed, block, m).standard_gamma(m - n + 1.0, size=(size, n))
         return np.log2(1.0 + gain[:, None] * x / shared.blocks[block])
 
-    estimates = _estimate(block_rates, trials, confidence)
-    return estimates[0] if single else estimates
+    return _estimate(block_rates, trials, confidence, lead)
 
 
 def downlink_rate_mc(
@@ -324,18 +313,17 @@ def downlink_rate_mc(
     confidence: float = 0.95,
     shared: SharedDraws | None = None,
 ):
-    """Monte Carlo ergodic downlink rates of the target cell's users.
-
-    ``allocations`` is one (C, N) set or (R, C, N) rows, and
-    ``shared`` this call's ``shared_draws``, as for ``uplink_rate_mc``. The
-    serving cell's own ZF precoding removes intracell interference and
-    contributes the deterministic gain alpha_0^2; randomness enters only via
-    the neighbouring cells' precoders, whose leakage each trial draws from
-    its scalar law (see the module docstring).
+    """Monte Carlo ergodic downlink rates of the target cell's users:
+    (rates, half_widths), with ``allocations`` and ``shared`` as for
+    ``uplink_rate_mc``. The serving cell's own ZF precoding removes intracell
+    interference and contributes the deterministic gain alpha_0^2;
+    randomness enters only via the neighbouring cells' precoders, whose
+    leakage each trial draws from its scalar law (see the module docstring).
     """
+    check_field("confidence", confidence, "fraction")
     m, n = topology.config.bs_antennas, topology.n_users
-    powers, single, target, nbrs, beta, shared = _inputs(topology, allocations, target_cell,
-                                                         trials, seed, "downlink", shared)
+    powers, lead, target, nbrs, beta, shared = _inputs(topology, allocations, target_cell,
+                                                       trials, seed, "downlink", shared)
 
     def alpha_sq(cells):  # the power normalisation of each cell's ZF precoder
         return (m - n) / (1.0 / beta[cells, cells]).sum(axis=-1)
@@ -349,5 +337,4 @@ def downlink_rate_mc(
         interference = (gains[:, None] / y * shared.blocks[block]).sum(axis=1)
         return np.log2(1.0 + signal[:, None] / (interference + 1.0))
 
-    estimates = _estimate(block_rates, trials, confidence)
-    return estimates[0] if single else estimates
+    return _estimate(block_rates, trials, confidence, lead)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import closedform
 from .mcrate import _power_rows, _topology_stack, downlink_rate_mc, uplink_rate_mc
-from .topology import CellTopology, check_field, derive_seed, schedule_groups
+from .topology import CellTopology, check_field, check_seed, derive_seed, schedule_groups
 
 _LN2 = math.log(2.0)
 _STEPS = np.arange(1.0, 65.0)  # the divisors j = 1..N of the simplex threshold
@@ -203,38 +203,39 @@ def network_sum_rate(
     estimator: str = "closedForm",
     trials: int = 10_000,
     seed: int = 0,
-) -> float:
+):
     """Sum rate of the cluster cells under the given (C, N) powers on the
-    ``direction`` link.
+    ``direction`` link, a float (a numpy float64).
 
     ``closedForm`` uses the uplink approximation (or the downlink lower bound
-    on the downlink); ``monteCarlo`` averages fading draws per cell.
-    ``powers`` may also be (R, C, N) rows: the result is then the
-    list of their R sum rates, and ``monteCarlo`` rates a cell's R rows from
-    one set of draws.
+    on the downlink); ``monteCarlo`` averages fading draws per cell, cell i
+    at seed ``derive_seed(seed, i)``. ``powers`` may also be (R, C, N) rows:
+    the result is then the (R,) array of their sum rates, and ``monteCarlo``
+    rates a cell's R rows from one set of draws.
     """
     check_field("estimator", estimator, _ESTIMATORS)
     check_field("trials", trials, "count")
-    powers, single = _power_rows(topology, powers, range(topology.n_cells), direction)
+    check_seed("seed", seed)
+    powers, lead = _power_rows(topology, powers, range(topology.n_cells), direction)
     if estimator == "closedForm":
         if direction == "uplink":
             consts = _objective_constants(topology)
-            totals = [float(_uplink_forward(consts, p[None])[0][0]) for p in powers]
+            totals = np.array([_uplink_forward(consts, p[None])[0][0] for p in powers])
         else:
-            totals = _downlink_objective([topology] * len(powers), powers)
+            totals = np.array(_downlink_objective([topology] * len(powers), powers))
     else:
         mc = uplink_rate_mc if direction == "uplink" else downlink_rate_mc
-        totals = [0.0] * len(powers)
-        for i in range(topology.cluster_size):
-            for r, est in enumerate(mc(topology, powers, i, trials, derive_seed(seed, i))):
-                totals[r] += est.sum_rate
-    return totals[0] if single else totals
+        totals = np.zeros(len(powers))
+        for i in range(topology.cluster_size):  # cell by cell, each row's users summed
+            totals += mc(topology, powers, i, trials, derive_seed(seed, i))[0].sum(axis=-1)
+    return totals.reshape(lead)[()]
 
 
 def run_scheduled(topology: CellTopology, strategy, budget: float, initial_power: float,
                   slots: int, rate_estimator: str = "closedForm", trials: int = 10_000,
                   seed: int = 0) -> NetworkState:
     """Scheduled per-cell power allocation: ``run_scheduled_drops`` on a stack of one."""
+    check_seed("seed", seed)
     return run_scheduled_drops([topology], strategy, budget, initial_power, slots,
                                rate_estimator, trials, [seed])[0]
 
@@ -264,7 +265,8 @@ def run_scheduled_drops(topologies, strategy, budget: float, initial_power: floa
     direction = check_field("strategy.direction", getattr(strategy, "direction", None),
                             ("uplink", "downlink"))
     tops = _topology_stack(topologies)
-    seeds = [0] * len(tops) if seeds is None else check_field("seeds", seeds, ["integer"])
+    seeds = [0] * len(tops) if seeds is None else [
+        check_seed("seeds", s) for s in check_field("seeds", seeds, ["integer"])]
     if len(seeds) != len(tops):
         raise ValueError(f"seeds must hold one seed per topology, got {len(seeds)}")
     d, m, n = len(tops), tops[0].config.bs_antennas, tops[0].n_users

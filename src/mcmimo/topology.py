@@ -43,6 +43,7 @@ _KIND_NAMES = {
     "number": "a finite number",
     "nonnegative": "a finite number >= 0",
     "positive": "a finite number > 0",
+    "fraction": "a number in (0, 1)",
     "bool": "true or false",
     "string": "a non-empty string",
     "text": "a string",
@@ -77,7 +78,7 @@ def _fits(value, kind) -> bool:
         return False
     integral = whole or float(value).is_integer()
     return {"integral": integral, "size": integral and value >= 1, "number": True,
-            "nonnegative": value >= 0, "positive": value > 0}[kind]
+            "nonnegative": value >= 0, "positive": value > 0, "fraction": 0 < value < 1}[kind]
 
 
 def check_field(name: str, value, kind):
@@ -89,6 +90,15 @@ def check_field(name: str, value, kind):
     """
     if not _fits(value, kind):
         raise ValueError(f"{name} must be {_describe(kind)}, got {value!r}")
+    return value
+
+
+def check_seed(name: str, value):
+    """``value`` itself if it is an integer in [0, 2**64), else a ValueError
+    naming ``name``: a seed outside that range would alias one inside it, as
+    the streams take seeds modulo 2**64."""
+    if not 0 <= check_field(name, value, "integer") <= _MASK64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {value}")
     return value
 
 
@@ -123,8 +133,7 @@ class NetworkConfig:
                 check_field(key, value, kind)
                 if kind == "integer":  # a numpy integer would not serialise
                     object.__setattr__(self, name, int(value))
-        if not 0 <= self.seed <= _MASK64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        check_seed("seed", self.seed)
         if self.users_per_cell < 1:
             raise ValueError("usersPerCell must be a positive integer")
         if self.bs_antennas < self.users_per_cell + 1:

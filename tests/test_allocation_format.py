@@ -24,10 +24,10 @@ def _fields(result):
     """The arrays that make up a result, for a bit-for-bit comparison."""
     if isinstance(result, InterferenceProfile):
         return [result.beta_self, result.cross_powers, result.cross_betas, result.cross_sum]
-    if isinstance(result, float):
+    if isinstance(result, (float, np.ndarray)):
         return [result]
-    if hasattr(result, "per_user_rate"):
-        return [result.per_user_rate, result.ci_half_width]
+    if isinstance(result, tuple):  # an estimator's (rates, half_widths)
+        return list(result)
     if hasattr(result, "blocks"):
         return [result.weights, *result.blocks]
     return [result.lambda_self, result.cross_load]
@@ -129,6 +129,19 @@ def test_bad_power_in_cell_zero(reader):
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("reader", [name for name, (_, _, rows) in READERS.items() if rows])
+def test_rows_lead_each_result_and_each_row_is_its_one_set_call(reader):
+    call = READERS[reader][0]
+    rows = np.stack([POWERS, 2 * POWERS, POWERS ** 2])
+    got = _fields(call(rows))
+    # a SharedDraws keeps one set as one row; every other result drops its axis
+    lead = (1,) if reader.startswith("shared_draws") else ()
+    for r, row in enumerate(rows):
+        for g, want in zip(got, _fields(call(row))):
+            assert g.shape[:1] == (len(rows),) and np.shape(want) == lead + g.shape[1:]
+            assert g[r].tobytes() == np.asarray(want).tobytes()
+
+
 @pytest.mark.parametrize("reader", READERS)
 def test_every_array_like_gives_the_same_bits(reader):
     call = READERS[reader][0]
@@ -143,19 +156,21 @@ def test_every_array_like_gives_the_same_bits(reader):
 def test_power_rows_reads_only_the_given_cells():
     allocs = np.full((TOP.n_cells, N), np.nan)
     allocs[[2, 5]] = POWERS[[2, 5]]
-    powers, single = _power_rows(TOP, allocs, [2, 5], "uplink")
-    assert single and powers.shape == (1, TOP.n_cells, N)
+    powers, lead = _power_rows(TOP, allocs, [2, 5], "uplink")
+    assert lead == () and powers.shape == (1, TOP.n_cells, N)
     want = np.zeros((TOP.n_cells, N))
     want[[2, 5]] = POWERS[[2, 5]]
     assert np.array_equal(powers[0], want)  # unread cells are 0, never NaN
 
 
 def test_power_rows_tells_one_set_from_rows():
+    # by the leading shape, which the readers' results take
     for one in (POWERS, list(POWERS), POWERS.tolist(), POWERS.astype(int)):
-        assert _power_rows(TOP, one, range(TOP.n_cells), "uplink")[1]
+        powers, lead = _power_rows(TOP, one, range(TOP.n_cells), "uplink")
+        assert lead == () and powers.shape == (1, TOP.n_cells, N)
     for rows in (np.stack([POWERS, 2 * POWERS]), [POWERS, list(POWERS)]):
-        powers, single = _power_rows(TOP, rows, range(TOP.n_cells), "uplink")
-        assert not single and powers.shape == (2, TOP.n_cells, N)
+        powers, lead = _power_rows(TOP, rows, range(TOP.n_cells), "uplink")
+        assert lead == (2,) and powers.shape == (2, TOP.n_cells, N)
     with pytest.raises(ValueError, match=r"got shape \(0,\)"):
         _power_rows(TOP, [], [0], "uplink")
     with pytest.raises(ValueError, match=r"got shape \(6, 3\)"):
@@ -189,8 +204,8 @@ def test_power_rows_reads_an_array_zeroed_outside_its_cells(case):
     arr, cells, direction = case
     want = zeroed_outside(arr, cells)
     for form in (arr, arr.tolist()):
-        powers, single = _power_rows(TOP, form, cells, direction)
-        assert single == (arr.ndim == 2) and powers.dtype == np.float64
+        powers, lead = _power_rows(TOP, form, cells, direction)
+        assert lead == arr.shape[:-2] and powers.dtype == np.float64
         assert powers.tobytes() == want.tobytes()
 
 
@@ -265,8 +280,8 @@ def test_estimators_rate_one_target_cell(estimator):
     with pytest.raises(ValueError, match="target_cell"):
         estimator(TOP, POWERS, [0, 1], 10, 0)
     # a numpy integer is an index
-    assert np.array_equal(estimator(TOP, POWERS, np.int64(6), 10, 0).per_user_rate,
-                          estimator(TOP, POWERS, 6, 10, 0).per_user_rate)
+    assert np.array_equal(estimator(TOP, POWERS, np.int64(6), 10, 0)[0],
+                          estimator(TOP, POWERS, 6, 10, 0)[0])
 
 
 @pytest.mark.parametrize("field, powers, betas", [

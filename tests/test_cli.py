@@ -569,8 +569,8 @@ class TestRunExperiment:
                                else strategy(closedform.uplink_profile(top, allocs, 0), m, 4,
                                              db_to_linear(20)))
                     if evaluator == "mc":  # one allocation per call
-                        est = uplink_rate_mc(top, cand, 0, 64, seed)
-                        want = (est.sum_rate, float(est.ci_half_width.sum()))
+                        rates, ci = uplink_rate_mc(top, cand, 0, 64, seed)
+                        want = (float(rates.sum()), float(ci.sum()))
                     else:
                         rate = cli._UPLINK_RATES[evaluator]
                         want = (float(rate(closedform.uplink_profile(top, cand, 0), m, 4,
@@ -592,13 +592,13 @@ class TestRunExperiment:
             for m in ms:
                 top, = cli._drop_topologies(spec, [0], antennas=m, cells=cells)
                 allocs = np.full((top.n_cells, 4), db_to_linear(10))
-                eq = uplink_rate_mc(top, [equal_alloc(4, 100.0), *allocs[1:]], 0, 64,
-                                    seed).sum_rate
+                eq = float(uplink_rate_mc(top, [equal_alloc(4, 100.0), *allocs[1:]], 0, 64,
+                                          seed)[0].sum())
                 for label, strategy in cli._UPLINK_STRATEGIES.items():
                     # the strategy's one row is cell 0's (N,) powers
                     cand = [strategy(closedform.uplink_profile(top, allocs, 0), m, 4, 100.0)[0],
                             *allocs[1:]]
-                    pa = uplink_rate_mc(top, cand, 0, 64, seed).sum_rate
+                    pa = float(uplink_rate_mc(top, cand, 0, 64, seed)[0].sum())
                     assert got[(panel, label, m)] == relative_gain(np.array([pa]), eq).tolist()[0]
 
     def test_fig12_mc_values_equal_one_allocation_at_a_time(self, tmp_path):
@@ -663,9 +663,9 @@ class TestRunExperiment:
         for call in calls[:len(ms)]:  # the same call without the drop's shared draws
             alone = {key: value for key, value in call.items() if key != "shared"}
             m = call["topology"].config.bs_antennas
-            want = [{"panel": panel, "label": "mc", "x": m, "value": est.sum_rate,
-                     "ci": float(est.ci_half_width.sum())}
-                    for panel, est in zip(panels, estimator(**alone))]
+            want = [{"panel": panel, "label": "mc", "x": m, "value": float(rates.sum()),
+                     "ci": float(ci.sum())}
+                    for panel, rates, ci in zip(panels, *estimator(**alone))]
             assert [r for r in got if r["x"] == m] == want
             assert records([m])[1] == want
 
@@ -1160,9 +1160,8 @@ class TestStackedJobs:
                         cand = allocs.copy()
                         cand[0] = (equal_alloc(4, 100.0) if strategy is None
                                    else strategy(prof, m, 4, 100.0))
-                        est = rate(top, cand, 0, 64, seed)
-                        assert got[panel, label, m] == (est.sum_rate,
-                                                        float(est.ci_half_width.sum()))
+                        rates, ci = rate(top, cand, 0, 64, seed)
+                        assert got[panel, label, m] == (float(rates.sum()), float(ci.sum()))
 
     def test_fig5_job_makes_one_call_per_scenario_and_strategy(self, monkeypatch):
         # every M of a scenario is water-filled in one strategy call, and all

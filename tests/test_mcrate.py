@@ -19,7 +19,6 @@ from zf_oracle import (
 from mcmimo import mcrate
 from mcmimo.closedform import downlink_lower_bound, downlink_profile, uplink_approximation, uplink_profile
 from mcmimo.mcrate import (
-    RateEstimate,
     block_rng,
     downlink_rate_mc,
     shared_draws,
@@ -134,17 +133,16 @@ class TestUplinkRateMC:
         # exact rate for M=2, N=1, p = beta = 1 is 1/ln 2 (integral of
         # log2(1+z) against the z e^{-z} density)
         top = build_topology(unit_gain_cfg(1, 2))
-        est = uplink_rate_mc(top, np.ones((1, 1)), 0,
-                             trials=30_000, seed=9, confidence=0.99)
-        assert abs(est.per_user_rate[0] - 1.0 / math.log(2.0)) <= est.ci_half_width[0]
-        assert est.trials == 30_000
+        rates, ci = uplink_rate_mc(top, np.ones((1, 1)), 0,
+                                   trials=30_000, seed=9, confidence=0.99)
+        assert abs(rates[0] - 1.0 / math.log(2.0)) <= ci[0]
 
     def test_zero_power_gives_zero_rate(self):
         cfg = NetworkConfig(users_per_cell=2, bs_antennas=6, cell_count=7, seed=1)
         top = build_topology(cfg)
         allocs = np.zeros((7, 2))
-        est = uplink_rate_mc(top, allocs, 0, trials=50, seed=0)
-        assert np.all(est.per_user_rate == 0.0)
+        rates, _ = uplink_rate_mc(top, allocs, 0, trials=50, seed=0)
+        assert np.all(rates == 0.0)
 
     def test_deterministic_in_seed(self):
         cfg = NetworkConfig(users_per_cell=2, bs_antennas=5, cell_count=7, seed=2)
@@ -152,7 +150,7 @@ class TestUplinkRateMC:
         allocs = np.full((7, 2), 3.0)
         a = uplink_rate_mc(top, allocs, 0, trials=200, seed=5)
         b = uplink_rate_mc(top, allocs, 0, trials=200, seed=5)
-        assert np.array_equal(a.per_user_rate, b.per_user_rate)
+        assert np.array_equal(a[0], b[0])
 
     def test_monotone_in_own_power_matched_randomness(self):
         # common random numbers: raising one user's power cannot lower that
@@ -163,7 +161,7 @@ class TestUplinkRateMC:
         for p0 in (0.5, 1.0, 2.0, 4.0):
             allocs = np.full((7, 3), 2.0)
             allocs[0, 0] = p0
-            rates.append(uplink_rate_mc(top, allocs, 0, trials=150, seed=11).per_user_rate[0])
+            rates.append(uplink_rate_mc(top, allocs, 0, trials=150, seed=11)[0][0])
         assert all(b >= a for a, b in zip(rates, rates[1:]))
 
     def test_missing_neighbor_allocation_rejected(self):
@@ -185,10 +183,10 @@ class TestUplinkRateMC:
             # the Ms share their interference draws, so the gaps at M = 256 and
             # 1024 share most of their noise, which at 4000 trials was as large
             # as the gaps themselves
-            mc = uplink_rate_mc(t, allocs, 0, trials=16_000, seed=21)
+            mc, _ = uplink_rate_mc(t, allocs, 0, trials=16_000, seed=21)
             prof = uplink_profile(t, allocs, 0)
             ap = uplink_approximation(prof, m, 4, allocs[0])
-            gaps.append(float(np.max(np.abs(mc.per_user_rate - ap) / mc.per_user_rate)))
+            gaps.append(float(np.max(np.abs(mc - ap) / mc)))
         assert all(b <= a * 1.05 for a, b in zip(gaps, gaps[1:]))  # small MC-noise slack
         assert gaps[-1] < 0.005
 
@@ -196,49 +194,64 @@ class TestUplinkRateMC:
 class TestDownlinkRateMC:
     def test_interference_free_is_deterministic(self):
         top = build_topology(unit_gain_cfg(1, 2))
-        est = downlink_rate_mc(top, np.ones((1, 1)), 0,
-                               trials=25, seed=4)
-        assert est.per_user_rate[0] == pytest.approx(1.0, rel=1e-12)
-        assert np.all(est.ci_half_width == 0.0)
+        rates, ci = downlink_rate_mc(top, np.ones((1, 1)), 0,
+                                     trials=25, seed=4)
+        assert rates[0] == pytest.approx(1.0, rel=1e-12)
+        assert np.all(ci == 0.0)
 
     def test_zero_power_gives_zero_rate(self):
         cfg = NetworkConfig(users_per_cell=2, bs_antennas=6, cell_count=7, seed=5)
         top = build_topology(cfg)
         allocs = np.zeros((7, 2))
-        est = downlink_rate_mc(top, allocs, 0, trials=40, seed=0)
-        assert np.all(est.per_user_rate == 0.0)
+        rates, _ = downlink_rate_mc(top, allocs, 0, trials=40, seed=0)
+        assert np.all(rates == 0.0)
 
     def test_mc_stays_above_lower_bound(self):
         cfg = NetworkConfig(users_per_cell=4, bs_antennas=32, seed=6)
         top = build_topology(cfg)
         allocs = np.full((19, 4), 250.0)
-        est = downlink_rate_mc(top, allocs, 0, trials=2500, seed=7)
+        rates, ci = downlink_rate_mc(top, allocs, 0, trials=2500, seed=7)
         prof = downlink_profile(top, allocs, 0)
         bound = downlink_lower_bound(prof, 32, 4, allocs[0])
-        assert np.all(est.per_user_rate >= bound - est.ci_half_width)
+        assert np.all(rates >= bound - ci)
 
 
-class TestRateEstimate:
+def _estimate_of(trial_rates, lead=()):
+    """``mcrate._estimate`` over the (trials, N) ``trial_rates`` of one row."""
+    rates = np.asarray(trial_rates, dtype=float)[None]
+    return mcrate._estimate(lambda b, size: rates[:, b * mcrate.BLOCK_TRIALS:][:, :size],
+                            rates.shape[1], 0.95, lead)
+
+
+class TestEstimateCheck:
     def test_rejects_negative_rate(self):
-        with pytest.raises(ValueError):
-            RateEstimate(np.array([-1.0]), 10, np.array([0.0]))
+        with pytest.raises(ValueError, match="Monte Carlo rates must be finite and non-negative"):
+            _estimate_of([[-1.0]])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_rate(self, bad):
-        with pytest.raises(ValueError, match="per_user_rate"):
-            RateEstimate(np.array([bad, 1.0]), 5, np.array([0.0, 0.0]))
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match="Monte Carlo rates must be finite and non-negative"):
+            _estimate_of([[bad, 1.0]] * 5)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
-    def test_rejects_bad_ci_half_width(self, bad):
-        with pytest.raises(ValueError, match="ci_half_width"):
-            RateEstimate(np.array([0.5, 1.0]), 5, np.array([bad, 0.0]))
+    # finite rates whose squares overflow: the variance is inf, or inf - inf
+    @pytest.mark.parametrize("trial_rates", [
+        [[0.5, 0.0], [0.5, 1.5e154]], [[0.5, 0.0], [0.5, 1e200]],
+    ], ids=["inf", "nan"])
+    def test_rejects_bad_half_width(self, trial_rates):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match="Monte Carlo half-widths must be finite and non-negative"):
+            _estimate_of(trial_rates)
 
-    def test_stores_read_only_copies(self):
-        rates = np.array([1.0, 2.0])
-        est = RateEstimate(rates, 5, np.zeros(2))
-        rates[0] = 9.0
-        assert est.per_user_rate[0] == 1.0
-        assert not est.per_user_rate.flags.writeable
+    def test_returns_read_only_arrays_of_the_rows_leading_shape(self):
+        trial_rates = np.array([[1.0, 2.0], [3.0, 2.0]])
+        for lead in ((), (1,)):
+            rates, ci = _estimate_of(trial_rates, lead)
+            trial_rates[0, 0] = 9.0  # the estimate holds no view of its draws
+            assert rates.shape == ci.shape == (*lead, 2)
+            assert rates.reshape(-1).tolist() == [2.0, 2.0] and ci.reshape(-1)[1] == 0.0
+            assert not rates.flags.writeable and not ci.flags.writeable
+            trial_rates[0, 0] = 1.0
 
 
 def test_trial_streams_are_order_independent():
@@ -254,11 +267,10 @@ def test_estimate_is_assembled_from_keyed_blocks():
     # block b's rates are block_rates(b, size), every block but the last
     # holding BLOCK_TRIALS trials and the last the remainder
     block = mcrate.BLOCK_TRIALS
-    est, = mcrate._estimate(lambda b, size: block_rng(5, b).random((1, size, 2)), block + 3,
-                            0.95)
+    got, _ = mcrate._estimate(lambda b, size: block_rng(5, b).random((1, size, 2)), block + 3,
+                              0.95, ())
     rates = np.vstack([block_rng(5, 0).random((block, 2)), block_rng(5, 1).random((3, 2))])
-    np.testing.assert_allclose(est.per_user_rate, rates.mean(axis=0), rtol=1e-12)
-    assert est.trials == block + 3
+    np.testing.assert_allclose(got, rates.mean(axis=0), rtol=1e-12)
 
 
 _Z95 = NormalDist().inv_cdf(0.975)
@@ -295,12 +307,12 @@ def test_agrees_with_matrix_oracle(direction, m, n, cells, oracle_trials, unequa
                          "downlink": (downlink_rate_mc, downlink_rate_oracle)}[direction]
     new = estimator(top, powers, 0, trials=2000, seed=17)
     ref = oracle(top, powers, 0, trials=oracle_trials, seed=17)
-    if not np.any(ref.ci_half_width):  # interference-free downlink is deterministic
-        np.testing.assert_allclose(new.per_user_rate, ref.per_user_rate, rtol=1e-12)
-        assert not np.any(new.ci_half_width)
+    if not np.any(ref[1]):  # interference-free downlink is deterministic
+        np.testing.assert_allclose(new[0], ref[0], rtol=1e-12)
+        assert not np.any(new[1])
         return
-    se = np.hypot(new.ci_half_width, ref.ci_half_width) / _Z95
-    z = (new.per_user_rate - ref.per_user_rate) / se
+    se = np.hypot(new[1], ref[1]) / _Z95
+    z = (new[0] - ref[0]) / se
     assert np.max(np.abs(z)) < 4.0, z
 
 
@@ -347,8 +359,8 @@ def _uplink_rate_v3(top, allocations, target, trials, seed):
         e, F = _faded_energy_v4(rng, m, sqrt_beta, size, w.size)
         return np.log2(1.0 + p_own / (e @ w + (np.abs(F)**2).sum(axis=2)))[None]
 
-    est, = mcrate._estimate(lambda b, size: block_rates(block_rng(seed, b), size), trials, 0.95)
-    return est
+    return mcrate._estimate(lambda b, size: block_rates(block_rng(seed, b), size), trials, 0.95,
+                            ())
 
 
 def _downlink_rate_v4(top, allocations, target, trials, seed):
@@ -368,13 +380,13 @@ def _downlink_rate_v4(top, allocations, target, trials, seed):
         signal = alpha_sq(target) * allocations[target]
         return np.log2(1.0 + signal / (interference + 1.0))[None]
 
-    est, = mcrate._estimate(lambda b, size: block_rates(block_rng(seed, b), size), trials, 0.95)
-    return est
+    return mcrate._estimate(lambda b, size: block_rates(block_rng(seed, b), size), trials, 0.95,
+                            ())
 
 
 def _two_sample_z(new, ref):
-    return (new.per_user_rate - ref.per_user_rate) / (np.hypot(new.ci_half_width,
-                                                               ref.ci_half_width) / _Z95)
+    """Per-user z of two (rates, half_widths) estimates."""
+    return (new[0] - ref[0]) / (np.hypot(new[1], ref[1]) / _Z95)
 
 
 @pytest.mark.parametrize("m", [12, 20, 128, 500])  # M - N = 2, 10, 118, 490
@@ -425,13 +437,12 @@ def test_rows_equal_one_row_at_a_time(estimator, direction, cells):
     trials = mcrate.BLOCK_TRIALS + 37  # a full block and a partial one
     for target in (0, 1 if cells > 1 else 0):
         got = estimator(top, rows, target, trials, 5)
-        assert isinstance(got, list) and len(got) == len(rows)
-        for est, row in zip(got, rows):
+        assert [a.shape for a in got] == [(len(rows), top.n_users)] * 2
+        for r, row in enumerate(rows):
             want = estimator(top, row, target, trials, 5)
-            assert isinstance(want, RateEstimate)
-            assert np.array_equal(est.per_user_rate, want.per_user_rate)
-            assert np.array_equal(est.ci_half_width, want.ci_half_width)
-            assert est.trials == want.trials
+            assert [a.shape for a in want] == [(top.n_users,)] * 2
+            assert np.array_equal(got[0][r], want[0])
+            assert np.array_equal(got[1][r], want[1])
 
 
 @pytest.mark.parametrize("estimator,direction", [(uplink_rate_mc, "uplink"),
@@ -449,8 +460,7 @@ def test_shared_draws_give_each_m_its_own_estimate(estimator, direction, cells):
         t = top.with_antennas(m)
         for got, want in zip(estimator(t, own, 0, trials, 5, shared=shared),
                              estimator(t, own, 0, trials, 5)):
-            assert np.array_equal(got.per_user_rate, want.per_user_rate)
-            assert np.array_equal(got.ci_half_width, want.ci_half_width)
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("estimator,direction", [(uplink_rate_mc, "uplink"),
@@ -483,6 +493,9 @@ def test_shared_draws_of_another_call_are_refused(estimator, direction):
     ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ({"seed": True}, "seed must be an integer, got True"),
     ({"seed": None}, "seed must be an integer, got None"),
+    # masked to 64 bits, -1 once drew as 2**64 - 1 and 2**64 as 0
+    ({"seed": -1}, r"seed must be in \[0, 2\*\*64\), got -1"),
+    ({"seed": 2**64}, r"seed must be in \[0, 2\*\*64\), got 18446744073709551616"),
 ])
 def test_trials_and_seed_checked_by_every_entry(kwargs, message):
     # a bool once ran one trial and reported trials=True; a float failed deep
@@ -495,6 +508,17 @@ def test_trials_and_seed_checked_by_every_entry(kwargs, message):
                      lambda: shared_draws(top, rows, 0, args["trials"], args["seed"], direction)):
             with pytest.raises(ValueError, match=f"^{message}"):
                 call()
+
+
+@pytest.mark.parametrize("estimator", [uplink_rate_mc, downlink_rate_mc])
+@pytest.mark.parametrize("confidence", [0.0, 1.0, 2.0, -0.5, math.nan, True, "0.95"])
+def test_confidence_is_checked_before_any_draw(monkeypatch, estimator, confidence):
+    # 1.0 once failed in statistics after every trial, -0.5 blamed the
+    # half-widths and 0.0 wrote half-widths of 0
+    top = build_topology(NetworkConfig(users_per_cell=2, bs_antennas=6, cell_count=7, seed=1))
+    monkeypatch.setattr(mcrate, "block_rng", lambda *a: pytest.fail("drew before the check"))
+    with pytest.raises(ValueError, match=r"^confidence must be a number in \(0, 1\), got "):
+        estimator(top, np.ones((7, 2)), 0, 10, 0, confidence=confidence)
 
 
 def test_rows_are_checked_one_by_one():

@@ -488,7 +488,8 @@ class TestNetworkSumRate:
         powers = np.random.default_rng(2).uniform(0.0, 50.0, (7, 2))
         for estimator in ("closedForm", "monteCarlo"):
             one = network_sum_rate(top, powers, direction, estimator, 40, 3)
-            assert network_sum_rate(top, [powers, 2 * powers], direction, estimator, 40, 3)[0] == one
+            rows = network_sum_rate(top, [powers, 2 * powers], direction, estimator, 40, 3)
+            assert type(one) is np.float64 and rows.shape == (2,) and rows[0] == one
         with pytest.raises(TypeError, match="direction"):
             network_sum_rate(top, powers)  # powers name no link
         with pytest.raises(ValueError, match="direction"):
@@ -499,6 +500,16 @@ class TestNetworkSumRate:
         top = build_topology(cfg)
         with pytest.raises(ValueError, match="estimator"):
             network_sum_rate(top, equal_alloc(2, 1.0)[None], "uplink", "guess")
+
+    # masked to 64 bits, -1 once rated as 2**64 - 1 and 2**64 as 0
+    @pytest.mark.parametrize("seed, message", [(-1, r"in \[0, 2\*\*64\)"),
+                                               (2**64, r"in \[0, 2\*\*64\)"),
+                                               (2.5, "an integer")])
+    def test_bad_seed_rejected(self, seed, message):
+        top = build_topology(NetworkConfig(users_per_cell=2, bs_antennas=8, cell_count=1, seed=1))
+        for estimator in ("closedForm", "monteCarlo"):
+            with pytest.raises(ValueError, match=f"^seed must be {message}"):
+                network_sum_rate(top, equal_alloc(2, 1.0)[None], "uplink", estimator, 10, seed)
 
     @pytest.mark.parametrize("trials", [0, 2.5, True, "10"])
     def test_bad_trials_rejected(self, trials):
@@ -1042,9 +1053,12 @@ class TestRunScheduledDrops:
     def test_seeds_one_per_drop(self):
         tops = [build_topology(NetworkConfig(users_per_cell=2, bs_antennas=8, cell_count=7,
                                              seed=seed)) for seed in (4, 5)]
-        for seeds in ([1], [1, 2, 3], [1, 2.5], "12"):
+        for seeds in ([1], [1, 2, 3], [1, 2.5], "12", [1, -1], [2**64, 1]):
             with pytest.raises(ValueError, match="seeds"):
                 run_scheduled_drops(tops, uplink_alloc_approx, 20.0, 1.0, 1, seeds=seeds)
+        for seed in (-1, 2**64):  # once masked to 64 bits: 2**64 - 1 and 0
+            with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*64\)"):
+                run_scheduled(tops[0], uplink_alloc_approx, 20.0, 1.0, 1, "monteCarlo", 10, seed)
 
     def test_empty_or_mixed_stack_rejected(self):
         def top(**kw):

@@ -4,6 +4,8 @@ comments state."""
 import re
 from pathlib import Path
 
+import numpy as np
+
 README = Path(__file__).parents[1] / "README.md"
 
 
@@ -23,4 +25,7 @@ def test_quick_tour_runs_with_its_documented_shapes():
                       "group": (3, 10), "rows": (6, 10), "t": (1, 10), "same_rate": (1, 10)}
     prof = namespace["prof"]  # a stack of one row
     assert prof.beta_self.shape == (1, 10) and prof.cross_sum.shape == (1, 1)
-    assert namespace["est"].per_user_rate.shape == (10,)
+    for name, shape in (("rates", (10,)), ("ci", (10,)), ("row_rates", (2, 10)),
+                        ("row_ci", (2, 10))):
+        assert namespace[name].shape == shape and not namespace[name].flags.writeable
+    assert np.array_equal(namespace["row_rates"][0], namespace["rates"])

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from mcmimo.mcrate import RateEstimate, _ci_half_width, _power_rows
+from mcmimo.mcrate import _ci_half_width, _power_rows
 
 # a channel is rejected when its Gram matrix has a larger condition number,
 # or when the ZF identity misses by more than the residual tolerance; a trial
@@ -101,12 +101,13 @@ def _draw_fading(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return math.sqrt(0.5) * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
 
 
-def _estimate(rates, trials: int, confidence: float) -> RateEstimate:
+def _estimate(rates, trials: int, confidence: float):
+    """(rates, half_widths) over the per-trial (N,) ``rates``, as the estimators return."""
     sum_x = sum_x2 = 0.0
     for rate in rates:
         sum_x = sum_x + rate
         sum_x2 = sum_x2 + rate * rate
-    return RateEstimate(sum_x / trials, trials, _ci_half_width(sum_x, sum_x2, trials, confidence))
+    return sum_x / trials, _ci_half_width(sum_x, sum_x2, trials, confidence)
 
 
 def _resampled(rng, draw, t):
